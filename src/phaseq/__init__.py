@@ -31,17 +31,13 @@ from .combinatorics import (
     grouped_input_classes,
     input_class_count,
     output_class_count,
-    reduced_output_classes,
 )
 from .core import (
-    ChannelDraw,
     SystemConfig,
     modulate,
     parse_config_text,
-    quantize,
     ramp_dither,
     resolve_dither,
-    sample_block,
     sample_blocks,
     sector_index,
 )
@@ -65,7 +61,6 @@ from .sim import (
     wilson_interval,
 )
 from .transition import (
-    OutputVector,
     TransitionKernel,
     block_conditional,
     block_conditional_batch,
@@ -87,12 +82,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CapacityResult",
     "CanonicalOutputClass",
-    "ChannelDraw",
     "CheckResult",
     "GlrtCandidate",
     "GlrtResult",
     "InputClass",
-    "OutputVector",
     "SerPoint",
     "SystemConfig",
     "TieCensus",
@@ -131,14 +124,11 @@ __all__ = [
     "output_entropy",
     "parse_config_text",
     "phase_offset_pdf",
-    "quantize",
     "ramp_dither",
-    "reduced_output_classes",
     "resolve_dither",
     "run_all_checks",
     "run_ser",
     "run_tie_census",
-    "sample_block",
     "sample_blocks",
     "sector_index",
     "sector_offset_probability",

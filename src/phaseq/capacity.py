@@ -6,7 +6,9 @@ verifies rather than assumes blindly), summed over canonical output classes;
 the output entropy runs over residue classes with the grouped-input-average
 marginal. A full-enumeration brute-force path is shipped alongside as the
 oracle, and a Monte Carlo estimator covers dithered configurations where the
-reduction does not apply.
+reduction does not apply. Block probabilities fall back to log space when the
+linear phase-grid product underflows, so the Monte Carlo estimate stays finite
+for long blocks; it works on log-probabilities throughout.
 
 Normalization: the first symbol effectively spends its information resolving
 the unknown block phase, so the per-symbol rate divides by L - 1.
@@ -20,10 +22,11 @@ from itertools import product
 
 import numpy as np
 
-from .combinatorics import canonical_output_classes, grouped_input_classes, reduced_output_classes
+from .combinatorics import canonical_output_classes, grouped_input_classes
 from .core import SystemConfig, sample_blocks
 from .transition import (
     TransitionKernel,
+    _log_grid_mean,
     block_conditional_batch,
     kernel_bank_for,
     kernel_for,
@@ -114,7 +117,7 @@ def output_entropy(config: SystemConfig, kernel: TransitionKernel | None = None)
         kernel = kernel_for(config)
     total = 0.0
     scale = float(config.M**config.L)
-    for cls in reduced_output_classes(config.a, config.L):
+    for cls in canonical_output_classes(config.a, config.L):
         p = marginal_probability(cls.representative, config, kernel)
         if p > 0:
             total -= scale * config.a * cls.multiplicity * p * math.log2(p)
@@ -243,19 +246,13 @@ def mutual_information_mc(
         n = min(batch, trials - done)
         X = rng.integers(0, M, size=(n, L))
         _, Z = sample_blocks(X, config, rng)
-        S = (Z - a * X) % K
-        acc_cond = tables[0][S[:, 0]].copy()
-        acc_out = mixed[0][Z[:, 0]].copy()
-        for l in range(1, L):
-            acc_cond *= tables[l][S[:, l]]
-            acc_out *= mixed[l][Z[:, l]]
-        p_cond = acc_cond.mean(axis=1)
-        p_out = acc_out.mean(axis=1)
-        ratio = np.log2(p_cond) - np.log2(p_out)
+        log_cond = _log_grid_mean(tables, (Z - a * X) % K)
+        log_out = _log_grid_mean(mixed, Z)
+        ratio = (log_cond - log_out) * LOG2E
         sum_ratio += ratio.sum()
         sum_ratio_sq += (ratio * ratio).sum()
-        sum_cond += -np.log2(p_cond).sum()
-        sum_out += -np.log2(p_out).sum()
+        sum_cond -= log_cond.sum() * LOG2E
+        sum_out -= log_out.sum() * LOG2E
         done += n
 
     mi = sum_ratio / trials

@@ -19,14 +19,14 @@ import numpy as np
 from . import __version__
 from .capacity import mutual_information, mutual_information_mc
 from .combinatorics import (
+    canonical_output_classes,
     export_input_classes_csv,
     export_output_classes_csv,
     grouped_input_classes,
-    reduced_output_classes,
 )
 from .core import SystemConfig, resolve_dither
 from .sim import run_ser
-from .transition import build_kernel, export_kernel_csv
+from .transition import build_kernel, export_kernel_csv, kernel_for
 from .verify import run_all_checks
 
 
@@ -112,7 +112,7 @@ def cmd_capacity(args) -> int:
         else:
             if cfg.is_dithered:
                 raise SystemExit("dithered configs require --method mc")
-            res = mutual_information(cfg, method=args.method)
+            res = mutual_information(cfg, kernel_for(cfg, n_phi=args.nphi), method=args.method)
         rows.append(
             [
                 repr(float(snr_db)),
@@ -155,6 +155,7 @@ def cmd_capacity(args) -> int:
             "theta0": args.theta0,
             "dither": _dither_mode(args.dither),
             "method": args.method,
+            "nphi": args.nphi if args.nphi is not None else "default",
             "trials": args.trials if args.method == "mc" else "",
             "seed": args.seed,
         },
@@ -260,9 +261,9 @@ def cmd_tables(args) -> int:
     kernel_path = out_dir / "kernel.csv"
     export_kernel_csv(kernel, kernel_path)
     classes_path = out_dir / "canonical_output_classes.csv"
-    export_output_classes_csv(reduced_output_classes(cfg.K, cfg.L), classes_path)
+    export_output_classes_csv(canonical_output_classes(cfg.K, cfg.L), classes_path)
     residue_path = out_dir / "residue_output_classes.csv"
-    residue_classes = reduced_output_classes(cfg.a, cfg.L)
+    residue_classes = canonical_output_classes(cfg.a, cfg.L)
     export_output_classes_csv(residue_classes, residue_path)
     inputs_path = out_dir / "input_classes.csv"
     export_input_classes_csv(
@@ -280,7 +281,6 @@ def cmd_tables(args) -> int:
                 "snr": args.snr_db,
                 "theta0": args.theta0,
                 "dither": _dither_mode(args.dither),
-                "seed": args.seed,
             },
             time.monotonic() - started,
             0,
@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--trials", type=int, default=1_000_000, help="MC draws (method=mc)")
     p_cap.add_argument("--nphi", type=int, default=None, help="phase grid size override")
     p_cap.add_argument("--seed", type=int, default=0)
-    p_cap.add_argument("--workers", type=int, default=None)
     p_cap.add_argument("--out", default="capacity.csv")
     p_cap.set_defaults(func=cmd_capacity)
 
@@ -339,15 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--instances", type=int, default=100)
     p_ver.add_argument("--fast", action="store_true", help="fewer instances, skip oracles")
     p_ver.add_argument("--seed", type=int, default=2024)
-    p_ver.add_argument("--workers", type=int, default=None)
     p_ver.set_defaults(func=cmd_verify)
 
     p_tab = sub.add_parser("tables", help="dump kernel and class tables as CSV")
     _add_system_flags(p_tab)
     p_tab.add_argument("--snr-db", type=float, default=6.0)
     p_tab.add_argument("--nphi", type=int, default=None)
-    p_tab.add_argument("--seed", type=int, default=0)
-    p_tab.add_argument("--workers", type=int, default=None)
     p_tab.add_argument("--out-dir", default="tables")
     p_tab.set_defaults(func=cmd_tables)
     return parser

@@ -81,16 +81,6 @@ def canonical_output_classes(alphabet_size: int, block_len: int) -> list[Canonic
     return out
 
 
-def reduced_output_classes(a: int, block_len: int) -> list[CanonicalOutputClass]:
-    """Canonical classes of the residue alphabet {0..a-1}.
-
-    Every full output block is equivalent to its componentwise residue mod a,
-    so output-entropy sums run over these classes; each covers a*multiplicity
-    residue blocks (the extra factor a from constant addition mod a).
-    """
-    return canonical_output_classes(a, block_len)
-
-
 def grouped_input_classes(z, M: int) -> list[InputClass]:
     """Input classes for a fixed reduced output z (components in 0..a-1).
 

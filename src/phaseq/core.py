@@ -72,6 +72,11 @@ class SystemConfig:
             d = tuple(float(v) for v in d)
             if len(d) != self.L:
                 raise ValueError(f"dither must have exactly L={self.L} entries")
+        for name, value in (("snr_db", self.snr_db), ("theta0", self.theta0)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite (got {value})")
+        if not all(math.isfinite(v) for v in d):
+            raise ValueError("dither entries must be finite")
         object.__setattr__(self, "dither", d)
         object.__setattr__(self, "theta0", float(self.theta0))
         object.__setattr__(self, "snr_db", float(self.snr_db))
@@ -161,26 +166,16 @@ def resolve_dither(token: str, block_len: int, sectors: int) -> tuple[float, ...
     return values
 
 
-def quantize(c: complex, K: int) -> int:
-    """Sector index floor(arg(c) / (2*pi/K)) with arg taken in [0, 2*pi).
+def sector_index(angles: np.ndarray, K: int) -> np.ndarray:
+    """Sector indices floor(arg / (2*pi/K)) of angles in radians, any branch.
 
     Sector z covers [z*2*pi/K, (z+1)*2*pi/K); boundaries belong to the upper
-    sector. A zero sample has no phase and is rejected.
+    sector.
     """
-    if K < 1:
-        raise ValueError("K must be positive")
-    if c == 0:
-        raise ValueError("zero sample has undefined phase; redraw the noise")
-    ang = math.atan2(c.imag, c.real) % TWO_PI
-    # ang can round to exactly 2*pi for angles just below zero; that is the
-    # correct top sector, so clamp instead of wrapping to 0.
-    return min(int(ang * K / TWO_PI), K - 1)
-
-
-def sector_index(angles: np.ndarray, K: int) -> np.ndarray:
-    """Vectorized quantizer for arrays of angles (radians, any branch)."""
     ang = np.mod(np.asarray(angles, dtype=float), TWO_PI)
     idx = np.floor(ang * K / TWO_PI).astype(np.int64)
+    # ang can round to exactly 2*pi for angles just below zero; that is the
+    # correct top sector, so clamp instead of wrapping to 0.
     return np.minimum(idx, K - 1)
 
 
@@ -189,39 +184,18 @@ def modulate(x, config: SystemConfig) -> np.ndarray:
     return np.exp(1j * config.symbol_phases(x))
 
 
-@dataclass(frozen=True)
-class ChannelDraw:
-    """One sampled block: common phase offset, input, and quantized output."""
-
-    phi: float
-    x: np.ndarray
-    z: np.ndarray
-
-
-def sample_block(
-    x,
-    config: SystemConfig,
-    rng: np.random.Generator,
-    phi: float | None = None,
-) -> ChannelDraw:
-    """Draw one quantized block observation for input x.
-
-    phi overrides the uniform block phase when given (test hook); the noise is
-    always drawn from rng. Zero received samples (probability zero) trigger a
-    redraw of the affected noise entries.
-    """
-    x = np.asarray(x, dtype=np.int64)
-    phis, Z = sample_blocks(x[None, :], config, rng, phi=phi)
-    return ChannelDraw(phi=float(phis[0]), x=x, z=Z[0])
-
-
 def sample_blocks(
     X,
     config: SystemConfig,
     rng: np.random.Generator,
     phi: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized sampler: X is (n, L) ints, returns (phi (n,), Z (n, L))."""
+    """Draw quantized blocks: X is (n, L) ints, returns (phi (n,), Z (n, L)).
+
+    phi overrides the uniform block phase when given (test hook); the noise is
+    always drawn from rng. Zero received samples (probability zero, no phase)
+    trigger a redraw of the affected noise entries.
+    """
     X = np.asarray(X, dtype=np.int64)
     n = X.shape[0]
     clean = np.exp(1j * config.symbol_phases(X))

@@ -11,7 +11,9 @@ with rho the linear SNR and Phi the standard normal CDF. A sector probability
 is f integrated over an arc of width 2*pi/K, done here by adaptive quadrature.
 Block probabilities average the per-symbol product over phi on a uniform grid
 (composite midpoint rule; the integrand is smooth and periodic, so the rule
-converges spectrally).
+converges spectrally). One routine, _log_grid_mean, forms every such product:
+it multiplies linearly and falls back to log space for the blocks whose
+linear product underflows, so long blocks keep finite log-probabilities.
 
 Only the x = 0 slice of the scalar transition law is ever tabulated: shifting
 the input by one constellation step shifts the output law by a = K/M sectors,
@@ -33,9 +35,12 @@ from .core import TWO_PI, SystemConfig
 
 DEFAULT_TOL = 1e-12
 DEFAULT_N_PHI = 2048
-# Above this block length the per-grid-point product may underflow; switch to
-# log accumulation.
-_LINEAR_PRODUCT_MAX_L = 16
+# Rows per chunk of the (rows, n_phi) product accumulator.
+_CHUNK_ROWS = 2048
+# A grid mean below this is near the float64 underflow limit (~2.2e-308), where
+# the linear product has lost precision or reached zero; such rows are redone
+# in log space.
+_UNDERFLOW_FLOOR = 1e-280
 
 
 def phase_offset_pdf(u, snr_linear: float) -> np.ndarray:
@@ -298,37 +303,17 @@ def kernel_bank_for(
     )
 
 
-@dataclass(frozen=True)
-class OutputVector:
-    """Observed block z with its sector decomposition z = a*q + r."""
-
-    z: np.ndarray
-    q: np.ndarray
-    r: np.ndarray
-
-    @classmethod
-    def from_vector(cls, z, a: int) -> "OutputVector":
-        z = np.asarray(z, dtype=np.int64)
-        return cls(z=z, q=z // a, r=z % a)
-
-
-def _as_output_array(z) -> np.ndarray:
-    if isinstance(z, OutputVector):
-        return z.z
-    return np.asarray(z, dtype=np.int64)
-
-
 def block_conditional(z, x, kernel: TransitionKernel) -> float:
     """P(z | x) for one block: phase-average of the per-symbol product.
 
     Undithered only; dithered blocks go through block_conditional_dithered.
     """
-    z = _as_output_array(z)
+    z = np.asarray(z, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
     if z.shape != x.shape:
         raise ValueError("z and x must have the same length")
-    rows = kernel.lookup(z, x)
-    return _phase_average(rows)
+    S = (z - kernel.a * x) % kernel.K
+    return float(np.exp(_log_grid_mean([kernel.table] * S.size, S[None, :])[0]))
 
 
 def block_conditional_dithered(
@@ -343,33 +328,21 @@ def block_conditional_dithered(
     With an all-zero dither this reduces to block_conditional bit for bit,
     since the per-position kernels collapse to the shared undithered one.
     """
-    z = _as_output_array(z)
+    z = np.asarray(z, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
     if z.size != config.L or x.size != config.L:
         raise ValueError(f"z and x must have L={config.L} entries")
     if kernels is None:
         kernels = kernel_bank_for(config, n_phi=n_phi)
-    rows = np.stack([kernels[l].lookup(z[l], x[l]) for l in range(config.L)])
-    return _phase_average(rows)
-
-
-def _phase_average(rows: np.ndarray) -> float:
-    """Midpoint-rule phase average of a per-symbol probability product."""
-    if rows.shape[0] <= _LINEAR_PRODUCT_MAX_L:
-        return float(rows.prod(axis=0).mean())
-    with np.errstate(divide="ignore"):
-        logs = np.log(rows).sum(axis=0)
-    peak = logs.max()
-    if peak == -np.inf:
-        return 0.0
-    return float(np.exp(peak) * np.exp(logs - peak).mean())
+    S = (z - config.a * x) % config.K
+    return float(np.exp(_log_grid_mean([k.table for k in kernels], S[None, :])[0]))
 
 
 def block_conditional_batch(
     Z: np.ndarray,
     kernel: TransitionKernel,
     x: np.ndarray | None = None,
-    chunk: int = 2048,
+    chunk: int = _CHUNK_ROWS,
 ) -> np.ndarray:
     """P(z | x) for many undithered blocks at once; Z is (n, L).
 
@@ -377,19 +350,44 @@ def block_conditional_batch(
     (rows, n_phi) product accumulator.
     """
     Z = np.asarray(Z, dtype=np.int64)
-    n, L = Z.shape
     if x is None:
         S = Z % kernel.K
     else:
         x = np.asarray(x, dtype=np.int64)
         S = (Z - kernel.a * x[None, :]) % kernel.K
+    return np.exp(_log_grid_mean([kernel.table] * S.shape[1], S, chunk))
+
+
+def _log_grid_mean(tables, S: np.ndarray, chunk: int = _CHUNK_ROWS) -> np.ndarray:
+    """log of the phase-grid mean of prod_l tables[l][S[:, l]], one per row.
+
+    tables holds one (K, n_phi) table per block position and S is (n, L)
+    sector indices into them. Rows are multiplied linearly, chunk rows at a
+    time; a row whose mean lands below _UNDERFLOW_FLOOR is recomputed as a
+    log-sum-exp, so long blocks keep a finite log instead of log(0) = -inf.
+    """
+    S = np.asarray(S, dtype=np.int64)
+    n, L = S.shape
     out = np.empty(n)
     for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        acc = kernel.table[S[lo:hi, 0]].copy()
+        rows = S[lo : lo + chunk]
+        acc = tables[0][rows[:, 0]]
         for l in range(1, L):
-            acc *= kernel.table[S[lo:hi, l]]
-        out[lo:hi] = acc.mean(axis=1)
+            acc *= tables[l][rows[:, l]]
+        mean = acc.mean(axis=1)
+        deep = mean < _UNDERFLOW_FLOOR
+        with np.errstate(divide="ignore"):
+            log_mean = np.log(mean)
+            if deep.any():
+                sub = rows[deep]
+                logs = np.log(tables[0][sub[:, 0]])
+                for l in range(1, L):
+                    logs += np.log(tables[l][sub[:, l]])
+                peak = logs.max(axis=1)
+                # an all-zero row keeps log 0 = -inf instead of -inf - -inf
+                peak[np.isneginf(peak)] = 0.0
+                log_mean[deep] = peak + np.log(np.exp(logs - peak[:, None]).mean(axis=1))
+        out[lo : lo + rows.shape[0]] = log_mean
     return out
 
 

@@ -28,7 +28,7 @@ from itertools import product
 import numpy as np
 
 from .capacity import block_probs_all_outputs, mutual_information
-from .combinatorics import canonical_output_classes, input_class_count, reduced_output_classes
+from .combinatorics import canonical_output_classes, input_class_count
 from .core import TWO_PI, SystemConfig
 from .transition import (
     block_conditional,
@@ -258,7 +258,7 @@ def check_cardinalities() -> list[CheckResult]:
     )
     sizes = [
         input_class_count(np.array(cls.representative), 4)
-        for cls in reduced_output_classes(2, 8)
+        for cls in canonical_output_classes(2, 8)
     ]
     got_max = max(sizes)
     results.append(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -155,6 +156,14 @@ class TestMonteCarlo:
         res = mutual_information_mc(cfg, 2_000, np.random.default_rng(5))
         assert abs(res.mi) < 1e-9
         assert res.per_symbol is None
+
+    def test_long_block_stays_finite(self):
+        # at L=200 every block probability underflows a linear product
+        cfg = SystemConfig(M=4, K=64, L=200, snr_db=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = mutual_information_mc(cfg, trials=200, rng=np.random.default_rng(8))
+        assert all(math.isfinite(v) for v in (res.mi, res.h_cond, res.h_out, res.error_bar))
 
 
 def test_block_probs_all_outputs_normalizes():

@@ -13,10 +13,8 @@ from phaseq import (
     SystemConfig,
     modulate,
     parse_config_text,
-    quantize,
     ramp_dither,
     resolve_dither,
-    sample_block,
     sample_blocks,
     sector_index,
 )
@@ -45,6 +43,21 @@ class TestSystemConfig:
             SystemConfig(M=1, K=8, L=2, snr_db=0.0)
         with pytest.raises(ValueError):
             SystemConfig(M=4, K=8, L=0, snr_db=0.0)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"snr_db": math.nan},
+            {"snr_db": math.inf},
+            {"theta0": math.inf},
+            {"theta0": -math.nan},
+            {"dither": (0.0, math.nan)},
+            {"dither": (-math.inf, 0.0)},
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SystemConfig(**{"M": 4, "K": 8, "L": 2, "snr_db": 0.0, **bad})
 
     def test_dither_length_enforced(self):
         with pytest.raises(ValueError, match="exactly L"):
@@ -86,36 +99,32 @@ def test_resolve_dither():
 class TestQuantize:
     def test_sector_centers(self):
         K = 8
-        for z in range(K):
-            c = np.exp(1j * (z + 0.5) * TWO_PI / K)
-            assert quantize(complex(c), K) == z
+        centers = (np.arange(K) + 0.5) * TWO_PI / K
+        assert sector_index(centers, K).tolist() == list(range(K))
 
     def test_lower_boundary_belongs_to_sector(self):
         # boundary angle exactly 2*pi*z/K falls in sector z
-        assert quantize(1.0 + 0.0j, 8) == 0
-        assert quantize(complex(np.exp(1j * TWO_PI / 8)), 8) == 1
+        assert sector_index(0.0, 8) == 0
+        assert sector_index(np.angle(np.exp(1j * TWO_PI / 8)), 8) == 1
 
     def test_negative_angles_wrap(self):
-        c = np.exp(-1j * 0.01)
-        assert quantize(complex(c), 8) == 7
-
-    def test_zero_sample_rejected(self):
-        with pytest.raises(ValueError, match="undefined phase"):
-            quantize(0.0 + 0.0j, 8)
+        assert sector_index(np.angle(np.exp(-1j * 0.01)), 8) == 7
+        # -1e-18 mod 2*pi rounds to exactly 2*pi: still the top sector
+        assert sector_index(-1e-18, 8) == 7
 
     @given(st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True))
     @settings(max_examples=200, deadline=None)
     def test_matches_angle_arithmetic(self, theta):
         K = 12
         expected = min(int(theta / (TWO_PI / K)), K - 1)
-        assert quantize(complex(np.exp(1j * theta)), K) == expected
+        assert sector_index(np.angle(np.exp(1j * theta)), K) == expected
 
 
 def test_sector_index_matches_scalar(rng):
     K = 12
     angles = rng.uniform(-10, 10, size=64)
     vec = sector_index(angles, K)
-    scalar = [quantize(complex(np.exp(1j * a)), K) for a in angles]
+    scalar = [min(int((a % TWO_PI) * K / TWO_PI), K - 1) for a in angles]
     assert vec.tolist() == scalar
 
 
@@ -137,17 +146,34 @@ def test_symbol_phases_include_theta0_and_dither():
 
 class TestSampling:
     def test_seeded_reproducibility(self, qpsk8_l3):
-        a = sample_block([0, 1, 2], qpsk8_l3, np.random.default_rng(5))
-        b = sample_block([0, 1, 2], qpsk8_l3, np.random.default_rng(5))
-        assert a.phi == b.phi
-        assert np.array_equal(a.z, b.z)
+        a = sample_blocks([[0, 1, 2]], qpsk8_l3, np.random.default_rng(5))
+        b = sample_blocks([[0, 1, 2]], qpsk8_l3, np.random.default_rng(5))
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_phi_override_and_noise_free_limit(self):
         cfg = SystemConfig(M=4, K=8, L=3, snr_db=60.0)
         # phi at a sector center: z = a*x + quantized offset, deterministically
-        draw = sample_block([0, 1, 2], cfg, np.random.default_rng(0), phi=math.pi / 8)
-        assert draw.phi == pytest.approx(math.pi / 8)
-        assert list(draw.z) == [0, 2, 4]
+        phis, Z = sample_blocks([[0, 1, 2]], cfg, np.random.default_rng(0), phi=math.pi / 8)
+        assert phis[0] == pytest.approx(math.pi / 8)
+        assert Z[0].tolist() == [0, 2, 4]
+
+    def test_zero_sample_is_redrawn(self):
+        # a zero received sample has no phase, so its noise is drawn again
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=0.0)
+        cancel = -1.0 / cfg.sigma
+        assert 1.0 + cfg.sigma * cancel == 0.0
+
+        class ScriptedNormals:
+            draws = [np.array([[cancel, 0.0]]), np.zeros((1, 2)), np.array([1.0]), np.zeros(1)]
+
+            def standard_normal(self, shape):
+                return self.draws.pop(0).reshape(shape)
+
+        rng = ScriptedNormals()
+        _, Z = sample_blocks([[0, 0]], cfg, rng, phi=0.0)
+        assert rng.draws == []
+        assert Z.tolist() == [[0, 0]]
 
     def test_block_shape_and_range(self, rng):
         cfg = SystemConfig(M=4, K=12, L=4, snr_db=3.0)
@@ -185,6 +211,11 @@ def test_parse_config_text_roundtrip(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("M=4\nK=8\nL=2\nsnr_db=0\n")
     assert SystemConfig.from_file(path) == SystemConfig(M=4, K=8, L=2, snr_db=0.0)
+
+
+def test_parse_config_text_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        parse_config_text("M=4\nK=8\nL=2\nsnr_db=6\ndither=0.1,nan\n")
 
 
 def test_parse_config_text_missing_key():

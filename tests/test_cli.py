@@ -6,6 +6,7 @@ import csv
 
 import pytest
 
+from phaseq import SystemConfig, kernel_for, mutual_information
 from phaseq.cli import main, parse_snr_grid
 
 
@@ -75,6 +76,16 @@ class TestCapacityCommand:
         mi_r = float(read_csv(out_r)[0]["mi_bits"])
         mi_b = float(read_csv(out_b)[0]["mi_bits"])
         assert mi_b == pytest.approx(mi_r, rel=1e-9)
+
+    def test_nphi_reaches_exact_methods(self, tmp_path):
+        cfg = SystemConfig(M=4, K=8, L=3, snr_db=12.0)
+        for method in ("reduced", "brute"):
+            out = tmp_path / f"{method}.csv"
+            args = ["capacity", "--M", "4", "--K", "8", "--L", "3", "--snr", "12"]
+            assert main(args + ["--method", method, "--nphi", "48", "--out", str(out)]) == 0
+            direct = mutual_information(cfg, kernel_for(cfg, n_phi=48), method=method)
+            assert float(read_csv(out)[0]["mi_bits"]) == direct.mi
+            assert read_manifest(out.with_suffix(".csv.manifest"))["nphi"] == "48"
 
     def test_mc_with_dither(self, tmp_path):
         out = tmp_path / "mc.csv"

@@ -17,7 +17,6 @@ from phaseq import (
     grouped_input_classes,
     input_class_count,
     output_class_count,
-    reduced_output_classes,
 )
 
 
@@ -92,10 +91,10 @@ class TestOutputClasses:
 
     def test_residue_alphabet_cases(self):
         # a=2: residue patterns are multisets over {0,1}
-        reps2 = [c.representative for c in reduced_output_classes(2, 2)]
+        reps2 = [c.representative for c in canonical_output_classes(2, 2)]
         assert reps2 == [(0, 0), (0, 1)]
-        assert len(reduced_output_classes(2, 8)) == 8
-        classes33 = reduced_output_classes(3, 3)
+        assert len(canonical_output_classes(2, 8)) == 8
+        classes33 = canonical_output_classes(3, 3)
         assert len(classes33) == 6
         assert len(classes33) == len(brute_class_buckets(3, 3))
 
@@ -137,7 +136,7 @@ class TestInputClasses:
         # M=4, L=8, a=2: the even split (4,4) maximizes the class count
         worst = max(
             input_class_count(np.array(c.representative), 4)
-            for c in reduced_output_classes(2, 8)
+            for c in canonical_output_classes(2, 8)
         )
         assert worst == 1225
 

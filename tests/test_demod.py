@@ -15,7 +15,7 @@ from phaseq import (
     glrt_demodulate_dithered,
     glrt_metric,
     kernel_bank_for,
-    sample_block,
+    sample_blocks,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -104,9 +104,9 @@ class TestBruteForceAgreement:
         rng = np.random.default_rng(42)
         for _ in range(60):
             x = rng.integers(0, 4, size=3)
-            draw = sample_block(x, cfg, rng)
-            fast = glrt_demodulate(draw.z, cfg)
-            oracle = brute_force_glrt(draw.z, cfg)
+            _, Z = sample_blocks(x[None, :], cfg, rng)
+            fast = glrt_demodulate(Z[0], cfg)
+            oracle = brute_force_glrt(Z[0], cfg)
             if oracle.tie:
                 continue
             assert up_to_constant_addition(fast.winner, oracle.winner, 4)
@@ -117,9 +117,9 @@ class TestBruteForceAgreement:
         disagreements = 0
         for _ in range(60):
             x = rng.integers(0, 4, size=3)
-            draw = sample_block(x, cfg, rng)
-            fast = glrt_demodulate_dithered(draw.z, cfg)
-            oracle = brute_force_glrt(draw.z, cfg)
+            _, Z = sample_blocks(x[None, :], cfg, rng)
+            fast = glrt_demodulate_dithered(Z[0], cfg)
+            oracle = brute_force_glrt(Z[0], cfg)
             if oracle.tie:
                 continue
             if not up_to_constant_addition(fast.winner, oracle.winner, 4):
@@ -148,8 +148,8 @@ class TestSweepStructure:
         cfg = SystemConfig(M=4, K=8, L=4, snr_db=40.0)
         rng = np.random.default_rng(9)
         x = np.array([2, 0, 3, 1])
-        draw = sample_block(x, cfg, rng, phi=math.pi / 8)
-        res = glrt_demodulate(draw.z, cfg)
+        _, Z = sample_blocks(x[None, :], cfg, rng, phi=math.pi / 8)
+        res = glrt_demodulate(Z[0], cfg)
         assert up_to_constant_addition(res.winner, x, 4)
 
     def test_candidate_count_bounds(self):
@@ -249,8 +249,8 @@ class TestTieHandling:
         flagged = 0
         for _ in range(25):
             x = rng.integers(0, 4, size=3)
-            draw = sample_block(x, cfg, rng)
-            if brute_force_glrt(draw.z, cfg).tie:
+            _, Z = sample_blocks(x[None, :], cfg, rng)
+            if brute_force_glrt(Z[0], cfg).tie:
                 flagged += 1
         assert flagged <= 2
 

@@ -28,7 +28,7 @@ from phaseq import (
     sector_offset_probability,
     sector_probability,
 )
-from phaseq.transition import _phase_average
+from phaseq.transition import _log_grid_mean
 
 TWO_PI = 2.0 * math.pi
 
@@ -294,14 +294,35 @@ def test_dithered_block_against_channel_mc():
     assert abs(p - p_mc) < 3 * se
 
 
-def test_phase_average_log_fallback_matches_linear(rng):
-    tall = rng.uniform(1e-3, 1.0, size=(20, 256))  # 20 rows forces the log path
-    expected = float(np.exp(np.log(tall).sum(axis=0)).mean())
-    assert _phase_average(tall) == pytest.approx(expected, rel=1e-12)
-    short = tall[:4]
-    assert _phase_average(short) == pytest.approx(
-        float(np.prod(short, axis=0).mean()), rel=1e-12
+def _plain_grid_mean(tables, S):
+    return np.prod([t[S[:, l]] for l, t in enumerate(tables)], axis=0).mean(axis=1)
+
+
+def test_log_grid_mean_linear_and_log_paths(rng):
+    normal = [rng.uniform(1e-3, 1.0, size=(4, 256)) for _ in range(20)]
+    S = rng.integers(0, 4, size=(50, 20))
+    assert np.exp(_log_grid_mean(normal, S)) == pytest.approx(
+        _plain_grid_mean(normal, S), rel=1e-12
     )
+    # sector 0 carries an extra 1e-3 at all 200 positions, so the even rows
+    # (all sector 0) underflow the linear product and the odd rows do not
+    u = [rng.uniform(0.5, 1.0, size=(4, 256)) for _ in range(200)]
+    tables = [np.vstack([1e-3 * t[:1], t[1:]]) for t in u]
+    S = rng.integers(1, 4, size=(10, 200))
+    S[::2] = 0
+    out = _log_grid_mean(tables, S)
+    expected = 200 * math.log(1e-3) + np.log(_plain_grid_mean(u, S[::2]))
+    assert out[::2] == pytest.approx(expected, rel=1e-12)
+    assert np.exp(out[1::2]) == pytest.approx(_plain_grid_mean(tables, S[1::2]), rel=1e-12)
+    # chunks that split deep and normal rows change no row
+    assert np.array_equal(_log_grid_mean(tables, S, chunk=3), out)
+
+
+def test_log_grid_mean_all_zero_row_is_minus_inf():
+    tables = [np.array([[0.5, 0.25], [0.0, 0.0]])] * 3
+    out = _log_grid_mean(tables, np.array([[0, 0, 0], [0, 1, 0]]))
+    assert out[0] == pytest.approx(math.log((0.5**3 + 0.25**3) / 2), rel=1e-12)
+    assert out[1] == -np.inf
 
 
 # ---- CSV round trip -----------------------------------------------------------
