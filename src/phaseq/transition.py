@@ -8,7 +8,9 @@ of the received phase minus the clean phase has the classical closed form
          + sqrt(rho/pi) * cos(u) * e^{-rho*sin^2(u)} * Phi(sqrt(2*rho)*cos(u))
 
 with rho the linear SNR and Phi the standard normal CDF. A sector probability
-is f integrated over an arc of width 2*pi/K, done here by adaptive quadrature.
+is f integrated over an arc of width 2*pi/K: by adaptive quadrature in the
+reference sector_probability, and for whole kernel and scan grids by one
+Gauss-Legendre rule per grid cell, each arc summing the cells it spans.
 Block probabilities average the per-symbol product over phi on a uniform grid
 (composite midpoint rule; the integrand is smooth and periodic, so the rule
 converges spectrally). One routine, _log_grid_mean, forms every such product:
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import ndtr
@@ -58,7 +61,7 @@ def phase_offset_pdf(u, snr_linear: float) -> np.ndarray:
     return np.maximum(base + amp, 0.0)
 
 
-def _wrap_pi(t: float) -> float:
+def _wrap_pi(t):
     return (t + math.pi) % TWO_PI - math.pi
 
 
@@ -90,13 +93,7 @@ def sector_offset_probability(
     return min(max(val, 0.0), 1.0)
 
 
-def sector_probability(
-    z: int,
-    x: int,
-    phi: float,
-    config: SystemConfig,
-    tol: float = DEFAULT_TOL,
-) -> float:
+def sector_probability(z: int, x: int, phi: float, config: SystemConfig) -> float:
     """P(Z = z | X = x, phi) for a single symbol, by adaptive quadrature."""
     K, M = config.K, config.M
     if not 0 <= z < K:
@@ -104,9 +101,27 @@ def sector_probability(
     if not 0 <= x < M:
         raise ValueError(f"x must lie in 0..{M - 1}")
     clean = config.theta0 + x * (TWO_PI / M) + phi
-    return sector_offset_probability(
-        z * (TWO_PI / K) - clean, TWO_PI / K, config.snr_linear, tol
-    )
+    return sector_offset_probability(z * (TWO_PI / K) - clean, TWO_PI / K, config.snr_linear)
+
+
+def _arc_probabilities(start: float, n: int, K: int, snr_linear: float) -> np.ndarray:
+    """g(start + m*2*pi/n) for m < n, with g(t) = P(offset in [t, t + 2*pi/K)).
+
+    n is a multiple of K, so an arc is s = n/K cells. Each cell gets one
+    Gauss-Legendre rule with 16 nodes per noise scale 1/sqrt(2*rho) of cell
+    width (16 at least); an arc sums its s positive cells (never a difference
+    of running sums), so deep-tail arcs keep their relative accuracy.
+    """
+    delta = TWO_PI / n
+    s = n // K
+    nodes = max(16, math.ceil(16 * delta * math.sqrt(2.0 * snr_linear)))
+    lo = start + delta * np.arange(n)
+    cells = np.zeros(n)
+    # one node at a time keeps memory O(n) however many nodes high SNR needs
+    for x, w in zip(*np.polynomial.legendre.leggauss(nodes)):
+        cells += w * phase_offset_pdf(_wrap_pi(lo + 0.5 * delta * (x + 1.0)), snr_linear)
+    cells *= 0.5 * delta
+    return sliding_window_view(np.concatenate([cells, cells[: s - 1]]), s).sum(axis=1)
 
 
 def default_n_phi(K: int, target: int = DEFAULT_N_PHI) -> int:
@@ -131,7 +146,6 @@ class TransitionKernel:
     phi_grid: np.ndarray
     table: np.ndarray
     offset_probs: np.ndarray
-    quadrature_tol: float
     _caches: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -142,23 +156,14 @@ class TransitionKernel:
     def snr_linear(self) -> float:
         return 10.0 ** (self.snr_db / 10.0)
 
-    def lookup(self, z, x) -> np.ndarray:
-        """Row(s) of P(z | x, phi_grid), recovered from the x = 0 slice."""
-        z = np.asarray(z, dtype=np.int64)
-        x = np.asarray(x, dtype=np.int64)
-        return self.table[(z - self.a * x) % self.K]
-
-    def row_sums(self) -> np.ndarray:
-        return self.table.sum(axis=0)
-
     # ---- demod support caches ------------------------------------------
 
     def scan_log_table(self, n_scan: int) -> tuple[np.ndarray, np.ndarray]:
         """(phi_scan, log table (K, n_scan)) on the plain grid i*2*pi/n_scan.
 
         n_scan must be a multiple of K so each row is an exact roll of the
-        base row; that keeps metric ties between symmetry-related candidates
-        exact on the grid.
+        base row g(m*2*pi/n_scan - theta0); that keeps metric ties between
+        symmetry-related candidates exact on the grid.
         """
         key = ("scan", n_scan)
         if key not in self._caches:
@@ -166,15 +171,7 @@ class TransitionKernel:
                 raise ValueError("n_scan must be a positive multiple of K")
             step = n_scan // self.K
             delta = TWO_PI / n_scan
-            width = TWO_PI / self.K
-            base = np.array(
-                [
-                    sector_offset_probability(
-                        m * delta - self.theta0, width, self.snr_linear, self.quadrature_tol
-                    )
-                    for m in range(n_scan)
-                ]
-            )
+            base = _arc_probabilities(-self.theta0, n_scan, self.K, self.snr_linear)
             idx = (step * np.arange(self.K)[:, None] - np.arange(n_scan)[None, :]) % n_scan
             with np.errstate(divide="ignore"):
                 logtab = np.log(base[idx])
@@ -211,17 +208,14 @@ class TransitionKernel:
         return self._caches["spline"]
 
 
-def build_kernel(
-    config: SystemConfig,
-    n_phi: int | None = None,
-    tol: float = DEFAULT_TOL,
-) -> TransitionKernel:
-    """Quadrature-fill the x = 0 transition table on an n_phi midpoint grid.
+def build_kernel(config: SystemConfig, n_phi: int | None = None) -> TransitionKernel:
+    """Fill the x = 0 transition table on an n_phi midpoint grid.
 
     n_phi must be a positive multiple of K (default: smallest multiple of K at
     or above 2048) so the grid respects the joint sector/phase shift symmetry
-    exactly. Only n_phi quadratures are run; the (K, n_phi) table is assembled
-    by index shifts because every cell is g evaluated at a grid offset.
+    exactly. Only the n_phi arc probabilities g((m + 1/2)*2*pi/n_phi - theta0)
+    are computed, by _arc_probabilities; the (K, n_phi) table is assembled by
+    index shifts because every cell is g evaluated at a grid offset.
     """
     if config.is_dithered:
         raise ValueError(
@@ -233,14 +227,7 @@ def build_kernel(
     if n_phi <= 0 or n_phi % K != 0:
         raise ValueError("n_phi must be a positive multiple of K")
     delta = TWO_PI / n_phi
-    width = TWO_PI / K
-    snr_linear = config.snr_linear
-    offset_probs = np.array(
-        [
-            sector_offset_probability((m + 0.5) * delta - config.theta0, width, snr_linear, tol)
-            for m in range(n_phi)
-        ]
-    )
+    offset_probs = _arc_probabilities(0.5 * delta - config.theta0, n_phi, K, config.snr_linear)
     step = n_phi // K
     idx = (step * np.arange(K)[:, None] - np.arange(n_phi)[None, :] - 1) % n_phi
     table = offset_probs[idx]
@@ -253,27 +240,24 @@ def build_kernel(
         phi_grid=(np.arange(n_phi) + 0.5) * delta,
         table=table,
         offset_probs=offset_probs,
-        quadrature_tol=tol,
     )
 
 
 @lru_cache(maxsize=128)
 def _kernel_cached(
-    M: int, K: int, snr_db: float, theta0: float, n_phi: int | None, tol: float
+    M: int, K: int, snr_db: float, theta0: float, n_phi: int | None
 ) -> TransitionKernel:
     cfg = SystemConfig(M=M, K=K, L=1, snr_db=snr_db, theta0=theta0)
-    return build_kernel(cfg, n_phi=n_phi, tol=tol)
+    return build_kernel(cfg, n_phi=n_phi)
 
 
-def kernel_for(
-    config: SystemConfig, n_phi: int | None = None, tol: float = DEFAULT_TOL
-) -> TransitionKernel:
+def kernel_for(config: SystemConfig, n_phi: int | None = None) -> TransitionKernel:
     """Shared-cache kernel lookup; the kernel ignores L."""
     if config.is_dithered:
         raise ValueError(
             "dithered config has no single shared kernel; use kernel_bank_for"
         )
-    return _kernel_cached(config.M, config.K, config.snr_db, config.theta0, n_phi, tol)
+    return _kernel_cached(config.M, config.K, config.snr_db, config.theta0, n_phi)
 
 
 @lru_cache(maxsize=64)
@@ -284,23 +268,18 @@ def _bank_cached(
     theta0: float,
     dither: tuple,
     n_phi: int | None,
-    tol: float,
 ) -> tuple[TransitionKernel, ...]:
     if all(d == 0.0 for d in dither):
-        k = _kernel_cached(M, K, snr_db, theta0, n_phi, tol)
+        k = _kernel_cached(M, K, snr_db, theta0, n_phi)
         return (k,) * len(dither)
-    return tuple(
-        _kernel_cached(M, K, snr_db, theta0 + d, n_phi, tol) for d in dither
-    )
+    return tuple(_kernel_cached(M, K, snr_db, theta0 + d, n_phi) for d in dither)
 
 
 def kernel_bank_for(
-    config: SystemConfig, n_phi: int | None = None, tol: float = DEFAULT_TOL
+    config: SystemConfig, n_phi: int | None = None
 ) -> tuple[TransitionKernel, ...]:
     """One kernel per block position; position l bakes its dither into theta0."""
-    return _bank_cached(
-        config.M, config.K, config.snr_db, config.theta0, config.dither, n_phi, tol
-    )
+    return _bank_cached(config.M, config.K, config.snr_db, config.theta0, config.dither, n_phi)
 
 
 def block_conditional(z, x, kernel: TransitionKernel) -> float:
@@ -369,6 +348,7 @@ def _log_grid_mean(tables, S: np.ndarray, chunk: int = _CHUNK_ROWS) -> np.ndarra
     S = np.asarray(S, dtype=np.int64)
     n, L = S.shape
     out = np.empty(n)
+    log_tables = None
     for lo in range(0, n, chunk):
         rows = S[lo : lo + chunk]
         acc = tables[0][rows[:, 0]]
@@ -379,10 +359,14 @@ def _log_grid_mean(tables, S: np.ndarray, chunk: int = _CHUNK_ROWS) -> np.ndarra
         with np.errstate(divide="ignore"):
             log_mean = np.log(mean)
             if deep.any():
+                if log_tables is None:
+                    # positions usually share one table object: log each once
+                    distinct = {id(t): t for t in tables}
+                    log_tables = {key: np.log(t) for key, t in distinct.items()}
                 sub = rows[deep]
-                logs = np.log(tables[0][sub[:, 0]])
+                logs = log_tables[id(tables[0])][sub[:, 0]]
                 for l in range(1, L):
-                    logs += np.log(tables[l][sub[:, l]])
+                    logs += log_tables[id(tables[l])][sub[:, l]]
                 peak = logs.max(axis=1)
                 # an all-zero row keeps log 0 = -inf instead of -inf - -inf
                 peak[np.isneginf(peak)] = 0.0

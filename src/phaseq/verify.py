@@ -18,6 +18,7 @@ Naming scheme for the identity checks:
 * marginal-permute  P(z) invariant under permutation
 * marginal-residue  P(z) = P(z mod a)
 * entropy-constant  H(Z|x) does not depend on x (brute-force per input)
+* kernel-fill       kernel table cells equal adaptive-quadrature probabilities
 """
 
 from __future__ import annotations
@@ -301,6 +302,19 @@ def check_oracle_equivalence(cases=ORACLE_CASES) -> list[CheckResult]:
     return results
 
 
+def check_kernel_fill(instances: int = 100, seed: int = 2028) -> CheckResult:
+    """Random kernel table cells against the scalar quadrature oracle."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(instances):
+        cfg = _draw_config(rng, L=1)
+        kernel = kernel_for(cfg)
+        z, i = int(rng.integers(cfg.K)), int(rng.integers(kernel.n_phi))
+        direct = sector_probability(z, 0, float(kernel.phi_grid[i]), cfg)
+        worst = max(worst, _rel_dev(float(kernel.table[z, i]), direct))
+    return CheckResult("kernel-fill", worst <= ORACLE_TOL, worst, ORACLE_TOL, f"{instances} cells")
+
+
 def run_all_checks(
     instances: int = 100,
     seed: int = 2024,
@@ -309,6 +323,7 @@ def run_all_checks(
     """Full suite in display order; `instances` scales the randomized checks."""
     results = check_symmetries(instances, seed)
     results.append(check_conditional_entropy_constant(seed=seed + 3))
+    results.append(check_kernel_fill(instances, seed + 4))
     results.extend(check_cardinalities())
     if include_oracle:
         results.extend(check_oracle_equivalence())

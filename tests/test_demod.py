@@ -126,6 +126,25 @@ class TestBruteForceAgreement:
                 disagreements += 1
         assert disagreements == 0
 
+    @pytest.mark.parametrize("dither", [None, "ramp"])
+    @pytest.mark.parametrize("M,K,L", [(2, 4, 6), (2, 6, 5), (2, 8, 4), (8, 16, 3), (8, 24, 3)])
+    def test_agreement_beyond_qpsk_and_20_db(self, M, K, L, dither):
+        rng = np.random.default_rng(M * 1000 + K * 10 + L)
+        checked = 0
+        for snr_db in (0.0, 10.0, 20.0, 28.0, 35.0):
+            cfg = SystemConfig(M=M, K=K, L=L, snr_db=snr_db, dither=dither)
+            demod = glrt_demodulate_dithered if cfg.is_dithered else glrt_demodulate
+            for _ in range(8):
+                x = rng.integers(0, M, size=L)
+                _, Z = sample_blocks(x[None, :], cfg, rng)
+                fast = demod(Z[0], cfg)
+                oracle = brute_force_glrt(Z[0], cfg)
+                if fast.tie or oracle.tie:
+                    continue
+                checked += 1
+                assert up_to_constant_addition(fast.winner, oracle.winner, M), (snr_db, Z[0])
+        assert checked >= 20
+
     def test_candidate_sweep_is_sufficient(self):
         # the brute winner's orbit must appear among the sweep's candidates
         cfg = SystemConfig(M=4, K=12, L=3, snr_db=6.0)
