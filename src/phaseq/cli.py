@@ -230,6 +230,7 @@ def cmd_ser(args) -> int:
             "theta0": args.theta0,
             "dither": mode,
             "convention": args.convention,
+            "nscan": args.nscan if args.nscan is not None else "default",
             "trials": args.trials,
             "seed": args.seed,
         },

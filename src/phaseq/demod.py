@@ -17,9 +17,10 @@ sweeps per-symbol crossovers on the full observation, at most one per symbol.
 
 Metrics are evaluated on a phi grid whose size is a multiple of K (exact
 symmetry on the grid), then polished by golden-section refinement of a smooth
-log-likelihood interpolant to ~1e-6 rad. Exactly tied candidates (the
-signature failure of K = 2M without dither) are flagged when the top-two
-relative gap falls below tie_tol.
+log-likelihood interpolant to ~1e-6 rad. One decision rule, shared by the
+sweep and the brute-force oracle, picks the winner and flags exactly tied
+candidates (the signature failure of K = 2M without dither): those whose
+relative metric gap to the winner is at most tie_tol.
 """
 
 from __future__ import annotations
@@ -91,6 +92,16 @@ class DemodRecord:
 # ---- crossover geometry ---------------------------------------------------
 
 
+def _check_block(z, config: SystemConfig) -> np.ndarray:
+    """z as an int array of L sector indices in 0..K-1, else ValueError."""
+    z = np.asarray(z, dtype=np.int64)
+    if z.shape != (config.L,):
+        raise ValueError(f"z must have L={config.L} entries")
+    if np.any((z < 0) | (z >= config.K)):
+        raise ValueError("z components must lie in 0..K-1")
+    return z
+
+
 def _symbol_crossovers(Z: np.ndarray, config: SystemConfig) -> np.ndarray:
     """Per-symbol crossover angles in (0, 2*pi/M], shape like Z.
 
@@ -119,11 +130,7 @@ def crossover_angles(
     quadrature path) and raises if the geometric value is off by more than
     root_tol.
     """
-    z = np.asarray(z, dtype=np.int64)
-    if z.size != config.L:
-        raise ValueError(f"z must have L={config.L} entries")
-    if np.any((z < 0) | (z >= config.K)):
-        raise ValueError("z components must lie in 0..K-1")
+    z = _check_block(z, config)
     alphas = _symbol_crossovers(z[None, :], config)[0]
     order = np.argsort(alphas)
     distinct = []
@@ -243,9 +250,27 @@ def _evaluate_candidates(
     return log_metric, phi_star
 
 
-def _relative_gap(log_top: float, log_other: np.ndarray) -> np.ndarray:
+def _decide(
+    log_metric: np.ndarray, valid: np.ndarray, tie_tol: float
+) -> tuple[np.ndarray, np.ndarray, list[float | None]]:
+    """The GLRT decision on each row of log_metric (n, D).
+
+    Returns the winner (argmax), the tie mask (valid candidates whose
+    relative metric gap to the winner is at most tie_tol) and the tie gap
+    (least gap over the other valid candidates; None when only one is valid).
+    Invalid entries must hold -inf.
+    """
+    n = log_metric.shape[0]
+    winner = np.argmax(log_metric, axis=1)
+    top = log_metric[np.arange(n), winner]
     with np.errstate(invalid="ignore"):
-        return np.abs(np.expm1(log_other - log_top))
+        gaps = np.abs(np.expm1(log_metric - top[:, None]))
+    ties = valid & (gaps <= tie_tol)
+    others = np.where(valid, gaps, np.inf)
+    others[np.arange(n), winner] = np.inf
+    least = others.min(axis=1)
+    n_valid = valid.sum(axis=1)
+    return winner, ties, [float(g) if k > 1 else None for g, k in zip(least, n_valid)]
 
 
 def demodulate_rows(
@@ -286,28 +311,20 @@ def demodulate_rows(
     C = np.round(args).astype(np.int64) % M
 
     log_metric, phi_star = _evaluate_candidates(Z, C, valid, kernels, n_scan)
-
+    winner, ties, tie_gap = _decide(log_metric, valid, tie_tol)
     records = []
     for i in range(n):
         d = int(n_distinct[i])
-        lm = log_metric[i, :d]
-        winner = int(np.argmax(lm))
-        gaps = _relative_gap(lm[winner], lm)
-        tie_idx = np.nonzero(gaps <= tie_tol)[0]
-        if d > 1:
-            others = np.delete(gaps, winner)
-            tie_gap = float(others.min())
-        else:
-            tie_gap = None
+        tie_idx = np.flatnonzero(ties[i])
         records.append(
             DemodRecord(
                 candidates=C[i, :d],
-                log_metrics=lm,
+                log_metrics=log_metric[i, :d],
                 phi_stars=phi_star[i, :d],
-                winner_index=winner,
+                winner_index=int(winner[i]),
                 tie_indices=tie_idx,
                 tie=tie_idx.size > 1,
-                tie_gap=tie_gap,
+                tie_gap=tie_gap[i],
                 crossovers=edges[i, :d].copy(),
             )
         )
@@ -359,11 +376,7 @@ def glrt_demodulate(
     """
     if config.is_dithered:
         raise ValueError("glrt_demodulate requires an undithered config")
-    z = np.asarray(z, dtype=np.int64)
-    if z.size != config.L:
-        raise ValueError(f"z must have L={config.L} entries")
-    if np.any((z < 0) | (z >= config.K)):
-        raise ValueError("z components must lie in 0..K-1")
+    z = _check_block(z, config)
     if kernel is None:
         kernel = kernel_for(config)
     r = z % config.a
@@ -385,11 +398,7 @@ def glrt_demodulate_dithered(
     Per-symbol rotations give up to L distinct crossover angles, hence at most
     L + 1 candidates per 2*pi/M period.
     """
-    z = np.asarray(z, dtype=np.int64)
-    if z.size != config.L:
-        raise ValueError(f"z must have L={config.L} entries")
-    if np.any((z < 0) | (z >= config.K)):
-        raise ValueError("z components must lie in 0..K-1")
+    z = _check_block(z, config)
     if kernels is None:
         kernels = kernel_bank_for(config)
     rec = demodulate_rows(z[None, :], config, kernels, n_scan, tie_tol)[0]
@@ -404,8 +413,10 @@ def glrt_metric(
     n_scan: int | None = None,
 ) -> GlrtCandidate:
     """max_phi P(z | x, phi) for one explicit hypothesis (always refined)."""
-    z = np.asarray(z, dtype=np.int64)
+    z = _check_block(z, config)
     x = np.asarray(x, dtype=np.int64)
+    if x.shape != (config.L,) or np.any((x < 0) | (x >= config.M)):
+        raise ValueError(f"x must have L={config.L} entries in 0..M-1")
     if kernels is None:
         kernels = kernel_bank_for(config)
     if n_scan is None:
@@ -431,9 +442,7 @@ def brute_force_glrt(
     the tie flag then reports genuine cross-orbit ties rather than firing on
     every orbit. Exponential in L by construction.
     """
-    z = np.asarray(z, dtype=np.int64)
-    if z.size != config.L:
-        raise ValueError(f"z must have L={config.L} entries")
+    z = _check_block(z, config)
     if config.M ** (config.L - 1) > 300_000:
         raise ValueError("brute-force input space too large")
     if kernels is None:
@@ -441,28 +450,19 @@ def brute_force_glrt(
     if n_scan is None:
         n_scan = default_n_scan(config.K)
     tails = np.array(list(product(range(config.M), repeat=config.L - 1)), dtype=np.int64)
-    C = np.concatenate([np.zeros((tails.shape[0], 1), dtype=np.int64), tails], axis=1)[
-        None, :, :
-    ]
-    valid = np.ones((1, C.shape[1]), dtype=bool)
-    lm, ph = _evaluate_candidates(z[None, :], C, valid, kernels, n_scan)
-    lm, ph = lm[0], ph[0]
-    winner = int(np.argmax(lm))
-    gaps = _relative_gap(lm[winner], lm)
-    tie_idx = np.nonzero(gaps <= tie_tol)[0]
-    others = np.delete(gaps, winner)
-    cands = tuple(
-        GlrtCandidate(
-            x=tuple(int(v) for v in C[0, j]),
-            phi_star=float(ph[j]),
-            metric=float(math.exp(lm[j])) if np.isfinite(lm[j]) else 0.0,
-        )
-        for j in range(C.shape[1])
-    )
-    return GlrtResult(
-        winner=cands[winner].x,
-        candidates=cands,
+    C = np.concatenate([np.zeros((tails.shape[0], 1), dtype=np.int64), tails], axis=1)
+    valid = np.ones((1, C.shape[0]), dtype=bool)
+    lm, ph = _evaluate_candidates(z[None, :], C[None, :, :], valid, kernels, n_scan)
+    winner, ties, tie_gap = _decide(lm, valid, tie_tol)
+    tie_idx = np.flatnonzero(ties[0])
+    rec = DemodRecord(
+        candidates=C,
+        log_metrics=lm[0],
+        phi_stars=ph[0],
+        winner_index=int(winner[0]),
+        tie_indices=tie_idx,
         tie=tie_idx.size > 1,
-        tie_gap=float(others.min()) if others.size else None,
-        crossovers=(),
+        tie_gap=tie_gap[0],
+        crossovers=np.empty(0),
     )
+    return _result_from_record(rec, np.zeros(config.L, dtype=np.int64), config.M, None)

@@ -3,10 +3,11 @@
 Blocks are simulated in fixed-size chunks, each driven by its own child of a
 single SeedSequence, so results are bit-identical for any worker count: the
 chunk layout depends only on (trials, chunk_size) and every random draw
-happens inside its chunk's stream. Demodulation work is memoized on the
-observation row (the residue vector when undithered, the full sector vector
-under dither); tie resolution is re-drawn per block from the chunk stream so
-memoization never correlates tie outcomes across blocks.
+happens inside its chunk's stream. Each chunk demodulates only its distinct
+observation rows (the residue vector when undithered, the full sector vector
+under dither) that the run's memo has not seen, and scores every block with
+array operations. Tied blocks re-draw their winner from the chunk stream, in
+block order, so memoization never correlates tie outcomes across blocks.
 
 The constant-addition ambiguity of the metric means raw block decisions are
 only defined up to a common constellation shift. Two scoring conventions:
@@ -111,31 +112,6 @@ def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
     return [chunk_size] * full + ([rem] if rem else [])
 
 
-def _demod_chunk(
-    rows: np.ndarray,
-    config: SystemConfig,
-    kernels,
-    n_scan: int,
-    tie_tol: float,
-    cache: dict[tuple[int, ...], DemodRecord],
-) -> list[DemodRecord]:
-    """Records for each row, computing only rows the cache has not seen."""
-    keys = [tuple(int(v) for v in row) for row in rows]
-    missing: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
-    for key in keys:
-        if key not in cache and key not in seen:
-            seen.add(key)
-            missing.append(key)
-    if missing:
-        recs = demodulate_rows(
-            np.array(missing, dtype=np.int64), config, kernels, n_scan, tie_tol
-        )
-        for key, rec in zip(missing, recs):
-            cache[key] = rec
-    return [cache[key] for key in keys]
-
-
 def _run_chunk(
     config: SystemConfig,
     kernels,
@@ -144,9 +120,14 @@ def _run_chunk(
     convention: str,
     n_scan: int,
     tie_tol: float,
-    cache: dict,
+    cache: dict[bytes, DemodRecord],
 ) -> tuple[int, int, int, int]:
-    """Simulate one chunk; returns (errors, tie blocks, candidate sum, candidate max)."""
+    """Simulate one chunk; returns (errors, tie blocks, candidate sum, candidate max).
+
+    Only distinct rows the cache has not seen are demodulated; each block
+    then takes its row's winner, and tied blocks re-draw theirs from the
+    chunk stream in block order.
+    """
     M, L, a = config.M, config.L, config.a
     rng = np.random.default_rng(seed_seq)
     X = rng.integers(0, M, size=(n_blocks, L))
@@ -155,32 +136,34 @@ def _run_chunk(
     _, Z = sample_blocks(X, config, rng)
 
     if config.is_dithered:
-        rows, shifts = Z, np.zeros_like(Z)
+        rows, shifts = Z, 0
     else:
         rows, shifts = Z % a, Z // a
-    records = _demod_chunk(rows, config, kernels, n_scan, tie_tol, cache)
+    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it with an extra axis
+    keys = [row.tobytes() for row in distinct]
+    missing = [i for i, key in enumerate(keys) if key not in cache]
+    if missing:
+        recs = demodulate_rows(distinct[missing], config, kernels, n_scan, tie_tol)
+        for i, rec in zip(missing, recs):
+            cache[keys[i]] = rec
+    records = [cache[key] for key in keys]
 
-    errors = 0
-    tie_blocks = 0
-    cand_total = 0
-    cand_max = 0
-    for b, rec in enumerate(records):
-        cand_total += rec.candidates.shape[0]
-        cand_max = max(cand_max, rec.candidates.shape[0])
-        idx = rec.winner_index
-        if rec.tie:
-            tie_blocks += 1
-            idx = int(rng.choice(rec.tie_indices))
-        xhat = (rec.candidates[idx] + shifts[b]) % M
-        if convention == "pilot":
-            xhat = (xhat - xhat[0]) % M
-            errors += int(np.count_nonzero(xhat[1:] != X[b, 1:]))
-        else:
-            hams = [
-                int(np.count_nonzero((xhat + m) % M != X[b])) for m in range(M)
-            ]
-            errors += min(hams)
-    return errors, tie_blocks, cand_total, cand_max
+    xhat = np.stack([rec.candidates[rec.winner_index] for rec in records])[inverse]
+    tied = np.array([rec.tie for rec in records])[inverse]
+    for b in np.flatnonzero(tied):
+        rec = records[inverse[b]]
+        xhat[b] = rec.candidates[int(rng.choice(rec.tie_indices))]
+    xhat = (xhat + shifts) % M
+    if convention == "pilot":
+        xhat = (xhat - xhat[:, :1]) % M
+        errors = np.count_nonzero(xhat[:, 1:] != X[:, 1:])
+    else:
+        shifted = (xhat[:, None, :] + np.arange(M)[:, None]) % M
+        errors = (shifted != X[:, None, :]).sum(axis=2).min(axis=1).sum()
+    n_cand = np.array([rec.candidates.shape[0] for rec in records])
+    cand_total = n_cand @ np.bincount(inverse, minlength=len(records))
+    return int(errors), int(tied.sum()), int(cand_total), int(n_cand.max())
 
 
 def _resolve_workers(workers: int | None) -> int:
@@ -215,7 +198,7 @@ def _simulate(
     sizes = _chunk_sizes(trials, chunk_size)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(len(sizes))
-    cache: dict[tuple[int, ...], DemodRecord] = {}
+    cache: dict[bytes, DemodRecord] = {}
 
     def job(args):
         size, child = args

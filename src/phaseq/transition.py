@@ -167,7 +167,7 @@ class TransitionKernel:
         """
         key = ("scan", n_scan)
         if key not in self._caches:
-            if n_scan % self.K != 0:
+            if n_scan <= 0 or n_scan % self.K:
                 raise ValueError("n_scan must be a positive multiple of K")
             step = n_scan // self.K
             delta = TWO_PI / n_scan

@@ -288,6 +288,16 @@ class TestValidation:
             glrt_demodulate([0, 8], cfg)
         with pytest.raises(ValueError, match="L="):
             glrt_demodulate_dithered([0, 1, 2], cfg)
+        with pytest.raises(ValueError, match="0..K-1"):
+            brute_force_glrt([9, 0], cfg)
+        with pytest.raises(ValueError, match="0..K-1"):
+            glrt_metric([9, 0], [0, 0], cfg)
+        with pytest.raises(ValueError, match="0..M-1"):
+            glrt_metric([1, 0], [0, 7], cfg)
+        with pytest.raises(ValueError, match="L="):
+            glrt_metric([1, 0, 2], [0, 0], cfg)
+        with pytest.raises(ValueError, match="0..K-1"):
+            crossover_angles([0, -1], cfg)
 
     def test_brute_force_guards_input_space(self):
         cfg = SystemConfig(M=4, K=8, L=12, snr_db=6.0)

@@ -62,13 +62,36 @@ class TestRunSer:
         assert point.symbols == 20_000  # pilot convention scores L-1 per block
 
     def test_seed_reproducibility_across_worker_counts(self):
-        cfg = SystemConfig(M=4, K=8, L=3, snr_db=8.0)
-        a = run_ser(cfg, trials=6_000, seed=7, workers=1)
-        b = run_ser(cfg, trials=6_000, seed=7, workers=4)
-        assert a.errors == b.errors
-        assert a.ser == b.ser
-        c = run_ser(cfg, trials=6_000, seed=8, workers=1)
-        assert c.errors != a.errors
+        # undithered pilot, dithered pilot, and undithered genie with ties
+        for cfg, convention in [
+            (SystemConfig(M=4, K=8, L=3, snr_db=8.0), "pilot"),
+            (SystemConfig(M=4, K=8, L=3, snr_db=10.0, dither="ramp"), "pilot"),
+            (SystemConfig(M=4, K=8, L=4, snr_db=20.0), "genie"),
+        ]:
+            a = run_ser(cfg, trials=6_000, seed=7, convention=convention, workers=1)
+            b = run_ser(cfg, trials=6_000, seed=7, convention=convention, workers=4)
+            assert a.errors == b.errors
+            assert a.ser == b.ser
+            assert a.tie_rate == b.tie_rate
+            c = run_ser(cfg, trials=6_000, seed=8, convention=convention, workers=1)
+            assert c.errors != a.errors
+
+    # Exact counts of seeded runs (5000 blocks are two chunks, so the row memo
+    # carries across chunks); any change to the RNG stream, the tie re-draw or
+    # the error scoring moves them.
+    @pytest.mark.parametrize(
+        "cfg, seed, convention, errors, tie_rate",
+        [
+            (SystemConfig(M=4, K=8, L=4, snr_db=20.0), 21, "pilot", 776, 0.1836),
+            (SystemConfig(M=4, K=8, L=4, snr_db=20.0), 21, "genie", 578, 0.1828),
+            (SystemConfig(M=4, K=8, L=4, snr_db=14.0, dither="ramp"), 22, "pilot", 74, 0.0),
+            (SystemConfig(M=8, K=16, L=4, snr_db=18.0), 23, "genie", 1533, 0.474),
+        ],
+    )
+    def test_pinned_counts(self, cfg, seed, convention, errors, tie_rate):
+        point = run_ser(cfg, trials=5_000, seed=seed, convention=convention)
+        assert point.errors == errors
+        assert point.tie_rate == tie_rate
 
     def test_seed_sequence_accepted(self):
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
@@ -142,6 +165,14 @@ class TestTieCensus:
         cfg = SystemConfig(M=4, K=12, L=4, snr_db=20.0)
         census = run_tie_census(cfg, trials=3_000, seed=1)
         assert census.tie_rate < 1e-3
+
+    def test_pinned_counts(self):
+        cfg = SystemConfig(M=4, K=8, L=4, snr_db=20.0)
+        census = run_tie_census(cfg, trials=5_000, seed=24)
+        assert census.tie_blocks == 905
+        assert census.tie_rate == 0.181
+        assert census.mean_candidates == 1.181
+        assert census.max_candidates == 2
 
     def test_census_ci_brackets_rate(self):
         cfg = SystemConfig(M=4, K=8, L=3, snr_db=15.0)

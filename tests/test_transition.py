@@ -161,6 +161,12 @@ def test_build_kernel_rejects_bad_grid(qpsk8):
         build_kernel(qpsk8, n_phi=0)
 
 
+@pytest.mark.parametrize("n_scan", [0, -8, 100])
+def test_scan_log_table_rejects_bad_size(qpsk8, n_scan):
+    with pytest.raises(ValueError, match="positive multiple of K"):
+        kernel_for(qpsk8).scan_log_table(n_scan)
+
+
 def test_kernel_invariants(qpsk8):
     k = build_kernel(qpsk8, n_phi=512)
     assert k.table.shape == (8, 512)
