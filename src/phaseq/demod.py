@@ -92,14 +92,27 @@ class DemodRecord:
 # ---- crossover geometry ---------------------------------------------------
 
 
+def _check_indices(v, name: str, L: int, n: int, n_name: str) -> np.ndarray:
+    """v as an int array of L integers in 0..n-1, else ValueError.
+
+    Integral floats (2.0) pass; fractional, non-finite or non-numeric
+    entries are rejected rather than truncated.
+    """
+    v = np.asarray(v)
+    if v.shape != (L,):
+        raise ValueError(f"{name} must have L={L} entries")
+    if v.dtype.kind not in "iu" and not (
+        v.dtype.kind == "f" and np.all(np.isfinite(v)) and np.all(v == np.floor(v))
+    ):
+        raise ValueError(f"{name} components must be integers")
+    if np.any((v < 0) | (v >= n)):
+        raise ValueError(f"{name} components must lie in 0..{n_name}-1")
+    return v.astype(np.int64)
+
+
 def _check_block(z, config: SystemConfig) -> np.ndarray:
     """z as an int array of L sector indices in 0..K-1, else ValueError."""
-    z = np.asarray(z, dtype=np.int64)
-    if z.shape != (config.L,):
-        raise ValueError(f"z must have L={config.L} entries")
-    if np.any((z < 0) | (z >= config.K)):
-        raise ValueError("z components must lie in 0..K-1")
-    return z
+    return _check_indices(z, "z", config.L, config.K, "K")
 
 
 def _symbol_crossovers(Z: np.ndarray, config: SystemConfig) -> np.ndarray:
@@ -255,19 +268,23 @@ def _decide(
 ) -> tuple[np.ndarray, np.ndarray, list[float | None]]:
     """The GLRT decision on each row of log_metric (n, D).
 
-    Returns the winner (argmax), the tie mask (valid candidates whose
-    relative metric gap to the winner is at most tie_tol) and the tie gap
-    (least gap over the other valid candidates; None when only one is valid).
-    Invalid entries must hold -inf.
+    Returns the winner, the tie mask (valid candidates whose relative metric
+    gap to the top metric is at most tie_tol) and the tie gap (least gap of
+    the other valid candidates to the top; None when only one is valid).
+    The winner is the lowest-index candidate of the tie mask, which holds
+    the argmax: exactly tied metrics can differ in their last bits with the
+    order of the positions, and the winner must not. Invalid entries must
+    hold -inf.
     """
     n = log_metric.shape[0]
-    winner = np.argmax(log_metric, axis=1)
-    top = log_metric[np.arange(n), winner]
+    top_idx = np.argmax(log_metric, axis=1)
+    top = log_metric[np.arange(n), top_idx]
     with np.errstate(invalid="ignore"):
         gaps = np.abs(np.expm1(log_metric - top[:, None]))
     ties = valid & (gaps <= tie_tol)
+    winner = np.argmax(ties, axis=1)
     others = np.where(valid, gaps, np.inf)
-    others[np.arange(n), winner] = np.inf
+    others[np.arange(n), top_idx] = np.inf
     least = others.min(axis=1)
     n_valid = valid.sum(axis=1)
     return winner, ties, [float(g) if k > 1 else None for g, k in zip(least, n_valid)]
@@ -414,9 +431,7 @@ def glrt_metric(
 ) -> GlrtCandidate:
     """max_phi P(z | x, phi) for one explicit hypothesis (always refined)."""
     z = _check_block(z, config)
-    x = np.asarray(x, dtype=np.int64)
-    if x.shape != (config.L,) or np.any((x < 0) | (x >= config.M)):
-        raise ValueError(f"x must have L={config.L} entries in 0..M-1")
+    x = _check_indices(x, "x", config.L, config.M, "M")
     if kernels is None:
         kernels = kernel_bank_for(config)
     if n_scan is None:

@@ -4,10 +4,22 @@ Blocks are simulated in fixed-size chunks, each driven by its own child of a
 single SeedSequence, so results are bit-identical for any worker count: the
 chunk layout depends only on (trials, chunk_size) and every random draw
 happens inside its chunk's stream. Each chunk demodulates only its distinct
-observation rows (the residue vector when undithered, the full sector vector
-under dither) that the run's memo has not seen, and scores every block with
-array operations. Tied blocks re-draw their winner from the chunk stream, in
-block order, so memoization never correlates tie outcomes across blocks.
+observation rows that the run's memo has not seen, and scores every block
+with array operations. Tied blocks re-draw their winner from the chunk
+stream, in block order, so memoization never correlates tie outcomes across
+blocks.
+
+Without dither every position shares one kernel, so P(z | x, phi) is
+unchanged when z and x are permuted together: the row demodulated for a
+block is its residue vector z mod a sorted ascending, and the winner is
+scattered back to the block's own positions. Crossovers are per symbol, so
+candidate d of the sorted row is candidate d of the block permuted, and its
+tie set names the same candidates; only the summation order of the log
+metrics changes, far below tie_tol (as far as the refine's log-likelihood
+spline is accurate, see TransitionKernel.log_offset_interpolant). At most
+C(L + a - 1, L) sorted rows exist (45 at K=12, L=8), against thousands of
+ordered ones. Under dither each position has its own kernel, so rows are
+the full sector vectors in block order.
 
 The constant-addition ambiguity of the metric means raw block decisions are
 only defined up to a common constellation shift. Two scoring conventions:
@@ -112,6 +124,19 @@ def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
     return [chunk_size] * full + ([rem] if rem else [])
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-d int array in lexicographic order, and the index
+    of each input row among them (np.unique(rows, axis=0, return_inverse=True)
+    by one lexsort)."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
+
+
 def _run_chunk(
     config: SystemConfig,
     kernels,
@@ -124,9 +149,11 @@ def _run_chunk(
 ) -> tuple[int, int, int, int]:
     """Simulate one chunk; returns (errors, tie blocks, candidate sum, candidate max).
 
-    Only distinct rows the cache has not seen are demodulated; each block
-    then takes its row's winner, and tied blocks re-draw theirs from the
-    chunk stream in block order.
+    A block's row is its sorted residue vector when undithered (see the
+    module docstring) and its sector vector under dither. Only distinct rows
+    the cache has not seen are demodulated; each block then takes its row's
+    winner, tied blocks re-draw theirs from the chunk stream in block order,
+    and the decision is scattered back to the block's positions.
     """
     M, L, a = config.M, config.L, config.a
     rng = np.random.default_rng(seed_seq)
@@ -137,10 +164,12 @@ def _run_chunk(
 
     if config.is_dithered:
         rows, shifts = Z, 0
+        order = np.broadcast_to(np.arange(L), Z.shape)
     else:
-        rows, shifts = Z % a, Z // a
-    distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
-    inverse = inverse.reshape(-1)  # numpy 2.0.0 returns it with an extra axis
+        residues, shifts = Z % a, Z // a
+        order = np.argsort(residues, axis=1, kind="stable")
+        rows = np.take_along_axis(residues, order, axis=1)
+    distinct, inverse = _distinct_rows(rows)
     keys = [row.tobytes() for row in distinct]
     missing = [i for i, key in enumerate(keys) if key not in cache]
     if missing:
@@ -149,11 +178,13 @@ def _run_chunk(
             cache[keys[i]] = rec
     records = [cache[key] for key in keys]
 
-    xhat = np.stack([rec.candidates[rec.winner_index] for rec in records])[inverse]
+    decided = np.stack([rec.candidates[rec.winner_index] for rec in records])[inverse]
     tied = np.array([rec.tie for rec in records])[inverse]
     for b in np.flatnonzero(tied):
         rec = records[inverse[b]]
-        xhat[b] = rec.candidates[int(rng.choice(rec.tie_indices))]
+        decided[b] = rec.candidates[int(rng.choice(rec.tie_indices))]
+    xhat = np.empty_like(decided)
+    np.put_along_axis(xhat, order, decided, axis=1)
     xhat = (xhat + shifts) % M
     if convention == "pilot":
         xhat = (xhat - xhat[:, :1]) % M

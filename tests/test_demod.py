@@ -15,8 +15,10 @@ from phaseq import (
     glrt_demodulate_dithered,
     glrt_metric,
     kernel_bank_for,
+    kernel_for,
     sample_blocks,
 )
+from phaseq.demod import demodulate_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -245,6 +247,41 @@ class TestSweepStructure:
             assert carried.metric == pytest.approx(top_p, rel=1e-9)
 
 
+class TestPermutationSymmetry:
+    # Undithered, every position shares one kernel, so permuting a residue
+    # row permutes its records and nothing else; the SER engine relies on
+    # this to demodulate sorted rows only.
+    @pytest.mark.parametrize("M", [2, 4, 8])
+    @pytest.mark.parametrize("ratio", [2, 3, 16])
+    def test_permuted_rows_give_permuted_records(self, M, ratio):
+        rng = np.random.default_rng(10 * M + ratio)
+        for L, snr_db in [(2, 0.0), (4, 10.0), (6, 20.0), (8, 30.0)]:
+            cfg = SystemConfig(M=M, K=ratio * M, L=L, snr_db=snr_db)
+            kernels = (kernel_for(cfg),) * L
+            R = rng.integers(0, cfg.a, size=(12, L))
+            base = demodulate_rows(R, cfg, kernels)
+            for _ in range(3):
+                perm = rng.permutation(L)
+                for rec, ref in zip(demodulate_rows(R[:, perm], cfg, kernels), base):
+                    np.testing.assert_array_equal(rec.crossovers, ref.crossovers)
+                    np.testing.assert_array_equal(rec.candidates, ref.candidates[:, perm])
+                    assert rec.winner_index == ref.winner_index
+                    assert rec.tie == ref.tie
+                    np.testing.assert_array_equal(rec.tie_indices, ref.tie_indices)
+                    np.testing.assert_allclose(rec.log_metrics, ref.log_metrics, rtol=1e-12)
+
+    def test_permuted_observation_gives_permuted_winner(self):
+        rng = np.random.default_rng(16)
+        for M, K, L, snr_db in [(2, 32, 8, 10.0), (4, 12, 8, 11.0), (8, 24, 5, 20.0)]:
+            cfg = SystemConfig(M=M, K=K, L=L, snr_db=snr_db)
+            for _ in range(8):
+                z = rng.integers(0, K, size=L)
+                perm = rng.permutation(L)
+                res = glrt_demodulate(z, cfg)
+                permuted = glrt_demodulate(z[perm], cfg)
+                assert permuted.winner == tuple(np.asarray(res.winner)[perm])
+
+
 class TestTieHandling:
     def test_rng_resolution_stays_in_tie_set(self):
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=10.0, theta0=math.pi / 4)
@@ -298,6 +335,37 @@ class TestValidation:
             glrt_metric([1, 0, 2], [0, 0], cfg)
         with pytest.raises(ValueError, match="0..K-1"):
             crossover_angles([0, -1], cfg)
+
+    def test_non_integer_inputs_rejected(self):
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
+        dithered = SystemConfig(M=4, K=8, L=2, snr_db=6.0, dither="ramp")
+        for z in ([1.7, 0], [0, 0.5], [np.nan, 0], [np.inf, 0], ["1", "0"], [True, False]):
+            for call in (
+                lambda z: glrt_demodulate(z, cfg),
+                lambda z: glrt_demodulate_dithered(z, dithered),
+                lambda z: brute_force_glrt(z, cfg),
+                lambda z: glrt_metric(z, [0, 0], cfg),
+                lambda z: crossover_angles(z, cfg),
+            ):
+                with pytest.raises(ValueError, match="integers"):
+                    call(z)
+        for x in ([0.9, 0], [0, -0.5], [np.nan, 0]):
+            with pytest.raises(ValueError, match="integers"):
+                glrt_metric([1, 0], x, cfg)
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
+        ref = glrt_demodulate([5, 2], cfg)
+        for z in ([5.0, 2.0], np.array([5, 2], dtype=np.uint8), np.array([5, 2], dtype=np.int16)):
+            assert glrt_demodulate(z, cfg) == ref
+        assert brute_force_glrt([5.0, 2], cfg) == brute_force_glrt([5, 2], cfg)
+        np.testing.assert_array_equal(
+            crossover_angles([5.0, 2.0], cfg), crossover_angles([5, 2], cfg)
+        )
+        metric = glrt_metric([5, 2], [1, 3], cfg)
+        assert glrt_metric([5, 2], [1.0, 3.0], cfg) == metric
+        z32, x16 = np.array([5, 2], dtype=np.int32), np.array([1, 3], dtype=np.uint16)
+        assert glrt_metric(z32, x16, cfg) == metric
 
     def test_brute_force_guards_input_space(self):
         cfg = SystemConfig(M=4, K=8, L=12, snr_db=6.0)

@@ -13,7 +13,7 @@ from phaseq import (
     ser_crossing_snr,
     wilson_interval,
 )
-from phaseq.sim import _chunk_sizes
+from phaseq.sim import _chunk_sizes, _distinct_rows
 
 
 class TestHelpers:
@@ -52,6 +52,22 @@ class TestHelpers:
         assert _chunk_sizes(100, 4096) == [100]
         assert sum(_chunk_sizes(123_457, 4096)) == 123_457
 
+    def test_distinct_rows_match_np_unique(self):
+        rng = np.random.default_rng(0)
+        cases = [
+            rng.integers(0, 3, size=(4096, 8)),
+            rng.integers(-5, 5, size=(300, 3)),
+            rng.integers(0, 100, size=(50, 1)),
+            np.array([[4, 1, 7]]),
+            np.full((20, 5), 2),
+        ]
+        for rows in cases:
+            distinct, inverse = _distinct_rows(rows)
+            ref, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
+            np.testing.assert_array_equal(distinct, ref)
+            np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1))
+            np.testing.assert_array_equal(distinct[inverse], rows)
+
 
 class TestRunSer:
     def test_deep_noise_is_guessing(self):
@@ -62,11 +78,14 @@ class TestRunSer:
         assert point.symbols == 20_000  # pilot convention scores L-1 per block
 
     def test_seed_reproducibility_across_worker_counts(self):
-        # undithered pilot, dithered pilot, and undithered genie with ties
+        # undithered pilot, dithered pilot, undithered genie with ties, and
+        # K=64 L=8, where most sorted rows are new, so the threads fill the
+        # shared memo concurrently
         for cfg, convention in [
             (SystemConfig(M=4, K=8, L=3, snr_db=8.0), "pilot"),
             (SystemConfig(M=4, K=8, L=3, snr_db=10.0, dither="ramp"), "pilot"),
             (SystemConfig(M=4, K=8, L=4, snr_db=20.0), "genie"),
+            (SystemConfig(M=4, K=64, L=8, snr_db=10.0), "pilot"),
         ]:
             a = run_ser(cfg, trials=6_000, seed=7, convention=convention, workers=1)
             b = run_ser(cfg, trials=6_000, seed=7, convention=convention, workers=4)
@@ -77,8 +96,10 @@ class TestRunSer:
             assert c.errors != a.errors
 
     # Exact counts of seeded runs (5000 blocks are two chunks, so the row memo
-    # carries across chunks); any change to the RNG stream, the tie re-draw or
-    # the error scoring moves them.
+    # carries across chunks); any change to the RNG stream, the tie re-draw,
+    # the scatter of sorted-row decisions back to block positions or the
+    # error scoring moves them. The last three are undithered cases where
+    # sorting residues merges many rows (K=64 L=8, K=12 L=8, M=2 K=6 L=7).
     @pytest.mark.parametrize(
         "cfg, seed, convention, errors, tie_rate",
         [
@@ -86,6 +107,9 @@ class TestRunSer:
             (SystemConfig(M=4, K=8, L=4, snr_db=20.0), 21, "genie", 578, 0.1828),
             (SystemConfig(M=4, K=8, L=4, snr_db=14.0, dither="ramp"), 22, "pilot", 74, 0.0),
             (SystemConfig(M=8, K=16, L=4, snr_db=18.0), 23, "genie", 1533, 0.474),
+            (SystemConfig(M=4, K=64, L=8, snr_db=10.0), 25, "pilot", 133, 0.0008),
+            (SystemConfig(M=4, K=12, L=8, snr_db=11.0), 26, "genie", 147, 0.0028),
+            (SystemConfig(M=2, K=6, L=7, snr_db=8.0), 27, "pilot", 23, 0.0022),
         ],
     )
     def test_pinned_counts(self, cfg, seed, convention, errors, tie_rate):
