@@ -1,14 +1,18 @@
 """Mutual information of the quantized block channel.
 
-I(X; Z) = H(Z) - H(Z|X) in bits per block. The conditional entropy needs only
-the all-zero input (it is input-independent by symmetry, which the test suite
-verifies rather than assumes blindly), summed over canonical output classes;
-the output entropy runs over residue classes with the grouped-input-average
-marginal. A full-enumeration brute-force path is shipped alongside as the
-oracle, and a Monte Carlo estimator covers dithered configurations where the
-reduction does not apply. Block probabilities fall back to log space when the
-linear phase-grid product underflows, so the Monte Carlo estimate stays finite
-for long blocks; it works on log-probabilities throughout.
+I(X; Z) = H(Z) - H(Z|X) in bits per block, each entropy one class sum over
+one table. The conditional entropy needs only the all-zero input (it is
+input-independent by symmetry, which the test suite verifies rather than
+assumes blindly), summed over canonical output classes of the kernel table.
+The output entropy is the same sum over residue classes of the
+input-averaged table: inputs are i.i.d. uniform, so on each phase grid point
+P(z) is a product of per-symbol input averages and no input is enumerated.
+A full-enumeration brute-force path is shipped alongside as the oracle, and
+a Monte Carlo estimator, which takes P(z) from the same input-averaged
+tables, covers dithered configurations where the reduction does not apply.
+Block probabilities fall back to log space when the linear phase-grid
+product underflows, so the Monte Carlo estimate stays finite for long
+blocks; it works on log-probabilities throughout.
 
 Normalization: the first symbol effectively spends its information resolving
 the unknown block phase, so the per-symbol rate divides by L - 1.
@@ -22,17 +26,13 @@ from itertools import product
 
 import numpy as np
 
-from .combinatorics import canonical_output_classes, grouped_input_classes
-from .core import SystemConfig, sample_blocks
-from .transition import (
-    TransitionKernel,
-    _log_grid_mean,
-    block_conditional_batch,
-    kernel_bank_for,
-    kernel_for,
-)
+from .combinatorics import canonical_output_classes
+from .core import SystemConfig, _check_indices, sample_blocks
+from .transition import TransitionKernel, _log_grid_mean, kernel_bank_for, kernel_for
 
 LOG2E = 1.0 / math.log(2.0)
+# Monte Carlo blocks sampled and scored per batch
+_MC_BATCH = 8192
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,30 @@ def _entropy_terms(p: np.ndarray) -> np.ndarray:
     return terms
 
 
+def _input_average(table: np.ndarray, M: int, a: int) -> np.ndarray:
+    """Row z is the mean over inputs m of table[(z - a*m) mod K].
+
+    Inputs are i.i.d. uniform, so on each phase grid point the output marginal
+    factorises: P(z) is the phase-grid mean of prod_l _input_average(...)[z_l].
+    """
+    K = table.shape[0]
+    return table[(np.arange(K)[:, None] - a * np.arange(M)[None, :]) % K].mean(axis=1)
+
+
+def _class_entropy(table: np.ndarray, alphabet: int, L: int, scale: float) -> float:
+    """-sum over canonical classes of scale * multiplicity * p * log2 p.
+
+    p is the phase-grid mean of prod_l table[rep_l] for each canonical
+    representative of blocks of L symbols in 0..alphabet-1; scale is the
+    number of blocks each arrangement of a representative stands for.
+    """
+    classes = canonical_output_classes(alphabet, L)
+    reps = np.array([c.representative for c in classes], dtype=np.int64)
+    mult = np.array([c.multiplicity for c in classes], dtype=float)
+    probs = np.exp(_log_grid_mean([table] * L, reps))
+    return float(-(scale * mult * _entropy_terms(probs)).sum())
+
+
 def conditional_entropy(config: SystemConfig, kernel: TransitionKernel | None = None) -> float:
     """H(Z | X) in bits for an undithered config, via canonical classes.
 
@@ -74,11 +98,7 @@ def conditional_entropy(config: SystemConfig, kernel: TransitionKernel | None = 
         raise ValueError("conditional_entropy requires an undithered config")
     if kernel is None:
         kernel = kernel_for(config)
-    classes = canonical_output_classes(config.K, config.L)
-    reps = np.array([c.representative for c in classes], dtype=np.int64)
-    mult = np.array([c.multiplicity for c in classes], dtype=float)
-    probs = block_conditional_batch(reps, kernel)
-    return float(-(config.K * mult * _entropy_terms(probs)).sum())
+    return _class_entropy(kernel.table, config.K, config.L, config.K)
 
 
 def marginal_probability(
@@ -86,42 +106,31 @@ def marginal_probability(
 ) -> float:
     """P(z) for a reduced output block (components below a = K/M).
 
-    Weighted average of P(z | x) over the grouped input classes; weights are
-    the class sizes, so this equals the plain average over all M^L inputs.
+    The phase-grid mean of the per-symbol product of the input-averaged
+    table, which equals the plain average of P(z | x) over all M^L inputs.
     """
-    z = np.asarray(z, dtype=np.int64)
-    if np.any((z < 0) | (z >= config.a)):
-        raise ValueError("marginal_probability expects residue outputs in 0..a-1")
     if config.is_dithered:
         raise ValueError("marginal_probability requires an undithered config")
+    z = _check_indices(z, "residue output z", config.L, config.a, "a")
     if kernel is None:
         kernel = kernel_for(config)
-    classes = grouped_input_classes(z, config.M)
-    xs = np.array([c.representative for c in classes], dtype=np.int64)
-    weights = np.array([c.weight for c in classes], dtype=float)
-    S = (z[None, :] - config.a * xs) % config.K
-    probs = block_conditional_batch(S, kernel)
-    return float((weights * probs).sum() / config.M**config.L)
+    mixed = _input_average(kernel.table, config.M, config.a)
+    return float(np.exp(_log_grid_mean([mixed] * config.L, z[None, :])[0]))
 
 
 def output_entropy(config: SystemConfig, kernel: TransitionKernel | None = None) -> float:
     """H(Z) in bits for an undithered config, via residue classes.
 
-    Each residue-class representative covers multiplicity * a residue blocks,
-    and each residue block stands for M^L full-alphabet blocks of equal
-    probability.
+    A class sum over the input-averaged table: each residue-class
+    representative covers multiplicity * a residue blocks, and each residue
+    block stands for M^L full-alphabet blocks of equal probability.
     """
     if config.is_dithered:
         raise ValueError("output_entropy requires an undithered config")
     if kernel is None:
         kernel = kernel_for(config)
-    total = 0.0
-    scale = float(config.M**config.L)
-    for cls in canonical_output_classes(config.a, config.L):
-        p = marginal_probability(cls.representative, config, kernel)
-        if p > 0:
-            total -= scale * config.a * cls.multiplicity * p * math.log2(p)
-    return total
+    mixed = _input_average(kernel.table, config.M, config.a)
+    return _class_entropy(mixed, config.a, config.L, float(config.a * config.M**config.L))
 
 
 def mutual_information(
@@ -220,22 +229,21 @@ def mutual_information_mc(
     trials: int,
     rng: np.random.Generator,
     n_phi: int | None = None,
-    batch: int = 8192,
 ) -> CapacityResult:
     """Monte Carlo I(X; Z) estimate, valid for dithered configs too.
 
     Averages log2(P(z|x) / P(z)) over sampled (x, z). P(z|x) is the phase-grid
     block conditional; P(z) is its exact average over all M^L inputs, computed
     through the per-symbol factorization that holds conditioned on each phase
-    grid point (finite-sum exchange, no sampling of the input space).
+    grid point (_input_average; finite-sum exchange, no sampling of the input
+    space).
     """
     if trials < 100:
         raise ValueError("trials must be at least 100")
     kernels = kernel_bank_for(config, n_phi=n_phi)
     L, M, K, a = config.L, config.M, config.K, config.a
     tables = [k.table for k in kernels]
-    mix_idx = (np.arange(K)[:, None] - a * np.arange(M)[None, :]) % K
-    mixed = [t[mix_idx].mean(axis=1) for t in tables]
+    mixed = [_input_average(t, M, a) for t in tables]
 
     sum_ratio = 0.0
     sum_ratio_sq = 0.0
@@ -243,7 +251,7 @@ def mutual_information_mc(
     sum_out = 0.0
     done = 0
     while done < trials:
-        n = min(batch, trials - done)
+        n = min(_MC_BATCH, trials - done)
         X = rng.integers(0, M, size=(n, L))
         _, Z = sample_blocks(X, config, rng)
         log_cond = _log_grid_mean(tables, (Z - a * X) % K)

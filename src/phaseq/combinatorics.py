@@ -8,9 +8,11 @@ component pinned to 0, remaining components sorted nondecreasing; the number
 of distinct blocks sharing a representative is the multinomial permutation
 count of the free positions.
 
-For the output marginal, inputs that permute within groups of equal output
-values give equal conditional probabilities, so the M^L input average
-collapses to per-group multisets with multinomial weights.
+Inputs that permute within groups of equal output values give equal
+conditional probabilities, so an M^L input average can collapse to per-group
+multisets with multinomial weights (grouped_input_classes). Only the class
+export, the verify suite and the benchmark enumerate these input classes;
+the capacity sums average inputs through a per-symbol table instead.
 """
 
 from __future__ import annotations

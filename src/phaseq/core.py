@@ -166,6 +166,24 @@ def resolve_dither(token: str, block_len: int, sectors: int) -> tuple[float, ...
     return values
 
 
+def _check_indices(v, name: str, L: int, n: int, n_name: str) -> np.ndarray:
+    """v as an int array of L integers in 0..n-1, else ValueError.
+
+    Integral floats (2.0) pass; fractional, non-finite or non-numeric
+    entries are rejected rather than truncated.
+    """
+    v = np.asarray(v)
+    if v.shape != (L,):
+        raise ValueError(f"{name} must have L={L} entries")
+    if v.dtype.kind not in "iu" and not (
+        v.dtype.kind == "f" and np.all(np.isfinite(v)) and np.all(v == np.floor(v))
+    ):
+        raise ValueError(f"{name} components must be integers")
+    if np.any((v < 0) | (v >= n)):
+        raise ValueError(f"{name} components must lie in 0..{n_name}-1")
+    return v.astype(np.int64)
+
+
 def sector_index(angles: np.ndarray, K: int) -> np.ndarray:
     """Sector indices floor(arg / (2*pi/K)) of angles in radians, any branch.
 

@@ -20,7 +20,7 @@ symmetry on the grid), then polished by golden-section refinement of a smooth
 log-likelihood interpolant to ~1e-6 rad. One decision rule, shared by the
 sweep and the brute-force oracle, picks the winner and flags exactly tied
 candidates (the signature failure of K = 2M without dither): those whose
-relative metric gap to the winner is at most tie_tol.
+relative metric gap to the winner is at most DEFAULT_TIE_TOL.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from itertools import product
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import TWO_PI, SystemConfig
+from .core import TWO_PI, SystemConfig, _check_indices
 from .transition import TransitionKernel, kernel_bank_for, kernel_for, sector_probability
 
 DEFAULT_TIE_TOL = 1e-6
@@ -43,11 +43,13 @@ _SCAN_TARGET = 720
 _REFINE_LOG_WINDOW = 0.105
 _GOLDEN_ITERS = 26
 _ALPHA_DEDUPE = 1e-12
+# crossover_angles(validate=True) tolerance between geometric and root angles
+_ROOT_TOL = 1e-9
 
 
-def default_n_scan(K: int, target: int = _SCAN_TARGET) -> int:
-    """Smallest multiple of K at or above the scan target."""
-    return K * math.ceil(target / K)
+def default_n_scan(K: int) -> int:
+    """Smallest multiple of K at or above _SCAN_TARGET."""
+    return K * math.ceil(_SCAN_TARGET / K)
 
 
 @dataclass(frozen=True)
@@ -92,24 +94,6 @@ class DemodRecord:
 # ---- crossover geometry ---------------------------------------------------
 
 
-def _check_indices(v, name: str, L: int, n: int, n_name: str) -> np.ndarray:
-    """v as an int array of L integers in 0..n-1, else ValueError.
-
-    Integral floats (2.0) pass; fractional, non-finite or non-numeric
-    entries are rejected rather than truncated.
-    """
-    v = np.asarray(v)
-    if v.shape != (L,):
-        raise ValueError(f"{name} must have L={L} entries")
-    if v.dtype.kind not in "iu" and not (
-        v.dtype.kind == "f" and np.all(np.isfinite(v)) and np.all(v == np.floor(v))
-    ):
-        raise ValueError(f"{name} components must be integers")
-    if np.any((v < 0) | (v >= n)):
-        raise ValueError(f"{name} components must lie in 0..{n_name}-1")
-    return v.astype(np.int64)
-
-
 def _check_block(z, config: SystemConfig) -> np.ndarray:
     """z as an int array of L sector indices in 0..K-1, else ValueError."""
     return _check_indices(z, "z", config.L, config.K, "K")
@@ -130,18 +114,13 @@ def _symbol_crossovers(Z: np.ndarray, config: SystemConfig) -> np.ndarray:
     return np.where(alpha < _ALPHA_DEDUPE, alpha + window, alpha)
 
 
-def crossover_angles(
-    z,
-    config: SystemConfig,
-    validate: bool = False,
-    root_tol: float = 1e-9,
-) -> np.ndarray:
+def crossover_angles(z, config: SystemConfig, validate: bool = False) -> np.ndarray:
     """Sorted distinct crossover angles of a block, in (0, 2*pi/M].
 
     validate=True re-derives each angle as the root of the likelihood
     equality between the two adjacent constellation points (brentq on the
     quadrature path) and raises if the geometric value is off by more than
-    root_tol.
+    _ROOT_TOL.
     """
     z = _check_block(z, config)
     alphas = _symbol_crossovers(z[None, :], config)[0]
@@ -155,12 +134,12 @@ def crossover_angles(
         gaps = np.diff(np.concatenate([values, [values[0] + TWO_PI / config.M]]))
         min_gap = float(gaps.min()) if values.size > 1 else TWO_PI / config.M
         for value, sym in distinct:
-            _validate_crossover(value, int(z[sym]), sym, config, min_gap, root_tol)
+            _validate_crossover(value, int(z[sym]), sym, config, min_gap)
     return np.array([v for v, _ in distinct])
 
 
 def _validate_crossover(
-    alpha: float, z_sym: int, sym: int, config: SystemConfig, gap: float, root_tol: float
+    alpha: float, z_sym: int, sym: int, config: SystemConfig, gap: float
 ) -> None:
     cfg_sym = replace(
         config, L=1, dither=None, theta0=config.theta0 + config.dither[sym]
@@ -180,7 +159,7 @@ def _validate_crossover(
         )
 
     root = brentq(diff, alpha - span, alpha + span, xtol=1e-12)
-    if abs(root - alpha) > root_tol:
+    if abs(root - alpha) > _ROOT_TOL:
         raise RuntimeError(
             f"crossover mismatch at symbol {sym}: geometric {alpha!r}, root {root!r}"
         )
@@ -264,24 +243,24 @@ def _evaluate_candidates(
 
 
 def _decide(
-    log_metric: np.ndarray, valid: np.ndarray, tie_tol: float
+    log_metric: np.ndarray, valid: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, list[float | None]]:
     """The GLRT decision on each row of log_metric (n, D).
 
     Returns the winner, the tie mask (valid candidates whose relative metric
-    gap to the top metric is at most tie_tol) and the tie gap (least gap of
-    the other valid candidates to the top; None when only one is valid).
-    The winner is the lowest-index candidate of the tie mask, which holds
-    the argmax: exactly tied metrics can differ in their last bits with the
-    order of the positions, and the winner must not. Invalid entries must
-    hold -inf.
+    gap to the top metric is at most DEFAULT_TIE_TOL) and the tie gap (least
+    gap of the other valid candidates to the top; None when only one is
+    valid). The winner is the lowest-index candidate of the tie mask, which
+    holds the argmax: exactly tied metrics can differ in their last bits
+    with the order of the positions, and the winner must not. Invalid
+    entries must hold -inf.
     """
     n = log_metric.shape[0]
     top_idx = np.argmax(log_metric, axis=1)
     top = log_metric[np.arange(n), top_idx]
     with np.errstate(invalid="ignore"):
         gaps = np.abs(np.expm1(log_metric - top[:, None]))
-    ties = valid & (gaps <= tie_tol)
+    ties = valid & (gaps <= DEFAULT_TIE_TOL)
     winner = np.argmax(ties, axis=1)
     others = np.where(valid, gaps, np.inf)
     others[np.arange(n), top_idx] = np.inf
@@ -295,7 +274,6 @@ def demodulate_rows(
     config: SystemConfig,
     kernels: tuple[TransitionKernel, ...],
     n_scan: int | None = None,
-    tie_tol: float = DEFAULT_TIE_TOL,
 ) -> list[DemodRecord]:
     """Run the candidate sweep on each row of Z (n, L).
 
@@ -328,7 +306,7 @@ def demodulate_rows(
     C = np.round(args).astype(np.int64) % M
 
     log_metric, phi_star = _evaluate_candidates(Z, C, valid, kernels, n_scan)
-    winner, ties, tie_gap = _decide(log_metric, valid, tie_tol)
+    winner, ties, tie_gap = _decide(log_metric, valid)
     records = []
     for i in range(n):
         d = int(n_distinct[i])
@@ -382,7 +360,6 @@ def glrt_demodulate(
     config: SystemConfig,
     kernel: TransitionKernel | None = None,
     n_scan: int | None = None,
-    tie_tol: float = DEFAULT_TIE_TOL,
     rng: np.random.Generator | None = None,
 ) -> GlrtResult:
     """Demodulate one undithered block via the residue reduction.
@@ -398,7 +375,7 @@ def glrt_demodulate(
         kernel = kernel_for(config)
     r = z % config.a
     q = z // config.a
-    rec = demodulate_rows(r[None, :], config, (kernel,) * config.L, n_scan, tie_tol)[0]
+    rec = demodulate_rows(r[None, :], config, (kernel,) * config.L, n_scan)[0]
     return _result_from_record(rec, q, config.M, rng)
 
 
@@ -407,7 +384,6 @@ def glrt_demodulate_dithered(
     config: SystemConfig,
     kernels: tuple[TransitionKernel, ...] | None = None,
     n_scan: int | None = None,
-    tie_tol: float = DEFAULT_TIE_TOL,
     rng: np.random.Generator | None = None,
 ) -> GlrtResult:
     """Demodulate one block under the config's dither (no residue reduction).
@@ -418,7 +394,7 @@ def glrt_demodulate_dithered(
     z = _check_block(z, config)
     if kernels is None:
         kernels = kernel_bank_for(config)
-    rec = demodulate_rows(z[None, :], config, kernels, n_scan, tie_tol)[0]
+    rec = demodulate_rows(z[None, :], config, kernels, n_scan)[0]
     return _result_from_record(rec, np.zeros(config.L, dtype=np.int64), config.M, rng)
 
 
@@ -447,7 +423,6 @@ def brute_force_glrt(
     config: SystemConfig,
     kernels: tuple[TransitionKernel, ...] | None = None,
     n_scan: int | None = None,
-    tie_tol: float = DEFAULT_TIE_TOL,
 ) -> GlrtResult:
     """Oracle demodulator: score every input, without the candidate sweep.
 
@@ -468,7 +443,7 @@ def brute_force_glrt(
     C = np.concatenate([np.zeros((tails.shape[0], 1), dtype=np.int64), tails], axis=1)
     valid = np.ones((1, C.shape[0]), dtype=bool)
     lm, ph = _evaluate_candidates(z[None, :], C[None, :, :], valid, kernels, n_scan)
-    winner, ties, tie_gap = _decide(lm, valid, tie_tol)
+    winner, ties, tie_gap = _decide(lm, valid)
     tie_idx = np.flatnonzero(ties[0])
     rec = DemodRecord(
         candidates=C,

@@ -2,24 +2,24 @@
 
 Blocks are simulated in fixed-size chunks, each driven by its own child of a
 single SeedSequence, so results are bit-identical for any worker count: the
-chunk layout depends only on (trials, chunk_size) and every random draw
-happens inside its chunk's stream. Each chunk demodulates only its distinct
-observation rows that the run's memo has not seen, and scores every block
-with array operations. Tied blocks re-draw their winner from the chunk
-stream, in block order, so memoization never correlates tie outcomes across
-blocks.
+chunk layout depends only on trials (chunks of DEFAULT_CHUNK blocks) and
+every random draw happens inside its chunk's stream. Each chunk demodulates
+only its distinct observation rows that the run's memo has not seen, and
+scores every block with array operations. Tied blocks re-draw their winner
+from the chunk stream, in block order, so memoization never correlates tie
+outcomes across blocks.
 
 Without dither every position shares one kernel, so P(z | x, phi) is
-unchanged when z and x are permuted together: the row demodulated for a
-block is its residue vector z mod a sorted ascending, and the winner is
-scattered back to the block's own positions. Crossovers are per symbol, so
-candidate d of the sorted row is candidate d of the block permuted, and its
-tie set names the same candidates; only the summation order of the log
-metrics changes, far below tie_tol (as far as the refine's log-likelihood
-spline is accurate, see TransitionKernel.log_offset_interpolant). At most
+unchanged when z and x are permuted together: the row demodulated for a block
+is its residue vector z mod a sorted ascending, and the winner is scattered
+back to the block's own positions. Crossovers are per symbol, so candidate d
+of the sorted row is candidate d of the block permuted, and its tie set names
+the same candidates; only the summation order of the log metrics changes, far
+below DEFAULT_TIE_TOL (as far as the refine's log-likelihood spline is
+accurate, see TransitionKernel.log_offset_interpolant). At most
 C(L + a - 1, L) sorted rows exist (45 at K=12, L=8), against thousands of
-ordered ones. Under dither each position has its own kernel, so rows are
-the full sector vectors in block order.
+ordered ones. Under dither each position has its own kernel, so rows are the
+full sector vectors in block order.
 
 The constant-addition ambiguity of the metric means raw block decisions are
 only defined up to a common constellation shift. Two scoring conventions:
@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .core import SystemConfig, sample_blocks
-from .demod import DEFAULT_TIE_TOL, DemodRecord, default_n_scan, demodulate_rows
+from .demod import DemodRecord, default_n_scan, demodulate_rows
 from .transition import kernel_bank_for
 
 DEFAULT_CHUNK = 4096
@@ -144,7 +144,6 @@ def _run_chunk(
     seed_seq: np.random.SeedSequence,
     convention: str,
     n_scan: int,
-    tie_tol: float,
     cache: dict[bytes, DemodRecord],
 ) -> tuple[int, int, int, int]:
     """Simulate one chunk; returns (errors, tie blocks, candidate sum, candidate max).
@@ -173,7 +172,7 @@ def _run_chunk(
     keys = [row.tobytes() for row in distinct]
     missing = [i for i, key in enumerate(keys) if key not in cache]
     if missing:
-        recs = demodulate_rows(distinct[missing], config, kernels, n_scan, tie_tol)
+        recs = demodulate_rows(distinct[missing], config, kernels, n_scan)
         for i, rec in zip(missing, recs):
             cache[keys[i]] = rec
     records = [cache[key] for key in keys]
@@ -214,8 +213,6 @@ def _simulate(
     convention: str,
     workers: int | None,
     n_scan: int | None,
-    tie_tol: float,
-    chunk_size: int,
 ) -> tuple[int, int, int, int]:
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -226,16 +223,14 @@ def _simulate(
     if n_scan is None:
         n_scan = default_n_scan(config.K)
     kernels = kernel_bank_for(config)
-    sizes = _chunk_sizes(trials, chunk_size)
+    sizes = _chunk_sizes(trials, DEFAULT_CHUNK)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(len(sizes))
     cache: dict[bytes, DemodRecord] = {}
 
     def job(args):
         size, child = args
-        return _run_chunk(
-            config, kernels, size, child, convention, n_scan, tie_tol, cache
-        )
+        return _run_chunk(config, kernels, size, child, convention, n_scan, cache)
 
     n_workers = _resolve_workers(workers)
     if n_workers > 1 and len(sizes) > 1:
@@ -257,17 +252,13 @@ def run_ser(
     convention: str = "pilot",
     workers: int | None = None,
     n_scan: int | None = None,
-    tie_tol: float = DEFAULT_TIE_TOL,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> SerPoint:
     """Measure SER at config's operating point over `trials` blocks.
 
-    Reproducible for a given (seed, trials, chunk_size) regardless of
-    workers; seed may be an int or a SeedSequence.
+    Reproducible for a given (seed, trials) regardless of workers; seed may
+    be an int or a SeedSequence.
     """
-    errors, ties, _, _ = _simulate(
-        config, trials, seed, convention, workers, n_scan, tie_tol, chunk_size
-    )
+    errors, ties, _, _ = _simulate(config, trials, seed, convention, workers, n_scan)
     symbols = trials * (config.L - 1 if convention == "pilot" else config.L)
     lo, hi = wilson_interval(errors, symbols)
     return SerPoint(
@@ -289,13 +280,9 @@ def run_tie_census(
     seed=0,
     workers: int | None = None,
     n_scan: int | None = None,
-    tie_tol: float = DEFAULT_TIE_TOL,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> TieCensus:
     """Count exact metric ties over random blocks (genie-style inputs)."""
-    _, ties, cands, cand_max = _simulate(
-        config, trials, seed, "genie", workers, n_scan, tie_tol, chunk_size
-    )
+    _, ties, cands, cand_max = _simulate(config, trials, seed, "genie", workers, n_scan)
     lo, hi = wilson_interval(ties, trials)
     return TieCensus(
         trials=trials,

@@ -34,7 +34,7 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 from scipy.special import ndtr
 
-from .core import TWO_PI, SystemConfig
+from .core import TWO_PI, SystemConfig, _check_indices
 
 DEFAULT_TOL = 1e-12
 DEFAULT_N_PHI = 2048
@@ -124,9 +124,9 @@ def _arc_probabilities(start: float, n: int, K: int, snr_linear: float) -> np.nd
     return sliding_window_view(np.concatenate([cells, cells[: s - 1]]), s).sum(axis=1)
 
 
-def default_n_phi(K: int, target: int = DEFAULT_N_PHI) -> int:
-    """Smallest multiple of K at or above the target grid size."""
-    return K * math.ceil(target / K)
+def default_n_phi(K: int) -> int:
+    """Smallest multiple of K at or above DEFAULT_N_PHI."""
+    return K * math.ceil(DEFAULT_N_PHI / K)
 
 
 @dataclass(eq=False)
@@ -286,13 +286,15 @@ def block_conditional(z, x, kernel: TransitionKernel) -> float:
     """P(z | x) for one block: phase-average of the per-symbol product.
 
     Undithered only; dithered blocks go through block_conditional_dithered.
+    The block length is z's; x must match it, with z in 0..K-1, x in 0..M-1.
     """
-    z = np.asarray(z, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    if z.shape != x.shape:
-        raise ValueError("z and x must have the same length")
+    L = np.size(z)
+    if L < 1:
+        raise ValueError("z must be a nonempty block")
+    z = _check_indices(z, "z", L, kernel.K, "K")
+    x = _check_indices(x, "x", L, kernel.M, "M")
     S = (z - kernel.a * x) % kernel.K
-    return float(np.exp(_log_grid_mean([kernel.table] * S.size, S[None, :])[0]))
+    return float(np.exp(_log_grid_mean([kernel.table] * L, S[None, :])[0]))
 
 
 def block_conditional_dithered(
@@ -307,10 +309,8 @@ def block_conditional_dithered(
     With an all-zero dither this reduces to block_conditional bit for bit,
     since the per-position kernels collapse to the shared undithered one.
     """
-    z = np.asarray(z, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    if z.size != config.L or x.size != config.L:
-        raise ValueError(f"z and x must have L={config.L} entries")
+    z = _check_indices(z, "z", config.L, config.K, "K")
+    x = _check_indices(x, "x", config.L, config.M, "M")
     if kernels is None:
         kernels = kernel_bank_for(config, n_phi=n_phi)
     S = (z - config.a * x) % config.K

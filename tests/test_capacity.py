@@ -40,9 +40,19 @@ class TestDegenerateLimits:
         assert 0.0 <= res.mi < 1e-2
 
 
+# (M, K, L, snr_db): the original case, then M in {2, 4, 8} with K = M, 2M
+# and 4M, L up to 5, from 0 to 40 dB
+_BRUTE_CASES = [(4, 8, 3, 5.0)] + [
+    (M, K, L, snr_db)
+    for (M, K, L) in [(2, 4, 5), (2, 8, 3), (4, 8, 3), (8, 8, 2), (8, 16, 2)]
+    for snr_db in (0.0, 10.0, 25.0, 40.0)
+]
+
+
 class TestBruteForceAgreement:
-    def test_entropies_match_brute_force(self):
-        cfg = SystemConfig(M=4, K=8, L=3, snr_db=5.0)
+    @pytest.mark.parametrize("M, K, L, snr_db", _BRUTE_CASES)
+    def test_entropies_match_brute_force(self, M, K, L, snr_db):
+        cfg = SystemConfig(M=M, K=K, L=L, snr_db=snr_db)
         kernel = kernel_for(cfg)
         h_cond = conditional_entropy(cfg, kernel)
         h_out = output_entropy(cfg, kernel)
@@ -57,13 +67,17 @@ class TestBruteForceAgreement:
         assert red.method == "reduced-exact"
         assert brute.method == "brute-force"
 
-    def test_marginal_probability_matches_brute_average(self):
-        cfg = SystemConfig(M=4, K=8, L=3, snr_db=6.0)
+    @pytest.mark.parametrize("M, K, L, snr_db", [(4, 8, 3, 6.0)] + _BRUTE_CASES[1:])
+    def test_marginal_probability_matches_brute_average(self, M, K, L, snr_db):
+        cfg = SystemConfig(M=M, K=K, L=L, snr_db=snr_db)
         kernel = kernel_for(cfg)
         probs = brute_force_output_probs(cfg, kernel)
-        z = np.array([1, 0, 1])
+        # residues 1, 0, 1, ... (all 0 when a = 1): adjacent residues stay
+        # reachable at 40 dB, where a row spanning three sectors underflows to 0
+        z = (np.arange(L) + 1) % min(cfg.a, 2)
         # brute table is indexed over full K-ary outputs; residues embed directly
-        idx = int(np.ravel_multi_index(tuple(z), (8, 8, 8)))
+        idx = int(np.ravel_multi_index(tuple(z), (K,) * L))
+        assert probs[idx] > 0
         assert marginal_probability(z, cfg, kernel) == pytest.approx(
             float(probs[idx]), rel=1e-10
         )
@@ -113,6 +127,14 @@ class TestValidation:
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
         with pytest.raises(ValueError, match="residue"):
             marginal_probability([0, 5], cfg)
+        # a short block must not be answered, nor a fractional one truncated
+        cfg3 = SystemConfig(M=4, K=8, L=3, snr_db=6.0)
+        with pytest.raises(ValueError, match="residue output z must have L=3 entries"):
+            marginal_probability([0], cfg3)
+        with pytest.raises(ValueError, match="residue output z components must be integers"):
+            marginal_probability([1.7, 0, 0], cfg3)
+        with pytest.raises(ValueError, match="residue output z components must lie in 0..a-1"):
+            marginal_probability([0, -1, 0], cfg3)
 
     def test_unknown_method_rejected(self):
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)

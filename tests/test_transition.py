@@ -8,6 +8,7 @@ count) with no shared code beyond the quantizer.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -265,6 +266,29 @@ def test_block_normalization_over_all_outputs():
     Z = np.array(list(product(range(8), repeat=3)), dtype=np.int64)
     total = block_conditional_batch(Z, k, x=x).sum()
     assert total == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize(
+    "z, x, match",
+    [
+        ([9, 0, 0], [0, 0, 0], "z components must lie in 0..K-1"),
+        ([-1, 0, 0], [0, 0, 0], "z components must lie in 0..K-1"),
+        ([0, 0, 0], [5, 0, 0], "x components must lie in 0..M-1"),
+        ([1.7, 0, 0], [0, 0, 0], "z components must be integers"),
+        ([0, 0, 0], [0, 0.5, 0], "x components must be integers"),
+        ([0, 0, 0], [0, 0], "x must have L=3 entries"),
+        ([0, 0], [0, 0, 0], "must have L=[23] entries"),
+        ([], [], "z must (be a nonempty block|have L=3 entries)"),
+    ],
+)
+@pytest.mark.parametrize("dithered", [False, True])
+def test_block_probability_rejects_bad_blocks(qpsk8_l3, z, x, match, dithered):
+    # an index out of range must not wrap, nor a fraction truncate
+    with pytest.raises(ValueError, match=match):
+        if dithered:
+            block_conditional_dithered(z, x, replace(qpsk8_l3, dither="ramp"))
+        else:
+            block_conditional(z, x, kernel_for(qpsk8_l3))
 
 
 def test_dithered_config_cannot_build_shared_kernel():
