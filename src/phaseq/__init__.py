@@ -46,7 +46,6 @@ from .demod import (
     GlrtResult,
     brute_force_glrt,
     crossover_angles,
-    default_n_scan,
     glrt_demodulate,
     glrt_demodulate_dithered,
     glrt_metric,
@@ -104,7 +103,6 @@ __all__ = [
     "conditional_entropy",
     "crossover_angles",
     "default_n_phi",
-    "default_n_scan",
     "export_input_classes_csv",
     "export_kernel_csv",
     "export_output_classes_csv",

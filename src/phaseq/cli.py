@@ -182,7 +182,6 @@ def cmd_ser(args) -> int:
             seed=child,
             convention=args.convention,
             workers=args.workers,
-            n_scan=args.nscan,
         )
         rows.append(
             [
@@ -230,7 +229,6 @@ def cmd_ser(args) -> int:
             "theta0": args.theta0,
             "dither": mode,
             "convention": args.convention,
-            "nscan": args.nscan if args.nscan is not None else "default",
             "trials": args.trials,
             "seed": args.seed,
         },
@@ -329,9 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ser.add_argument("--snr", default="0:20:2", help="dB grid: start:stop:step or list")
     p_ser.add_argument("--trials", type=int, default=100_000)
     p_ser.add_argument("--convention", choices=("pilot", "genie"), default="pilot")
-    p_ser.add_argument("--nscan", type=int, default=None, help="phase scan size override")
     p_ser.add_argument("--seed", type=int, default=0)
-    p_ser.add_argument("--workers", type=int, default=None)
+    p_ser.add_argument("--workers", type=int, default=1)
     p_ser.add_argument("--out", default="ser.csv")
     p_ser.set_defaults(func=cmd_ser)
 

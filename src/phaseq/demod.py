@@ -15,12 +15,14 @@ r = z mod a, the winner for z is the winner for r plus q. Dither breaks that
 reduction (each position carries its own rotation), so the dithered path
 sweeps per-symbol crossovers on the full observation, at most one per symbol.
 
-Metrics are evaluated on a phi grid whose size is a multiple of K (exact
-symmetry on the grid), then polished by golden-section refinement of a smooth
-log-likelihood interpolant to ~1e-6 rad. One decision rule, shared by the
-sweep and the brute-force oracle, picks the winner and flags exactly tied
-candidates (the signature failure of K = 2M without dither): those whose
-relative metric gap to the winner is at most DEFAULT_TIE_TOL.
+Metrics are evaluated on each kernel's scan grid, the smallest multiple of K
+at or above 720 points (exact symmetry on the grid), then polished to ~1e-6
+rad by golden-section refinement of a spline of log g through the same arc
+fill at 4x the density (TransitionKernel.scan_log_table and
+log_offset_interpolant). One decision rule, shared by the sweep and the
+brute-force oracle, picks the winner and flags exactly tied candidates (the
+signature failure of K = 2M without dither): those whose relative metric gap
+to the winner is at most DEFAULT_TIE_TOL.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from .core import TWO_PI, SystemConfig, _check_indices
 from .transition import TransitionKernel, kernel_bank_for, kernel_for, sector_probability
 
 DEFAULT_TIE_TOL = 1e-6
-_SCAN_TARGET = 720
 # Candidates within this log-metric window of the grid best get refined; a
 # grid max can undershoot the true max by at most curvature * (step/2)^2,
 # far inside this margin at every tested SNR.
@@ -45,11 +46,6 @@ _GOLDEN_ITERS = 26
 _ALPHA_DEDUPE = 1e-12
 # crossover_angles(validate=True) tolerance between geometric and root angles
 _ROOT_TOL = 1e-9
-
-
-def default_n_scan(K: int) -> int:
-    """Smallest multiple of K at or above _SCAN_TARGET."""
-    return K * math.ceil(_SCAN_TARGET / K)
 
 
 @dataclass(frozen=True)
@@ -187,7 +183,6 @@ def _evaluate_candidates(
     C: np.ndarray,
     valid: np.ndarray,
     kernels: tuple[TransitionKernel, ...],
-    n_scan: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Refined (log metric, phi_star) for candidate array C (n, D, L).
 
@@ -200,9 +195,10 @@ def _evaluate_candidates(
     a = kernels[0].a
     S = (Z[:, None, :] - a * C) % K
 
-    scan_grids = [k.scan_log_table(n_scan) for k in kernels]
+    scan_grids = [k.scan_log_table() for k in kernels]
     phi_scan = scan_grids[0][0]
     log_tables = [g[1] for g in scan_grids]
+    n_scan = phi_scan.size
 
     grid_val = np.full((n, D), -np.inf)
     grid_arg = np.zeros((n, D), dtype=np.int64)
@@ -273,7 +269,6 @@ def demodulate_rows(
     Z: np.ndarray,
     config: SystemConfig,
     kernels: tuple[TransitionKernel, ...],
-    n_scan: int | None = None,
 ) -> list[DemodRecord]:
     """Run the candidate sweep on each row of Z (n, L).
 
@@ -283,8 +278,6 @@ def demodulate_rows(
     Z = np.asarray(Z, dtype=np.int64)
     n, L = Z.shape
     M, K = config.M, config.K
-    if n_scan is None:
-        n_scan = default_n_scan(K)
 
     alphas = np.sort(_symbol_crossovers(Z, config), axis=1)
     dup = np.zeros_like(alphas, dtype=bool)
@@ -305,7 +298,7 @@ def demodulate_rows(
     )
     C = np.round(args).astype(np.int64) % M
 
-    log_metric, phi_star = _evaluate_candidates(Z, C, valid, kernels, n_scan)
+    log_metric, phi_star = _evaluate_candidates(Z, C, valid, kernels)
     winner, ties, tie_gap = _decide(log_metric, valid)
     records = []
     for i in range(n):
@@ -359,7 +352,6 @@ def glrt_demodulate(
     z,
     config: SystemConfig,
     kernel: TransitionKernel | None = None,
-    n_scan: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> GlrtResult:
     """Demodulate one undithered block via the residue reduction.
@@ -375,7 +367,7 @@ def glrt_demodulate(
         kernel = kernel_for(config)
     r = z % config.a
     q = z // config.a
-    rec = demodulate_rows(r[None, :], config, (kernel,) * config.L, n_scan)[0]
+    rec = demodulate_rows(r[None, :], config, (kernel,) * config.L)[0]
     return _result_from_record(rec, q, config.M, rng)
 
 
@@ -383,7 +375,6 @@ def glrt_demodulate_dithered(
     z,
     config: SystemConfig,
     kernels: tuple[TransitionKernel, ...] | None = None,
-    n_scan: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> GlrtResult:
     """Demodulate one block under the config's dither (no residue reduction).
@@ -394,7 +385,7 @@ def glrt_demodulate_dithered(
     z = _check_block(z, config)
     if kernels is None:
         kernels = kernel_bank_for(config)
-    rec = demodulate_rows(z[None, :], config, kernels, n_scan)[0]
+    rec = demodulate_rows(z[None, :], config, kernels)[0]
     return _result_from_record(rec, np.zeros(config.L, dtype=np.int64), config.M, rng)
 
 
@@ -403,17 +394,14 @@ def glrt_metric(
     x,
     config: SystemConfig,
     kernels: tuple[TransitionKernel, ...] | None = None,
-    n_scan: int | None = None,
 ) -> GlrtCandidate:
     """max_phi P(z | x, phi) for one explicit hypothesis (always refined)."""
     z = _check_block(z, config)
     x = _check_indices(x, "x", config.L, config.M, "M")
     if kernels is None:
         kernels = kernel_bank_for(config)
-    if n_scan is None:
-        n_scan = default_n_scan(config.K)
     valid = np.ones((1, 1), dtype=bool)
-    lm, ph = _evaluate_candidates(z[None, :], x[None, None, :], valid, kernels, n_scan)
+    lm, ph = _evaluate_candidates(z[None, :], x[None, None, :], valid, kernels)
     metric = float(math.exp(lm[0, 0])) if np.isfinite(lm[0, 0]) else 0.0
     return GlrtCandidate(x=tuple(int(v) for v in x), phi_star=float(ph[0, 0]), metric=metric)
 
@@ -422,7 +410,6 @@ def brute_force_glrt(
     z,
     config: SystemConfig,
     kernels: tuple[TransitionKernel, ...] | None = None,
-    n_scan: int | None = None,
 ) -> GlrtResult:
     """Oracle demodulator: score every input, without the candidate sweep.
 
@@ -437,12 +424,10 @@ def brute_force_glrt(
         raise ValueError("brute-force input space too large")
     if kernels is None:
         kernels = kernel_bank_for(config)
-    if n_scan is None:
-        n_scan = default_n_scan(config.K)
     tails = np.array(list(product(range(config.M), repeat=config.L - 1)), dtype=np.int64)
     C = np.concatenate([np.zeros((tails.shape[0], 1), dtype=np.int64), tails], axis=1)
     valid = np.ones((1, C.shape[0]), dtype=bool)
-    lm, ph = _evaluate_candidates(z[None, :], C[None, :, :], valid, kernels, n_scan)
+    lm, ph = _evaluate_candidates(z[None, :], C[None, :, :], valid, kernels)
     winner, ties, tie_gap = _decide(lm, valid)
     tie_idx = np.flatnonzero(ties[0])
     rec = DemodRecord(

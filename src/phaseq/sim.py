@@ -14,12 +14,13 @@ unchanged when z and x are permuted together: the row demodulated for a block
 is its residue vector z mod a sorted ascending, and the winner is scattered
 back to the block's own positions. Crossovers are per symbol, so candidate d
 of the sorted row is candidate d of the block permuted, and its tie set names
-the same candidates; only the summation order of the log metrics changes, far
-below DEFAULT_TIE_TOL (as far as the refine's log-likelihood spline is
-accurate, see TransitionKernel.log_offset_interpolant). At most
-C(L + a - 1, L) sorted rows exist (45 at K=12, L=8), against thousands of
-ordered ones. Under dither each position has its own kernel, so rows are the
-full sector vectors in block order.
+the same candidates; only the summation order of the log metrics changes,
+which moves them by rounding, far below DEFAULT_TIE_TOL. The refine's spline
+of log g is accurate to about 1e-9 through 20 dB and 1e-7 at 30 dB (see
+TransitionKernel.log_offset_interpolant), so rounding cannot move a winner
+there. At most C(L + a - 1, L) sorted rows exist (45 at K=12, L=8), against
+thousands of ordered ones. Under dither each position has its own kernel, so
+rows are the full sector vectors in block order.
 
 The constant-addition ambiguity of the metric means raw block decisions are
 only defined up to a common constellation shift. Two scoring conventions:
@@ -34,7 +35,6 @@ only defined up to a common constellation shift. Two scoring conventions:
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,7 +42,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .core import SystemConfig, sample_blocks
-from .demod import DemodRecord, default_n_scan, demodulate_rows
+from .demod import DemodRecord, demodulate_rows
 from .transition import kernel_bank_for
 
 DEFAULT_CHUNK = 4096
@@ -143,7 +143,6 @@ def _run_chunk(
     n_blocks: int,
     seed_seq: np.random.SeedSequence,
     convention: str,
-    n_scan: int,
     cache: dict[bytes, DemodRecord],
 ) -> tuple[int, int, int, int]:
     """Simulate one chunk; returns (errors, tie blocks, candidate sum, candidate max).
@@ -172,7 +171,7 @@ def _run_chunk(
     keys = [row.tobytes() for row in distinct]
     missing = [i for i, key in enumerate(keys) if key not in cache]
     if missing:
-        recs = demodulate_rows(distinct[missing], config, kernels, n_scan)
+        recs = demodulate_rows(distinct[missing], config, kernels)
         for i, rec in zip(missing, recs):
             cache[keys[i]] = rec
     records = [cache[key] for key in keys]
@@ -196,23 +195,12 @@ def _run_chunk(
     return int(errors), int(tied.sum()), int(cand_total), int(n_cand.max())
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("PHASEQ_WORKERS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def _simulate(
     config: SystemConfig,
     trials: int,
     seed,
     convention: str,
-    workers: int | None,
-    n_scan: int | None,
+    workers: int,
 ) -> tuple[int, int, int, int]:
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -220,8 +208,6 @@ def _simulate(
         raise ValueError(f"convention must be one of {_CONVENTIONS}")
     if convention == "pilot" and config.L < 2:
         raise ValueError("pilot convention needs L >= 2")
-    if n_scan is None:
-        n_scan = default_n_scan(config.K)
     kernels = kernel_bank_for(config)
     sizes = _chunk_sizes(trials, DEFAULT_CHUNK)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -230,9 +216,9 @@ def _simulate(
 
     def job(args):
         size, child = args
-        return _run_chunk(config, kernels, size, child, convention, n_scan, cache)
+        return _run_chunk(config, kernels, size, child, convention, cache)
 
-    n_workers = _resolve_workers(workers)
+    n_workers = max(1, workers)
     if n_workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(job, zip(sizes, children)))
@@ -250,15 +236,14 @@ def run_ser(
     trials: int,
     seed=0,
     convention: str = "pilot",
-    workers: int | None = None,
-    n_scan: int | None = None,
+    workers: int = 1,
 ) -> SerPoint:
     """Measure SER at config's operating point over `trials` blocks.
 
     Reproducible for a given (seed, trials) regardless of workers; seed may
     be an int or a SeedSequence.
     """
-    errors, ties, _, _ = _simulate(config, trials, seed, convention, workers, n_scan)
+    errors, ties, _, _ = _simulate(config, trials, seed, convention, workers)
     symbols = trials * (config.L - 1 if convention == "pilot" else config.L)
     lo, hi = wilson_interval(errors, symbols)
     return SerPoint(
@@ -278,11 +263,10 @@ def run_tie_census(
     config: SystemConfig,
     trials: int,
     seed=0,
-    workers: int | None = None,
-    n_scan: int | None = None,
+    workers: int = 1,
 ) -> TieCensus:
     """Count exact metric ties over random blocks (genie-style inputs)."""
-    _, ties, cands, cand_max = _simulate(config, trials, seed, "genie", workers, n_scan)
+    _, ties, cands, cand_max = _simulate(config, trials, seed, "genie", workers)
     lo, hi = wilson_interval(ties, trials)
     return TieCensus(
         trials=trials,

@@ -134,7 +134,6 @@ class TestSerCommand:
         assert len(rows) == 2
         assert rows[0]["dither_mode"] == "none"
         assert int(rows[0]["seed"]) == 11
-        assert read_manifest(out1.with_suffix(".csv.manifest"))["nscan"] == "default"
 
     def test_dithered_run(self, tmp_path):
         out = tmp_path / "d.csv"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -280,6 +281,23 @@ class TestPermutationSymmetry:
                 res = glrt_demodulate(z, cfg)
                 permuted = glrt_demodulate(z[perm], cfg)
                 assert permuted.winner == tuple(np.asarray(res.winner)[perm])
+
+    def test_deep_tail_row_is_order_independent(self):
+        # Two adjacent grid points tie for the best candidate of this row, and
+        # the refine polishes it in the deep tail of g; a refine spline that is
+        # inaccurate there made the winner depend on the order of positions.
+        cfg = SystemConfig(M=2, K=32, L=4, snr_db=20.0)
+        z = np.array([5, 0, 0, 11])
+        outcomes = set()
+        for perm in itertools.permutations(range(4)):
+            perm = np.array(perm)
+            res = glrt_demodulate(z[perm], cfg)
+            winner = np.empty(4, dtype=np.int64)
+            winner[perm] = res.winner
+            outcomes.add((tuple((winner - winner[0]) % cfg.M), res.tie))
+        brute = brute_force_glrt(z, cfg)
+        assert outcomes == {(brute.winner, brute.tie)}
+        assert outcomes == {((0, 0, 0, 1), False)}
 
 
 class TestTieHandling:
