@@ -64,8 +64,6 @@ from .transition import (
     block_conditional,
     block_conditional_batch,
     block_conditional_dithered,
-    build_kernel,
-    default_n_phi,
     export_kernel_csv,
     kernel_bank_for,
     kernel_for,
@@ -97,12 +95,10 @@ __all__ = [
     "brute_force_glrt",
     "brute_force_output_entropy",
     "brute_force_output_probs",
-    "build_kernel",
     "canonical_output_classes",
     "coherent_qpsk_ser",
     "conditional_entropy",
     "crossover_angles",
-    "default_n_phi",
     "export_input_classes_csv",
     "export_kernel_csv",
     "export_output_classes_csv",

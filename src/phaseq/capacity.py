@@ -228,7 +228,6 @@ def mutual_information_mc(
     config: SystemConfig,
     trials: int,
     rng: np.random.Generator,
-    n_phi: int | None = None,
 ) -> CapacityResult:
     """Monte Carlo I(X; Z) estimate, valid for dithered configs too.
 
@@ -240,7 +239,7 @@ def mutual_information_mc(
     """
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    kernels = kernel_bank_for(config, n_phi=n_phi)
+    kernels = kernel_bank_for(config)
     L, M, K, a = config.L, config.M, config.K, config.a
     tables = [k.table for k in kernels]
     mixed = [_input_average(t, M, a) for t in tables]

@@ -26,7 +26,7 @@ from .combinatorics import (
 )
 from .core import SystemConfig, resolve_dither
 from .sim import run_ser
-from .transition import build_kernel, export_kernel_csv, kernel_for
+from .transition import export_kernel_csv, kernel_bank_for, kernel_for
 from .verify import run_all_checks
 
 
@@ -104,15 +104,17 @@ def cmd_capacity(args) -> int:
     root = np.random.SeedSequence(args.seed)
     children = root.spawn(len(snrs))
     rows = []
+    grids = []
     for snr_db, child in zip(snrs, children):
         cfg = _build_config(args, snr_db)
         if args.method == "mc":
             rng = np.random.default_rng(child)
-            res = mutual_information_mc(cfg, trials=args.trials, rng=rng, n_phi=args.nphi)
+            res = mutual_information_mc(cfg, trials=args.trials, rng=rng)
         else:
             if cfg.is_dithered:
                 raise SystemExit("dithered configs require --method mc")
-            res = mutual_information(cfg, kernel_for(cfg, n_phi=args.nphi), method=args.method)
+            res = mutual_information(cfg, method=args.method)
+        grids.append(str(kernel_bank_for(cfg)[0].n_phi))
         rows.append(
             [
                 repr(float(snr_db)),
@@ -155,7 +157,7 @@ def cmd_capacity(args) -> int:
             "theta0": args.theta0,
             "dither": _dither_mode(args.dither),
             "method": args.method,
-            "nphi": args.nphi if args.nphi is not None else "default",
+            "nphi": ",".join(grids),
             "trials": args.trials if args.method == "mc" else "",
             "seed": args.seed,
         },
@@ -256,7 +258,7 @@ def cmd_tables(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     cfg = _build_config(args, args.snr_db)
-    kernel = build_kernel(cfg, n_phi=args.nphi)
+    kernel = kernel_for(cfg)
     kernel_path = out_dir / "kernel.csv"
     export_kernel_csv(kernel, kernel_path)
     classes_path = out_dir / "canonical_output_classes.csv"
@@ -280,6 +282,7 @@ def cmd_tables(args) -> int:
                 "snr": args.snr_db,
                 "theta0": args.theta0,
                 "dither": _dither_mode(args.dither),
+                "nphi": kernel.n_phi,
             },
             time.monotonic() - started,
             0,
@@ -317,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cap.add_argument("--snr", default="0:12:1", help="dB grid: start:stop:step or list")
     p_cap.add_argument("--method", choices=("reduced", "brute", "mc"), default="reduced")
     p_cap.add_argument("--trials", type=int, default=1_000_000, help="MC draws (method=mc)")
-    p_cap.add_argument("--nphi", type=int, default=None, help="phase grid size override")
     p_cap.add_argument("--seed", type=int, default=0)
     p_cap.add_argument("--out", default="capacity.csv")
     p_cap.set_defaults(func=cmd_capacity)
@@ -341,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = sub.add_parser("tables", help="dump kernel and class tables as CSV")
     _add_system_flags(p_tab)
     p_tab.add_argument("--snr-db", type=float, default=6.0)
-    p_tab.add_argument("--nphi", type=int, default=None)
     p_tab.add_argument("--out-dir", default="tables")
     p_tab.set_defaults(func=cmd_tables)
     return parser

@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseq import (
     SystemConfig,
@@ -19,6 +21,7 @@ from phaseq import (
     mutual_information,
     mutual_information_mc,
     output_entropy,
+    run_ser,
 )
 from phaseq.capacity import block_probs_all_outputs
 
@@ -66,6 +69,20 @@ class TestBruteForceAgreement:
         assert red.mi == pytest.approx(brute.mi, rel=1e-9)
         assert red.method == "reduced-exact"
         assert brute.method == "brute-force"
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_reduced_equals_brute_on_random_channels(self, data):
+        # M in {2, 8}, K^L <= 256 and M^L <= 64 keep the brute force cheap
+        M = data.draw(st.sampled_from([2, 8]), label="M")
+        K = M * data.draw(st.integers(1, 4 if M == 2 else 2), label="K/M")
+        L_max = max(L for L in range(2, 7) if K**L <= 256 and M**L <= 64)
+        L = data.draw(st.integers(2, L_max), label="L")
+        snr_db = data.draw(st.floats(0.0, 40.0), label="snr_db")
+        cfg = SystemConfig(M=M, K=K, L=L, snr_db=snr_db)
+        reduced = mutual_information(cfg, method="reduced")
+        brute = mutual_information(cfg, method="brute")
+        assert reduced.mi == pytest.approx(brute.mi, rel=1e-9)
 
     @pytest.mark.parametrize("M, K, L, snr_db", [(4, 8, 3, 6.0)] + _BRUTE_CASES[1:])
     def test_marginal_probability_matches_brute_average(self, M, K, L, snr_db):
@@ -140,6 +157,15 @@ class TestValidation:
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
         with pytest.raises(ValueError, match="method"):
             mutual_information(cfg, method="guess")
+
+    def test_grid_guard_stops_block_probabilities_not_ser(self):
+        # 100 dB at L = 8 would need a 6.8M-point phase grid (3.5 GB at
+        # K = 64); the demodulator never reads the grid, so SER still runs
+        cfg = SystemConfig(M=4, K=64, L=8, snr_db=100.0)
+        with pytest.raises(ValueError, match="phase grid"):
+            mutual_information(cfg)
+        point = run_ser(cfg, 200, seed=1)
+        assert point.trials == 200 and point.errors == 0
 
     def test_mc_requires_enough_trials(self):
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)

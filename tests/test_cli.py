@@ -77,15 +77,18 @@ class TestCapacityCommand:
         mi_b = float(read_csv(out_b)[0]["mi_bits"])
         assert mi_b == pytest.approx(mi_r, rel=1e-9)
 
-    def test_nphi_reaches_exact_methods(self, tmp_path):
-        cfg = SystemConfig(M=4, K=8, L=3, snr_db=12.0)
-        for method in ("reduced", "brute"):
+    def test_manifest_records_phase_grid(self, tmp_path):
+        # one grid size per SNR point, the one the library derived
+        for method in ("reduced", "brute", "mc"):
             out = tmp_path / f"{method}.csv"
-            args = ["capacity", "--M", "4", "--K", "8", "--L", "3", "--snr", "12"]
-            assert main(args + ["--method", method, "--nphi", "48", "--out", str(out)]) == 0
-            direct = mutual_information(cfg, kernel_for(cfg, n_phi=48), method=method)
-            assert float(read_csv(out)[0]["mi_bits"]) == direct.mi
-            assert read_manifest(out.with_suffix(".csv.manifest"))["nphi"] == "48"
+            args = ["capacity", "--M", "4", "--K", "8", "--L", "3", "--snr", "0,12"]
+            assert main(args + ["--method", method, "--trials", "200", "--out", str(out)]) == 0
+            grids = [kernel_for(SystemConfig(M=4, K=8, L=3, snr_db=s)).n_phi for s in (0, 12)]
+            manifest = read_manifest(out.with_suffix(".csv.manifest"))
+            assert manifest["nphi"] == f"{grids[0]},{grids[1]}"
+            if method != "mc":
+                direct = mutual_information(SystemConfig(M=4, K=8, L=3, snr_db=12.0), method=method)
+                assert float(read_csv(out)[1]["mi_bits"]) == direct.mi
 
     def test_mc_with_dither(self, tmp_path):
         out = tmp_path / "mc.csv"
@@ -158,7 +161,6 @@ class TestTablesCommand:
             [
                 "tables",
                 "--M", "4", "--K", "8", "--L", "3",
-                "--nphi", "64",
                 "--out-dir", str(out_dir),
             ]
         )
@@ -172,8 +174,11 @@ class TestTablesCommand:
         }
         assert expected <= names
         assert expected | {n + ".manifest" for n in expected} <= names
+        n_phi = kernel_for(SystemConfig(M=4, K=8, L=3, snr_db=6.0)).n_phi
         kernel_rows = read_csv(out_dir / "kernel.csv")
-        assert len(kernel_rows) == 8 * 64
+        assert len(kernel_rows) == 8 * n_phi
+        for name in expected:
+            assert read_manifest(out_dir / (name + ".manifest"))["nphi"] == str(n_phi)
 
 
 class TestVerifyCommand:

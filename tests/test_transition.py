@@ -19,17 +19,17 @@ from phaseq import (
     block_conditional,
     block_conditional_batch,
     block_conditional_dithered,
-    build_kernel,
-    default_n_phi,
     export_kernel_csv,
     kernel_bank_for,
     kernel_for,
     load_kernel_csv,
     phase_offset_pdf,
+    sample_blocks,
     sector_offset_probability,
     sector_probability,
 )
-from phaseq.transition import _log_grid_mean
+from phaseq.capacity import _input_average
+from phaseq.transition import _MAX_GRID, _grid_size, _log_grid_mean
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,26 +148,38 @@ def test_offset_probability_symmetric_window():
 # ---- kernel ------------------------------------------------------------------
 
 
-def test_default_n_phi_multiple_of_k():
-    assert default_n_phi(8) == 2048
-    assert default_n_phi(12) == 2052
-    assert default_n_phi(64) == 2048
+def test_grid_size_follows_snr_and_block_length():
+    # criterion 6 at 6 dB, L = 6: K = 12, 64 and 8
+    criterion_6 = [SystemConfig(M=4, K=K, L=6, snr_db=6.0) for K in (12, 64, 8)]
+    assert [_grid_size(cfg) for cfg in criterion_6] == [192, 192, 184]
+    assert kernel_for(criterion_6[0]).n_phi == 192
+    for K in (8, 12, 64):
+        short, long = (
+            [_grid_size(SystemConfig(M=4, K=K, L=L, snr_db=s)) for s in (-10, 6, 20, 40)]
+            for L in (2, 200)
+        )
+        assert all(n % K == 0 for n in short + long)
+        assert short == sorted(short) and long == sorted(long)
+        assert all(a < b for a, b in zip(short, long))
 
 
-def test_build_kernel_rejects_bad_grid(qpsk8):
-    with pytest.raises(ValueError, match="multiple"):
-        build_kernel(qpsk8, n_phi=100)
-    with pytest.raises(ValueError, match="multiple"):
-        build_kernel(qpsk8, n_phi=0)
+def test_table_refuses_grid_above_limit():
+    # the kernel is only a key (SER runs there); its table of about 6.8M
+    # points would take 3.5 GB
+    k = kernel_for(SystemConfig(M=4, K=64, L=8, snr_db=100.0))
+    assert k.n_phi > _MAX_GRID
+    with pytest.raises(ValueError, match="phase grid"):
+        k.table
 
 
 def test_kernel_invariants(qpsk8):
-    k = build_kernel(qpsk8, n_phi=512)
-    assert k.table.shape == (8, 512)
+    k = kernel_for(qpsk8)
+    n = k.n_phi
+    assert k.table.shape == (8, n)
     assert k.table.min() >= 0.0 and k.table.max() <= 1.0
     assert np.abs(k.table.sum(axis=0) - 1.0).max() < 1e-11
     # one-sector shift of z matches one-sector shift of the grid, exactly
-    step = 512 // 8
+    step = n // 8
     assert np.array_equal(k.table[3], np.roll(k.table[4], -step))
 
 
@@ -194,11 +206,13 @@ def test_arc_fill_matches_quadrature_oracle(K, snr_db, rng):
     rel = 1e-12 if snr_db <= 14.0 else 1e-10
     cfg = SystemConfig(M=4, K=K, L=1, snr_db=snr_db, theta0=0.3)
     width = TWO_PI / K
-    k = build_kernel(cfg)
+    k = kernel_for(cfg)
+    # row 0 of both tables holds the arc probabilities g in reverse grid order
+    kernel_base = k.table[0, (-np.arange(k.n_phi) - 1) % k.n_phi]
     _, logtab = k.scan_log_table()
     n_scan = logtab.shape[1]
     scan_base = np.exp(logtab[0, (-np.arange(n_scan)) % n_scan])
-    for n, probs, half in ((k.n_phi, k.offset_probs, 0.5), (n_scan, scan_base, 0.0)):
+    for n, probs, half in ((k.n_phi, kernel_base, 0.5), (n_scan, scan_base, 0.0)):
         stride = n // 20
         for m in range(int(rng.integers(stride)), n, stride):
             t = (m + half) * TWO_PI / n - cfg.theta0
@@ -222,6 +236,7 @@ def test_kernel_bank_undithered_shares_kernel(qpsk8):
     bank = kernel_bank_for(qpsk8)
     assert len(bank) == qpsk8.L
     assert bank[0] is bank[1]
+    assert bank[0] is kernel_for(qpsk8)
 
 
 def test_kernel_bank_dithered_offsets():
@@ -301,8 +316,6 @@ def test_dithered_config_cannot_build_shared_kernel():
     cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0, dither="ramp")
     with pytest.raises(ValueError, match="dither"):
         kernel_for(cfg)
-    with pytest.raises(ValueError, match="dither"):
-        build_kernel(cfg, n_phi=64)
 
 
 def test_dithered_block_reduces_to_plain():
@@ -381,11 +394,52 @@ def test_log_grid_mean_all_zero_row_is_minus_inf():
     assert out[1] == -np.inf
 
 
+# ---- phase grid accuracy -------------------------------------------------------
+
+# (M, K, L, snr_db, dither): M in {2, 4, 8}, -10 to 40 dB, L up to 200, and
+# ramp dither. The fixed 2048-point grid used before missed the M=4, K=8,
+# L=8, 40 dB case by about 5e-9.
+_GRID_CASES = [
+    (2, 4, 8, -10.0, "none"),
+    (2, 32, 40, 30.0, "none"),
+    (4, 8, 8, 40.0, "none"),
+    (4, 12, 2, 20.0, "none"),
+    (4, 64, 8, 40.0, "none"),
+    (4, 8, 200, 20.0, "none"),
+    (4, 8, 8, 30.0, "ramp"),
+    (8, 16, 40, 10.0, "none"),
+    (8, 24, 8, 40.0, "ramp"),
+]
+
+
+def _block_log_probs(kernels, X, Z, M, K):
+    """log P(z | x) and log P(z) of each block row, as capacity forms them."""
+    mixed = {id(k): _input_average(k.table, M, K // M) for k in kernels}
+    log_cond = _log_grid_mean([k.table for k in kernels], (Z - (K // M) * X) % K)
+    log_out = _log_grid_mean([mixed[id(k)] for k in kernels], Z)
+    return log_cond, log_out
+
+
+@pytest.mark.parametrize("M, K, L, snr_db, dither", _GRID_CASES)
+def test_phase_grid_matches_finer_grid(M, K, L, snr_db, dither):
+    cfg = SystemConfig(M=M, K=K, L=L, snr_db=snr_db, theta0=0.3, dither=dither)
+    bank = kernel_bank_for(cfg)
+    fine = {id(k): replace(k, n_phi=8 * k.n_phi) for k in bank}
+    rng = np.random.default_rng(7)
+    X = rng.integers(0, M, size=(100, L))
+    _, Z = sample_blocks(X, cfg, rng)
+    got = _block_log_probs(bank, X, Z, M, K)
+    want = _block_log_probs([fine[id(k)] for k in bank], X, Z, M, K)
+    for g, w in zip(got, want):
+        assert np.isfinite(w).all()
+        assert np.abs(g - w).max() <= 1e-12
+
+
 # ---- CSV round trip -----------------------------------------------------------
 
 
 def test_kernel_csv_roundtrip(tmp_path, qpsk8):
-    k = build_kernel(qpsk8, n_phi=64)
+    k = kernel_for(qpsk8)
     path = tmp_path / "kernel.csv"
     export_kernel_csv(k, path)
     table = load_kernel_csv(path)
