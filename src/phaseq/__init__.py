@@ -63,7 +63,6 @@ from .transition import (
     TransitionKernel,
     block_conditional,
     block_conditional_batch,
-    block_conditional_dithered,
     export_kernel_csv,
     kernel_bank_for,
     kernel_for,
@@ -89,7 +88,6 @@ __all__ = [
     "TransitionKernel",
     "block_conditional",
     "block_conditional_batch",
-    "block_conditional_dithered",
     "block_probs_all_outputs",
     "brute_force_conditional_entropy",
     "brute_force_glrt",

@@ -12,7 +12,9 @@ a Monte Carlo estimator, which takes P(z) from the same input-averaged
 tables, covers dithered configurations where the reduction does not apply.
 Block probabilities fall back to log space when the linear phase-grid
 product underflows, so the Monte Carlo estimate stays finite for long
-blocks; it works on log-probabilities throughout.
+blocks; it works on log-probabilities throughout. Every function takes the
+config and looks its kernels up itself; the two entropies still accept the
+config's own kernel and reject any other.
 
 Normalization: the first symbol effectively spends its information resolving
 the unknown block phase, so the per-symbol rate divides by L - 1.
@@ -28,7 +30,13 @@ import numpy as np
 
 from .combinatorics import canonical_output_classes
 from .core import SystemConfig, _check_indices, sample_blocks
-from .transition import TransitionKernel, _log_grid_mean, kernel_bank_for, kernel_for
+from .transition import (
+    TransitionKernel,
+    _check_own_kernels,
+    _log_grid_mean,
+    kernel_bank_for,
+    kernel_for,
+)
 
 LOG2E = 1.0 / math.log(2.0)
 # Monte Carlo blocks sampled and scored per batch
@@ -92,18 +100,17 @@ def conditional_entropy(config: SystemConfig, kernel: TransitionKernel | None = 
 
     Equals -sum over classes of K * multiplicity * P(rep|0) * log2 P(rep|0):
     each canonical representative stands for K constant-addition shifts times
-    the permutation multiplicity of its free positions.
+    the permutation multiplicity of its free positions. A kernel, if given,
+    must equal kernel_for(config) in value, else ValueError.
     """
     if config.is_dithered:
         raise ValueError("conditional_entropy requires an undithered config")
-    if kernel is None:
-        kernel = kernel_for(config)
+    kernel = kernel_for(config) if kernel is None else kernel
+    _check_own_kernels(config, (kernel,) * config.L)
     return _class_entropy(kernel.table, config.K, config.L, config.K)
 
 
-def marginal_probability(
-    z, config: SystemConfig, kernel: TransitionKernel | None = None
-) -> float:
+def marginal_probability(z, config: SystemConfig) -> float:
     """P(z) for a reduced output block (components below a = K/M).
 
     The phase-grid mean of the per-symbol product of the input-averaged
@@ -112,9 +119,7 @@ def marginal_probability(
     if config.is_dithered:
         raise ValueError("marginal_probability requires an undithered config")
     z = _check_indices(z, "residue output z", config.L, config.a, "a")
-    if kernel is None:
-        kernel = kernel_for(config)
-    mixed = _input_average(kernel.table, config.M, config.a)
+    mixed = _input_average(kernel_for(config).table, config.M, config.a)
     return float(np.exp(_log_grid_mean([mixed] * config.L, z[None, :])[0]))
 
 
@@ -123,21 +128,18 @@ def output_entropy(config: SystemConfig, kernel: TransitionKernel | None = None)
 
     A class sum over the input-averaged table: each residue-class
     representative covers multiplicity * a residue blocks, and each residue
-    block stands for M^L full-alphabet blocks of equal probability.
+    block stands for M^L full-alphabet blocks of equal probability. A kernel,
+    if given, must equal kernel_for(config) in value, else ValueError.
     """
     if config.is_dithered:
         raise ValueError("output_entropy requires an undithered config")
-    if kernel is None:
-        kernel = kernel_for(config)
+    kernel = kernel_for(config) if kernel is None else kernel
+    _check_own_kernels(config, (kernel,) * config.L)
     mixed = _input_average(kernel.table, config.M, config.a)
     return _class_entropy(mixed, config.a, config.L, float(config.a * config.M**config.L))
 
 
-def mutual_information(
-    config: SystemConfig,
-    kernel: TransitionKernel | None = None,
-    method: str = "reduced",
-) -> CapacityResult:
+def mutual_information(config: SystemConfig, method: str = "reduced") -> CapacityResult:
     """Exact I(X; Z) per block for an undithered config.
 
     method="reduced" sums over canonical classes; method="brute" enumerates
@@ -146,15 +148,13 @@ def mutual_information(
     """
     if config.is_dithered:
         raise ValueError("exact mutual information requires an undithered config")
-    if kernel is None:
-        kernel = kernel_for(config)
     if method == "reduced":
-        h_cond = conditional_entropy(config, kernel)
-        h_out = output_entropy(config, kernel)
+        h_cond = conditional_entropy(config)
+        h_out = output_entropy(config)
         label = "reduced-exact"
     elif method == "brute":
-        h_cond = brute_force_conditional_entropy(config, kernel)
-        h_out = brute_force_output_entropy(config, kernel)
+        h_cond = brute_force_conditional_entropy(config)
+        h_out = brute_force_output_entropy(config)
         label = "brute-force"
     else:
         raise ValueError(f"unknown method: {method!r}")
@@ -192,32 +192,23 @@ def block_probs_all_outputs(kernel: TransitionKernel, x) -> np.ndarray:
     return acc.mean(axis=1)
 
 
-def brute_force_conditional_entropy(
-    config: SystemConfig, kernel: TransitionKernel | None = None
-) -> float:
+def brute_force_conditional_entropy(config: SystemConfig) -> float:
     """H(Z | X = 0) by summing the full K^L output space."""
-    if kernel is None:
-        kernel = kernel_for(config)
-    probs = block_probs_all_outputs(kernel, np.zeros(config.L, dtype=np.int64))
+    probs = block_probs_all_outputs(kernel_for(config), np.zeros(config.L, dtype=np.int64))
     return float(-_entropy_terms(probs).sum())
 
 
-def brute_force_output_probs(
-    config: SystemConfig, kernel: TransitionKernel | None = None
-) -> np.ndarray:
+def brute_force_output_probs(config: SystemConfig) -> np.ndarray:
     """P(z) for every z in lexicographic order, averaging all M^L inputs."""
-    if kernel is None:
-        kernel = kernel_for(config)
+    kernel = kernel_for(config)
     total = np.zeros(config.K**config.L)
     for x in product(range(config.M), repeat=config.L):
         total += block_probs_all_outputs(kernel, np.array(x, dtype=np.int64))
     return total / config.M**config.L
 
 
-def brute_force_output_entropy(
-    config: SystemConfig, kernel: TransitionKernel | None = None
-) -> float:
-    probs = brute_force_output_probs(config, kernel)
+def brute_force_output_entropy(config: SystemConfig) -> float:
+    probs = brute_force_output_probs(config)
     return float(-_entropy_terms(probs).sum())
 
 

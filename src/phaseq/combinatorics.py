@@ -29,13 +29,12 @@ class CanonicalOutputClass:
     """One output equivalence class.
 
     representative: canonical block (first component 0, tail nondecreasing)
-    counts:         per-symbol occurrence counts over the L-1 free positions
     multiplicity:   distinct arrangements of the free positions,
-                    (L-1)! / prod(counts!)
+                    (L-1)! / prod(c_v!) with c_v the occurrences of symbol v
+                    among the L-1 free positions
     """
 
     representative: tuple[int, ...]
-    counts: tuple[int, ...]
     multiplicity: int
 
 
@@ -75,9 +74,7 @@ def canonical_output_classes(alphabet_size: int, block_len: int) -> list[Canonic
             counts[v] += 1
         out.append(
             CanonicalOutputClass(
-                representative=(0,) + tail,
-                counts=tuple(counts),
-                multiplicity=_multiset_permutations(counts),
+                representative=(0,) + tail, multiplicity=_multiset_permutations(counts)
             )
         )
     return out

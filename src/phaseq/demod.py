@@ -23,6 +23,10 @@ log_offset_interpolant). One decision rule, shared by the sweep and the
 brute-force oracle, picks the winner and flags exactly tied candidates (the
 signature failure of K = 2M without dither): those whose relative metric gap
 to the winner is at most DEFAULT_TIE_TOL.
+
+The entry points take the config and look its kernel bank up themselves
+(kernel_bank_for); demodulate_rows, which takes the bank, rejects one that is
+not the config's own.
 """
 
 from __future__ import annotations
@@ -35,7 +39,12 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .core import TWO_PI, SystemConfig, _check_indices
-from .transition import TransitionKernel, kernel_bank_for, kernel_for, sector_probability
+from .transition import (
+    TransitionKernel,
+    _check_own_kernels,
+    kernel_bank_for,
+    sector_probability,
+)
 
 DEFAULT_TIE_TOL = 1e-6
 # Candidates within this log-metric window of the grid best get refined; a
@@ -90,11 +99,6 @@ class DemodRecord:
 # ---- crossover geometry ---------------------------------------------------
 
 
-def _check_block(z, config: SystemConfig) -> np.ndarray:
-    """z as an int array of L sector indices in 0..K-1, else ValueError."""
-    return _check_indices(z, "z", config.L, config.K, "K")
-
-
 def _symbol_crossovers(Z: np.ndarray, config: SystemConfig) -> np.ndarray:
     """Per-symbol crossover angles in (0, 2*pi/M], shape like Z.
 
@@ -110,28 +114,46 @@ def _symbol_crossovers(Z: np.ndarray, config: SystemConfig) -> np.ndarray:
     return np.where(alpha < _ALPHA_DEDUPE, alpha + window, alpha)
 
 
+def _distinct_crossovers(
+    Z: np.ndarray, config: SystemConfig
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted distinct crossover angles of each row of Z (n, L).
+
+    Returns (edges, n_distinct, source): row i's distinct angles are
+    edges[i, :n_distinct[i]] (the rest is padding), and source[i, j] is the
+    position whose crossover edges[i, j] is. Angles within _ALPHA_DEDUPE of
+    the previous sorted angle are duplicates.
+    """
+    alphas = _symbol_crossovers(Z, config)
+    order = np.argsort(alphas, axis=1)
+    alphas = np.take_along_axis(alphas, order, axis=1)
+    dup = np.zeros_like(alphas, dtype=bool)
+    dup[:, 1:] = np.diff(alphas, axis=1) <= _ALPHA_DEDUPE
+    n_distinct = (~dup).sum(axis=1)
+    # a stable sort on the duplicate flag moves each row's kept angles to
+    # the front, still in ascending order
+    keep = np.argsort(dup, axis=1, kind="stable")[:, : int(n_distinct.max())]
+    edges = np.take_along_axis(alphas, keep, axis=1)
+    return edges, n_distinct, np.take_along_axis(order, keep, axis=1)
+
+
 def crossover_angles(z, config: SystemConfig, validate: bool = False) -> np.ndarray:
     """Sorted distinct crossover angles of a block, in (0, 2*pi/M].
 
-    validate=True re-derives each angle as the root of the likelihood
-    equality between the two adjacent constellation points (brentq on the
-    quadrature path) and raises if the geometric value is off by more than
-    _ROOT_TOL.
+    The same angles demodulate_rows splits the period at. validate=True
+    re-derives each angle as the root of the likelihood equality between
+    the two adjacent constellation points (brentq on the quadrature path)
+    and raises if the geometric value is off by more than _ROOT_TOL.
     """
-    z = _check_block(z, config)
-    alphas = _symbol_crossovers(z[None, :], config)[0]
-    order = np.argsort(alphas)
-    distinct = []
-    for idx in order:
-        if not distinct or alphas[idx] - distinct[-1][0] > _ALPHA_DEDUPE:
-            distinct.append((alphas[idx], idx))
+    z = _check_indices(z, "z", config.L, config.K, "K")
+    edges, _, source = _distinct_crossovers(z[None, :], config)
+    values = edges[0]
     if validate:
-        values = np.array([v for v, _ in distinct])
         gaps = np.diff(np.concatenate([values, [values[0] + TWO_PI / config.M]]))
         min_gap = float(gaps.min()) if values.size > 1 else TWO_PI / config.M
-        for value, sym in distinct:
-            _validate_crossover(value, int(z[sym]), sym, config, min_gap)
-    return np.array([v for v, _ in distinct])
+        for value, sym in zip(values, source[0]):
+            _validate_crossover(float(value), int(z[sym]), int(sym), config, min_gap)
+    return values
 
 
 def _validate_crossover(
@@ -272,21 +294,17 @@ def demodulate_rows(
 ) -> list[DemodRecord]:
     """Run the candidate sweep on each row of Z (n, L).
 
-    Z rows are taken as-is: pass residues with an undithered kernel bank (the
-    caller re-adds q), or full observations with a dithered bank.
+    Z rows are taken as-is: residues of an undithered config (the caller
+    re-adds q) or full observations of a dithered one. kernels must be
+    kernel_bank_for(config) in value, else ValueError.
     """
+    _check_own_kernels(config, kernels)
     Z = np.asarray(Z, dtype=np.int64)
     n, L = Z.shape
     M, K = config.M, config.K
 
-    alphas = np.sort(_symbol_crossovers(Z, config), axis=1)
-    dup = np.zeros_like(alphas, dtype=bool)
-    dup[:, 1:] = np.diff(alphas, axis=1) <= _ALPHA_DEDUPE
-    compact = np.where(dup, np.inf, alphas)
-    compact = np.sort(compact, axis=1)
-    n_distinct = (~dup).sum(axis=1)
-    D = int(n_distinct.max())
-    edges = compact[:, :D]
+    edges, n_distinct, _ = _distinct_crossovers(Z, config)
+    D = edges.shape[1]
     prev = np.concatenate([np.zeros((n, 1)), edges[:, : D - 1]], axis=1)
     probes = 0.5 * (prev + edges)
     valid = np.arange(D)[None, :] < n_distinct[:, None]
@@ -349,10 +367,7 @@ def _result_from_record(
 
 
 def glrt_demodulate(
-    z,
-    config: SystemConfig,
-    kernel: TransitionKernel | None = None,
-    rng: np.random.Generator | None = None,
+    z, config: SystemConfig, rng: np.random.Generator | None = None
 ) -> GlrtResult:
     """Demodulate one undithered block via the residue reduction.
 
@@ -362,55 +377,39 @@ def glrt_demodulate(
     """
     if config.is_dithered:
         raise ValueError("glrt_demodulate requires an undithered config")
-    z = _check_block(z, config)
-    if kernel is None:
-        kernel = kernel_for(config)
+    z = _check_indices(z, "z", config.L, config.K, "K")
     r = z % config.a
     q = z // config.a
-    rec = demodulate_rows(r[None, :], config, (kernel,) * config.L)[0]
+    rec = demodulate_rows(r[None, :], config, kernel_bank_for(config))[0]
     return _result_from_record(rec, q, config.M, rng)
 
 
 def glrt_demodulate_dithered(
-    z,
-    config: SystemConfig,
-    kernels: tuple[TransitionKernel, ...] | None = None,
-    rng: np.random.Generator | None = None,
+    z, config: SystemConfig, rng: np.random.Generator | None = None
 ) -> GlrtResult:
     """Demodulate one block under the config's dither (no residue reduction).
 
     Per-symbol rotations give up to L distinct crossover angles, hence at most
     L + 1 candidates per 2*pi/M period.
     """
-    z = _check_block(z, config)
-    if kernels is None:
-        kernels = kernel_bank_for(config)
-    rec = demodulate_rows(z[None, :], config, kernels)[0]
+    z = _check_indices(z, "z", config.L, config.K, "K")
+    rec = demodulate_rows(z[None, :], config, kernel_bank_for(config))[0]
     return _result_from_record(rec, np.zeros(config.L, dtype=np.int64), config.M, rng)
 
 
-def glrt_metric(
-    z,
-    x,
-    config: SystemConfig,
-    kernels: tuple[TransitionKernel, ...] | None = None,
-) -> GlrtCandidate:
+def glrt_metric(z, x, config: SystemConfig) -> GlrtCandidate:
     """max_phi P(z | x, phi) for one explicit hypothesis (always refined)."""
-    z = _check_block(z, config)
+    z = _check_indices(z, "z", config.L, config.K, "K")
     x = _check_indices(x, "x", config.L, config.M, "M")
-    if kernels is None:
-        kernels = kernel_bank_for(config)
     valid = np.ones((1, 1), dtype=bool)
-    lm, ph = _evaluate_candidates(z[None, :], x[None, None, :], valid, kernels)
+    lm, ph = _evaluate_candidates(
+        z[None, :], x[None, None, :], valid, kernel_bank_for(config)
+    )
     metric = float(math.exp(lm[0, 0])) if np.isfinite(lm[0, 0]) else 0.0
     return GlrtCandidate(x=tuple(int(v) for v in x), phi_star=float(ph[0, 0]), metric=metric)
 
 
-def brute_force_glrt(
-    z,
-    config: SystemConfig,
-    kernels: tuple[TransitionKernel, ...] | None = None,
-) -> GlrtResult:
+def brute_force_glrt(z, config: SystemConfig) -> GlrtResult:
     """Oracle demodulator: score every input, without the candidate sweep.
 
     Adding a constant to every symbol leaves the metric exactly invariant
@@ -419,15 +418,13 @@ def brute_force_glrt(
     the tie flag then reports genuine cross-orbit ties rather than firing on
     every orbit. Exponential in L by construction.
     """
-    z = _check_block(z, config)
+    z = _check_indices(z, "z", config.L, config.K, "K")
     if config.M ** (config.L - 1) > 300_000:
         raise ValueError("brute-force input space too large")
-    if kernels is None:
-        kernels = kernel_bank_for(config)
     tails = np.array(list(product(range(config.M), repeat=config.L - 1)), dtype=np.int64)
     C = np.concatenate([np.zeros((tails.shape[0], 1), dtype=np.int64), tails], axis=1)
     valid = np.ones((1, C.shape[0]), dtype=bool)
-    lm, ph = _evaluate_candidates(z[None, :], C[None, :, :], valid, kernels)
+    lm, ph = _evaluate_candidates(z[None, :], C[None, :, :], valid, kernel_bank_for(config))
     winner, ties, tie_gap = _decide(lm, valid)
     tie_idx = np.flatnonzero(ties[0])
     rec = DemodRecord(

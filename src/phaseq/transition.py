@@ -28,6 +28,12 @@ log-probabilities.
 Only the x = 0 slice of the scalar transition law is ever tabulated: shifting
 the input by one constellation step shifts the output law by a = K/M sectors,
 so any (z, x) probability is the stored row (z - a*x) mod K.
+
+Every table is a function of the operating point alone (M, K, SNR, theta0,
+dither and, through the grid, L), so the config is the only handle:
+block_conditional takes it and looks its kernels up through kernel_bank_for.
+Where a kernel is still passed in, _check_own_kernels rejects any that is not
+the config's own.
 """
 
 from __future__ import annotations
@@ -198,33 +204,13 @@ class TransitionKernel:
     # ---- demod support caches ------------------------------------------
 
     def _demod_tables(self):
-        """(phi_scan, scan log table, refine spline), all from one arc fill.
+        """(phi_scan, scan log table, refine spline) of _demod_tables_for.
 
-        The fill is log g(m*2*pi/n - theta0) for m < n = 4*n_scan, with
-        n_scan = the smallest multiple of K at or above _SCAN_TARGET. The
-        scan table takes every 4th sample and the spline interpolates all of
-        them, so the two never disagree on a grid point.
+        Held on the kernel too, so a kernel never refills them after the
+        shared cache has evicted them.
         """
         if "demod" not in self._caches:
-            K = self.K
-            n_scan = K * math.ceil(_SCAN_TARGET / K)
-            n = _DENSE_PER_SCAN * n_scan
-            with np.errstate(divide="ignore"):
-                dense = np.log(_arc_probabilities(-self.theta0, n, K, self.snr_linear))
-            base = dense[::_DENSE_PER_SCAN]
-            step = n_scan // K
-            idx = (step * np.arange(K)[:, None] - np.arange(n_scan)[None, :]) % n_scan
-            phi_scan = (TWO_PI / n_scan) * np.arange(n_scan)
-
-            t0 = -self.theta0
-            ys = np.maximum(dense, math.log(1e-300))  # where g underflows
-            xs = t0 + np.arange(n + 1) * (TWO_PI / n)
-            spline = CubicSpline(xs, np.append(ys, ys[0]), bc_type="periodic")
-
-            def evaluate(t):
-                return spline(t0 + np.mod(np.asarray(t, dtype=float) - t0, TWO_PI))
-
-            self._caches["demod"] = (phi_scan, base[idx], evaluate)
+            self._caches["demod"] = _demod_tables_for(self.K, self.snr_db, self.theta0)
         return self._caches["demod"]
 
     def scan_log_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -248,6 +234,37 @@ class TransitionKernel:
         scale 1/sqrt(2*rho) and the error grows (about 2e-6 at 40 dB).
         """
         return self._demod_tables()[2]
+
+
+@lru_cache(maxsize=128)
+def _demod_tables_for(K: int, snr_db: float, theta0: float):
+    """(phi_scan, scan log table, refine spline), all from one arc fill.
+
+    The demod tables depend on K, the SNR and theta0 only, not on M or the
+    block-length-dependent phase grid, so kernels that differ only there
+    share them. The fill is log g(m*2*pi/n - theta0) for m < n = 4*n_scan,
+    with n_scan = the smallest multiple of K at or above _SCAN_TARGET. The
+    scan table takes every 4th sample and the spline interpolates all of
+    them, so the two never disagree on a grid point.
+    """
+    n_scan = K * math.ceil(_SCAN_TARGET / K)
+    n = _DENSE_PER_SCAN * n_scan
+    with np.errstate(divide="ignore"):
+        dense = np.log(_arc_probabilities(-theta0, n, K, 10.0 ** (snr_db / 10.0)))
+    base = dense[::_DENSE_PER_SCAN]
+    step = n_scan // K
+    idx = (step * np.arange(K)[:, None] - np.arange(n_scan)[None, :]) % n_scan
+    phi_scan = (TWO_PI / n_scan) * np.arange(n_scan)
+
+    t0 = -theta0
+    ys = np.maximum(dense, math.log(1e-300))  # where g underflows
+    xs = t0 + np.arange(n + 1) * (TWO_PI / n)
+    spline = CubicSpline(xs, np.append(ys, ys[0]), bc_type="periodic")
+
+    def evaluate(t):
+        return spline(t0 + np.mod(np.asarray(t, dtype=float) - t0, TWO_PI))
+
+    return phi_scan, base[idx], evaluate
 
 
 @lru_cache(maxsize=128)
@@ -281,38 +298,32 @@ def kernel_bank_for(config: SystemConfig) -> tuple[TransitionKernel, ...]:
     )
 
 
-def block_conditional(z, x, kernel: TransitionKernel) -> float:
-    """P(z | x) for one block: phase-average of the per-symbol product.
+def _check_own_kernels(config: SystemConfig, kernels) -> None:
+    """ValueError unless kernels[l] is kernel_bank_for(config)[l] in value.
 
-    Undithered only; dithered blocks go through block_conditional_dithered.
-    The block length is z's; x must match it, with z in 0..K-1, x in 0..M-1.
+    Each position's (M, K, snr_db, theta0 + dither_l, n_phi) must be the
+    config's, so a kernel from another operating point or phase grid cannot
+    score this one. The comparison is by value, not identity, because the
+    kernel cache can evict and rebuild a bank's kernels.
     """
-    L = np.size(z)
-    if L < 1:
-        raise ValueError("z must be a nonempty block")
-    z = _check_indices(z, "z", L, kernel.K, "K")
-    x = _check_indices(x, "x", L, kernel.M, "M")
-    S = (z - kernel.a * x) % kernel.K
-    return float(np.exp(_log_grid_mean([kernel.table] * L, S[None, :])[0]))
+    n = _grid_size(config)
+    want = [(config.M, config.K, config.snr_db, config.theta0 + d, n) for d in config.dither]
+    got = [(k.M, k.K, k.snr_db, k.theta0, k.n_phi) for k in kernels]
+    if got != want:
+        raise ValueError("kernels are not the config's own; look them up with kernel_bank_for")
 
 
-def block_conditional_dithered(
-    z,
-    x,
-    config: SystemConfig,
-    kernels: tuple[TransitionKernel, ...] | None = None,
-) -> float:
-    """P(z | x) under the config's per-symbol dither offsets.
+def block_conditional(z, x, config: SystemConfig) -> float:
+    """P(z | x) for one block of the config: phase-average of the per-symbol
+    product, under the config's dither if it has one.
 
-    With an all-zero dither this reduces to block_conditional bit for bit,
-    since the per-position kernels collapse to the shared undithered one.
+    z holds L sector indices in 0..K-1 and x L inputs in 0..M-1.
     """
     z = _check_indices(z, "z", config.L, config.K, "K")
     x = _check_indices(x, "x", config.L, config.M, "M")
-    if kernels is None:
-        kernels = kernel_bank_for(config)
     S = (z - config.a * x) % config.K
-    return float(np.exp(_log_grid_mean([k.table for k in kernels], S[None, :])[0]))
+    tables = [k.table for k in kernel_bank_for(config)]
+    return float(np.exp(_log_grid_mean(tables, S[None, :])[0]))
 
 
 def block_conditional_batch(

@@ -125,29 +125,28 @@ def check_block_symmetries(instances: int = 100, seed: int = 2025) -> list[Check
     for _ in range(instances):
         cfg = _draw_config(rng)
         K, M, L, a = cfg.K, cfg.M, cfg.L, cfg.a
-        kernel = kernel_for(cfg)
         z = rng.integers(K, size=L)
         x = rng.integers(M, size=L)
-        base = block_conditional(z, x, kernel)
+        base = block_conditional(z, x, cfg)
 
         i = int(rng.integers(1, K))
         devs["block-shift"] = max(
-            devs["block-shift"], _rel_dev(base, block_conditional((z + i) % K, x, kernel))
+            devs["block-shift"], _rel_dev(base, block_conditional((z + i) % K, x, cfg))
         )
 
         perm = rng.permutation(L)
         devs["block-permute"] = max(
-            devs["block-permute"], _rel_dev(base, block_conditional(z[perm], x[perm], kernel))
+            devs["block-permute"], _rel_dev(base, block_conditional(z[perm], x[perm], cfg))
         )
 
         devs["block-rebase"] = max(
             devs["block-rebase"],
-            _rel_dev(base, block_conditional((z - a * x) % K, np.zeros(L, dtype=np.int64), kernel)),
+            _rel_dev(base, block_conditional((z - a * x) % K, np.zeros(L, dtype=np.int64), cfg)),
         )
 
         q = z // a
         devs["block-residue"] = max(
-            devs["block-residue"], _rel_dev(base, block_conditional(z % a, (x - q) % M, kernel))
+            devs["block-residue"], _rel_dev(base, block_conditional(z % a, (x - q) % M, cfg))
         )
     return [
         CheckResult(name, dev <= SYMMETRY_TOL, dev, SYMMETRY_TOL, f"{instances} instances")
@@ -286,9 +285,8 @@ def check_oracle_equivalence(cases=ORACLE_CASES) -> list[CheckResult]:
     results = []
     for K, L, snr in cases:
         cfg = SystemConfig(M=4, K=K, L=L, snr_db=snr)
-        kernel = kernel_for(cfg)
-        fast = mutual_information(cfg, kernel, method="reduced")
-        slow = mutual_information(cfg, kernel, method="brute")
+        fast = mutual_information(cfg, method="reduced")
+        slow = mutual_information(cfg, method="brute")
         dev = _rel_dev(fast.mi, slow.mi)
         results.append(
             CheckResult(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,11 +57,10 @@ class TestBruteForceAgreement:
     @pytest.mark.parametrize("M, K, L, snr_db", _BRUTE_CASES)
     def test_entropies_match_brute_force(self, M, K, L, snr_db):
         cfg = SystemConfig(M=M, K=K, L=L, snr_db=snr_db)
-        kernel = kernel_for(cfg)
-        h_cond = conditional_entropy(cfg, kernel)
-        h_out = output_entropy(cfg, kernel)
-        assert h_cond == pytest.approx(brute_force_conditional_entropy(cfg, kernel), rel=1e-9)
-        assert h_out == pytest.approx(brute_force_output_entropy(cfg, kernel), rel=1e-9)
+        h_cond = conditional_entropy(cfg)
+        h_out = output_entropy(cfg)
+        assert h_cond == pytest.approx(brute_force_conditional_entropy(cfg), rel=1e-9)
+        assert h_out == pytest.approx(brute_force_output_entropy(cfg), rel=1e-9)
 
     def test_mutual_information_reduced_equals_brute(self):
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=10.0)
@@ -87,15 +87,14 @@ class TestBruteForceAgreement:
     @pytest.mark.parametrize("M, K, L, snr_db", [(4, 8, 3, 6.0)] + _BRUTE_CASES[1:])
     def test_marginal_probability_matches_brute_average(self, M, K, L, snr_db):
         cfg = SystemConfig(M=M, K=K, L=L, snr_db=snr_db)
-        kernel = kernel_for(cfg)
-        probs = brute_force_output_probs(cfg, kernel)
+        probs = brute_force_output_probs(cfg)
         # residues 1, 0, 1, ... (all 0 when a = 1): adjacent residues stay
         # reachable at 40 dB, where a row spanning three sectors underflows to 0
         z = (np.arange(L) + 1) % min(cfg.a, 2)
         # brute table is indexed over full K-ary outputs; residues embed directly
         idx = int(np.ravel_multi_index(tuple(z), (K,) * L))
         assert probs[idx] > 0
-        assert marginal_probability(z, cfg, kernel) == pytest.approx(
+        assert marginal_probability(z, cfg) == pytest.approx(
             float(probs[idx]), rel=1e-10
         )
 
@@ -139,6 +138,19 @@ class TestValidation:
             output_entropy(cfg)
         with pytest.raises(ValueError, match="undithered"):
             mutual_information(cfg)
+
+    @pytest.mark.parametrize("entropy", [conditional_entropy, output_entropy])
+    def test_entropies_reject_a_foreign_kernel(self, entropy):
+        # a kernel of another SNR, theta0 or phase grid would silently score
+        # this config with its tables; a kernel equal in value passes
+        cfg = SystemConfig(M=4, K=12, L=6, snr_db=6.0)
+        for other in (replace(cfg, snr_db=12.0), replace(cfg, theta0=0.3), replace(cfg, L=8, dither=None)):
+            with pytest.raises(ValueError, match="config's own"):
+                entropy(cfg, kernel_for(other))
+        # a copy is another object with the same key, as after cache eviction
+        copy = replace(kernel_for(cfg))
+        assert copy is not kernel_for(cfg)
+        assert entropy(cfg, copy) == entropy(cfg)
 
     def test_marginal_rejects_full_range_outputs(self):
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
@@ -224,6 +236,6 @@ def test_block_probs_all_outputs_normalizes():
 
 def test_brute_output_probs_normalize():
     cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
-    probs = brute_force_output_probs(cfg, kernel_for(cfg))
+    probs = brute_force_output_probs(cfg)
     assert probs.sum() == pytest.approx(1.0, abs=1e-8)
     assert probs.min() > 0

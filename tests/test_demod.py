@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,6 +67,17 @@ class TestCrossoverAngles:
         z = [2, 2, 2]
         assert crossover_angles(z, plain).size == 1
         assert crossover_angles(z, dithered).size == 3
+
+    @pytest.mark.parametrize("dither", ["none", "ramp"])
+    def test_same_angles_as_the_sweep(self, dither):
+        # one dedupe rule: the angles of a block are the ones its sweep
+        # record splits the period at
+        for M, K, L, theta0 in [(4, 8, 6, 0.0), (2, 32, 5, 0.3), (8, 16, 7, 0.1)]:
+            cfg = SystemConfig(M=M, K=K, L=L, snr_db=10.0, theta0=theta0, dither=dither)
+            Z = np.random.default_rng(K + L).integers(0, K, size=(40, L))
+            records = demodulate_rows(Z, cfg, kernel_bank_for(cfg))
+            for z, rec in zip(Z, records):
+                np.testing.assert_array_equal(crossover_angles(z, cfg), rec.crossovers)
 
     def test_rejects_bad_input(self):
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
@@ -385,6 +397,28 @@ class TestValidation:
         z32, x16 = np.array([5, 2], dtype=np.int32), np.array([1, 3], dtype=np.uint16)
         assert glrt_metric(z32, x16, cfg) == metric
 
+    def test_demodulate_rows_rejects_foreign_kernels(self):
+        # another SNR, theta0 or phase grid would score the rows with the
+        # wrong tables; kernels equal in value to the config's own pass
+        cfg = SystemConfig(M=4, K=12, L=6, snr_db=6.0)
+        R = np.array([[0, 1, 2, 0, 1, 2], [0, 0, 1, 1, 2, 2]])
+        for other in (replace(cfg, snr_db=12.0), replace(cfg, theta0=0.3), replace(cfg, L=8, dither=None)):
+            with pytest.raises(ValueError, match="config's own"):
+                demodulate_rows(R, cfg, (kernel_for(other),) * cfg.L)
+        with pytest.raises(ValueError, match="config's own"):
+            demodulate_rows(R, cfg, (kernel_for(cfg),) * (cfg.L - 1))
+        ramp = replace(cfg, dither="ramp")
+        with pytest.raises(ValueError, match="config's own"):
+            demodulate_rows(R, ramp, kernel_bank_for(cfg))
+        with pytest.raises(ValueError, match="config's own"):
+            demodulate_rows(R, cfg, kernel_bank_for(ramp))
+        # a copy is another object with the same key, as after cache eviction
+        copy = replace(kernel_for(cfg))
+        base = demodulate_rows(R, cfg, kernel_bank_for(cfg))
+        for rec, ref in zip(demodulate_rows(R, cfg, (copy,) * cfg.L), base):
+            assert rec.winner_index == ref.winner_index
+            np.testing.assert_array_equal(rec.log_metrics, ref.log_metrics)
+
     def test_brute_force_guards_input_space(self):
         cfg = SystemConfig(M=4, K=8, L=12, snr_db=6.0)
         with pytest.raises(ValueError, match="too large"):
@@ -395,6 +429,6 @@ def test_glrt_metric_matches_demodulate_winner():
     cfg = SystemConfig(M=4, K=8, L=3, snr_db=6.0)
     z = np.array([3, 1, 6])
     res = glrt_demodulate(z, cfg)
-    direct = glrt_metric(z, res.winner, cfg, kernels=kernel_bank_for(cfg))
+    direct = glrt_metric(z, res.winner, cfg)
     winner_metric = next(c.metric for c in res.candidates if c.x == res.winner)
     assert direct.metric == pytest.approx(winner_metric, rel=1e-9)

@@ -18,8 +18,8 @@ from phaseq import (
     SystemConfig,
     block_conditional,
     block_conditional_batch,
-    block_conditional_dithered,
     export_kernel_csv,
+    glrt_demodulate,
     kernel_bank_for,
     kernel_for,
     load_kernel_csv,
@@ -187,7 +187,7 @@ def test_kernel_lookup_index_arithmetic(qpsk8):
     # (z, x) reads the x = 0 row (z - a*x) mod K, here a = 2
     k = kernel_for(qpsk8)
     expected = np.mean(k.table[3] * k.table[(0 - 6) % 8])
-    assert block_conditional([5, 0], [1, 3], k) == pytest.approx(expected, rel=1e-15)
+    assert block_conditional([5, 0], [1, 3], qpsk8) == pytest.approx(expected, rel=1e-15)
 
 
 def test_kernel_matches_direct_quadrature(qpsk8, rng):
@@ -232,6 +232,18 @@ def test_arc_fill_matches_quadrature_oracle(K, snr_db, rng):
             assert abs(float(spline(t)) - math.log(direct)) <= log_tol
 
 
+def test_demod_tables_shared_across_block_lengths():
+    # the scan table and spline depend on (K, SNR, theta0), not on the
+    # L-dependent phase grid, so L = 8 reuses what L = 4 built
+    short, long = (SystemConfig(M=4, K=64, L=L, snr_db=10.0) for L in (4, 8))
+    assert _grid_size(short) != _grid_size(long)
+    for cfg in (short, long):
+        glrt_demodulate(np.zeros(cfg.L, dtype=np.int64), cfg)
+    assert kernel_for(long) is not kernel_for(short)
+    assert kernel_for(long).scan_log_table()[1] is kernel_for(short).scan_log_table()[1]
+    assert kernel_for(long).log_offset_interpolant() is kernel_for(short).log_offset_interpolant()
+
+
 def test_kernel_bank_undithered_shares_kernel(qpsk8):
     bank = kernel_bank_for(qpsk8)
     assert len(bank) == qpsk8.L
@@ -251,29 +263,26 @@ def test_kernel_bank_dithered_offsets():
 
 def test_single_symbol_block_is_uniform():
     cfg = SystemConfig(M=4, K=8, L=1, snr_db=6.0)
-    k = kernel_for(cfg)
     for z in range(8):
         for x in range(4):
-            assert block_conditional([z], [x], k) == pytest.approx(1 / 8, abs=1e-12)
+            assert block_conditional([z], [x], cfg) == pytest.approx(1 / 8, abs=1e-12)
 
 
 def test_block_constant_addition_identity():
     cfg = SystemConfig(M=4, K=8, L=4, snr_db=6.0)
-    k = kernel_for(cfg)
     x = np.array([1, 0, 2, 3])
-    p1 = block_conditional([5, 7, 2, 4], x, k)
-    p2 = block_conditional([6, 0, 3, 5], x, k)
+    p1 = block_conditional([5, 7, 2, 4], x, cfg)
+    p2 = block_conditional([6, 0, 3, 5], x, cfg)
     assert p2 == pytest.approx(p1, rel=1e-12)
 
 
 def test_block_permutation_identity(rng):
     cfg = SystemConfig(M=4, K=8, L=5, snr_db=6.0)
-    k = kernel_for(cfg)
     z = rng.integers(0, 8, size=5)
     x = rng.integers(0, 4, size=5)
     perm = rng.permutation(5)
-    assert block_conditional(z[perm], x[perm], k) == pytest.approx(
-        block_conditional(z, x, k), rel=1e-10
+    assert block_conditional(z[perm], x[perm], cfg) == pytest.approx(
+        block_conditional(z, x, cfg), rel=1e-10
     )
 
 
@@ -304,11 +313,9 @@ def test_block_normalization_over_all_outputs():
 @pytest.mark.parametrize("dithered", [False, True])
 def test_block_probability_rejects_bad_blocks(qpsk8_l3, z, x, match, dithered):
     # an index out of range must not wrap, nor a fraction truncate
+    cfg = replace(qpsk8_l3, dither="ramp") if dithered else qpsk8_l3
     with pytest.raises(ValueError, match=match):
-        if dithered:
-            block_conditional_dithered(z, x, replace(qpsk8_l3, dither="ramp"))
-        else:
-            block_conditional(z, x, kernel_for(qpsk8_l3))
+        block_conditional(z, x, cfg)
 
 
 def test_dithered_config_cannot_build_shared_kernel():
@@ -319,25 +326,28 @@ def test_dithered_config_cannot_build_shared_kernel():
 
 
 def test_dithered_block_reduces_to_plain():
+    # an all-zero dither is the undithered config, so its block probability
+    # is the shared kernel's product
     cfg = SystemConfig(M=4, K=8, L=3, snr_db=6.0)
+    zero = replace(cfg, dither=(0.0,) * 3)
     k = kernel_for(cfg)
     for z, x in (([0, 3, 5], [1, 2, 0]), ([7, 7, 1], [3, 3, 3])):
-        plain = block_conditional(z, x, k)
-        dithered = block_conditional_dithered(z, x, cfg)
-        assert dithered == pytest.approx(plain, rel=1e-12)
+        rows = (np.array(z) - 2 * np.array(x)) % 8
+        plain = np.mean(np.prod([k.table[r] for r in rows], axis=0))
+        assert block_conditional(z, x, zero) == pytest.approx(plain, rel=1e-12)
 
 
 def test_dithered_single_symbol_uniform():
     cfg = SystemConfig(M=4, K=8, L=1, snr_db=6.0, dither=(0.7,))
     for z in range(8):
-        assert block_conditional_dithered([z], [2], cfg) == pytest.approx(1 / 8, abs=1e-12)
+        assert block_conditional([z], [2], cfg) == pytest.approx(1 / 8, abs=1e-12)
 
 
 def test_dithered_block_against_channel_mc():
     cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0, dither="ramp")
     x = np.array([1, 2])
     z = np.array([3, 5])
-    p = block_conditional_dithered(z, x, cfg)
+    p = block_conditional(z, x, cfg)
 
     draws = 10_000_000
     rng = np.random.default_rng(17)
