@@ -40,9 +40,10 @@ class SystemConfig:
     L        block length in symbols (the phase offset is constant over a block)
     snr_db   Es/N0 in dB for unit-energy symbols
     theta0   constellation orientation: symbol m sits at theta0 + m*2*pi/M
-    dither   per-symbol extra rotations, exactly L entries; all zeros means the
-             standard undithered constellation. Token strings are accepted:
-             "none" and "ramp" resolve via resolve_dither.
+    dither   per-symbol extra rotations, exactly L entries; all zeros, of any
+             length, means the standard undithered constellation. Token
+             strings are accepted: "none" and "ramp" resolve via
+             resolve_dither.
     """
 
     M: int
@@ -70,7 +71,11 @@ class SystemConfig:
             d = resolved if resolved is not None else (0.0,) * self.L
         else:
             d = tuple(float(v) for v in d)
-            if len(d) != self.L:
+            # all zeros of any length is the undithered constellation, so
+            # replace(config, L=n) works on an undithered config
+            if not any(d):
+                d = (0.0,) * self.L
+            elif len(d) != self.L:
                 raise ValueError(f"dither must have exactly L={self.L} entries")
         for name, value in (("snr_db", self.snr_db), ("theta0", self.theta0)):
             if not math.isfinite(value):

@@ -15,11 +15,16 @@ r = z mod a, the winner for z is the winner for r plus q. Dither breaks that
 reduction (each position carries its own rotation), so the dithered path
 sweeps per-symbol crossovers on the full observation, at most one per symbol.
 
-Metrics are evaluated on each kernel's scan grid, the smallest multiple of K
-at or above 720 points (exact symmetry on the grid), then polished to ~1e-6
-rad by golden-section refinement of a spline of log g through the same arc
-fill at 4x the density (TransitionKernel.scan_log_table and
-log_offset_interpolant). One decision rule, shared by the sweep and the
+Metrics are maxima over each kernel's scan grid, the smallest multiple of K
+at or above 720 points (TransitionKernel.scan_log_table; exact symmetry on the
+grid). The sweep scores all candidates of a row by one scan of the envelope
+E(phi) = sum_l max_m log P(z_l | m, phi) over the n_scan/M grid points of one
+period: on a candidate's segment E is its own metric, so each candidate gets
+the maximum of E over its segment's grid points. The winner's value is thus
+its full-circle grid maximum, since no other candidate beats E anywhere; a
+loser carries its in-segment maximum, which can lie below its full-circle
+one. The oracle paths (glrt_metric, brute_force_glrt) scan each hypothesis
+over the full circle instead. One decision rule, shared by the sweep and the
 brute-force oracle, picks the winner and flags exactly tied candidates (the
 signature failure of K = 2M without dither): those whose relative metric gap
 to the winner is at most DEFAULT_TIE_TOL.
@@ -40,6 +45,7 @@ from scipy.optimize import brentq
 
 from .core import TWO_PI, SystemConfig, _check_indices
 from .transition import (
+    _CHUNK_ELEMENTS,
     TransitionKernel,
     _check_own_kernels,
     kernel_bank_for,
@@ -47,11 +53,6 @@ from .transition import (
 )
 
 DEFAULT_TIE_TOL = 1e-6
-# Candidates within this log-metric window of the grid best get refined; a
-# grid max can undershoot the true max by at most curvature * (step/2)^2,
-# far inside this margin at every tested SNR.
-_REFINE_LOG_WINDOW = 0.105
-_GOLDEN_ITERS = 26
 _ALPHA_DEDUPE = 1e-12
 # crossover_angles(validate=True) tolerance between geometric and root angles
 _ROOT_TOL = 1e-9
@@ -72,7 +73,10 @@ class GlrtResult:
 
     winner is the selected input (ties resolved by the caller's rng when
     given, else lowest candidate index); tie_gap is the relative gap between
-    the top two metrics (None with a single candidate).
+    the top two metrics (None with a single candidate). Metrics and phi_star
+    are grid values: from the sweep, a losing candidate carries its maximum
+    over its own crossover segment; from brute_force_glrt, every candidate
+    carries its maximum over the full circle.
     """
 
     winner: tuple[int, ...]
@@ -186,31 +190,16 @@ def _validate_crossover(
 # ---- metric evaluation ------------------------------------------------------
 
 
-def _golden_max(f, lo: np.ndarray, hi: np.ndarray, iters: int = _GOLDEN_ITERS):
-    """Vectorized golden-section maximization over [lo, hi] per element."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(iters):
-        span = hi - lo
-        x1 = hi - invphi * span
-        x2 = lo + invphi * span
-        keep_low = f(x1) >= f(x2)
-        hi = np.where(keep_low, x2, hi)
-        lo = np.where(keep_low, x1, lo)
-    mid = 0.5 * (lo + hi)
-    return mid, f(mid)
-
-
 def _evaluate_candidates(
     Z: np.ndarray,
     C: np.ndarray,
     valid: np.ndarray,
     kernels: tuple[TransitionKernel, ...],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Refined (log metric, phi_star) for candidate array C (n, D, L).
+    """Grid (log metric, phi_star) of candidate array C (n, D, L).
 
-    Grid-scans every candidate, then refines those within the contention
-    window of each row's best; the rest keep grid values (their true maxima
-    cannot overtake the window).
+    Scans every candidate over the full 2*pi: the oracle path behind
+    glrt_metric and brute_force_glrt, independent of the envelope scan.
     """
     n, D, L = C.shape
     K = kernels[0].K
@@ -224,7 +213,7 @@ def _evaluate_candidates(
 
     grid_val = np.full((n, D), -np.inf)
     grid_arg = np.zeros((n, D), dtype=np.int64)
-    chunk = max(1, 4_000_000 // (max(D, 1) * n_scan))
+    chunk = max(1, _CHUNK_ELEMENTS // (max(D, 1) * n_scan))
     for lo_i in range(0, n, chunk):
         hi_i = min(lo_i + chunk, n)
         acc = log_tables[0][S[lo_i:hi_i, :, 0], :].copy()
@@ -233,31 +222,100 @@ def _evaluate_candidates(
         grid_val[lo_i:hi_i] = acc.max(axis=2)
         grid_arg[lo_i:hi_i] = acc.argmax(axis=2)
     grid_val[~valid] = -np.inf
+    return grid_val, phi_scan[grid_arg]
 
-    log_metric = grid_val.copy()
-    phi_star = phi_scan[grid_arg]
 
-    best = grid_val.max(axis=1, keepdims=True)
-    refine = valid & (grid_val >= best - _REFINE_LOG_WINDOW) & np.isfinite(grid_val)
-    if refine.any():
-        rows, cands = np.nonzero(refine)
-        offsets = S[rows, cands, :] * (TWO_PI / K) - np.array(
-            [k.theta0 for k in kernels]
-        )[None, :]
-        splines = [k.log_offset_interpolant() for k in kernels]
+def _envelope_table(kernel: TransitionKernel) -> np.ndarray:
+    """(K, P + 1) table of max_m log P(z | m, phi_i), with P = n_scan/M.
 
-        def f(phi_arr: np.ndarray) -> np.ndarray:
-            vals = np.zeros(phi_arr.shape)
-            for l in range(L):
-                vals += splines[l](offsets[:, l] - phi_arr)
-            return vals
+    The scan rows are exact rolls by P per constellation step (row z - a*m
+    at i is row z at i + m*P), so the envelope is bitwise 2*pi/M-periodic
+    and its first P columns hold all of it. Column P is a -inf sentinel that
+    closes each row's last segment. It depends on M, which the shared scan
+    table does not, so each kernel holds its own; SER chunk threads that
+    fill it at once store equal tables.
+    """
+    if "envelope" not in kernel._caches:
+        _, table = kernel.scan_log_table()
+        P = table.shape[1] // kernel.M
+        env = np.full((kernel.K, P + 1), -np.inf)
+        env[:, :P] = table.reshape(kernel.K, kernel.M, P).max(axis=1)
+        kernel._caches["envelope"] = env
+    return kernel._caches["envelope"]
 
-        centers = phi_scan[grid_arg[rows, cands]]
-        delta = TWO_PI / n_scan
-        phi_ref, val_ref = _golden_max(f, centers - delta, centers + delta)
-        log_metric[rows, cands] = val_ref
-        phi_star[rows, cands] = np.mod(phi_ref, TWO_PI)
-    return log_metric, phi_star
+
+def _segment_maxima(
+    Z: np.ndarray,
+    C: np.ndarray,
+    edges: np.ndarray,
+    n_distinct: np.ndarray,
+    kernels: tuple[TransitionKernel, ...],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid (log metric, phi_star) of each row's sweep candidates, (n, D).
+
+    One scan of E(phi_i) = sum_l max_m log P(z_l | m, phi_i) over the P grid
+    points of one 2*pi/M period serves every candidate of a row. Candidate
+    d is the coherent decision between crossovers d-1 and d, so E is its own
+    metric there; it gets the maximum of E over that segment's grid points
+    (a grid point on a crossover goes to the later segment) and phi_star the
+    first point attaining it. Candidate 0 also owns the wrap piece from the
+    last crossover to 2*pi/M, where the decision is candidate 0 less one
+    constellation step: the same metric at phi - 2*pi/M. A candidate whose
+    segment holds no grid point gets its own metric at the two grid points
+    bounding the segment. Entries past a row's candidates hold -inf.
+    """
+    n, D, L = C.shape
+    K, M, a = kernels[0].K, kernels[0].M, kernels[0].a
+    phi_scan, _ = kernels[0].scan_log_table()
+    n_scan = phi_scan.size
+    P = n_scan // M
+    W = P + 1
+    envs = [_envelope_table(k) for k in kernels]
+
+    # piece k of a row spans [starts[k], starts[k + 1]) of its W columns:
+    # pieces 0..D_r-1 are the candidates' segments, piece D_r the wrap piece
+    bounds = np.minimum(np.searchsorted(phi_scan[:W], edges), P)
+    starts = np.concatenate([np.zeros((n, 1), dtype=bounds.dtype), bounds], axis=1)
+    pieces = np.arange(D + 1)[None, :] <= n_distinct[:, None]
+    piece_val = np.full((n, D + 1), -np.inf)
+    piece_arg = np.zeros((n, D + 1), dtype=np.int64)
+    chunk = max(1, _CHUNK_ELEMENTS // W)
+    for lo_i in range(0, n, chunk):
+        hi_i = min(lo_i + chunk, n)
+        acc = envs[0][Z[lo_i:hi_i, 0]]
+        for l in range(1, L):
+            acc += envs[l][Z[lo_i:hi_i, l]]
+        flat = acc.ravel()
+        sel = pieces[lo_i:hi_i]
+        first = (starts[lo_i:hi_i] + W * np.arange(hi_i - lo_i)[:, None])[sel]
+        top = np.maximum.reduceat(flat, first)
+        hit = flat == np.repeat(top, np.diff(first, append=flat.size))
+        at = np.minimum.reduceat(np.where(hit, np.arange(flat.size), flat.size), first)
+        piece_val[lo_i:hi_i][sel] = top
+        piece_arg[lo_i:hi_i][sel] = at % W
+
+    rows = np.arange(n)
+    log_metric = piece_val[:, :D].copy()
+    arg = piece_arg[:, :D].copy()
+    wrap = piece_val[rows, n_distinct]
+    use_wrap = wrap > log_metric[:, 0]
+    log_metric[use_wrap, 0] = wrap[use_wrap]
+    arg[use_wrap, 0] = piece_arg[rows, n_distinct][use_wrap] - P
+    valid = np.arange(D)[None, :] < n_distinct[:, None]
+    log_metric[~valid] = -np.inf
+
+    empty = valid.copy()
+    empty[:, 0] = False
+    empty[:, 1:] &= starts[:, 2:] == starts[:, 1:-1]
+    if empty.any():
+        r, d = np.nonzero(empty)
+        S = (Z[r] - a * C[r, d]) % K
+        around = starts[r, d + 1][:, None] - np.array([[1, 0]])
+        own = sum(k.scan_log_table()[1][S[:, l, None], around] for l, k in enumerate(kernels))
+        best = np.argmax(own, axis=1)
+        log_metric[r, d] = own[np.arange(r.size), best]
+        arg[r, d] = around[np.arange(r.size), best]
+    return log_metric, phi_scan[arg % n_scan]
 
 
 def _decide(
@@ -316,25 +374,27 @@ def demodulate_rows(
     )
     C = np.round(args).astype(np.int64) % M
 
-    log_metric, phi_star = _evaluate_candidates(Z, C, valid, kernels)
+    log_metric, phi_star = _segment_maxima(Z, C, edges, n_distinct, kernels)
     winner, ties, tie_gap = _decide(log_metric, valid)
-    records = []
-    for i in range(n):
-        d = int(n_distinct[i])
-        tie_idx = np.flatnonzero(ties[i])
-        records.append(
-            DemodRecord(
-                candidates=C[i, :d],
-                log_metrics=log_metric[i, :d],
-                phi_stars=phi_star[i, :d],
-                winner_index=int(winner[i]),
-                tie_indices=tie_idx,
-                tie=tie_idx.size > 1,
-                tie_gap=tie_gap[i],
-                crossovers=edges[i, :d].copy(),
-            )
+    # row i's tie set is tie_cols[end - k:end], k = n_tied[i], end = ends[i]
+    n_tied = np.count_nonzero(ties, axis=1)
+    tie_cols = np.nonzero(ties)[1]
+    ends = np.cumsum(n_tied)
+    return [
+        DemodRecord(
+            candidates=C[i, :d],
+            log_metrics=log_metric[i, :d],
+            phi_stars=phi_star[i, :d],
+            winner_index=w,
+            tie_indices=tie_cols[end - k : end],
+            tie=k > 1,
+            tie_gap=gap,
+            crossovers=edges[i, :d].copy(),
         )
-    return records
+        for i, (d, w, k, end, gap) in enumerate(
+            zip(n_distinct.tolist(), winner.tolist(), n_tied.tolist(), ends.tolist(), tie_gap)
+        )
+    ]
 
 
 def _result_from_record(
@@ -398,7 +458,8 @@ def glrt_demodulate_dithered(
 
 
 def glrt_metric(z, x, config: SystemConfig) -> GlrtCandidate:
-    """max_phi P(z | x, phi) for one explicit hypothesis (always refined)."""
+    """max_phi P(z | x, phi) for one explicit hypothesis, over the full
+    circle of the scan grid."""
     z = _check_indices(z, "z", config.L, config.K, "K")
     x = _check_indices(x, "x", config.L, config.M, "M")
     valid = np.ones((1, 1), dtype=bool)

@@ -14,11 +14,11 @@ unchanged when z and x are permuted together: the row demodulated for a block
 is its residue vector z mod a sorted ascending, and the winner is scattered
 back to the block's own positions. Crossovers are per symbol, so candidate d
 of the sorted row is candidate d of the block permuted, and its tie set names
-the same candidates; only the summation order of the log metrics changes,
-which moves them by rounding, far below DEFAULT_TIE_TOL. The refine's spline
-of log g is accurate to about 1e-9 through 20 dB and 1e-7 at 30 dB (see
-TransitionKernel.log_offset_interpolant), so rounding cannot move a winner
-there. At most C(L + a - 1, L) sorted rows exist (45 at K=12, L=8), against
+the same candidates; only the summation order of the log metrics changes.
+Each metric is a sum of L scan-table entries at one grid point, so reordering
+moves it by a few ulps, about 1e-15 relative: a decision can move only where
+a relative gap lies that close to DEFAULT_TIE_TOL. At most C(L + a - 1, L)
+sorted rows exist (45 at K=12, L=8), against
 thousands of ordered ones. Under dither each position has its own kernel, so
 rows are the full sector vectors in block order.
 

@@ -62,7 +62,11 @@ _CHUNK_ELEMENTS = 4_000_000
 # in log space.
 _UNDERFLOW_FLOOR = 1e-280
 # The demod scan grid has the smallest multiple of K at or above this many
-# points; the refine spline samples log g _DENSE_PER_SCAN times as densely.
+# points. It is every _DENSE_PER_SCAN-th sample of a denser fill of log g, which
+# the spline of log_offset_interpolant interpolates. The demodulator reads the
+# grid alone, but the scan keeps those samples: a direct n_scan-point fill
+# differs from them by up to about 6e-12 in log where g > 1e-170, which could
+# move pinned SER counts, and the spline is what a continuous refine would use.
 _SCAN_TARGET = 720
 _DENSE_PER_SCAN = 4
 
@@ -204,7 +208,7 @@ class TransitionKernel:
     # ---- demod support caches ------------------------------------------
 
     def _demod_tables(self):
-        """(phi_scan, scan log table, refine spline) of _demod_tables_for.
+        """(phi_scan, scan log table, spline) of _demod_tables_for.
 
         Held on the kernel too, so a kernel never refills them after the
         shared cache has evicted them.
@@ -224,10 +228,12 @@ class TransitionKernel:
         return self._demod_tables()[:2]
 
     def log_offset_interpolant(self):
-        """Periodic cubic spline of log g(t), for off-grid refinement.
+        """Periodic cubic spline of log g(t), for off-grid evaluation.
 
-        Interpolates log g on the 4*n_scan-point fill behind scan_log_table,
-        floored at log(1e-300) where g underflows. Against
+        The demodulator maximizes on the scan grid and does not use it; it
+        serves off-grid checks and is what a continuous phase refine would
+        use. Interpolates log g on the 4*n_scan-point fill behind
+        scan_log_table, floored at log(1e-300) where g underflows. Against
         sector_offset_probability at off-grid t with g >= 1e-250 (theta0 =
         0.3, K = 8, 12, 64) its log error is below 1e-9 up to 20 dB and 1e-7
         at 30 dB. Above about 30 dB the fixed grid under-resolves the noise
@@ -238,7 +244,7 @@ class TransitionKernel:
 
 @lru_cache(maxsize=128)
 def _demod_tables_for(K: int, snr_db: float, theta0: float):
-    """(phi_scan, scan log table, refine spline), all from one arc fill.
+    """(phi_scan, scan log table, spline), all from one arc fill.
 
     The demod tables depend on K, the SNR and theta0 only, not on M or the
     block-length-dependent phase grid, so kernels that differ only there

@@ -144,7 +144,7 @@ class TestValidation:
         # a kernel of another SNR, theta0 or phase grid would silently score
         # this config with its tables; a kernel equal in value passes
         cfg = SystemConfig(M=4, K=12, L=6, snr_db=6.0)
-        for other in (replace(cfg, snr_db=12.0), replace(cfg, theta0=0.3), replace(cfg, L=8, dither=None)):
+        for other in (replace(cfg, snr_db=12.0), replace(cfg, theta0=0.3), replace(cfg, L=8)):
             with pytest.raises(ValueError, match="config's own"):
                 entropy(cfg, kernel_for(other))
         # a copy is another object with the same key, as after cache eviction

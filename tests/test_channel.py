@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -62,6 +63,15 @@ class TestSystemConfig:
     def test_dither_length_enforced(self):
         with pytest.raises(ValueError, match="exactly L"):
             SystemConfig(M=4, K=8, L=3, snr_db=0.0, dither=(0.1, 0.2))
+
+    def test_replace_block_length_of_undithered_config(self):
+        # the stored all-zero dither has the old length; it still means
+        # undithered, while a real dither of the wrong length is rejected
+        moved = replace(SystemConfig(M=4, K=12, L=6, snr_db=6.0), L=8)
+        assert moved.dither == (0.0,) * 8 and not moved.is_dithered
+        assert SystemConfig(M=4, K=8, L=3, snr_db=0.0, dither=(0.0, -0.0)).dither == (0.0,) * 3
+        with pytest.raises(ValueError, match="exactly L"):
+            replace(SystemConfig(M=4, K=12, L=6, snr_db=6.0, dither="ramp"), L=8)
 
     def test_dither_token_strings(self):
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=0.0, dither="ramp")

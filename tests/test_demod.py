@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phaseq import (
     SystemConfig,
@@ -20,7 +22,7 @@ from phaseq import (
     kernel_for,
     sample_blocks,
 )
-from phaseq.demod import demodulate_rows
+from phaseq.demod import _decide, _evaluate_candidates, demodulate_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -160,6 +162,31 @@ class TestBruteForceAgreement:
                 assert up_to_constant_addition(fast.winner, oracle.winner, M), (snr_db, Z[0])
         assert checked >= 20
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        M_L=st.sampled_from([(2, 3), (2, 5), (2, 8), (4, 3), (4, 5), (8, 3), (8, 4)]),
+        ratio=st.sampled_from([2, 3, 8]),
+        snr_db=st.floats(min_value=8.0, max_value=40.0),
+        dithered=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_sweep_matches_oracle_winner_and_tie_flag(self, M_L, ratio, snr_db, dithered, seed):
+        # the winner lies in the oracle's tie set, up to constant addition,
+        # and both flag a tie or neither does
+        M, L = M_L
+        cfg = SystemConfig(
+            M=M, K=ratio * M, L=L, snr_db=snr_db, dither="ramp" if dithered else None
+        )
+        rng = np.random.default_rng(seed)
+        _, Z = sample_blocks(rng.integers(0, M, size=(1, L)), cfg, rng)
+        demod = glrt_demodulate_dithered if dithered else glrt_demodulate
+        fast = demod(Z[0], cfg)
+        oracle = brute_force_glrt(Z[0], cfg)
+        assert fast.tie == oracle.tie
+        best = max(c.metric for c in oracle.candidates)
+        tied = [c.x for c in oracle.candidates if abs(c.metric / best - 1.0) <= 1e-6]
+        assert any(up_to_constant_addition(fast.winner, x, M) for x in tied)
+
     def test_candidate_sweep_is_sufficient(self):
         # the brute winner's orbit must appear among the sweep's candidates
         cfg = SystemConfig(M=4, K=12, L=3, snr_db=6.0)
@@ -172,6 +199,71 @@ class TestBruteForceAgreement:
                 up_to_constant_addition(c.x, oracle.winner, 4) for c in fast.candidates
             )
             assert found
+
+
+# ---- the envelope scan against the full-period scan --------------------------
+
+
+class TestEnvelopeScan:
+    @pytest.mark.parametrize(
+        "M,K,L,snr_db,dither",
+        [
+            (2, 4, 6, 8.0, None),
+            (2, 32, 5, 20.0, "ramp"),
+            (4, 8, 8, 14.0, "ramp"),
+            (4, 12, 8, 11.0, None),
+            (4, 64, 6, 10.0, None),
+            (8, 16, 5, 18.0, None),
+            (8, 24, 4, 30.0, "ramp"),
+        ],
+    )
+    def test_decisions_match_full_period_scan(self, M, K, L, snr_db, dither):
+        # one envelope scan per row against a full 2*pi scan of every
+        # candidate: same winners, tie flags and tie sets; the winner's metric
+        # and phase are the full-period ones (candidate 0's wrap piece maps
+        # back by 2*pi/M) and no candidate scores above its own
+        cfg = SystemConfig(M=M, K=K, L=L, snr_db=snr_db, dither=dither)
+        kernels = kernel_bank_for(cfg)
+        rng = np.random.default_rng(K * 100 + L)
+        _, Z = sample_blocks(rng.integers(0, M, size=(300, L)), cfg, rng)
+        rows = Z if cfg.is_dithered else np.sort(Z % cfg.a, axis=1)
+        for z, rec in zip(rows, demodulate_rows(rows, cfg, kernels)):
+            valid = np.ones((1, rec.candidates.shape[0]), dtype=bool)
+            full, phi = _evaluate_candidates(z[None, :], rec.candidates[None], valid, kernels)
+            winner, ties, _ = _decide(full, valid)
+            assert rec.winner_index == winner[0]
+            assert rec.tie == (ties[0].sum() > 1)
+            np.testing.assert_array_equal(rec.tie_indices, np.flatnonzero(ties[0]))
+            w = rec.winner_index
+            assert rec.log_metrics[w] == pytest.approx(full[0, w], rel=1e-12)
+            assert rec.phi_stars[w] == phi[0, w]
+            assert np.all(rec.log_metrics <= full[0] + 1e-12 * np.abs(full[0]))
+
+    def test_segment_without_grid_point(self):
+        # two crossovers 0.11 scan steps apart, both between grid points 134
+        # and 135 of the 720-point scan: the candidate between them is scored
+        # by its own metric at those two points, never by the neighbouring
+        # segments' envelope
+        cfg = SystemConfig(M=4, K=8, L=3, snr_db=10.0, dither=(0.002, 0.003, 0.3))
+        z = np.array([2, 2, 2])
+        step = TWO_PI / 720
+        angles = crossover_angles(z, cfg)
+        assert np.ceil(angles[1] / step) == np.ceil(angles[2] / step) == 135
+        kernels = kernel_bank_for(cfg)
+        rec = demodulate_rows(z[None, :], cfg, kernels)[0]
+        own = [
+            sum(
+                k.scan_log_table()[1][(z[l] - cfg.a * rec.candidates[2, l]) % cfg.K, i]
+                for l, k in enumerate(kernels)
+            )
+            for i in (134, 135)
+        ]
+        assert rec.log_metrics[2] == max(own)
+        assert rec.phi_stars[2] == pytest.approx((134 + int(np.argmax(own))) * step)
+        res = glrt_demodulate_dithered(z, cfg)
+        for c in res.candidates:
+            assert 0.0 < c.metric <= 1.0
+        assert up_to_constant_addition(res.winner, brute_force_glrt(z, cfg).winner, 4)
 
 
 # ---- structure and invariants ----------------------------------------------
@@ -295,9 +387,10 @@ class TestPermutationSymmetry:
                 assert permuted.winner == tuple(np.asarray(res.winner)[perm])
 
     def test_deep_tail_row_is_order_independent(self):
-        # Two adjacent grid points tie for the best candidate of this row, and
-        # the refine polishes it in the deep tail of g; a refine spline that is
-        # inaccurate there made the winner depend on the order of positions.
+        # Two adjacent grid points tie for the best candidate of this row, in
+        # the deep tail of g; a phase refine through a spline that is
+        # inaccurate there once made the winner depend on the order of
+        # positions.
         cfg = SystemConfig(M=2, K=32, L=4, snr_db=20.0)
         z = np.array([5, 0, 0, 11])
         outcomes = set()
@@ -402,7 +495,7 @@ class TestValidation:
         # wrong tables; kernels equal in value to the config's own pass
         cfg = SystemConfig(M=4, K=12, L=6, snr_db=6.0)
         R = np.array([[0, 1, 2, 0, 1, 2], [0, 0, 1, 1, 2, 2]])
-        for other in (replace(cfg, snr_db=12.0), replace(cfg, theta0=0.3), replace(cfg, L=8, dither=None)):
+        for other in (replace(cfg, snr_db=12.0), replace(cfg, theta0=0.3), replace(cfg, L=8)):
             with pytest.raises(ValueError, match="config's own"):
                 demodulate_rows(R, cfg, (kernel_for(other),) * cfg.L)
         with pytest.raises(ValueError, match="config's own"):

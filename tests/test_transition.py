@@ -218,7 +218,7 @@ def test_arc_fill_matches_quadrature_oracle(K, snr_db, rng):
             t = (m + half) * TWO_PI / n - cfg.theta0
             direct = sector_offset_probability(t, width, cfg.snr_linear)
             assert probs[m] == pytest.approx(direct, rel=rel, abs=1e-250)
-    # The refine spline, in log at random off-grid t. Its grid is a fixed 4x
+    # The off-grid spline, in log at random off-grid t. Its grid is a fixed 4x
     # the scan grid, which under-resolves the noise scale 1/sqrt(2*rho) above
     # 30 dB, so 40 and 60 dB are not asserted; a density that grows with SNR
     # is still open.
