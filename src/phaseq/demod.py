@@ -15,19 +15,19 @@ r = z mod a, the winner for z is the winner for r plus q. Dither breaks that
 reduction (each position carries its own rotation), so the dithered path
 sweeps per-symbol crossovers on the full observation, at most one per symbol.
 
-Metrics are maxima over each kernel's scan grid, the smallest multiple of K
-at or above 720 points (TransitionKernel.scan_log_table; exact symmetry on the
-grid). The sweep scores all candidates of a row by one scan of the envelope
-E(phi) = sum_l max_m log P(z_l | m, phi) over the n_scan/M grid points of one
-period: on a candidate's segment E is its own metric, so each candidate gets
-the maximum of E over its segment's grid points. The winner's value is thus
-its full-circle grid maximum, since no other candidate beats E anywhere; a
-loser carries its in-segment maximum, which can lie below its full-circle
-one. The oracle paths (glrt_metric, brute_force_glrt) scan each hypothesis
-over the full circle instead. One decision rule, shared by the sweep and the
-brute-force oracle, picks the winner and flags exactly tied candidates (the
-signature failure of K = 2M without dither): those whose relative metric gap
-to the winner is at most DEFAULT_TIE_TOL.
+Metrics are maxima over a scan grid of the smallest multiple of K at or above
+720 points, which this module fills and holds per kernel (_scan_tables; exact
+symmetry on the grid). The sweep scores all candidates of a row by one scan of
+the envelope E(phi) = sum_l max_m log P(z_l | m, phi) over the n_scan/M grid
+points of one period: on a candidate's segment E is its own metric, so each
+candidate gets the maximum of E over its segment's grid points. The winner's
+value is thus its full-circle grid maximum, since no other candidate beats E
+anywhere; a loser carries its in-segment maximum, which can lie below its
+full-circle one. The oracle paths (glrt_metric, brute_force_glrt) scan each
+hypothesis over the full circle instead. One decision rule, shared by the
+sweep and the brute-force oracle, picks the winner and flags exactly tied
+candidates (the signature failure of K = 2M without dither): those whose
+relative metric gap to the winner is at most DEFAULT_TIE_TOL.
 
 The entry points take the config and look its kernel bank up themselves
 (kernel_bank_for); demodulate_rows, which takes the bank, rejects one that is
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import product
 
 import numpy as np
@@ -47,6 +48,7 @@ from .core import TWO_PI, SystemConfig, _check_indices
 from .transition import (
     _CHUNK_ELEMENTS,
     TransitionKernel,
+    _arc_probabilities,
     _check_own_kernels,
     kernel_bank_for,
     sector_probability,
@@ -56,6 +58,8 @@ DEFAULT_TIE_TOL = 1e-6
 _ALPHA_DEDUPE = 1e-12
 # crossover_angles(validate=True) tolerance between geometric and root angles
 _ROOT_TOL = 1e-9
+# The scan grid has the smallest multiple of K at or above this many points.
+_SCAN_TARGET = 720
 
 
 @dataclass(frozen=True)
@@ -187,6 +191,49 @@ def _validate_crossover(
         )
 
 
+# ---- scan tables -------------------------------------------------------------
+
+
+@lru_cache(maxsize=128)
+def _scan_grid(K: int, snr_db: float, theta0: float) -> tuple[np.ndarray, np.ndarray]:
+    """(phi_scan, log table (K, n_scan)) on the plain grid i*2*pi/n_scan.
+
+    n_scan is the smallest multiple of K at or above _SCAN_TARGET, so each
+    row is an exact roll of the base row log g(m*2*pi/n_scan - theta0), one
+    arc fill; that keeps metric ties between symmetry-related candidates
+    exact on the grid. Underflowed cells hold -inf. The pair depends on K,
+    the SNR and theta0 only, so kernels that differ in M or in the
+    block-length-dependent phase grid share it.
+    """
+    n_scan = K * math.ceil(_SCAN_TARGET / K)
+    with np.errstate(divide="ignore"):
+        base = np.log(_arc_probabilities(-theta0, n_scan, K, 10.0 ** (snr_db / 10.0)))
+    idx = (n_scan // K * np.arange(K)[:, None] - np.arange(n_scan)[None, :]) % n_scan
+    return (TWO_PI / n_scan) * np.arange(n_scan), base[idx]
+
+
+def _scan_tables(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(phi_scan, log table, envelope) of the kernel, held in its _caches.
+
+    The envelope is the (K, P + 1) table of max_m log P(z | m, phi_i), with
+    P = n_scan/M. The scan rows are exact rolls by P per constellation step
+    (row z - a*m at i is row z at i + m*P), so the envelope is bitwise
+    2*pi/M-periodic and its first P columns hold all of it. Column P is a
+    -inf sentinel that closes each row's last segment. The envelope depends
+    on M, which the shared (phi_scan, table) pair does not, and the kernel
+    keeps all three so it never refills them after _scan_grid's cache has
+    evicted them; SER chunk threads that fill them at once store equal
+    tables.
+    """
+    if "scan" not in kernel._caches:
+        phi_scan, table = _scan_grid(kernel.K, kernel.snr_db, kernel.theta0)
+        P = phi_scan.size // kernel.M
+        env = np.full((kernel.K, P + 1), -np.inf)
+        env[:, :P] = table.reshape(kernel.K, kernel.M, P).max(axis=1)
+        kernel._caches["scan"] = (phi_scan, table, env)
+    return kernel._caches["scan"]
+
+
 # ---- metric evaluation ------------------------------------------------------
 
 
@@ -206,9 +253,9 @@ def _evaluate_candidates(
     a = kernels[0].a
     S = (Z[:, None, :] - a * C) % K
 
-    scan_grids = [k.scan_log_table() for k in kernels]
-    phi_scan = scan_grids[0][0]
-    log_tables = [g[1] for g in scan_grids]
+    scans = [_scan_tables(k) for k in kernels]
+    phi_scan = scans[0][0]
+    log_tables = [t[1] for t in scans]
     n_scan = phi_scan.size
 
     grid_val = np.full((n, D), -np.inf)
@@ -223,25 +270,6 @@ def _evaluate_candidates(
         grid_arg[lo_i:hi_i] = acc.argmax(axis=2)
     grid_val[~valid] = -np.inf
     return grid_val, phi_scan[grid_arg]
-
-
-def _envelope_table(kernel: TransitionKernel) -> np.ndarray:
-    """(K, P + 1) table of max_m log P(z | m, phi_i), with P = n_scan/M.
-
-    The scan rows are exact rolls by P per constellation step (row z - a*m
-    at i is row z at i + m*P), so the envelope is bitwise 2*pi/M-periodic
-    and its first P columns hold all of it. Column P is a -inf sentinel that
-    closes each row's last segment. It depends on M, which the shared scan
-    table does not, so each kernel holds its own; SER chunk threads that
-    fill it at once store equal tables.
-    """
-    if "envelope" not in kernel._caches:
-        _, table = kernel.scan_log_table()
-        P = table.shape[1] // kernel.M
-        env = np.full((kernel.K, P + 1), -np.inf)
-        env[:, :P] = table.reshape(kernel.K, kernel.M, P).max(axis=1)
-        kernel._caches["envelope"] = env
-    return kernel._caches["envelope"]
 
 
 def _segment_maxima(
@@ -266,11 +294,12 @@ def _segment_maxima(
     """
     n, D, L = C.shape
     K, M, a = kernels[0].K, kernels[0].M, kernels[0].a
-    phi_scan, _ = kernels[0].scan_log_table()
+    scans = [_scan_tables(k) for k in kernels]
+    phi_scan = scans[0][0]
     n_scan = phi_scan.size
     P = n_scan // M
     W = P + 1
-    envs = [_envelope_table(k) for k in kernels]
+    envs = [t[2] for t in scans]
 
     # piece k of a row spans [starts[k], starts[k + 1]) of its W columns:
     # pieces 0..D_r-1 are the candidates' segments, piece D_r the wrap piece
@@ -311,7 +340,7 @@ def _segment_maxima(
         r, d = np.nonzero(empty)
         S = (Z[r] - a * C[r, d]) % K
         around = starts[r, d + 1][:, None] - np.array([[1, 0]])
-        own = sum(k.scan_log_table()[1][S[:, l, None], around] for l, k in enumerate(kernels))
+        own = sum(t[1][S[:, l, None], around] for l, t in enumerate(scans))
         best = np.argmax(own, axis=1)
         log_metric[r, d] = own[np.arange(r.size), best]
         arg[r, d] = around[np.arange(r.size), best]
@@ -328,14 +357,17 @@ def _decide(
     gap of the other valid candidates to the top; None when only one is
     valid). The winner is the lowest-index candidate of the tie mask, which
     holds the argmax: exactly tied metrics can differ in their last bits
-    with the order of the positions, and the winner must not. Invalid
-    entries must hold -inf.
+    with the order of the positions, and the winner must not. A row whose
+    metrics are all -inf (every hypothesis underflowed on the grid) ties all
+    its valid candidates with gap 0. Invalid entries must hold -inf.
     """
     n = log_metric.shape[0]
     top_idx = np.argmax(log_metric, axis=1)
     top = log_metric[np.arange(n), top_idx]
     with np.errstate(invalid="ignore"):
         gaps = np.abs(np.expm1(log_metric - top[:, None]))
+    # -inf - -inf is nan; equal metrics have gap 0
+    gaps[log_metric == top[:, None]] = 0.0
     ties = valid & (gaps <= DEFAULT_TIE_TOL)
     winner = np.argmax(ties, axis=1)
     others = np.where(valid, gaps, np.inf)

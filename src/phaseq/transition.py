@@ -9,8 +9,9 @@ of the received phase minus the clean phase has the classical closed form
 
 with rho the linear SNR and Phi the standard normal CDF. A sector probability
 is f integrated over an arc of width 2*pi/K: by adaptive quadrature in the
-reference sector_probability, and for whole kernel and scan grids by
-Gauss-Legendre rules per grid cell, each arc summing the cells it spans.
+reference sector_probability, and for whole grids (the kernel tables here,
+demod's scan tables) by _arc_probabilities, Gauss-Legendre rules per grid
+cell with each arc summing the cells it spans.
 Block probabilities average the per-symbol product over phi on a uniform grid
 (composite midpoint rule; the integrand is smooth and periodic, so the rule
 converges spectrally). The grid size is worked out from (K, SNR, L) by
@@ -45,7 +46,6 @@ from functools import lru_cache
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 from scipy.special import ndtr
 
 from .core import TWO_PI, SystemConfig, _check_indices
@@ -61,14 +61,6 @@ _CHUNK_ELEMENTS = 4_000_000
 # the linear product has lost precision or reached zero; such rows are redone
 # in log space.
 _UNDERFLOW_FLOOR = 1e-280
-# The demod scan grid has the smallest multiple of K at or above this many
-# points. It is every _DENSE_PER_SCAN-th sample of a denser fill of log g, which
-# the spline of log_offset_interpolant interpolates. The demodulator reads the
-# grid alone, but the scan keeps those samples: a direct n_scan-point fill
-# differs from them by up to about 6e-12 in log where g > 1e-170, which could
-# move pinned SER counts, and the spline is what a continuous refine would use.
-_SCAN_TARGET = 720
-_DENSE_PER_SCAN = 4
 
 
 def phase_offset_pdf(u, snr_linear: float) -> np.ndarray:
@@ -165,10 +157,11 @@ class TransitionKernel:
     """P(z | x = 0, phi_i) on a uniform midpoint phi grid of n_phi points.
 
     n_phi is the _grid_size of the config the kernel was looked up for. The
-    (K, n_phi) table is filled on first use (the demodulator never reads it);
-    every table row is a cyclic relabeling of one set of arc probabilities
-    g(t) sampled uniformly in t, which makes the sector-shift symmetry hold
-    exactly on the grid.
+    (K, n_phi) table is filled on first use; every table row is a cyclic
+    relabeling of one set of arc probabilities g(t) sampled uniformly in t,
+    which makes the sector-shift symmetry hold exactly on the grid. The
+    demodulator never reads the table: it keeps its own scan tables in
+    _caches.
     """
 
     snr_db: float
@@ -204,73 +197,6 @@ class TransitionKernel:
             idx = (n // K * np.arange(K)[:, None] - np.arange(n)[None, :] - 1) % n
             self._caches["table"] = g[idx]
         return self._caches["table"]
-
-    # ---- demod support caches ------------------------------------------
-
-    def _demod_tables(self):
-        """(phi_scan, scan log table, spline) of _demod_tables_for.
-
-        Held on the kernel too, so a kernel never refills them after the
-        shared cache has evicted them.
-        """
-        if "demod" not in self._caches:
-            self._caches["demod"] = _demod_tables_for(self.K, self.snr_db, self.theta0)
-        return self._caches["demod"]
-
-    def scan_log_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(phi_scan, log table (K, n_scan)) on the plain grid i*2*pi/n_scan.
-
-        n_scan is a multiple of K, so each row is an exact roll of the base
-        row log g(m*2*pi/n_scan - theta0); that keeps metric ties between
-        symmetry-related candidates exact on the grid. Underflowed cells hold
-        -inf.
-        """
-        return self._demod_tables()[:2]
-
-    def log_offset_interpolant(self):
-        """Periodic cubic spline of log g(t), for off-grid evaluation.
-
-        The demodulator maximizes on the scan grid and does not use it; it
-        serves off-grid checks and is what a continuous phase refine would
-        use. Interpolates log g on the 4*n_scan-point fill behind
-        scan_log_table, floored at log(1e-300) where g underflows. Against
-        sector_offset_probability at off-grid t with g >= 1e-250 (theta0 =
-        0.3, K = 8, 12, 64) its log error is below 1e-9 up to 20 dB and 1e-7
-        at 30 dB. Above about 30 dB the fixed grid under-resolves the noise
-        scale 1/sqrt(2*rho) and the error grows (about 2e-6 at 40 dB).
-        """
-        return self._demod_tables()[2]
-
-
-@lru_cache(maxsize=128)
-def _demod_tables_for(K: int, snr_db: float, theta0: float):
-    """(phi_scan, scan log table, spline), all from one arc fill.
-
-    The demod tables depend on K, the SNR and theta0 only, not on M or the
-    block-length-dependent phase grid, so kernels that differ only there
-    share them. The fill is log g(m*2*pi/n - theta0) for m < n = 4*n_scan,
-    with n_scan = the smallest multiple of K at or above _SCAN_TARGET. The
-    scan table takes every 4th sample and the spline interpolates all of
-    them, so the two never disagree on a grid point.
-    """
-    n_scan = K * math.ceil(_SCAN_TARGET / K)
-    n = _DENSE_PER_SCAN * n_scan
-    with np.errstate(divide="ignore"):
-        dense = np.log(_arc_probabilities(-theta0, n, K, 10.0 ** (snr_db / 10.0)))
-    base = dense[::_DENSE_PER_SCAN]
-    step = n_scan // K
-    idx = (step * np.arange(K)[:, None] - np.arange(n_scan)[None, :]) % n_scan
-    phi_scan = (TWO_PI / n_scan) * np.arange(n_scan)
-
-    t0 = -theta0
-    ys = np.maximum(dense, math.log(1e-300))  # where g underflows
-    xs = t0 + np.arange(n + 1) * (TWO_PI / n)
-    spline = CubicSpline(xs, np.append(ys, ys[0]), bc_type="periodic")
-
-    def evaluate(t):
-        return spline(t0 + np.mod(np.asarray(t, dtype=float) - t0, TWO_PI))
-
-    return phi_scan, base[idx], evaluate
 
 
 @lru_cache(maxsize=128)
@@ -350,20 +276,20 @@ def block_conditional_batch(
     return np.exp(_log_grid_mean([kernel.table] * S.shape[1], S))
 
 
-def _log_grid_mean(tables, S: np.ndarray, chunk: int | None = None) -> np.ndarray:
+def _log_grid_mean(tables, S: np.ndarray) -> np.ndarray:
     """log of the phase-grid mean of prod_l tables[l][S[:, l]], one per row.
 
     tables holds one (K, n_phi) table per block position and S is (n, L)
-    sector indices into them. Rows are multiplied linearly, chunk rows at a
-    time (by default as many as keep a chunk within _CHUNK_ELEMENTS); a row whose mean lands below _UNDERFLOW_FLOOR is recomputed as a
-    log-sum-exp, so long blocks keep a finite log instead of log(0) = -inf.
-    A row whose bound sum_l log max_i tables[l][S[:, l], i] is already below
-    the floor (by a margin of 1 for rounding) skips the linear pass.
+    sector indices into them. Rows are multiplied linearly, as many at a time
+    as keep a chunk within _CHUNK_ELEMENTS; a row whose mean lands below
+    _UNDERFLOW_FLOOR is recomputed as a log-sum-exp, so long blocks keep a
+    finite log instead of log(0) = -inf. A row whose bound
+    sum_l log max_i tables[l][S[:, l], i] is already below the floor (by a
+    margin of 1 for rounding) skips the linear pass.
     """
     S = np.asarray(S, dtype=np.int64)
     n, L = S.shape
-    if chunk is None:
-        chunk = max(1, _CHUNK_ELEMENTS // tables[0].shape[1])
+    chunk = max(1, _CHUNK_ELEMENTS // tables[0].shape[1])
     out = np.empty(n)
     # positions usually share one table object: reduce each one once
     distinct = {id(t): t for t in tables}

@@ -22,7 +22,7 @@ from phaseq import (
     kernel_for,
     sample_blocks,
 )
-from phaseq.demod import _decide, _evaluate_candidates, demodulate_rows
+from phaseq.demod import _decide, _evaluate_candidates, _scan_tables, demodulate_rows
 
 TWO_PI = 2.0 * math.pi
 
@@ -253,7 +253,7 @@ class TestEnvelopeScan:
         rec = demodulate_rows(z[None, :], cfg, kernels)[0]
         own = [
             sum(
-                k.scan_log_table()[1][(z[l] - cfg.a * rec.candidates[2, l]) % cfg.K, i]
+                _scan_tables(k)[1][(z[l] - cfg.a * rec.candidates[2, l]) % cfg.K, i]
                 for l, k in enumerate(kernels)
             )
             for i in (134, 135)
@@ -432,6 +432,21 @@ class TestTieHandling:
             if brute_force_glrt(Z[0], cfg).tie:
                 flagged += 1
         assert flagged <= 2
+
+    def test_all_minus_inf_row_ties_every_candidate(self):
+        # at 100 dB the dither leaves the consistent phase window of z = (0, 0)
+        # and (0, 2) with no scan point, so every metric underflows to -inf:
+        # each candidate ties with gap 0 (not nan) and the tie is reported
+        step = TWO_PI / 720
+        dither = (0.3 * step, 0.3 * step + TWO_PI / 8 - 1e-3)
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=100.0, dither=dither)
+        for z in ([0, 0], [0, 2]):
+            for res in (glrt_demodulate_dithered(z, cfg), brute_force_glrt(z, cfg)):
+                assert res.tie
+                assert res.tie_gap == 0.0
+                assert all(c.metric == 0.0 for c in res.candidates)
+            rec = demodulate_rows(np.array([z]), cfg, kernel_bank_for(cfg))[0]
+            np.testing.assert_array_equal(rec.tie_indices, np.arange(len(rec.candidates)))
 
 
 class TestValidation:

@@ -28,7 +28,9 @@ from phaseq import (
     sector_offset_probability,
     sector_probability,
 )
+from phaseq import transition
 from phaseq.capacity import _input_average
+from phaseq.demod import _scan_tables
 from phaseq.transition import _MAX_GRID, _grid_size, _log_grid_mean
 
 TWO_PI = 2.0 * math.pi
@@ -209,7 +211,7 @@ def test_arc_fill_matches_quadrature_oracle(K, snr_db, rng):
     k = kernel_for(cfg)
     # row 0 of both tables holds the arc probabilities g in reverse grid order
     kernel_base = k.table[0, (-np.arange(k.n_phi) - 1) % k.n_phi]
-    _, logtab = k.scan_log_table()
+    _, logtab, _ = _scan_tables(k)
     n_scan = logtab.shape[1]
     scan_base = np.exp(logtab[0, (-np.arange(n_scan)) % n_scan])
     for n, probs, half in ((k.n_phi, kernel_base, 0.5), (n_scan, scan_base, 0.0)):
@@ -218,30 +220,24 @@ def test_arc_fill_matches_quadrature_oracle(K, snr_db, rng):
             t = (m + half) * TWO_PI / n - cfg.theta0
             direct = sector_offset_probability(t, width, cfg.snr_linear)
             assert probs[m] == pytest.approx(direct, rel=rel, abs=1e-250)
-    # The off-grid spline, in log at random off-grid t. Its grid is a fixed 4x
-    # the scan grid, which under-resolves the noise scale 1/sqrt(2*rho) above
-    # 30 dB, so 40 and 60 dB are not asserted; a density that grows with SNR
-    # is still open.
-    if snr_db > 30.0:
-        return
-    log_tol = 1e-9 if snr_db <= 20.0 else 1e-7
-    spline = k.log_offset_interpolant()
-    for t in rng.uniform(-math.pi, math.pi, 40):
-        direct = sector_offset_probability(t, width, cfg.snr_linear)
-        if direct >= 1e-250:
-            assert abs(float(spline(t)) - math.log(direct)) <= log_tol
 
 
 def test_demod_tables_shared_across_block_lengths():
-    # the scan table and spline depend on (K, SNR, theta0), not on the
-    # L-dependent phase grid, so L = 8 reuses what L = 4 built
-    short, long = (SystemConfig(M=4, K=64, L=L, snr_db=10.0) for L in (4, 8))
+    # the scan grid and table depend on (K, SNR, theta0), not on M or the
+    # L-dependent phase grid, so L = 8 and M = 8 reuse what L = 4 built; the
+    # envelope depends on M, so the M = 8 kernel has its own
+    short = SystemConfig(M=4, K=64, L=4, snr_db=10.0)
+    long, octal = replace(short, L=8), replace(short, M=8)
     assert _grid_size(short) != _grid_size(long)
-    for cfg in (short, long):
+    for cfg in (short, long, octal):
         glrt_demodulate(np.zeros(cfg.L, dtype=np.int64), cfg)
-    assert kernel_for(long) is not kernel_for(short)
-    assert kernel_for(long).scan_log_table()[1] is kernel_for(short).scan_log_table()[1]
-    assert kernel_for(long).log_offset_interpolant() is kernel_for(short).log_offset_interpolant()
+    base = _scan_tables(kernel_for(short))
+    for cfg in (long, octal):
+        assert kernel_for(cfg) is not kernel_for(short)
+        phi_scan, table, _ = _scan_tables(kernel_for(cfg))
+        assert phi_scan is base[0] and table is base[1]
+    assert np.array_equal(_scan_tables(kernel_for(long))[2], base[2])
+    assert _scan_tables(kernel_for(octal))[2].shape != base[2].shape
 
 
 def test_kernel_bank_undithered_shares_kernel(qpsk8):
@@ -377,7 +373,7 @@ def _plain_grid_mean(tables, S):
     return np.prod([t[S[:, l]] for l, t in enumerate(tables)], axis=0).mean(axis=1)
 
 
-def test_log_grid_mean_linear_and_log_paths(rng):
+def test_log_grid_mean_linear_and_log_paths(rng, monkeypatch):
     normal = [rng.uniform(1e-3, 1.0, size=(4, 256)) for _ in range(20)]
     S = rng.integers(0, 4, size=(50, 20))
     assert np.exp(_log_grid_mean(normal, S)) == pytest.approx(
@@ -393,8 +389,9 @@ def test_log_grid_mean_linear_and_log_paths(rng):
     expected = 200 * math.log(1e-3) + np.log(_plain_grid_mean(u, S[::2]))
     assert out[::2] == pytest.approx(expected, rel=1e-12)
     assert np.exp(out[1::2]) == pytest.approx(_plain_grid_mean(tables, S[1::2]), rel=1e-12)
-    # chunks that split deep and normal rows change no row
-    assert np.array_equal(_log_grid_mean(tables, S, chunk=3), out)
+    # 3-row chunks, which split deep and normal rows, change no row
+    monkeypatch.setattr(transition, "_CHUNK_ELEMENTS", 3 * 256)
+    assert np.array_equal(_log_grid_mean(tables, S), out)
 
 
 def test_log_grid_mean_all_zero_row_is_minus_inf():
