@@ -17,6 +17,17 @@ from pathlib import Path
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
+# Elements per block of every large temporary: phase-grid products
+# (transition._log_grid_mean), demod scans and the channel sampler's
+# post-draw arithmetic. 65,536 float64 elements are 512 KB, so a block's
+# accumulator and the operand gathered into it fit a 2 MiB L2 cache together,
+# and blocks this small are served from the heap once glibc's dynamic mmap
+# threshold has risen past them; 4M-element (32 MB) blocks were mapped and
+# page-faulted in afresh every time. On a 2-vCPU host with 2 MiB of L2 per
+# core, 32k and 64k elements were equally fast and 16k and 128k slower.
+# Every blocked routine works row by row (candidate by candidate in demod),
+# so outputs do not depend on the block size.
+_CHUNK_ELEMENTS = 65_536
 
 
 def ramp_dither(block_len: int, sectors: int) -> tuple[float, ...]:
@@ -113,12 +124,18 @@ class SystemConfig:
 
     def symbol_phases(self, x) -> np.ndarray:
         """Transmitted phases theta0 + x*2*pi/M + dither, one per position."""
+        x = self._check_symbols(x)
+        return self.theta0 + x * (TWO_PI / self.M) + np.asarray(self.dither)
+
+    def _check_symbols(self, x) -> np.ndarray:
+        """x as an int64 array of inputs, ValueError unless its last axis
+        holds L symbols in 0..M-1."""
         x = np.asarray(x, dtype=np.int64)
         if x.shape[-1] != self.L:
             raise ValueError(f"input must have L={self.L} symbols")
         if np.any((x < 0) | (x >= self.M)):
             raise ValueError("symbols must lie in 0..M-1")
-        return self.theta0 + x * (TWO_PI / self.M) + np.asarray(self.dither)
+        return x
 
     @classmethod
     def from_file(cls, path) -> "SystemConfig":
@@ -195,7 +212,14 @@ def sector_index(angles: np.ndarray, K: int) -> np.ndarray:
     Sector z covers [z*2*pi/K, (z+1)*2*pi/K); boundaries belong to the upper
     sector.
     """
-    ang = np.mod(np.asarray(angles, dtype=float), TWO_PI)
+    ang = np.asarray(angles, dtype=float)
+    if ang.size and ang.min() >= -TWO_PI and ang.max() < TWO_PI:
+        # on [-2*pi, 2*pi) fmod returns the angle itself, so np.mod adds
+        # 2*pi to the negative ones and leaves the rest: the same floats,
+        # without the division
+        ang = np.where(ang < 0.0, ang + TWO_PI, ang)
+    else:
+        ang = np.mod(ang, TWO_PI)
     idx = np.floor(ang * K / TWO_PI).astype(np.int64)
     # ang can round to exactly 2*pi for angles just below zero; that is the
     # correct top sector, so clamp instead of wrapping to 0.
@@ -218,24 +242,41 @@ def sample_blocks(
     phi overrides the uniform block phase when given (test hook); the noise is
     always drawn from rng. Zero received samples (probability zero, no phase)
     trigger a redraw of the affected noise entries.
+
+    The draws are the block phases, then the real and the imaginary noise
+    parts of all n*L samples, then the redraws in np.nonzero order. The clean
+    samples come from an (M, L) table of exp(j*phase), and everything after
+    the draws runs in row blocks of about _CHUNK_ELEMENTS samples.
     """
-    X = np.asarray(X, dtype=np.int64)
-    n = X.shape[0]
-    clean = np.exp(1j * config.symbol_phases(X))
+    X = config._check_symbols(X)
+    n, L = X.shape
+    cols = np.arange(L)
+    # clean[m, l] = exp(j*phase of symbol m at position l)
+    symbols = np.repeat(np.arange(config.M)[:, None], L, axis=1)
+    clean = np.exp(1j * config.symbol_phases(symbols))
     if phi is None:
         phis = rng.uniform(0.0, TWO_PI, size=n)
     else:
         phis = np.full(n, float(phi))
     sigma = config.sigma
-    y = clean * np.exp(1j * phis)[:, None] + sigma * (
-        rng.standard_normal(X.shape) + 1j * rng.standard_normal(X.shape)
-    )
-    dead = y == 0
-    while np.any(dead):
-        idx = np.nonzero(dead)
-        y[idx] = clean[idx] * np.exp(1j * phis[idx[0]]) + sigma * (
-            rng.standard_normal(idx[0].shape) + 1j * rng.standard_normal(idx[0].shape)
+    re = rng.standard_normal(X.shape)
+    im = rng.standard_normal(X.shape)
+    Z = np.empty((n, L), dtype=np.int64)
+    dead = np.empty((n, L), dtype=bool)
+    step = max(1, _CHUNK_ELEMENTS // L)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        y = clean[X[lo:hi], cols] * np.exp(1j * phis[lo:hi])[:, None] + sigma * (
+            re[lo:hi] + 1j * im[lo:hi]
         )
-        dead = y == 0
-    Z = sector_index(np.angle(y), config.K)
+        Z[lo:hi] = sector_index(np.angle(y), config.K)
+        dead[lo:hi] = y == 0
+    r, c = np.nonzero(dead)
+    while r.size:
+        y = clean[X[r, c], c] * np.exp(1j * phis[r]) + sigma * (
+            rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
+        )
+        Z[r, c] = sector_index(np.angle(y), config.K)
+        still = y == 0
+        r, c = r[still], c[still]
     return phis, Z

@@ -44,9 +44,8 @@ from itertools import product
 import numpy as np
 from scipy.optimize import brentq
 
-from .core import TWO_PI, SystemConfig, _check_indices
+from .core import _CHUNK_ELEMENTS, TWO_PI, SystemConfig, _check_indices
 from .transition import (
-    _CHUNK_ELEMENTS,
     TransitionKernel,
     _arc_probabilities,
     _check_own_kernels,
@@ -247,11 +246,14 @@ def _evaluate_candidates(
 
     Scans every candidate over the full 2*pi: the oracle path behind
     glrt_metric and brute_force_glrt, independent of the envelope scan.
+    Blocks of rows and of candidates hold about _CHUNK_ELEMENTS scan values
+    each, so brute_force_glrt's hundreds of thousands of candidates never
+    share one accumulator; each candidate is reduced on its own, so the
+    output does not depend on the block size.
     """
     n, D, L = C.shape
     K = kernels[0].K
     a = kernels[0].a
-    S = (Z[:, None, :] - a * C) % K
 
     scans = [_scan_tables(k) for k in kernels]
     phi_scan = scans[0][0]
@@ -260,14 +262,18 @@ def _evaluate_candidates(
 
     grid_val = np.full((n, D), -np.inf)
     grid_arg = np.zeros((n, D), dtype=np.int64)
-    chunk = max(1, _CHUNK_ELEMENTS // (max(D, 1) * n_scan))
+    d_chunk = max(1, min(D, _CHUNK_ELEMENTS // n_scan))
+    chunk = max(1, _CHUNK_ELEMENTS // (d_chunk * n_scan))
     for lo_i in range(0, n, chunk):
         hi_i = min(lo_i + chunk, n)
-        acc = log_tables[0][S[lo_i:hi_i, :, 0], :].copy()
-        for l in range(1, L):
-            acc += log_tables[l][S[lo_i:hi_i, :, l], :]
-        grid_val[lo_i:hi_i] = acc.max(axis=2)
-        grid_arg[lo_i:hi_i] = acc.argmax(axis=2)
+        for lo_d in range(0, D, d_chunk):
+            hi_d = min(lo_d + d_chunk, D)
+            S = (Z[lo_i:hi_i, None, :] - a * C[lo_i:hi_i, lo_d:hi_d]) % K
+            acc = log_tables[0][S[:, :, 0], :]
+            for l in range(1, L):
+                acc += log_tables[l][S[:, :, l], :]
+            grid_val[lo_i:hi_i, lo_d:hi_d] = acc.max(axis=2)
+            grid_arg[lo_i:hi_i, lo_d:hi_d] = acc.argmax(axis=2)
     grid_val[~valid] = -np.inf
     return grid_val, phi_scan[grid_arg]
 
@@ -290,7 +296,8 @@ def _segment_maxima(
     last crossover to 2*pi/M, where the decision is candidate 0 less one
     constellation step: the same metric at phi - 2*pi/M. A candidate whose
     segment holds no grid point gets its own metric at the two grid points
-    bounding the segment. Entries past a row's candidates hold -inf.
+    bounding the segment. Entries past a row's candidates hold -inf. Rows
+    are scanned in blocks of _CHUNK_ELEMENTS // (P + 1), each on its own.
     """
     n, D, L = C.shape
     K, M, a = kernels[0].K, kernels[0].M, kernels[0].a

@@ -24,7 +24,11 @@ and log P(z) of channel-sampled blocks agree within 1e-13 from -10 to 40 dB
 and up to L = 200. One routine, _log_grid_mean, forms every such
 product: it multiplies linearly and falls back to log space for the blocks
 whose linear product underflows, so long blocks keep finite
-log-probabilities.
+log-probabilities. It works through its rows in blocks of about
+core._CHUNK_ELEMENTS grid values (512 KB), so that the accumulator and the
+table rows gathered into it stay in L2 cache and below the allocator's mmap
+threshold; each row's arithmetic is the same however rows are grouped, so
+the results do not depend on the block size.
 
 Only the x = 0 slice of the scalar transition law is ever tabulated: shifting
 the input by one constellation step shifts the output law by a = K/M sectors,
@@ -48,15 +52,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import quad
 from scipy.special import ndtr
 
-from .core import TWO_PI, SystemConfig, _check_indices
+from .core import _CHUNK_ELEMENTS, TWO_PI, SystemConfig, _check_indices
 
 DEFAULT_TOL = 1e-12
 # A kernel table is filled only up to this many phase grid points, i.e. up to
 # rho*L of about 1.9e9 (93 dB at L = 1, 84 dB at L = 8); beyond it a K = 64
 # table would pass half a gigabyte.
 _MAX_GRID = 2**20
-# Elements per chunk of the (rows, n_phi) product accumulator.
-_CHUNK_ELEMENTS = 4_000_000
 # A grid mean below this is near the float64 underflow limit (~2.2e-308), where
 # the linear product has lost precision or reached zero; such rows are redone
 # in log space.
@@ -280,12 +282,15 @@ def _log_grid_mean(tables, S: np.ndarray) -> np.ndarray:
     """log of the phase-grid mean of prod_l tables[l][S[:, l]], one per row.
 
     tables holds one (K, n_phi) table per block position and S is (n, L)
-    sector indices into them. Rows are multiplied linearly, as many at a time
-    as keep a chunk within _CHUNK_ELEMENTS; a row whose mean lands below
-    _UNDERFLOW_FLOOR is recomputed as a log-sum-exp, so long blocks keep a
-    finite log instead of log(0) = -inf. A row whose bound
-    sum_l log max_i tables[l][S[:, l], i] is already below the floor (by a
-    margin of 1 for rounding) skips the linear pass.
+    sector indices into them. Rows are multiplied linearly in blocks of
+    _CHUNK_ELEMENTS // n_phi rows (at least one), so that the (rows, n_phi)
+    accumulator and the table rows gathered into it stay in L2 cache; a row
+    whose mean lands below _UNDERFLOW_FLOOR is recomputed as a log-sum-exp
+    in blocks of the same size, so long blocks keep a finite log instead of
+    log(0) = -inf. A row whose bound sum_l log max_i tables[l][S[:, l], i]
+    is already below the floor (by a margin of 1 for rounding) skips the
+    linear pass. Every row is reduced on its own, so the output is bitwise
+    the same for any block size.
     """
     S = np.asarray(S, dtype=np.int64)
     n, L = S.shape

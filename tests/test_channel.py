@@ -19,6 +19,7 @@ from phaseq import (
     sample_blocks,
     sector_index,
 )
+from phaseq import core
 
 TWO_PI = 2.0 * math.pi
 
@@ -201,6 +202,104 @@ class TestSampling:
         rng = np.random.default_rng(11)
         _, Z = sample_blocks(np.zeros((20, 6), dtype=int), cfg, rng)
         assert np.all(Z == Z[:, :1])
+
+
+def _pinned_sample_blocks(X, config, rng, phi=None):
+    """The sampler's defining formula: one complex exp per sample, the whole
+    batch at once, then np.mod quantization."""
+    X = np.asarray(X, dtype=np.int64)
+    n = X.shape[0]
+    clean = np.exp(1j * config.symbol_phases(X))
+    phis = rng.uniform(0.0, TWO_PI, size=n) if phi is None else np.full(n, float(phi))
+    sigma = config.sigma
+    y = clean * np.exp(1j * phis)[:, None] + sigma * (
+        rng.standard_normal(X.shape) + 1j * rng.standard_normal(X.shape)
+    )
+    dead = y == 0
+    while np.any(dead):
+        idx = np.nonzero(dead)
+        y[idx] = clean[idx] * np.exp(1j * phis[idx[0]]) + sigma * (
+            rng.standard_normal(idx[0].shape) + 1j * rng.standard_normal(idx[0].shape)
+        )
+        dead = y == 0
+    ang = np.mod(np.angle(y), TWO_PI)
+    Z = np.minimum(np.floor(ang * config.K / TWO_PI).astype(np.int64), config.K - 1)
+    return phis, Z
+
+
+class TestSamplerPin:
+    """sample_blocks is bitwise the pinned formula, and draws the same stream."""
+
+    @pytest.mark.parametrize(
+        "cfg, phi",
+        [
+            (SystemConfig(M=4, K=12, L=8, snr_db=6.0), None),
+            (SystemConfig(M=4, K=8, L=8, snr_db=14.0, theta0=0.3, dither="ramp"), None),
+            (SystemConfig(M=8, K=16, L=4, snr_db=20.0, dither=(0.0, 0.05, 0.11, 0.3)), None),
+            (SystemConfig(M=2, K=6, L=7, snr_db=-3.0), 2.5),
+        ],
+        ids=["undithered", "ramp", "tuple", "phi"],
+    )
+    def test_matches_pinned_formula(self, cfg, phi):
+        # 20,000 blocks span several row blocks of the sampler
+        X = np.random.default_rng(30).integers(0, cfg.M, size=(20_000, cfg.L))
+        rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
+        phis, Z = sample_blocks(X, cfg, rng_a, phi=phi)
+        want_phis, want_Z = _pinned_sample_blocks(X, cfg, rng_b, phi=phi)
+        assert phis.tobytes() == want_phis.tobytes()
+        assert Z.dtype == want_Z.dtype and np.array_equal(Z, want_Z)
+        assert rng_a.standard_normal() == rng_b.standard_normal()
+
+    def test_redraws_across_row_blocks(self, monkeypatch):
+        # zero samples in three row blocks, one of them zero again on its
+        # first redraw: the redraws run in np.nonzero order over the batch
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=0.0)
+        cancel = -1.0 / cfg.sigma
+        re = np.full((5, 2), 0.3)
+        re[0, 1] = re[3, 0] = re[4, 1] = cancel
+        im = np.zeros((5, 2))
+        im[~(re == cancel)] = 0.2
+
+        class ScriptedNormals:
+            def __init__(self):
+                redraws = [np.array([cancel, 1.0, 0.5]), np.zeros(3), np.array([2.0]), np.zeros(1)]
+                self.draws = [re, im, *redraws]
+
+            def standard_normal(self, shape):
+                return self.draws.pop(0).reshape(shape)
+
+        monkeypatch.setattr(core, "_CHUNK_ELEMENTS", 2 * cfg.L)
+        a, b = ScriptedNormals(), ScriptedNormals()
+        _, Z = sample_blocks(np.zeros((5, 2), dtype=int), cfg, a, phi=0.0)
+        _, want = _pinned_sample_blocks(np.zeros((5, 2), dtype=int), cfg, b, phi=0.0)
+        assert a.draws == [] and b.draws == []
+        assert np.array_equal(Z, want)
+
+    @pytest.mark.parametrize("K", [8, 12])
+    def test_sector_index_edges(self, K):
+        edges = np.array([
+            0.0, -0.0, math.pi, -math.pi, TWO_PI, -TWO_PI,
+            np.nextafter(TWO_PI, 0.0), np.nextafter(-TWO_PI, 0.0), -1e-18, 1e3, -1e6,
+        ])
+        want = np.minimum(np.floor(np.mod(edges, TWO_PI) * K / TWO_PI), K - 1).astype(np.int64)
+        # all at once (some out of [-2*pi, 2*pi)), the in-range ones alone,
+        # and one at a time
+        assert np.array_equal(sector_index(edges, K), want)
+        inside = (edges >= -TWO_PI) & (edges < TWO_PI)
+        assert np.array_equal(sector_index(edges[inside], K), want[inside])
+        assert [int(sector_index(v, K)) for v in edges] == want.tolist()
+
+    def test_invalid_inputs_raise_before_drawing(self):
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=0.0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="symbols must lie in 0..M-1"):
+            sample_blocks([[0, 4]], cfg, rng)
+        with pytest.raises(ValueError, match="symbols must lie in 0..M-1"):
+            sample_blocks([[-1, 0]], cfg, rng)
+        with pytest.raises(ValueError, match="input must have L=2 symbols"):
+            sample_blocks([[0, 1, 2]], cfg, rng)
+        assert rng.bit_generator.state == state
 
 
 def test_parse_config_text_roundtrip(tmp_path):
