@@ -18,15 +18,14 @@ import numpy as np
 
 TWO_PI = 2.0 * math.pi
 # Elements per block of every large temporary: phase-grid products
-# (transition._log_grid_mean), demod scans and the channel sampler's
-# post-draw arithmetic. 65,536 float64 elements are 512 KB, so a block's
-# accumulator and the operand gathered into it fit a 2 MiB L2 cache together,
-# and blocks this small are served from the heap once glibc's dynamic mmap
-# threshold has risen past them; 4M-element (32 MB) blocks were mapped and
-# page-faulted in afresh every time. On a 2-vCPU host with 2 MiB of L2 per
-# core, 32k and 64k elements were equally fast and 16k and 128k slower.
-# Every blocked routine works row by row (candidate by candidate in demod),
-# so outputs do not depend on the block size.
+# (transition._log_grid_mean) and demod scans. 65,536 float64 elements are
+# 512 KB, so a block's accumulator and the operand gathered into it fit a
+# 2 MiB L2 cache together, and blocks this small are served from the heap
+# once glibc's dynamic mmap threshold has risen past them; 4M-element (32 MB)
+# blocks were mapped and page-faulted in afresh every time. On a 2-vCPU host
+# with 2 MiB of L2 per core, 32k and 64k elements were equally fast and 16k
+# and 128k slower. Every blocked routine works row by row (candidate by
+# candidate in demod), so outputs do not depend on the block size.
 _CHUNK_ELEMENTS = 65_536
 
 
@@ -244,39 +243,28 @@ def sample_blocks(
     trigger a redraw of the affected noise entries.
 
     The draws are the block phases, then the real and the imaginary noise
-    parts of all n*L samples, then the redraws in np.nonzero order. The clean
-    samples come from an (M, L) table of exp(j*phase), and everything after
-    the draws runs in row blocks of about _CHUNK_ELEMENTS samples.
+    parts of all n*L samples, then the redraws in np.nonzero order.
     """
     X = config._check_symbols(X)
-    n, L = X.shape
-    cols = np.arange(L)
-    # clean[m, l] = exp(j*phase of symbol m at position l)
-    symbols = np.repeat(np.arange(config.M)[:, None], L, axis=1)
-    clean = np.exp(1j * config.symbol_phases(symbols))
+    n = X.shape[0]
+    # exp(j*phase) of each (symbol, position) pair, gathered by X: the same
+    # floats as one complex exp per sample
+    symbols = np.repeat(np.arange(config.M)[:, None], config.L, axis=1)
+    clean = modulate(symbols, config)[X, np.arange(config.L)]
     if phi is None:
         phis = rng.uniform(0.0, TWO_PI, size=n)
     else:
         phis = np.full(n, float(phi))
     sigma = config.sigma
-    re = rng.standard_normal(X.shape)
-    im = rng.standard_normal(X.shape)
-    Z = np.empty((n, L), dtype=np.int64)
-    dead = np.empty((n, L), dtype=bool)
-    step = max(1, _CHUNK_ELEMENTS // L)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        y = clean[X[lo:hi], cols] * np.exp(1j * phis[lo:hi])[:, None] + sigma * (
-            re[lo:hi] + 1j * im[lo:hi]
+    y = clean * np.exp(1j * phis)[:, None] + sigma * (
+        rng.standard_normal(X.shape) + 1j * rng.standard_normal(X.shape)
+    )
+    dead = y == 0
+    while np.any(dead):
+        idx = np.nonzero(dead)
+        y[idx] = clean[idx] * np.exp(1j * phis[idx[0]]) + sigma * (
+            rng.standard_normal(idx[0].shape) + 1j * rng.standard_normal(idx[0].shape)
         )
-        Z[lo:hi] = sector_index(np.angle(y), config.K)
-        dead[lo:hi] = y == 0
-    r, c = np.nonzero(dead)
-    while r.size:
-        y = clean[X[r, c], c] * np.exp(1j * phis[r]) + sigma * (
-            rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)
-        )
-        Z[r, c] = sector_index(np.angle(y), config.K)
-        still = y == 0
-        r, c = r[still], c[still]
+        dead = y == 0
+    Z = sector_index(np.angle(y), config.K)
     return phis, Z

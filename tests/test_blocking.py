@@ -1,10 +1,9 @@
 """Cache-sized blocks: outputs do not depend on the block size.
 
-Every large temporary (phase-grid products, demod scans, the channel
-sampler's post-draw arithmetic) is processed in blocks of about
-core._CHUNK_ELEMENTS elements. Each row (each candidate in the oracle scan)
-is reduced on its own, so a one-row block, a three-row block and one block
-for everything must give bitwise the same outputs. The oracle's memory is
+Every large temporary (phase-grid products, demod scans) is processed in
+blocks of about core._CHUNK_ELEMENTS elements. Each row (each candidate in
+the oracle scan) is reduced on its own, so a one-row block, a three-row block
+and one block for everything must give bitwise the same outputs. The oracle's memory is
 bounded by the same blocks.
 """
 
@@ -17,7 +16,7 @@ import numpy as np
 import pytest
 
 from phaseq import SystemConfig, brute_force_glrt, kernel_bank_for, sample_blocks
-from phaseq import core, demod, transition
+from phaseq import demod, transition
 from phaseq.demod import _scan_tables, demodulate_rows
 from phaseq.transition import _UNDERFLOW_FLOOR, _log_grid_mean
 
@@ -28,7 +27,7 @@ _BLOCK_ROWS = [1, 3, None]
 def _set_block(monkeypatch, rows: int | None, row_elements: int) -> None:
     """Point every module that reads the block constant at `rows` rows."""
     value = 4_000_000 if rows is None else rows * row_elements
-    for module in (core, transition, demod):
+    for module in (transition, demod):
         monkeypatch.setattr(module, "_CHUNK_ELEMENTS", value)
 
 
@@ -110,21 +109,6 @@ def test_brute_force_glrt(rows, monkeypatch):
     # rows counts scan rows of one candidate here: one candidate per block
     _set_block(monkeypatch, rows, _scan_tables(kernel_bank_for(cfg)[0])[0].size)
     assert repr(brute_force_glrt(z, cfg)) == repr(want)
-
-
-@pytest.mark.parametrize("rows", _BLOCK_ROWS)
-@pytest.mark.parametrize("n", [1, 3, 10, 301])
-def test_sample_blocks(n, rows, monkeypatch):
-    cfg = SystemConfig(M=4, K=12, L=5, snr_db=4.0, dither="ramp")
-    X = np.random.default_rng(24).integers(0, cfg.M, size=(n, cfg.L))
-    rng = np.random.default_rng(25)
-    phis, Z = sample_blocks(X, cfg, rng)
-    after = rng.standard_normal()
-    _set_block(monkeypatch, rows, cfg.L)
-    rng = np.random.default_rng(25)
-    got_phis, got_Z = sample_blocks(X, cfg, rng)
-    assert _same(got_phis, phis) and _same(got_Z, Z)
-    assert rng.standard_normal() == after
 
 
 def test_brute_force_glrt_memory_is_bounded(monkeypatch):

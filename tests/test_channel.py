@@ -19,7 +19,6 @@ from phaseq import (
     sample_blocks,
     sector_index,
 )
-from phaseq import core
 
 TWO_PI = 2.0 * math.pi
 
@@ -230,6 +229,7 @@ def _pinned_sample_blocks(X, config, rng, phi=None):
 class TestSamplerPin:
     """sample_blocks is bitwise the pinned formula, and draws the same stream."""
 
+    @pytest.mark.parametrize("n", [1, 20_000])
     @pytest.mark.parametrize(
         "cfg, phi",
         [
@@ -240,9 +240,8 @@ class TestSamplerPin:
         ],
         ids=["undithered", "ramp", "tuple", "phi"],
     )
-    def test_matches_pinned_formula(self, cfg, phi):
-        # 20,000 blocks span several row blocks of the sampler
-        X = np.random.default_rng(30).integers(0, cfg.M, size=(20_000, cfg.L))
+    def test_matches_pinned_formula(self, cfg, phi, n):
+        X = np.random.default_rng(30).integers(0, cfg.M, size=(n, cfg.L))
         rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
         phis, Z = sample_blocks(X, cfg, rng_a, phi=phi)
         want_phis, want_Z = _pinned_sample_blocks(X, cfg, rng_b, phi=phi)
@@ -250,9 +249,9 @@ class TestSamplerPin:
         assert Z.dtype == want_Z.dtype and np.array_equal(Z, want_Z)
         assert rng_a.standard_normal() == rng_b.standard_normal()
 
-    def test_redraws_across_row_blocks(self, monkeypatch):
-        # zero samples in three row blocks, one of them zero again on its
-        # first redraw: the redraws run in np.nonzero order over the batch
+    def test_redraws_in_nonzero_order(self):
+        # zero samples in three rows, one of them zero again on its first
+        # redraw: the redraws run in np.nonzero order over the batch
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=0.0)
         cancel = -1.0 / cfg.sigma
         re = np.full((5, 2), 0.3)
@@ -268,7 +267,6 @@ class TestSamplerPin:
             def standard_normal(self, shape):
                 return self.draws.pop(0).reshape(shape)
 
-        monkeypatch.setattr(core, "_CHUNK_ELEMENTS", 2 * cfg.L)
         a, b = ScriptedNormals(), ScriptedNormals()
         _, Z = sample_blocks(np.zeros((5, 2), dtype=int), cfg, a, phi=0.0)
         _, want = _pinned_sample_blocks(np.zeros((5, 2), dtype=int), cfg, b, phi=0.0)
