@@ -29,9 +29,12 @@ sweep and the brute-force oracle, picks the winner and flags exactly tied
 candidates (the signature failure of K = 2M without dither): those whose
 relative metric gap to the winner is at most DEFAULT_TIE_TOL.
 
-The entry points take the config and look its kernel bank up themselves
-(kernel_bank_for); demodulate_rows, which takes the bank, rejects one that is
-not the config's own.
+The sweep runs on arrays of rows (_sweep_rows: candidates, metrics, winner,
+tie mask, tie gap), which the SER simulator scores directly. demodulate_rows
+and the single-block entry points cut one DemodRecord per row from those
+arrays. The entry points take the config and look its kernel bank up
+themselves (kernel_bank_for); demodulate_rows, which takes the bank, rejects
+one that is not the config's own.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -91,7 +95,7 @@ class GlrtResult:
 
 @dataclass
 class DemodRecord:
-    """Deterministic per-observation demod work, reusable across blocks."""
+    """One row of the candidate sweep, cut from its arrays (_records)."""
 
     candidates: np.ndarray  # (n_cand, L)
     log_metrics: np.ndarray  # (n_cand,)
@@ -356,13 +360,13 @@ def _segment_maxima(
 
 def _decide(
     log_metric: np.ndarray, valid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[float | None]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The GLRT decision on each row of log_metric (n, D).
 
     Returns the winner, the tie mask (valid candidates whose relative metric
-    gap to the top metric is at most DEFAULT_TIE_TOL) and the tie gap (least
-    gap of the other valid candidates to the top; None when only one is
-    valid). The winner is the lowest-index candidate of the tie mask, which
+    gap to the top metric is at most DEFAULT_TIE_TOL) and the tie gap array
+    (least gap of the other valid candidates to the top; NaN where only one
+    is valid). The winner is the lowest-index candidate of the tie mask, which
     holds the argmax: exactly tied metrics can differ in their last bits
     with the order of the positions, and the winner must not. A row whose
     metrics are all -inf (every hypothesis underflowed on the grid) ties all
@@ -380,22 +384,34 @@ def _decide(
     others = np.where(valid, gaps, np.inf)
     others[np.arange(n), top_idx] = np.inf
     least = others.min(axis=1)
-    n_valid = valid.sum(axis=1)
-    return winner, ties, [float(g) if k > 1 else None for g, k in zip(least, n_valid)]
+    return winner, ties, np.where(valid.sum(axis=1) > 1, least, np.nan)
 
 
-def demodulate_rows(
-    Z: np.ndarray,
-    config: SystemConfig,
-    kernels: tuple[TransitionKernel, ...],
-) -> list[DemodRecord]:
-    """Run the candidate sweep on each row of Z (n, L).
+class _Sweep(NamedTuple):
+    """Array results of the candidate sweep on n rows, D = max n_distinct.
 
-    Z rows are taken as-is: residues of an undithered config (the caller
-    re-adds q) or full observations of a dithered one. kernels must be
-    kernel_bank_for(config) in value, else ValueError.
+    Row i's candidates are candidates[i, :n_distinct[i]]; entries past them
+    hold -inf metrics and are never winners or tied. tie_gap is NaN where a
+    row has one valid candidate.
     """
-    _check_own_kernels(config, kernels)
+
+    candidates: np.ndarray  # (n, D, L)
+    n_distinct: np.ndarray  # (n,)
+    log_metrics: np.ndarray  # (n, D)
+    phi_stars: np.ndarray  # (n, D)
+    edges: np.ndarray  # (n, D) crossovers
+    winner: np.ndarray  # (n,)
+    ties: np.ndarray  # (n, D) bool
+    tie_gap: np.ndarray  # (n,)
+
+
+def _sweep_rows(
+    Z: np.ndarray, config: SystemConfig, kernels: tuple[TransitionKernel, ...]
+) -> _Sweep:
+    """The candidate sweep on each row of Z (n, L), as arrays.
+
+    The body of demodulate_rows, without its kernel check or its records.
+    """
     Z = np.asarray(Z, dtype=np.int64)
     n, L = Z.shape
     M, K = config.M, config.K
@@ -415,25 +431,51 @@ def demodulate_rows(
 
     log_metric, phi_star = _segment_maxima(Z, C, edges, n_distinct, kernels)
     winner, ties, tie_gap = _decide(log_metric, valid)
+    return _Sweep(C, n_distinct, log_metric, phi_star, edges, winner, ties, tie_gap)
+
+
+def _records(s: _Sweep) -> list[DemodRecord]:
+    """One DemodRecord per row of a sweep; views into its arrays."""
     # row i's tie set is tie_cols[end - k:end], k = n_tied[i], end = ends[i]
-    n_tied = np.count_nonzero(ties, axis=1)
-    tie_cols = np.nonzero(ties)[1]
+    n_tied = np.count_nonzero(s.ties, axis=1)
+    tie_cols = np.nonzero(s.ties)[1]
     ends = np.cumsum(n_tied)
     return [
         DemodRecord(
-            candidates=C[i, :d],
-            log_metrics=log_metric[i, :d],
-            phi_stars=phi_star[i, :d],
+            candidates=s.candidates[i, :d],
+            log_metrics=s.log_metrics[i, :d],
+            phi_stars=s.phi_stars[i, :d],
             winner_index=w,
             tie_indices=tie_cols[end - k : end],
             tie=k > 1,
-            tie_gap=gap,
-            crossovers=edges[i, :d].copy(),
+            tie_gap=None if math.isnan(gap) else gap,
+            crossovers=s.edges[i, :d].copy(),
         )
         for i, (d, w, k, end, gap) in enumerate(
-            zip(n_distinct.tolist(), winner.tolist(), n_tied.tolist(), ends.tolist(), tie_gap)
+            zip(
+                s.n_distinct.tolist(),
+                s.winner.tolist(),
+                n_tied.tolist(),
+                ends.tolist(),
+                s.tie_gap.tolist(),
+            )
         )
     ]
+
+
+def demodulate_rows(
+    Z: np.ndarray,
+    config: SystemConfig,
+    kernels: tuple[TransitionKernel, ...],
+) -> list[DemodRecord]:
+    """Run the candidate sweep on each row of Z (n, L).
+
+    Z rows are taken as-is: residues of an undithered config (the caller
+    re-adds q) or full observations of a dithered one. kernels must be
+    kernel_bank_for(config) in value, else ValueError.
+    """
+    _check_own_kernels(config, kernels)
+    return _records(_sweep_rows(Z, config, kernels))
 
 
 def _result_from_record(
@@ -526,15 +568,7 @@ def brute_force_glrt(z, config: SystemConfig) -> GlrtResult:
     valid = np.ones((1, C.shape[0]), dtype=bool)
     lm, ph = _evaluate_candidates(z[None, :], C[None, :, :], valid, kernel_bank_for(config))
     winner, ties, tie_gap = _decide(lm, valid)
-    tie_idx = np.flatnonzero(ties[0])
-    rec = DemodRecord(
-        candidates=C,
-        log_metrics=lm[0],
-        phi_stars=ph[0],
-        winner_index=int(winner[0]),
-        tie_indices=tie_idx,
-        tie=tie_idx.size > 1,
-        tie_gap=tie_gap[0],
-        crossovers=np.empty(0),
-    )
+    # every orbit is a candidate; the oracle splits the period at no crossover
+    n_cand = np.array([C.shape[0]])
+    rec = _records(_Sweep(C[None], n_cand, lm, ph, np.empty((1, 0)), winner, ties, tie_gap))[0]
     return _result_from_record(rec, np.zeros(config.L, dtype=np.int64), config.M, None)

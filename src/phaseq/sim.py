@@ -3,11 +3,13 @@
 Blocks are simulated in fixed-size chunks, each driven by its own child of a
 single SeedSequence, so results are bit-identical for any worker count: the
 chunk layout depends only on trials (chunks of DEFAULT_CHUNK blocks) and
-every random draw happens inside its chunk's stream. Each chunk demodulates
-only its distinct observation rows that the run's memo has not seen, and
-scores every block with array operations. Tied blocks re-draw their winner
-from the chunk stream, in block order, so memoization never correlates tie
-outcomes across blocks.
+every random draw happens inside its chunk's stream. Each chunk sends only
+its distinct observation rows that the run's memo has not seen through the
+array sweep of demod. The memo maps each row to an id into run-level arrays
+(winner vector, tie flag, candidate count; tie sets for tied rows only), so
+every block takes its decision by one gather through the ids, with no
+per-row record. Tied blocks re-draw their winner from the chunk stream, in
+block order, so memoization never correlates tie outcomes across blocks.
 
 Without dither every position shares one kernel, so P(z | x, phi) is
 unchanged when z and x are permuted together: the row demodulated for a block
@@ -35,6 +37,7 @@ only defined up to a common constellation shift. Two scoring conventions:
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -42,7 +45,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .core import SystemConfig, sample_blocks
-from .demod import DemodRecord, demodulate_rows
+from .demod import _sweep_rows
 from .transition import kernel_bank_for
 
 DEFAULT_CHUNK = 4096
@@ -137,19 +140,72 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ranked[first], inverse
 
 
+class _RowMemo:
+    """Decisions of the distinct rows a run has demodulated, as arrays.
+
+    A row key (the row's bytes) maps to an id into run-level arrays: the
+    winner candidate vector ((m, L) for m stored rows), the tie flag and the
+    candidate count. Tied rows also keep their tie set, the candidate
+    vectors a tied block re-draws from. Chunk threads share one memo: the
+    key lookup and the merge of a chunk's new rows each run under the lock,
+    and the sweep between them does not, so a row two threads both miss is
+    swept twice and stored once.
+    """
+
+    def __init__(self, L: int):
+        self._lock = threading.Lock()
+        self._ids: dict[bytes, int] = {}
+        self._winners = np.empty((0, L), dtype=np.int64)
+        self._tied = np.empty(0, dtype=bool)
+        self._n_cand = np.empty(0, dtype=np.int64)
+        self.tie_sets: dict[int, np.ndarray] = {}
+
+    def decide(
+        self, distinct: np.ndarray, config: SystemConfig, kernels
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, winner vectors, tie flags, candidate counts) of the rows."""
+        # each row's bytes, as row.tobytes() gives them
+        rows = np.ascontiguousarray(distinct)
+        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+        with self._lock:
+            missing = [i for i, key in enumerate(keys) if key not in self._ids]
+        if missing:
+            sweep = _sweep_rows(distinct[missing], config, kernels)
+            winners = sweep.candidates[np.arange(len(missing)), sweep.winner]
+            tied = np.count_nonzero(sweep.ties, axis=1) > 1
+            with self._lock:
+                # another chunk may have stored some of these rows meanwhile
+                fresh = np.array(
+                    [j for j, i in enumerate(missing) if keys[i] not in self._ids],
+                    dtype=np.intp,
+                )
+                base = len(self._ids)
+                new_keys = [keys[missing[j]] for j in fresh]
+                self._ids.update(zip(new_keys, range(base, base + fresh.size)))
+                for k in np.flatnonzero(tied[fresh]):
+                    j = fresh[k]
+                    self.tie_sets[base + int(k)] = sweep.candidates[j, sweep.ties[j]]
+                self._winners = np.concatenate([self._winners, winners[fresh]])
+                self._tied = np.concatenate([self._tied, tied[fresh]])
+                self._n_cand = np.concatenate([self._n_cand, sweep.n_distinct[fresh]])
+        with self._lock:
+            ids = np.fromiter(map(self._ids.__getitem__, keys), np.intp, len(keys))
+            return ids, self._winners[ids], self._tied[ids], self._n_cand[ids]
+
+
 def _run_chunk(
     config: SystemConfig,
     kernels,
     n_blocks: int,
     seed_seq: np.random.SeedSequence,
     convention: str,
-    cache: dict[bytes, DemodRecord],
+    memo: _RowMemo,
 ) -> tuple[int, int, int, int]:
     """Simulate one chunk; returns (errors, tie blocks, candidate sum, candidate max).
 
     A block's row is its sorted residue vector when undithered (see the
     module docstring) and its sector vector under dither. Only distinct rows
-    the cache has not seen are demodulated; each block then takes its row's
+    the memo has not seen are demodulated; each block then takes its row's
     winner, tied blocks re-draw theirs from the chunk stream in block order,
     and the decision is scattered back to the block's positions.
     """
@@ -168,19 +224,12 @@ def _run_chunk(
         order = np.argsort(residues, axis=1, kind="stable")
         rows = np.take_along_axis(residues, order, axis=1)
     distinct, inverse = _distinct_rows(rows)
-    keys = [row.tobytes() for row in distinct]
-    missing = [i for i, key in enumerate(keys) if key not in cache]
-    if missing:
-        recs = demodulate_rows(distinct[missing], config, kernels)
-        for i, rec in zip(missing, recs):
-            cache[keys[i]] = rec
-    records = [cache[key] for key in keys]
+    ids, winners, row_tied, n_cand = memo.decide(distinct, config, kernels)
 
-    decided = np.stack([rec.candidates[rec.winner_index] for rec in records])[inverse]
-    tied = np.array([rec.tie for rec in records])[inverse]
+    decided = winners[inverse]
+    tied = row_tied[inverse]
     for b in np.flatnonzero(tied):
-        rec = records[inverse[b]]
-        decided[b] = rec.candidates[int(rng.choice(rec.tie_indices))]
+        decided[b] = rng.choice(memo.tie_sets[ids[inverse[b]]])
     xhat = np.empty_like(decided)
     np.put_along_axis(xhat, order, decided, axis=1)
     xhat = (xhat + shifts) % M
@@ -190,8 +239,7 @@ def _run_chunk(
     else:
         shifted = (xhat[:, None, :] + np.arange(M)[:, None]) % M
         errors = (shifted != X[:, None, :]).sum(axis=2).min(axis=1).sum()
-    n_cand = np.array([rec.candidates.shape[0] for rec in records])
-    cand_total = n_cand @ np.bincount(inverse, minlength=len(records))
+    cand_total = n_cand @ np.bincount(inverse, minlength=len(distinct))
     return int(errors), int(tied.sum()), int(cand_total), int(n_cand.max())
 
 
@@ -212,11 +260,11 @@ def _simulate(
     sizes = _chunk_sizes(trials, DEFAULT_CHUNK)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(len(sizes))
-    cache: dict[bytes, DemodRecord] = {}
+    memo = _RowMemo(config.L)
 
     def job(args):
         size, child = args
-        return _run_chunk(config, kernels, size, child, convention, cache)
+        return _run_chunk(config, kernels, size, child, convention, memo)
 
     n_workers = max(1, workers)
     if n_workers > 1 and len(sizes) > 1:

@@ -22,7 +22,13 @@ from phaseq import (
     kernel_for,
     sample_blocks,
 )
-from phaseq.demod import _decide, _evaluate_candidates, _scan_tables, demodulate_rows
+from phaseq.demod import (
+    _decide,
+    _evaluate_candidates,
+    _scan_tables,
+    _sweep_rows,
+    demodulate_rows,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -350,6 +356,52 @@ class TestSweepStructure:
             assert top_p == pytest.approx(top, rel=1e-9)
             carried = glrt_metric(z[perm], np.asarray(res.winner)[perm], cfg)
             assert carried.metric == pytest.approx(top_p, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SystemConfig(M=4, K=8, L=8, snr_db=12.0),
+            SystemConfig(M=4, K=8, L=8, snr_db=14.0, dither="ramp"),
+            SystemConfig(M=4, K=8, L=4, snr_db=14.0, dither=(0.0, 0.0, 0.3, 0.3)),
+            SystemConfig(M=2, K=4, L=6, snr_db=8.0),
+            SystemConfig(M=8, K=16, L=5, snr_db=18.0, dither="ramp"),
+        ],
+        ids=["undithered", "ramp", "tuple", "m2", "m8-ramp"],
+    )
+    def test_records_match_sweep_arrays(self, cfg):
+        # demodulate_rows cuts its records from the array sweep that sim
+        # scores with: row by row they hold the same bits, and a tie gap is
+        # None exactly where the sweep holds NaN
+        kernels = kernel_bank_for(cfg)
+        rng = np.random.default_rng(cfg.K + cfg.L)
+        _, Z = sample_blocks(rng.integers(0, cfg.M, size=(300, cfg.L)), cfg, rng)
+        rows = Z if cfg.is_dithered else Z % cfg.a
+        # a constant undithered row has one crossover, hence one candidate
+        rows = np.concatenate([rows, np.zeros((1, cfg.L), dtype=rows.dtype)])
+        sweep = _sweep_rows(rows, cfg, kernels)
+        records = demodulate_rows(rows, cfg, kernels)
+        assert len(records) == rows.shape[0]
+        for i, rec in enumerate(records):
+            d = sweep.n_distinct[i]
+            assert rec.candidates.tobytes() == sweep.candidates[i, :d].tobytes()
+            assert rec.log_metrics.tobytes() == sweep.log_metrics[i, :d].tobytes()
+            assert rec.phi_stars.tobytes() == sweep.phi_stars[i, :d].tobytes()
+            assert rec.crossovers.tobytes() == sweep.edges[i, :d].tobytes()
+            assert rec.winner_index == sweep.winner[i]
+            np.testing.assert_array_equal(rec.tie_indices, np.flatnonzero(sweep.ties[i]))
+            assert rec.tie == (sweep.ties[i].sum() > 1)
+            if math.isnan(sweep.tie_gap[i]):
+                assert rec.tie_gap is None
+            else:
+                assert rec.tie_gap == sweep.tie_gap[i]
+            assert np.all(sweep.log_metrics[i, d:] == -np.inf)
+            assert not sweep.ties[i, d:].any()
+        one = sweep.n_distinct == 1
+        assert np.array_equal(np.isnan(sweep.tie_gap), one)
+        if not cfg.is_dithered:
+            assert one.any()
+        if cfg.K == 2 * cfg.M and not cfg.is_dithered:
+            assert any(rec.tie for rec in records)
 
 
 class TestPermutationSymmetry:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,24 @@ class TestRunSer:
             assert a.tie_rate == b.tie_rate
             c = run_ser(cfg, trials=6_000, seed=8, convention=convention, workers=1)
             assert c.errors != a.errors
+        # ramp K=8 L=8: nearly every row of the 4 chunks is new, so chunk
+        # threads merge new rows into the shared memo at the same time; a
+        # short switch interval makes them interleave often
+        cfg = SystemConfig(M=4, K=8, L=8, snr_db=14.0, dither="ramp")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = {
+                w: (run_ser(cfg, trials=13_000, seed=7, workers=w),
+                    run_tie_census(cfg, trials=13_000, seed=7, workers=w))
+                for w in (1, 2, 4)
+            }
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1][0].errors == 344
+        assert (runs[1][1].mean_candidates, runs[1][1].max_candidates) == (8.0, 8)
+        assert runs[2] == runs[1]
+        assert runs[4] == runs[1]
 
     # Exact counts of seeded runs (5000 blocks are two chunks, so the row memo
     # carries across chunks); any change to the RNG stream, the tie re-draw,
@@ -197,6 +217,24 @@ class TestTieCensus:
         assert census.tie_rate == 0.181
         assert census.mean_candidates == 1.181
         assert census.max_candidates == 2
+
+    # Candidate counts come from the run memo's per-row count array. Ramp
+    # rows always have L candidates; the tuple repeats rotations, so its rows
+    # have up to 4 (2.4 on average) and some tie.
+    @pytest.mark.parametrize(
+        "cfg, tie_blocks, mean_candidates, max_candidates",
+        [
+            (SystemConfig(M=4, K=8, L=8, snr_db=12.0), 3239, 1.6478, 2),
+            (SystemConfig(M=4, K=8, L=8, snr_db=14.0, dither="ramp"), 0, 8.0, 8),
+            (SystemConfig(M=4, K=8, L=4, snr_db=14.0, dither=(0.0, 0.0, 0.3, 0.3)), 89, 2.4054, 4),
+        ],
+        ids=["undithered", "ramp", "tuple"],
+    )
+    def test_pinned_candidate_counts(self, cfg, tie_blocks, mean_candidates, max_candidates):
+        census = run_tie_census(cfg, trials=5_000, seed=24)
+        assert census.tie_blocks == tie_blocks
+        assert census.mean_candidates == mean_candidates
+        assert census.max_candidates == max_candidates
 
     def test_census_ci_brackets_rate(self):
         cfg = SystemConfig(M=4, K=8, L=3, snr_db=15.0)
