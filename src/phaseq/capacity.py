@@ -7,9 +7,14 @@ assumes blindly), summed over canonical output classes of the kernel table.
 The output entropy is the same sum over residue classes of the
 input-averaged table: inputs are i.i.d. uniform, so on each phase grid point
 P(z) is a product of per-symbol input averages and no input is enumerated.
+The classes come from combinatorics.output_class_arrays as integer arrays.
 A full-enumeration brute-force path is shipped alongside as the oracle, and
 a Monte Carlo estimator, which takes P(z) from the same input-averaged
 tables, covers dithered configurations where the reduction does not apply.
+It uses the same symmetries on its sampled blocks: adding one sector to
+every output leaves a block's probability unchanged, dithered or not, and so
+does permuting positions without dither; output blocks are read mod a. So
+each batch scores every distinct pinned block once.
 Block probabilities fall back to log space when the linear phase-grid
 product underflows, so the Monte Carlo estimate stays finite for long
 blocks; it works on log-probabilities throughout. Every function takes the
@@ -28,8 +33,8 @@ from itertools import product
 
 import numpy as np
 
-from .combinatorics import canonical_output_classes
-from .core import SystemConfig, _check_indices, sample_blocks
+from .combinatorics import output_class_arrays
+from .core import SystemConfig, _check_indices, _distinct_rows, sample_blocks
 from .transition import (
     TransitionKernel,
     _check_own_kernels,
@@ -88,11 +93,9 @@ def _class_entropy(table: np.ndarray, alphabet: int, L: int, scale: float) -> fl
     representative of blocks of L symbols in 0..alphabet-1; scale is the
     number of blocks each arrangement of a representative stands for.
     """
-    classes = canonical_output_classes(alphabet, L)
-    reps = np.array([c.representative for c in classes], dtype=np.int64)
-    mult = np.array([c.multiplicity for c in classes], dtype=float)
+    reps, mult = output_class_arrays(alphabet, L)
     probs = np.exp(_log_grid_mean([table] * L, reps))
-    return float(-(scale * mult * _entropy_terms(probs)).sum())
+    return float(-(scale * mult.astype(float) * _entropy_terms(probs)).sum())
 
 
 def conditional_entropy(config: SystemConfig, kernel: TransitionKernel | None = None) -> float:
@@ -215,6 +218,22 @@ def brute_force_output_entropy(config: SystemConfig) -> float:
 # ---- Monte Carlo path ------------------------------------------------------
 
 
+def _pinned_log_grid_mean(tables, S: np.ndarray, period: int, shared: bool) -> np.ndarray:
+    """_log_grid_mean(tables, S), scoring each distinct pinned row once.
+
+    Rows are read modulo period and shifted so that their first entry is 0,
+    and sorted too when every position shares one table (shared). This is
+    valid where adding c to every entry rolls each table row by the same
+    number of grid points and leaves row z mod period equal to row z, up to
+    summation order: the results move by a few ulps, not more.
+    """
+    pinned = (S - S[:, :1]) % period
+    if shared:
+        pinned.sort(axis=1)
+    distinct, inverse = _distinct_rows(pinned)
+    return _log_grid_mean(tables, distinct)[inverse]
+
+
 def mutual_information_mc(
     config: SystemConfig,
     trials: int,
@@ -227,13 +246,24 @@ def mutual_information_mc(
     through the per-symbol factorization that holds conditioned on each phase
     grid point (_input_average; finite-sum exchange, no sampling of the input
     space).
+
+    Each batch scores every distinct block once. Adding c sectors to every
+    output rolls every kernel row and every input-averaged row by c*n_phi/K
+    grid points, dithered or not, and input-averaged row z mod a equals row
+    z, because the input average already sums over shifts by a. So S =
+    (z - a*x) mod K is pinned to (S - S_0) mod K, and z is read mod a and
+    pinned to (z - z_0) mod a. Without dither all positions share one table,
+    so permuting positions changes nothing either, and pinned rows are
+    sorted. Only the summation order changes, by a few ulps.
     """
     if trials < 100:
         raise ValueError("trials must be at least 100")
     kernels = kernel_bank_for(config)
     L, M, K, a = config.L, config.M, config.K, config.a
     tables = [k.table for k in kernels]
-    mixed = [_input_average(t, M, a) for t in tables]
+    averaged = {id(t): _input_average(t, M, a) for t in tables}
+    mixed = [averaged[id(t)] for t in tables]
+    shared = not config.is_dithered
 
     sum_ratio = 0.0
     sum_ratio_sq = 0.0
@@ -244,8 +274,8 @@ def mutual_information_mc(
         n = min(_MC_BATCH, trials - done)
         X = rng.integers(0, M, size=(n, L))
         _, Z = sample_blocks(X, config, rng)
-        log_cond = _log_grid_mean(tables, (Z - a * X) % K)
-        log_out = _log_grid_mean(mixed, Z)
+        log_cond = _pinned_log_grid_mean(tables, (Z - a * X) % K, K, shared)
+        log_out = _pinned_log_grid_mean(mixed, Z, a, shared)
         ratio = (log_cond - log_out) * LOG2E
         sum_ratio += ratio.sum()
         sum_ratio_sq += (ratio * ratio).sum()

@@ -6,7 +6,10 @@ Entropy sums therefore only need one representative per equivalence class,
 weighted by the class size. Representatives are canonicalized as: first
 component pinned to 0, remaining components sorted nondecreasing; the number
 of distinct blocks sharing a representative is the multinomial permutation
-count of the free positions.
+count of the free positions. output_class_arrays enumerates them as integer
+arrays, built one position at a time in lexicographic order, which is what
+the capacity sums read; canonical_output_classes wraps the same arrays in one
+dataclass per class for the CSV export and the checks.
 
 Inputs that permute within groups of equal output values give equal
 conditional probabilities, so an M^L input average can collapse to per-group
@@ -59,25 +62,57 @@ def _multiset_permutations(counts) -> int:
     return math.factorial(total) // denom
 
 
+def output_class_arrays(alphabet_size: int, block_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical output classes as arrays: (representatives, multiplicities).
+
+    Representatives are an (n, block_len) int64 array in lexicographic order,
+    n = C(alphabet_size + block_len - 2, block_len - 1), first column 0. The
+    tails are built one position at a time: each tail of the previous level
+    is repeated once per symbol from its last value up, which keeps the order
+    of combinations_with_replacement. A multiplicity is
+    (block_len-1)! / prod_v c_v!, with prod_v c_v! built along the way from
+    the run length of the last symbol. The multiplicities are exact integers:
+    int64 while (block_len-1)! fits it, Python ints (dtype object) beyond.
+    """
+    if alphabet_size < 1 or block_len < 1:
+        raise ValueError("alphabet_size and block_len must be positive")
+    n_free = block_len - 1
+    total = math.factorial(n_free)
+    exact = np.int64 if total < 2**63 else object
+    last = np.zeros(1, dtype=np.int64)
+    run = np.zeros(1, dtype=np.int64)
+    denom = np.ones(1, dtype=exact)
+    levels = []
+    for _ in range(n_free):
+        width = alphabet_size - last
+        parent = np.repeat(np.arange(last.size), width)
+        starts = np.cumsum(width) - width
+        value = np.arange(parent.size) - (starts - last)[parent]
+        run = np.where(value == last[parent], run[parent] + 1, 1)
+        denom = denom[parent] * run
+        levels.append((parent, value))
+        last = value
+    reps = np.zeros((last.size, block_len), dtype=np.int64)
+    row = np.arange(last.size)
+    for l in range(n_free, 0, -1):
+        parent, value = levels[l - 1]
+        reps[:, l] = value[row]
+        row = parent[row]
+    return reps, total // denom
+
+
 def canonical_output_classes(alphabet_size: int, block_len: int) -> list[CanonicalOutputClass]:
     """All canonical output classes for blocks of block_len symbols.
 
     There are C(alphabet_size + block_len - 2, block_len - 1) classes,
-    enumerated in lexicographic order of the representative.
+    enumerated in lexicographic order of the representative; one dataclass
+    per row of output_class_arrays.
     """
-    if alphabet_size < 1 or block_len < 1:
-        raise ValueError("alphabet_size and block_len must be positive")
-    out = []
-    for tail in combinations_with_replacement(range(alphabet_size), block_len - 1):
-        counts = [0] * alphabet_size
-        for v in tail:
-            counts[v] += 1
-        out.append(
-            CanonicalOutputClass(
-                representative=(0,) + tail, multiplicity=_multiset_permutations(counts)
-            )
-        )
-    return out
+    reps, mult = output_class_arrays(alphabet_size, block_len)
+    return [
+        CanonicalOutputClass(representative=tuple(r), multiplicity=m)
+        for r, m in zip(reps.tolist(), mult.tolist())
+    ]
 
 
 def grouped_input_classes(z, M: int) -> list[InputClass]:

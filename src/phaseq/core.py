@@ -205,6 +205,37 @@ def _check_indices(v, name: str, L: int, n: int, n_name: str) -> np.ndarray:
     return v.astype(np.int64)
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-d int array in lexicographic order, and the index
+    of each input row among them (np.unique(rows, axis=0, return_inverse=True)
+    by one sort of packed words).
+
+    Each row is shifted by the array minimum and packed, most significant
+    value first, into ceil(L / per) 64-bit words of per = 63 // bits values of
+    bits = (max - min).bit_length() bits each. Packing keeps the row order, so
+    the sort runs over the words instead of the L columns. The order among
+    equal rows does not reach the outputs, so one word takes numpy's default
+    (unstable, vectorised) argsort, several words a lexsort.
+    """
+    rows = np.asarray(rows)
+    n, L = rows.shape
+    # unsigned arithmetic wraps, so that a span of 2**63 or more cannot overflow
+    columns = np.ascontiguousarray(rows.T, dtype=np.uint64) - rows.min().astype(np.uint64)
+    bits = max(int(columns.max()).bit_length(), 1)
+    per = min(max(63 // bits, 1), L)
+    words = np.zeros((-(-L // per), n), dtype=np.uint64)
+    for j, column in enumerate(columns):
+        w, k = divmod(j, per)
+        words[w] |= column << np.uint64(bits * (per - 1 - k))
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
+    ranked = words[:, order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return rows[order[first]], inverse
+
+
 def sector_index(angles: np.ndarray, K: int) -> np.ndarray:
     """Sector indices floor(arg / (2*pi/K)) of angles in radians, any branch.
 

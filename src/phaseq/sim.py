@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .core import SystemConfig, sample_blocks
+from .core import SystemConfig, _distinct_rows, sample_blocks
 from .demod import _sweep_rows
 from .transition import kernel_bank_for
 
@@ -125,19 +125,6 @@ def ser_crossing_snr(snrs_db, sers, target: float) -> float:
 def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
     full, rem = divmod(trials, chunk_size)
     return [chunk_size] * full + ([rem] if rem else [])
-
-
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-d int array in lexicographic order, and the index
-    of each input row among them (np.unique(rows, axis=0, return_inverse=True)
-    by one lexsort)."""
-    order = np.lexsort(rows.T[::-1])
-    ranked = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    inverse = np.empty(len(rows), dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ranked[first], inverse
 
 
 class _RowMemo:

@@ -24,7 +24,9 @@ from phaseq import (
     output_entropy,
     run_ser,
 )
-from phaseq.capacity import block_probs_all_outputs
+from phaseq.capacity import LOG2E, _MC_BATCH, _input_average, block_probs_all_outputs
+from phaseq.core import sample_blocks
+from phaseq.transition import _log_grid_mean, kernel_bank_for
 
 
 class TestDegenerateLimits:
@@ -224,6 +226,46 @@ class TestMonteCarlo:
             warnings.simplefilter("error")
             res = mutual_information_mc(cfg, trials=200, rng=np.random.default_rng(8))
         assert all(math.isfinite(v) for v in (res.mi, res.h_cond, res.h_out, res.error_bar))
+
+    @pytest.mark.parametrize(
+        "cfg, trials",
+        [
+            (SystemConfig(M=4, K=64, L=6, snr_db=6.0), 9_000),
+            (SystemConfig(M=4, K=8, L=6, snr_db=6.0, dither="ramp"), 9_000),
+            (SystemConfig(M=4, K=8, L=4, snr_db=10.0, dither=(0, 0.05, 0.11, 0.3)), 3_000),
+            (SystemConfig(M=4, K=8, L=6, snr_db=30.0, dither="ramp"), 1_000),
+            (SystemConfig(M=4, K=64, L=200, snr_db=0.0), 300),
+        ],
+        ids=["k64", "ramp", "tuple", "ramp-30dB", "k64-L200"],
+    )
+    def test_deduplicated_rows_match_per_block_products(self, cfg, trials):
+        # the estimator scores each distinct pinned row once; here every
+        # sampled block gets its own phase-grid product, on the same draws
+        got_rng = np.random.default_rng(21)
+        got = mutual_information_mc(cfg, trials, got_rng)
+
+        rng = np.random.default_rng(21)
+        tables = [k.table for k in kernel_bank_for(cfg)]
+        mixed = [_input_average(t, cfg.M, cfg.a) for t in tables]
+        ratios, conds, outs = [], [], []
+        for lo in range(0, trials, _MC_BATCH):
+            X = rng.integers(0, cfg.M, size=(min(_MC_BATCH, trials - lo), cfg.L))
+            _, Z = sample_blocks(X, cfg, rng)
+            log_cond = _log_grid_mean(tables, (Z - cfg.a * X) % cfg.K)
+            log_out = _log_grid_mean(mixed, Z)
+            ratios.append((log_cond - log_out) * LOG2E)
+            conds.append(-log_cond * LOG2E)
+            outs.append(-log_out * LOG2E)
+        ratio = np.concatenate(ratios)
+        mi = ratio.mean()
+        se = math.sqrt(max((ratio * ratio).mean() - mi * mi, 0.0) / trials)
+
+        assert got.mi == pytest.approx(mi, rel=1e-12)
+        assert got.h_cond == pytest.approx(np.concatenate(conds).mean(), rel=1e-12)
+        assert got.h_out == pytest.approx(np.concatenate(outs).mean(), rel=1e-12)
+        # the variance is E[r^2] - mi^2, which magnifies relative error
+        assert got.error_bar == pytest.approx(se, rel=1e-9, abs=1e-12)
+        assert got_rng.bit_generator.state == rng.bit_generator.state
 
 
 def test_block_probs_all_outputs_normalizes():

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import permutations, product
-from math import comb
+from itertools import combinations_with_replacement, permutations, product
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from phaseq import (
     input_class_count,
     output_class_count,
 )
+from phaseq.combinatorics import output_class_arrays
 
 
 def brute_class_buckets(alphabet: int, L: int) -> dict[tuple, int]:
@@ -98,7 +99,38 @@ class TestOutputClasses:
         assert len(classes33) == 6
         assert len(classes33) == len(brute_class_buckets(3, 3))
 
+    def test_class_arrays_match_loop_reference(self):
+        def reference(alphabet, L):
+            reps, mults = [], []
+            for tail in combinations_with_replacement(range(alphabet), L - 1):
+                denom = 1
+                for v in range(alphabet):
+                    denom *= factorial(tail.count(v))
+                reps.append((0,) + tail)
+                mults.append(factorial(L - 1) // denom)
+            return reps, mults
+
+        # L = 25: (L-1)! passes int64, so the multiplicities are Python ints;
+        # L = 60: they pass 2^53, so float() rounds them
+        cases = [(a, L) for a in range(1, 7) for L in range(1, 8)]
+        cases += [(2, 25), (3, 25), (2, 60)]
+        for alphabet, L in cases:
+            reps, mults = output_class_arrays(alphabet, L)
+            want_reps, want_mults = reference(alphabet, L)
+            assert reps.dtype == np.int64 and reps.shape == (len(want_reps), L)
+            assert [tuple(r) for r in reps.tolist()] == want_reps
+            assert mults.tolist() == want_mults
+            assert all(type(m) is int for m in mults.tolist())
+            assert mults.astype(float).tolist() == [float(m) for m in want_mults]
+            classes = canonical_output_classes(alphabet, L)
+            assert [c.representative for c in classes] == want_reps
+            assert [c.multiplicity for c in classes] == want_mults
+            assert all(type(c.multiplicity) is int for c in classes)
+        assert max(output_class_arrays(2, 60)[1]) > 2**53
+
     def test_validation(self):
+        with pytest.raises(ValueError):
+            output_class_arrays(1, 0)
         with pytest.raises(ValueError):
             canonical_output_classes(0, 2)
         with pytest.raises(ValueError):

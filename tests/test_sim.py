@@ -56,12 +56,31 @@ class TestHelpers:
 
     def test_distinct_rows_match_np_unique(self):
         rng = np.random.default_rng(0)
+
+        def spanning(top, shape):
+            # few values below top, so rows repeat, plus the extremes 0 and top
+            rows = rng.integers(0, 3, size=shape) * (top // 2)
+            rows[0, 0], rows[-1, -1] = 0, top
+            return rows
+
         cases = [
             rng.integers(0, 3, size=(4096, 8)),
             rng.integers(-5, 5, size=(300, 3)),
             rng.integers(0, 100, size=(50, 1)),
             np.array([[4, 1, 7]]),
             np.full((20, 5), 2),
+            # rows packed into several words: 6 bits, 10 values per word
+            rng.integers(0, 64, size=(500, 200)),
+            # spans whose maximum needs k bits (2^k - 1) or k + 1 bits (2^k)
+            *(spanning(top, shape) for top, shape in [
+                (7, (400, 7)), (8, (400, 7)), (2**21 - 1, (400, 5)), (2**21, (400, 5)),
+            ]),
+            # 41-bit spans, one value per word, and a narrow span far from 0
+            spanning(2**40 + 1, (300, 4)),
+            rng.integers(2**40 - 3, 2**40 + 3, size=(300, 4)),
+            # one column, and one long row
+            rng.integers(0, 4, size=(200, 1)),
+            rng.integers(-3, 70, size=(1, 90)),
         ]
         for rows in cases:
             distinct, inverse = _distinct_rows(rows)
