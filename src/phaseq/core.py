@@ -236,29 +236,132 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows[order[first]], inverse
 
 
+def _quantize(ang: np.ndarray, K: int, out: np.ndarray) -> np.ndarray:
+    """Sector indices of float angles in [-2*pi, 2*pi] into the int64 out.
+
+    Overwrites ang. On [-2*pi, 2*pi) fmod returns the angle itself, so
+    adding 2*pi to the negative angles gives the same floats as np.mod,
+    without the division.
+    """
+    np.add(ang, TWO_PI, out=ang, where=ang < 0.0)
+    ang *= K
+    ang /= TWO_PI
+    np.floor(ang, out=out, casting="unsafe")
+    # ang can round to exactly 2*pi for angles just below zero; that is the
+    # correct top sector, so clamp instead of wrapping to 0.
+    return np.minimum(out, K - 1, out=out)
+
+
 def sector_index(angles: np.ndarray, K: int) -> np.ndarray:
     """Sector indices floor(arg / (2*pi/K)) of angles in radians, any branch.
 
     Sector z covers [z*2*pi/K, (z+1)*2*pi/K); boundaries belong to the upper
     sector.
     """
-    ang = np.asarray(angles, dtype=float)
-    if ang.size and ang.min() >= -TWO_PI and ang.max() < TWO_PI:
-        # on [-2*pi, 2*pi) fmod returns the angle itself, so np.mod adds
-        # 2*pi to the negative ones and leaves the rest: the same floats,
-        # without the division
-        ang = np.where(ang < 0.0, ang + TWO_PI, ang)
-    else:
-        ang = np.mod(ang, TWO_PI)
-    idx = np.floor(ang * K / TWO_PI).astype(np.int64)
-    # ang can round to exactly 2*pi for angles just below zero; that is the
-    # correct top sector, so clamp instead of wrapping to 0.
-    return np.minimum(idx, K - 1)
+    ang = np.array(angles, dtype=float)
+    if not (ang.size and ang.min() >= -TWO_PI and ang.max() < TWO_PI):
+        np.mod(ang, TWO_PI, out=ang)
+    return _quantize(ang, K, np.empty(ang.shape, dtype=np.int64))[()]
 
 
 def modulate(x, config: SystemConfig) -> np.ndarray:
     """Unit-energy transmit samples exp(j*(theta0 + x*2*pi/M + dither))."""
     return np.exp(1j * config.symbol_phases(x))
+
+
+class _Workspace:
+    """Named flat byte buffers, kept across calls and grown on demand.
+
+    buffer() returns a C-contiguous view of the leading bytes of a named
+    buffer, so a smaller request (a ragged last chunk) reuses it, and a
+    later user of the same name may view the same bytes as another dtype.
+    """
+
+    def __init__(self) -> None:
+        self._bytes: dict[str, np.ndarray] = {}
+
+    def buffer(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        flat = self._bytes.get(name)
+        if flat is None or flat.size < nbytes:
+            flat = self._bytes[name] = np.empty(nbytes, dtype=np.uint8)
+        return flat[:nbytes].view(dtype).reshape(shape)
+
+
+def _sample_into(
+    X: np.ndarray,
+    config: SystemConfig,
+    rng: np.random.Generator,
+    phi: float | None,
+    work: _Workspace,
+) -> tuple[np.ndarray, np.ndarray]:
+    """sample_blocks for checked symbols X (n, L), in work's buffers.
+
+    Z is the buffer "Z" of work. The noise is one draw into "noise"
+    (2, n, L), and "t0" and "t1" hold (n, L) temporaries, so callers may
+    reuse "noise", "t0" and "t1" once it returns. It computes, in real
+    arithmetic and in place,
+        yr = (cr*er - ci*ei) + sigma*nr,  yi = (cr*ei + ci*er) + sigma*ni,
+    for clean samples cr + j*ci gathered from the (M, L) table and block
+    rotations er + j*ei: the floats of the complex expression. Its angle
+    arctan2(yi, yr) is np.angle(y).
+    """
+    n, L = X.shape
+    M, K, sigma = config.M, config.K, config.sigma
+    # exp(j*phase) of each (position, symbol) pair; sample (b, l) reads
+    # entry l*M + X[b, l]
+    table = modulate(np.repeat(np.arange(M)[:, None], L, axis=1), config).T.ravel()
+    table_re, table_im = table.real.copy(), table.imag.copy()
+    if phi is None:
+        phis = rng.uniform(0.0, TWO_PI, size=n)
+    else:
+        phis = np.full(n, float(phi))
+    # Z last: in a fresh workspace the buffers freed on return then lie
+    # below the Z the caller keeps, as one hole that its next arrays reuse
+    # (on top of the heap they were trimmed and page-faulted in again)
+    noise = work.buffer("noise", (2, n, L))
+    ta = work.buffer("t0", (n, L))
+    tb = work.buffer("t1", (n, L))
+    Z = work.buffer("Z", (n, L), np.int64)
+    rng.standard_normal(out=noise)
+    yr, yi = noise
+    rot = np.exp(1j * phis)
+    er, ei = rot.real[:, None], rot.imag[:, None]
+    np.add(X, M * np.arange(L), out=Z)
+    yr *= sigma
+    yi *= sigma
+    # cr*er - ci*ei, then (the table gathered again) cr*ei + ci*er;
+    # take(mode="clip") writes straight into out, "raise" buffers it
+    np.take(table_re, Z, out=ta, mode="clip")
+    np.take(table_im, Z, out=tb, mode="clip")
+    ta *= er
+    tb *= ei
+    ta -= tb
+    yr += ta
+    np.take(table_re, Z, out=ta, mode="clip")
+    np.take(table_im, Z, out=tb, mode="clip")
+    ta *= ei
+    tb *= er
+    ta += tb
+    yi += ta
+    dead = np.empty(0, np.intp) if yr.all() else np.flatnonzero((yr == 0.0) & (yi == 0.0))
+    np.arctan2(yi, yr, out=yr)
+    _quantize(yr, K, Z)
+    if dead.size:
+        # zero samples have no phase: redraw their noise, all of them at
+        # once in np.nonzero order, until none is zero
+        b, l = np.divmod(dead, L)
+        clean = table[l * M + X[b, l]]
+        y = np.zeros(dead.size, dtype=complex)
+        todo = np.arange(dead.size)
+        while todo.size:
+            y[todo] = clean[todo] * np.exp(1j * phis[b[todo]]) + sigma * (
+                rng.standard_normal(todo.shape) + 1j * rng.standard_normal(todo.shape)
+            )
+            todo = todo[y[todo] == 0]
+        Z.reshape(-1)[dead] = sector_index(np.angle(y), K)
+    return phis, Z
 
 
 def sample_blocks(
@@ -274,28 +377,9 @@ def sample_blocks(
     trigger a redraw of the affected noise entries.
 
     The draws are the block phases, then the real and the imaginary noise
-    parts of all n*L samples, then the redraws in np.nonzero order.
+    parts of all n*L samples, then the redraws in np.nonzero order. The
+    noise is one standard_normal draw into a (2, n, L) array: the same
+    stream as one (n, L) draw of real parts followed by one of imaginary
+    parts.
     """
-    X = config._check_symbols(X)
-    n = X.shape[0]
-    # exp(j*phase) of each (symbol, position) pair, gathered by X: the same
-    # floats as one complex exp per sample
-    symbols = np.repeat(np.arange(config.M)[:, None], config.L, axis=1)
-    clean = modulate(symbols, config)[X, np.arange(config.L)]
-    if phi is None:
-        phis = rng.uniform(0.0, TWO_PI, size=n)
-    else:
-        phis = np.full(n, float(phi))
-    sigma = config.sigma
-    y = clean * np.exp(1j * phis)[:, None] + sigma * (
-        rng.standard_normal(X.shape) + 1j * rng.standard_normal(X.shape)
-    )
-    dead = y == 0
-    while np.any(dead):
-        idx = np.nonzero(dead)
-        y[idx] = clean[idx] * np.exp(1j * phis[idx[0]]) + sigma * (
-            rng.standard_normal(idx[0].shape) + 1j * rng.standard_normal(idx[0].shape)
-        )
-        dead = y == 0
-    Z = sector_index(np.angle(y), config.K)
-    return phis, Z
+    return _sample_into(config._check_symbols(X), config, rng, phi, _Workspace())

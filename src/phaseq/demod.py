@@ -424,10 +424,13 @@ def _sweep_rows(
 
     zeta = Z * (TWO_PI / K) - config.theta0 - np.asarray(config.dither)[None, :]
     half_w = math.pi / K
-    args = (zeta[:, None, :] + half_w - np.where(valid, probes, 0.0)[:, :, None]) * (
-        M / TWO_PI
-    )
-    C = np.round(args).astype(np.int64) % M
+    # (n, D, L) in place: one float and one int array at a time
+    args = zeta[:, None, :] + half_w - np.where(valid, probes, 0.0)[:, :, None]
+    args *= M / TWO_PI
+    np.round(args, out=args)
+    C = args.astype(np.int64)
+    del args
+    C %= M
 
     log_metric, phi_star = _segment_maxima(Z, C, edges, n_distinct, kernels)
     winner, ties, tie_gap = _decide(log_metric, valid)

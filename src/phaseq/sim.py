@@ -13,16 +13,26 @@ block order, so memoization never correlates tie outcomes across blocks.
 
 Without dither every position shares one kernel, so P(z | x, phi) is
 unchanged when z and x are permuted together: the row demodulated for a block
-is its residue vector z mod a sorted ascending, and the winner is scattered
-back to the block's own positions. Crossovers are per symbol, so candidate d
-of the sorted row is candidate d of the block permuted, and its tie set names
-the same candidates; only the summation order of the log metrics changes.
-Each metric is a sum of L scan-table entries at one grid point, so reordering
-moves it by a few ulps, about 1e-15 relative: a decision can move only where
-a relative gap lies that close to DEFAULT_TIE_TOL. At most C(L + a - 1, L)
-sorted rows exist (45 at K=12, L=8), against
-thousands of ordered ones. Under dither each position has its own kernel, so
-rows are the full sector vectors in block order.
+is its residue vector z mod a sorted ascending. Crossovers are per symbol, so
+candidate d of the sorted row is candidate d of the block permuted, and its
+tie set names the same candidates; only the summation order of the log
+metrics changes. Each metric is a sum of L scan-table entries at one grid
+point, so reordering moves it by a few ulps, about 1e-15 relative: a decision
+can move only where a relative gap lies that close to DEFAULT_TIE_TOL. At
+most C(L + a - 1, L) sorted rows exist (45 at K=12, L=8), against thousands
+of ordered ones. A sorted row is fixed by its residue histogram, so a chunk
+finds its distinct rows among the blocks' histograms (one bincount) and
+builds only those rows. Nor does a decision need the sort to be undone: the
+coherent decision at a phase depends on z_l alone, so every candidate of the
+sweep, the winner and each tie-set member alike, gives equal symbols to
+equal residues. A block's symbol at residue r is the candidate's symbol at
+the first sorted position holding r, plus the block's own z div a. Under
+dither each position has its own kernel, so rows are the full sector vectors
+in block order.
+
+Each worker thread of a run keeps one workspace, which holds the sampler's
+planes and the chunk's quotient, index and decision planes, so a chunk
+allocates no chunk-sized array there after the worker's first chunk.
 
 The constant-addition ambiguity of the metric means raw block decisions are
 only defined up to a common constellation shift. Two scoring conventions:
@@ -44,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .core import SystemConfig, _distinct_rows, sample_blocks
+from .core import SystemConfig, _distinct_rows, _sample_into, _Workspace
 from .demod import _sweep_rows
 from .transition import kernel_bank_for
 
@@ -133,15 +143,18 @@ class _RowMemo:
     A row key (the row's bytes) maps to an id into run-level arrays: the
     winner candidate vector ((m, L) for m stored rows), the tie flag and the
     candidate count. Tied rows also keep their tie set, the candidate
-    vectors a tied block re-draws from. Chunk threads share one memo: the
-    key lookup and the merge of a chunk's new rows each run under the lock,
-    and the sweep between them does not, so a row two threads both miss is
-    swept twice and stored once.
+    vectors a tied block re-draws from. Chunk threads share one memo. Under
+    the lock a thread claims the rows nobody has stored or claimed, sweeps
+    them without the lock and stores them under it; rows another thread has
+    claimed it waits for, so no row is swept twice, and sweeps of disjoint
+    rows run in parallel.
     """
 
     def __init__(self, L: int):
         self._lock = threading.Lock()
         self._ids: dict[bytes, int] = {}
+        # rows being swept, each mapped to the event its sweeper sets
+        self._claims: dict[bytes, threading.Event] = {}
         self._winners = np.empty((0, L), dtype=np.int64)
         self._tied = np.empty(0, dtype=bool)
         self._n_cand = np.empty(0, dtype=np.int64)
@@ -154,30 +167,43 @@ class _RowMemo:
         # each row's bytes, as row.tobytes() gives them
         rows = np.ascontiguousarray(distinct)
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-        with self._lock:
-            missing = [i for i, key in enumerate(keys) if key not in self._ids]
-        if missing:
-            sweep = _sweep_rows(distinct[missing], config, kernels)
-            winners = sweep.candidates[np.arange(len(missing)), sweep.winner]
-            tied = np.count_nonzero(sweep.ties, axis=1) > 1
+        while True:
             with self._lock:
-                # another chunk may have stored some of these rows meanwhile
-                fresh = np.array(
-                    [j for j, i in enumerate(missing) if keys[i] not in self._ids],
-                    dtype=np.intp,
-                )
-                base = len(self._ids)
-                new_keys = [keys[missing[j]] for j in fresh]
-                self._ids.update(zip(new_keys, range(base, base + fresh.size)))
-                for k in np.flatnonzero(tied[fresh]):
-                    j = fresh[k]
-                    self.tie_sets[base + int(k)] = sweep.candidates[j, sweep.ties[j]]
-                self._winners = np.concatenate([self._winners, winners[fresh]])
-                self._tied = np.concatenate([self._tied, tied[fresh]])
-                self._n_cand = np.concatenate([self._n_cand, sweep.n_distinct[fresh]])
+                absent = set(keys).difference(self._ids)
+                if not absent:
+                    ids = np.fromiter(map(self._ids.__getitem__, keys), np.intp, len(keys))
+                    return ids, self._winners[ids], self._tied[ids], self._n_cand[ids]
+                busy = absent.intersection(self._claims)
+                claimed = {self._claims[key] for key in busy}
+                absent -= busy
+                done = threading.Event()
+                self._claims.update(dict.fromkeys(absent, done))
+            if absent:
+                missing = [i for i, key in enumerate(keys) if key in absent]
+                try:
+                    self._store(distinct[missing], [keys[i] for i in missing], config, kernels)
+                finally:
+                    # a failed sweep leaves its rows unstored and unclaimed,
+                    # so the next pass of a waiting thread claims them
+                    with self._lock:
+                        for key in absent:
+                            del self._claims[key]
+                    done.set()
+            for event in claimed:
+                event.wait()
+
+    def _store(self, rows: np.ndarray, keys: list[bytes], config: SystemConfig, kernels) -> None:
+        sweep = _sweep_rows(rows, config, kernels)
+        winners = sweep.candidates[np.arange(len(rows)), sweep.winner]
+        tied = np.count_nonzero(sweep.ties, axis=1) > 1
         with self._lock:
-            ids = np.fromiter(map(self._ids.__getitem__, keys), np.intp, len(keys))
-            return ids, self._winners[ids], self._tied[ids], self._n_cand[ids]
+            base = len(self._ids)
+            self._ids.update(zip(keys, range(base, base + len(keys))))
+            for j in np.flatnonzero(tied):
+                self.tie_sets[base + int(j)] = sweep.candidates[j, sweep.ties[j]]
+            self._winners = np.concatenate([self._winners, winners])
+            self._tied = np.concatenate([self._tied, tied])
+            self._n_cand = np.concatenate([self._n_cand, sweep.n_distinct])
 
 
 def _run_chunk(
@@ -187,46 +213,61 @@ def _run_chunk(
     seed_seq: np.random.SeedSequence,
     convention: str,
     memo: _RowMemo,
+    work: _Workspace,
 ) -> tuple[int, int, int, int]:
     """Simulate one chunk; returns (errors, tie blocks, candidate sum, candidate max).
 
-    A block's row is its sorted residue vector when undithered (see the
-    module docstring) and its sector vector under dither. Only distinct rows
-    the memo has not seen are demodulated; each block then takes its row's
-    winner, tied blocks re-draw theirs from the chunk stream in block order,
-    and the decision is scattered back to the block's positions.
+    Undithered, a block's row is its residue histogram, demodulated as the
+    sorted residue vector it stands for (see the module docstring); under
+    dither it is the block's sector vector. Only distinct rows the memo has
+    not seen are demodulated; each block then takes its row's decision, and
+    tied blocks re-draw theirs from the chunk stream in block order. Every
+    chunk-sized array but X and the histograms lives in work: the sampler's
+    buffers, then its temporaries "t0" and "t1" as the quotient and
+    decision planes.
     """
     M, L, a = config.M, config.L, config.a
     rng = np.random.default_rng(seed_seq)
     X = rng.integers(0, M, size=(n_blocks, L))
     if convention == "pilot":
         X[:, 0] = 0
-    _, Z = sample_blocks(X, config, rng)
+    _, Z = _sample_into(X, config, rng, None, work)
+    xhat = work.buffer("t1", (n_blocks, L), np.int64)
 
     if config.is_dithered:
-        rows, shifts = Z, 0
-        order = np.broadcast_to(np.arange(L), Z.shape)
+        distinct, inverse = _distinct_rows(Z)
+        ids, winners, row_tied, n_cand = memo.decide(distinct, config, kernels)
+        np.take(winners, inverse, axis=0, out=xhat, mode="clip")
+        for b in np.flatnonzero(row_tied[inverse]):
+            xhat[b] = rng.choice(memo.tie_sets[ids[inverse[b]]])
     else:
-        residues, shifts = Z % a, Z // a
-        order = np.argsort(residues, axis=1, kind="stable")
-        rows = np.take_along_axis(residues, order, axis=1)
-    distinct, inverse = _distinct_rows(rows)
-    ids, winners, row_tied, n_cand = memo.decide(distinct, config, kernels)
-
-    decided = winners[inverse]
+        q = work.buffer("t0", (n_blocks, L), np.int64)
+        np.divmod(Z, a, out=(q, xhat))
+        # Z now holds the flat index of each sample's residue in the
+        # (block, residue) histogram, and later in the (row, residue) table
+        np.add(xhat, a * np.arange(n_blocks)[:, None], out=Z)
+        counts = np.bincount(Z.reshape(-1), minlength=a * n_blocks).reshape(n_blocks, a)
+        hist, inverse = _distinct_rows(counts)
+        rows = np.repeat(np.tile(np.arange(a), len(hist)), hist.reshape(-1)).reshape(-1, L)
+        ids, winners, row_tied, n_cand = memo.decide(rows, config, kernels)
+        # every candidate gives equal symbols to equal residues, so residue r
+        # of a row takes the symbol at the first sorted position holding r
+        first = np.minimum(np.cumsum(hist, axis=1) - hist, L - 1).reshape(-1)
+        table = winners[np.repeat(np.arange(len(hist)), a), first]
+        np.add(xhat, a * inverse[:, None], out=Z)
+        np.take(table, Z, out=xhat, mode="clip")
+        for b in np.flatnonzero(row_tied[inverse]):
+            xhat[b] = rng.choice(memo.tie_sets[ids[inverse[b]]])[first[Z[b]]]
+        xhat += q
     tied = row_tied[inverse]
-    for b in np.flatnonzero(tied):
-        decided[b] = rng.choice(memo.tie_sets[ids[inverse[b]]])
-    xhat = np.empty_like(decided)
-    np.put_along_axis(xhat, order, decided, axis=1)
-    xhat = (xhat + shifts) % M
     if convention == "pilot":
-        xhat = (xhat - xhat[:, :1]) % M
+        xhat -= xhat[:, :1]
+        xhat %= M
         errors = np.count_nonzero(xhat[:, 1:] != X[:, 1:])
     else:
         shifted = (xhat[:, None, :] + np.arange(M)[:, None]) % M
         errors = (shifted != X[:, None, :]).sum(axis=2).min(axis=1).sum()
-    cand_total = n_cand @ np.bincount(inverse, minlength=len(distinct))
+    cand_total = n_cand @ np.bincount(inverse, minlength=len(n_cand))
     return int(errors), int(tied.sum()), int(cand_total), int(n_cand.max())
 
 
@@ -248,10 +289,15 @@ def _simulate(
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(len(sizes))
     memo = _RowMemo(config.L)
+    # one workspace per worker thread, reused by every chunk it runs and
+    # freed with the run
+    local = threading.local()
 
     def job(args):
         size, child = args
-        return _run_chunk(config, kernels, size, child, convention, memo)
+        if not hasattr(local, "work"):
+            local.work = _Workspace()
+        return _run_chunk(config, kernels, size, child, convention, memo, local.work)
 
     n_workers = max(1, workers)
     if n_workers > 1 and len(sizes) > 1:

@@ -19,8 +19,32 @@ from phaseq import (
     sample_blocks,
     sector_index,
 )
+from phaseq.sim import DEFAULT_CHUNK
 
 TWO_PI = 2.0 * math.pi
+
+
+class ScriptedNormals:
+    """Stands in for an rng whose standard normals are the scripted arrays.
+
+    Takes numpy's size= and out= forms. A draw returns the next array; a
+    draw into out fills it from the next arrays in turn, so one (2, n, L)
+    draw reads a real and then an imaginary (n, L) array.
+    """
+
+    def __init__(self, draws):
+        self.draws = list(draws)
+
+    def standard_normal(self, size=None, out=None):
+        if out is None:
+            return self.draws.pop(0).reshape(size)
+        flat = out.reshape(-1)
+        filled = 0
+        while filled < flat.size:
+            draw = self.draws.pop(0).ravel()
+            flat[filled : filled + draw.size] = draw
+            filled += draw.size
+        return out
 
 
 class TestSystemConfig:
@@ -174,13 +198,9 @@ class TestSampling:
         cancel = -1.0 / cfg.sigma
         assert 1.0 + cfg.sigma * cancel == 0.0
 
-        class ScriptedNormals:
-            draws = [np.array([[cancel, 0.0]]), np.zeros((1, 2)), np.array([1.0]), np.zeros(1)]
-
-            def standard_normal(self, shape):
-                return self.draws.pop(0).reshape(shape)
-
-        rng = ScriptedNormals()
+        rng = ScriptedNormals(
+            [np.array([[cancel, 0.0]]), np.zeros((1, 2)), np.array([1.0]), np.zeros(1)]
+        )
         _, Z = sample_blocks([[0, 0]], cfg, rng, phi=0.0)
         assert rng.draws == []
         assert Z.tolist() == [[0, 0]]
@@ -229,7 +249,7 @@ def _pinned_sample_blocks(X, config, rng, phi=None):
 class TestSamplerPin:
     """sample_blocks is bitwise the pinned formula, and draws the same stream."""
 
-    @pytest.mark.parametrize("n", [1, 20_000])
+    @pytest.mark.parametrize("n", [1, DEFAULT_CHUNK + 1, 20_000])
     @pytest.mark.parametrize(
         "cfg, phi",
         [
@@ -259,15 +279,8 @@ class TestSamplerPin:
         im = np.zeros((5, 2))
         im[~(re == cancel)] = 0.2
 
-        class ScriptedNormals:
-            def __init__(self):
-                redraws = [np.array([cancel, 1.0, 0.5]), np.zeros(3), np.array([2.0]), np.zeros(1)]
-                self.draws = [re, im, *redraws]
-
-            def standard_normal(self, shape):
-                return self.draws.pop(0).reshape(shape)
-
-        a, b = ScriptedNormals(), ScriptedNormals()
+        redraws = [np.array([cancel, 1.0, 0.5]), np.zeros(3), np.array([2.0]), np.zeros(1)]
+        a, b = ScriptedNormals([re, im, *redraws]), ScriptedNormals([re, im, *redraws])
         _, Z = sample_blocks(np.zeros((5, 2), dtype=int), cfg, a, phi=0.0)
         _, want = _pinned_sample_blocks(np.zeros((5, 2), dtype=int), cfg, b, phi=0.0)
         assert a.draws == [] and b.draws == []

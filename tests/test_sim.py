@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +16,11 @@ from phaseq import (
     ser_crossing_snr,
     wilson_interval,
 )
-from phaseq.sim import _chunk_sizes, _distinct_rows
+from phaseq import sim
+from phaseq.core import sample_blocks
+from phaseq.demod import _sweep_rows
+from phaseq.sim import DEFAULT_CHUNK, _chunk_sizes, _distinct_rows
+from phaseq.transition import kernel_bank_for
 
 
 class TestHelpers:
@@ -209,6 +214,96 @@ class TestRunSer:
         single = SystemConfig(M=4, K=8, L=1, snr_db=6.0)
         with pytest.raises(ValueError, match="L >= 2"):
             run_ser(single, trials=100, convention="pilot")
+
+
+class TestChunkEngine:
+    # trials of two full chunks and a ragged one of 17 blocks, so a worker's
+    # workspace serves a smaller chunk after a full one
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SystemConfig(M=4, K=4, L=6, snr_db=6.0),
+            SystemConfig(M=4, K=8, L=1, snr_db=12.0),
+            SystemConfig(M=2, K=6, L=5, snr_db=8.0),
+            SystemConfig(M=4, K=8, L=200, snr_db=0.0),
+            SystemConfig(M=4, K=8, L=8, snr_db=14.0, dither="ramp"),
+            SystemConfig(M=4, K=8, L=4, snr_db=14.0, dither=(0.0, 0.0, 0.3, 0.3)),
+        ],
+        ids=["a=1", "L=1-genie", "M=2", "L=200", "ramp", "tuple"],
+    )
+    def test_ragged_chunks_equal_for_any_worker_count(self, cfg):
+        trials = 2 * DEFAULT_CHUNK + 17
+        convention = "genie" if cfg.L == 1 else "pilot"
+        runs = {
+            w: (run_ser(cfg, trials, seed=9, convention=convention, workers=w),
+                run_tie_census(cfg, trials, seed=9, workers=w))
+            for w in (1, 2, 4)
+        }
+        assert runs[2] == runs[1]
+        assert runs[4] == runs[1]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SystemConfig(M=4, K=8, L=8, snr_db=14.0, dither="ramp"),
+            SystemConfig(M=4, K=64, L=8, snr_db=10.0),
+        ],
+        ids=["ramp", "K=64"],
+    )
+    def test_each_row_is_swept_once(self, cfg, monkeypatch):
+        # chunk threads that miss the same row at once: one sweeps it, the
+        # other waits for it, so rows swept == rows stored
+        lock = threading.Lock()
+        swept = [0]
+        memos = []
+
+        def counting_sweep(rows, config, kernels):
+            with lock:
+                swept[0] += len(rows)
+            return _sweep_rows(rows, config, kernels)
+
+        class RecordedMemo(sim._RowMemo):
+            def __init__(self, L):
+                super().__init__(L)
+                memos.append(self)
+
+        monkeypatch.setattr(sim, "_sweep_rows", counting_sweep)
+        monkeypatch.setattr(sim, "_RowMemo", RecordedMemo)
+        want = run_ser(cfg, trials=13_000, seed=11, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for w in (2, 4):
+                swept[0] = 0
+                assert run_ser(cfg, trials=13_000, seed=11, workers=w) == want
+                assert swept[0] == len(memos[-1]._tied)
+        finally:
+            sys.setswitchinterval(interval)
+
+
+# Without dither the coherent decision at phase phi depends on z_l alone, so
+# every candidate of the sweep gives equal symbols to equal residues: the
+# chunk engine scatters decisions by residue and relies on it.
+@pytest.mark.parametrize("L", [1, 3, 8])
+@pytest.mark.parametrize("mult", [2, 3, 16])
+@pytest.mark.parametrize("M", [2, 4, 8])
+def test_candidates_give_equal_residues_equal_symbols(M, mult, L):
+    # K = 2M ties often, more so at high SNR
+    for snr in (12.0, 20.0) if mult == 2 else (8.0,):
+        cfg = SystemConfig(M=M, K=mult * M, L=L, snr_db=snr)
+        X = np.random.default_rng(M * mult * L).integers(0, M, size=(400, L))
+        _, Z = sample_blocks(X, cfg, np.random.default_rng(int(snr)))
+        rows = np.unique(np.sort(Z % cfg.a, axis=1), axis=0)
+        sweep = _sweep_rows(rows, cfg, kernel_bank_for(cfg))
+        valid = np.arange(sweep.candidates.shape[1]) < sweep.n_distinct[:, None]
+        assert valid[np.arange(len(rows)), sweep.winner].all()
+        assert (sweep.ties <= valid).all()
+        # sorted rows: equal residues sit side by side
+        same = (rows[:, 1:] == rows[:, :-1])[:, None, :] & valid[:, :, None]
+        C = sweep.candidates
+        assert np.array_equal(C[:, :, 1:][same], C[:, :, :-1][same])
+        if mult == 2 and L > 1:
+            assert (np.count_nonzero(sweep.ties, axis=1) > 1).any()
 
 
 class TestTieCensus:
