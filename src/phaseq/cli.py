@@ -24,7 +24,7 @@ from .combinatorics import (
     export_output_classes_csv,
     grouped_input_classes,
 )
-from .core import SystemConfig, resolve_dither
+from .core import SystemConfig
 from .sim import run_ser
 from .transition import export_kernel_csv, kernel_bank_for, kernel_for
 from .verify import run_all_checks
@@ -44,7 +44,10 @@ def parse_snr_grid(text: str) -> list[float]:
             raise ValueError("stop must be >= start")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(count)]
-    return [float(p) for p in text.split(",") if p.strip()]
+    values = [float(p) for p in text.split(",") if p.strip()]
+    if not values:
+        raise ValueError("SNR grid is empty")
+    return values
 
 
 def _dither_mode(token: str) -> str:
@@ -63,29 +66,48 @@ def _build_config(args, snr_db: float) -> SystemConfig:
         L=args.L,
         snr_db=snr_db,
         theta0=args.theta0,
-        dither=resolve_dither(args.dither, args.L, args.K),
+        dither=args.dither,
     )
 
 
+def _system_fields(args, snr) -> dict[str, object]:
+    """The manifest fields every subcommand with system flags starts with."""
+    return {
+        "M": args.M,
+        "K": args.K,
+        "L": args.L,
+        "snr": snr,
+        "theta0": args.theta0,
+        "dither": _dither_mode(args.dither),
+    }
+
+
 def _write_manifest(
-    csv_path: Path,
-    args_namespace: argparse.Namespace,
+    path: Path,
+    args: argparse.Namespace,
     fields: dict[str, object],
-    duration_s: float,
+    started: float,
     rows: int,
-) -> Path:
-    manifest = csv_path.with_name(csv_path.name + ".manifest")
-    lines = [
-        f"command={' '.join(sys.argv[1:]) if sys.argv[1:] else args_namespace.command}",
-        f"version={__version__}",
-    ]
-    for key, value in fields.items():
-        lines.append(f"{key}={value}")
-    lines.append(f"output={csv_path}")
-    lines.append(f"rows={rows}")
-    lines.append(f"duration_s={duration_s:.3f}")
-    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return manifest
+) -> None:
+    """Write path's key=value manifest; started is the run's time.monotonic()."""
+    lines = [f"command={' '.join(args.argv)}", f"version={__version__}"]
+    lines += [f"{key}={value}" for key, value in fields.items()]
+    lines += [f"output={path}", f"rows={rows}", f"duration_s={time.monotonic() - started:.3f}"]
+    path.with_name(path.name + ".manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_csv(
+    args, header: list[str], rows: list[list[str]], fields: dict[str, object], started: float
+) -> int:
+    """Write header and rows to args.out, then its manifest; returns exit code 0."""
+    out = Path(args.out)
+    with out.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    _write_manifest(out, args, fields, started, len(rows))
+    print(f"wrote {len(rows)} rows to {out}")
+    return 0
 
 
 def _fmt(value: float | None, none_token: str = "na") -> str:
@@ -99,10 +121,8 @@ def _fmt(value: float | None, none_token: str = "na") -> str:
 
 def cmd_capacity(args) -> int:
     snrs = parse_snr_grid(args.snr)
-    out = Path(args.out)
     started = time.monotonic()
-    root = np.random.SeedSequence(args.seed)
-    children = root.spawn(len(snrs))
+    children = np.random.SeedSequence(args.seed).spawn(len(snrs))
     rows = []
     grids = []
     for snr_db, child in zip(snrs, children):
@@ -129,51 +149,31 @@ def cmd_capacity(args) -> int:
                 _fmt(res.error_bar if res.error_bar is not None else 0.0),
             ]
         )
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "snr_db",
-                "M",
-                "K",
-                "L",
-                "method",
-                "h_cond_bits",
-                "h_out_bits",
-                "mi_bits",
-                "per_symbol_bits",
-                "stderr",
-            ]
-        )
-        writer.writerows(rows)
-    _write_manifest(
-        out,
-        args,
-        {
-            "M": args.M,
-            "K": args.K,
-            "L": args.L,
-            "snr": args.snr,
-            "theta0": args.theta0,
-            "dither": _dither_mode(args.dither),
-            "method": args.method,
-            "nphi": ",".join(grids),
-            "trials": args.trials if args.method == "mc" else "",
-            "seed": args.seed,
-        },
-        time.monotonic() - started,
-        len(rows),
-    )
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    header = [
+        "snr_db",
+        "M",
+        "K",
+        "L",
+        "method",
+        "h_cond_bits",
+        "h_out_bits",
+        "mi_bits",
+        "per_symbol_bits",
+        "stderr",
+    ]
+    fields = _system_fields(args, args.snr) | {
+        "method": args.method,
+        "nphi": ",".join(grids),
+        "trials": args.trials if args.method == "mc" else "",
+        "seed": args.seed,
+    }
+    return _write_csv(args, header, rows, fields, started)
 
 
 def cmd_ser(args) -> int:
     snrs = parse_snr_grid(args.snr)
-    out = Path(args.out)
     started = time.monotonic()
-    root = np.random.SeedSequence(args.seed)
-    children = root.spawn(len(snrs))
+    children = np.random.SeedSequence(args.seed).spawn(len(snrs))
     mode = _dither_mode(args.dither)
     rows = []
     for snr_db, child in zip(snrs, children):
@@ -201,44 +201,26 @@ def cmd_ser(args) -> int:
                 str(args.seed),
             ]
         )
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "snr_db",
-                "M",
-                "K",
-                "L",
-                "dither_mode",
-                "trials",
-                "errors",
-                "ser",
-                "ci_low",
-                "ci_high",
-                "tie_rate",
-                "seed",
-            ]
-        )
-        writer.writerows(rows)
-    _write_manifest(
-        out,
-        args,
-        {
-            "M": args.M,
-            "K": args.K,
-            "L": args.L,
-            "snr": args.snr,
-            "theta0": args.theta0,
-            "dither": mode,
-            "convention": args.convention,
-            "trials": args.trials,
-            "seed": args.seed,
-        },
-        time.monotonic() - started,
-        len(rows),
-    )
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+    header = [
+        "snr_db",
+        "M",
+        "K",
+        "L",
+        "dither_mode",
+        "trials",
+        "errors",
+        "ser",
+        "ci_low",
+        "ci_high",
+        "tie_rate",
+        "seed",
+    ]
+    fields = _system_fields(args, args.snr) | {
+        "convention": args.convention,
+        "trials": args.trials,
+        "seed": args.seed,
+    }
+    return _write_csv(args, header, rows, fields, started)
 
 
 def cmd_verify(args) -> int:
@@ -271,22 +253,9 @@ def cmd_tables(args) -> int:
         grouped_input_classes(np.array(residue_classes[0].representative), cfg.M),
         inputs_path,
     )
+    fields = _system_fields(args, args.snr_db) | {"nphi": kernel.n_phi}
     for path in (kernel_path, classes_path, residue_path, inputs_path):
-        _write_manifest(
-            path,
-            args,
-            {
-                "M": args.M,
-                "K": args.K,
-                "L": args.L,
-                "snr": args.snr_db,
-                "theta0": args.theta0,
-                "dither": _dither_mode(args.dither),
-                "nphi": kernel.n_phi,
-            },
-            time.monotonic() - started,
-            0,
-        )
+        _write_manifest(path, args, fields, started, 0)
     print(f"wrote tables to {out_dir}")
     return 0
 
@@ -351,6 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # the manifests record the command line as it was given
+    args.argv = sys.argv[1:] if argv is None else list(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -51,9 +51,10 @@ class SystemConfig:
     snr_db   Es/N0 in dB for unit-energy symbols
     theta0   constellation orientation: symbol m sits at theta0 + m*2*pi/M
     dither   per-symbol extra rotations, exactly L entries; all zeros, of any
-             length, means the standard undithered constellation. Token
-             strings are accepted: "none" and "ramp" resolve via
-             resolve_dither.
+             length, means the standard undithered constellation. A token
+             string ("none", "ramp" or a comma list of L radians) resolves
+             via resolve_dither; the CLI and parse_config_text pass theirs
+             here as given.
     """
 
     M: int
@@ -167,7 +168,7 @@ def parse_config_text(text: str) -> SystemConfig:
     L = int(fields["L"])
     snr_db = float(fields["snr_db"])
     theta0 = float(fields.get("theta0", "0"))
-    dither = resolve_dither(fields.get("dither", "none"), L, K)
+    dither = fields.get("dither", "none")
     return SystemConfig(M=M, K=K, L=L, snr_db=snr_db, theta0=theta0, dither=dither)
 
 

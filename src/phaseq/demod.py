@@ -16,25 +16,26 @@ reduction (each position carries its own rotation), so the dithered path
 sweeps per-symbol crossovers on the full observation, at most one per symbol.
 
 Metrics are maxima over a scan grid of the smallest multiple of K at or above
-720 points, which this module fills and holds per kernel (_scan_tables; exact
-symmetry on the grid). The sweep scores all candidates of a row by one scan of
-the envelope E(phi) = sum_l max_m log P(z_l | m, phi) over the n_scan/M grid
-points of one period: on a candidate's segment E is its own metric, so each
-candidate gets the maximum of E over its segment's grid points. The winner's
-value is thus its full-circle grid maximum, since no other candidate beats E
-anywhere; a loser carries its in-segment maximum, which can lie below its
-full-circle one. The oracle paths (glrt_metric, brute_force_glrt) scan each
+720 points, which this module fills and holds per config (_scan_bank; exact
+symmetry on the grid); it reads no transition kernel. The sweep scores all
+candidates of a row by one scan of the envelope
+E(phi) = sum_l max_m log P(z_l | m, phi) over the n_scan/M grid points of one
+period: on a candidate's segment E is its own metric, so each candidate gets
+the maximum of E over its segment's grid points. The winner's value is thus
+its full-circle grid maximum, since no other candidate beats E anywhere; a
+loser carries its in-segment maximum, which can lie below its full-circle
+one. The oracle paths (glrt_metric, brute_force_glrt) scan each
 hypothesis over the full circle instead. One decision rule, shared by the
 sweep and the brute-force oracle, picks the winner and flags exactly tied
 candidates (the signature failure of K = 2M without dither): those whose
 relative metric gap to the winner is at most DEFAULT_TIE_TOL.
 
 The sweep runs on arrays of rows (_sweep_rows: candidates, metrics, winner,
-tie mask, tie gap), which the SER simulator scores directly. demodulate_rows
-and the single-block entry points cut one DemodRecord per row from those
-arrays. The entry points take the config and look its kernel bank up
-themselves (kernel_bank_for); demodulate_rows, which takes the bank, rejects
-one that is not the config's own.
+tie mask, tie gap), which the SER simulator scores directly. It takes the
+config alone, as do the single-block entry points. _records is the one place
+that cuts a row's DemodRecord from those arrays: the entry points build their
+GlrtResult from row 0's record, and demodulate_rows returns one per row; it
+still takes a kernel bank, and rejects one that is not the config's own.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ from .transition import (
     TransitionKernel,
     _arc_probabilities,
     _check_own_kernels,
-    kernel_bank_for,
     sector_probability,
 )
 
@@ -205,8 +205,7 @@ def _scan_grid(K: int, snr_db: float, theta0: float) -> tuple[np.ndarray, np.nda
     row is an exact roll of the base row log g(m*2*pi/n_scan - theta0), one
     arc fill; that keeps metric ties between symmetry-related candidates
     exact on the grid. Underflowed cells hold -inf. The pair depends on K,
-    the SNR and theta0 only, so kernels that differ in M or in the
-    block-length-dependent phase grid share it.
+    the SNR and theta0 only, so configs that differ in M or L share it.
     """
     n_scan = K * math.ceil(_SCAN_TARGET / K)
     with np.errstate(divide="ignore"):
@@ -215,26 +214,34 @@ def _scan_grid(K: int, snr_db: float, theta0: float) -> tuple[np.ndarray, np.nda
     return (TWO_PI / n_scan) * np.arange(n_scan), base[idx]
 
 
-def _scan_tables(kernel: TransitionKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(phi_scan, log table, envelope) of the kernel, held in its _caches.
+# A dithered config holds L tables of K*n_scan values (98 MB with envelopes
+# at K = 64 and a 200-position ramp). A run, its chunk threads and a
+# per-block loop score one config at a time, so one entry is enough.
+@lru_cache(maxsize=1)
+def _scan_bank(config: SystemConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Each position's (phi_scan, log table, envelope) under the config.
 
-    The envelope is the (K, P + 1) table of max_m log P(z | m, phi_i), with
-    P = n_scan/M. The scan rows are exact rolls by P per constellation step
-    (row z - a*m at i is row z at i + m*P), so the envelope is bitwise
-    2*pi/M-periodic and its first P columns hold all of it. Column P is a
-    -inf sentinel that closes each row's last segment. The envelope depends
-    on M, which the shared (phi_scan, table) pair does not, and the kernel
-    keeps all three so it never refills them after _scan_grid's cache has
-    evicted them; SER chunk threads that fill them at once store equal
-    tables.
+    Position l is scanned at theta0 + dither_l. The envelope is the
+    (K, P + 1) table of max_m log P(z | m, phi_i), with P = n_scan/M. The
+    scan rows are exact rolls by P per constellation step (row z - a*m at i
+    is row z at i + m*P), so the envelope is bitwise 2*pi/M-periodic and its
+    first P columns hold all of it. Column P is a -inf sentinel that closes
+    each row's last segment. Positions with equal rotations share one
+    triple. The cache holds whole configs, so a dithered block longer than
+    _scan_grid's cache never refills a position once its config is held;
+    SER chunk threads that fill one config at once store equal tables.
     """
-    if "scan" not in kernel._caches:
-        phi_scan, table = _scan_grid(kernel.K, kernel.snr_db, kernel.theta0)
-        P = phi_scan.size // kernel.M
-        env = np.full((kernel.K, P + 1), -np.inf)
-        env[:, :P] = table.reshape(kernel.K, kernel.M, P).max(axis=1)
-        kernel._caches["scan"] = (phi_scan, table, env)
-    return kernel._caches["scan"]
+    K, M = config.K, config.M
+    scans = {}
+    for d in config.dither:
+        theta = config.theta0 + d
+        if theta not in scans:
+            phi_scan, table = _scan_grid(K, config.snr_db, theta)
+            P = phi_scan.size // M
+            env = np.full((K, P + 1), -np.inf)
+            env[:, :P] = table.reshape(K, M, P).max(axis=1)
+            scans[theta] = (phi_scan, table, env)
+    return tuple(scans[config.theta0 + d] for d in config.dither)
 
 
 # ---- metric evaluation ------------------------------------------------------
@@ -244,7 +251,7 @@ def _evaluate_candidates(
     Z: np.ndarray,
     C: np.ndarray,
     valid: np.ndarray,
-    kernels: tuple[TransitionKernel, ...],
+    config: SystemConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid (log metric, phi_star) of candidate array C (n, D, L).
 
@@ -256,10 +263,8 @@ def _evaluate_candidates(
     output does not depend on the block size.
     """
     n, D, L = C.shape
-    K = kernels[0].K
-    a = kernels[0].a
-
-    scans = [_scan_tables(k) for k in kernels]
+    K, a = config.K, config.a
+    scans = _scan_bank(config)
     phi_scan = scans[0][0]
     log_tables = [t[1] for t in scans]
     n_scan = phi_scan.size
@@ -287,7 +292,7 @@ def _segment_maxima(
     C: np.ndarray,
     edges: np.ndarray,
     n_distinct: np.ndarray,
-    kernels: tuple[TransitionKernel, ...],
+    config: SystemConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Grid (log metric, phi_star) of each row's sweep candidates, (n, D).
 
@@ -304,8 +309,8 @@ def _segment_maxima(
     are scanned in blocks of _CHUNK_ELEMENTS // (P + 1), each on its own.
     """
     n, D, L = C.shape
-    K, M, a = kernels[0].K, kernels[0].M, kernels[0].a
-    scans = [_scan_tables(k) for k in kernels]
+    K, M, a = config.K, config.M, config.a
+    scans = _scan_bank(config)
     phi_scan = scans[0][0]
     n_scan = phi_scan.size
     P = n_scan // M
@@ -405,12 +410,11 @@ class _Sweep(NamedTuple):
     tie_gap: np.ndarray  # (n,)
 
 
-def _sweep_rows(
-    Z: np.ndarray, config: SystemConfig, kernels: tuple[TransitionKernel, ...]
-) -> _Sweep:
+def _sweep_rows(Z: np.ndarray, config: SystemConfig) -> _Sweep:
     """The candidate sweep on each row of Z (n, L), as arrays.
 
-    The body of demodulate_rows, without its kernel check or its records.
+    Z rows are taken as-is: residues of an undithered config (the caller
+    re-adds q) or full observations of a dithered one.
     """
     Z = np.asarray(Z, dtype=np.int64)
     n, L = Z.shape
@@ -432,7 +436,7 @@ def _sweep_rows(
     del args
     C %= M
 
-    log_metric, phi_star = _segment_maxima(Z, C, edges, n_distinct, kernels)
+    log_metric, phi_star = _segment_maxima(Z, C, edges, n_distinct, config)
     winner, ties, tie_gap = _decide(log_metric, valid)
     return _Sweep(C, n_distinct, log_metric, phi_star, edges, winner, ties, tie_gap)
 
@@ -471,29 +475,28 @@ def demodulate_rows(
     config: SystemConfig,
     kernels: tuple[TransitionKernel, ...],
 ) -> list[DemodRecord]:
-    """Run the candidate sweep on each row of Z (n, L).
+    """Run the candidate sweep on each row of Z (n, L), one record per row.
 
-    Z rows are taken as-is: residues of an undithered config (the caller
-    re-adds q) or full observations of a dithered one. kernels must be
-    kernel_bank_for(config) in value, else ValueError.
+    Rows are taken as _sweep_rows takes them. kernels must be
+    kernel_bank_for(config) in value, else ValueError; the sweep itself
+    reads only the config's scan tables.
     """
     _check_own_kernels(config, kernels)
-    return _records(_sweep_rows(Z, config, kernels))
+    return _records(_sweep_rows(Z, config))
 
 
 def _result_from_record(
-    rec: DemodRecord,
-    shift: np.ndarray,
-    M: int,
-    rng: np.random.Generator | None,
+    rec: DemodRecord, shift: np.ndarray | int, M: int, rng: np.random.Generator | None
 ) -> GlrtResult:
+    """The GlrtResult of one record, its candidates shifted by shift mod M.
+
+    A tied record draws its winner uniformly from its tie set when rng is given.
+    """
+    X = (rec.candidates + shift) % M
+    # a log metric is never +inf or NaN, and exp(-inf) is 0
     cands = tuple(
-        GlrtCandidate(
-            x=tuple(int(v) for v in (rec.candidates[j] + shift) % M),
-            phi_star=float(rec.phi_stars[j]),
-            metric=float(math.exp(rec.log_metrics[j])) if np.isfinite(rec.log_metrics[j]) else 0.0,
-        )
-        for j in range(rec.candidates.shape[0])
+        GlrtCandidate(x=tuple(x), phi_star=phi, metric=math.exp(lm))
+        for x, phi, lm in zip(X.tolist(), rec.phi_stars.tolist(), rec.log_metrics.tolist())
     )
     idx = rec.winner_index
     if rec.tie and rng is not None:
@@ -503,7 +506,7 @@ def _result_from_record(
         candidates=cands,
         tie=rec.tie,
         tie_gap=rec.tie_gap,
-        crossovers=tuple(float(v) for v in rec.crossovers),
+        crossovers=tuple(rec.crossovers.tolist()),
     )
 
 
@@ -522,10 +525,8 @@ def glrt_demodulate(
     if config.is_dithered:
         raise ValueError("glrt_demodulate requires an undithered config")
     z = _check_indices(z, "z", config.L, config.K, "K")
-    r = z % config.a
-    q = z // config.a
-    rec = demodulate_rows(r[None, :], config, kernel_bank_for(config))[0]
-    return _result_from_record(rec, q, config.M, rng)
+    rec = _records(_sweep_rows(z[None, :] % config.a, config))[0]
+    return _result_from_record(rec, z // config.a, config.M, rng)
 
 
 def glrt_demodulate_dithered(
@@ -537,8 +538,7 @@ def glrt_demodulate_dithered(
     L + 1 candidates per 2*pi/M period.
     """
     z = _check_indices(z, "z", config.L, config.K, "K")
-    rec = demodulate_rows(z[None, :], config, kernel_bank_for(config))[0]
-    return _result_from_record(rec, np.zeros(config.L, dtype=np.int64), config.M, rng)
+    return _result_from_record(_records(_sweep_rows(z[None, :], config))[0], 0, config.M, rng)
 
 
 def glrt_metric(z, x, config: SystemConfig) -> GlrtCandidate:
@@ -547,11 +547,10 @@ def glrt_metric(z, x, config: SystemConfig) -> GlrtCandidate:
     z = _check_indices(z, "z", config.L, config.K, "K")
     x = _check_indices(x, "x", config.L, config.M, "M")
     valid = np.ones((1, 1), dtype=bool)
-    lm, ph = _evaluate_candidates(
-        z[None, :], x[None, None, :], valid, kernel_bank_for(config)
+    lm, ph = _evaluate_candidates(z[None, :], x[None, None, :], valid, config)
+    return GlrtCandidate(
+        x=tuple(int(v) for v in x), phi_star=float(ph[0, 0]), metric=math.exp(lm[0, 0])
     )
-    metric = float(math.exp(lm[0, 0])) if np.isfinite(lm[0, 0]) else 0.0
-    return GlrtCandidate(x=tuple(int(v) for v in x), phi_star=float(ph[0, 0]), metric=metric)
 
 
 def brute_force_glrt(z, config: SystemConfig) -> GlrtResult:
@@ -569,9 +568,9 @@ def brute_force_glrt(z, config: SystemConfig) -> GlrtResult:
     tails = np.array(list(product(range(config.M), repeat=config.L - 1)), dtype=np.int64)
     C = np.concatenate([np.zeros((tails.shape[0], 1), dtype=np.int64), tails], axis=1)
     valid = np.ones((1, C.shape[0]), dtype=bool)
-    lm, ph = _evaluate_candidates(z[None, :], C[None, :, :], valid, kernel_bank_for(config))
+    lm, ph = _evaluate_candidates(z[None, :], C[None, :, :], valid, config)
     winner, ties, tie_gap = _decide(lm, valid)
     # every orbit is a candidate; the oracle splits the period at no crossover
     n_cand = np.array([C.shape[0]])
-    rec = _records(_Sweep(C[None], n_cand, lm, ph, np.empty((1, 0)), winner, ties, tie_gap))[0]
-    return _result_from_record(rec, np.zeros(config.L, dtype=np.int64), config.M, None)
+    sweep = _Sweep(C[None], n_cand, lm, ph, np.empty((1, 0)), winner, ties, tie_gap)
+    return _result_from_record(_records(sweep)[0], 0, config.M, None)

@@ -11,7 +11,7 @@ every block takes its decision by one gather through the ids, with no
 per-row record. Tied blocks re-draw their winner from the chunk stream, in
 block order, so memoization never correlates tie outcomes across blocks.
 
-Without dither every position shares one kernel, so P(z | x, phi) is
+Without dither every position shares one scan table, so P(z | x, phi) is
 unchanged when z and x are permuted together: the row demodulated for a block
 is its residue vector z mod a sorted ascending. Crossovers are per symbol, so
 candidate d of the sorted row is candidate d of the block permuted, and its
@@ -27,8 +27,10 @@ coherent decision at a phase depends on z_l alone, so every candidate of the
 sweep, the winner and each tie-set member alike, gives equal symbols to
 equal residues. A block's symbol at residue r is the candidate's symbol at
 the first sorted position holding r, plus the block's own z div a. Under
-dither each position has its own kernel, so rows are the full sector vectors
-in block order.
+dither each position has its own rotation, so rows are the full sector
+vectors in block order. The chunk engine hands demod the config alone, and
+demod scores rows from its own scan tables, so a run fills no transition
+kernel.
 
 Each worker thread of a run keeps one workspace, which holds the sampler's
 planes and the chunk's quotient, index and decision planes, so a chunk
@@ -56,7 +58,6 @@ from scipy.special import ndtr
 
 from .core import SystemConfig, _distinct_rows, _sample_into, _Workspace
 from .demod import _sweep_rows
-from .transition import kernel_bank_for
 
 DEFAULT_CHUNK = 4096
 _CONVENTIONS = ("pilot", "genie")
@@ -161,7 +162,7 @@ class _RowMemo:
         self.tie_sets: dict[int, np.ndarray] = {}
 
     def decide(
-        self, distinct: np.ndarray, config: SystemConfig, kernels
+        self, distinct: np.ndarray, config: SystemConfig
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(ids, winner vectors, tie flags, candidate counts) of the rows."""
         # each row's bytes, as row.tobytes() gives them
@@ -181,7 +182,7 @@ class _RowMemo:
             if absent:
                 missing = [i for i, key in enumerate(keys) if key in absent]
                 try:
-                    self._store(distinct[missing], [keys[i] for i in missing], config, kernels)
+                    self._store(distinct[missing], [keys[i] for i in missing], config)
                 finally:
                     # a failed sweep leaves its rows unstored and unclaimed,
                     # so the next pass of a waiting thread claims them
@@ -192,8 +193,8 @@ class _RowMemo:
             for event in claimed:
                 event.wait()
 
-    def _store(self, rows: np.ndarray, keys: list[bytes], config: SystemConfig, kernels) -> None:
-        sweep = _sweep_rows(rows, config, kernels)
+    def _store(self, rows: np.ndarray, keys: list[bytes], config: SystemConfig) -> None:
+        sweep = _sweep_rows(rows, config)
         winners = sweep.candidates[np.arange(len(rows)), sweep.winner]
         tied = np.count_nonzero(sweep.ties, axis=1) > 1
         with self._lock:
@@ -208,7 +209,6 @@ class _RowMemo:
 
 def _run_chunk(
     config: SystemConfig,
-    kernels,
     n_blocks: int,
     seed_seq: np.random.SeedSequence,
     convention: str,
@@ -236,7 +236,7 @@ def _run_chunk(
 
     if config.is_dithered:
         distinct, inverse = _distinct_rows(Z)
-        ids, winners, row_tied, n_cand = memo.decide(distinct, config, kernels)
+        ids, winners, row_tied, n_cand = memo.decide(distinct, config)
         np.take(winners, inverse, axis=0, out=xhat, mode="clip")
         for b in np.flatnonzero(row_tied[inverse]):
             xhat[b] = rng.choice(memo.tie_sets[ids[inverse[b]]])
@@ -249,7 +249,7 @@ def _run_chunk(
         counts = np.bincount(Z.reshape(-1), minlength=a * n_blocks).reshape(n_blocks, a)
         hist, inverse = _distinct_rows(counts)
         rows = np.repeat(np.tile(np.arange(a), len(hist)), hist.reshape(-1)).reshape(-1, L)
-        ids, winners, row_tied, n_cand = memo.decide(rows, config, kernels)
+        ids, winners, row_tied, n_cand = memo.decide(rows, config)
         # every candidate gives equal symbols to equal residues, so residue r
         # of a row takes the symbol at the first sorted position holding r
         first = np.minimum(np.cumsum(hist, axis=1) - hist, L - 1).reshape(-1)
@@ -284,7 +284,6 @@ def _simulate(
         raise ValueError(f"convention must be one of {_CONVENTIONS}")
     if convention == "pilot" and config.L < 2:
         raise ValueError("pilot convention needs L >= 2")
-    kernels = kernel_bank_for(config)
     sizes = _chunk_sizes(trials, DEFAULT_CHUNK)
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     children = root.spawn(len(sizes))
@@ -297,7 +296,7 @@ def _simulate(
         size, child = args
         if not hasattr(local, "work"):
             local.work = _Workspace()
-        return _run_chunk(config, kernels, size, child, convention, memo, local.work)
+        return _run_chunk(config, size, child, convention, memo, local.work)
 
     n_workers = max(1, workers)
     if n_workers > 1 and len(sizes) > 1:

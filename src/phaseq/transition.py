@@ -37,15 +37,17 @@ so any (z, x) probability is the stored row (z - a*x) mod K.
 Every table is a function of the operating point alone (M, K, SNR, theta0,
 dither and, through the grid, L), so the config is the only handle:
 block_conditional takes it and looks its kernels up through kernel_bank_for.
-Where a kernel is still passed in, _check_own_kernels rejects any that is not
-the config's own.
+A kernel holds one table, its block-probability table, filled on first read;
+demod's scan tables are keyed by the config and never touch a kernel. Where a
+kernel is still passed in, _check_own_kernels rejects any that is not the
+config's own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -162,8 +164,7 @@ class TransitionKernel:
     (K, n_phi) table is filled on first use; every table row is a cyclic
     relabeling of one set of arc probabilities g(t) sampled uniformly in t,
     which makes the sector-shift symmetry hold exactly on the grid. The
-    demodulator never reads the table: it keeps its own scan tables in
-    _caches.
+    demodulator never reads the table: demod fills its own scan tables.
     """
 
     snr_db: float
@@ -172,7 +173,6 @@ class TransitionKernel:
     a: int
     theta0: float
     n_phi: int
-    _caches: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def snr_linear(self) -> float:
@@ -182,23 +182,21 @@ class TransitionKernel:
     def phi_grid(self) -> np.ndarray:
         return (np.arange(self.n_phi) + 0.5) * (TWO_PI / self.n_phi)
 
-    @property
+    @cached_property
     def table(self) -> np.ndarray:
         """(K, n_phi) table, from the n_phi arc probabilities
         g((m + 1/2)*2*pi/n_phi - theta0) by index shifts, since every cell is
         g at a grid offset. Raises ValueError beyond _MAX_GRID points.
         """
-        if "table" not in self._caches:
-            n, K = self.n_phi, self.K
-            if n > _MAX_GRID:
-                raise ValueError(
-                    f"SNR {self.snr_db:g} dB needs a {n}-point phase grid for this block"
-                    f" length, above the {_MAX_GRID}-point limit of block probabilities"
-                )
-            g = _arc_probabilities(0.5 * (TWO_PI / n) - self.theta0, n, K, self.snr_linear)
-            idx = (n // K * np.arange(K)[:, None] - np.arange(n)[None, :] - 1) % n
-            self._caches["table"] = g[idx]
-        return self._caches["table"]
+        n, K = self.n_phi, self.K
+        if n > _MAX_GRID:
+            raise ValueError(
+                f"SNR {self.snr_db:g} dB needs a {n}-point phase grid for this block"
+                f" length, above the {_MAX_GRID}-point limit of block probabilities"
+            )
+        g = _arc_probabilities(0.5 * (TWO_PI / n) - self.theta0, n, K, self.snr_linear)
+        idx = (n // K * np.arange(K)[:, None] - np.arange(n)[None, :] - 1) % n
+        return g[idx]
 
 
 @lru_cache(maxsize=128)

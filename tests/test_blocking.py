@@ -17,7 +17,7 @@ import pytest
 
 from phaseq import SystemConfig, brute_force_glrt, kernel_bank_for, sample_blocks
 from phaseq import demod, transition
-from phaseq.demod import _scan_tables, demodulate_rows
+from phaseq.demod import _scan_bank, demodulate_rows
 from phaseq.transition import _UNDERFLOW_FLOOR, _log_grid_mean
 
 # a block of this many rows, or (None) the old 4M-element budget
@@ -96,7 +96,7 @@ def test_demodulate_rows_records(cfg, rows, monkeypatch):
     want = [_record_bytes(r) for r in demodulate_rows(Z, cfg, bank)]
     if not cfg.is_dithered:
         assert any(w[5] for w in want)  # K = 2M without dither ties rows
-    phi_scan = _scan_tables(bank[0])[0]
+    phi_scan = _scan_bank(cfg)[0][0]
     _set_block(monkeypatch, rows, phi_scan.size // cfg.M + 1)
     assert [_record_bytes(r) for r in demodulate_rows(Z, cfg, bank)] == want
 
@@ -107,7 +107,7 @@ def test_brute_force_glrt(rows, monkeypatch):
     z = [1, 0, 3, 7, 2, 5]
     want = brute_force_glrt(z, cfg)
     # rows counts scan rows of one candidate here: one candidate per block
-    _set_block(monkeypatch, rows, _scan_tables(kernel_bank_for(cfg)[0])[0].size)
+    _set_block(monkeypatch, rows, _scan_bank(cfg)[0][0].size)
     assert repr(brute_force_glrt(z, cfg)) == repr(want)
 
 
@@ -116,7 +116,7 @@ def test_brute_force_glrt_memory_is_bounded(monkeypatch):
     # 16,384 x 720 scan values (94 MB) and peak near 180 MB
     cfg = SystemConfig(M=4, K=8, L=8, snr_db=10.0)
     z = [1, 0, 3, 7, 2, 5, 6, 4]
-    _scan_tables(kernel_bank_for(cfg)[0])
+    _scan_bank(cfg)
     tracemalloc.start()
     try:
         got = brute_force_glrt(z, cfg)

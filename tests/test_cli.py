@@ -67,6 +67,20 @@ class TestCapacityCommand:
         assert manifest["K"] == "8"
         assert "duration_s" in manifest
 
+    def test_manifest_records_the_given_arguments(self, tmp_path, monkeypatch):
+        # main(argv) called from a host script records argv, not the host's
+        # own command line
+        monkeypatch.setattr("sys.argv", ["host.py", "x"])
+        out = tmp_path / "cap.csv"
+        args = ["capacity", "--K", "8", "--L", "2", "--snr", "6", "--out", str(out)]
+        assert main(args) == 0
+        manifest = read_manifest(out.with_suffix(".csv.manifest"))
+        assert manifest["command"] == " ".join(args)
+        assert list(manifest) == [
+            "command", "version", "M", "K", "L", "snr", "theta0", "dither",
+            "method", "nphi", "trials", "seed", "output", "rows", "duration_s",
+        ]
+
     def test_brute_matches_reduced(self, tmp_path):
         args = ["capacity", "--M", "4", "--K", "8", "--L", "2", "--snr", "10"]
         out_r = tmp_path / "r.csv"
@@ -201,6 +215,15 @@ class TestBadArguments:
                 ]
             )
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["capacity", "ser"])
+    @pytest.mark.parametrize("grid", ["", ","])
+    def test_empty_snr_grid_exits_2(self, command, grid, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--snr", grid, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -22,10 +22,13 @@ from phaseq import (
     kernel_for,
     sample_blocks,
 )
+from phaseq import demod
 from phaseq.demod import (
+    _arc_probabilities,
     _decide,
     _evaluate_candidates,
-    _scan_tables,
+    _scan_bank,
+    _scan_grid,
     _sweep_rows,
     demodulate_rows,
 )
@@ -235,7 +238,7 @@ class TestEnvelopeScan:
         rows = Z if cfg.is_dithered else np.sort(Z % cfg.a, axis=1)
         for z, rec in zip(rows, demodulate_rows(rows, cfg, kernels)):
             valid = np.ones((1, rec.candidates.shape[0]), dtype=bool)
-            full, phi = _evaluate_candidates(z[None, :], rec.candidates[None], valid, kernels)
+            full, phi = _evaluate_candidates(z[None, :], rec.candidates[None], valid, cfg)
             winner, ties, _ = _decide(full, valid)
             assert rec.winner_index == winner[0]
             assert rec.tie == (ties[0].sum() > 1)
@@ -255,12 +258,11 @@ class TestEnvelopeScan:
         step = TWO_PI / 720
         angles = crossover_angles(z, cfg)
         assert np.ceil(angles[1] / step) == np.ceil(angles[2] / step) == 135
-        kernels = kernel_bank_for(cfg)
-        rec = demodulate_rows(z[None, :], cfg, kernels)[0]
+        rec = demodulate_rows(z[None, :], cfg, kernel_bank_for(cfg))[0]
         own = [
             sum(
-                _scan_tables(k)[1][(z[l] - cfg.a * rec.candidates[2, l]) % cfg.K, i]
-                for l, k in enumerate(kernels)
+                scan[1][(z[l] - cfg.a * rec.candidates[2, l]) % cfg.K, i]
+                for l, scan in enumerate(_scan_bank(cfg))
             )
             for i in (134, 135)
         ]
@@ -371,14 +373,15 @@ class TestSweepStructure:
     def test_records_match_sweep_arrays(self, cfg):
         # demodulate_rows cuts its records from the array sweep that sim
         # scores with: row by row they hold the same bits, and a tie gap is
-        # None exactly where the sweep holds NaN
+        # None exactly where the sweep holds NaN. The single-block entry
+        # points build the same decision from their own one-row sweep
         kernels = kernel_bank_for(cfg)
         rng = np.random.default_rng(cfg.K + cfg.L)
         _, Z = sample_blocks(rng.integers(0, cfg.M, size=(300, cfg.L)), cfg, rng)
-        rows = Z if cfg.is_dithered else Z % cfg.a
         # a constant undithered row has one crossover, hence one candidate
-        rows = np.concatenate([rows, np.zeros((1, cfg.L), dtype=rows.dtype)])
-        sweep = _sweep_rows(rows, cfg, kernels)
+        Z = np.concatenate([Z, np.zeros((1, cfg.L), dtype=Z.dtype)])
+        rows = Z if cfg.is_dithered else Z % cfg.a
+        sweep = _sweep_rows(rows, cfg)
         records = demodulate_rows(rows, cfg, kernels)
         assert len(records) == rows.shape[0]
         for i, rec in enumerate(records):
@@ -398,10 +401,43 @@ class TestSweepStructure:
             assert not sweep.ties[i, d:].any()
         one = sweep.n_distinct == 1
         assert np.array_equal(np.isnan(sweep.tie_gap), one)
+        for z, r, rec in zip(Z, rows, records):
+            results = [(glrt_demodulate_dithered(r, cfg), 0)]
+            if not cfg.is_dithered:
+                # the residue row's record, plus q = z div a
+                results.append((glrt_demodulate(z, cfg), z // cfg.a))
+            for res, q in results:
+                X = (rec.candidates + q) % cfg.M
+                assert res.winner == tuple(X[rec.winner_index].tolist())
+                assert (res.tie, res.tie_gap) == (rec.tie, rec.tie_gap)
+                assert res.crossovers == tuple(rec.crossovers.tolist())
+                assert [c.x for c in res.candidates] == [tuple(x) for x in X.tolist()]
+                assert [c.phi_star for c in res.candidates] == rec.phi_stars.tolist()
+                metrics = [math.exp(v) for v in rec.log_metrics.tolist()]
+                assert [c.metric for c in res.candidates] == metrics
         if not cfg.is_dithered:
             assert one.any()
         if cfg.K == 2 * cfg.M and not cfg.is_dithered:
             assert any(rec.tie for rec in records)
+
+    def test_scan_tables_fill_once_per_position(self, monkeypatch):
+        # 200 ramp positions, each with its own rotation, outnumber the 128
+        # entries of _scan_grid's cache; the config's bank holds all of them,
+        # so two sweeps fill each position's table once
+        cfg = SystemConfig(M=4, K=8, L=200, snr_db=7.25, dither="ramp")
+        calls = [0]
+
+        def counting_fill(*args):
+            calls[0] += 1
+            return _arc_probabilities(*args)
+
+        monkeypatch.setattr(demod, "_arc_probabilities", counting_fill)
+        _scan_bank.cache_clear()
+        _scan_grid.cache_clear()
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            _sweep_rows(rng.integers(0, cfg.K, size=(20, cfg.L)), cfg)
+        assert calls[0] == cfg.L
 
 
 class TestPermutationSymmetry:

@@ -11,16 +11,16 @@ import pytest
 from phaseq import (
     SystemConfig,
     coherent_qpsk_ser,
+    kernel_bank_for,
     run_ser,
     run_tie_census,
     ser_crossing_snr,
     wilson_interval,
 )
-from phaseq import sim
+from phaseq import sim, transition
 from phaseq.core import sample_blocks
 from phaseq.demod import _sweep_rows
 from phaseq.sim import DEFAULT_CHUNK, _chunk_sizes, _distinct_rows
-from phaseq.transition import kernel_bank_for
 
 
 class TestHelpers:
@@ -257,10 +257,10 @@ class TestChunkEngine:
         swept = [0]
         memos = []
 
-        def counting_sweep(rows, config, kernels):
+        def counting_sweep(rows, config):
             with lock:
                 swept[0] += len(rows)
-            return _sweep_rows(rows, config, kernels)
+            return _sweep_rows(rows, config)
 
         class RecordedMemo(sim._RowMemo):
             def __init__(self, L):
@@ -280,6 +280,17 @@ class TestChunkEngine:
         finally:
             sys.setswitchinterval(interval)
 
+    # A guard against a future regression rather than a present defect:
+    # demod scores rows from its own scan tables, so a kernel's
+    # block-probability table is filled only where it is read. The kernel
+    # cache is cleared first, so tables other tests filled do not count.
+    @pytest.mark.parametrize("dither", [None, "ramp"])
+    def test_run_fills_no_kernel_table(self, dither):
+        cfg = SystemConfig(M=4, K=12, L=6, snr_db=10.0, dither=dither)
+        transition._kernel_cached.cache_clear()
+        run_ser(cfg, trials=2_000, seed=3, workers=2)
+        assert all("table" not in k.__dict__ for k in kernel_bank_for(cfg))
+
 
 # Without dither the coherent decision at phase phi depends on z_l alone, so
 # every candidate of the sweep gives equal symbols to equal residues: the
@@ -294,7 +305,7 @@ def test_candidates_give_equal_residues_equal_symbols(M, mult, L):
         X = np.random.default_rng(M * mult * L).integers(0, M, size=(400, L))
         _, Z = sample_blocks(X, cfg, np.random.default_rng(int(snr)))
         rows = np.unique(np.sort(Z % cfg.a, axis=1), axis=0)
-        sweep = _sweep_rows(rows, cfg, kernel_bank_for(cfg))
+        sweep = _sweep_rows(rows, cfg)
         valid = np.arange(sweep.candidates.shape[1]) < sweep.n_distinct[:, None]
         assert valid[np.arange(len(rows)), sweep.winner].all()
         assert (sweep.ties <= valid).all()

@@ -30,7 +30,7 @@ from phaseq import (
 )
 from phaseq import transition
 from phaseq.capacity import _input_average
-from phaseq.demod import _scan_tables
+from phaseq.demod import _scan_bank, _scan_grid
 from phaseq.transition import _MAX_GRID, _grid_size, _log_grid_mean
 
 TWO_PI = 2.0 * math.pi
@@ -211,7 +211,7 @@ def test_arc_fill_matches_quadrature_oracle(K, snr_db, rng):
     k = kernel_for(cfg)
     # row 0 of both tables holds the arc probabilities g in reverse grid order
     kernel_base = k.table[0, (-np.arange(k.n_phi) - 1) % k.n_phi]
-    _, logtab, _ = _scan_tables(k)
+    _, logtab, _ = _scan_bank(cfg)[0]
     n_scan = logtab.shape[1]
     scan_base = np.exp(logtab[0, (-np.arange(n_scan)) % n_scan])
     for n, probs, half in ((k.n_phi, kernel_base, 0.5), (n_scan, scan_base, 0.0)):
@@ -225,19 +225,21 @@ def test_arc_fill_matches_quadrature_oracle(K, snr_db, rng):
 def test_demod_tables_shared_across_block_lengths():
     # the scan grid and table depend on (K, SNR, theta0), not on M or the
     # L-dependent phase grid, so L = 8 and M = 8 reuse what L = 4 built; the
-    # envelope depends on M, so the M = 8 kernel has its own
+    # envelope depends on M, so the M = 8 config has its own
     short = SystemConfig(M=4, K=64, L=4, snr_db=10.0)
     long, octal = replace(short, L=8), replace(short, M=8)
     assert _grid_size(short) != _grid_size(long)
     for cfg in (short, long, octal):
         glrt_demodulate(np.zeros(cfg.L, dtype=np.int64), cfg)
-    base = _scan_tables(kernel_for(short))
+    base = _scan_bank(short)[0]
+    phi_scan, table = _scan_grid(short.K, short.snr_db, short.theta0)
+    assert phi_scan is base[0] and table is base[1]
     for cfg in (long, octal):
         assert kernel_for(cfg) is not kernel_for(short)
-        phi_scan, table, _ = _scan_tables(kernel_for(cfg))
+        phi_scan, table, _ = _scan_bank(cfg)[0]
         assert phi_scan is base[0] and table is base[1]
-    assert np.array_equal(_scan_tables(kernel_for(long))[2], base[2])
-    assert _scan_tables(kernel_for(octal))[2].shape != base[2].shape
+    assert np.array_equal(_scan_bank(long)[0][2], base[2])
+    assert _scan_bank(octal)[0][2].shape != base[2].shape
 
 
 def test_kernel_bank_undithered_shares_kernel(qpsk8):
