@@ -24,7 +24,7 @@ from .combinatorics import (
     export_output_classes_csv,
     grouped_input_classes,
 )
-from .core import SystemConfig
+from .core import SystemConfig, ramp_dither
 from .sim import run_ser
 from .transition import export_kernel_csv, kernel_bank_for, kernel_for
 from .verify import run_all_checks
@@ -50,13 +50,11 @@ def parse_snr_grid(text: str) -> list[float]:
     return values
 
 
-def _dither_mode(token: str) -> str:
-    token = token.strip().lower()
-    if token in ("", "none"):
+def _dither_mode(cfg: SystemConfig) -> str:
+    """The dither label of a resolved config: none, ramp or custom."""
+    if not cfg.is_dithered:
         return "none"
-    if token == "ramp":
-        return "ramp"
-    return "custom"
+    return "ramp" if cfg.dither == ramp_dither(cfg.L, cfg.K) else "custom"
 
 
 def _build_config(args, snr_db: float) -> SystemConfig:
@@ -70,15 +68,15 @@ def _build_config(args, snr_db: float) -> SystemConfig:
     )
 
 
-def _system_fields(args, snr) -> dict[str, object]:
+def _system_fields(cfg: SystemConfig, snr) -> dict[str, object]:
     """The manifest fields every subcommand with system flags starts with."""
     return {
-        "M": args.M,
-        "K": args.K,
-        "L": args.L,
+        "M": cfg.M,
+        "K": cfg.K,
+        "L": cfg.L,
         "snr": snr,
-        "theta0": args.theta0,
-        "dither": _dither_mode(args.dither),
+        "theta0": cfg.theta0,
+        "dither": _dither_mode(cfg),
     }
 
 
@@ -121,6 +119,11 @@ def _fmt(value: float | None, none_token: str = "na") -> str:
 
 def cmd_capacity(args) -> int:
     snrs = parse_snr_grid(args.snr)
+    first = _build_config(args, snrs[0])
+    if first.is_dithered and args.method != "mc":
+        raise ValueError(
+            f"--dither needs --method mc: --method {args.method} takes undithered configs only"
+        )
     started = time.monotonic()
     children = np.random.SeedSequence(args.seed).spawn(len(snrs))
     rows = []
@@ -131,8 +134,6 @@ def cmd_capacity(args) -> int:
             rng = np.random.default_rng(child)
             res = mutual_information_mc(cfg, trials=args.trials, rng=rng)
         else:
-            if cfg.is_dithered:
-                raise SystemExit("dithered configs require --method mc")
             res = mutual_information(cfg, method=args.method)
         grids.append(str(kernel_bank_for(cfg)[0].n_phi))
         rows.append(
@@ -161,7 +162,7 @@ def cmd_capacity(args) -> int:
         "per_symbol_bits",
         "stderr",
     ]
-    fields = _system_fields(args, args.snr) | {
+    fields = _system_fields(first, args.snr) | {
         "method": args.method,
         "nphi": ",".join(grids),
         "trials": args.trials if args.method == "mc" else "",
@@ -172,9 +173,10 @@ def cmd_capacity(args) -> int:
 
 def cmd_ser(args) -> int:
     snrs = parse_snr_grid(args.snr)
+    first = _build_config(args, snrs[0])
+    mode = _dither_mode(first)
     started = time.monotonic()
     children = np.random.SeedSequence(args.seed).spawn(len(snrs))
-    mode = _dither_mode(args.dither)
     rows = []
     for snr_db, child in zip(snrs, children):
         cfg = _build_config(args, snr_db)
@@ -215,7 +217,7 @@ def cmd_ser(args) -> int:
         "tie_rate",
         "seed",
     ]
-    fields = _system_fields(args, args.snr) | {
+    fields = _system_fields(first, args.snr) | {
         "convention": args.convention,
         "trials": args.trials,
         "seed": args.seed,
@@ -236,10 +238,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    cfg = _build_config(args, args.snr_db)
+    if cfg.is_dithered:
+        raise ValueError("tables exports the one kernel of an undithered config; drop --dither")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    cfg = _build_config(args, args.snr_db)
     kernel = kernel_for(cfg)
     kernel_path = out_dir / "kernel.csv"
     export_kernel_csv(kernel, kernel_path)
@@ -253,7 +257,7 @@ def cmd_tables(args) -> int:
         grouped_input_classes(np.array(residue_classes[0].representative), cfg.M),
         inputs_path,
     )
-    fields = _system_fields(args, args.snr_db) | {"nphi": kernel.n_phi}
+    fields = _system_fields(cfg, args.snr_db) | {"nphi": kernel.n_phi}
     for path in (kernel_path, classes_path, residue_path, inputs_path):
         _write_manifest(path, args, fields, started, 0)
     print(f"wrote tables to {out_dir}")

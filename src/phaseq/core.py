@@ -124,18 +124,8 @@ class SystemConfig:
 
     def symbol_phases(self, x) -> np.ndarray:
         """Transmitted phases theta0 + x*2*pi/M + dither, one per position."""
-        x = self._check_symbols(x)
+        x = _check_indices(x, "x", self.L, self.M, "M", stacked=True)
         return self.theta0 + x * (TWO_PI / self.M) + np.asarray(self.dither)
-
-    def _check_symbols(self, x) -> np.ndarray:
-        """x as an int64 array of inputs, ValueError unless its last axis
-        holds L symbols in 0..M-1."""
-        x = np.asarray(x, dtype=np.int64)
-        if x.shape[-1] != self.L:
-            raise ValueError(f"input must have L={self.L} symbols")
-        if np.any((x < 0) | (x >= self.M)):
-            raise ValueError("symbols must lie in 0..M-1")
-        return x
 
     @classmethod
     def from_file(cls, path) -> "SystemConfig":
@@ -188,22 +178,32 @@ def resolve_dither(token: str, block_len: int, sectors: int) -> tuple[float, ...
     return values
 
 
-def _check_indices(v, name: str, L: int, n: int, n_name: str) -> np.ndarray:
-    """v as an int array of L integers in 0..n-1, else ValueError.
+def _check_indices(
+    v, name: str, L: int | None, n: int, n_name: str, stacked: bool = False
+) -> np.ndarray:
+    """v as an int64 array of integers in 0..n-1, else ValueError.
 
-    Integral floats (2.0) pass; fractional, non-finite or non-numeric
-    entries are rejected rather than truncated.
+    v is one block of L entries; stacked=True also takes blocks stacked
+    along leading axes (shape (..., L)), and L=None takes a scalar. Integral
+    floats (2.0) pass; fractional, non-finite or non-numeric entries are
+    rejected rather than truncated. Integer arrays are not copied.
     """
     v = np.asarray(v)
-    if v.shape != (L,):
-        raise ValueError(f"{name} must have L={L} entries")
+    what = name
+    if L is None:
+        if v.ndim:
+            raise ValueError(f"{name} must be a single index")
+    else:
+        what = f"{name} components"
+        if v.shape[-1:] != (L,) or (v.ndim > 1 and not stacked):
+            raise ValueError(f"{name} must have L={L} entries")
     if v.dtype.kind not in "iu" and not (
         v.dtype.kind == "f" and np.all(np.isfinite(v)) and np.all(v == np.floor(v))
     ):
-        raise ValueError(f"{name} components must be integers")
+        raise ValueError(f"{what} must be integers")
     if np.any((v < 0) | (v >= n)):
-        raise ValueError(f"{name} components must lie in 0..{n_name}-1")
-    return v.astype(np.int64)
+        raise ValueError(f"{what} must lie in 0..{n_name}-1")
+    return v.astype(np.int64, copy=False)
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,4 +383,5 @@ def sample_blocks(
     stream as one (n, L) draw of real parts followed by one of imaginary
     parts.
     """
-    return _sample_into(config._check_symbols(X), config, rng, phi, _Workspace())
+    X = _check_indices(X, "X", config.L, config.M, "M", stacked=True)
+    return _sample_into(X, config, rng, phi, _Workspace())

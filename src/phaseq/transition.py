@@ -56,7 +56,6 @@ from scipy.special import ndtr
 
 from .core import _CHUNK_ELEMENTS, TWO_PI, SystemConfig, _check_indices
 
-DEFAULT_TOL = 1e-12
 # A kernel table is filled only up to this many phase grid points, i.e. up to
 # rho*L of about 1.9e9 (93 dB at L = 1, 84 dB at L = 8); beyond it a K = 64
 # table would pass half a gigabyte.
@@ -86,13 +85,11 @@ def _wrap_pi(t):
     return (t + math.pi) % TWO_PI - math.pi
 
 
-def sector_offset_probability(
-    t: float, width: float, snr_linear: float, tol: float = DEFAULT_TOL
-) -> float:
+def sector_offset_probability(t: float, width: float, snr_linear: float) -> float:
     """P(phase offset lands in [t, t + width)), the quadrature primitive.
 
-    Driven by a relative target of tol/10 so that even deep-tail sectors keep
-    relative accuracy; that is stricter than an absolute tol for any p <= 1.
+    The quadrature targets a relative error of 1e-13, so that deep-tail
+    sectors keep their relative accuracy too.
     """
     t = _wrap_pi(t)
     hi = t + width
@@ -107,7 +104,7 @@ def sector_offset_probability(
         hi,
         points=interior or None,
         epsabs=1e-300,
-        epsrel=max(tol * 0.1, 1e-13),
+        epsrel=1e-13,
         limit=200,
         full_output=1,
     )[0]
@@ -117,10 +114,8 @@ def sector_offset_probability(
 def sector_probability(z: int, x: int, phi: float, config: SystemConfig) -> float:
     """P(Z = z | X = x, phi) for a single symbol, by adaptive quadrature."""
     K, M = config.K, config.M
-    if not 0 <= z < K:
-        raise ValueError(f"z must lie in 0..{K - 1}")
-    if not 0 <= x < M:
-        raise ValueError(f"x must lie in 0..{M - 1}")
+    z = int(_check_indices(z, "z", None, K, "K"))
+    x = int(_check_indices(x, "x", None, M, "M"))
     clean = config.theta0 + x * (TWO_PI / M) + phi
     return sector_offset_probability(z * (TWO_PI / K) - clean, TWO_PI / K, config.snr_linear)
 
@@ -258,21 +253,12 @@ def block_conditional(z, x, config: SystemConfig) -> float:
     return float(np.exp(_log_grid_mean(tables, S[None, :])[0]))
 
 
-def block_conditional_batch(
-    Z: np.ndarray,
-    kernel: TransitionKernel,
-    x: np.ndarray | None = None,
-) -> np.ndarray:
-    """P(z | x) for many undithered blocks at once; Z is (n, L).
+def block_conditional_batch(Z: np.ndarray, kernel: TransitionKernel) -> np.ndarray:
+    """P(z | 0) for many undithered blocks at once; Z is (n, L).
 
-    x defaults to the all-zero input.
+    The input is the all-zero block; P(z | x) is P((z - a*x) mod K | 0).
     """
-    Z = np.asarray(Z, dtype=np.int64)
-    if x is None:
-        S = Z % kernel.K
-    else:
-        x = np.asarray(x, dtype=np.int64)
-        S = (Z - kernel.a * x[None, :]) % kernel.K
+    S = np.asarray(Z, dtype=np.int64) % kernel.K
     return np.exp(_log_grid_mean([kernel.table] * S.shape[1], S))
 
 

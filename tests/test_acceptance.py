@@ -13,15 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from phaseq import (
-    SystemConfig,
-    glrt_demodulate,
-    glrt_demodulate_dithered,
-    mutual_information,
-    mutual_information_mc,
-    run_ser,
-    ser_crossing_snr,
-)
+from phaseq import SystemConfig
+from phaseq.capacity import mutual_information, mutual_information_mc
+from phaseq.demod import glrt_demodulate, glrt_demodulate_dithered
+from phaseq.sim import run_ser, ser_crossing_snr
 from phaseq.verify import (
     check_cardinalities,
     check_conditional_entropy_constant,

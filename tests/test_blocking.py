@@ -15,10 +15,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phaseq import SystemConfig, brute_force_glrt, kernel_bank_for, sample_blocks
-from phaseq import demod, transition
-from phaseq.demod import _scan_bank, demodulate_rows
-from phaseq.transition import _UNDERFLOW_FLOOR, _log_grid_mean
+from phaseq import SystemConfig, demod, transition
+from phaseq.core import sample_blocks
+from phaseq.demod import _scan_bank, brute_force_glrt, demodulate_rows
+from phaseq.transition import _UNDERFLOW_FLOOR, _log_grid_mean, kernel_bank_for
 
 # a block of this many rows, or (None) the old 4M-element budget
 _BLOCK_ROWS = [1, 3, None]

@@ -11,22 +11,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseq import (
-    SystemConfig,
+from phaseq import SystemConfig
+from phaseq.capacity import (
+    LOG2E,
+    _MC_BATCH,
+    _input_average,
+    block_probs_all_outputs,
     brute_force_conditional_entropy,
     brute_force_output_entropy,
     brute_force_output_probs,
     conditional_entropy,
-    kernel_for,
     marginal_probability,
     mutual_information,
     mutual_information_mc,
     output_entropy,
-    run_ser,
 )
-from phaseq.capacity import LOG2E, _MC_BATCH, _input_average, block_probs_all_outputs
 from phaseq.core import sample_blocks
-from phaseq.transition import _log_grid_mean, kernel_bank_for
+from phaseq.sim import run_ser
+from phaseq.transition import _log_grid_mean, kernel_bank_for, kernel_for
 
 
 class TestDegenerateLimits:

@@ -1,4 +1,5 @@
-"""Channel model: config validation, quantizer, modulation, block sampling."""
+"""Channel model: config validation, quantizer, modulation, block sampling,
+and the package root that exports the config."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseq import (
-    SystemConfig,
+from phaseq import SystemConfig
+from phaseq.core import (
     modulate,
     parse_config_text,
     ramp_dither,
@@ -304,13 +305,36 @@ class TestSamplerPin:
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=0.0)
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
-        with pytest.raises(ValueError, match="symbols must lie in 0..M-1"):
+        with pytest.raises(ValueError, match="X components must lie in 0..M-1"):
             sample_blocks([[0, 4]], cfg, rng)
-        with pytest.raises(ValueError, match="symbols must lie in 0..M-1"):
+        with pytest.raises(ValueError, match="X components must lie in 0..M-1"):
             sample_blocks([[-1, 0]], cfg, rng)
-        with pytest.raises(ValueError, match="input must have L=2 symbols"):
+        with pytest.raises(ValueError, match="X must have L=2 entries"):
             sample_blocks([[0, 1, 2]], cfg, rng)
         assert rng.bit_generator.state == state
+
+    def test_fractional_symbols_rejected_not_truncated(self):
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=0.0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for X in ([[0.7, 1.9]], [[0, np.nan]], [[0, np.inf]]):
+            with pytest.raises(ValueError, match="X components must be integers"):
+                sample_blocks(X, cfg, rng)
+        assert rng.bit_generator.state == state
+        for x in ([0.5, 1], [[0, 1], [1, 2.5]]):
+            with pytest.raises(ValueError, match="x components must be integers"):
+                modulate(x, cfg)
+
+    def test_integer_symbols_of_any_dtype_draw_alike(self):
+        cfg = SystemConfig(M=4, K=8, L=3, snr_db=5.0, dither="ramp")
+        X = np.array([[0, 1, 3], [2, 2, 0]])
+        draws = [
+            sample_blocks(v, cfg, np.random.default_rng(5))
+            for v in (X, X.astype(np.int32), X.astype(np.uint8), X.astype(float), X.tolist())
+        ]
+        for phi, Z in draws[1:]:
+            assert np.array_equal(phi, draws[0][0]) and np.array_equal(Z, draws[0][1])
+        assert np.array_equal(modulate(X.astype(float), cfg), modulate(X, cfg))
 
 
 def test_parse_config_text_roundtrip(tmp_path):
@@ -341,3 +365,19 @@ def test_parse_config_text_rejects_non_finite():
 def test_parse_config_text_missing_key():
     with pytest.raises(ValueError, match="snr_db"):
         parse_config_text("M=4\nK=8\nL=2\n")
+
+
+def test_package_root_holds_only_the_config():
+    # every other name is imported from its module (phaseq.sim.run_ser);
+    # submodules appear on the root once something has imported them
+    import types
+
+    import phaseq
+
+    public = {name for name in vars(phaseq) if not name.startswith("_")}
+    modules = {name for name in public if isinstance(getattr(phaseq, name), types.ModuleType)}
+    assert public - modules == {"SystemConfig"}
+    assert all(getattr(phaseq, name).__name__ == f"phaseq.{name}" for name in modules)
+    assert phaseq.__all__ == ["SystemConfig"]
+    assert phaseq.SystemConfig is SystemConfig
+    assert phaseq.__version__ == "0.1.0"

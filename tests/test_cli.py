@@ -6,8 +6,10 @@ import csv
 
 import pytest
 
-from phaseq import SystemConfig, kernel_for, mutual_information
+from phaseq import SystemConfig
+from phaseq.capacity import mutual_information
 from phaseq.cli import main, parse_snr_grid
+from phaseq.transition import kernel_for
 
 
 def read_csv(path):
@@ -121,17 +123,24 @@ class TestCapacityCommand:
         assert row["method"] == "monte-carlo"
         assert float(row["stderr"]) > 0
 
-    def test_exact_methods_refuse_dither(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(
-                [
-                    "capacity",
-                    "--M", "4", "--K", "8", "--L", "2",
-                    "--snr", "6",
-                    "--dither", "ramp",
-                    "--out", str(tmp_path / "x.csv"),
-                ]
-            )
+    def test_exact_methods_refuse_dither(self, tmp_path, capsys):
+        # a usage error: exit 2 before any SNR point runs, and no CSV
+        for method in ("reduced", "brute"):
+            out = tmp_path / f"{method}.csv"
+            with pytest.raises(SystemExit) as exc:
+                main(
+                    [
+                        "capacity",
+                        "--M", "4", "--K", "8", "--L", "2",
+                        "--snr", "6",
+                        "--dither", "ramp",
+                        "--method", method,
+                        "--out", str(out),
+                    ]
+                )
+            assert exc.value.code == 2
+            assert "--dither needs --method mc" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestSerCommand:
@@ -166,6 +175,21 @@ class TestSerCommand:
         )
         assert code == 0
         assert read_csv(out)[0]["dither_mode"] == "ramp"
+        assert read_manifest(out.with_suffix(".csv.manifest"))["dither"] == "ramp"
+
+    @pytest.mark.parametrize("dither, label", [("0,0", "none"), ("0.1,0", "custom")])
+    def test_dither_label_follows_resolved_config(self, tmp_path, dither, label):
+        # an all-zero list is the undithered constellation, and is run as one
+        out = tmp_path / "d.csv"
+        args = ["ser", "--K", "8", "--L", "2", "--snr", "6", "--trials", "500"]
+        assert main(args + ["--dither", dither, "--out", str(out)]) == 0
+        row = read_csv(out)[0]
+        assert row["dither_mode"] == label
+        assert read_manifest(out.with_suffix(".csv.manifest"))["dither"] == label
+        if label == "none":
+            plain = tmp_path / "plain.csv"
+            assert main(args + ["--out", str(plain)]) == 0
+            assert plain.read_bytes() == out.read_bytes()
 
 
 class TestTablesCommand:
@@ -193,6 +217,14 @@ class TestTablesCommand:
         assert len(kernel_rows) == 8 * n_phi
         for name in expected:
             assert read_manifest(out_dir / (name + ".manifest"))["nphi"] == str(n_phi)
+
+    def test_dither_refused_before_any_output(self, tmp_path, capsys):
+        out_dir = tmp_path / "tables"
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--K", "8", "--L", "3", "--dither", "ramp", "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert "--dither" in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestVerifyCommand:

@@ -10,15 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseq import (
+from phaseq.combinatorics import (
     canonical_output_classes,
     export_input_classes_csv,
     export_output_classes_csv,
     grouped_input_classes,
     input_class_count,
+    output_class_arrays,
     output_class_count,
 )
-from phaseq.combinatorics import output_class_arrays
 
 
 def brute_class_buckets(alphabet: int, L: int) -> dict[tuple, int]:

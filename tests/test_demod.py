@@ -11,18 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseq import (
-    SystemConfig,
-    brute_force_glrt,
-    crossover_angles,
-    glrt_demodulate,
-    glrt_demodulate_dithered,
-    glrt_metric,
-    kernel_bank_for,
-    kernel_for,
-    sample_blocks,
-)
-from phaseq import demod
+from phaseq import SystemConfig, demod
+from phaseq.core import sample_blocks
 from phaseq.demod import (
     _arc_probabilities,
     _decide,
@@ -30,8 +20,14 @@ from phaseq.demod import (
     _scan_bank,
     _scan_grid,
     _sweep_rows,
+    brute_force_glrt,
+    crossover_angles,
     demodulate_rows,
+    glrt_demodulate,
+    glrt_demodulate_dithered,
+    glrt_metric,
 )
+from phaseq.transition import kernel_bank_for, kernel_for
 
 TWO_PI = 2.0 * math.pi
 

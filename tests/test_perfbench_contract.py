@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phaseq import SystemConfig, mutual_information
+from phaseq import SystemConfig
+from phaseq.capacity import mutual_information
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 

@@ -8,19 +8,20 @@ import threading
 import numpy as np
 import pytest
 
-from phaseq import (
-    SystemConfig,
+from phaseq import SystemConfig, sim, transition
+from phaseq.core import sample_blocks
+from phaseq.demod import _sweep_rows
+from phaseq.sim import (
+    DEFAULT_CHUNK,
+    _chunk_sizes,
+    _distinct_rows,
     coherent_qpsk_ser,
-    kernel_bank_for,
     run_ser,
     run_tie_census,
     ser_crossing_snr,
     wilson_interval,
 )
-from phaseq import sim, transition
-from phaseq.core import sample_blocks
-from phaseq.demod import _sweep_rows
-from phaseq.sim import DEFAULT_CHUNK, _chunk_sizes, _distinct_rows
+from phaseq.transition import kernel_bank_for
 
 
 class TestHelpers:

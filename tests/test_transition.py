@@ -14,24 +14,24 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from phaseq import (
-    SystemConfig,
+from phaseq import SystemConfig, transition
+from phaseq.capacity import _input_average
+from phaseq.core import sample_blocks
+from phaseq.demod import _scan_bank, _scan_grid, glrt_demodulate
+from phaseq.transition import (
+    _MAX_GRID,
+    _grid_size,
+    _log_grid_mean,
     block_conditional,
     block_conditional_batch,
     export_kernel_csv,
-    glrt_demodulate,
     kernel_bank_for,
     kernel_for,
     load_kernel_csv,
     phase_offset_pdf,
-    sample_blocks,
     sector_offset_probability,
     sector_probability,
 )
-from phaseq import transition
-from phaseq.capacity import _input_average
-from phaseq.demod import _scan_bank, _scan_grid
-from phaseq.transition import _MAX_GRID, _grid_size, _log_grid_mean
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,6 +104,22 @@ def test_sector_probability_basic_identities():
     assert sector_probability(4, 1, phi + TWO_PI / 8, cfg) == pytest.approx(base, rel=1e-11)
     # stepping the symbol jumps a=2 sectors
     assert sector_probability(5, 2, phi, cfg) == pytest.approx(base, rel=1e-11)
+
+
+def test_sector_probability_checks_its_indices():
+    cfg = SystemConfig(M=4, K=8, L=1, snr_db=6.0)
+    base = sector_probability(3, 1, 0.7312, cfg)
+    for z, x in ((3.0, 1), (np.int8(3), np.uint16(1)), (np.array(3), 1.0)):
+        assert sector_probability(z, x, 0.7312, cfg) == base
+    for z, x, name in ((1.5, 0, "z"), (0, 0.5, "x"), (np.nan, 0, "z")):
+        with pytest.raises(ValueError, match=f"{name} must be integers"):
+            sector_probability(z, x, 0.7312, cfg)
+    with pytest.raises(ValueError, match="z must be a single index"):
+        sector_probability([3], 1, 0.7312, cfg)
+    with pytest.raises(ValueError, match="z must lie in 0..K-1"):
+        sector_probability(8, 0, 0.7312, cfg)
+    with pytest.raises(ValueError, match="x must lie in 0..M-1"):
+        sector_probability(0, -1, 0.7312, cfg)
 
 
 def test_sector_probability_sums_to_one():
@@ -291,7 +307,7 @@ def test_block_normalization_over_all_outputs():
     k = kernel_for(cfg)
     x = np.array([0, 1, 2])
     Z = np.array(list(product(range(8), repeat=3)), dtype=np.int64)
-    total = block_conditional_batch(Z, k, x=x).sum()
+    total = block_conditional_batch((Z - cfg.a * x) % cfg.K, k).sum()
     assert total == pytest.approx(1.0, abs=1e-8)
 
 
