@@ -34,7 +34,7 @@ from itertools import product
 import numpy as np
 
 from .combinatorics import output_class_arrays
-from .core import SystemConfig, _check_indices, _distinct_rows, sample_blocks
+from .core import SystemConfig, _as_int, _check_indices, _distinct_rows, sample_blocks
 from .transition import (
     TransitionKernel,
     _check_own_kernels,
@@ -256,6 +256,7 @@ def mutual_information_mc(
     so permuting positions changes nothing either, and pinned rows are
     sorted. Only the summation order changes, by a few ulps.
     """
+    trials = _as_int(trials, "trials")
     if trials < 100:
         raise ValueError("trials must be at least 100")
     kernels = kernel_bank_for(config)

@@ -94,14 +94,12 @@ def _write_manifest(
     path.with_name(path.name + ".manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_csv(
-    args, header: list[str], rows: list[list[str]], fields: dict[str, object], started: float
-) -> int:
-    """Write header and rows to args.out, then its manifest; returns exit code 0."""
+def _write_csv(args, rows: list[dict[str, str]], fields: dict[str, object], started: float) -> int:
+    """Write rows to args.out, keys as header, then its manifest; returns exit code 0."""
     out = Path(args.out)
     with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
         writer.writerows(rows)
     _write_manifest(out, args, fields, started, len(rows))
     print(f"wrote {len(rows)} rows to {out}")
@@ -137,38 +135,26 @@ def cmd_capacity(args) -> int:
             res = mutual_information(cfg, method=args.method)
         grids.append(str(kernel_bank_for(cfg)[0].n_phi))
         rows.append(
-            [
-                repr(float(snr_db)),
-                str(args.M),
-                str(args.K),
-                str(args.L),
-                res.method,
-                _fmt(res.h_cond),
-                _fmt(res.h_out),
-                _fmt(res.mi),
-                _fmt(res.per_symbol),
-                _fmt(res.error_bar if res.error_bar is not None else 0.0),
-            ]
+            {
+                "snr_db": repr(float(snr_db)),
+                "M": str(args.M),
+                "K": str(args.K),
+                "L": str(args.L),
+                "method": res.method,
+                "h_cond_bits": _fmt(res.h_cond),
+                "h_out_bits": _fmt(res.h_out),
+                "mi_bits": _fmt(res.mi),
+                "per_symbol_bits": _fmt(res.per_symbol),
+                "stderr": _fmt(res.error_bar if res.error_bar is not None else 0.0),
+            }
         )
-    header = [
-        "snr_db",
-        "M",
-        "K",
-        "L",
-        "method",
-        "h_cond_bits",
-        "h_out_bits",
-        "mi_bits",
-        "per_symbol_bits",
-        "stderr",
-    ]
     fields = _system_fields(first, args.snr) | {
         "method": args.method,
         "nphi": ",".join(grids),
         "trials": args.trials if args.method == "mc" else "",
         "seed": args.seed,
     }
-    return _write_csv(args, header, rows, fields, started)
+    return _write_csv(args, rows, fields, started)
 
 
 def cmd_ser(args) -> int:
@@ -188,41 +174,27 @@ def cmd_ser(args) -> int:
             workers=args.workers,
         )
         rows.append(
-            [
-                repr(float(snr_db)),
-                str(args.M),
-                str(args.K),
-                str(args.L),
-                mode,
-                str(point.trials),
-                str(point.errors),
-                repr(point.ser),
-                repr(point.ci_low),
-                repr(point.ci_high),
-                repr(point.tie_rate),
-                str(args.seed),
-            ]
+            {
+                "snr_db": repr(float(snr_db)),
+                "M": str(args.M),
+                "K": str(args.K),
+                "L": str(args.L),
+                "dither_mode": mode,
+                "trials": str(point.trials),
+                "errors": str(point.errors),
+                "ser": repr(point.ser),
+                "ci_low": repr(point.ci_low),
+                "ci_high": repr(point.ci_high),
+                "tie_rate": repr(point.tie_rate),
+                "seed": str(args.seed),
+            }
         )
-    header = [
-        "snr_db",
-        "M",
-        "K",
-        "L",
-        "dither_mode",
-        "trials",
-        "errors",
-        "ser",
-        "ci_low",
-        "ci_high",
-        "tie_rate",
-        "seed",
-    ]
     fields = _system_fields(first, args.snr) | {
         "convention": args.convention,
         "trials": args.trials,
         "seed": args.seed,
     }
-    return _write_csv(args, header, rows, fields, started)
+    return _write_csv(args, rows, fields, started)
 
 
 def cmd_verify(args) -> int:

@@ -145,11 +145,6 @@ def grouped_input_classes(z, M: int) -> list[InputClass]:
     return classes
 
 
-def output_class_count(alphabet_size: int, block_len: int) -> int:
-    """C(alphabet_size + block_len - 2, block_len - 1), without enumerating."""
-    return math.comb(alphabet_size + block_len - 2, block_len - 1)
-
-
 def input_class_count(z, M: int) -> int:
     """Number of input classes for reduced output z, without enumerating."""
     z = np.asarray(z, dtype=np.int64)

@@ -11,8 +11,8 @@ constellation step.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -53,8 +53,11 @@ class SystemConfig:
     dither   per-symbol extra rotations, exactly L entries; all zeros, of any
              length, means the standard undithered constellation. A token
              string ("none", "ramp" or a comma list of L radians) resolves
-             via resolve_dither; the CLI and parse_config_text pass theirs
-             here as given.
+             via resolve_dither; the CLI passes its --dither token here as
+             given.
+
+    M, K and L must be integers (numpy integers too); anything else raises
+    ValueError naming the field.
     """
 
     M: int
@@ -65,6 +68,8 @@ class SystemConfig:
     dither: tuple[float, ...] | None = None
 
     def __post_init__(self) -> None:
+        for name in ("M", "K", "L"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.M < 2:
             raise ValueError("M must be at least 2")
         if self.L < 1:
@@ -115,10 +120,6 @@ class SystemConfig:
     def is_dithered(self) -> bool:
         return any(v != 0.0 for v in self.dither)
 
-    @property
-    def sector_width(self) -> float:
-        return TWO_PI / self.K
-
     def with_snr(self, snr_db: float) -> "SystemConfig":
         return replace(self, snr_db=snr_db)
 
@@ -126,40 +127,6 @@ class SystemConfig:
         """Transmitted phases theta0 + x*2*pi/M + dither, one per position."""
         x = _check_indices(x, "x", self.L, self.M, "M", stacked=True)
         return self.theta0 + x * (TWO_PI / self.M) + np.asarray(self.dither)
-
-    @classmethod
-    def from_file(cls, path) -> "SystemConfig":
-        return parse_config_text(Path(path).read_text())
-
-
-def parse_config_text(text: str) -> SystemConfig:
-    """Parse the key=value run-configuration format.
-
-    Recognized keys: M, K, L, snr_db, theta0 (optional), dither (optional:
-    'none', 'ramp', or a comma-separated list of L radian offsets). Blank
-    lines and '#' comments are ignored.
-    """
-    fields: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"malformed config line: {raw!r}")
-        key, value = line.split("=", 1)
-        fields[key.strip()] = value.strip()
-
-    missing = [k for k in ("M", "K", "L", "snr_db") if k not in fields]
-    if missing:
-        raise ValueError(f"config is missing required keys: {', '.join(missing)}")
-
-    M = int(fields["M"])
-    K = int(fields["K"])
-    L = int(fields["L"])
-    snr_db = float(fields["snr_db"])
-    theta0 = float(fields.get("theta0", "0"))
-    dither = fields.get("dither", "none")
-    return SystemConfig(M=M, K=K, L=L, snr_db=snr_db, theta0=theta0, dither=dither)
 
 
 def resolve_dither(token: str, block_len: int, sectors: int) -> tuple[float, ...] | None:
@@ -176,6 +143,14 @@ def resolve_dither(token: str, block_len: int, sectors: int) -> tuple[float, ...
     if len(values) != block_len:
         raise ValueError(f"explicit dither needs exactly L={block_len} entries")
     return values
+
+
+def _as_int(value, name: str) -> int:
+    """value as a Python int (numpy integers too), else ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer (got {value!r})") from None
 
 
 def _check_indices(
@@ -383,5 +358,8 @@ def sample_blocks(
     stream as one (n, L) draw of real parts followed by one of imaginary
     parts.
     """
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError(f"X must be an (n, L) array of symbols (got shape {X.shape})")
     X = _check_indices(X, "X", config.L, config.M, "M", stacked=True)
     return _sample_into(X, config, rng, phi, _Workspace())

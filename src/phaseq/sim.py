@@ -56,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from .core import SystemConfig, _distinct_rows, _sample_into, _Workspace
+from .core import SystemConfig, _as_int, _distinct_rows, _sample_into, _Workspace
 from .demod import _sweep_rows
 
 DEFAULT_CHUNK = 4096
@@ -65,7 +65,13 @@ _CONVENTIONS = ("pilot", "genie")
 
 @dataclass(frozen=True)
 class SerPoint:
-    """One measured operating point with a 95% Wilson interval on SER."""
+    """One measured operating point with a 95% Wilson interval on SER.
+
+    The run's tie census rides along: tie_blocks blocks (tie_rate of the
+    trials) had an exact metric tie, and each block's row had
+    mean_candidates candidate vectors on average, max_candidates at most.
+    wilson_interval(tie_blocks, trials) bounds the tie rate.
+    """
 
     snr_db: float
     trials: int
@@ -76,23 +82,19 @@ class SerPoint:
     ci_high: float
     tie_rate: float
     convention: str
-
-
-@dataclass(frozen=True)
-class TieCensus:
-    """Exact-tie statistics of the demodulator at one operating point."""
-
-    trials: int
     tie_blocks: int
-    tie_rate: float
-    ci_low: float
-    ci_high: float
     mean_candidates: float
     max_candidates: int
 
 
-def wilson_interval(successes: int, total: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: float, total: float, z: float = 1.96) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion.
+
+    Counts may be floats (a per-symbol rate scaled back to counts); successes
+    outside [0, total] raise ValueError.
+    """
+    if not 0 <= successes <= total:
+        raise ValueError(f"successes must lie in [0, total] (got {successes!r} of {total!r})")
     if total <= 0:
         return (0.0, 1.0)
     p = successes / total
@@ -271,13 +273,21 @@ def _run_chunk(
     return int(errors), int(tied.sum()), int(cand_total), int(n_cand.max())
 
 
-def _simulate(
+def run_ser(
     config: SystemConfig,
     trials: int,
-    seed,
-    convention: str,
-    workers: int,
-) -> tuple[int, int, int, int]:
+    seed=0,
+    convention: str = "pilot",
+    workers: int = 1,
+) -> SerPoint:
+    """Measure SER at config's operating point over `trials` blocks.
+
+    Reproducible for a given (seed, trials) regardless of workers; seed may
+    be an int or a SeedSequence. The point's tie census counts the run's
+    own blocks, so a census of random inputs on every position is
+    convention="genie".
+    """
+    trials = _as_int(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be positive")
     if convention not in _CONVENTIONS:
@@ -304,26 +314,7 @@ def _simulate(
             results = list(pool.map(job, zip(sizes, children)))
     else:
         results = [job(arg) for arg in zip(sizes, children)]
-    errors = sum(r[0] for r in results)
-    ties = sum(r[1] for r in results)
-    cands = sum(r[2] for r in results)
-    cand_max = max(r[3] for r in results)
-    return errors, ties, cands, cand_max
-
-
-def run_ser(
-    config: SystemConfig,
-    trials: int,
-    seed=0,
-    convention: str = "pilot",
-    workers: int = 1,
-) -> SerPoint:
-    """Measure SER at config's operating point over `trials` blocks.
-
-    Reproducible for a given (seed, trials) regardless of workers; seed may
-    be an int or a SeedSequence.
-    """
-    errors, ties, _, _ = _simulate(config, trials, seed, convention, workers)
+    errors, ties, cands = (sum(r[i] for r in results) for i in range(3))
     symbols = trials * (config.L - 1 if convention == "pilot" else config.L)
     lo, hi = wilson_interval(errors, symbols)
     return SerPoint(
@@ -336,24 +327,7 @@ def run_ser(
         ci_high=hi,
         tie_rate=ties / trials,
         convention=convention,
-    )
-
-
-def run_tie_census(
-    config: SystemConfig,
-    trials: int,
-    seed=0,
-    workers: int = 1,
-) -> TieCensus:
-    """Count exact metric ties over random blocks (genie-style inputs)."""
-    _, ties, cands, cand_max = _simulate(config, trials, seed, "genie", workers)
-    lo, hi = wilson_interval(ties, trials)
-    return TieCensus(
-        trials=trials,
         tie_blocks=ties,
-        tie_rate=ties / trials,
-        ci_low=lo,
-        ci_high=hi,
         mean_candidates=cands / trials,
-        max_candidates=cand_max,
+        max_candidates=max(r[3] for r in results),
     )

@@ -64,6 +64,11 @@ _MAX_GRID = 2**20
 # the linear product has lost precision or reached zero; such rows are redone
 # in log space.
 _UNDERFLOW_FLOOR = 1e-280
+# _arc_probabilities splits each grid cell into ceil(width*sqrt(2*rho)) parts
+# and refuses more than this many: on demod's 720-point scan grid that is
+# about 104 dB, where a fill already costs 2,048*16*720 density evaluations.
+# Kernel fills need one part, since their grid grows with sqrt(rho*L).
+_MAX_ARC_PARTS = 2048
 
 
 def phase_offset_pdf(u, snr_linear: float) -> np.ndarray:
@@ -127,11 +132,16 @@ def _arc_probabilities(start: float, n: int, K: int, snr_linear: float) -> np.nd
     parts no wider than the noise scale 1/sqrt(2*rho), each integrated by a
     16-node Gauss-Legendre rule; an arc sums its s positive cells (never a
     difference of running sums), so deep-tail arcs keep their relative
-    accuracy.
+    accuracy. Raises ValueError beyond _MAX_ARC_PARTS parts per cell.
     """
     delta = TWO_PI / n
     s = n // K
     parts = max(1, math.ceil(delta * math.sqrt(2.0 * snr_linear)))
+    if parts > _MAX_ARC_PARTS:
+        raise ValueError(
+            f"SNR {10.0 * math.log10(snr_linear):g} dB needs {parts} parts per cell of a"
+            f" {n}-point arc fill, above the limit of {_MAX_ARC_PARTS}"
+        )
     h = delta / parts
     lo = start + delta * np.arange(n)
     cells = np.zeros(n)
@@ -317,7 +327,7 @@ def _log_grid_mean(tables, S: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---- CSV round trip -----------------------------------------------------
+# ---- CSV export ---------------------------------------------------------
 
 
 def export_kernel_csv(kernel: TransitionKernel, path) -> None:
@@ -327,25 +337,3 @@ def export_kernel_csv(kernel: TransitionKernel, path) -> None:
         for i in range(kernel.n_phi):
             for z in range(kernel.K):
                 fh.write(f"{i},{z},{float(kernel.table[z, i])!r}\n")
-
-
-def load_kernel_csv(path) -> np.ndarray:
-    """Read a table written by export_kernel_csv back into a (K, n_phi) array."""
-    rows = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "phi_index,z,probability":
-            raise ValueError(f"unexpected kernel CSV header: {header!r}")
-        for line in fh:
-            i, z, p = line.strip().split(",")
-            rows.append((int(i), int(z), float(p)))
-    if not rows:
-        raise ValueError("kernel CSV has no data rows")
-    n_phi = max(r[0] for r in rows) + 1
-    K = max(r[1] for r in rows) + 1
-    table = np.full((K, n_phi), np.nan)
-    for i, z, p in rows:
-        table[z, i] = p
-    if np.isnan(table).any():
-        raise ValueError("kernel CSV is missing cells")
-    return table

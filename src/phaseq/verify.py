@@ -28,7 +28,7 @@ from itertools import product
 
 import numpy as np
 
-from .capacity import block_probs_all_outputs, mutual_information
+from .capacity import _entropy_terms, block_probs_all_outputs, mutual_information
 from .combinatorics import canonical_output_classes, input_class_count
 from .core import TWO_PI, SystemConfig
 from .transition import (
@@ -206,21 +206,14 @@ def check_symmetries(instances: int = 100, seed: int = 2024) -> list[CheckResult
 # ---- entropy constancy -------------------------------------------------------
 
 
-def check_conditional_entropy_constant(
-    n_inputs: int = 20,
-    seed: int = 2027,
-    config: SystemConfig | None = None,
-) -> CheckResult:
+def check_conditional_entropy_constant(n_inputs: int = 20, seed: int = 2027) -> CheckResult:
     """H(Z|x) is input-independent: brute-force entropy for random x vs x=0."""
-    if config is None:
-        config = SystemConfig(M=4, K=8, L=3, snr_db=6.0)
+    config = SystemConfig(M=4, K=8, L=3, snr_db=6.0)
     rng = np.random.default_rng(seed)
     kernel = kernel_for(config)
 
     def brute_entropy(x: np.ndarray) -> float:
-        probs = block_probs_all_outputs(kernel, x)
-        mask = probs > 0
-        return float(-(probs[mask] * np.log2(probs[mask])).sum())
+        return float(-_entropy_terms(block_probs_all_outputs(kernel, x)).sum())
 
     h0 = brute_entropy(np.zeros(config.L, dtype=np.int64))
     worst = 0.0
@@ -280,10 +273,10 @@ ORACLE_CASES = tuple(
 )
 
 
-def check_oracle_equivalence(cases=ORACLE_CASES) -> list[CheckResult]:
+def check_oracle_equivalence() -> list[CheckResult]:
     """Reduced-enumeration mutual information against the brute-force path."""
     results = []
-    for K, L, snr in cases:
+    for K, L, snr in ORACLE_CASES:
         cfg = SystemConfig(M=4, K=K, L=L, snr_db=snr)
         fast = mutual_information(cfg, method="reduced")
         slow = mutual_information(cfg, method="brute")

@@ -188,6 +188,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="trials"):
             mutual_information_mc(cfg, 50, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("trials", [150.5, 200.0, "200", None])
+    def test_mc_trials_must_be_an_integer(self, trials):
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            mutual_information_mc(cfg, trials, np.random.default_rng(0))
+
 
 class TestMonteCarlo:
     def test_estimate_brackets_exact_value(self):

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from phaseq import SystemConfig
 from phaseq.core import (
     modulate,
-    parse_config_text,
     ramp_dither,
     resolve_dither,
     sample_blocks,
@@ -52,7 +51,6 @@ class TestSystemConfig:
     def test_basic_fields(self):
         cfg = SystemConfig(M=4, K=8, L=3, snr_db=6.0)
         assert cfg.a == 2
-        assert cfg.sector_width == pytest.approx(math.pi / 4)
         assert cfg.snr_linear == pytest.approx(10 ** 0.6)
         assert cfg.sigma == pytest.approx(math.sqrt(0.5 / 10 ** 0.6))
         assert not cfg.is_dithered
@@ -79,11 +77,27 @@ class TestSystemConfig:
             {"theta0": -math.nan},
             {"dither": (0.0, math.nan)},
             {"dither": (-math.inf, 0.0)},
+            {"dither": "0.1,nan"},
         ],
     )
     def test_non_finite_inputs_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
             SystemConfig(**{"M": 4, "K": 8, "L": 2, "snr_db": 0.0, **bad})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("M", 4.0), ("K", 8.0), ("L", 2.5), ("L", "2"), ("K", None)],
+    )
+    def test_sizes_must_be_integers(self, field, value):
+        # K=8.0 used to pass and fail later inside the sampler's quantizer,
+        # L=2.5 with a raw TypeError from the dither tuple
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SystemConfig(**{"M": 4, "K": 8, "L": 2, "snr_db": 0.0, field: value})
+
+    def test_numpy_integer_sizes_are_plain_ints(self):
+        cfg = SystemConfig(M=np.int64(4), K=np.int32(8), L=np.uint8(2), snr_db=0.0)
+        assert cfg == SystemConfig(M=4, K=8, L=2, snr_db=0.0)
+        assert all(type(v) is int for v in (cfg.M, cfg.K, cfg.L))
 
     def test_dither_length_enforced(self):
         with pytest.raises(ValueError, match="exactly L"):
@@ -325,6 +339,20 @@ class TestSamplerPin:
             with pytest.raises(ValueError, match="x components must be integers"):
                 modulate(x, cfg)
 
+    def test_one_block_must_be_stacked(self):
+        # a single (L,) block is refused with a message about X's shape, not
+        # numpy's "not enough values to unpack" from inside the sampler;
+        # modulate and symbol_phases still take one block of shape (L,)
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=0.0)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for X in ([0, 1], 1, [[[0, 1]]]):
+            with pytest.raises(ValueError, match=r"X must be an \(n, L\) array"):
+                sample_blocks(X, cfg, rng)
+        assert rng.bit_generator.state == state
+        assert modulate([0, 1], cfg).shape == (2,)
+        assert cfg.symbol_phases([0, 1]).shape == (2,)
+
     def test_integer_symbols_of_any_dtype_draw_alike(self):
         cfg = SystemConfig(M=4, K=8, L=3, snr_db=5.0, dither="ramp")
         X = np.array([[0, 1, 3], [2, 2, 0]])
@@ -335,36 +363,6 @@ class TestSamplerPin:
         for phi, Z in draws[1:]:
             assert np.array_equal(phi, draws[0][0]) and np.array_equal(Z, draws[0][1])
         assert np.array_equal(modulate(X.astype(float), cfg), modulate(X, cfg))
-
-
-def test_parse_config_text_roundtrip(tmp_path):
-    text = """
-    # experiment setup
-    M = 4
-    K = 12
-    L = 3
-    snr_db = 7.5
-    theta0 = 0.1
-    dither = ramp
-    """
-    cfg = parse_config_text(text)
-    assert (cfg.M, cfg.K, cfg.L) == (4, 12, 3)
-    assert cfg.snr_db == 7.5
-    assert cfg.dither == ramp_dither(3, 12)
-
-    path = tmp_path / "cfg.txt"
-    path.write_text("M=4\nK=8\nL=2\nsnr_db=0\n")
-    assert SystemConfig.from_file(path) == SystemConfig(M=4, K=8, L=2, snr_db=0.0)
-
-
-def test_parse_config_text_rejects_non_finite():
-    with pytest.raises(ValueError, match="finite"):
-        parse_config_text("M=4\nK=8\nL=2\nsnr_db=6\ndither=0.1,nan\n")
-
-
-def test_parse_config_text_missing_key():
-    with pytest.raises(ValueError, match="snr_db"):
-        parse_config_text("M=4\nK=8\nL=2\n")
 
 
 def test_package_root_holds_only_the_config():

@@ -144,6 +144,15 @@ class TestCapacityCommand:
 
 
 class TestSerCommand:
+    def test_snr_beyond_scan_fill_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "high.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["ser", "--K", "8", "--L", "2", "--snr", "150", "--trials", "100",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "above the limit" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_rerun_is_byte_identical(self, tmp_path):
         args = [
             "ser",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from phaseq.sim import (
     _distinct_rows,
     coherent_qpsk_ser,
     run_ser,
-    run_tie_census,
     ser_crossing_snr,
     wilson_interval,
 )
@@ -33,6 +33,16 @@ class TestHelpers:
         assert lo0 == 0.0
         assert hi0 == pytest.approx(0.0370, abs=2e-4)
         assert wilson_interval(0, 0) == (0.0, 1.0)
+        # counts scaled back from per-symbol rates are floats
+        lo, hi = wilson_interval(2.5, 10.0)
+        assert 0.0 < lo < 0.25 < hi < 1.0
+
+    @pytest.mark.parametrize(
+        "successes, total", [(5, 3), (-1, 10), (0.5, 0), (float("nan"), 10), (3, -2)]
+    )
+    def test_wilson_interval_rejects_successes_outside_total(self, successes, total):
+        with pytest.raises(ValueError, match=r"successes must lie in \[0, total\]"):
+            wilson_interval(successes, total)
 
     def test_coherent_qpsk_ser_limits(self):
         assert coherent_qpsk_ser(-60.0) == pytest.approx(0.75, abs=1e-3)
@@ -130,7 +140,7 @@ class TestRunSer:
         try:
             runs = {
                 w: (run_ser(cfg, trials=13_000, seed=7, workers=w),
-                    run_tie_census(cfg, trials=13_000, seed=7, workers=w))
+                    run_ser(cfg, trials=13_000, seed=7, convention="genie", workers=w))
                 for w in (1, 2, 4)
             }
         finally:
@@ -216,6 +226,23 @@ class TestRunSer:
         with pytest.raises(ValueError, match="L >= 2"):
             run_ser(single, trials=100, convention="pilot")
 
+    @pytest.mark.parametrize("trials", [100.5, 100.0, "100", None])
+    def test_trials_must_be_an_integer(self, trials):
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            run_ser(cfg, trials)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_refuses_snr_beyond_scan_fill(self, workers):
+        # one scan cell at 150 dB would need about 390,000 quadrature parts;
+        # the fill refuses above 2,048 before evaluating any. Two chunks, so
+        # two workers both meet the refusal
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=150.0)
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="SNR 150 dB needs .* above the limit of 2048"):
+            run_ser(cfg, 2 * DEFAULT_CHUNK, seed=1, workers=workers)
+        assert time.monotonic() - started < 1.0
+
 
 class TestChunkEngine:
     # trials of two full chunks and a ragged one of 17 blocks, so a worker's
@@ -237,7 +264,7 @@ class TestChunkEngine:
         convention = "genie" if cfg.L == 1 else "pilot"
         runs = {
             w: (run_ser(cfg, trials, seed=9, convention=convention, workers=w),
-                run_tie_census(cfg, trials, seed=9, workers=w))
+                run_ser(cfg, trials, seed=9, convention="genie", workers=w))
             for w in (1, 2, 4)
         }
         assert runs[2] == runs[1]
@@ -318,27 +345,28 @@ def test_candidates_give_equal_residues_equal_symbols(M, mult, L):
             assert (np.count_nonzero(sweep.ties, axis=1) > 1).any()
 
 
+# A tie census is run_ser with genie inputs: every position random.
 class TestTieCensus:
     def test_undithered_k8_ties_are_common(self):
         cfg = SystemConfig(M=4, K=8, L=4, snr_db=20.0)
-        census = run_tie_census(cfg, trials=3_000, seed=1)
+        census = run_ser(cfg, trials=3_000, seed=1, convention="genie")
         assert census.tie_rate > 0.05
         assert census.mean_candidates > 1.0
         assert census.max_candidates <= cfg.a
 
     def test_dither_eliminates_ties(self):
         cfg = SystemConfig(M=4, K=8, L=4, snr_db=20.0, dither="ramp")
-        census = run_tie_census(cfg, trials=3_000, seed=1)
+        census = run_ser(cfg, trials=3_000, seed=1, convention="genie")
         assert census.tie_rate < 1e-3
 
     def test_k12_ties_are_rare(self):
         cfg = SystemConfig(M=4, K=12, L=4, snr_db=20.0)
-        census = run_tie_census(cfg, trials=3_000, seed=1)
+        census = run_ser(cfg, trials=3_000, seed=1, convention="genie")
         assert census.tie_rate < 1e-3
 
     def test_pinned_counts(self):
         cfg = SystemConfig(M=4, K=8, L=4, snr_db=20.0)
-        census = run_tie_census(cfg, trials=5_000, seed=24)
+        census = run_ser(cfg, trials=5_000, seed=24, convention="genie")
         assert census.tie_blocks == 905
         assert census.tie_rate == 0.181
         assert census.mean_candidates == 1.181
@@ -357,13 +385,14 @@ class TestTieCensus:
         ids=["undithered", "ramp", "tuple"],
     )
     def test_pinned_candidate_counts(self, cfg, tie_blocks, mean_candidates, max_candidates):
-        census = run_tie_census(cfg, trials=5_000, seed=24)
+        census = run_ser(cfg, trials=5_000, seed=24, convention="genie")
         assert census.tie_blocks == tie_blocks
         assert census.mean_candidates == mean_candidates
         assert census.max_candidates == max_candidates
 
     def test_census_ci_brackets_rate(self):
         cfg = SystemConfig(M=4, K=8, L=3, snr_db=15.0)
-        census = run_tie_census(cfg, trials=2_000, seed=2)
-        assert census.ci_low <= census.tie_rate <= census.ci_high
+        census = run_ser(cfg, trials=2_000, seed=2, convention="genie")
+        lo, hi = wilson_interval(census.tie_blocks, census.trials)
+        assert lo <= census.tie_rate <= hi
         assert census.trials == 2_000

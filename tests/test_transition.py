@@ -27,7 +27,6 @@ from phaseq.transition import (
     export_kernel_csv,
     kernel_bank_for,
     kernel_for,
-    load_kernel_csv,
     phase_offset_pdf,
     sector_offset_probability,
     sector_probability,
@@ -467,20 +466,9 @@ def test_kernel_csv_roundtrip(tmp_path, qpsk8):
     k = kernel_for(qpsk8)
     path = tmp_path / "kernel.csv"
     export_kernel_csv(k, path)
-    table = load_kernel_csv(path)
-    assert table.shape == k.table.shape
+    assert path.read_text().startswith("phi_index,z,probability\n")
+    i, z, p = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
+    table = np.full(k.table.shape, np.nan)
+    table[z.astype(int), i.astype(int)] = p
+    # repr of each float reads back to the same float, and every cell is written
     assert np.array_equal(table, k.table)
-
-
-def test_kernel_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n0,0,0.5\n")
-    with pytest.raises(ValueError, match="header"):
-        load_kernel_csv(path)
-
-
-def test_kernel_csv_rejects_missing_cells(tmp_path):
-    path = tmp_path / "gap.csv"
-    path.write_text("phi_index,z,probability\n0,0,0.5\n1,1,0.5\n")
-    with pytest.raises(ValueError, match="missing"):
-        load_kernel_csv(path)
