@@ -218,8 +218,20 @@ def brute_force_output_entropy(config: SystemConfig) -> float:
 # ---- Monte Carlo path ------------------------------------------------------
 
 
-def _pinned_log_grid_mean(tables, S: np.ndarray, period: int, shared: bool) -> np.ndarray:
-    """_log_grid_mean(tables, S), scoring each distinct pinned row once.
+def _pin(S: np.ndarray, K: int, period: int) -> np.ndarray:
+    """(S - S[:, :1]) mod period for S in (-K, K), as a fresh array.
+
+    S - S_0 lies in (-2K, 2K), so its residue is entry S - S_0 + 2K of one
+    table of 4K residues: a gather in place of int64 remainders.
+    """
+    residues = np.arange(-2 * K, 2 * K) % period
+    return np.take(residues, S - (S[:, :1] - 2 * K), mode="clip")
+
+
+def _pinned_log_grid_mean(
+    tables, S: np.ndarray, K: int, period: int, shared: bool
+) -> np.ndarray:
+    """_log_grid_mean(tables, S mod K), scoring each distinct pinned row once.
 
     Rows are read modulo period and shifted so that their first entry is 0,
     and sorted too when every position shares one table (shared). This is
@@ -227,7 +239,7 @@ def _pinned_log_grid_mean(tables, S: np.ndarray, period: int, shared: bool) -> n
     number of grid points and leaves row z mod period equal to row z, up to
     summation order: the results move by a few ulps, not more.
     """
-    pinned = (S - S[:, :1]) % period
+    pinned = _pin(S, K, period)
     if shared:
         pinned.sort(axis=1)
     distinct, inverse = _distinct_rows(pinned)
@@ -251,8 +263,8 @@ def mutual_information_mc(
     output rolls every kernel row and every input-averaged row by c*n_phi/K
     grid points, dithered or not, and input-averaged row z mod a equals row
     z, because the input average already sums over shifts by a. So S =
-    (z - a*x) mod K is pinned to (S - S_0) mod K, and z is read mod a and
-    pinned to (z - z_0) mod a. Without dither all positions share one table,
+    z - a*x is pinned to (S - S_0) mod K, and z to (z - z_0) mod a, each by
+    one table lookup. Without dither all positions share one table,
     so permuting positions changes nothing either, and pinned rows are
     sorted. Only the summation order changes, by a few ulps.
     """
@@ -275,8 +287,8 @@ def mutual_information_mc(
         n = min(_MC_BATCH, trials - done)
         X = rng.integers(0, M, size=(n, L))
         _, Z = sample_blocks(X, config, rng)
-        log_cond = _pinned_log_grid_mean(tables, (Z - a * X) % K, K, shared)
-        log_out = _pinned_log_grid_mean(mixed, Z, a, shared)
+        log_cond = _pinned_log_grid_mean(tables, Z - a * X, K, K, shared)
+        log_out = _pinned_log_grid_mean(mixed, Z, K, a, shared)
         ratio = (log_cond - log_out) * LOG2E
         sum_ratio += ratio.sum()
         sum_ratio_sq += (ratio * ratio).sum()

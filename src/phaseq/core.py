@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -98,6 +99,16 @@ class SystemConfig:
                 raise ValueError(f"{name} must be finite (got {value})")
         if not all(math.isfinite(v) for v in d):
             raise ValueError("dither entries must be finite")
+        try:
+            snr = 10.0 ** (self.snr_db / 10.0)
+        except OverflowError:
+            snr = math.inf
+        # below the smallest normal float the noise deviation overflows
+        if not sys.float_info.min <= snr < math.inf:
+            raise ValueError(
+                f"snr_db={self.snr_db} is out of range: 10**(snr_db/10) must be "
+                "a normal positive float (about -3076.5 to 3083 dB)"
+            )
         object.__setattr__(self, "dither", d)
         object.__setattr__(self, "theta0", float(self.theta0))
         object.__setattr__(self, "snr_db", float(self.snr_db))
@@ -217,9 +228,12 @@ def _quantize(ang: np.ndarray, K: int, out: np.ndarray) -> np.ndarray:
 
     Overwrites ang. On [-2*pi, 2*pi) fmod returns the angle itself, so
     adding 2*pi to the negative angles gives the same floats as np.mod,
-    without the division.
+    without the division. The shift 2*pi * (ang < 0) is added to every
+    angle: that unmasked add runs several times faster than a masked one on
+    angles of random sign, and adding +0.0 changes a non-negative angle only
+    from -0.0 to +0.0, both in sector 0.
     """
-    np.add(ang, TWO_PI, out=ang, where=ang < 0.0)
+    np.add(ang, TWO_PI * (ang < 0.0), out=ang)
     ang *= K
     ang /= TWO_PI
     np.floor(ang, out=out, casting="unsafe")

@@ -34,7 +34,13 @@ kernel.
 
 Each worker thread of a run keeps one workspace, which holds the sampler's
 planes and the chunk's quotient, index and decision planes, so a chunk
-allocates no chunk-sized array there after the worker's first chunk.
+allocates no chunk-sized array there after the worker's first chunk. The
+per-sample integer steps are gathers from small tables, not int64 division:
+a sector z splits into quotient and residue through the K-entry tables
+z div a and z mod a, and a decision is scored by looking its difference
+from the sent symbol up in a 6M-entry table of "nonzero mod M" flags (see
+_symbol_errors). Both give the integers of divmod and % exactly, at a
+fraction of their cost on a chunk.
 
 The constant-addition ambiguity of the metric means raw block decisions are
 only defined up to a common constellation shift. Two scoring conventions:
@@ -226,9 +232,13 @@ def _run_chunk(
     tied blocks re-draw theirs from the chunk stream in block order. Every
     chunk-sized array but X and the histograms lives in work: the sampler's
     buffers, then its temporaries "t0" and "t1" as the quotient and
-    decision planes.
+    decision planes. Sectors split into quotient and residue by gathers
+    from the K-entry tables arange(K) // a and arange(K) % a (Z lies in
+    0..K-1, so mode="clip" never clips), which beat np.divmod's int64
+    division; "t0" then takes the pilot differences that _symbol_errors
+    scores.
     """
-    M, L, a = config.M, config.L, config.a
+    M, K, L, a = config.M, config.K, config.L, config.a
     rng = np.random.default_rng(seed_seq)
     X = rng.integers(0, M, size=(n_blocks, L))
     if convention == "pilot":
@@ -244,7 +254,9 @@ def _run_chunk(
             xhat[b] = rng.choice(memo.tie_sets[ids[inverse[b]]])
     else:
         q = work.buffer("t0", (n_blocks, L), np.int64)
-        np.divmod(Z, a, out=(q, xhat))
+        sectors = np.arange(K)
+        np.take(sectors // a, Z, out=q, mode="clip")
+        np.take(sectors % a, Z, out=xhat, mode="clip")
         # Z now holds the flat index of each sample's residue in the
         # (block, residue) histogram, and later in the (row, residue) table
         np.add(xhat, a * np.arange(n_blocks)[:, None], out=Z)
@@ -262,15 +274,33 @@ def _run_chunk(
             xhat[b] = rng.choice(memo.tie_sets[ids[inverse[b]]])[first[Z[b]]]
         xhat += q
     tied = row_tied[inverse]
-    if convention == "pilot":
-        xhat -= xhat[:, :1]
-        xhat %= M
-        errors = np.count_nonzero(xhat[:, 1:] != X[:, 1:])
-    else:
-        shifted = (xhat[:, None, :] + np.arange(M)[:, None]) % M
-        errors = (shifted != X[:, None, :]).sum(axis=2).min(axis=1).sum()
+    errors = _symbol_errors(xhat, X, M, convention, work)
     cand_total = n_cand @ np.bincount(inverse, minlength=len(n_cand))
-    return int(errors), int(tied.sum()), int(cand_total), int(n_cand.max())
+    return errors, int(tied.sum()), int(cand_total), int(n_cand.max())
+
+
+def _symbol_errors(
+    xhat: np.ndarray, X: np.ndarray, M: int, convention: str, work: _Workspace
+) -> int:
+    """Symbol errors of decisions xhat (n, L) against X under convention.
+
+    xhat holds symbols plus residue quotients, so it lies in [0, 2M - 1)
+    and is read mod M; it is overwritten. Every difference scored lies in
+    [-3M, 3M), so entry d + 3M of one bool table says whether d != 0
+    (mod M): a gather in place of an int64 remainder. The pilot differences
+    xhat_l - xhat_0 - X_l go to the buffer "t0" of work, not back into
+    xhat, whose in-place subtract of its own column numpy would buffer.
+    """
+    wrong = np.arange(-3 * M, 3 * M) % M != 0
+    if convention == "pilot":
+        d = work.buffer("t0", (len(X), X.shape[1] - 1), np.int64)
+        np.subtract(xhat[:, 1:], X[:, 1:], out=d)
+        d += 3 * M - xhat[:, :1]
+        return int(np.count_nonzero(np.take(wrong, d, mode="clip")))
+    xhat -= X
+    xhat += 3 * M
+    shifted = np.take(wrong, xhat[:, None, :] + np.arange(M)[:, None], mode="clip")
+    return int(shifted.sum(axis=2).min(axis=1).sum())
 
 
 def run_ser(
@@ -283,20 +313,27 @@ def run_ser(
     """Measure SER at config's operating point over `trials` blocks.
 
     Reproducible for a given (seed, trials) regardless of workers; seed may
-    be an int or a SeedSequence. The point's tie census counts the run's
-    own blocks, so a census of random inputs on every position is
-    convention="genie".
+    be a non-negative int or a SeedSequence, and workers an int of at least
+    1. The point's tie census counts the run's own blocks, so a census of
+    random inputs on every position is convention="genie".
     """
     trials = _as_int(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be positive")
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = _as_int(seed, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative (got {seed})")
+        seed = np.random.SeedSequence(seed)
+    workers = _as_int(workers, "workers")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1 (got {workers})")
     if convention not in _CONVENTIONS:
         raise ValueError(f"convention must be one of {_CONVENTIONS}")
     if convention == "pilot" and config.L < 2:
         raise ValueError("pilot convention needs L >= 2")
     sizes = _chunk_sizes(trials, DEFAULT_CHUNK)
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = root.spawn(len(sizes))
+    children = seed.spawn(len(sizes))
     memo = _RowMemo(config.L)
     # one workspace per worker thread, reused by every chunk it runs and
     # freed with the run
@@ -308,9 +345,8 @@ def run_ser(
             local.work = _Workspace()
         return _run_chunk(config, size, child, convention, memo, local.work)
 
-    n_workers = max(1, workers)
-    if n_workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
+    if workers > 1 and len(sizes) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, zip(sizes, children)))
     else:
         results = [job(arg) for arg in zip(sizes, children)]

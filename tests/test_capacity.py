@@ -16,6 +16,7 @@ from phaseq.capacity import (
     LOG2E,
     _MC_BATCH,
     _input_average,
+    _pin,
     block_probs_all_outputs,
     brute_force_conditional_entropy,
     brute_force_output_entropy,
@@ -274,6 +275,19 @@ class TestMonteCarlo:
         # the variance is E[r^2] - mi^2, which magnifies relative error
         assert got.error_bar == pytest.approx(se, rel=1e-9, abs=1e-12)
         assert got_rng.bit_generator.state == rng.bit_generator.state
+
+
+@pytest.mark.parametrize("M, K", [(2, 2), (4, 8), (4, 12), (4, 64), (8, 16)])
+def test_pin_matches_plain_mod(M, K):
+    # the MC estimator pins S = z - a*x, in (-K, K), mod K and z mod a by
+    # one lookup; both ends S = -(K-1) and K-1 occur, first and later
+    rng = np.random.default_rng(K)
+    S = rng.integers(-(K - 1), K, size=(500, 5))
+    S[:4] = [[-(K - 1)] * 5, [K - 1] * 5, [-(K - 1)] + [K - 1] * 4, [K - 1] + [-(K - 1)] * 4]
+    for period in (K, K // M):
+        got = _pin(S, K, period)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, (S - S[:, :1]) % period)
 
 
 def test_block_probs_all_outputs_normalizes():

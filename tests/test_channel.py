@@ -94,6 +94,19 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SystemConfig(**{"M": 4, "K": 8, "L": 2, "snr_db": 0.0, field: value})
 
+    @pytest.mark.parametrize("snr_db", [4000.0, 3084, -4000.0, -3077.0])
+    def test_snr_beyond_float_range_rejected(self, snr_db):
+        # 10**(snr_db/10) overflows above about 3083 dB, and below about
+        # -3076.5 dB it is subnormal or 0, so that sigma would overflow
+        with pytest.raises(ValueError, match="snr_db=.* is out of range"):
+            SystemConfig(M=4, K=8, L=2, snr_db=snr_db)
+
+    @pytest.mark.parametrize("snr_db", [3082.0, -3076.0])
+    def test_snr_near_float_range_is_usable(self, snr_db):
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=snr_db)
+        assert 0.0 < cfg.snr_linear < math.inf
+        assert math.isfinite(cfg.sigma)
+
     def test_numpy_integer_sizes_are_plain_ints(self):
         cfg = SystemConfig(M=np.int64(4), K=np.int32(8), L=np.uint8(2), snr_db=0.0)
         assert cfg == SystemConfig(M=4, K=8, L=2, snr_db=0.0)
@@ -167,6 +180,33 @@ class TestQuantize:
         K = 12
         expected = min(int(theta / (TWO_PI / K)), K - 1)
         assert sector_index(np.angle(np.exp(1j * theta)), K) == expected
+
+
+def _sector_by_mod(angles, K):
+    """Sector indices by the plain formula: np.mod, then floor and clamp."""
+    angles = np.asarray(angles, dtype=float)
+    return np.minimum(np.floor(np.mod(angles, TWO_PI) * K / TWO_PI), K - 1).astype(np.int64)
+
+
+@pytest.mark.parametrize("K", [4, 8, 12, 64])
+def test_in_range_edges_match_mod(K):
+    # -0.0 gains +0.0, and the shifted tiny negatives round to 2*pi
+    edges = [-0.0, -5e-324, -TWO_PI, np.nextafter(TWO_PI, 0.0), -1e-18]
+    want = _sector_by_mod(edges, K)
+    assert np.array_equal(sector_index(edges, K), want)
+    assert [int(sector_index(v, K)) for v in edges] == want.tolist()
+
+
+@given(
+    st.lists(
+        st.floats(min_value=-TWO_PI, max_value=TWO_PI, exclude_max=True), min_size=1, max_size=40
+    ),
+    st.sampled_from([4, 8, 12, 64]),
+)
+@settings(max_examples=200, deadline=None)
+def test_in_range_angles_match_mod(angles, K):
+    # angles in [-2*pi, 2*pi) skip np.mod: 2*pi * (angle < 0) is added to each
+    assert np.array_equal(sector_index(angles, K), _sector_by_mod(angles, K))
 
 
 def test_sector_index_matches_scalar(rng):

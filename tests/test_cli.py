@@ -143,6 +143,24 @@ class TestCapacityCommand:
             assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["capacity", "--M", "4", "--K", "8", "--L", "2", "--snr", "4000"], "out of range"),
+        (["ser", "--M", "4", "--K", "8", "--L", "2", "--snr", "10", "--trials", "100",
+          "--workers", "0"], "workers must be at least 1"),
+    ],
+    ids=["snr-4000", "workers-0"],
+)
+def test_out_of_range_inputs_exit_2(argv, message, tmp_path, capsys):
+    out = tmp_path / "refused.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestSerCommand:
     def test_snr_beyond_scan_fill_exits_2(self, tmp_path, capsys):
         out = tmp_path / "high.csv"

@@ -232,6 +232,31 @@ class TestRunSer:
         with pytest.raises(ValueError, match="trials must be an integer"):
             run_ser(cfg, trials)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("seed", 1.5),
+            ("seed", -1),
+            ("seed", "3"),
+            ("seed", None),
+            ("workers", 2.5),
+            ("workers", 0),
+            ("workers", -2),
+            ("workers", "2"),
+        ],
+    )
+    def test_seed_and_workers_checked(self, name, value):
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
+        with pytest.raises(ValueError, match=name):
+            run_ser(cfg, 100, **{name: value})
+
+    def test_numpy_integer_seed_and_workers(self):
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
+        want = run_ser(cfg, 500, seed=3)
+        assert run_ser(cfg, 500, seed=np.int64(3), workers=np.int32(2)) == want
+        # counts are plain ints, so a point serializes to JSON as it is
+        assert all(type(v) is int for v in (want.errors, want.tie_blocks, want.max_candidates))
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_refuses_snr_beyond_scan_fill(self, workers):
         # one scan cell at 150 dB would need about 390,000 quadrature parts;
@@ -242,6 +267,33 @@ class TestRunSer:
         with pytest.raises(ValueError, match="SNR 150 dB needs .* above the limit of 2048"):
             run_ser(cfg, 2 * DEFAULT_CHUNK, seed=1, workers=workers)
         assert time.monotonic() - started < 1.0
+
+
+class TestSymbolErrors:
+    """_symbol_errors reads decisions mod M through a bool table; over
+    decisions drawn from their full range [0, 2M - 1) it must count what
+    the plain % M formulas count."""
+
+    @staticmethod
+    def _plain(xhat, X, M, convention):
+        if convention == "pilot":
+            return int(np.count_nonzero((xhat[:, 1:] - xhat[:, :1]) % M != X[:, 1:]))
+        shifted = (xhat[:, None, :] + np.arange(M)[:, None]) % M
+        return int((shifted != X[:, None, :]).sum(axis=2).min(axis=1).sum())
+
+    @pytest.mark.parametrize("convention", ["pilot", "genie"])
+    @pytest.mark.parametrize("L", [2, 5])
+    @pytest.mark.parametrize("M", [2, 4, 8])
+    def test_matches_plain_mod(self, M, L, convention):
+        rng = np.random.default_rng(M * 10 + L)
+        xhat = rng.integers(0, 2 * M - 1, size=(2_000, L))
+        X = rng.integers(0, M, size=(2_000, L))
+        # the ends of both ranges, so the extreme differences occur
+        top = 2 * M - 2
+        xhat[:4] = [[0] * L, [top] * L, [0] + [top] * (L - 1), [top] + [0] * (L - 1)]
+        X[:4] = [[M - 1] * L, [0] * L, [M - 1] * L, [M - 1] * L]
+        want = self._plain(xhat, X, M, convention)
+        assert sim._symbol_errors(xhat, X, M, convention, sim._Workspace()) == want
 
 
 class TestChunkEngine:
