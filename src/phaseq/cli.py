@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 import time
 from pathlib import Path
@@ -38,12 +39,16 @@ def parse_snr_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ValueError("range syntax is start:stop:step")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise ValueError("step must be positive")
+        if not 0 < step < math.inf:
+            raise ValueError("step must be positive and finite")
         if stop < start:
             raise ValueError("stop must be >= start")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(count)]
+        # a NaN or infinite end, or more points than a float counts, leaves
+        # the span NaN or infinite
+        span = (stop - start) / step
+        if not math.isfinite(span):
+            raise ValueError(f"range {text} needs finite ends and a finite point count")
+        return [start + i * step for i in range(int(np.floor(span + 1e-9)) + 1)]
     values = [float(p) for p in text.split(",") if p.strip()]
     if not values:
         raise ValueError("SNR grid is empty")

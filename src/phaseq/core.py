@@ -246,10 +246,13 @@ def sector_index(angles: np.ndarray, K: int) -> np.ndarray:
     """Sector indices floor(arg / (2*pi/K)) of angles in radians, any branch.
 
     Sector z covers [z*2*pi/K, (z+1)*2*pi/K); boundaries belong to the upper
-    sector.
+    sector. A NaN or infinite angle raises ValueError.
     """
     ang = np.array(angles, dtype=float)
+    # NaN or inf fails the range test, so only the wrapping branch checks
     if not (ang.size and ang.min() >= -TWO_PI and ang.max() < TWO_PI):
+        if not np.isfinite(ang).all():
+            raise ValueError("angles must be finite")
         np.mod(ang, TWO_PI, out=ang)
     return _quantize(ang, K, np.empty(ang.shape, dtype=np.int64))[()]
 
@@ -362,9 +365,10 @@ def sample_blocks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw quantized blocks: X is (n, L) ints, returns (phi (n,), Z (n, L)).
 
-    phi overrides the uniform block phase when given (test hook); the noise is
-    always drawn from rng. Zero received samples (probability zero, no phase)
-    trigger a redraw of the affected noise entries.
+    phi overrides the uniform block phase when given (test hook; it must be
+    finite); the noise is always drawn from rng. Zero received samples
+    (probability zero, no phase) trigger a redraw of the affected noise
+    entries.
 
     The draws are the block phases, then the real and the imaginary noise
     parts of all n*L samples, then the redraws in np.nonzero order. The
@@ -376,4 +380,6 @@ def sample_blocks(
     if X.ndim != 2:
         raise ValueError(f"X must be an (n, L) array of symbols (got shape {X.shape})")
     X = _check_indices(X, "X", config.L, config.M, "M", stacked=True)
+    if phi is not None and not math.isfinite(phi):
+        raise ValueError(f"phi must be finite (got {phi})")
     return _sample_into(X, config, rng, phi, _Workspace())

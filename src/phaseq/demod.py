@@ -28,7 +28,9 @@ one. The oracle paths (glrt_metric, brute_force_glrt) scan each
 hypothesis over the full circle instead. One decision rule, shared by the
 sweep and the brute-force oracle, picks the winner and flags exactly tied
 candidates (the signature failure of K = 2M without dither): those whose
-relative metric gap to the winner is at most DEFAULT_TIE_TOL.
+relative metric gap to the winner is at most DEFAULT_TIE_TOL. The winner is
+the lowest-index tied candidate; the SER simulator re-draws a tied block's
+decision from the tie set itself.
 
 The sweep runs on arrays of rows (_sweep_rows: candidates, metrics, winner,
 tie mask, tie gap), which the SER simulator scores directly. It takes the
@@ -67,10 +69,9 @@ _SCAN_TARGET = 720
 
 @dataclass(frozen=True)
 class GlrtCandidate:
-    """One evaluated hypothesis: input vector, best phase, metric value."""
+    """One evaluated hypothesis: input vector and metric value."""
 
     x: tuple[int, ...]
-    phi_star: float
     metric: float
 
 
@@ -78,19 +79,18 @@ class GlrtCandidate:
 class GlrtResult:
     """Demodulation outcome with diagnostics.
 
-    winner is the selected input (ties resolved by the caller's rng when
-    given, else lowest candidate index); tie_gap is the relative gap between
-    the top two metrics (None with a single candidate). Metrics and phi_star
-    are grid values: from the sweep, a losing candidate carries its maximum
-    over its own crossover segment; from brute_force_glrt, every candidate
-    carries its maximum over the full circle.
+    winner is the selected input (the lowest-index candidate of the tie
+    set); tie_gap is the relative gap between the top two metrics (None with
+    a single candidate). Metrics are grid values: from the sweep, a losing
+    candidate carries its maximum over its own crossover segment; from
+    brute_force_glrt, every candidate carries its maximum over the full
+    circle.
     """
 
     winner: tuple[int, ...]
     candidates: tuple[GlrtCandidate, ...]
     tie: bool
     tie_gap: float | None
-    crossovers: tuple[float, ...]
 
 
 @dataclass
@@ -99,12 +99,9 @@ class DemodRecord:
 
     candidates: np.ndarray  # (n_cand, L)
     log_metrics: np.ndarray  # (n_cand,)
-    phi_stars: np.ndarray  # (n_cand,)
     winner_index: int
-    tie_indices: np.ndarray
     tie: bool
     tie_gap: float | None
-    crossovers: np.ndarray
 
 
 # ---- crossover geometry ---------------------------------------------------
@@ -252,8 +249,8 @@ def _evaluate_candidates(
     C: np.ndarray,
     valid: np.ndarray,
     config: SystemConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid (log metric, phi_star) of candidate array C (n, D, L).
+) -> np.ndarray:
+    """Grid log metric of candidate array C (n, D, L).
 
     Scans every candidate over the full 2*pi: the oracle path behind
     glrt_metric and brute_force_glrt, independent of the envelope scan.
@@ -265,12 +262,10 @@ def _evaluate_candidates(
     n, D, L = C.shape
     K, a = config.K, config.a
     scans = _scan_bank(config)
-    phi_scan = scans[0][0]
     log_tables = [t[1] for t in scans]
-    n_scan = phi_scan.size
+    n_scan = scans[0][0].size
 
     grid_val = np.full((n, D), -np.inf)
-    grid_arg = np.zeros((n, D), dtype=np.int64)
     d_chunk = max(1, min(D, _CHUNK_ELEMENTS // n_scan))
     chunk = max(1, _CHUNK_ELEMENTS // (d_chunk * n_scan))
     for lo_i in range(0, n, chunk):
@@ -282,9 +277,8 @@ def _evaluate_candidates(
             for l in range(1, L):
                 acc += log_tables[l][S[:, :, l], :]
             grid_val[lo_i:hi_i, lo_d:hi_d] = acc.max(axis=2)
-            grid_arg[lo_i:hi_i, lo_d:hi_d] = acc.argmax(axis=2)
     grid_val[~valid] = -np.inf
-    return grid_val, phi_scan[grid_arg]
+    return grid_val
 
 
 def _segment_maxima(
@@ -293,27 +287,27 @@ def _segment_maxima(
     edges: np.ndarray,
     n_distinct: np.ndarray,
     config: SystemConfig,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid (log metric, phi_star) of each row's sweep candidates, (n, D).
+) -> np.ndarray:
+    """Grid log metric of each row's sweep candidates, (n, D).
 
     One scan of E(phi_i) = sum_l max_m log P(z_l | m, phi_i) over the P grid
     points of one 2*pi/M period serves every candidate of a row. Candidate
     d is the coherent decision between crossovers d-1 and d, so E is its own
     metric there; it gets the maximum of E over that segment's grid points
-    (a grid point on a crossover goes to the later segment) and phi_star the
-    first point attaining it. Candidate 0 also owns the wrap piece from the
-    last crossover to 2*pi/M, where the decision is candidate 0 less one
-    constellation step: the same metric at phi - 2*pi/M. A candidate whose
-    segment holds no grid point gets its own metric at the two grid points
-    bounding the segment. Entries past a row's candidates hold -inf. Rows
-    are scanned in blocks of _CHUNK_ELEMENTS // (P + 1), each on its own.
+    (a grid point on a crossover goes to the later segment). Candidate 0
+    also owns the wrap piece from the last crossover to 2*pi/M, where the
+    decision is candidate 0 less one constellation step (the same metric at
+    phi - 2*pi/M), so its value is the larger of its two pieces' maxima. A
+    candidate whose segment holds no grid point gets its own metric at the
+    two grid points bounding the segment. Entries past a row's candidates
+    hold -inf. Rows are scanned in blocks of _CHUNK_ELEMENTS // (P + 1),
+    each on its own.
     """
     n, D, L = C.shape
     K, M, a = config.K, config.M, config.a
     scans = _scan_bank(config)
     phi_scan = scans[0][0]
-    n_scan = phi_scan.size
-    P = n_scan // M
+    P = phi_scan.size // M
     W = P + 1
     envs = [t[2] for t in scans]
 
@@ -323,29 +317,18 @@ def _segment_maxima(
     starts = np.concatenate([np.zeros((n, 1), dtype=bounds.dtype), bounds], axis=1)
     pieces = np.arange(D + 1)[None, :] <= n_distinct[:, None]
     piece_val = np.full((n, D + 1), -np.inf)
-    piece_arg = np.zeros((n, D + 1), dtype=np.int64)
     chunk = max(1, _CHUNK_ELEMENTS // W)
     for lo_i in range(0, n, chunk):
         hi_i = min(lo_i + chunk, n)
         acc = envs[0][Z[lo_i:hi_i, 0]]
         for l in range(1, L):
             acc += envs[l][Z[lo_i:hi_i, l]]
-        flat = acc.ravel()
         sel = pieces[lo_i:hi_i]
         first = (starts[lo_i:hi_i] + W * np.arange(hi_i - lo_i)[:, None])[sel]
-        top = np.maximum.reduceat(flat, first)
-        hit = flat == np.repeat(top, np.diff(first, append=flat.size))
-        at = np.minimum.reduceat(np.where(hit, np.arange(flat.size), flat.size), first)
-        piece_val[lo_i:hi_i][sel] = top
-        piece_arg[lo_i:hi_i][sel] = at % W
+        piece_val[lo_i:hi_i][sel] = np.maximum.reduceat(acc.ravel(), first)
 
-    rows = np.arange(n)
     log_metric = piece_val[:, :D].copy()
-    arg = piece_arg[:, :D].copy()
-    wrap = piece_val[rows, n_distinct]
-    use_wrap = wrap > log_metric[:, 0]
-    log_metric[use_wrap, 0] = wrap[use_wrap]
-    arg[use_wrap, 0] = piece_arg[rows, n_distinct][use_wrap] - P
+    np.maximum(log_metric[:, 0], piece_val[np.arange(n), n_distinct], out=log_metric[:, 0])
     valid = np.arange(D)[None, :] < n_distinct[:, None]
     log_metric[~valid] = -np.inf
 
@@ -357,10 +340,8 @@ def _segment_maxima(
         S = (Z[r] - a * C[r, d]) % K
         around = starts[r, d + 1][:, None] - np.array([[1, 0]])
         own = sum(t[1][S[:, l, None], around] for l, t in enumerate(scans))
-        best = np.argmax(own, axis=1)
-        log_metric[r, d] = own[np.arange(r.size), best]
-        arg[r, d] = around[np.arange(r.size), best]
-    return log_metric, phi_scan[arg % n_scan]
+        log_metric[r, d] = own.max(axis=1)
+    return log_metric
 
 
 def _decide(
@@ -403,8 +384,6 @@ class _Sweep(NamedTuple):
     candidates: np.ndarray  # (n, D, L)
     n_distinct: np.ndarray  # (n,)
     log_metrics: np.ndarray  # (n, D)
-    phi_stars: np.ndarray  # (n, D)
-    edges: np.ndarray  # (n, D) crossovers
     winner: np.ndarray  # (n,)
     ties: np.ndarray  # (n, D) bool
     tie_gap: np.ndarray  # (n,)
@@ -436,36 +415,23 @@ def _sweep_rows(Z: np.ndarray, config: SystemConfig) -> _Sweep:
     del args
     C %= M
 
-    log_metric, phi_star = _segment_maxima(Z, C, edges, n_distinct, config)
-    winner, ties, tie_gap = _decide(log_metric, valid)
-    return _Sweep(C, n_distinct, log_metric, phi_star, edges, winner, ties, tie_gap)
+    log_metric = _segment_maxima(Z, C, edges, n_distinct, config)
+    return _Sweep(C, n_distinct, log_metric, *_decide(log_metric, valid))
 
 
 def _records(s: _Sweep) -> list[DemodRecord]:
     """One DemodRecord per row of a sweep; views into its arrays."""
-    # row i's tie set is tie_cols[end - k:end], k = n_tied[i], end = ends[i]
     n_tied = np.count_nonzero(s.ties, axis=1)
-    tie_cols = np.nonzero(s.ties)[1]
-    ends = np.cumsum(n_tied)
     return [
         DemodRecord(
             candidates=s.candidates[i, :d],
             log_metrics=s.log_metrics[i, :d],
-            phi_stars=s.phi_stars[i, :d],
             winner_index=w,
-            tie_indices=tie_cols[end - k : end],
             tie=k > 1,
             tie_gap=None if math.isnan(gap) else gap,
-            crossovers=s.edges[i, :d].copy(),
         )
-        for i, (d, w, k, end, gap) in enumerate(
-            zip(
-                s.n_distinct.tolist(),
-                s.winner.tolist(),
-                n_tied.tolist(),
-                ends.tolist(),
-                s.tie_gap.tolist(),
-            )
+        for i, (d, w, k, gap) in enumerate(
+            zip(s.n_distinct.tolist(), s.winner.tolist(), n_tied.tolist(), s.tie_gap.tolist())
         )
     ]
 
@@ -485,60 +451,44 @@ def demodulate_rows(
     return _records(_sweep_rows(Z, config))
 
 
-def _result_from_record(
-    rec: DemodRecord, shift: np.ndarray | int, M: int, rng: np.random.Generator | None
-) -> GlrtResult:
-    """The GlrtResult of one record, its candidates shifted by shift mod M.
-
-    A tied record draws its winner uniformly from its tie set when rng is given.
-    """
+def _result_from_record(rec: DemodRecord, shift: np.ndarray | int, M: int) -> GlrtResult:
+    """The GlrtResult of one record, its candidates shifted by shift mod M."""
     X = (rec.candidates + shift) % M
     # a log metric is never +inf or NaN, and exp(-inf) is 0
     cands = tuple(
-        GlrtCandidate(x=tuple(x), phi_star=phi, metric=math.exp(lm))
-        for x, phi, lm in zip(X.tolist(), rec.phi_stars.tolist(), rec.log_metrics.tolist())
+        GlrtCandidate(x=tuple(x), metric=math.exp(lm))
+        for x, lm in zip(X.tolist(), rec.log_metrics.tolist())
     )
-    idx = rec.winner_index
-    if rec.tie and rng is not None:
-        idx = int(rng.choice(rec.tie_indices))
     return GlrtResult(
-        winner=cands[idx].x,
-        candidates=cands,
-        tie=rec.tie,
-        tie_gap=rec.tie_gap,
-        crossovers=tuple(rec.crossovers.tolist()),
+        winner=cands[rec.winner_index].x, candidates=cands, tie=rec.tie, tie_gap=rec.tie_gap
     )
 
 
 # ---- public entry points ---------------------------------------------------
 
 
-def glrt_demodulate(
-    z, config: SystemConfig, rng: np.random.Generator | None = None
-) -> GlrtResult:
+def glrt_demodulate(z, config: SystemConfig) -> GlrtResult:
     """Demodulate one undithered block via the residue reduction.
 
     Solves the sweep on r = z mod a and adds back q = z div a per position;
-    at most a candidates are evaluated. Ties are resolved uniformly from rng
-    when given, else deterministically by candidate order.
+    at most a candidates are evaluated. A tie goes to the lowest-index tied
+    candidate.
     """
     if config.is_dithered:
         raise ValueError("glrt_demodulate requires an undithered config")
     z = _check_indices(z, "z", config.L, config.K, "K")
     rec = _records(_sweep_rows(z[None, :] % config.a, config))[0]
-    return _result_from_record(rec, z // config.a, config.M, rng)
+    return _result_from_record(rec, z // config.a, config.M)
 
 
-def glrt_demodulate_dithered(
-    z, config: SystemConfig, rng: np.random.Generator | None = None
-) -> GlrtResult:
+def glrt_demodulate_dithered(z, config: SystemConfig) -> GlrtResult:
     """Demodulate one block under the config's dither (no residue reduction).
 
     Per-symbol rotations give up to L distinct crossover angles, hence at most
     L + 1 candidates per 2*pi/M period.
     """
     z = _check_indices(z, "z", config.L, config.K, "K")
-    return _result_from_record(_records(_sweep_rows(z[None, :], config))[0], 0, config.M, rng)
+    return _result_from_record(_records(_sweep_rows(z[None, :], config))[0], 0, config.M)
 
 
 def glrt_metric(z, x, config: SystemConfig) -> GlrtCandidate:
@@ -547,10 +497,8 @@ def glrt_metric(z, x, config: SystemConfig) -> GlrtCandidate:
     z = _check_indices(z, "z", config.L, config.K, "K")
     x = _check_indices(x, "x", config.L, config.M, "M")
     valid = np.ones((1, 1), dtype=bool)
-    lm, ph = _evaluate_candidates(z[None, :], x[None, None, :], valid, config)
-    return GlrtCandidate(
-        x=tuple(int(v) for v in x), phi_star=float(ph[0, 0]), metric=math.exp(lm[0, 0])
-    )
+    lm = _evaluate_candidates(z[None, :], x[None, None, :], valid, config)
+    return GlrtCandidate(x=tuple(int(v) for v in x), metric=math.exp(lm[0, 0]))
 
 
 def brute_force_glrt(z, config: SystemConfig) -> GlrtResult:
@@ -568,9 +516,7 @@ def brute_force_glrt(z, config: SystemConfig) -> GlrtResult:
     tails = np.array(list(product(range(config.M), repeat=config.L - 1)), dtype=np.int64)
     C = np.concatenate([np.zeros((tails.shape[0], 1), dtype=np.int64), tails], axis=1)
     valid = np.ones((1, C.shape[0]), dtype=bool)
-    lm, ph = _evaluate_candidates(z[None, :], C[None, :, :], valid, config)
-    winner, ties, tie_gap = _decide(lm, valid)
-    # every orbit is a candidate; the oracle splits the period at no crossover
-    n_cand = np.array([C.shape[0]])
-    sweep = _Sweep(C[None], n_cand, lm, ph, np.empty((1, 0)), winner, ties, tie_gap)
-    return _result_from_record(_records(sweep)[0], 0, config.M, None)
+    lm = _evaluate_candidates(z[None, :], C[None, :, :], valid, config)
+    # every orbit is a candidate
+    sweep = _Sweep(C[None], np.array([C.shape[0]]), lm, *_decide(lm, valid))
+    return _result_from_record(_records(sweep)[0], 0, config.M)

@@ -73,8 +73,8 @@ _MAX_ARC_PARTS = 2048
 
 def phase_offset_pdf(u, snr_linear: float) -> np.ndarray:
     """Density of (received phase - clean phase), wrapped to [-pi, pi)."""
-    if snr_linear <= 0:
-        raise ValueError("snr_linear must be positive")
+    if not 0 < snr_linear < math.inf:
+        raise ValueError(f"snr_linear must be positive and finite (got {snr_linear})")
     u = np.asarray(u, dtype=float)
     rho = snr_linear
     cu = np.cos(u)
@@ -121,6 +121,8 @@ def sector_probability(z: int, x: int, phi: float, config: SystemConfig) -> floa
     K, M = config.K, config.M
     z = int(_check_indices(z, "z", None, K, "K"))
     x = int(_check_indices(x, "x", None, M, "M"))
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite (got {phi})")
     clean = config.theta0 + x * (TWO_PI / M) + phi
     return sector_offset_probability(z * (TWO_PI / K) - clean, TWO_PI / K, config.snr_linear)
 

@@ -20,6 +20,7 @@ from phaseq.core import (
     sector_index,
 )
 from phaseq.sim import DEFAULT_CHUNK
+from phaseq.transition import phase_offset_pdf, sector_probability
 
 TWO_PI = 2.0 * math.pi
 
@@ -215,6 +216,26 @@ def test_sector_index_matches_scalar(rng):
     vec = sector_index(angles, K)
     scalar = [min(int((a % TWO_PI) * K / TWO_PI), K - 1) for a in angles]
     assert vec.tolist() == scalar
+
+
+_CFG = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call,name",
+    [
+        (lambda v: sector_index([v, 0.5], 8), "angles"),
+        (lambda v: sample_blocks([[0, 1]], _CFG, np.random.default_rng(0), phi=v), "phi"),
+        (lambda v: sector_probability(1, 0, v, _CFG), "phi"),
+        (lambda v: phase_offset_pdf([0.0, 1.0], v), "snr_linear"),
+    ],
+    ids=["sector_index", "sample_blocks", "sector_probability", "phase_offset_pdf"],
+)
+def test_non_finite_angles_phases_and_snrs_refused(call, name, bad):
+    # no sector index or probability exists for a NaN or infinite input
+    with pytest.raises(ValueError, match=f"{name} must be"):
+        call(bad)
 
 
 def test_modulate_unit_energy_and_phase(qpsk8_l3):

@@ -43,6 +43,16 @@ class TestSnrGrid:
             parse_snr_grid("12:0:1")
         with pytest.raises(ValueError):
             parse_snr_grid("abc")
+        for grid in ("0:10:inf", "0:10:nan"):
+            with pytest.raises(ValueError, match="positive and finite"):
+                parse_snr_grid(grid)
+        for grid in ("nan:10:1", "0:inf:1", "-inf:inf:1"):
+            with pytest.raises(ValueError, match="finite ends"):
+                parse_snr_grid(grid)
+        # the point count overflows a float
+        for grid in ("0:1e308:1e-308", "-1e308:1e308:1"):
+            with pytest.raises(ValueError, match="finite point count"):
+                parse_snr_grid(grid)
 
 
 class TestCapacityCommand:
@@ -283,6 +293,16 @@ class TestBadArguments:
             main([command, "--snr", grid, "--out", str(out)])
         assert exc.value.code == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["capacity", "ser"])
+    @pytest.mark.parametrize("grid", ["0:1e308:1e-308", "0:10:inf"])
+    def test_non_finite_snr_grid_exits_2(self, command, grid, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--M", "4", "--K", "8", "--L", "2", "--snr", grid, "--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+        assert not (tmp_path / "x.csv.manifest").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
