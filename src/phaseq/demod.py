@@ -10,10 +10,14 @@ decision switches to the next constellation point exactly once, at a
 distinct crossover angles splits the period into segments whose coherent
 decisions are the only GLRT candidates.
 
-For undithered configs the observation further reduces: z = a*q + r with
-r = z mod a, the winner for z is the winner for r plus q. Dither breaks that
-reduction (each position carries its own rotation), so the dithered path
-sweeps per-symbol crossovers on the full observation, at most one per symbol.
+The observation further reduces, with or without dither: z = a*q + r with
+r = z mod a, and the sweep of z is the sweep of r with q added to every
+candidate. Position l's law depends on z_l - a*x_l alone, and its crossover
+on z_l mod a alone (a step of a sectors moves the sector midpoint by exactly
+2*pi/M), which is what _symbol_crossovers reads; so the two sweeps agree
+bitwise, metrics included. Dither gives each position its own rotation, so a dithered
+row has up to L distinct crossovers, one per symbol, where an undithered one
+has at most a.
 
 Metrics are maxima over a scan grid of the smallest multiple of K at or above
 720 points, which this module fills and holds per config (_scan_bank; exact
@@ -113,11 +117,12 @@ def _symbol_crossovers(Z: np.ndarray, config: SystemConfig) -> np.ndarray:
     The coherent per-symbol decision switches where the rotated sector
     midpoint is equidistant between adjacent constellation points:
     alpha = (midpoint - theta0 - dither - pi/M) mod 2*pi/M, with 0 folded to
-    the top of the window.
+    the top of the window. The midpoint is taken of Z mod a: a sectors move
+    it by exactly 2*pi/M, so Z and its residues get bitwise-equal angles.
     """
     K, M = config.K, config.M
     window = TWO_PI / M
-    mid = (Z + 0.5) * (TWO_PI / K)
+    mid = (Z % config.a + 0.5) * (TWO_PI / K)
     alpha = np.mod(mid - config.theta0 - np.asarray(config.dither) - math.pi / M, window)
     return np.where(alpha < _ALPHA_DEDUPE, alpha + window, alpha)
 
@@ -392,8 +397,9 @@ class _Sweep(NamedTuple):
 def _sweep_rows(Z: np.ndarray, config: SystemConfig) -> _Sweep:
     """The candidate sweep on each row of Z (n, L), as arrays.
 
-    Z rows are taken as-is: residues of an undithered config (the caller
-    re-adds q) or full observations of a dithered one.
+    Z rows are taken as-is. A row and its residues mod a give equal
+    sweeps, each candidate shifted by the row's quotients (mod M), so
+    callers sweep residue rows and add the quotients back.
     """
     Z = np.asarray(Z, dtype=np.int64)
     n, L = Z.shape
@@ -467,28 +473,33 @@ def _result_from_record(rec: DemodRecord, shift: np.ndarray | int, M: int) -> Gl
 # ---- public entry points ---------------------------------------------------
 
 
-def glrt_demodulate(z, config: SystemConfig) -> GlrtResult:
-    """Demodulate one undithered block via the residue reduction.
-
-    Solves the sweep on r = z mod a and adds back q = z div a per position;
-    at most a candidates are evaluated. A tie goes to the lowest-index tied
-    candidate.
-    """
-    if config.is_dithered:
-        raise ValueError("glrt_demodulate requires an undithered config")
+def _demodulate(z, config: SystemConfig) -> GlrtResult:
+    """The sweep of one block, solved on r = z mod a with q = z div a added
+    back per position."""
     z = _check_indices(z, "z", config.L, config.K, "K")
     rec = _records(_sweep_rows(z[None, :] % config.a, config))[0]
     return _result_from_record(rec, z // config.a, config.M)
 
 
+def glrt_demodulate(z, config: SystemConfig) -> GlrtResult:
+    """Demodulate one undithered block via the residue reduction.
+
+    At most a candidates are evaluated. A tie goes to the lowest-index tied
+    candidate.
+    """
+    if config.is_dithered:
+        raise ValueError("glrt_demodulate requires an undithered config")
+    return _demodulate(z, config)
+
+
 def glrt_demodulate_dithered(z, config: SystemConfig) -> GlrtResult:
-    """Demodulate one block under the config's dither (no residue reduction).
+    """Demodulate one block under the config's dither via the residue
+    reduction.
 
     Per-symbol rotations give up to L distinct crossover angles, hence at most
-    L + 1 candidates per 2*pi/M period.
+    L candidates per 2*pi/M period.
     """
-    z = _check_indices(z, "z", config.L, config.K, "K")
-    return _result_from_record(_records(_sweep_rows(z[None, :], config))[0], 0, config.M)
+    return _demodulate(z, config)
 
 
 def glrt_metric(z, x, config: SystemConfig) -> GlrtCandidate:

@@ -27,10 +27,12 @@ coherent decision at a phase depends on z_l alone, so every candidate of the
 sweep, the winner and each tie-set member alike, gives equal symbols to
 equal residues. A block's symbol at residue r is the candidate's symbol at
 the first sorted position holding r, plus the block's own z div a. Under
-dither each position has its own rotation, so rows are the full sector
-vectors in block order. The chunk engine hands demod the config alone, and
-demod scores rows from its own scan tables, so a run fills no transition
-kernel.
+dither each position has its own rotation, so the sort is lost but the
+residue step is not: rows are the residue vectors in block order (at most
+a^L of them, 256 at K=8, L=8 against thousands of sector vectors), and a
+block's decision is its row's plus its own z div a. The chunk engine hands
+demod the config alone, and demod scores rows from its own scan tables, so
+a run fills no transition kernel.
 
 Each worker thread of a run keeps one workspace, which holds the sampler's
 planes and the chunk's quotient, index and decision planes, so a chunk
@@ -227,16 +229,16 @@ def _run_chunk(
 
     Undithered, a block's row is its residue histogram, demodulated as the
     sorted residue vector it stands for (see the module docstring); under
-    dither it is the block's sector vector. Only distinct rows the memo has
+    dither it is the block's residue vector. Only distinct rows the memo has
     not seen are demodulated; each block then takes its row's decision, and
-    tied blocks re-draw theirs from the chunk stream in block order. Every
-    chunk-sized array but X and the histograms lives in work: the sampler's
-    buffers, then its temporaries "t0" and "t1" as the quotient and
-    decision planes. Sectors split into quotient and residue by gathers
-    from the K-entry tables arange(K) // a and arange(K) % a (Z lies in
-    0..K-1, so mode="clip" never clips), which beat np.divmod's int64
-    division; "t0" then takes the pilot differences that _symbol_errors
-    scores.
+    tied blocks re-draw theirs from the chunk stream in block order, before
+    the quotients are added back. Every chunk-sized array but X and the
+    histograms lives in work: the sampler's buffers, then its temporaries
+    "t0" and "t1" as the quotient and decision planes. Sectors split into
+    quotient and residue by gathers from the K-entry tables arange(K) // a
+    and arange(K) % a (Z lies in 0..K-1, so mode="clip" never clips), which
+    beat np.divmod's int64 division; "t0" then takes the pilot differences
+    that _symbol_errors scores.
     """
     M, K, L, a = config.M, config.K, config.L, config.a
     rng = np.random.default_rng(seed_seq)
@@ -245,18 +247,18 @@ def _run_chunk(
         X[:, 0] = 0
     _, Z = _sample_into(X, config, rng, None, work)
     xhat = work.buffer("t1", (n_blocks, L), np.int64)
+    q = work.buffer("t0", (n_blocks, L), np.int64)
+    sectors = np.arange(K)
+    np.take(sectors // a, Z, out=q, mode="clip")
+    np.take(sectors % a, Z, out=xhat, mode="clip")
 
     if config.is_dithered:
-        distinct, inverse = _distinct_rows(Z)
+        distinct, inverse = _distinct_rows(xhat)
         ids, winners, row_tied, n_cand = memo.decide(distinct, config)
         np.take(winners, inverse, axis=0, out=xhat, mode="clip")
         for b in np.flatnonzero(row_tied[inverse]):
             xhat[b] = rng.choice(memo.tie_sets[ids[inverse[b]]])
     else:
-        q = work.buffer("t0", (n_blocks, L), np.int64)
-        sectors = np.arange(K)
-        np.take(sectors // a, Z, out=q, mode="clip")
-        np.take(sectors % a, Z, out=xhat, mode="clip")
         # Z now holds the flat index of each sample's residue in the
         # (block, residue) histogram, and later in the (row, residue) table
         np.add(xhat, a * np.arange(n_blocks)[:, None], out=Z)
@@ -272,7 +274,7 @@ def _run_chunk(
         np.take(table, Z, out=xhat, mode="clip")
         for b in np.flatnonzero(row_tied[inverse]):
             xhat[b] = rng.choice(memo.tie_sets[ids[inverse[b]]])[first[Z[b]]]
-        xhat += q
+    xhat += q
     tied = row_tied[inverse]
     errors = _symbol_errors(xhat, X, M, convention, work)
     cand_total = n_cand @ np.bincount(inverse, minlength=len(n_cand))

@@ -71,12 +71,22 @@ _UNDERFLOW_FLOOR = 1e-280
 _MAX_ARC_PARTS = 2048
 
 
-def phase_offset_pdf(u, snr_linear: float) -> np.ndarray:
-    """Density of (received phase - clean phase), wrapped to [-pi, pi)."""
+def _check_snr_linear(snr_linear: float) -> None:
     if not 0 < snr_linear < math.inf:
         raise ValueError(f"snr_linear must be positive and finite (got {snr_linear})")
+
+
+def phase_offset_pdf(u, snr_linear: float) -> np.ndarray:
+    """Density of (received phase - clean phase), wrapped to [-pi, pi)."""
+    _check_snr_linear(snr_linear)
     u = np.asarray(u, dtype=float)
-    rho = snr_linear
+    if not np.isfinite(u).all():
+        raise ValueError("u must be finite")
+    return _phase_offset_pdf(u, snr_linear)
+
+
+def _phase_offset_pdf(u, rho: float) -> np.ndarray:
+    """phase_offset_pdf on float u and a positive finite rho, unchecked."""
     cu = np.cos(u)
     su = np.sin(u)
     base = math.exp(-rho) / TWO_PI if rho < 700 else 0.0
@@ -96,12 +106,15 @@ def sector_offset_probability(t: float, width: float, snr_linear: float) -> floa
     The quadrature targets a relative error of 1e-13, so that deep-tail
     sectors keep their relative accuracy too.
     """
+    _check_snr_linear(snr_linear)
+    if not (math.isfinite(t) and math.isfinite(width)):
+        raise ValueError(f"t and width must be finite (got {t}, {width})")
     t = _wrap_pi(t)
     hi = t + width
     interior = [p for p in (0.0, math.pi) if t < p < hi]
 
     def integrand(u: float) -> float:
-        return float(phase_offset_pdf(_wrap_pi(u), snr_linear))
+        return float(_phase_offset_pdf(_wrap_pi(u), snr_linear))
 
     val = quad(
         integrand,
@@ -152,7 +165,7 @@ def _arc_probabilities(start: float, n: int, K: int, snr_linear: float) -> np.nd
     for part in range(parts):
         left = lo + part * h
         for x, w in zip(nodes, weights):
-            cells += w * phase_offset_pdf(_wrap_pi(left + 0.5 * h * (x + 1.0)), snr_linear)
+            cells += w * _phase_offset_pdf(_wrap_pi(left + 0.5 * h * (x + 1.0)), snr_linear)
     cells *= 0.5 * h
     return sliding_window_view(np.concatenate([cells, cells[: s - 1]]), s).sum(axis=1)
 

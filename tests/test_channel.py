@@ -20,7 +20,7 @@ from phaseq.core import (
     sector_index,
 )
 from phaseq.sim import DEFAULT_CHUNK
-from phaseq.transition import phase_offset_pdf, sector_probability
+from phaseq.transition import phase_offset_pdf, sector_offset_probability, sector_probability
 
 TWO_PI = 2.0 * math.pi
 
@@ -229,8 +229,21 @@ _CFG = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
         (lambda v: sample_blocks([[0, 1]], _CFG, np.random.default_rng(0), phi=v), "phi"),
         (lambda v: sector_probability(1, 0, v, _CFG), "phi"),
         (lambda v: phase_offset_pdf([0.0, 1.0], v), "snr_linear"),
+        (lambda v: phase_offset_pdf([v, 1.0], 2.0), "u"),
+        (lambda v: sector_offset_probability(v, 0.7, 2.0), "t and width"),
+        (lambda v: sector_offset_probability(0.1, v, 2.0), "t and width"),
+        (lambda v: sector_offset_probability(0.1, 0.7, v), "snr_linear"),
     ],
-    ids=["sector_index", "sample_blocks", "sector_probability", "phase_offset_pdf"],
+    ids=[
+        "sector_index",
+        "sample_blocks",
+        "sector_probability",
+        "phase_offset_pdf",
+        "phase_offset_pdf_u",
+        "sector_offset_probability_t",
+        "sector_offset_probability_width",
+        "sector_offset_probability_snr",
+    ],
 )
 def test_non_finite_angles_phases_and_snrs_refused(call, name, bad):
     # no sector index or probability exists for a NaN or infinite input

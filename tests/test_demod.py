@@ -598,6 +598,31 @@ class TestValidation:
             brute_force_glrt(np.zeros(12, dtype=int), cfg)
 
 
+# A step of a sectors moves position l's law by one constellation step and
+# leaves its crossover in place, dither or not: a dithered row and its
+# residues mod a give one sweep, up to the quotients, metrics bitwise. The
+# SER chunk engine sweeps dithered residue rows and relies on it.
+@pytest.mark.parametrize("snr_db", [6.0, 14.0, 24.0])
+@pytest.mark.parametrize("dither", ["ramp", "tuple"])
+@pytest.mark.parametrize("M,K,L", [(2, 8, 6), (4, 4, 5), (4, 8, 8), (4, 12, 5), (8, 24, 4)])
+def test_dithered_rows_reduce_to_residues(M, K, L, dither, snr_db):
+    if dither == "tuple":
+        # multiples of the scan step 2*pi/720 put crossovers on grid points
+        dither = tuple(TWO_PI / 720 * (7 * l % 11) for l in range(L))
+    cfg = SystemConfig(M=M, K=K, L=L, snr_db=snr_db, dither=dither)
+    Z = np.random.default_rng(K * L).integers(0, K, size=(300, L))
+    full = _sweep_rows(Z, cfg)
+    res = _sweep_rows(Z % cfg.a, cfg)
+    np.testing.assert_array_equal(full.n_distinct, res.n_distinct)
+    valid = np.arange(full.candidates.shape[1]) < full.n_distinct[:, None]
+    shifted = (res.candidates + (Z // cfg.a)[:, None, :]) % M
+    np.testing.assert_array_equal(full.candidates[valid], shifted[valid])
+    np.testing.assert_array_equal(full.winner, res.winner)
+    np.testing.assert_array_equal(full.ties, res.ties)
+    np.testing.assert_array_equal(full.log_metrics, res.log_metrics)
+    np.testing.assert_array_equal(full.tie_gap, res.tie_gap)
+
+
 def test_glrt_metric_matches_demodulate_winner():
     cfg = SystemConfig(M=4, K=8, L=3, snr_db=6.0)
     z = np.array([3, 1, 6])

@@ -131,24 +131,32 @@ class TestRunSer:
             assert a.tie_rate == b.tie_rate
             c = run_ser(cfg, trials=6_000, seed=8, convention=convention, workers=1)
             assert c.errors != a.errors
-        # ramp K=8 L=8: nearly every row of the 4 chunks is new, so chunk
-        # threads merge new rows into the shared memo at the same time; a
-        # short switch interval makes them interleave often
-        cfg = SystemConfig(M=4, K=8, L=8, snr_db=14.0, dither="ramp")
+        # ramp K=64 L=8 at 8 dB: every residue row of the 4 chunks is new
+        # (13,000 of 13,000), so chunk threads merge new rows into the
+        # shared memo at the same time; a short switch interval makes them
+        # interleave often. Ramp K=8 L=8 has at most 2^8 residue rows, so
+        # its threads mostly read the memo.
+        configs = {
+            8: SystemConfig(M=4, K=8, L=8, snr_db=14.0, dither="ramp"),
+            64: SystemConfig(M=4, K=64, L=8, snr_db=8.0, dither="ramp"),
+        }
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             runs = {
-                w: (run_ser(cfg, trials=13_000, seed=7, workers=w),
-                    run_ser(cfg, trials=13_000, seed=7, convention="genie", workers=w))
+                (K, w): (run_ser(cfg, trials=13_000, seed=7, workers=w),
+                         run_ser(cfg, trials=13_000, seed=7, convention="genie", workers=w))
+                for K, cfg in configs.items()
                 for w in (1, 2, 4)
             }
         finally:
             sys.setswitchinterval(interval)
-        assert runs[1][0].errors == 344
-        assert (runs[1][1].mean_candidates, runs[1][1].max_candidates) == (8.0, 8)
-        assert runs[2] == runs[1]
-        assert runs[4] == runs[1]
+        assert runs[8, 1][0].errors == 344
+        assert (runs[8, 1][1].mean_candidates, runs[8, 1][1].max_candidates) == (8.0, 8)
+        assert runs[64, 1][0].errors == 3299
+        for K in configs:
+            assert runs[K, 2] == runs[K, 1]
+            assert runs[K, 4] == runs[K, 1]
 
     # Exact counts of seeded runs (5000 blocks are two chunks, so the row memo
     # carries across chunks); any change to the RNG stream, the tie re-draw,
