@@ -34,7 +34,7 @@ from itertools import product
 import numpy as np
 
 from .combinatorics import output_class_arrays
-from .core import SystemConfig, _as_int, _check_indices, _distinct_rows, sample_blocks
+from .core import SystemConfig, _as_int, _distinct_rows, sample_blocks
 from .transition import (
     TransitionKernel,
     _check_own_kernels,
@@ -111,19 +111,6 @@ def conditional_entropy(config: SystemConfig, kernel: TransitionKernel | None = 
     kernel = kernel_for(config) if kernel is None else kernel
     _check_own_kernels(config, (kernel,) * config.L)
     return _class_entropy(kernel.table, config.K, config.L, config.K)
-
-
-def marginal_probability(z, config: SystemConfig) -> float:
-    """P(z) for a reduced output block (components below a = K/M).
-
-    The phase-grid mean of the per-symbol product of the input-averaged
-    table, which equals the plain average of P(z | x) over all M^L inputs.
-    """
-    if config.is_dithered:
-        raise ValueError("marginal_probability requires an undithered config")
-    z = _check_indices(z, "residue output z", config.L, config.a, "a")
-    mixed = _input_average(kernel_for(config).table, config.M, config.a)
-    return float(np.exp(_log_grid_mean([mixed] * config.L, z[None, :])[0]))
 
 
 def output_entropy(config: SystemConfig, kernel: TransitionKernel | None = None) -> float:

@@ -47,26 +47,22 @@ still takes a kernel bank, and rejects one that is not the config's own.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .core import _CHUNK_ELEMENTS, TWO_PI, SystemConfig, _check_indices
 from .transition import (
     TransitionKernel,
     _arc_probabilities,
     _check_own_kernels,
-    sector_probability,
 )
 
 DEFAULT_TIE_TOL = 1e-6
 _ALPHA_DEDUPE = 1e-12
-# crossover_angles(validate=True) tolerance between geometric and root angles
-_ROOT_TOL = 1e-9
 # The scan grid has the smallest multiple of K at or above this many points.
 _SCAN_TARGET = 720
 
@@ -127,73 +123,30 @@ def _symbol_crossovers(Z: np.ndarray, config: SystemConfig) -> np.ndarray:
     return np.where(alpha < _ALPHA_DEDUPE, alpha + window, alpha)
 
 
-def _distinct_crossovers(
-    Z: np.ndarray, config: SystemConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _distinct_crossovers(Z: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct crossover angles of each row of Z (n, L).
 
-    Returns (edges, n_distinct, source): row i's distinct angles are
-    edges[i, :n_distinct[i]] (the rest is padding), and source[i, j] is the
-    position whose crossover edges[i, j] is. Angles within _ALPHA_DEDUPE of
-    the previous sorted angle are duplicates.
+    Returns (edges, n_distinct): row i's distinct angles are
+    edges[i, :n_distinct[i]] (the rest is padding). Angles within
+    _ALPHA_DEDUPE of the previous sorted angle are duplicates.
     """
-    alphas = _symbol_crossovers(Z, config)
-    order = np.argsort(alphas, axis=1)
-    alphas = np.take_along_axis(alphas, order, axis=1)
+    alphas = np.sort(_symbol_crossovers(Z, config), axis=1)
     dup = np.zeros_like(alphas, dtype=bool)
     dup[:, 1:] = np.diff(alphas, axis=1) <= _ALPHA_DEDUPE
     n_distinct = (~dup).sum(axis=1)
     # a stable sort on the duplicate flag moves each row's kept angles to
     # the front, still in ascending order
     keep = np.argsort(dup, axis=1, kind="stable")[:, : int(n_distinct.max())]
-    edges = np.take_along_axis(alphas, keep, axis=1)
-    return edges, n_distinct, np.take_along_axis(order, keep, axis=1)
+    return np.take_along_axis(alphas, keep, axis=1), n_distinct
 
 
-def crossover_angles(z, config: SystemConfig, validate: bool = False) -> np.ndarray:
+def crossover_angles(z, config: SystemConfig) -> np.ndarray:
     """Sorted distinct crossover angles of a block, in (0, 2*pi/M].
 
-    The same angles demodulate_rows splits the period at. validate=True
-    re-derives each angle as the root of the likelihood equality between
-    the two adjacent constellation points (brentq on the quadrature path)
-    and raises if the geometric value is off by more than _ROOT_TOL.
+    The same angles demodulate_rows splits the period at.
     """
     z = _check_indices(z, "z", config.L, config.K, "K")
-    edges, _, source = _distinct_crossovers(z[None, :], config)
-    values = edges[0]
-    if validate:
-        gaps = np.diff(np.concatenate([values, [values[0] + TWO_PI / config.M]]))
-        min_gap = float(gaps.min()) if values.size > 1 else TWO_PI / config.M
-        for value, sym in zip(values, source[0]):
-            _validate_crossover(float(value), int(z[sym]), int(sym), config, min_gap)
-    return values
-
-
-def _validate_crossover(
-    alpha: float, z_sym: int, sym: int, config: SystemConfig, gap: float
-) -> None:
-    cfg_sym = replace(
-        config, L=1, dither=None, theta0=config.theta0 + config.dither[sym]
-    )
-    span = 0.49 * min(gap, TWO_PI / config.M)
-    zeta = z_sym * (TWO_PI / config.K) - cfg_sym.theta0
-    half_w = math.pi / config.K
-    probe = alpha - 1e-6 * TWO_PI / config.M
-    m_lo = int(round((zeta + half_w - probe) * config.M / TWO_PI)) % config.M
-    # the coherent argmax decreases with phi, so crossing alpha hands the
-    # decision from m_lo to m_lo - 1
-    m_hi = (m_lo - 1) % config.M
-
-    def diff(phi: float) -> float:
-        return sector_probability(z_sym, m_lo, phi, cfg_sym) - sector_probability(
-            z_sym, m_hi, phi, cfg_sym
-        )
-
-    root = brentq(diff, alpha - span, alpha + span, xtol=1e-12)
-    if abs(root - alpha) > _ROOT_TOL:
-        raise RuntimeError(
-            f"crossover mismatch at symbol {sym}: geometric {alpha!r}, root {root!r}"
-        )
+    return _distinct_crossovers(z[None, :], config)[0][0]
 
 
 # ---- scan tables -------------------------------------------------------------
@@ -405,7 +358,7 @@ def _sweep_rows(Z: np.ndarray, config: SystemConfig) -> _Sweep:
     n, L = Z.shape
     M, K = config.M, config.K
 
-    edges, n_distinct, _ = _distinct_crossovers(Z, config)
+    edges, n_distinct = _distinct_crossovers(Z, config)
     D = edges.shape[1]
     prev = np.concatenate([np.zeros((n, 1)), edges[:, : D - 1]], axis=1)
     probes = 0.5 * (prev + edges)

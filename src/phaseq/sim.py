@@ -62,7 +62,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .core import SystemConfig, _as_int, _distinct_rows, _sample_into, _Workspace
 from .demod import _sweep_rows
@@ -111,12 +110,6 @@ def wilson_interval(successes: float, total: float, z: float = 1.96) -> tuple[fl
     center = (p + z2 / (2 * total)) / denom
     half = z * math.sqrt(p * (1.0 - p) / total + z2 / (4 * total * total)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
-
-
-def coherent_qpsk_ser(snr_db: float) -> float:
-    """Symbol error rate of coherent Gray-mapped QPSK at the same Es/N0."""
-    q = 1.0 - float(ndtr(math.sqrt(10.0 ** (snr_db / 10.0))))
-    return 2.0 * q - q * q
 
 
 def ser_crossing_snr(snrs_db, sers, target: float) -> float:

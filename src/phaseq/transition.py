@@ -10,8 +10,11 @@ of the received phase minus the clean phase has the classical closed form
 with rho the linear SNR and Phi the standard normal CDF. A sector probability
 is f integrated over an arc of width 2*pi/K: by adaptive quadrature in the
 reference sector_probability, and for whole grids (the kernel tables here,
-demod's scan tables) by _arc_probabilities, Gauss-Legendre rules per grid
-cell with each arc summing the cells it spans.
+demod's scan tables) by _arc_probabilities, one 16-node Gauss-Legendre rule
+(computed once, at import) per part of each grid cell, with each arc summing
+the cells it spans. A fill evaluates all 16 nodes of a block of cells in one
+density call, in blocks of _CHUNK_ELEMENTS // 16 cells, so its temporaries
+stay at 512 KB whatever the grid size.
 Block probabilities average the per-symbol product over phi on a uniform grid
 (composite midpoint rule; the integrand is smooth and periodic, so the rule
 converges spectrally). The grid size is worked out from (K, SNR, L) by
@@ -69,6 +72,13 @@ _UNDERFLOW_FLOOR = 1e-280
 # about 104 dB, where a fill already costs 2,048*16*720 density evaluations.
 # Kernel fills need one part, since their grid grows with sqrt(rho*L).
 _MAX_ARC_PARTS = 2048
+# The 16-node Gauss-Legendre rule on [-1, 1] that integrates every part,
+# computed once here: leggauss costs about half a millisecond a call, as much
+# as half a scan-table fill.
+_GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Cells per block of an arc fill: a (16, cells) evaluation holds about
+# _CHUNK_ELEMENTS values (512 KB) per temporary at any grid size.
+_ARC_BLOCK = _CHUNK_ELEMENTS // _GAUSS_NODES.size
 
 
 def _check_snr_linear(snr_linear: float) -> None:
@@ -144,10 +154,15 @@ def _arc_probabilities(start: float, n: int, K: int, snr_linear: float) -> np.nd
     """g(start + m*2*pi/n) for m < n, with g(t) = P(offset in [t, t + 2*pi/K)).
 
     n is a multiple of K, so an arc is s = n/K cells. Each cell is split into
-    parts no wider than the noise scale 1/sqrt(2*rho), each integrated by a
-    16-node Gauss-Legendre rule; an arc sums its s positive cells (never a
-    difference of running sums), so deep-tail arcs keep their relative
-    accuracy. Raises ValueError beyond _MAX_ARC_PARTS parts per cell.
+    parts no wider than the noise scale 1/sqrt(2*rho), each integrated by the
+    16-node Gauss-Legendre rule of the module constants; an arc sums its s
+    positive cells (never a difference of running sums), so deep-tail arcs
+    keep their relative accuracy. Cells are filled in blocks of _ARC_BLOCK:
+    for each part, one density call evaluates all 16 nodes of the block, so
+    memory stays O(n) however large the grid and however many parts high
+    SNR needs. Each cell sums its parts in order and, within a part, its
+    nodes in order, so the values do not depend on the block size. Raises
+    ValueError beyond _MAX_ARC_PARTS parts per cell.
     """
     delta = TWO_PI / n
     s = n // K
@@ -158,14 +173,17 @@ def _arc_probabilities(start: float, n: int, K: int, snr_linear: float) -> np.nd
             f" {n}-point arc fill, above the limit of {_MAX_ARC_PARTS}"
         )
     h = delta / parts
+    offsets = (0.5 * h * (_GAUSS_NODES + 1.0))[:, None]
     lo = start + delta * np.arange(n)
     cells = np.zeros(n)
-    # one node at a time keeps memory O(n) however many parts high SNR needs
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    for part in range(parts):
-        left = lo + part * h
-        for x, w in zip(nodes, weights):
-            cells += w * _phase_offset_pdf(_wrap_pi(left + 0.5 * h * (x + 1.0)), snr_linear)
+    for b in range(0, n, _ARC_BLOCK):
+        block = cells[b : b + _ARC_BLOCK]
+        for part in range(parts):
+            left = lo[b : b + _ARC_BLOCK] + part * h
+            pdf = _phase_offset_pdf(_wrap_pi(left + offsets), snr_linear)
+            # row by row in node order: a weights @ pdf would reorder the sum
+            for w, row in zip(_GAUSS_WEIGHTS, pdf):
+                block += w * row
     cells *= 0.5 * h
     return sliding_window_view(np.concatenate([cells, cells[: s - 1]]), s).sum(axis=1)
 

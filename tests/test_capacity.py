@@ -22,14 +22,24 @@ from phaseq.capacity import (
     brute_force_output_entropy,
     brute_force_output_probs,
     conditional_entropy,
-    marginal_probability,
     mutual_information,
     mutual_information_mc,
     output_entropy,
 )
-from phaseq.core import sample_blocks
+from phaseq.core import _check_indices, sample_blocks
 from phaseq.sim import run_ser
 from phaseq.transition import _log_grid_mean, kernel_bank_for, kernel_for
+
+
+def marginal_probability(z, config: SystemConfig) -> float:
+    """P(z) for a reduced output block (components below a = K/M).
+
+    The phase-grid mean of the per-symbol product of the input-averaged
+    table, which equals the plain average of P(z | x) over all M^L inputs.
+    """
+    z = _check_indices(z, "residue output z", config.L, config.a, "a")
+    mixed = _input_average(kernel_for(config).table, config.M, config.a)
+    return float(np.exp(_log_grid_mean([mixed] * config.L, z[None, :])[0]))
 
 
 class TestDegenerateLimits:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from phaseq import SystemConfig, demod
 from phaseq.core import sample_blocks
@@ -20,6 +21,7 @@ from phaseq.demod import (
     _scan_bank,
     _scan_grid,
     _sweep_rows,
+    _symbol_crossovers,
     brute_force_glrt,
     crossover_angles,
     demodulate_rows,
@@ -27,9 +29,43 @@ from phaseq.demod import (
     glrt_demodulate_dithered,
     glrt_metric,
 )
-from phaseq.transition import kernel_bank_for, kernel_for
+from phaseq.transition import kernel_bank_for, kernel_for, sector_probability
 
 TWO_PI = 2.0 * math.pi
+# tolerance between a geometric crossover angle and its likelihood root
+ROOT_TOL = 1e-9
+
+
+def assert_crossovers_are_likelihood_roots(z, config):
+    """Re-derive each crossover angle of z as the root of the likelihood
+    equality between the two adjacent constellation points (brentq on the
+    quadrature path) and fail if the geometric value is off by more than
+    ROOT_TOL."""
+    values = crossover_angles(z, config)
+    per_symbol = _symbol_crossovers(np.asarray(z)[None, :], config)[0]
+    gaps = np.diff(np.concatenate([values, [values[0] + TWO_PI / config.M]]))
+    min_gap = float(gaps.min()) if values.size > 1 else TWO_PI / config.M
+    for alpha in values:
+        # the position whose crossover this is (duplicates share the angle)
+        sym = int(np.argmin(np.abs(per_symbol - alpha)))
+        z_sym = int(z[sym])
+        cfg_sym = replace(config, L=1, dither=None, theta0=config.theta0 + config.dither[sym])
+        span = 0.49 * min_gap
+        zeta = z_sym * (TWO_PI / config.K) - cfg_sym.theta0
+        half_w = math.pi / config.K
+        probe = alpha - 1e-6 * TWO_PI / config.M
+        m_lo = int(round((zeta + half_w - probe) * config.M / TWO_PI)) % config.M
+        # the coherent argmax decreases with phi, so crossing alpha hands the
+        # decision from m_lo to m_lo - 1
+        m_hi = (m_lo - 1) % config.M
+
+        def diff(phi: float) -> float:
+            return sector_probability(z_sym, m_lo, phi, cfg_sym) - sector_probability(
+                z_sym, m_hi, phi, cfg_sym
+            )
+
+        root = brentq(diff, alpha - span, alpha + span, xtol=1e-12)
+        assert abs(root - alpha) <= ROOT_TOL, (sym, alpha, root)
 
 
 def up_to_constant_addition(x, y, M):
@@ -64,9 +100,9 @@ class TestCrossoverAngles:
 
     def test_validate_against_likelihood_roots(self):
         cfg = SystemConfig(M=4, K=12, L=3, snr_db=6.0, theta0=0.3)
-        crossover_angles([0, 4, 7], cfg, validate=True)
+        assert_crossovers_are_likelihood_roots([0, 4, 7], cfg)
         dithered = SystemConfig(M=4, K=8, L=3, snr_db=6.0, dither="ramp")
-        crossover_angles([1, 3, 6], dithered, validate=True)
+        assert_crossovers_are_likelihood_roots([1, 3, 6], dithered)
 
     def test_dither_separates_coincident_angles(self):
         plain = SystemConfig(M=4, K=8, L=3, snr_db=6.0)

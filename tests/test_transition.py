@@ -8,6 +8,7 @@ count) with no shared code beyond the quantizer.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,12 +17,15 @@ from scipy.integrate import quad
 
 from phaseq import SystemConfig, transition
 from phaseq.capacity import _input_average
-from phaseq.core import sample_blocks
-from phaseq.demod import _scan_bank, _scan_grid, glrt_demodulate
+from phaseq.core import _CHUNK_ELEMENTS, sample_blocks
+from phaseq.demod import _SCAN_TARGET, _scan_bank, _scan_grid, glrt_demodulate
 from phaseq.transition import (
     _MAX_GRID,
+    _arc_probabilities,
     _grid_size,
     _log_grid_mean,
+    _phase_offset_pdf,
+    _wrap_pi,
     block_conditional,
     block_conditional_batch,
     export_kernel_csv,
@@ -235,6 +239,58 @@ def test_arc_fill_matches_quadrature_oracle(K, snr_db, rng):
             t = (m + half) * TWO_PI / n - cfg.theta0
             direct = sector_offset_probability(t, width, cfg.snr_linear)
             assert probs[m] == pytest.approx(direct, rel=rel, abs=1e-250)
+
+
+def _arc_fill_node_by_node(start, n, K, snr_linear):
+    """The arc fill with one density call per Gauss node over all n cells."""
+    delta = TWO_PI / n
+    parts = max(1, math.ceil(delta * math.sqrt(2.0 * snr_linear)))
+    h = delta / parts
+    lo = start + delta * np.arange(n)
+    cells = np.zeros(n)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    for part in range(parts):
+        left = lo + part * h
+        for x, w in zip(nodes, weights):
+            cells += w * _phase_offset_pdf(_wrap_pi(left + 0.5 * h * (x + 1.0)), snr_linear)
+    cells *= 0.5 * h
+    s = n // K
+    return np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([cells, cells[: s - 1]]), s
+    ).sum(axis=1)
+
+
+@pytest.mark.parametrize("K", [4, 8, 12, 64])
+@pytest.mark.parametrize("snr_db", [-10.0, 0.0, 14.0, 30.0, 40.0, 45.0])
+def test_arc_fill_bitwise_matches_node_by_node(K, snr_db):
+    # 1 to 3 parts per cell on the scan grid; the third size spans two full
+    # blocks of _CHUNK_ELEMENTS // 16 cells and a ragged third
+    rho = 10 ** (snr_db / 10)
+    n_phi = _grid_size(SystemConfig(M=4, K=K, L=8, snr_db=snr_db))
+    n_scan = K * math.ceil(_SCAN_TARGET / K)
+    n_wide = K * math.ceil((2 * (_CHUNK_ELEMENTS // 16) + 7) / K)
+    for theta in (0.0, 0.3, -1.234):
+        for start, n in (
+            (0.5 * TWO_PI / n_phi - theta, n_phi),
+            (-theta, n_scan),
+            (-theta, n_wide),
+        ):
+            expected = _arc_fill_node_by_node(start, n, K, rho)
+            assert np.array_equal(_arc_probabilities(start, n, K, rho), expected)
+
+
+def test_arc_fill_memory_is_bounded():
+    # 2**18 cells are 2 MB an array; a (16, n) evaluation of all nodes at
+    # once would hold 32 MB temporaries. The wide K keeps the final arc sums
+    # (n/K cells each) short.
+    n = 2**18
+    tracemalloc.start()
+    try:
+        _arc_probabilities(0.1, n, n // 4, 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_demod_tables_shared_across_block_lengths():
