@@ -39,6 +39,7 @@ from .transition import (
     TransitionKernel,
     _check_own_kernels,
     _log_grid_mean,
+    _rolled_rows,
     kernel_bank_for,
     kernel_for,
 )
@@ -81,9 +82,12 @@ def _input_average(table: np.ndarray, M: int, a: int) -> np.ndarray:
 
     Inputs are i.i.d. uniform, so on each phase grid point the output marginal
     factorises: P(z) is the phase-grid mean of prod_l _input_average(...)[z_l].
+    table is a kernel table, whose row z is row 0 rolled by z*n/K, so the
+    result is the read-only _rolled_rows view of its row 0 (the same sum
+    over m, in the same order).
     """
     K = table.shape[0]
-    return table[(np.arange(K)[:, None] - a * np.arange(M)[None, :]) % K].mean(axis=1)
+    return _rolled_rows(table[(-a * np.arange(M)) % K].mean(axis=0), K)
 
 
 def _class_entropy(table: np.ndarray, alphabet: int, L: int, scale: float) -> float:

@@ -59,6 +59,7 @@ from .transition import (
     TransitionKernel,
     _arc_probabilities,
     _check_own_kernels,
+    _rolled_rows,
 )
 
 DEFAULT_TIE_TOL = 1e-6
@@ -156,22 +157,28 @@ def crossover_angles(z, config: SystemConfig) -> np.ndarray:
 def _scan_grid(K: int, snr_db: float, theta0: float) -> tuple[np.ndarray, np.ndarray]:
     """(phi_scan, log table (K, n_scan)) on the plain grid i*2*pi/n_scan.
 
-    n_scan is the smallest multiple of K at or above _SCAN_TARGET, so each
-    row is an exact roll of the base row log g(m*2*pi/n_scan - theta0), one
-    arc fill; that keeps metric ties between symmetry-related candidates
-    exact on the grid. Underflowed cells hold -inf. The pair depends on K,
-    the SNR and theta0 only, so configs that differ in M or L share it.
+    n_scan is the smallest multiple of K at or above _SCAN_TARGET, so cell
+    (z, i) is the base row log g(m*2*pi/n_scan - theta0), one arc fill, at
+    m = (z*n_scan/K - i) mod n_scan, and each row is an exact roll of row 0;
+    that keeps metric ties between symmetry-related candidates exact on the
+    grid. The table is a read-only _rolled_rows view and phi_scan is
+    read-only too, since the cache shares both. Underflowed cells hold -inf.
+    The pair depends on K, the SNR and theta0 only, so configs that differ
+    in M or L share it.
     """
     n_scan = K * math.ceil(_SCAN_TARGET / K)
     with np.errstate(divide="ignore"):
         base = np.log(_arc_probabilities(-theta0, n_scan, K, 10.0 ** (snr_db / 10.0)))
-    idx = (n_scan // K * np.arange(K)[:, None] - np.arange(n_scan)[None, :]) % n_scan
-    return (TWO_PI / n_scan) * np.arange(n_scan), base[idx]
+    phi_scan = (TWO_PI / n_scan) * np.arange(n_scan)
+    phi_scan.flags.writeable = False
+    # row 0 is base[-i mod n_scan]: base[0], then base reversed
+    return phi_scan, _rolled_rows(np.roll(base[::-1], 1), K)
 
 
-# A dithered config holds L tables of K*n_scan values (98 MB with envelopes
-# at K = 64 and a 200-position ramp). A run, its chunk threads and a
-# per-block loop score one config at a time, so one entry is enough.
+# A dithered config holds L scan tables of 2*n_scan values and L (K, P + 1)
+# envelopes, most of its memory (about 24 MB at K = 64 and a 200-position
+# ramp). A run, its chunk threads and a per-block loop score one config at
+# a time, so one entry is enough.
 @lru_cache(maxsize=1)
 def _scan_bank(config: SystemConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Each position's (phi_scan, log table, envelope) under the config.

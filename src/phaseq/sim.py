@@ -34,9 +34,14 @@ block's decision is its row's plus its own z div a. The chunk engine hands
 demod the config alone, and demod scores rows from its own scan tables, so
 a run fills no transition kernel.
 
-Each worker thread of a run keeps one workspace, which holds the sampler's
-planes and the chunk's quotient, index and decision planes, so a chunk
-allocates no chunk-sized array there after the worker's first chunk. The
+Each thread that runs chunks keeps one workspace (_THREAD_WORK), which
+holds the sampler's planes and the chunk's quotient, index and decision
+planes, so a chunk allocates no chunk-sized array there after the thread's
+first chunk. The calling thread keeps it from run to run: a run's fresh
+buffers would otherwise be fresh pages (about 500 minor faults a 10,000-block
+ramp K=8, L=8 run), unless earlier frees happened to raise glibc's mmap
+threshold. The pool threads of a multi-worker run, and their workspaces,
+end with the run. The
 per-sample integer steps are gathers from small tables, not int64 division:
 a sector z splits into quotient and residue through the K-entry tables
 z div a and z mod a, and a decision is scored by looking its difference
@@ -68,6 +73,8 @@ from .demod import _sweep_rows
 
 DEFAULT_CHUNK = 4096
 _CONVENTIONS = ("pilot", "genie")
+# each thread's chunk workspace, kept across runs (see the module docstring)
+_THREAD_WORK = threading.local()
 
 
 @dataclass(frozen=True)
@@ -330,15 +337,12 @@ def run_ser(
     sizes = _chunk_sizes(trials, DEFAULT_CHUNK)
     children = seed.spawn(len(sizes))
     memo = _RowMemo(config.L)
-    # one workspace per worker thread, reused by every chunk it runs and
-    # freed with the run
-    local = threading.local()
 
     def job(args):
         size, child = args
-        if not hasattr(local, "work"):
-            local.work = _Workspace()
-        return _run_chunk(config, size, child, convention, memo, local.work)
+        if not hasattr(_THREAD_WORK, "work"):
+            _THREAD_WORK.work = _Workspace()
+        return _run_chunk(config, size, child, convention, memo, _THREAD_WORK.work)
 
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

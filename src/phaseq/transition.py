@@ -35,12 +35,16 @@ the results do not depend on the block size.
 
 Only the x = 0 slice of the scalar transition law is ever tabulated: shifting
 the input by one constellation step shifts the output law by a = K/M sectors,
-so any (z, x) probability is the stored row (z - a*x) mod K.
+so any (z, x) probability is row (z - a*x) mod K of that slice. Each row of
+the slice is in turn one base row rolled by n/K grid points per sector, so
+every (K, n) sector table (the kernel tables here, demod's scan tables and
+capacity's input-averaged tables) is _rolled_rows: a read-only view over one
+doubled copy of its base row, holding 2n values rather than K*n.
 
 Every table is a function of the operating point alone (M, K, SNR, theta0,
 dither and, through the grid, L), so the config is the only handle:
 block_conditional takes it and looks its kernels up through kernel_bank_for.
-A kernel holds one table, its block-probability table, filled on first read;
+A kernel holds one table, its block-probability table, built on first read;
 demod's scan tables are keyed by the config and never touch a kernel. Where a
 kernel is still passed in, _check_own_kernels rejects any that is not the
 config's own.
@@ -54,14 +58,15 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import quad
 from scipy.special import ndtr
 
 from .core import _CHUNK_ELEMENTS, TWO_PI, SystemConfig, _check_indices
 
 # A kernel table is filled only up to this many phase grid points, i.e. up to
-# rho*L of about 1.9e9 (93 dB at L = 1, 84 dB at L = 8); beyond it a K = 64
-# table would pass half a gigabyte.
+# rho*L of about 1.9e9 (93 dB at L = 1, 84 dB at L = 8). The table is a view
+# of one doubled row (16 MB here), so the limit bounds fill time, not memory:
+# the arc sums cost O(n^2/K), and a K = 64 fill at the limit takes about
+# 12 s on a 2-vCPU host.
 _MAX_GRID = 2**20
 # A grid mean below this is near the float64 underflow limit (~2.2e-308), where
 # the linear product has lost precision or reached zero; such rows are redone
@@ -114,8 +119,12 @@ def sector_offset_probability(t: float, width: float, snr_linear: float) -> floa
     """P(phase offset lands in [t, t + width)), the quadrature primitive.
 
     The quadrature targets a relative error of 1e-13, so that deep-tail
-    sectors keep their relative accuracy too.
+    sectors keep their relative accuracy too. No run path calls this
+    reference, so scipy.integrate (which loads scipy.optimize, sparse and
+    linalg) is imported here, on first use.
     """
+    from scipy.integrate import quad
+
     _check_snr_linear(snr_linear)
     if not (math.isfinite(t) and math.isfinite(width)):
         raise ValueError(f"t and width must be finite (got {t}, {width})")
@@ -188,6 +197,27 @@ def _arc_probabilities(start: float, n: int, K: int, snr_linear: float) -> np.nd
     return sliding_window_view(np.concatenate([cells, cells[: s - 1]]), s).sum(axis=1)
 
 
+def _rolled_rows(base: np.ndarray, K: int) -> np.ndarray:
+    """Read-only (K, n) table whose row z is np.roll(base, z*n/K), n = base.size.
+
+    Row z starts z*n/K elements before row 0 in one doubled copy of base, so
+    the table holds 2n values whatever K is; reading it gives the same bits
+    as gathering base at the rolled indices.
+    """
+    n = base.size
+    return sliding_window_view(np.concatenate([base, base]), n)[n:0:-(n // K)]
+
+
+def _log_table(table: np.ndarray) -> np.ndarray:
+    """np.log(table); a _rolled_rows table, recognised by its row stride of
+    -n/K elements, comes back as _rolled_rows of the log of its row 0, which
+    has the same bits since the log is elementwise."""
+    K, n = table.shape
+    if table.strides == (-(n // K) * table.itemsize, table.itemsize):
+        return _rolled_rows(np.log(table[0]), K)
+    return np.log(table)
+
+
 def _grid_size(config: SystemConfig) -> int:
     """Phase grid points for the config's blocks: K*ceil((24*sqrt(rho*L) + 64)/K)."""
     K = config.K
@@ -199,10 +229,11 @@ class TransitionKernel:
     """P(z | x = 0, phi_i) on a uniform midpoint phi grid of n_phi points.
 
     n_phi is the _grid_size of the config the kernel was looked up for. The
-    (K, n_phi) table is filled on first use; every table row is a cyclic
+    (K, n_phi) table is built on first use; every table row is a cyclic
     relabeling of one set of arc probabilities g(t) sampled uniformly in t,
-    which makes the sector-shift symmetry hold exactly on the grid. The
-    demodulator never reads the table: demod fills its own scan tables.
+    which makes the sector-shift symmetry hold exactly on the grid, and the
+    table is a read-only _rolled_rows view of that one row. The demodulator
+    never reads the table: demod fills its own scan tables.
     """
 
     snr_db: float
@@ -222,9 +253,10 @@ class TransitionKernel:
 
     @cached_property
     def table(self) -> np.ndarray:
-        """(K, n_phi) table, from the n_phi arc probabilities
-        g((m + 1/2)*2*pi/n_phi - theta0) by index shifts, since every cell is
-        g at a grid offset. Raises ValueError beyond _MAX_GRID points.
+        """Read-only (K, n_phi) table of the n_phi arc probabilities
+        g((m + 1/2)*2*pi/n_phi - theta0): cell (z, i) is g at grid offset
+        (z*n_phi/K - i - 1) mod n_phi, so row 0 is g reversed and row z is
+        row 0 rolled by z*n_phi/K. Raises ValueError beyond _MAX_GRID points.
         """
         n, K = self.n_phi, self.K
         if n > _MAX_GRID:
@@ -233,8 +265,7 @@ class TransitionKernel:
                 f" length, above the {_MAX_GRID}-point limit of block probabilities"
             )
         g = _arc_probabilities(0.5 * (TWO_PI / n) - self.theta0, n, K, self.snr_linear)
-        idx = (n // K * np.arange(K)[:, None] - np.arange(n)[None, :] - 1) % n
-        return g[idx]
+        return _rolled_rows(g[::-1], K)
 
 
 @lru_cache(maxsize=128)
@@ -345,7 +376,7 @@ def _log_grid_mean(tables, S: np.ndarray) -> np.ndarray:
     deep_rows = np.flatnonzero(deep)
     if deep_rows.size:
         with np.errstate(divide="ignore"):
-            log_tables = {key: np.log(t) for key, t in distinct.items()}
+            log_tables = {key: _log_table(t) for key, t in distinct.items()}
         for lo in range(0, deep_rows.size, chunk):
             idx = deep_rows[lo : lo + chunk]
             rows = S[idx]

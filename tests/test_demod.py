@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -461,6 +462,24 @@ class TestSweepStructure:
         for _ in range(2):
             _sweep_rows(rng.integers(0, cfg.K, size=(20, cfg.L)), cfg)
         assert calls[0] == cfg.L
+
+    def test_scan_bank_memory_is_bounded(self):
+        # each of 200 ramp positions holds a (64, 768) scan table; as views
+        # of one doubled row the bank holds about 24 MB, mostly the (64, 193)
+        # envelopes, while gathered tables would hold 99.8 MB
+        cfg = SystemConfig(M=4, K=64, L=200, snr_db=10.0, dither="ramp")
+        _scan_bank.cache_clear()
+        _scan_grid.cache_clear()
+        tracemalloc.start()
+        try:
+            bank = _scan_bank(cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+            _scan_bank.cache_clear()
+            _scan_grid.cache_clear()
+        assert len({id(t[1]) for t in bank}) == cfg.L
+        assert held < 30 * 2**20
 
 
 class TestPermutationSymmetry:

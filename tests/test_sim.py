@@ -337,6 +337,20 @@ class TestChunkEngine:
         assert runs[2] == runs[1]
         assert runs[4] == runs[1]
 
+    def test_workspace_kept_across_runs(self):
+        # the calling thread keeps its workspace from run to run; what a run
+        # of another shape left in it changes no later run
+        ramp = SystemConfig(M=4, K=8, L=8, snr_db=14.0, dither="ramp")
+        fresh = []
+        thread = threading.Thread(target=lambda: fresh.append(run_ser(ramp, 5_000, seed=3)))
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive() and len(fresh) == 1
+        run_ser(SystemConfig(M=2, K=6, L=20, snr_db=3.0), DEFAULT_CHUNK + 5, seed=4)
+        work = sim._THREAD_WORK.work
+        assert run_ser(ramp, 5_000, seed=3) == fresh[0]
+        assert sim._THREAD_WORK.work is work
+
     @pytest.mark.parametrize(
         "cfg",
         [

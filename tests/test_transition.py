@@ -8,6 +8,9 @@ count) with no shared code beyond the quantizer.
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -15,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from phaseq import SystemConfig, transition
+from phaseq import SystemConfig, demod, transition
 from phaseq.capacity import _input_average
 from phaseq.core import _CHUNK_ELEMENTS, sample_blocks
 from phaseq.demod import _SCAN_TARGET, _scan_bank, _scan_grid, glrt_demodulate
@@ -24,6 +27,7 @@ from phaseq.transition import (
     _arc_probabilities,
     _grid_size,
     _log_grid_mean,
+    _log_table,
     _phase_offset_pdf,
     _wrap_pi,
     block_conditional,
@@ -291,6 +295,124 @@ def test_arc_fill_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# ---- sector tables as views of one base row ------------------------------------
+
+
+def _gathered(base, K, shift):
+    """The materialised table: cell (z, i) is base[(z*n/K - i + shift) mod n]."""
+    n = base.size
+    return base[(n // K * np.arange(K)[:, None] - np.arange(n)[None, :] + shift) % n]
+
+
+def _assert_read_only(table):
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 1.0
+
+
+# the 100 dB case fills at 1,100+ parts per cell and leaves -inf log cells
+@pytest.mark.parametrize(
+    "K, snr_db, theta0", [(8, 6.0, 0.0), (12, 11.0, 0.3), (64, 10.0, 0.1), (8, 100.0, 0.05)]
+)
+def test_sector_tables_are_read_only_views_of_one_row(K, snr_db, theta0, monkeypatch):
+    # the tables and their gathered oracles share each arc fill, as copies
+    fills = {}
+
+    def fill_once(*args):
+        if args not in fills:
+            fills[args] = _arc_probabilities(*args)
+        return fills[args].copy()
+
+    monkeypatch.setattr(transition, "_arc_probabilities", fill_once)
+    monkeypatch.setattr(demod, "_arc_probabilities", fill_once)
+    M = 4
+    cfg = SystemConfig(M=M, K=K, L=2, snr_db=snr_db, theta0=theta0)
+    n_scan = K * math.ceil(_SCAN_TARGET / K)
+    k = kernel_for(cfg)
+    if k.n_phi > _MAX_GRID:
+        k = replace(k, n_phi=n_scan)
+    n = k.n_phi
+    g = fill_once(0.5 * TWO_PI / n - theta0, n, K, cfg.snr_linear)
+    kernel_want = _gathered(g, K, -1)
+    inputs = (np.arange(K)[:, None] - (K // M) * np.arange(M)[None, :]) % K
+    mixed_want = kernel_want[inputs].mean(axis=1)
+    with np.errstate(divide="ignore"):
+        scan_want = _gathered(np.log(fill_once(-theta0, n_scan, K, cfg.snr_linear)), K, 0)
+        log_want = np.log(kernel_want)
+    _scan_grid.cache_clear()
+    phi_scan, scan = _scan_grid(K, snr_db, theta0)
+    with np.errstate(divide="ignore"):
+        log_kernel = _log_table(k.table)
+    views = (
+        (k.table, kernel_want),
+        (_input_average(k.table, M, K // M), mixed_want),
+        (scan, scan_want),
+        (log_kernel, log_want),
+    )
+    for view, want in views:
+        # byte for byte, so -0.0, -inf and every last bit count
+        assert view.shape == want.shape
+        assert np.ascontiguousarray(view).tobytes() == want.tobytes()
+        _assert_read_only(view)
+        # one doubled row (2n values) backs the whole table
+        assert np.shares_memory(view[0], view[-1])
+    if snr_db == 100.0:
+        assert np.isneginf(scan_want).any() and np.isneginf(log_want).any()
+    with pytest.raises(ValueError, match="read-only"):
+        phi_scan[0] = 1.0
+
+
+def test_log_table_of_a_plain_table_is_elementwise(rng):
+    t = rng.uniform(0.0, 1.0, size=(8, 64))
+    t[3, 5] = 0.0
+    with np.errstate(divide="ignore"):
+        assert np.log(t).tobytes() == _log_table(t).tobytes()
+        # a reversed copy steps back n elements per row, not n/K
+        assert np.log(t[::-1]).tobytes() == _log_table(t[::-1]).tobytes()
+
+
+_FOOTPRINT_SCRIPT = """
+import sys
+import numpy as np
+import phaseq.cli
+from phaseq.capacity import mutual_information, mutual_information_mc
+from phaseq.core import SystemConfig
+from phaseq.sim import run_ser
+from phaseq.transition import sector_probability
+
+cfg = SystemConfig(M=4, K=8, L=3, snr_db=6.0)
+ramp = SystemConfig(M=4, K=8, L=4, snr_db=10.0, dither="ramp")
+run_ser(ramp, 200, seed=1)
+mutual_information_mc(ramp, 200, np.random.default_rng(1))
+mutual_information(cfg)
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
+print(sorted(m for m in heavy if m in sys.modules))
+print(repr(sector_probability(3, 1, 0.4, cfg)))
+print("scipy.integrate" in sys.modules)
+"""
+
+
+def test_run_paths_load_no_quadrature_scipy():
+    # the run paths use scipy.special only; scipy.integrate (which loads
+    # optimize, sparse and linalg) waits for the quadrature reference
+    src = os.path.dirname(os.path.dirname(transition.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT_SCRIPT],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    out = run.stdout.split("\n")
+    assert out[0] == "[]"
+    cfg = SystemConfig(M=4, K=8, L=3, snr_db=6.0)
+    value = float(out[1])
+    assert value == sector_probability(3, 1, 0.4, cfg)
+    lo = 3 * TWO_PI / 8 - (cfg.theta0 + TWO_PI / 4 + 0.4)
+    direct = quad(
+        lambda u: phase_offset_pdf(_wrap_pi(u), cfg.snr_linear), lo, lo + TWO_PI / 8, epsrel=1e-13
+    )[0]
+    assert value == pytest.approx(direct, rel=1e-12)
+    assert out[2] == "True"
 
 
 def test_demod_tables_shared_across_block_lengths():
