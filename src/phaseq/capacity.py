@@ -170,34 +170,30 @@ def mutual_information(config: SystemConfig, method: str = "reduced") -> Capacit
 # ---- brute-force oracle --------------------------------------------------
 
 
-def _all_outputs(K: int, L: int) -> np.ndarray:
-    grids = np.meshgrid(*([np.arange(K)] * L), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
-
-
-def block_probs_all_outputs(kernel: TransitionKernel, x) -> np.ndarray:
-    """P(z | x) for every z in lexicographic order, one chained outer product."""
+def block_probs_all_outputs(config: SystemConfig, x) -> np.ndarray:
+    """P(z | x) for every z in lexicographic order, one chained outer product
+    over the table of kernel_for(config)."""
     x = np.asarray(x, dtype=np.int64)
+    kernel = kernel_for(config)
     K, n_phi = kernel.K, kernel.n_phi
     acc = np.ones((1, n_phi))
     for xl in x:
-        rows = kernel.table[(np.arange(K) - kernel.a * int(xl)) % K]
+        rows = kernel.table[(np.arange(K) - config.a * int(xl)) % K]
         acc = (acc[:, None, :] * rows[None, :, :]).reshape(-1, n_phi)
     return acc.mean(axis=1)
 
 
 def brute_force_conditional_entropy(config: SystemConfig) -> float:
     """H(Z | X = 0) by summing the full K^L output space."""
-    probs = block_probs_all_outputs(kernel_for(config), np.zeros(config.L, dtype=np.int64))
+    probs = block_probs_all_outputs(config, np.zeros(config.L, dtype=np.int64))
     return float(-_entropy_terms(probs).sum())
 
 
 def brute_force_output_probs(config: SystemConfig) -> np.ndarray:
     """P(z) for every z in lexicographic order, averaging all M^L inputs."""
-    kernel = kernel_for(config)
     total = np.zeros(config.K**config.L)
     for x in product(range(config.M), repeat=config.L):
-        total += block_probs_all_outputs(kernel, np.array(x, dtype=np.int64))
+        total += block_probs_all_outputs(config, np.array(x, dtype=np.int64))
     return total / config.M**config.L
 
 

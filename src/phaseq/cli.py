@@ -111,9 +111,9 @@ def _write_csv(args, rows: list[dict[str, str]], fields: dict[str, object], star
     return 0
 
 
-def _fmt(value: float | None, none_token: str = "na") -> str:
+def _fmt(value: float | None) -> str:
     if value is None:
-        return none_token
+        return "na"
     return repr(float(value))
 
 
@@ -225,18 +225,22 @@ def cmd_tables(args) -> int:
     kernel_path = out_dir / "kernel.csv"
     export_kernel_csv(kernel, kernel_path)
     classes_path = out_dir / "canonical_output_classes.csv"
-    export_output_classes_csv(canonical_output_classes(cfg.K, cfg.L), classes_path)
+    output_classes = canonical_output_classes(cfg.K, cfg.L)
+    export_output_classes_csv(output_classes, classes_path)
     residue_path = out_dir / "residue_output_classes.csv"
     residue_classes = canonical_output_classes(cfg.a, cfg.L)
     export_output_classes_csv(residue_classes, residue_path)
     inputs_path = out_dir / "input_classes.csv"
-    export_input_classes_csv(
-        grouped_input_classes(np.array(residue_classes[0].representative), cfg.M),
-        inputs_path,
-    )
+    input_classes = grouped_input_classes(np.array(residue_classes[0].representative), cfg.M)
+    export_input_classes_csv(input_classes, inputs_path)
     fields = _system_fields(cfg, args.snr_db) | {"nphi": kernel.n_phi}
-    for path in (kernel_path, classes_path, residue_path, inputs_path):
-        _write_manifest(path, args, fields, started, 0)
+    for path, rows in (
+        (kernel_path, kernel.K * kernel.n_phi),
+        (classes_path, len(output_classes)),
+        (residue_path, len(residue_classes)),
+        (inputs_path, len(input_classes)),
+    ):
+        _write_manifest(path, args, fields, started, rows)
     print(f"wrote tables to {out_dir}")
     return 0
 

@@ -25,13 +25,14 @@ above that and cover low SNR, and rounding up to a multiple of K keeps the
 sector-shift symmetries exact rolls. Against a grid 8x finer, log P(z | x)
 and log P(z) of channel-sampled blocks agree within 1e-13 from -10 to 40 dB
 and up to L = 200. One routine, _log_grid_mean, forms every such
-product: it multiplies linearly and falls back to log space for the blocks
-whose linear product underflows, so long blocks keep finite
-log-probabilities. It works through its rows in blocks of about
-core._CHUNK_ELEMENTS grid values (512 KB), so that the accumulator and the
-table rows gathered into it stay in L2 cache and below the allocator's mmap
-threshold; each row's arithmetic is the same however rows are grouped, so
-the results do not depend on the block size.
+product in one pass over its rows, in blocks of about core._CHUNK_ELEMENTS
+grid values (512 KB), so that the accumulator and the table rows gathered
+into it stay in L2 cache and below the allocator's mmap threshold. Each
+block is multiplied linearly, and the rows whose linear product underflows
+are redone in log space in the same block (every row is, at once, when the
+tables' peaks alone multiply to below the floor), so long blocks keep finite
+log-probabilities. Each row's arithmetic is the same however rows are
+grouped, so the results do not depend on the block size.
 
 Only the x = 0 slice of the scalar transition law is ever tabulated: shifting
 the input by one constellation step shifts the output law by a = K/M sectors,
@@ -41,13 +42,15 @@ every (K, n) sector table (the kernel tables here, demod's scan tables and
 capacity's input-averaged tables) is _rolled_rows: a read-only view over one
 doubled copy of its base row, holding 2n values rather than K*n.
 
-Every table is a function of the operating point alone (M, K, SNR, theta0,
-dither and, through the grid, L), so the config is the only handle:
-block_conditional takes it and looks its kernels up through kernel_bank_for.
-A kernel holds one table, its block-probability table, built on first read;
-demod's scan tables are keyed by the config and never touch a kernel. Where a
-kernel is still passed in, _check_own_kernels rejects any that is not the
-config's own.
+Every table is a function of the operating point alone, so the config is
+the only handle: block_conditional takes it and looks its kernels up through
+kernel_bank_for. A kernel holds one table, its block-probability table, built
+on first read, and is keyed by what that table depends on: K, the SNR, the
+rotation theta0 (plus the position's dither) and the phase grid, which
+follows from K, the SNR and L. The x = 0 slice does not depend on M, so
+configs that differ only in M share one kernel. Demod's scan tables are
+keyed by the config and never touch a kernel. Where a kernel is still passed
+in, _check_own_kernels rejects any that is not the config's own.
 """
 
 from __future__ import annotations
@@ -208,13 +211,17 @@ def _rolled_rows(base: np.ndarray, K: int) -> np.ndarray:
     return sliding_window_view(np.concatenate([base, base]), n)[n:0:-(n // K)]
 
 
-def _log_table(table: np.ndarray) -> np.ndarray:
-    """np.log(table); a _rolled_rows table, recognised by its row stride of
-    -n/K elements, comes back as _rolled_rows of the log of its row 0, which
-    has the same bits since the log is elementwise."""
+def _is_rolled(table: np.ndarray) -> bool:
+    """Whether table is a _rolled_rows view (row stride of -n/K elements)."""
     K, n = table.shape
-    if table.strides == (-(n // K) * table.itemsize, table.itemsize):
-        return _rolled_rows(np.log(table[0]), K)
+    return table.strides == (-(n // K) * table.itemsize, table.itemsize)
+
+
+def _log_table(table: np.ndarray) -> np.ndarray:
+    """np.log(table); a _rolled_rows table comes back as _rolled_rows of the
+    log of its row 0, which has the same bits since the log is elementwise."""
+    if _is_rolled(table):
+        return _rolled_rows(np.log(table[0]), table.shape[0])
     return np.log(table)
 
 
@@ -228,24 +235,20 @@ def _grid_size(config: SystemConfig) -> int:
 class TransitionKernel:
     """P(z | x = 0, phi_i) on a uniform midpoint phi grid of n_phi points.
 
-    n_phi is the _grid_size of the config the kernel was looked up for. The
-    (K, n_phi) table is built on first use; every table row is a cyclic
-    relabeling of one set of arc probabilities g(t) sampled uniformly in t,
-    which makes the sector-shift symmetry hold exactly on the grid, and the
-    table is a read-only _rolled_rows view of that one row. The demodulator
-    never reads the table: demod fills its own scan tables.
+    The fields are all the table depends on, so they key the kernel cache:
+    configs that differ only in M share one kernel. n_phi is the _grid_size
+    of the config the kernel was looked up for. The (K, n_phi) table is
+    built on first use; every table row is a cyclic relabeling of one set of
+    arc probabilities g(t) sampled uniformly in t, which makes the
+    sector-shift symmetry hold exactly on the grid, and the table is a
+    read-only _rolled_rows view of that one row. The demodulator never reads
+    the table: demod fills its own scan tables.
     """
 
     snr_db: float
-    M: int
     K: int
-    a: int
     theta0: float
     n_phi: int
-
-    @property
-    def snr_linear(self) -> float:
-        return 10.0 ** (self.snr_db / 10.0)
 
     @property
     def phi_grid(self) -> np.ndarray:
@@ -264,26 +267,28 @@ class TransitionKernel:
                 f"SNR {self.snr_db:g} dB needs a {n}-point phase grid for this block"
                 f" length, above the {_MAX_GRID}-point limit of block probabilities"
             )
-        g = _arc_probabilities(0.5 * (TWO_PI / n) - self.theta0, n, K, self.snr_linear)
+        rho = 10.0 ** (self.snr_db / 10.0)
+        g = _arc_probabilities(0.5 * (TWO_PI / n) - self.theta0, n, K, rho)
         return _rolled_rows(g[::-1], K)
 
 
 @lru_cache(maxsize=128)
-def _kernel_cached(M: int, K: int, snr_db: float, theta0: float, n_phi: int) -> TransitionKernel:
-    return TransitionKernel(snr_db=snr_db, M=M, K=K, a=K // M, theta0=theta0, n_phi=n_phi)
+def _kernel_cached(K: int, snr_db: float, theta0: float, n_phi: int) -> TransitionKernel:
+    return TransitionKernel(snr_db=snr_db, K=K, theta0=theta0, n_phi=n_phi)
 
 
 def kernel_for(config: SystemConfig) -> TransitionKernel:
     """The shared kernel of an undithered config, on the config's phase grid.
 
-    The grid depends on K, the SNR and the block length L (_grid_size), so
-    configs that differ only in L may get different kernels.
+    A kernel is keyed by (K, SNR, theta0, grid), so configs that differ only
+    in M share it. The grid depends on K, the SNR and the block length L
+    (_grid_size), so configs that differ only in L may get different kernels.
     """
     if config.is_dithered:
         raise ValueError(
             "dithered config has no single shared kernel; use kernel_bank_for"
         )
-    return _kernel_cached(config.M, config.K, config.snr_db, config.theta0, _grid_size(config))
+    return _kernel_cached(config.K, config.snr_db, config.theta0, _grid_size(config))
 
 
 def kernel_bank_for(config: SystemConfig) -> tuple[TransitionKernel, ...]:
@@ -294,7 +299,7 @@ def kernel_bank_for(config: SystemConfig) -> tuple[TransitionKernel, ...]:
     """
     n = _grid_size(config)
     return tuple(
-        _kernel_cached(config.M, config.K, config.snr_db, config.theta0 + d, n)
+        _kernel_cached(config.K, config.snr_db, config.theta0 + d, n)
         for d in config.dither
     )
 
@@ -302,14 +307,15 @@ def kernel_bank_for(config: SystemConfig) -> tuple[TransitionKernel, ...]:
 def _check_own_kernels(config: SystemConfig, kernels) -> None:
     """ValueError unless kernels[l] is kernel_bank_for(config)[l] in value.
 
-    Each position's (M, K, snr_db, theta0 + dither_l, n_phi) must be the
+    Each position's (K, snr_db, theta0 + dither_l, n_phi) must be the
     config's, so a kernel from another operating point or phase grid cannot
-    score this one. The comparison is by value, not identity, because the
-    kernel cache can evict and rebuild a bank's kernels.
+    score this one; M is not compared, since the table does not depend on
+    it. The comparison is by value, not identity, because the kernel cache
+    can evict and rebuild a bank's kernels.
     """
     n = _grid_size(config)
-    want = [(config.M, config.K, config.snr_db, config.theta0 + d, n) for d in config.dither]
-    got = [(k.M, k.K, k.snr_db, k.theta0, k.n_phi) for k in kernels]
+    want = [(config.K, config.snr_db, config.theta0 + d, n) for d in config.dither]
+    got = [(k.K, k.snr_db, k.theta0, k.n_phi) for k in kernels]
     if got != want:
         raise ValueError("kernels are not the config's own; look them up with kernel_bank_for")
 
@@ -342,52 +348,47 @@ def _log_grid_mean(tables, S: np.ndarray) -> np.ndarray:
     tables holds one (K, n_phi) table per block position and S is (n, L)
     sector indices into them. Rows are multiplied linearly in blocks of
     _CHUNK_ELEMENTS // n_phi rows (at least one), so that the (rows, n_phi)
-    accumulator and the table rows gathered into it stay in L2 cache; a row
-    whose mean lands below _UNDERFLOW_FLOOR is recomputed as a log-sum-exp
-    in blocks of the same size, so long blocks keep a finite log instead of
-    log(0) = -inf. A row whose bound sum_l log max_i tables[l][S[:, l], i]
-    is already below the floor (by a margin of 1 for rounding) skips the
-    linear pass. Every row is reduced on its own, so the output is bitwise
-    the same for any block size.
+    accumulator and the table rows gathered into it stay in L2 cache. The
+    rows of a block whose mean lands below _UNDERFLOW_FLOOR are redone in the
+    same block as a log-sum-exp, from the log of each distinct table (built
+    the first time a row needs it), so long blocks keep a finite log instead
+    of log(0) = -inf. When the tables' peaks multiply to below the floor (by
+    a margin of 1 for rounding), no row can pass the linear test, so every
+    row goes straight to log space. Every row is reduced on its own, so the
+    output is bitwise the same for any block size and either path.
     """
     S = np.asarray(S, dtype=np.int64)
     n, L = S.shape
     chunk = max(1, _CHUNK_ELEMENTS // tables[0].shape[1])
     out = np.empty(n)
-    # positions usually share one table object: reduce each one once
+    # reduce each distinct table once; a rolled table's rows all hold row 0's values
     distinct = {id(t): t for t in tables}
+    log_tables = None
     with np.errstate(divide="ignore"):
-        log_peaks = {key: np.log(t.max(axis=1)) for key, t in distinct.items()}
-    bound = np.zeros(n)
-    for l, t in enumerate(tables):
-        bound += log_peaks[id(t)][S[:, l]]
-    deep = bound < math.log(_UNDERFLOW_FLOOR) - 1.0
-    linear = np.flatnonzero(~deep)
-    for lo in range(0, linear.size, chunk):
-        idx = linear[lo : lo + chunk]
-        rows = S[idx]
-        acc = tables[0][rows[:, 0]]
-        for l in range(1, L):
-            acc *= tables[l][rows[:, l]]
-        mean = acc.mean(axis=1)
-        with np.errstate(divide="ignore"):
-            out[idx] = np.log(mean)
-        deep[idx[mean < _UNDERFLOW_FLOOR]] = True
-    deep_rows = np.flatnonzero(deep)
-    if deep_rows.size:
-        with np.errstate(divide="ignore"):
-            log_tables = {key: _log_table(t) for key, t in distinct.items()}
-        for lo in range(0, deep_rows.size, chunk):
-            idx = deep_rows[lo : lo + chunk]
-            rows = S[idx]
+        log_peaks = {k: np.log((t[0] if _is_rolled(t) else t).max()) for k, t in distinct.items()}
+        all_deep = sum(log_peaks[id(t)] for t in tables) < math.log(_UNDERFLOW_FLOOR) - 1.0
+        for lo in range(0, n, chunk):
+            rows = S[lo : lo + chunk]
+            deep = slice(None)
+            if not all_deep:
+                acc = tables[0][rows[:, 0]]
+                for l in range(1, L):
+                    acc *= tables[l][rows[:, l]]
+                mean = acc.mean(axis=1)
+                out[lo : lo + chunk] = np.log(mean)
+                deep = np.flatnonzero(mean < _UNDERFLOW_FLOOR)
+                if not deep.size:
+                    continue
+                rows = rows[deep]
+            if log_tables is None:
+                log_tables = {key: _log_table(t) for key, t in distinct.items()}
             logs = log_tables[id(tables[0])][rows[:, 0]]
             for l in range(1, L):
                 logs += log_tables[id(tables[l])][rows[:, l]]
             peak = logs.max(axis=1)
             # an all-zero row keeps log 0 = -inf instead of -inf - -inf
             peak[np.isneginf(peak)] = 0.0
-            with np.errstate(divide="ignore"):
-                out[idx] = peak + np.log(np.exp(logs - peak[:, None]).mean(axis=1))
+            out[lo : lo + chunk][deep] = peak + np.log(np.exp(logs - peak[:, None]).mean(axis=1))
     return out
 
 

@@ -157,9 +157,9 @@ def check_block_symmetries(instances: int = 100, seed: int = 2025) -> list[Check
 # ---- marginal identities -----------------------------------------------------
 
 
-def _brute_marginal(z: np.ndarray, kernel, inputs: np.ndarray) -> float:
-    rows = (z[None, :] - kernel.a * inputs) % kernel.K
-    return float(block_conditional_batch(rows, kernel).mean())
+def _brute_marginal(z: np.ndarray, config: SystemConfig, inputs: np.ndarray) -> float:
+    rows = (z[None, :] - config.a * inputs) % config.K
+    return float(block_conditional_batch(rows, kernel_for(config)).mean())
 
 
 def check_marginal_symmetries(instances: int = 100, seed: int = 2026) -> list[CheckResult]:
@@ -170,23 +170,22 @@ def check_marginal_symmetries(instances: int = 100, seed: int = 2026) -> list[Ch
     for _ in range(instances):
         cfg = _draw_config(rng)
         K, L, a = cfg.K, cfg.L, cfg.a
-        kernel = kernel_for(cfg)
         if L not in input_cache:
             input_cache[L] = np.array(list(product(range(_M), repeat=L)), dtype=np.int64)
         inputs = input_cache[L]
         z = rng.integers(K, size=L)
-        base = _brute_marginal(z, kernel, inputs)
+        base = _brute_marginal(z, cfg, inputs)
 
         i = int(rng.integers(1, K))
         devs["marginal-shift"] = max(
-            devs["marginal-shift"], _rel_dev(base, _brute_marginal((z + i) % K, kernel, inputs))
+            devs["marginal-shift"], _rel_dev(base, _brute_marginal((z + i) % K, cfg, inputs))
         )
         perm = rng.permutation(L)
         devs["marginal-permute"] = max(
-            devs["marginal-permute"], _rel_dev(base, _brute_marginal(z[perm], kernel, inputs))
+            devs["marginal-permute"], _rel_dev(base, _brute_marginal(z[perm], cfg, inputs))
         )
         devs["marginal-residue"] = max(
-            devs["marginal-residue"], _rel_dev(base, _brute_marginal(z % a, kernel, inputs))
+            devs["marginal-residue"], _rel_dev(base, _brute_marginal(z % a, cfg, inputs))
         )
     return [
         CheckResult(name, dev <= SYMMETRY_TOL, dev, SYMMETRY_TOL, f"{instances} instances")
@@ -210,10 +209,9 @@ def check_conditional_entropy_constant(n_inputs: int = 20, seed: int = 2027) -> 
     """H(Z|x) is input-independent: brute-force entropy for random x vs x=0."""
     config = SystemConfig(M=4, K=8, L=3, snr_db=6.0)
     rng = np.random.default_rng(seed)
-    kernel = kernel_for(config)
 
     def brute_entropy(x: np.ndarray) -> float:
-        return float(-_entropy_terms(block_probs_all_outputs(kernel, x)).sum())
+        return float(-_entropy_terms(block_probs_all_outputs(config, x)).sum())
 
     h0 = brute_entropy(np.zeros(config.L, dtype=np.int64))
     worst = 0.0

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from phaseq import SystemConfig, demod, transition
+from phaseq.capacity import _input_average
 from phaseq.core import sample_blocks
 from phaseq.demod import _scan_bank, brute_force_glrt, demodulate_rows
 from phaseq.transition import _UNDERFLOW_FLOOR, _log_grid_mean, kernel_bank_for
@@ -50,19 +51,54 @@ def test_log_grid_mean_linear_rows(rows, monkeypatch):
 
 @pytest.mark.parametrize("rows", _BLOCK_ROWS)
 def test_log_grid_mean_deep_rows(rows, monkeypatch):
-    # L = 200 at K = 64: most sampled rows underflow the linear product and
-    # take the log path, some after a linear pass
-    cfg = SystemConfig(M=4, K=64, L=200, snr_db=0.0)
-    tables = [k.table for k in kernel_bank_for(cfg)]
-    rng = np.random.default_rng(22)
-    X = rng.integers(0, cfg.M, size=(40, cfg.L))
-    _, Z = sample_blocks(X, cfg, rng)
-    S = (Z - cfg.a * X) % cfg.K
-    want = _log_grid_mean(tables, S)
-    assert np.isfinite(want).all()
-    assert (want < math.log(_UNDERFLOW_FLOOR)).sum() >= 10
-    _set_block(monkeypatch, rows, tables[0].shape[1])
-    assert _same(_log_grid_mean(tables, S), want)
+    # L = 200 at K = 64: every row takes the linear pass first, and most
+    # sampled rows underflow it and are redone in log space. With the ramp
+    # dither each of the 200 positions has its own table, and the log of
+    # each is built the first time a row underflows
+    cases = []
+    for dither in ("none", "ramp"):
+        cfg = SystemConfig(M=4, K=64, L=200, snr_db=0.0, dither=dither)
+        tables = [k.table for k in kernel_bank_for(cfg)]
+        rng = np.random.default_rng(22)
+        X = rng.integers(0, cfg.M, size=(40, cfg.L))
+        _, Z = sample_blocks(X, cfg, rng)
+        S = (Z - cfg.a * X) % cfg.K
+        want = _log_grid_mean(tables, S)
+        assert np.isfinite(want).all()
+        assert (want < math.log(_UNDERFLOW_FLOOR)).sum() >= 10
+        cases.append((tables, S, want))
+    assert len({id(t) for t in cases[1][0]}) == 200
+    _set_block(monkeypatch, rows, cases[0][0][0].shape[1])
+    for tables, S, want in cases:
+        assert _same(_log_grid_mean(tables, S), want)
+
+
+@pytest.mark.parametrize("rows", _BLOCK_ROWS)
+def test_log_grid_mean_peak_skip(rows, monkeypatch):
+    # input-averaged rows at L = 200, K = 64, 0 dB: the tables are so flat
+    # that their peaks multiply to below the floor, so every row skips the
+    # linear pass, which would have sent it to log space anyway
+    for dither in ("none", "ramp"):
+        cfg = SystemConfig(M=4, K=64, L=200, snr_db=0.0, dither=dither)
+        bank = kernel_bank_for(cfg)
+        averaged = {id(k): _input_average(k.table, cfg.M, cfg.a) for k in bank}
+        tables = [averaged[id(k)] for k in bank]
+        assert sum(math.log(t[0].max()) for t in tables) < math.log(_UNDERFLOW_FLOOR) - 1.0
+        rng = np.random.default_rng(23)
+        X = rng.integers(0, cfg.M, size=(40, cfg.L))
+        _, Z = sample_blocks(X, cfg, rng)
+        acc = tables[0][Z[:, 0]].copy()
+        logs = np.log(acc)
+        for l in range(1, cfg.L):
+            acc *= tables[l][Z[:, l]]
+            logs += np.log(tables[l][Z[:, l]])
+        assert (acc.mean(axis=1) < _UNDERFLOW_FLOOR).all()
+        peak = logs.max(axis=1)
+        want = peak + np.log(np.exp(logs - peak[:, None]).mean(axis=1))
+        assert np.isfinite(want).all()
+        with monkeypatch.context() as m:
+            _set_block(m, rows, tables[0].shape[1])
+            assert _same(_log_grid_mean(tables, Z), want)
 
 
 def _record_bytes(rec) -> tuple:

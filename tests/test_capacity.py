@@ -302,8 +302,7 @@ def test_pin_matches_plain_mod(M, K):
 
 def test_block_probs_all_outputs_normalizes():
     cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
-    kernel = kernel_for(cfg)
-    probs = block_probs_all_outputs(kernel, np.array([1, 3]))
+    probs = block_probs_all_outputs(cfg, np.array([1, 3]))
     assert probs.shape == (64,)
     assert probs.sum() == pytest.approx(1.0, abs=1e-8)
 

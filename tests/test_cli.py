@@ -252,8 +252,17 @@ class TestTablesCommand:
         n_phi = kernel_for(SystemConfig(M=4, K=8, L=3, snr_db=6.0)).n_phi
         kernel_rows = read_csv(out_dir / "kernel.csv")
         assert len(kernel_rows) == 8 * n_phi
+        rows = {
+            "kernel.csv": 8 * n_phi,
+            "canonical_output_classes.csv": 36,
+            "residue_output_classes.csv": 3,
+            "input_classes.csv": 20,
+        }
         for name in expected:
-            assert read_manifest(out_dir / (name + ".manifest"))["nphi"] == str(n_phi)
+            manifest = read_manifest(out_dir / (name + ".manifest"))
+            assert manifest["nphi"] == str(n_phi)
+            assert manifest["rows"] == str(rows[name])
+            assert len(read_csv(out_dir / name)) == rows[name]
 
     def test_dither_refused_before_any_output(self, tmp_path, capsys):
         out_dir = tmp_path / "tables"

@@ -418,7 +418,8 @@ def test_run_paths_load_no_quadrature_scipy():
 def test_demod_tables_shared_across_block_lengths():
     # the scan grid and table depend on (K, SNR, theta0), not on M or the
     # L-dependent phase grid, so L = 8 and M = 8 reuse what L = 4 built; the
-    # envelope depends on M, so the M = 8 config has its own
+    # envelope depends on M, so the M = 8 config has its own. The kernel
+    # depends on the phase grid but not on M, so only M = 8 shares it
     short = SystemConfig(M=4, K=64, L=4, snr_db=10.0)
     long, octal = replace(short, L=8), replace(short, M=8)
     assert _grid_size(short) != _grid_size(long)
@@ -427,8 +428,9 @@ def test_demod_tables_shared_across_block_lengths():
     base = _scan_bank(short)[0]
     phi_scan, table = _scan_grid(short.K, short.snr_db, short.theta0)
     assert phi_scan is base[0] and table is base[1]
+    assert kernel_for(long) is not kernel_for(short)
+    assert kernel_for(octal) is kernel_for(short)
     for cfg in (long, octal):
-        assert kernel_for(cfg) is not kernel_for(short)
         phi_scan, table, _ = _scan_bank(cfg)[0]
         assert phi_scan is base[0] and table is base[1]
     assert np.array_equal(_scan_bank(long)[0][2], base[2])
