@@ -282,18 +282,39 @@ class _Workspace:
         return flat[:nbytes].view(dtype).reshape(shape)
 
 
+def _draw_into(rng: np.random.Generator, phi: float | None, noise: np.ndarray) -> np.ndarray:
+    """The sampler's bulk draws for noise (2, n, L): returns the n block phases.
+
+    In stream order: the phases by one uniform draw (a constant phi when
+    given, which draws nothing), then noise filled by one standard_normal
+    draw. Generator fills release the GIL, so these may run on another
+    thread than the arithmetic that follows.
+    """
+    n = noise.shape[1]
+    if phi is None:
+        phis = rng.uniform(0.0, TWO_PI, size=n)
+    else:
+        phis = np.full(n, float(phi))
+    rng.standard_normal(out=noise)
+    return phis
+
+
 def _sample_into(
     X: np.ndarray,
     config: SystemConfig,
     rng: np.random.Generator,
     phi: float | None,
     work: _Workspace,
+    draws: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """sample_blocks for checked symbols X (n, L), in work's buffers.
 
-    Z is the buffer "Z" of work. The noise is one draw into "noise"
-    (2, n, L), and "t0" and "t1" hold (n, L) temporaries, so callers may
-    reuse "noise", "t0" and "t1" once it returns. It computes, in real
+    draws is (phases, noise) as _draw_into made them from rng, and the
+    noise (2, n, L) is overwritten; without draws _draw_into makes them
+    here into the buffer "noise" of work, and phi reaches it. Z is the
+    buffer "Z" of work, and "t0" and "t1" hold (n, L) temporaries, so
+    callers may reuse the noise, "t0" and "t1" once it returns. rng makes
+    only the zero-sample redraws after the draws. It computes, in real
     arithmetic and in place,
         yr = (cr*er - ci*ei) + sigma*nr,  yi = (cr*ei + ci*er) + sigma*ni,
     for clean samples cr + j*ci gathered from the (M, L) table and block
@@ -306,18 +327,16 @@ def _sample_into(
     # entry l*M + X[b, l]
     table = modulate(np.repeat(np.arange(M)[:, None], L, axis=1), config).T.ravel()
     table_re, table_im = table.real.copy(), table.imag.copy()
-    if phi is None:
-        phis = rng.uniform(0.0, TWO_PI, size=n)
-    else:
-        phis = np.full(n, float(phi))
+    if draws is None:
+        noise = work.buffer("noise", (2, n, L))
+        draws = _draw_into(rng, phi, noise), noise
+    phis, noise = draws
     # Z last: in a fresh workspace the buffers freed on return then lie
     # below the Z the caller keeps, as one hole that its next arrays reuse
     # (on top of the heap they were trimmed and page-faulted in again)
-    noise = work.buffer("noise", (2, n, L))
     ta = work.buffer("t0", (n, L))
     tb = work.buffer("t1", (n, L))
     Z = work.buffer("Z", (n, L), np.int64)
-    rng.standard_normal(out=noise)
     yr, yi = noise
     rot = np.exp(1j * phis)
     er, ei = rot.real[:, None], rot.imag[:, None]

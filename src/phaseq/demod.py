@@ -301,10 +301,13 @@ def _segment_maxima(
     empty[:, 0] = False
     empty[:, 1:] &= starts[:, 2:] == starts[:, 1:-1]
     if empty.any():
+        # summed one position at a time, so no (pairs, L) plane is built
         r, d = np.nonzero(empty)
-        S = (Z[r] - a * C[r, d]) % K
         around = starts[r, d + 1][:, None] - np.array([[1, 0]])
-        own = sum(t[1][S[:, l, None], around] for l, t in enumerate(scans))
+        own = np.zeros(around.shape)
+        for l, t in enumerate(scans):
+            S = (Z[r, l] - a * C[r, d, l]) % K
+            own += t[1][S[:, None], around]
         log_metric[r, d] = own.max(axis=1)
     return log_metric
 
@@ -373,13 +376,18 @@ def _sweep_rows(Z: np.ndarray, config: SystemConfig) -> _Sweep:
 
     zeta = Z * (TWO_PI / K) - config.theta0 - np.asarray(config.dither)[None, :]
     half_w = math.pi / K
-    # (n, D, L) in place: one float and one int array at a time
-    args = zeta[:, None, :] + half_w - np.where(valid, probes, 0.0)[:, :, None]
-    args *= M / TWO_PI
-    np.round(args, out=args)
-    C = args.astype(np.int64)
-    del args
-    C %= M
+    probes = np.where(valid, probes, 0.0)
+    # C (n, D, L) is filled in blocks of rows of about _CHUNK_ELEMENTS
+    # entries, so its float planes never span all rows
+    C = np.empty((n, D, L), dtype=np.int64)
+    chunk = max(1, _CHUNK_ELEMENTS // (D * L))
+    for lo in range(0, n, chunk):
+        args = zeta[lo : lo + chunk, None, :] + half_w - probes[lo : lo + chunk, :, None]
+        args *= M / TWO_PI
+        np.round(args, out=args)
+        block = C[lo : lo + chunk]
+        block[...] = args
+        block %= M
 
     log_metric = _segment_maxima(Z, C, edges, n_distinct, config)
     return _Sweep(C, n_distinct, log_metric, *_decide(log_metric, valid))

@@ -41,8 +41,20 @@ first chunk. The calling thread keeps it from run to run: a run's fresh
 buffers would otherwise be fresh pages (about 500 minor faults a 10,000-block
 ramp K=8, L=8 run), unless earlier frees happened to raise glibc's mmap
 threshold. The pool threads of a multi-worker run, and their workspaces,
-end with the run. The
-per-sample integer steps are gathers from small tables, not int64 division:
+end with the run.
+
+A chunk is its bulk draws (_draw_chunk: the symbols, block phases and
+noise, in stream order) and then everything else (_run_chunk: the sampler
+arithmetic, zero-sample redraws, decisions, tie re-draws and scoring, from
+the same Generator). With one worker, more than one chunk and more than one
+usable CPU, a helper thread makes chunk i + 1's draws while the calling
+thread runs chunk i, alternating between two noise buffers of the calling
+thread's workspace; NumPy's fills release the GIL, so the two overlap. On
+one CPU they would only take turns, so the draws run inline there. The
+helper ends with the run, also when a chunk raises. Pool workers draw their
+own chunks, since they already run in parallel.
+
+The per-sample integer steps are gathers from small tables, not int64 division:
 a sector z splits into quotient and residue through the K-entry tables
 z div a and z mod a, and a decision is scored by looking its difference
 from the sent symbol up in a 6M-entry table of "nonzero mod M" flags (see
@@ -62,19 +74,22 @@ only defined up to a common constellation shift. Two scoring conventions:
 from __future__ import annotations
 
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemConfig, _as_int, _distinct_rows, _sample_into, _Workspace
+from .core import SystemConfig, _as_int, _distinct_rows, _draw_into, _sample_into, _Workspace
 from .demod import _sweep_rows
 
 DEFAULT_CHUNK = 4096
 _CONVENTIONS = ("pilot", "genie")
 # each thread's chunk workspace, kept across runs (see the module docstring)
 _THREAD_WORK = threading.local()
+# the workspace buffers that chunks drawn ahead alternate between
+_NOISE_BUFFERS = ("noise", "noise_ahead")
 
 
 @dataclass(frozen=True)
@@ -141,6 +156,21 @@ def ser_crossing_snr(snrs_db, sers, target: float) -> float:
 
 
 # ---- chunk engine -----------------------------------------------------------
+
+
+def _thread_work() -> _Workspace:
+    """The calling thread's chunk workspace, made on its first chunk."""
+    if not hasattr(_THREAD_WORK, "work"):
+        _THREAD_WORK.work = _Workspace()
+    return _THREAD_WORK.work
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else os.cpu_count()."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
@@ -217,15 +247,37 @@ class _RowMemo:
             self._n_cand = np.concatenate([self._n_cand, sweep.n_distinct])
 
 
-def _run_chunk(
+def _draw_chunk(
     config: SystemConfig,
     n_blocks: int,
     seed_seq: np.random.SeedSequence,
     convention: str,
+    noise: np.ndarray,
+) -> tuple[np.random.Generator, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Every draw of a chunk that comes before its decisions, in stream order.
+
+    Returns (rng, X, (phases, noise)): the chunk's Generator, its symbols
+    (the pilot column zeroed) and core._draw_into's draws into noise
+    (2, n_blocks, L). The Generator then makes the chunk's remaining draws
+    (zero-sample and tie re-draws) in _run_chunk. The fills release the GIL,
+    so run_ser may make them on a helper thread.
+    """
+    rng = np.random.default_rng(seed_seq)
+    X = rng.integers(0, config.M, size=(n_blocks, config.L))
+    if convention == "pilot":
+        X[:, 0] = 0
+    return rng, X, (_draw_into(rng, None, noise), noise)
+
+
+def _run_chunk(
+    config: SystemConfig,
+    drawn: tuple[np.random.Generator, np.ndarray, tuple[np.ndarray, np.ndarray]],
+    convention: str,
     memo: _RowMemo,
     work: _Workspace,
 ) -> tuple[int, int, int, int]:
-    """Simulate one chunk; returns (errors, tie blocks, candidate sum, candidate max).
+    """Simulate one chunk from _draw_chunk's draws; returns (errors, tie
+    blocks, candidate sum, candidate max).
 
     Undithered, a block's row is its residue histogram, demodulated as the
     sorted residue vector it stands for (see the module docstring); under
@@ -233,19 +285,18 @@ def _run_chunk(
     not seen are demodulated; each block then takes its row's decision, and
     tied blocks re-draw theirs from the chunk stream in block order, before
     the quotients are added back. Every chunk-sized array but X and the
-    histograms lives in work: the sampler's buffers, then its temporaries
-    "t0" and "t1" as the quotient and decision planes. Sectors split into
-    quotient and residue by gathers from the K-entry tables arange(K) // a
-    and arange(K) % a (Z lies in 0..K-1, so mode="clip" never clips), which
-    beat np.divmod's int64 division; "t0" then takes the pilot differences
-    that _symbol_errors scores.
+    histograms lives in work (the noise too, in a buffer run_ser names):
+    the sampler's buffers, then its temporaries "t0" and "t1" as the
+    quotient and decision planes. Sectors split into quotient and residue
+    by gathers from the K-entry tables arange(K) // a and arange(K) % a (Z
+    lies in 0..K-1, so mode="clip" never clips), which beat np.divmod's
+    int64 division; "t0" then takes the pilot differences that
+    _symbol_errors scores.
     """
     M, K, L, a = config.M, config.K, config.L, config.a
-    rng = np.random.default_rng(seed_seq)
-    X = rng.integers(0, M, size=(n_blocks, L))
-    if convention == "pilot":
-        X[:, 0] = 0
-    _, Z = _sample_into(X, config, rng, None, work)
+    rng, X, draws = drawn
+    n_blocks = len(X)
+    _, Z = _sample_into(X, config, rng, None, work, draws)
     xhat = work.buffer("t1", (n_blocks, L), np.int64)
     q = work.buffer("t0", (n_blocks, L), np.int64)
     sectors = np.arange(K)
@@ -338,17 +389,32 @@ def run_ser(
     children = seed.spawn(len(sizes))
     memo = _RowMemo(config.L)
 
-    def job(args):
-        size, child = args
-        if not hasattr(_THREAD_WORK, "work"):
-            _THREAD_WORK.work = _Workspace()
-        return _run_chunk(config, size, child, convention, memo, _THREAD_WORK.work)
+    def draws(i: int, work: _Workspace, noise: str = _NOISE_BUFFERS[0]) -> tuple:
+        """_draw_chunk's arguments for chunk i, with work's buffer noise."""
+        return config, sizes[i], children[i], convention, work.buffer(noise, (2, sizes[i], config.L))
 
+    def job(i: int) -> tuple[int, int, int, int]:
+        work = _thread_work()
+        return _run_chunk(config, _draw_chunk(*draws(i, work)), convention, memo, work)
+
+    chunks = range(len(sizes))
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, zip(sizes, children)))
+            results = list(pool.map(job, chunks))
+    elif len(sizes) > 1 and _usable_cpus() > 1:
+        # chunk i + 1's draws fill the other noise buffer on a helper thread
+        # while this thread runs chunk i
+        work, results = _thread_work(), []
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            ahead = helper.submit(_draw_chunk, *draws(0, work))
+            for i in chunks:
+                drawn = ahead.result()
+                if i + 1 < len(sizes):
+                    args = draws(i + 1, work, _NOISE_BUFFERS[(i + 1) % 2])
+                    ahead = helper.submit(_draw_chunk, *args)
+                results.append(_run_chunk(config, drawn, convention, memo, work))
     else:
-        results = [job(arg) for arg in zip(sizes, children)]
+        results = [job(i) for i in chunks]
     errors, ties, cands = (sum(r[i] for r in results) for i in range(3))
     symbols = trials * (config.L - 1 if convention == "pilot" else config.L)
     lo, hi = wilson_interval(errors, symbols)

@@ -6,6 +6,7 @@ import math
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -311,21 +312,43 @@ class TestSymbolErrors:
         assert sim._symbol_errors(xhat, X, M, convention, sim._Workspace()) == want
 
 
+_CHUNK_CONFIGS = pytest.mark.parametrize(
+    "cfg",
+    [
+        SystemConfig(M=4, K=4, L=6, snr_db=6.0),
+        SystemConfig(M=4, K=8, L=1, snr_db=12.0),
+        SystemConfig(M=2, K=6, L=5, snr_db=8.0),
+        SystemConfig(M=4, K=8, L=200, snr_db=0.0),
+        SystemConfig(M=4, K=8, L=8, snr_db=14.0, dither="ramp"),
+        SystemConfig(M=4, K=8, L=4, snr_db=14.0, dither=(0.0, 0.0, 0.3, 0.3)),
+    ],
+    ids=["a=1", "L=1-genie", "M=2", "L=200", "ramp", "tuple"],
+)
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The thread pools run_ser makes, each counting its submitted jobs."""
+    made = []
+
+    class RecordedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.submitted = 0
+            made.append(self)
+
+        def submit(self, *args, **kwargs):
+            self.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", RecordedPool)
+    return made
+
+
 class TestChunkEngine:
     # trials of two full chunks and a ragged one of 17 blocks, so a worker's
     # workspace serves a smaller chunk after a full one
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            SystemConfig(M=4, K=4, L=6, snr_db=6.0),
-            SystemConfig(M=4, K=8, L=1, snr_db=12.0),
-            SystemConfig(M=2, K=6, L=5, snr_db=8.0),
-            SystemConfig(M=4, K=8, L=200, snr_db=0.0),
-            SystemConfig(M=4, K=8, L=8, snr_db=14.0, dither="ramp"),
-            SystemConfig(M=4, K=8, L=4, snr_db=14.0, dither=(0.0, 0.0, 0.3, 0.3)),
-        ],
-        ids=["a=1", "L=1-genie", "M=2", "L=200", "ramp", "tuple"],
-    )
+    @_CHUNK_CONFIGS
     def test_ragged_chunks_equal_for_any_worker_count(self, cfg):
         trials = 2 * DEFAULT_CHUNK + 17
         convention = "genie" if cfg.L == 1 else "pilot"
@@ -336,6 +359,48 @@ class TestChunkEngine:
         }
         assert runs[2] == runs[1]
         assert runs[4] == runs[1]
+
+    # one worker draws the next chunk ahead on a helper thread where it may
+    # use two CPUs, and inline on one; both equal the pool's points
+    @_CHUNK_CONFIGS
+    @pytest.mark.parametrize("trials", [2 * DEFAULT_CHUNK + 17, 100], ids=["ragged", "one-chunk"])
+    def test_draw_ahead_equals_inline_and_pool(self, cfg, trials, pools, monkeypatch):
+        convention = "genie" if cfg.L == 1 else "pilot"
+
+        def points(workers):
+            return (run_ser(cfg, trials, seed=9, convention=convention, workers=workers),
+                    run_ser(cfg, trials, seed=9, convention="genie", workers=workers))
+
+        one_worker = {}
+        for cpus in (1, 2):
+            monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
+            pools.clear()
+            one_worker[cpus] = points(1)
+            # one helper per run, and only with chunks to draw ahead
+            ahead = cpus > 1 and trials > DEFAULT_CHUNK
+            assert [p._max_workers for p in pools] == ([1, 1] if ahead else [])
+            assert all(p.submitted == 3 for p in pools)
+        assert one_worker[2] == one_worker[1]
+        for workers in (2, 4):
+            assert points(workers) == one_worker[1]
+
+    def test_one_chunk_starts_no_thread(self, pools, monkeypatch):
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        before = threading.active_count()
+        run_ser(SystemConfig(M=4, K=12, L=8, snr_db=12.0), DEFAULT_CHUNK, seed=2)
+        assert pools == []
+        assert threading.active_count() == before
+
+    def test_refusal_with_draws_in_flight_ends_the_helper(self, pools, monkeypatch):
+        # chunk 0 meets the 150 dB refusal after chunk 1's draws were
+        # submitted; the error propagates and the helper thread ends
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        cfg = SystemConfig(M=4, K=8, L=2, snr_db=150.0)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="SNR 150 dB needs .* above the limit of 2048"):
+            run_ser(cfg, 3 * DEFAULT_CHUNK, seed=1)
+        assert [(p._max_workers, p.submitted) for p in pools] == [(1, 2)]
+        assert threading.active_count() == before
 
     def test_workspace_kept_across_runs(self):
         # the calling thread keeps its workspace from run to run; what a run
