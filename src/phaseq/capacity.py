@@ -47,6 +47,10 @@ from .transition import (
 LOG2E = 1.0 / math.log(2.0)
 # Monte Carlo blocks sampled and scored per batch
 _MC_BATCH = 8192
+# The brute-force oracle builds a (K^L, n_phi) table of P(z | x, phi) per
+# input and refuses one above this many elements (64 MB); the largest case
+# the tests check, M=2 K=4 L=5 at 40 dB, has 1,024 x 5,432 (5.6M).
+_MAX_BRUTE_ELEMENTS = 2**23
 
 
 @dataclass(frozen=True)
@@ -172,10 +176,16 @@ def mutual_information(config: SystemConfig, method: str = "reduced") -> Capacit
 
 def block_probs_all_outputs(config: SystemConfig, x) -> np.ndarray:
     """P(z | x) for every z in lexicographic order, one chained outer product
-    over the table of kernel_for(config)."""
+    over the table of kernel_for(config). Raises ValueError, before
+    allocating, when the (K^L, n_phi) product exceeds _MAX_BRUTE_ELEMENTS."""
     x = np.asarray(x, dtype=np.int64)
     kernel = kernel_for(config)
     K, n_phi = kernel.K, kernel.n_phi
+    if K**config.L * n_phi > _MAX_BRUTE_ELEMENTS:
+        raise ValueError(
+            f"brute-force output space too large: {K}^{config.L} blocks x {n_phi} phase"
+            f" points is above the limit of {_MAX_BRUTE_ELEMENTS} elements"
+        )
     acc = np.ones((1, n_phi))
     for xl in x:
         rows = kernel.table[(np.arange(K) - config.a * int(xl)) % K]
@@ -191,9 +201,12 @@ def brute_force_conditional_entropy(config: SystemConfig) -> float:
 
 def brute_force_output_probs(config: SystemConfig) -> np.ndarray:
     """P(z) for every z in lexicographic order, averaging all M^L inputs."""
-    total = np.zeros(config.K**config.L)
-    for x in product(range(config.M), repeat=config.L):
-        total += block_probs_all_outputs(config, np.array(x, dtype=np.int64))
+    inputs = product(range(config.M), repeat=config.L)
+    # the first input's table is the sum's start, so an oversized output
+    # space is refused before anything K^L long is allocated
+    total = block_probs_all_outputs(config, next(inputs))
+    for x in inputs:
+        total += block_probs_all_outputs(config, x)
     return total / config.M**config.L
 
 

@@ -19,15 +19,10 @@ import numpy as np
 
 from . import __version__
 from .capacity import mutual_information, mutual_information_mc
-from .combinatorics import (
-    canonical_output_classes,
-    export_input_classes_csv,
-    export_output_classes_csv,
-    grouped_input_classes,
-)
+from .combinatorics import grouped_input_classes, output_class_arrays
 from .core import SystemConfig, ramp_dither
 from .sim import run_ser
-from .transition import export_kernel_csv, kernel_bank_for, kernel_for
+from .transition import kernel_bank_for, kernel_for
 from .verify import run_all_checks
 
 
@@ -109,6 +104,25 @@ def _write_csv(args, rows: list[dict[str, str]], fields: dict[str, object], star
     _write_manifest(out, args, fields, started, len(rows))
     print(f"wrote {len(rows)} rows to {out}")
     return 0
+
+
+def _write_table(path: Path, header: str, lines, args, fields, started: float) -> None:
+    """Write header and then lines to path, each ending in a newline, then the
+    manifest, whose rows is the number of lines written after the header."""
+    rows = 0
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for line in lines:
+            fh.write(line + "\n")
+            rows += 1
+    _write_manifest(path, args, fields, started, rows)
+
+
+def _class_lines(reps, counts):
+    """One "representative,count" line per class, the representative's
+    symbols separated by spaces."""
+    for rep, count in zip(reps, counts):
+        yield f"{' '.join(map(str, rep))},{count}"
 
 
 def _fmt(value: float | None) -> str:
@@ -218,29 +232,39 @@ def cmd_tables(args) -> int:
     cfg = _build_config(args, args.snr_db)
     if cfg.is_dithered:
         raise ValueError("tables exports the one kernel of an undithered config; drop --dither")
+    started = time.monotonic()
+    # every table is built before the directory is made, so a refused config
+    # (a phase grid above the kernel's limit) leaves nothing behind
+    kernel = kernel_for(cfg)
+    table = kernel.table
+    reps, mults = output_class_arrays(cfg.K, cfg.L)
+    residues, residue_mults = output_class_arrays(cfg.a, cfg.L)
+    inputs = grouped_input_classes(residues[0], cfg.M)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    started = time.monotonic()
-    kernel = kernel_for(cfg)
-    kernel_path = out_dir / "kernel.csv"
-    export_kernel_csv(kernel, kernel_path)
-    classes_path = out_dir / "canonical_output_classes.csv"
-    output_classes = canonical_output_classes(cfg.K, cfg.L)
-    export_output_classes_csv(output_classes, classes_path)
-    residue_path = out_dir / "residue_output_classes.csv"
-    residue_classes = canonical_output_classes(cfg.a, cfg.L)
-    export_output_classes_csv(residue_classes, residue_path)
-    inputs_path = out_dir / "input_classes.csv"
-    input_classes = grouped_input_classes(np.array(residue_classes[0].representative), cfg.M)
-    export_input_classes_csv(input_classes, inputs_path)
     fields = _system_fields(cfg, args.snr_db) | {"nphi": kernel.n_phi}
-    for path, rows in (
-        (kernel_path, kernel.K * kernel.n_phi),
-        (classes_path, len(output_classes)),
-        (residue_path, len(residue_classes)),
-        (inputs_path, len(input_classes)),
+    kernel_lines = (
+        f"{i},{z},{p!r}" for i, column in enumerate(table.T) for z, p in enumerate(column.tolist())
+    )
+    for name, header, lines in (
+        ("kernel.csv", "phi_index,z,probability", kernel_lines),
+        (
+            "canonical_output_classes.csv",
+            "representative,multiplicity",
+            _class_lines(reps.tolist(), mults.tolist()),
+        ),
+        (
+            "residue_output_classes.csv",
+            "representative,multiplicity",
+            _class_lines(residues.tolist(), residue_mults.tolist()),
+        ),
+        (
+            "input_classes.csv",
+            "representative,weight",
+            _class_lines([c.representative for c in inputs], [c.weight for c in inputs]),
+        ),
     ):
-        _write_manifest(path, args, fields, started, rows)
+        _write_table(out_dir / name, header, lines, args, fields, started)
     print(f"wrote tables to {out_dir}")
     return 0
 

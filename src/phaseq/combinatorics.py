@@ -8,14 +8,16 @@ component pinned to 0, remaining components sorted nondecreasing; the number
 of distinct blocks sharing a representative is the multinomial permutation
 count of the free positions. output_class_arrays enumerates them as integer
 arrays, built one position at a time in lexicographic order, which is what
-the capacity sums read; canonical_output_classes wraps the same arrays in one
-dataclass per class for the CSV export and the checks.
+the capacity sums and the tables command read; canonical_output_classes
+wraps the same arrays in one dataclass per class for the checks and the
+benchmark.
 
 Inputs that permute within groups of equal output values give equal
 conditional probabilities, so an M^L input average can collapse to per-group
-multisets with multinomial weights (grouped_input_classes). Only the class
-export, the verify suite and the benchmark enumerate these input classes;
-the capacity sums average inputs through a per-symbol table instead.
+multisets with multinomial weights (grouped_input_classes). Only the tables
+command, the verify suite and the benchmark enumerate these input classes;
+the capacity sums average inputs through a per-symbol table instead. The
+module writes no file: the command line formats the CSVs.
 """
 
 from __future__ import annotations
@@ -153,20 +155,3 @@ def input_class_count(z, M: int) -> int:
         n = int((z == v).sum())
         total *= math.comb(M + n - 1, n)
     return total
-
-
-def export_output_classes_csv(classes, path) -> None:
-    """Write representative,multiplicity rows for audit or cross-checks."""
-    with open(path, "w") as fh:
-        fh.write("representative,multiplicity\n")
-        for c in classes:
-            rep = " ".join(str(v) for v in c.representative)
-            fh.write(f"{rep},{c.multiplicity}\n")
-
-
-def export_input_classes_csv(classes, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("representative,weight\n")
-        for c in classes:
-            rep = " ".join(str(v) for v in c.representative)
-            fh.write(f"{rep},{c.weight}\n")

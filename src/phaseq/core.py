@@ -282,13 +282,15 @@ class _Workspace:
         return flat[:nbytes].view(dtype).reshape(shape)
 
 
-def _draw_into(rng: np.random.Generator, phi: float | None, noise: np.ndarray) -> np.ndarray:
-    """The sampler's bulk draws for noise (2, n, L): returns the n block phases.
+def _draw_into(
+    rng: np.random.Generator, phi: float | None, noise: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sampler's bulk draws for noise (2, n, L): returns (phases, noise).
 
-    In stream order: the phases by one uniform draw (a constant phi when
-    given, which draws nothing), then noise filled by one standard_normal
-    draw. Generator fills release the GIL, so these may run on another
-    thread than the arithmetic that follows.
+    In stream order: the n block phases by one uniform draw (a constant phi
+    when given, which draws nothing), then noise filled by one
+    standard_normal draw. Generator fills release the GIL, so these may run
+    on another thread than the arithmetic that follows.
     """
     n = noise.shape[1]
     if phi is None:
@@ -296,26 +298,23 @@ def _draw_into(rng: np.random.Generator, phi: float | None, noise: np.ndarray) -
     else:
         phis = np.full(n, float(phi))
     rng.standard_normal(out=noise)
-    return phis
+    return phis, noise
 
 
 def _sample_into(
     X: np.ndarray,
     config: SystemConfig,
     rng: np.random.Generator,
-    phi: float | None,
     work: _Workspace,
-    draws: tuple[np.ndarray, np.ndarray] | None = None,
+    draws: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """sample_blocks for checked symbols X (n, L), in work's buffers.
 
     draws is (phases, noise) as _draw_into made them from rng, and the
-    noise (2, n, L) is overwritten; without draws _draw_into makes them
-    here into the buffer "noise" of work, and phi reaches it. Z is the
-    buffer "Z" of work, and "t0" and "t1" hold (n, L) temporaries, so
-    callers may reuse the noise, "t0" and "t1" once it returns. rng makes
-    only the zero-sample redraws after the draws. It computes, in real
-    arithmetic and in place,
+    noise (2, n, L) is overwritten. Z is the buffer "Z" of work, and "t0"
+    and "t1" hold (n, L) temporaries, so callers may reuse the noise, "t0"
+    and "t1" once it returns. rng makes only the zero-sample redraws after
+    the draws. It computes, in real arithmetic and in place,
         yr = (cr*er - ci*ei) + sigma*nr,  yi = (cr*ei + ci*er) + sigma*ni,
     for clean samples cr + j*ci gathered from the (M, L) table and block
     rotations er + j*ei: the floats of the complex expression. Its angle
@@ -327,9 +326,6 @@ def _sample_into(
     # entry l*M + X[b, l]
     table = modulate(np.repeat(np.arange(M)[:, None], L, axis=1), config).T.ravel()
     table_re, table_im = table.real.copy(), table.imag.copy()
-    if draws is None:
-        noise = work.buffer("noise", (2, n, L))
-        draws = _draw_into(rng, phi, noise), noise
     phis, noise = draws
     # Z last: in a fresh workspace the buffers freed on return then lie
     # below the Z the caller keeps, as one hole that its next arrays reuse
@@ -401,4 +397,6 @@ def sample_blocks(
     X = _check_indices(X, "X", config.L, config.M, "M", stacked=True)
     if phi is not None and not math.isfinite(phi):
         raise ValueError(f"phi must be finite (got {phi})")
-    return _sample_into(X, config, rng, phi, _Workspace())
+    work = _Workspace()
+    draws = _draw_into(rng, phi, work.buffer("noise", (2, *X.shape)))
+    return _sample_into(X, config, rng, work, draws)

@@ -28,13 +28,12 @@ period: on a candidate's segment E is its own metric, so each candidate gets
 the maximum of E over its segment's grid points. The winner's value is thus
 its full-circle grid maximum, since no other candidate beats E anywhere; a
 loser carries its in-segment maximum, which can lie below its full-circle
-one. The oracle paths (glrt_metric, brute_force_glrt) scan each
-hypothesis over the full circle instead. One decision rule, shared by the
-sweep and the brute-force oracle, picks the winner and flags exactly tied
-candidates (the signature failure of K = 2M without dither): those whose
-relative metric gap to the winner is at most DEFAULT_TIE_TOL. The winner is
-the lowest-index tied candidate; the SER simulator re-draws a tied block's
-decision from the tie set itself.
+one. The oracle, brute_force_glrt, scans each hypothesis over the full
+circle instead. One decision rule, shared by the sweep and the oracle, picks
+the winner and flags exactly tied candidates (the signature failure of
+K = 2M without dither): those whose relative metric gap to the winner is at
+most DEFAULT_TIE_TOL. The winner is the lowest-index tied candidate; the SER
+simulator re-draws a tied block's decision from the tie set itself.
 
 The sweep runs on arrays of rows (_sweep_rows: candidates, metrics, winner,
 tie mask, tie gap), which the SER simulator scores directly. It takes the
@@ -141,15 +140,6 @@ def _distinct_crossovers(Z: np.ndarray, config: SystemConfig) -> tuple[np.ndarra
     return np.take_along_axis(alphas, keep, axis=1), n_distinct
 
 
-def crossover_angles(z, config: SystemConfig) -> np.ndarray:
-    """Sorted distinct crossover angles of a block, in (0, 2*pi/M].
-
-    The same angles demodulate_rows splits the period at.
-    """
-    z = _check_indices(z, "z", config.L, config.K, "K")
-    return _distinct_crossovers(z[None, :], config)[0][0]
-
-
 # ---- scan tables -------------------------------------------------------------
 
 
@@ -209,40 +199,28 @@ def _scan_bank(config: SystemConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.n
 # ---- metric evaluation ------------------------------------------------------
 
 
-def _evaluate_candidates(
-    Z: np.ndarray,
-    C: np.ndarray,
-    valid: np.ndarray,
-    config: SystemConfig,
-) -> np.ndarray:
-    """Grid log metric of candidate array C (n, D, L).
+def _evaluate_candidates(z: np.ndarray, C: np.ndarray, config: SystemConfig) -> np.ndarray:
+    """Grid log metric of each candidate row of C (D, L) on one block z (L,).
 
-    Scans every candidate over the full 2*pi: the oracle path behind
-    glrt_metric and brute_force_glrt, independent of the envelope scan.
-    Blocks of rows and of candidates hold about _CHUNK_ELEMENTS scan values
-    each, so brute_force_glrt's hundreds of thousands of candidates never
-    share one accumulator; each candidate is reduced on its own, so the
-    output does not depend on the block size.
+    Scans every candidate over the full 2*pi: brute_force_glrt's oracle
+    path, independent of the envelope scan. Blocks of candidates hold about
+    _CHUNK_ELEMENTS scan values each, so its hundreds of thousands of
+    candidates never share one accumulator; each candidate is reduced on its
+    own, so the output does not depend on the block size.
     """
-    n, D, L = C.shape
+    D, L = C.shape
     K, a = config.K, config.a
-    scans = _scan_bank(config)
-    log_tables = [t[1] for t in scans]
-    n_scan = scans[0][0].size
+    log_tables = [t[1] for t in _scan_bank(config)]
+    n_scan = log_tables[0].shape[1]
 
-    grid_val = np.full((n, D), -np.inf)
-    d_chunk = max(1, min(D, _CHUNK_ELEMENTS // n_scan))
-    chunk = max(1, _CHUNK_ELEMENTS // (d_chunk * n_scan))
-    for lo_i in range(0, n, chunk):
-        hi_i = min(lo_i + chunk, n)
-        for lo_d in range(0, D, d_chunk):
-            hi_d = min(lo_d + d_chunk, D)
-            S = (Z[lo_i:hi_i, None, :] - a * C[lo_i:hi_i, lo_d:hi_d]) % K
-            acc = log_tables[0][S[:, :, 0], :]
-            for l in range(1, L):
-                acc += log_tables[l][S[:, :, l], :]
-            grid_val[lo_i:hi_i, lo_d:hi_d] = acc.max(axis=2)
-    grid_val[~valid] = -np.inf
+    grid_val = np.empty(D)
+    chunk = max(1, _CHUNK_ELEMENTS // n_scan)
+    for lo in range(0, D, chunk):
+        S = (z - a * C[lo : lo + chunk]) % K
+        acc = log_tables[0][S[:, 0], :]
+        for l in range(1, L):
+            acc += log_tables[l][S[:, l], :]
+        grid_val[lo : lo + chunk] = acc.max(axis=1)
     return grid_val
 
 
@@ -470,16 +448,6 @@ def glrt_demodulate_dithered(z, config: SystemConfig) -> GlrtResult:
     return _demodulate(z, config)
 
 
-def glrt_metric(z, x, config: SystemConfig) -> GlrtCandidate:
-    """max_phi P(z | x, phi) for one explicit hypothesis, over the full
-    circle of the scan grid."""
-    z = _check_indices(z, "z", config.L, config.K, "K")
-    x = _check_indices(x, "x", config.L, config.M, "M")
-    valid = np.ones((1, 1), dtype=bool)
-    lm = _evaluate_candidates(z[None, :], x[None, None, :], valid, config)
-    return GlrtCandidate(x=tuple(int(v) for v in x), metric=math.exp(lm[0, 0]))
-
-
 def brute_force_glrt(z, config: SystemConfig) -> GlrtResult:
     """Oracle demodulator: score every input, without the candidate sweep.
 
@@ -494,8 +462,8 @@ def brute_force_glrt(z, config: SystemConfig) -> GlrtResult:
         raise ValueError("brute-force input space too large")
     tails = np.array(list(product(range(config.M), repeat=config.L - 1)), dtype=np.int64)
     C = np.concatenate([np.zeros((tails.shape[0], 1), dtype=np.int64), tails], axis=1)
-    valid = np.ones((1, C.shape[0]), dtype=bool)
-    lm = _evaluate_candidates(z[None, :], C[None, :, :], valid, config)
+    lm = _evaluate_candidates(z, C, config)[None, :]
     # every orbit is a candidate
+    valid = np.ones(lm.shape, dtype=bool)
     sweep = _Sweep(C[None], np.array([C.shape[0]]), lm, *_decide(lm, valid))
     return _result_from_record(_records(sweep)[0], 0, config.M)

@@ -266,7 +266,7 @@ def _draw_chunk(
     X = rng.integers(0, config.M, size=(n_blocks, config.L))
     if convention == "pilot":
         X[:, 0] = 0
-    return rng, X, (_draw_into(rng, None, noise), noise)
+    return rng, X, _draw_into(rng, None, noise)
 
 
 def _run_chunk(
@@ -296,7 +296,7 @@ def _run_chunk(
     M, K, L, a = config.M, config.K, config.L, config.a
     rng, X, draws = drawn
     n_blocks = len(X)
-    _, Z = _sample_into(X, config, rng, None, work, draws)
+    _, Z = _sample_into(X, config, rng, work, draws)
     xhat = work.buffer("t1", (n_blocks, L), np.int64)
     q = work.buffer("t0", (n_blocks, L), np.int64)
     sectors = np.arange(K)

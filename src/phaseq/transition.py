@@ -7,7 +7,9 @@ of the received phase minus the clean phase has the classical closed form
     f(u) = e^{-rho}/(2*pi)
          + sqrt(rho/pi) * cos(u) * e^{-rho*sin^2(u)} * Phi(sqrt(2*rho)*cos(u))
 
-with rho the linear SNR and Phi the standard normal CDF. A sector probability
+with rho the linear SNR and Phi the standard normal CDF. _phase_offset_pdf
+evaluates f without checking its arguments: its callers pass a config's SNR,
+already checked, or check the SNR themselves. A sector probability
 is f integrated over an arc of width 2*pi/K: by adaptive quadrature in the
 reference sector_probability, and for whole grids (the kernel tables here,
 demod's scan tables) by _arc_probabilities, one 16-node Gauss-Legendre rule
@@ -94,17 +96,9 @@ def _check_snr_linear(snr_linear: float) -> None:
         raise ValueError(f"snr_linear must be positive and finite (got {snr_linear})")
 
 
-def phase_offset_pdf(u, snr_linear: float) -> np.ndarray:
-    """Density of (received phase - clean phase), wrapped to [-pi, pi)."""
-    _check_snr_linear(snr_linear)
-    u = np.asarray(u, dtype=float)
-    if not np.isfinite(u).all():
-        raise ValueError("u must be finite")
-    return _phase_offset_pdf(u, snr_linear)
-
-
 def _phase_offset_pdf(u, rho: float) -> np.ndarray:
-    """phase_offset_pdf on float u and a positive finite rho, unchecked."""
+    """The density f(u) of the module docstring at float u and linear SNR
+    rho, unchecked: callers pass finite u and a positive finite rho."""
     cu = np.cos(u)
     su = np.sin(u)
     base = math.exp(-rho) / TWO_PI if rho < 700 else 0.0
@@ -390,15 +384,3 @@ def _log_grid_mean(tables, S: np.ndarray) -> np.ndarray:
             peak[np.isneginf(peak)] = 0.0
             out[lo : lo + chunk][deep] = peak + np.log(np.exp(logs - peak[:, None]).mean(axis=1))
     return out
-
-
-# ---- CSV export ---------------------------------------------------------
-
-
-def export_kernel_csv(kernel: TransitionKernel, path) -> None:
-    """Write the kernel table as phi_index,z,probability rows."""
-    with open(path, "w") as fh:
-        fh.write("phi_index,z,probability\n")
-        for i in range(kernel.n_phi):
-            for z in range(kernel.K):
-                fh.write(f"{i},{z},{float(kernel.table[z, i])!r}\n")

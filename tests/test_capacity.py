@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -305,6 +307,29 @@ def test_block_probs_all_outputs_normalizes():
     probs = block_probs_all_outputs(cfg, np.array([1, 3]))
     assert probs.shape == (64,)
     assert probs.sum() == pytest.approx(1.0, abs=1e-8)
+
+
+def test_brute_force_refuses_oversized_space_before_allocating():
+    # 16^6 blocks x 192 phase points is about 26 GB per input; every case
+    # of _BRUTE_CASES stays under the limit
+    cfg = SystemConfig(M=4, K=16, L=6, snr_db=6.0)
+    calls = (
+        brute_force_conditional_entropy,
+        brute_force_output_entropy,
+        lambda c: mutual_information(c, method="brute"),
+    )
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        for call in calls:
+            with pytest.raises(ValueError, match="brute-force output space too large"):
+                call(cfg)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 2**20
 
 
 def test_brute_output_probs_normalize():

@@ -20,7 +20,9 @@ from phaseq.core import (
     sector_index,
 )
 from phaseq.sim import DEFAULT_CHUNK
-from phaseq.transition import phase_offset_pdf, sector_offset_probability, sector_probability
+from phaseq.transition import sector_offset_probability, sector_probability
+# the checked density wrapper is test code, kept with the density tests
+from test_transition import phase_offset_pdf
 
 TWO_PI = 2.0 * math.pi
 

@@ -6,9 +6,12 @@ import csv
 
 import pytest
 
+import numpy as np
+
 from phaseq import SystemConfig
 from phaseq.capacity import mutual_information
 from phaseq.cli import main, parse_snr_grid
+from phaseq.combinatorics import grouped_input_classes, output_class_arrays
 from phaseq.transition import kernel_for
 
 
@@ -159,8 +162,10 @@ class TestCapacityCommand:
         (["capacity", "--M", "4", "--K", "8", "--L", "2", "--snr", "4000"], "out of range"),
         (["ser", "--M", "4", "--K", "8", "--L", "2", "--snr", "10", "--trials", "100",
           "--workers", "0"], "workers must be at least 1"),
+        (["capacity", "--method", "brute", "--K", "16", "--L", "6", "--snr", "6"],
+         "brute-force output space too large"),
     ],
-    ids=["snr-4000", "workers-0"],
+    ids=["snr-4000", "workers-0", "brute-oversized"],
 )
 def test_out_of_range_inputs_exit_2(argv, message, tmp_path, capsys):
     out = tmp_path / "refused.csv"
@@ -263,6 +268,55 @@ class TestTablesCommand:
             assert manifest["nphi"] == str(n_phi)
             assert manifest["rows"] == str(rows[name])
             assert len(read_csv(out_dir / name)) == rows[name]
+
+    def test_csv_contents_round_trip(self, tmp_path):
+        cfg = SystemConfig(M=4, K=12, L=3, snr_db=2.0, theta0=0.3)
+        out_dir = tmp_path / "tables"
+        argv = ["tables", "--M", "4", "--K", "12", "--L", "3", "--snr-db", "2", "--theta0", "0.3"]
+        assert main([*argv, "--out-dir", str(out_dir)]) == 0
+        data = {}
+        for name, header in (
+            ("kernel.csv", "phi_index,z,probability"),
+            ("canonical_output_classes.csv", "representative,multiplicity"),
+            ("residue_output_classes.csv", "representative,multiplicity"),
+            ("input_classes.csv", "representative,weight"),
+        ):
+            raw = (out_dir / name).read_bytes()
+            assert raw.startswith(header.encode() + b"\n")
+            assert raw.endswith(b"\n") and b"\r" not in raw
+            data[name] = [line.split(",") for line in raw.decode().splitlines()[1:]]
+            manifest = read_manifest(out_dir / (name + ".manifest"))
+            assert manifest["rows"] == str(len(data[name]))
+        # kernel rows in (phi_index, z) order; each repr reads back to its cell
+        table = kernel_for(cfg).table
+        K, n_phi = table.shape
+        assert [(int(i), int(z)) for i, z, _ in data["kernel.csv"]] == [
+            (i, z) for i in range(n_phi) for z in range(K)
+        ]
+        read = np.array([float(p) for _, _, p in data["kernel.csv"]]).reshape(n_phi, K)
+        assert np.array_equal(read, table.T)
+        for name, alphabet in (
+            ("canonical_output_classes.csv", cfg.K),
+            ("residue_output_classes.csv", cfg.a),
+        ):
+            reps, mults = output_class_arrays(alphabet, cfg.L)
+            assert [[int(v) for v in rep.split()] for rep, _ in data[name]] == reps.tolist()
+            assert [int(m) for _, m in data[name]] == mults.tolist()
+        inputs = grouped_input_classes(np.zeros(cfg.L, dtype=np.int64), cfg.M)
+        assert [tuple(int(v) for v in rep.split()) for rep, _ in data["input_classes.csv"]] == [
+            c.representative for c in inputs
+        ]
+        assert sum(int(w) for _, w in data["input_classes.csv"]) == cfg.M**cfg.L
+
+    def test_grid_refusal_leaves_no_directory(self, tmp_path, capsys):
+        # 100 dB at L = 8 needs a phase grid above the kernel's limit; every
+        # table is built before the directory is made
+        out_dir = tmp_path / "tables"
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--K", "8", "--L", "8", "--snr-db", "100", "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert "phase grid" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_dither_refused_before_any_output(self, tmp_path, capsys):
         out_dir = tmp_path / "tables"

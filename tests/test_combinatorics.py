@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaseq.cli import main
 from phaseq.combinatorics import (
     canonical_output_classes,
-    export_input_classes_csv,
-    export_output_classes_csv,
     grouped_input_classes,
     input_class_count,
     output_class_arrays,
@@ -189,11 +188,12 @@ class TestInputClasses:
 
 
 class TestCsvExports:
+    """The class tables as the ``tables`` command writes them."""
+
     def test_output_classes_roundtrip(self, tmp_path):
         classes = canonical_output_classes(8, 3)
-        path = tmp_path / "classes.csv"
-        export_output_classes_csv(classes, path)
-        lines = path.read_text().strip().splitlines()
+        assert main(["tables", "--M", "4", "--K", "8", "--L", "3", "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "canonical_output_classes.csv").read_text().strip().splitlines()
         assert lines[0] == "representative,multiplicity"
         assert len(lines) == len(classes) + 1
         rep, mult = lines[1].split(",")
@@ -201,11 +201,11 @@ class TestCsvExports:
         assert int(mult) == classes[0].multiplicity
 
     def test_input_classes_export(self, tmp_path):
-        classes = grouped_input_classes(np.array([0, 0, 1]), M=4)
-        path = tmp_path / "inputs.csv"
-        export_input_classes_csv(classes, path)
-        lines = path.read_text().strip().splitlines()
+        classes = grouped_input_classes(np.array([0, 0, 0]), M=4)
+        assert main(["tables", "--M", "4", "--K", "8", "--L", "3", "--out-dir", str(tmp_path)]) == 0
+        lines = (tmp_path / "input_classes.csv").read_text().strip().splitlines()
         assert lines[0] == "representative,weight"
+        assert len(lines) == len(classes) + 1
         total = sum(int(line.split(",")[1]) for line in lines[1:])
         assert total == 4**3
 

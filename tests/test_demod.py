@@ -14,27 +14,45 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from phaseq import SystemConfig, demod
-from phaseq.core import sample_blocks
+from phaseq.core import _check_indices, sample_blocks
 from phaseq.demod import (
+    GlrtCandidate,
     _arc_probabilities,
     _decide,
+    _distinct_crossovers,
     _evaluate_candidates,
     _scan_bank,
     _scan_grid,
     _sweep_rows,
     _symbol_crossovers,
     brute_force_glrt,
-    crossover_angles,
     demodulate_rows,
     glrt_demodulate,
     glrt_demodulate_dithered,
-    glrt_metric,
 )
 from phaseq.transition import kernel_bank_for, kernel_for, sector_probability
 
 TWO_PI = 2.0 * math.pi
 # tolerance between a geometric crossover angle and its likelihood root
 ROOT_TOL = 1e-9
+
+
+def crossover_angles(z, config: SystemConfig) -> np.ndarray:
+    """Sorted distinct crossover angles of a block, in (0, 2*pi/M].
+
+    The same angles demodulate_rows splits the period at.
+    """
+    z = _check_indices(z, "z", config.L, config.K, "K")
+    return _distinct_crossovers(z[None, :], config)[0][0]
+
+
+def glrt_metric(z, x, config: SystemConfig) -> GlrtCandidate:
+    """max_phi P(z | x, phi) for one explicit hypothesis, over the full
+    circle of the scan grid."""
+    z = _check_indices(z, "z", config.L, config.K, "K")
+    x = _check_indices(x, "x", config.L, config.M, "M")
+    lm = _evaluate_candidates(z, x[None, :], config)
+    return GlrtCandidate(x=tuple(int(v) for v in x), metric=math.exp(lm[0]))
 
 
 def assert_crossovers_are_likelihood_roots(z, config):
@@ -270,7 +288,7 @@ class TestEnvelopeScan:
         for i, (z, rec) in enumerate(zip(rows, demodulate_rows(rows, cfg, kernels))):
             d = rec.candidates.shape[0]
             valid = np.ones((1, d), dtype=bool)
-            full = _evaluate_candidates(z[None, :], rec.candidates[None], valid, cfg)
+            full = _evaluate_candidates(z, rec.candidates, cfg)[None, :]
             winner, ties, _ = _decide(full, valid)
             assert rec.winner_index == winner[0]
             assert rec.tie == (ties[0].sum() > 1)

@@ -20,11 +20,13 @@ from scipy.integrate import quad
 
 from phaseq import SystemConfig, demod, transition
 from phaseq.capacity import _input_average
+from phaseq.cli import main
 from phaseq.core import _CHUNK_ELEMENTS, sample_blocks
 from phaseq.demod import _SCAN_TARGET, _scan_bank, _scan_grid, glrt_demodulate
 from phaseq.transition import (
     _MAX_GRID,
     _arc_probabilities,
+    _check_snr_linear,
     _grid_size,
     _log_grid_mean,
     _log_table,
@@ -32,15 +34,22 @@ from phaseq.transition import (
     _wrap_pi,
     block_conditional,
     block_conditional_batch,
-    export_kernel_csv,
     kernel_bank_for,
     kernel_for,
-    phase_offset_pdf,
     sector_offset_probability,
     sector_probability,
 )
 
 TWO_PI = 2.0 * math.pi
+
+
+def phase_offset_pdf(u, snr_linear: float) -> np.ndarray:
+    """Density of (received phase - clean phase), wrapped to [-pi, pi)."""
+    _check_snr_linear(snr_linear)
+    u = np.asarray(u, dtype=float)
+    if not np.isfinite(u).all():
+        raise ValueError("u must be finite")
+    return _phase_offset_pdf(u, snr_linear)
 
 
 # ---- phase offset density ----------------------------------------------------
@@ -644,8 +653,9 @@ def test_phase_grid_matches_finer_grid(M, K, L, snr_db, dither):
 
 def test_kernel_csv_roundtrip(tmp_path, qpsk8):
     k = kernel_for(qpsk8)
+    argv = ["tables", "--M", "4", "--K", "8", "--L", "2", "--snr-db", "6"]
+    assert main([*argv, "--out-dir", str(tmp_path)]) == 0
     path = tmp_path / "kernel.csv"
-    export_kernel_csv(k, path)
     assert path.read_text().startswith("phi_index,z,probability\n")
     i, z, p = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
     table = np.full(k.table.shape, np.nan)
