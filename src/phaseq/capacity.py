@@ -37,20 +37,22 @@ from .combinatorics import output_class_arrays
 from .core import SystemConfig, _as_int, _distinct_rows, sample_blocks
 from .transition import (
     TransitionKernel,
+    _bank_tables,
     _check_own_kernels,
     _log_grid_mean,
     _rolled_rows,
-    kernel_bank_for,
     kernel_for,
 )
 
 LOG2E = 1.0 / math.log(2.0)
 # Monte Carlo blocks sampled and scored per batch
 _MC_BATCH = 8192
-# The brute-force oracle builds a (K^L, n_phi) table of P(z | x, phi) per
-# input and refuses one above this many elements (64 MB); the largest case
-# the tests check, M=2 K=4 L=5 at 40 dB, has 1,024 x 5,432 (5.6M).
+# The brute-force oracle refuses a (K^L, n_phi) table of P(z | x, phi) above
+# _MAX_BRUTE_ELEMENTS (64 MB), and H(Z) its M^L tables above _MAX_BRUTE_WORK
+# elements in all (M=4 K=8 L=5 at 6 dB would take 31 s). The largest tested
+# case, M=2 K=4 L=5 at 40 dB, has 1,024 x 5,432 (5.6M) per input, 178M in all.
 _MAX_BRUTE_ELEMENTS = 2**23
+_MAX_BRUTE_WORK = 2**28
 
 
 @dataclass(frozen=True)
@@ -151,8 +153,9 @@ def mutual_information(config: SystemConfig, method: str = "reduced") -> Capacit
         h_out = output_entropy(config)
         label = "reduced-exact"
     elif method == "brute":
-        h_cond = brute_force_conditional_entropy(config)
+        # H(Z) first: its work bound refuses before any table is multiplied
         h_out = brute_force_output_entropy(config)
+        h_cond = brute_force_conditional_entropy(config)
         label = "brute-force"
     else:
         raise ValueError(f"unknown method: {method!r}")
@@ -200,10 +203,17 @@ def brute_force_conditional_entropy(config: SystemConfig) -> float:
 
 
 def brute_force_output_probs(config: SystemConfig) -> np.ndarray:
-    """P(z) for every z in lexicographic order, averaging all M^L inputs."""
+    """P(z) for every z in lexicographic order, averaging all M^L inputs.
+    Raises ValueError, before the first product, when their M^L (K^L, n_phi)
+    tables exceed _MAX_BRUTE_WORK elements in all."""
+    M, K, L = config.M, config.K, config.L
+    n_phi = kernel_for(config).n_phi
+    if M**L * K**L * n_phi > _MAX_BRUTE_WORK:
+        raise ValueError(
+            f"brute-force output space too large: {M}^{L} inputs x {K}^{L} blocks x {n_phi}"
+            f" phase points is above the limit of {_MAX_BRUTE_WORK} elements in all"
+        )
     inputs = product(range(config.M), repeat=config.L)
-    # the first input's table is the sum's start, so an oversized output
-    # space is refused before anything K^L long is allocated
     total = block_probs_all_outputs(config, next(inputs))
     for x in inputs:
         total += block_probs_all_outputs(config, x)
@@ -271,9 +281,8 @@ def mutual_information_mc(
     trials = _as_int(trials, "trials")
     if trials < 100:
         raise ValueError("trials must be at least 100")
-    kernels = kernel_bank_for(config)
     L, M, K, a = config.L, config.M, config.K, config.a
-    tables = [k.table for k in kernels]
+    tables = _bank_tables(config)
     averaged = {id(t): _input_average(t, M, a) for t in tables}
     mixed = [averaged[id(t)] for t in tables]
     shared = not config.is_dithered

@@ -20,9 +20,10 @@ row has up to L distinct crossovers, one per symbol, where an undithered one
 has at most a.
 
 Metrics are maxima over a scan grid of the smallest multiple of K at or above
-720 points, which this module fills and holds per config (_scan_bank; exact
-symmetry on the grid); it reads no transition kernel. The sweep scores all
-candidates of a row by one scan of the envelope
+720 points: _scan_bank holds, per config, the log table of each position's
+transition kernel on that grid (exact symmetry on the grid), so demod and
+the block probabilities share one fill and one table cache. The sweep scores
+all candidates of a row by one scan of the envelope
 E(phi) = sum_l max_m log P(z_l | m, phi) over the n_scan/M grid points of one
 period: on a candidate's segment E is its own metric, so each candidate gets
 the maximum of E over its segment's grid points. The winner's value is thus
@@ -54,12 +55,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import _CHUNK_ELEMENTS, TWO_PI, SystemConfig, _check_indices
-from .transition import (
-    TransitionKernel,
-    _arc_probabilities,
-    _check_own_kernels,
-    _rolled_rows,
-)
+from .transition import TransitionKernel, _check_own_kernels, _kernel_cached, _log_table
 
 DEFAULT_TIE_TOL = 1e-6
 _ALPHA_DEDUPE = 1e-12
@@ -143,28 +139,6 @@ def _distinct_crossovers(Z: np.ndarray, config: SystemConfig) -> tuple[np.ndarra
 # ---- scan tables -------------------------------------------------------------
 
 
-@lru_cache(maxsize=128)
-def _scan_grid(K: int, snr_db: float, theta0: float) -> tuple[np.ndarray, np.ndarray]:
-    """(phi_scan, log table (K, n_scan)) on the plain grid i*2*pi/n_scan.
-
-    n_scan is the smallest multiple of K at or above _SCAN_TARGET, so cell
-    (z, i) is the base row log g(m*2*pi/n_scan - theta0), one arc fill, at
-    m = (z*n_scan/K - i) mod n_scan, and each row is an exact roll of row 0;
-    that keeps metric ties between symmetry-related candidates exact on the
-    grid. The table is a read-only _rolled_rows view and phi_scan is
-    read-only too, since the cache shares both. Underflowed cells hold -inf.
-    The pair depends on K, the SNR and theta0 only, so configs that differ
-    in M or L share it.
-    """
-    n_scan = K * math.ceil(_SCAN_TARGET / K)
-    with np.errstate(divide="ignore"):
-        base = np.log(_arc_probabilities(-theta0, n_scan, K, 10.0 ** (snr_db / 10.0)))
-    phi_scan = (TWO_PI / n_scan) * np.arange(n_scan)
-    phi_scan.flags.writeable = False
-    # row 0 is base[-i mod n_scan]: base[0], then base reversed
-    return phi_scan, _rolled_rows(np.roll(base[::-1], 1), K)
-
-
 # A dithered config holds L scan tables of 2*n_scan values and L (K, P + 1)
 # envelopes, most of its memory (about 24 MB at K = 64 and a 200-position
 # ramp). A run, its chunk threads and a per-block loop score one config at
@@ -173,23 +147,30 @@ def _scan_grid(K: int, snr_db: float, theta0: float) -> tuple[np.ndarray, np.nda
 def _scan_bank(config: SystemConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Each position's (phi_scan, log table, envelope) under the config.
 
-    Position l is scanned at theta0 + dither_l. The envelope is the
-    (K, P + 1) table of max_m log P(z | m, phi_i), with P = n_scan/M. The
-    scan rows are exact rolls by P per constellation step (row z - a*m at i
-    is row z at i + m*P), so the envelope is bitwise 2*pi/M-periodic and its
-    first P columns hold all of it. Column P is a -inf sentinel that closes
-    each row's last segment. Positions with equal rotations share one
-    triple. The cache holds whole configs, so a dithered block longer than
-    _scan_grid's cache never refills a position once its config is held;
-    SER chunk threads that fill one config at once store equal tables.
+    Position l is scanned at theta0 + dither_l on the grid i*2*pi/n_scan,
+    n_scan the smallest multiple of K at or above _SCAN_TARGET. Its log
+    table is _log_table of the kernel at that rotation and grid (-inf where
+    it underflows), so each row is an exact roll of row 0, which keeps ties
+    between symmetry-related candidates exact. The envelope is the
+    (K, P + 1) table of max_m log P(z | m, phi_i), with P = n_scan/M: row
+    z - a*m at i is row z at i + m*P, so the envelope is bitwise
+    2*pi/M-periodic and its first P columns hold all of it. Column P is a
+    -inf sentinel that closes each row's last segment. Positions with equal
+    rotations share one triple, and all share one read-only phi_scan. The
+    cache holds whole configs, so a block longer than the kernel cache never
+    refills a position once its config is held.
     """
     K, M = config.K, config.M
+    n_scan = K * math.ceil(_SCAN_TARGET / K)
+    phi_scan = (TWO_PI / n_scan) * np.arange(n_scan)
+    phi_scan.flags.writeable = False
+    P = n_scan // M
     scans = {}
     for d in config.dither:
         theta = config.theta0 + d
         if theta not in scans:
-            phi_scan, table = _scan_grid(K, config.snr_db, theta)
-            P = phi_scan.size // M
+            with np.errstate(divide="ignore"):
+                table = _log_table(_kernel_cached(K, config.snr_db, theta, n_scan).table)
             env = np.full((K, P + 1), -np.inf)
             env[:, :P] = table.reshape(K, M, P).max(axis=1)
             scans[theta] = (phi_scan, table, env)

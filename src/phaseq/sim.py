@@ -31,8 +31,8 @@ dither each position has its own rotation, so the sort is lost but the
 residue step is not: rows are the residue vectors in block order (at most
 a^L of them, 256 at K=8, L=8 against thousands of sector vectors), and a
 block's decision is its row's plus its own z div a. The chunk engine hands
-demod the config alone, and demod scores rows from its own scan tables, so
-a run fills no transition kernel.
+demod the config alone, and demod scores rows from kernels on its own scan
+grid, so a run fills no kernel on a block-probability grid.
 
 Each thread that runs chunks keeps one workspace (_THREAD_WORK), which
 holds the sampler's planes and the chunk's quotient, index and decision

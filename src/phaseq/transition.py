@@ -11,48 +11,50 @@ with rho the linear SNR and Phi the standard normal CDF. _phase_offset_pdf
 evaluates f without checking its arguments: its callers pass a config's SNR,
 already checked, or check the SNR themselves. A sector probability
 is f integrated over an arc of width 2*pi/K: by adaptive quadrature in the
-reference sector_probability, and for whole grids (the kernel tables here,
-demod's scan tables) by _arc_probabilities, one 16-node Gauss-Legendre rule
-(computed once, at import) per part of each grid cell, with each arc summing
-the cells it spans. A fill evaluates all 16 nodes of a block of cells in one
-density call, in blocks of _CHUNK_ELEMENTS // 16 cells, so its temporaries
-stay at 512 KB whatever the grid size.
-Block probabilities average the per-symbol product over phi on a uniform grid
-(composite midpoint rule; the integrand is smooth and periodic, so the rule
-converges spectrally). The grid size is worked out from (K, SNR, L) by
-_grid_size, not chosen: the L-fold product of per-symbol phase laws is about
-1/sqrt(2*rho*L) wide, so its Fourier coefficients fall below 1e-12 of the
-mean near 10.5*sqrt(rho*L); 24*sqrt(rho*L) + 64 points leave about 2x margin
-above that and cover low SNR, and rounding up to a multiple of K keeps the
-sector-shift symmetries exact rolls. Against a grid 8x finer, log P(z | x)
-and log P(z) of channel-sampled blocks agree within 1e-13 from -10 to 40 dB
-and up to L = 200. One routine, _log_grid_mean, forms every such
-product in one pass over its rows, in blocks of about core._CHUNK_ELEMENTS
-grid values (512 KB), so that the accumulator and the table rows gathered
-into it stay in L2 cache and below the allocator's mmap threshold. Each
-block is multiplied linearly, and the rows whose linear product underflows
-are redone in log space in the same block (every row is, at once, when the
-tables' peaks alone multiply to below the floor), so long blocks keep finite
-log-probabilities. Each row's arithmetic is the same however rows are
-grouped, so the results do not depend on the block size.
+reference sector_probability, and for a whole grid (a kernel's table, the
+one fill of the package) by _arc_probabilities, one 16-node Gauss-Legendre
+rule (computed once, at import) per part of each grid cell, with each arc
+summing the cells it spans. A fill evaluates all 16 nodes of a block of
+cells in one density call, in blocks of _CHUNK_ELEMENTS // 16 cells, so its
+temporaries stay at 512 KB whatever the grid size.
+Block probabilities average the per-symbol product over phi on the uniform
+grid phi_i = i*2*pi/n (the composite trapezoidal rule; the integrand is
+smooth and periodic, so the rule converges spectrally). The grid size is
+worked out from (K, SNR, L) by _grid_size, not chosen: the L-fold product of
+per-symbol phase laws is about 1/sqrt(2*rho*L) wide, so its Fourier
+coefficients fall below 1e-12 of the mean near 10.5*sqrt(rho*L);
+24*sqrt(rho*L) + 64 points leave about 2x margin above that and cover low
+SNR, and rounding up to a multiple of K keeps the sector-shift symmetries
+exact rolls. Against a grid 8x finer, log P(z | x) and log P(z) of
+channel-sampled blocks agree within 1e-13 from -10 to 40 dB and up to
+L = 200. One routine, _log_grid_mean, forms every such product in one pass
+over its rows, in blocks of about core._CHUNK_ELEMENTS grid values (512 KB),
+so that the accumulator and the table rows gathered into it stay in L2 cache
+and below the allocator's mmap threshold. Each block is multiplied linearly,
+and the rows whose linear product underflows are redone in log space in the
+same block (every row is, at once, when the tables' peaks alone multiply to
+below the floor), so long blocks keep finite log-probabilities. Each row's
+arithmetic is the same however rows are grouped, so the results do not
+depend on the block size.
 
 Only the x = 0 slice of the scalar transition law is ever tabulated: shifting
 the input by one constellation step shifts the output law by a = K/M sectors,
 so any (z, x) probability is row (z - a*x) mod K of that slice. Each row of
 the slice is in turn one base row rolled by n/K grid points per sector, so
-every (K, n) sector table (the kernel tables here, demod's scan tables and
-capacity's input-averaged tables) is _rolled_rows: a read-only view over one
-doubled copy of its base row, holding 2n values rather than K*n.
+every (K, n) sector table (a kernel's table, its log, which demod scans,
+and capacity's input-averaged tables) is _rolled_rows: a read-only view over
+one doubled copy of its base row, holding 2n values rather than K*n.
 
 Every table is a function of the operating point alone, so the config is
 the only handle: block_conditional takes it and looks its kernels up through
-kernel_bank_for. A kernel holds one table, its block-probability table, built
-on first read, and is keyed by what that table depends on: K, the SNR, the
-rotation theta0 (plus the position's dither) and the phase grid, which
-follows from K, the SNR and L. The x = 0 slice does not depend on M, so
-configs that differ only in M share one kernel. Demod's scan tables are
-keyed by the config and never touch a kernel. Where a kernel is still passed
-in, _check_own_kernels rejects any that is not the config's own.
+kernel_bank_for. A kernel holds one table, built on first read, and is keyed
+by what that table depends on: K, the SNR, the rotation theta0 (plus the
+position's dither) and the grid size, which is the config's _grid_size for
+block probabilities and demod's fixed scan grid for its log tables. The
+x = 0 slice does not depend on M, so configs that differ only in M share one
+kernel. _bank_tables holds the last config's tables, so a dithered block
+longer than the kernel cache keeps them between calls. Where a kernel is
+still passed in, _check_own_kernels rejects any that is not the config's own.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ _UNDERFLOW_FLOOR = 1e-280
 # _arc_probabilities splits each grid cell into ceil(width*sqrt(2*rho)) parts
 # and refuses more than this many: on demod's 720-point scan grid that is
 # about 104 dB, where a fill already costs 2,048*16*720 density evaluations.
-# Kernel fills need one part, since their grid grows with sqrt(rho*L).
+# Block-probability grids need one part, since they grow with sqrt(rho*L).
 _MAX_ARC_PARTS = 2048
 # The 16-node Gauss-Legendre rule on [-1, 1] that integrates every part,
 # computed once here: leggauss costs about half a millisecond a call, as much
@@ -227,16 +229,15 @@ def _grid_size(config: SystemConfig) -> int:
 
 @dataclass(eq=False)
 class TransitionKernel:
-    """P(z | x = 0, phi_i) on a uniform midpoint phi grid of n_phi points.
+    """P(z | x = 0, phi_i) on the uniform grid phi_i = i*2*pi/n_phi.
 
     The fields are all the table depends on, so they key the kernel cache:
     configs that differ only in M share one kernel. n_phi is the _grid_size
-    of the config the kernel was looked up for. The (K, n_phi) table is
-    built on first use; every table row is a cyclic relabeling of one set of
-    arc probabilities g(t) sampled uniformly in t, which makes the
-    sector-shift symmetry hold exactly on the grid, and the table is a
-    read-only _rolled_rows view of that one row. The demodulator never reads
-    the table: demod fills its own scan tables.
+    of the config for block probabilities and demod's scan grid for its
+    scan tables. The (K, n_phi) table is built on first use; every table row
+    is a cyclic relabeling of one set of arc probabilities g(t) sampled
+    uniformly in t, which makes the sector-shift symmetry hold exactly on
+    the grid, and the table is a read-only _rolled_rows view of that one row.
     """
 
     snr_db: float
@@ -246,14 +247,14 @@ class TransitionKernel:
 
     @property
     def phi_grid(self) -> np.ndarray:
-        return (np.arange(self.n_phi) + 0.5) * (TWO_PI / self.n_phi)
+        return np.arange(self.n_phi) * (TWO_PI / self.n_phi)
 
     @cached_property
     def table(self) -> np.ndarray:
-        """Read-only (K, n_phi) table of the n_phi arc probabilities
-        g((m + 1/2)*2*pi/n_phi - theta0): cell (z, i) is g at grid offset
-        (z*n_phi/K - i - 1) mod n_phi, so row 0 is g reversed and row z is
-        row 0 rolled by z*n_phi/K. Raises ValueError beyond _MAX_GRID points.
+        """Read-only (K, n_phi) table of the arc probabilities
+        g(m*2*pi/n_phi - theta0): cell (z, i) is g at m = (z*n_phi/K - i) mod
+        n_phi, so row z is row 0 rolled by z*n_phi/K. Raises ValueError
+        beyond _MAX_GRID points.
         """
         n, K = self.n_phi, self.K
         if n > _MAX_GRID:
@@ -262,8 +263,8 @@ class TransitionKernel:
                 f" length, above the {_MAX_GRID}-point limit of block probabilities"
             )
         rho = 10.0 ** (self.snr_db / 10.0)
-        g = _arc_probabilities(0.5 * (TWO_PI / n) - self.theta0, n, K, rho)
-        return _rolled_rows(g[::-1], K)
+        g = _arc_probabilities(-self.theta0, n, K, rho)
+        return _rolled_rows(np.roll(g[::-1], 1), K)
 
 
 @lru_cache(maxsize=128)
@@ -289,13 +290,21 @@ def kernel_bank_for(config: SystemConfig) -> tuple[TransitionKernel, ...]:
     """One kernel per block position; position l bakes its dither into theta0.
 
     Undithered, theta0 + 0.0 == theta0, so every position gets kernel_for's
-    kernel.
+    kernel. Looking a bank up fills no table.
     """
     n = _grid_size(config)
     return tuple(
         _kernel_cached(config.K, config.snr_db, config.theta0 + d, n)
         for d in config.dither
     )
+
+
+# A dithered block can outnumber _kernel_cached's entries, so the last
+# config's tables are held here; a run scores one config at a time.
+@lru_cache(maxsize=1)
+def _bank_tables(config: SystemConfig) -> tuple[np.ndarray, ...]:
+    """The table of each kernel of kernel_bank_for(config), in position order."""
+    return tuple(k.table for k in kernel_bank_for(config))
 
 
 def _check_own_kernels(config: SystemConfig, kernels) -> None:
@@ -323,8 +332,7 @@ def block_conditional(z, x, config: SystemConfig) -> float:
     z = _check_indices(z, "z", config.L, config.K, "K")
     x = _check_indices(x, "x", config.L, config.M, "M")
     S = (z - config.a * x) % config.K
-    tables = [k.table for k in kernel_bank_for(config)]
-    return float(np.exp(_log_grid_mean(tables, S[None, :])[0]))
+    return float(np.exp(_log_grid_mean(_bank_tables(config), S[None, :])[0]))
 
 
 def block_conditional_batch(Z: np.ndarray, kernel: TransitionKernel) -> np.ndarray:

@@ -332,6 +332,22 @@ def test_brute_force_refuses_oversized_space_before_allocating():
     assert peak < 2**20
 
 
+def test_brute_force_refuses_oversized_work_before_any_product():
+    # 4^5 inputs x 8^5 blocks x 176 phase points is 5.9G products, about
+    # 31 s, though each input's table is under _MAX_BRUTE_ELEMENTS
+    cfg = SystemConfig(M=4, K=8, L=5, snr_db=6.0)
+    calls = (
+        brute_force_output_probs,
+        brute_force_output_entropy,
+        lambda c: mutual_information(c, method="brute"),
+    )
+    started = time.perf_counter()
+    for call in calls:
+        with pytest.raises(ValueError, match="inputs x"):
+            call(cfg)
+    assert time.perf_counter() - started < 1.0
+
+
 def test_brute_output_probs_normalize():
     cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
     probs = brute_force_output_probs(cfg)

@@ -164,8 +164,10 @@ class TestCapacityCommand:
           "--workers", "0"], "workers must be at least 1"),
         (["capacity", "--method", "brute", "--K", "16", "--L", "6", "--snr", "6"],
          "brute-force output space too large"),
+        (["capacity", "--method", "brute", "--M", "4", "--K", "8", "--L", "5", "--snr", "6"],
+         "inputs x"),
     ],
-    ids=["snr-4000", "workers-0", "brute-oversized"],
+    ids=["snr-4000", "workers-0", "brute-oversized", "brute-work"],
 )
 def test_out_of_range_inputs_exit_2(argv, message, tmp_path, capsys):
     out = tmp_path / "refused.csv"

@@ -13,16 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from phaseq import SystemConfig, demod
+from phaseq import SystemConfig, transition
 from phaseq.core import _check_indices, sample_blocks
 from phaseq.demod import (
     GlrtCandidate,
-    _arc_probabilities,
     _decide,
     _distinct_crossovers,
     _evaluate_candidates,
     _scan_bank,
-    _scan_grid,
     _sweep_rows,
     _symbol_crossovers,
     brute_force_glrt,
@@ -30,7 +28,13 @@ from phaseq.demod import (
     glrt_demodulate,
     glrt_demodulate_dithered,
 )
-from phaseq.transition import kernel_bank_for, kernel_for, sector_probability
+from phaseq.transition import (
+    _arc_probabilities,
+    _kernel_cached,
+    kernel_bank_for,
+    kernel_for,
+    sector_probability,
+)
 
 TWO_PI = 2.0 * math.pi
 # tolerance between a geometric crossover angle and its likelihood root
@@ -464,7 +468,7 @@ class TestSweepStructure:
 
     def test_scan_tables_fill_once_per_position(self, monkeypatch):
         # 200 ramp positions, each with its own rotation, outnumber the 128
-        # entries of _scan_grid's cache; the config's bank holds all of them,
+        # entries of the kernel cache; the config's bank holds all of them,
         # so two sweeps fill each position's table once
         cfg = SystemConfig(M=4, K=8, L=200, snr_db=7.25, dither="ramp")
         calls = [0]
@@ -473,9 +477,9 @@ class TestSweepStructure:
             calls[0] += 1
             return _arc_probabilities(*args)
 
-        monkeypatch.setattr(demod, "_arc_probabilities", counting_fill)
+        monkeypatch.setattr(transition, "_arc_probabilities", counting_fill)
         _scan_bank.cache_clear()
-        _scan_grid.cache_clear()
+        _kernel_cached.cache_clear()
         rng = np.random.default_rng(5)
         for _ in range(2):
             _sweep_rows(rng.integers(0, cfg.K, size=(20, cfg.L)), cfg)
@@ -484,10 +488,11 @@ class TestSweepStructure:
     def test_scan_bank_memory_is_bounded(self):
         # each of 200 ramp positions holds a (64, 768) scan table; as views
         # of one doubled row the bank holds about 24 MB, mostly the (64, 193)
-        # envelopes, while gathered tables would hold 99.8 MB
+        # envelopes, while gathered tables would hold 99.8 MB. The kernel
+        # cache keeps the linear tables of the last 128 positions, 1.5 MB
         cfg = SystemConfig(M=4, K=64, L=200, snr_db=10.0, dither="ramp")
         _scan_bank.cache_clear()
-        _scan_grid.cache_clear()
+        _kernel_cached.cache_clear()
         tracemalloc.start()
         try:
             bank = _scan_bank(cfg)
@@ -495,7 +500,7 @@ class TestSweepStructure:
         finally:
             tracemalloc.stop()
             _scan_bank.cache_clear()
-            _scan_grid.cache_clear()
+            _kernel_cached.cache_clear()
         assert len({id(t[1]) for t in bank}) == cfg.L
         assert held < 30 * 2**20
 

@@ -455,8 +455,8 @@ class TestChunkEngine:
             sys.setswitchinterval(interval)
 
     # A guard against a future regression rather than a present defect:
-    # demod scores rows from its own scan tables, so a kernel's
-    # block-probability table is filled only where it is read. The kernel
+    # demod scores rows from kernels on its own scan grid, so a kernel on
+    # the block-probability grid is filled only where it is read. The kernel
     # cache is cleared first, so tables other tests filled do not count.
     @pytest.mark.parametrize("dither", [None, "ramp"])
     def test_run_fills_no_kernel_table(self, dither):

@@ -18,16 +18,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from phaseq import SystemConfig, demod, transition
-from phaseq.capacity import _input_average
+from phaseq import SystemConfig, transition
+from phaseq.capacity import _input_average, mutual_information, mutual_information_mc
 from phaseq.cli import main
 from phaseq.core import _CHUNK_ELEMENTS, sample_blocks
-from phaseq.demod import _SCAN_TARGET, _scan_bank, _scan_grid, glrt_demodulate
+from phaseq.demod import _SCAN_TARGET, _scan_bank, glrt_demodulate
+from phaseq.sim import run_ser
 from phaseq.transition import (
     _MAX_GRID,
     _arc_probabilities,
+    _bank_tables,
     _check_snr_linear,
     _grid_size,
+    _kernel_cached,
     _log_grid_mean,
     _log_table,
     _phase_offset_pdf,
@@ -241,15 +244,16 @@ def test_arc_fill_matches_quadrature_oracle(K, snr_db, rng):
     cfg = SystemConfig(M=4, K=K, L=1, snr_db=snr_db, theta0=0.3)
     width = TWO_PI / K
     k = kernel_for(cfg)
-    # row 0 of both tables holds the arc probabilities g in reverse grid order
-    kernel_base = k.table[0, (-np.arange(k.n_phi) - 1) % k.n_phi]
+    # row 0 of both tables holds the arc probabilities g(m*2*pi/n - theta0)
+    # at column -m mod n
+    kernel_base = k.table[0, (-np.arange(k.n_phi)) % k.n_phi]
     _, logtab, _ = _scan_bank(cfg)[0]
     n_scan = logtab.shape[1]
     scan_base = np.exp(logtab[0, (-np.arange(n_scan)) % n_scan])
-    for n, probs, half in ((k.n_phi, kernel_base, 0.5), (n_scan, scan_base, 0.0)):
+    for n, probs in ((k.n_phi, kernel_base), (n_scan, scan_base)):
         stride = n // 20
         for m in range(int(rng.integers(stride)), n, stride):
-            t = (m + half) * TWO_PI / n - cfg.theta0
+            t = m * TWO_PI / n - cfg.theta0
             direct = sector_offset_probability(t, width, cfg.snr_linear)
             assert probs[m] == pytest.approx(direct, rel=rel, abs=1e-250)
 
@@ -334,7 +338,6 @@ def test_sector_tables_are_read_only_views_of_one_row(K, snr_db, theta0, monkeyp
         return fills[args].copy()
 
     monkeypatch.setattr(transition, "_arc_probabilities", fill_once)
-    monkeypatch.setattr(demod, "_arc_probabilities", fill_once)
     M = 4
     cfg = SystemConfig(M=M, K=K, L=2, snr_db=snr_db, theta0=theta0)
     n_scan = K * math.ceil(_SCAN_TARGET / K)
@@ -342,15 +345,14 @@ def test_sector_tables_are_read_only_views_of_one_row(K, snr_db, theta0, monkeyp
     if k.n_phi > _MAX_GRID:
         k = replace(k, n_phi=n_scan)
     n = k.n_phi
-    g = fill_once(0.5 * TWO_PI / n - theta0, n, K, cfg.snr_linear)
-    kernel_want = _gathered(g, K, -1)
+    g = fill_once(-theta0, n, K, cfg.snr_linear)
+    kernel_want = _gathered(g, K, 0)
     inputs = (np.arange(K)[:, None] - (K // M) * np.arange(M)[None, :]) % K
     mixed_want = kernel_want[inputs].mean(axis=1)
     with np.errstate(divide="ignore"):
         scan_want = _gathered(np.log(fill_once(-theta0, n_scan, K, cfg.snr_linear)), K, 0)
         log_want = np.log(kernel_want)
-    _scan_grid.cache_clear()
-    phi_scan, scan = _scan_grid(K, snr_db, theta0)
+    phi_scan, scan, _ = _scan_bank(cfg)[0]
     with np.errstate(divide="ignore"):
         log_kernel = _log_table(k.table)
     views = (
@@ -424,26 +426,99 @@ def test_run_paths_load_no_quadrature_scipy():
     assert out[2] == "True"
 
 
-def test_demod_tables_shared_across_block_lengths():
-    # the scan grid and table depend on (K, SNR, theta0), not on M or the
-    # L-dependent phase grid, so L = 8 and M = 8 reuse what L = 4 built; the
-    # envelope depends on M, so the M = 8 config has its own. The kernel
-    # depends on the phase grid but not on M, so only M = 8 shares it
+def _count_fills(monkeypatch):
+    """Count each distinct arc fill, from empty table caches."""
+    fills = {}
+
+    def counting_fill(*args):
+        fills[args] = fills.get(args, 0) + 1
+        return _arc_probabilities(*args)
+
+    monkeypatch.setattr(transition, "_arc_probabilities", counting_fill)
+    _kernel_cached.cache_clear()
+    _bank_tables.cache_clear()
+    _scan_bank.cache_clear()
+    return fills
+
+
+def test_demod_tables_shared_across_block_lengths(monkeypatch):
+    # the scan kernel depends on (K, SNR, theta0), not on M or the
+    # L-dependent phase grid, so L = 8 and M = 8 reuse what L = 4 filled;
+    # the envelope depends on M, so the M = 8 config has its own. The
+    # block-probability kernel depends on the phase grid but not on M, so
+    # only M = 8 shares it
+    fills = _count_fills(monkeypatch)
     short = SystemConfig(M=4, K=64, L=4, snr_db=10.0)
     long, octal = replace(short, L=8), replace(short, M=8)
     assert _grid_size(short) != _grid_size(long)
+    banks = {}
     for cfg in (short, long, octal):
         glrt_demodulate(np.zeros(cfg.L, dtype=np.int64), cfg)
-    base = _scan_bank(short)[0]
-    phi_scan, table = _scan_grid(short.K, short.snr_db, short.theta0)
-    assert phi_scan is base[0] and table is base[1]
+        banks[cfg] = _scan_bank(cfg)[0]
+    n_scan = 64 * math.ceil(_SCAN_TARGET / 64)
+    assert list(fills) == [(-short.theta0, n_scan, 64, short.snr_linear)]
+    base = banks[short]
+    for cfg in (long, octal):
+        phi_scan, table, _ = banks[cfg]
+        assert phi_scan.tobytes() == base[0].tobytes()
+        assert np.ascontiguousarray(table).tobytes() == np.ascontiguousarray(base[1]).tobytes()
+    assert np.array_equal(banks[long][2], base[2])
+    assert banks[octal][2].shape != base[2].shape
     assert kernel_for(long) is not kernel_for(short)
     assert kernel_for(octal) is kernel_for(short)
-    for cfg in (long, octal):
-        phi_scan, table, _ = _scan_bank(cfg)[0]
-        assert phi_scan is base[0] and table is base[1]
-    assert np.array_equal(_scan_bank(long)[0][2], base[2])
-    assert _scan_bank(octal)[0][2].shape != base[2].shape
+
+
+@pytest.mark.parametrize(
+    "K, snr_db, dither", [(8, 6.0, None), (8, 14.0, "ramp"), (64, 10.0, "ramp"), (8, 100.0, None)]
+)
+def test_scan_tables_are_logs_of_scan_grid_kernels(K, snr_db, dither):
+    # byte for byte, -inf cells included: each position's scan table is
+    # the log of the kernel at its rotation on the scan grid
+    cfg = SystemConfig(M=4, K=K, L=4, snr_db=snr_db, theta0=0.3, dither=dither)
+    n_scan = K * math.ceil(_SCAN_TARGET / K)
+    for d, (phi_scan, table, _) in zip(cfg.dither, _scan_bank(cfg)):
+        kernel = _kernel_cached(K, snr_db, cfg.theta0 + d, n_scan)
+        with np.errstate(divide="ignore"):
+            want = _log_table(kernel.table)
+        assert np.ascontiguousarray(table).tobytes() == np.ascontiguousarray(want).tobytes()
+        assert phi_scan.tobytes() == kernel.phi_grid.tobytes()
+    if snr_db == 100.0:
+        assert np.isneginf(table).any()
+
+
+def test_every_path_fills_each_table_once(monkeypatch):
+    # exact MI, Monte Carlo MI and SER on one operating point, undithered
+    # and ramp, twice over: each (K, SNR, rotation, grid) is filled once,
+    # on the block-probability grid and on the scan grid
+    fills = _count_fills(monkeypatch)
+    cfg = SystemConfig(M=4, K=8, L=4, snr_db=10.0)
+    ramp = replace(cfg, dither="ramp")
+    for _ in range(2):
+        mutual_information(cfg)
+        for c in (cfg, ramp):
+            mutual_information_mc(c, 200, np.random.default_rng(1))
+            run_ser(c, 1_000, seed=1, workers=1)
+    n_scan = 8 * math.ceil(_SCAN_TARGET / 8)
+    want = {
+        (-(ramp.theta0 + d), n, 8, ramp.snr_linear)
+        for d in ramp.dither
+        for n in (_grid_size(ramp), n_scan)
+    }
+    assert set(fills) == want and len(want) == 2 * ramp.L
+    assert set(fills.values()) == {1}
+
+
+@pytest.mark.parametrize("L", [100, 200])
+def test_long_dithered_bank_fills_once(L, monkeypatch):
+    # 200 ramp positions outnumber the kernel cache's 128 entries; the bank
+    # holds them, so second calls fill no table
+    fills = _count_fills(monkeypatch)
+    cfg = SystemConfig(M=4, K=8, L=L, snr_db=10.0, dither="ramp")
+    z = np.arange(L) % 8
+    for _ in range(2):
+        block_conditional(z, np.zeros(L, dtype=np.int64), cfg)
+        mutual_information_mc(cfg, 200, np.random.default_rng(2))
+        assert len(fills) == L and set(fills.values()) == {1}
 
 
 def test_kernel_bank_undithered_shares_kernel(qpsk8):
