@@ -37,10 +37,10 @@ from .combinatorics import output_class_arrays
 from .core import SystemConfig, _as_int, _distinct_rows, sample_blocks
 from .transition import (
     TransitionKernel,
-    _bank_tables,
     _check_own_kernels,
     _log_grid_mean,
     _rolled_rows,
+    kernel_bank_for,
     kernel_for,
 )
 
@@ -281,8 +281,9 @@ def mutual_information_mc(
     trials = _as_int(trials, "trials")
     if trials < 100:
         raise ValueError("trials must be at least 100")
+    kernels = kernel_bank_for(config)
     L, M, K, a = config.L, config.M, config.K, config.a
-    tables = _bank_tables(config)
+    tables = [k.table for k in kernels]
     averaged = {id(t): _input_average(t, M, a) for t in tables}
     mixed = [averaged[id(t)] for t in tables]
     shared = not config.is_dithered

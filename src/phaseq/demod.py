@@ -156,21 +156,24 @@ def _scan_bank(config: SystemConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.n
     z - a*m at i is row z at i + m*P, so the envelope is bitwise
     2*pi/M-periodic and its first P columns hold all of it. Column P is a
     -inf sentinel that closes each row's last segment. Positions with equal
-    rotations share one triple, and all share one read-only phi_scan. The
-    cache holds whole configs, so a block longer than the kernel cache never
-    refills a position once its config is held.
+    rotations share one triple, and all share one phi_scan: the first
+    kernel's phi_grid, made read-only. The cache holds whole configs, so a
+    block longer than the kernel cache never refills a position once its
+    config is held.
     """
     K, M = config.K, config.M
     n_scan = K * math.ceil(_SCAN_TARGET / K)
-    phi_scan = (TWO_PI / n_scan) * np.arange(n_scan)
-    phi_scan.flags.writeable = False
     P = n_scan // M
     scans = {}
     for d in config.dither:
         theta = config.theta0 + d
         if theta not in scans:
+            kernel = _kernel_cached(K, config.snr_db, theta, n_scan)
+            if not scans:
+                phi_scan = kernel.phi_grid
+                phi_scan.flags.writeable = False
             with np.errstate(divide="ignore"):
-                table = _log_table(_kernel_cached(K, config.snr_db, theta, n_scan).table)
+                table = _log_table(kernel.table)
             env = np.full((K, P + 1), -np.inf)
             env[:, :P] = table.reshape(K, M, P).max(axis=1)
             scans[theta] = (phi_scan, table, env)

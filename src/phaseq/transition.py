@@ -52,9 +52,8 @@ by what that table depends on: K, the SNR, the rotation theta0 (plus the
 position's dither) and the grid size, which is the config's _grid_size for
 block probabilities and demod's fixed scan grid for its log tables. The
 x = 0 slice does not depend on M, so configs that differ only in M share one
-kernel. _bank_tables holds the last config's tables, so a dithered block
-longer than the kernel cache keeps them between calls. Where a kernel is
-still passed in, _check_own_kernels rejects any that is not the config's own.
+kernel. Where a kernel is still passed in, _check_own_kernels rejects any
+that is not the config's own.
 """
 
 from __future__ import annotations
@@ -299,14 +298,6 @@ def kernel_bank_for(config: SystemConfig) -> tuple[TransitionKernel, ...]:
     )
 
 
-# A dithered block can outnumber _kernel_cached's entries, so the last
-# config's tables are held here; a run scores one config at a time.
-@lru_cache(maxsize=1)
-def _bank_tables(config: SystemConfig) -> tuple[np.ndarray, ...]:
-    """The table of each kernel of kernel_bank_for(config), in position order."""
-    return tuple(k.table for k in kernel_bank_for(config))
-
-
 def _check_own_kernels(config: SystemConfig, kernels) -> None:
     """ValueError unless kernels[l] is kernel_bank_for(config)[l] in value.
 
@@ -332,7 +323,8 @@ def block_conditional(z, x, config: SystemConfig) -> float:
     z = _check_indices(z, "z", config.L, config.K, "K")
     x = _check_indices(x, "x", config.L, config.M, "M")
     S = (z - config.a * x) % config.K
-    return float(np.exp(_log_grid_mean(_bank_tables(config), S[None, :])[0]))
+    tables = [k.table for k in kernel_bank_for(config)]
+    return float(np.exp(_log_grid_mean(tables, S[None, :])[0]))
 
 
 def block_conditional_batch(Z: np.ndarray, kernel: TransitionKernel) -> np.ndarray:

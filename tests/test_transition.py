@@ -27,7 +27,6 @@ from phaseq.sim import run_ser
 from phaseq.transition import (
     _MAX_GRID,
     _arc_probabilities,
-    _bank_tables,
     _check_snr_linear,
     _grid_size,
     _kernel_cached,
@@ -436,7 +435,6 @@ def _count_fills(monkeypatch):
 
     monkeypatch.setattr(transition, "_arc_probabilities", counting_fill)
     _kernel_cached.cache_clear()
-    _bank_tables.cache_clear()
     _scan_bank.cache_clear()
     return fills
 
@@ -506,19 +504,6 @@ def test_every_path_fills_each_table_once(monkeypatch):
     }
     assert set(fills) == want and len(want) == 2 * ramp.L
     assert set(fills.values()) == {1}
-
-
-@pytest.mark.parametrize("L", [100, 200])
-def test_long_dithered_bank_fills_once(L, monkeypatch):
-    # 200 ramp positions outnumber the kernel cache's 128 entries; the bank
-    # holds them, so second calls fill no table
-    fills = _count_fills(monkeypatch)
-    cfg = SystemConfig(M=4, K=8, L=L, snr_db=10.0, dither="ramp")
-    z = np.arange(L) % 8
-    for _ in range(2):
-        block_conditional(z, np.zeros(L, dtype=np.int64), cfg)
-        mutual_information_mc(cfg, 200, np.random.default_rng(2))
-        assert len(fills) == L and set(fills.values()) == {1}
 
 
 def test_kernel_bank_undithered_shares_kernel(qpsk8):
