@@ -480,6 +480,7 @@ def test_scan_tables_are_logs_of_scan_grid_kernels(K, snr_db, dither):
             want = _log_table(kernel.table)
         assert np.ascontiguousarray(table).tobytes() == np.ascontiguousarray(want).tobytes()
         assert phi_scan.tobytes() == kernel.phi_grid.tobytes()
+        assert not phi_scan.flags.writeable
     if snr_db == 100.0:
         assert np.isneginf(table).any()
 
