@@ -1,15 +1,18 @@
 """Command-line frontend: reproducible experiments over the library API.
 
-Every CSV written is paired with a plain-text key=value manifest recording
-the command line, resolved configuration, seed, package version, output
-paths, and wall-clock duration. Reruns with the same arguments and seed
-produce byte-identical CSVs (manifests differ only in the duration field).
+Every CSV is written by one function, _write_table: a header, then one
+comma-joined line per row, each line ending in "\n". Each CSV is paired
+with a plain-text key=value manifest recording the command line, resolved
+configuration, seed, package version, output paths, and wall-clock
+duration. Reruns with the same arguments and seed produce byte-identical
+CSVs (manifests differ only in the duration field). capacity and ser share
+one SNR sweep, _snr_sweep. An --out or --out-dir that cannot be written is
+refused with exit 2 before any point or table is computed.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 import time
@@ -94,21 +97,21 @@ def _write_manifest(
     path.with_name(path.name + ".manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _write_csv(args, rows: list[dict[str, str]], fields: dict[str, object], started: float) -> int:
-    """Write rows to args.out, keys as header, then its manifest; returns exit code 0."""
-    out = Path(args.out)
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
-    _write_manifest(out, args, fields, started, len(rows))
-    print(f"wrote {len(rows)} rows to {out}")
-    return 0
+def _out_file(text: str) -> Path:
+    """--out as a path, refused with ValueError unless it names a file in an
+    existing directory, so that a sweep never computes what it cannot write."""
+    path = Path(text)
+    if path.is_dir():
+        raise ValueError(f"--out {text} is a directory")
+    if not path.parent.is_dir():
+        raise ValueError(f"--out {text}: directory {path.parent} does not exist")
+    return path
 
 
-def _write_table(path: Path, header: str, lines, args, fields, started: float) -> None:
+def _write_table(path: Path, header: str, lines, args, fields, started: float) -> int:
     """Write header and then lines to path, each ending in a newline, then the
-    manifest, whose rows is the number of lines written after the header."""
+    manifest, whose rows is the number of lines written after the header;
+    returns that number."""
     rows = 0
     with path.open("w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\n")
@@ -116,6 +119,7 @@ def _write_table(path: Path, header: str, lines, args, fields, started: float) -
             fh.write(line + "\n")
             rows += 1
     _write_manifest(path, args, fields, started, rows)
+    return rows
 
 
 def _class_lines(reps, counts):
@@ -134,86 +138,71 @@ def _fmt(value: float | None) -> str:
 # ---- subcommands ------------------------------------------------------------
 
 
-def cmd_capacity(args) -> int:
-    snrs = parse_snr_grid(args.snr)
-    first = _build_config(args, snrs[0])
-    if first.is_dithered and args.method != "mc":
-        raise ValueError(
-            f"--dither needs --method mc: --method {args.method} takes undithered configs only"
-        )
+def _snr_sweep(args, header: str, fields, point) -> int:
+    """Run capacity's or ser's SNR sweep and write its CSV and manifest.
+
+    Every point's config is built, and --out checked, before any point runs;
+    fields(configs) gives the manifest fields and may refuse the sweep with
+    ValueError. Point i returns its CSV line from point(config, seed), seed
+    being child i of SeedSequence(args.seed) spawned once per point.
+    """
+    configs = [_build_config(args, snr_db) for snr_db in parse_snr_grid(args.snr)]
+    out = _out_file(args.out)
+    manifest = fields(configs)
     started = time.monotonic()
-    children = np.random.SeedSequence(args.seed).spawn(len(snrs))
-    rows = []
-    grids = []
-    for snr_db, child in zip(snrs, children):
-        cfg = _build_config(args, snr_db)
+    seeds = np.random.SeedSequence(args.seed).spawn(len(configs))
+    lines = [point(cfg, seed) for cfg, seed in zip(configs, seeds)]
+    rows = _write_table(out, header, lines, args, manifest, started)
+    print(f"wrote {rows} rows to {out}")
+    return 0
+
+
+def cmd_capacity(args) -> int:
+    def fields(configs):
+        if configs[0].is_dithered and args.method != "mc":
+            raise ValueError(
+                f"--dither needs --method mc: --method {args.method} takes undithered configs only"
+            )
+        # a bank lookup fills no table
+        return _system_fields(configs[0], args.snr) | {
+            "method": args.method,
+            "nphi": ",".join(str(kernel_bank_for(cfg)[0].n_phi) for cfg in configs),
+            "trials": args.trials if args.method == "mc" else "",
+            "seed": args.seed,
+        }
+
+    def point(cfg, seed):
         if args.method == "mc":
-            rng = np.random.default_rng(child)
-            res = mutual_information_mc(cfg, trials=args.trials, rng=rng)
+            res = mutual_information_mc(cfg, trials=args.trials, rng=np.random.default_rng(seed))
         else:
             res = mutual_information(cfg, method=args.method)
-        grids.append(str(kernel_bank_for(cfg)[0].n_phi))
-        rows.append(
-            {
-                "snr_db": repr(float(snr_db)),
-                "M": str(args.M),
-                "K": str(args.K),
-                "L": str(args.L),
-                "method": res.method,
-                "h_cond_bits": _fmt(res.h_cond),
-                "h_out_bits": _fmt(res.h_out),
-                "mi_bits": _fmt(res.mi),
-                "per_symbol_bits": _fmt(res.per_symbol),
-                "stderr": _fmt(res.error_bar if res.error_bar is not None else 0.0),
-            }
-        )
-    fields = _system_fields(first, args.snr) | {
-        "method": args.method,
-        "nphi": ",".join(grids),
-        "trials": args.trials if args.method == "mc" else "",
-        "seed": args.seed,
-    }
-    return _write_csv(args, rows, fields, started)
+        stderr = res.error_bar if res.error_bar is not None else 0.0
+        values = (res.h_cond, res.h_out, res.mi, res.per_symbol, stderr)
+        return f"{cfg.snr_db!r},{cfg.M},{cfg.K},{cfg.L},{res.method}," + ",".join(map(_fmt, values))
+
+    header = "snr_db,M,K,L,method,h_cond_bits,h_out_bits,mi_bits,per_symbol_bits,stderr"
+    return _snr_sweep(args, header, fields, point)
 
 
 def cmd_ser(args) -> int:
-    snrs = parse_snr_grid(args.snr)
-    first = _build_config(args, snrs[0])
-    mode = _dither_mode(first)
-    started = time.monotonic()
-    children = np.random.SeedSequence(args.seed).spawn(len(snrs))
-    rows = []
-    for snr_db, child in zip(snrs, children):
-        cfg = _build_config(args, snr_db)
-        point = run_ser(
-            cfg,
-            trials=args.trials,
-            seed=child,
-            convention=args.convention,
-            workers=args.workers,
+    def fields(configs):
+        return _system_fields(configs[0], args.snr) | {
+            "convention": args.convention,
+            "trials": args.trials,
+            "seed": args.seed,
+        }
+
+    def point(cfg, seed):
+        res = run_ser(
+            cfg, trials=args.trials, seed=seed, convention=args.convention, workers=args.workers
         )
-        rows.append(
-            {
-                "snr_db": repr(float(snr_db)),
-                "M": str(args.M),
-                "K": str(args.K),
-                "L": str(args.L),
-                "dither_mode": mode,
-                "trials": str(point.trials),
-                "errors": str(point.errors),
-                "ser": repr(point.ser),
-                "ci_low": repr(point.ci_low),
-                "ci_high": repr(point.ci_high),
-                "tie_rate": repr(point.tie_rate),
-                "seed": str(args.seed),
-            }
+        return (
+            f"{cfg.snr_db!r},{cfg.M},{cfg.K},{cfg.L},{_dither_mode(cfg)},{res.trials},"
+            f"{res.errors},{res.ser!r},{res.ci_low!r},{res.ci_high!r},{res.tie_rate!r},{args.seed}"
         )
-    fields = _system_fields(first, args.snr) | {
-        "convention": args.convention,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
-    return _write_csv(args, rows, fields, started)
+
+    header = "snr_db,M,K,L,dither_mode,trials,errors,ser,ci_low,ci_high,tie_rate,seed"
+    return _snr_sweep(args, header, fields, point)
 
 
 def cmd_verify(args) -> int:
@@ -232,6 +221,11 @@ def cmd_tables(args) -> int:
     cfg = _build_config(args, args.snr_db)
     if cfg.is_dithered:
         raise ValueError("tables exports the one kernel of an undithered config; drop --dither")
+    out_dir = Path(args.out_dir)
+    # the nearest path of out_dir and its parents that exists must be a
+    # directory, or making out_dir would fail after the tables were built
+    if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
+        raise ValueError(f"--out-dir {args.out_dir} is, or is inside, a file")
     started = time.monotonic()
     # every table is built before the directory is made, so a refused config
     # (a phase grid above the kernel's limit) leaves nothing behind
@@ -240,7 +234,6 @@ def cmd_tables(args) -> int:
     reps, mults = output_class_arrays(cfg.K, cfg.L)
     residues, residue_mults = output_class_arrays(cfg.a, cfg.L)
     inputs = grouped_input_classes(residues[0], cfg.M)
-    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     fields = _system_fields(cfg, args.snr_db) | {"nphi": kernel.n_phi}
     kernel_lines = (

@@ -61,6 +61,17 @@ class TestDegenerateLimits:
         assert 0.0 <= res.mi < 1e-2
 
 
+    @pytest.mark.parametrize("M, K, L", [(2, 6, 3), (2, 6, 4), (4, 12, 3), (8, 24, 3)])
+    @pytest.mark.parametrize("snr_db", [40.0, 50.0, 60.0])
+    def test_high_snr_mi_reaches_log2_m_per_scored_symbol(self, M, K, L, snr_db):
+        # at K = 3M a one-sector slip leaves z_l - z_0 nearest to 3(x_l - x_0),
+        # and far above 20 dB wider slips vanish, so Z fixes the L - 1 symbol
+        # differences and I(X; Z) = (L - 1) log2 M (at K = 2M a slip lands
+        # halfway, and the deficit only decays like SNR^(-1/2))
+        res = mutual_information(SystemConfig(M=M, K=K, L=L, snr_db=snr_db))
+        assert res.mi == pytest.approx((L - 1) * math.log2(M), abs=1e-11)
+
+
 # (M, K, L, snr_db): the original case, then M in {2, 4, 8} with K = M, 2M
 # and 4M, L up to 5, from 0 to 40 dB
 _BRUTE_CASES = [(4, 8, 3, 5.0)] + [

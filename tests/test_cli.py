@@ -8,7 +8,7 @@ import pytest
 
 import numpy as np
 
-from phaseq import SystemConfig
+from phaseq import SystemConfig, cli
 from phaseq.capacity import mutual_information
 from phaseq.cli import main, parse_snr_grid
 from phaseq.combinatorics import grouped_input_classes, output_class_arrays
@@ -166,16 +166,53 @@ class TestCapacityCommand:
          "brute-force output space too large"),
         (["capacity", "--method", "brute", "--M", "4", "--K", "8", "--L", "5", "--snr", "6"],
          "inputs x"),
+        (["ser", "--K", "8", "--L", "2", "--snr", "6", "--trials", "100",
+          "--out", "{tmp}/missing/s.csv"], "does not exist"),
+        (["capacity", "--K", "8", "--L", "2", "--snr", "6", "--out", "{tmp}"],
+         "is a directory"),
+        (["tables", "--K", "8", "--L", "2", "--out-dir", "{tmp}/taken.csv"],
+         "is, or is inside, a file"),
     ],
-    ids=["snr-4000", "workers-0", "brute-oversized", "brute-work"],
+    ids=["snr-4000", "workers-0", "brute-oversized", "brute-work", "out-missing-dir",
+         "out-directory", "out-dir-file"],
 )
-def test_out_of_range_inputs_exit_2(argv, message, tmp_path, capsys):
-    out = tmp_path / "refused.csv"
+def test_out_of_range_inputs_exit_2(argv, message, tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken.csv"
+    taken.write_text("kept\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    if "--out" in argv or "--out-dir" in argv:
+        # a destination that cannot be written is refused before any compute
+        def never(*args, **kwargs):
+            raise AssertionError("computed before the destination was checked")
+
+        for name in ("run_ser", "mutual_information", "kernel_for"):
+            monkeypatch.setattr(cli, name, never)
+    else:
+        argv += ["--out", str(tmp_path / "refused.csv")]
     with pytest.raises(SystemExit) as exc:
-        main([*argv, "--out", str(out)])
+        main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert list(tmp_path.iterdir()) == [taken]
+    assert taken.read_text() == "kept\n"
+
+
+def test_every_csv_ends_its_lines_in_newline(tmp_path):
+    system = ["--M", "4", "--K", "8", "--L", "3"]
+    for argv in (
+        ["capacity", *system, "--snr", "0,6", "--out", str(tmp_path / "reduced.csv")],
+        ["capacity", *system, "--snr", "6", "--method", "mc", "--trials", "500",
+         "--dither", "ramp", "--out", str(tmp_path / "mc.csv")],
+        ["ser", *system, "--snr", "6,8", "--trials", "500", "--out", str(tmp_path / "ser.csv")],
+        ["tables", *system, "--out-dir", str(tmp_path / "tables")],
+    ):
+        assert main(argv) == 0
+    written = sorted(tmp_path.glob("**/*.csv"))
+    assert len(written) == 7
+    for path in written:
+        raw = path.read_bytes()
+        assert b"\r" not in raw, path.name
+        assert raw.endswith(b"\n"), path.name
 
 
 class TestSerCommand:

@@ -122,6 +122,16 @@ class TestRunSer:
         assert point.trials == 20_000
         assert point.symbols == 20_000  # pilot convention scores L-1 per block
 
+    @pytest.mark.parametrize("M", [2, 8])
+    @pytest.mark.parametrize("mult", [2, 3])
+    @pytest.mark.parametrize("dither", ["none", "ramp"])
+    def test_deep_noise_is_guessing_beyond_m4(self, M, mult, dither):
+        # at -40 dB the decisions are independent of the symbols, so each
+        # scored symbol is wrong with probability (M - 1)/M
+        cfg = SystemConfig(M=M, K=mult * M, L=3, snr_db=-40.0, dither=dither)
+        point = run_ser(cfg, trials=20_000, seed=1)
+        assert point.ser == pytest.approx((M - 1) / M, abs=0.02)
+
     def test_seed_reproducibility_across_worker_counts(self):
         # undithered pilot, dithered pilot, undithered genie with ties, and
         # K=64 L=8, where most sorted rows are new, so the threads fill the
