@@ -6,8 +6,8 @@ with a plain-text key=value manifest recording the command line, resolved
 configuration, seed, package version, output paths, and wall-clock
 duration. Reruns with the same arguments and seed produce byte-identical
 CSVs (manifests differ only in the duration field). capacity and ser share
-one SNR sweep, _snr_sweep. An --out or --out-dir that cannot be written is
-refused with exit 2 before any point or table is computed.
+one SNR sweep, _snr_sweep. An --out or --out-dir in a missing directory,
+or whose CSV or manifest is a directory, exits 2 before any compute.
 """
 
 from __future__ import annotations
@@ -94,17 +94,27 @@ def _write_manifest(
     lines = [f"command={' '.join(args.argv)}", f"version={__version__}"]
     lines += [f"{key}={value}" for key, value in fields.items()]
     lines += [f"output={path}", f"rows={rows}", f"duration_s={time.monotonic() - started:.3f}"]
-    path.with_name(path.name + ".manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _manifest_of(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _manifest_of(path: Path) -> Path:
+    return path.with_name(path.name + ".manifest")
+
+
+def _refuse_directories(flag: str, paths) -> None:
+    """Refuse with ValueError a CSV of paths whose file or manifest is a directory."""
+    for path in paths:
+        for target in (path, _manifest_of(path)):
+            if target.is_dir():
+                raise ValueError(f"{flag}: {target} is a directory")
 
 
 def _out_file(text: str) -> Path:
-    """--out as a path, refused with ValueError unless it names a file in an
-    existing directory, so that a sweep never computes what it cannot write."""
+    """--out as a path, refused with ValueError if it cannot be written."""
     path = Path(text)
-    if path.is_dir():
-        raise ValueError(f"--out {text} is a directory")
     if not path.parent.is_dir():
         raise ValueError(f"--out {text}: directory {path.parent} does not exist")
+    _refuse_directories(f"--out {text}", [path])
     return path
 
 
@@ -217,6 +227,15 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+# (file name, header) of the CSVs tables writes, in order
+_TABLES = (
+    ("kernel.csv", "phi_index,z,probability"),
+    ("canonical_output_classes.csv", "representative,multiplicity"),
+    ("residue_output_classes.csv", "representative,multiplicity"),
+    ("input_classes.csv", "representative,weight"),
+)
+
+
 def cmd_tables(args) -> int:
     cfg = _build_config(args, args.snr_db)
     if cfg.is_dithered:
@@ -226,6 +245,7 @@ def cmd_tables(args) -> int:
     # directory, or making out_dir would fail after the tables were built
     if not next(p for p in (out_dir, *out_dir.parents) if p.exists()).is_dir():
         raise ValueError(f"--out-dir {args.out_dir} is, or is inside, a file")
+    _refuse_directories(f"--out-dir {args.out_dir}", [out_dir / name for name, _ in _TABLES])
     started = time.monotonic()
     # every table is built before the directory is made, so a refused config
     # (a phase grid above the kernel's limit) leaves nothing behind
@@ -239,24 +259,13 @@ def cmd_tables(args) -> int:
     kernel_lines = (
         f"{i},{z},{p!r}" for i, column in enumerate(table.T) for z, p in enumerate(column.tolist())
     )
-    for name, header, lines in (
-        ("kernel.csv", "phi_index,z,probability", kernel_lines),
-        (
-            "canonical_output_classes.csv",
-            "representative,multiplicity",
-            _class_lines(reps.tolist(), mults.tolist()),
-        ),
-        (
-            "residue_output_classes.csv",
-            "representative,multiplicity",
-            _class_lines(residues.tolist(), residue_mults.tolist()),
-        ),
-        (
-            "input_classes.csv",
-            "representative,weight",
-            _class_lines([c.representative for c in inputs], [c.weight for c in inputs]),
-        ),
-    ):
+    tables = (
+        kernel_lines,
+        _class_lines(reps.tolist(), mults.tolist()),
+        _class_lines(residues.tolist(), residue_mults.tolist()),
+        _class_lines([c.representative for c in inputs], [c.weight for c in inputs]),
+    )
+    for (name, header), lines in zip(_TABLES, tables):
         _write_table(out_dir / name, header, lines, args, fields, started)
     print(f"wrote tables to {out_dir}")
     return 0

@@ -4,8 +4,8 @@ Blocks are simulated in fixed-size chunks, each driven by its own child of a
 single SeedSequence, so results are bit-identical for any worker count: the
 chunk layout depends only on trials (chunks of DEFAULT_CHUNK blocks) and
 every random draw happens inside its chunk's stream. Each chunk sends only
-its distinct observation rows that the run's memo has not seen through the
-array sweep of demod. The memo maps each row to an id into run-level arrays
+its distinct observation rows that its lane's memo has not seen through the
+array sweep of demod. The memo maps each row to an id into lane-level arrays
 (winner vector, tie flag, candidate count; tie sets for tied rows only), so
 every block takes its decision by one gather through the ids, with no
 per-row record. Tied blocks re-draw their winner from the chunk stream, in
@@ -34,25 +34,25 @@ block's decision is its row's plus its own z div a. The chunk engine hands
 demod the config alone, and demod scores rows from kernels on its own scan
 grid, so a run fills no kernel on a block-probability grid.
 
-Each thread that runs chunks keeps one workspace (_THREAD_WORK), which
-holds the sampler's planes and the chunk's quotient, index and decision
-planes, so a chunk allocates no chunk-sized array there after the thread's
-first chunk. The calling thread keeps it from run to run: a run's fresh
-buffers would otherwise be fresh pages (about 500 minor faults a 10,000-block
-ramp K=8, L=8 run), unless earlier frees happened to raise glibc's mmap
-threshold. The pool threads of a multi-worker run, and their workspaces,
-end with the run.
+Chunks run in lanes (_run_lane): each runs its chunks in order on one
+thread with its own row memo and workspace (the sampler's planes and the
+chunk's quotient, index and decision planes). Lanes share and lock
+nothing; a row two lanes meet is swept by each, to one decision, since a
+sweep is row-local and a tied block re-draws from its own chunk's stream.
+With workers > 1, min(workers, chunks) pool lanes each take every
+workers-th chunk and a fresh workspace. One worker runs one lane on the
+calling thread, which keeps its workspace (_THREAD_WORK) across runs:
+fresh buffers would be fresh pages (about 500 minor faults a 10,000-block
+ramp K=8, L=8 run).
 
 A chunk is its bulk draws (_draw_chunk: the symbols, block phases and
 noise, in stream order) and then everything else (_run_chunk: the sampler
 arithmetic, zero-sample redraws, decisions, tie re-draws and scoring, from
 the same Generator). With one worker, more than one chunk and more than one
-usable CPU, a helper thread makes chunk i + 1's draws while the calling
-thread runs chunk i, alternating between two noise buffers of the calling
-thread's workspace; NumPy's fills release the GIL, so the two overlap. On
-one CPU they would only take turns, so the draws run inline there. The
-helper ends with the run, also when a chunk raises. Pool workers draw their
-own chunks, since they already run in parallel.
+usable CPU, a helper thread makes chunk i + 1's draws, into the other of
+two noise buffers, while the lane runs chunk i; NumPy's fills release the
+GIL, so the two overlap. On one CPU they would only take turns, so the
+draws run inline. The helper ends with the run, also when a chunk raises.
 
 The per-sample integer steps are gathers from small tables, not int64 division:
 a sector z splits into quotient and residue through the K-entry tables
@@ -120,10 +120,13 @@ def wilson_interval(successes: float, total: float, z: float = 1.96) -> tuple[fl
     """Wilson score interval for a binomial proportion.
 
     Counts may be floats (a per-symbol rate scaled back to counts); successes
-    outside [0, total] raise ValueError.
+    outside [0, total], a non-finite total, or z outside [0, inf) raise ValueError.
     """
-    if not 0 <= successes <= total:
-        raise ValueError(f"successes must lie in [0, total] (got {successes!r} of {total!r})")
+    if not (0 <= successes <= total and math.isfinite(total) and 0 <= z < math.inf):
+        raise ValueError(
+            f"successes must lie in [0, total], total must be finite and z finite "
+            f"and non-negative (got {successes!r} of {total!r}, z={z!r})"
+        )
     if total <= 0:
         return (0.0, 1.0)
     p = successes / total
@@ -139,12 +142,15 @@ def ser_crossing_snr(snrs_db, sers, target: float) -> float:
     interpolation between the bracketing grid points.
 
     Expects sers decreasing in snrs_db overall; uses the first bracket with
-    ser >= target on the left and ser < target on the right.
+    ser >= target on the left and ser < target on the right. Non-finite
+    input raises ValueError.
     """
     snrs_db = np.asarray(snrs_db, dtype=float)
     sers = np.asarray(sers, dtype=float)
     if snrs_db.shape != sers.shape or snrs_db.ndim != 1:
         raise ValueError("snrs_db and sers must be equal-length 1-d arrays")
+    if not (np.isfinite(snrs_db).all() and np.isfinite(sers).all() and math.isfinite(target)):
+        raise ValueError("SNRs, rates and target must be finite")
     if np.any(sers <= 0.0):
         raise ValueError("crossing interpolation needs strictly positive rates")
     for i in range(len(sers) - 1):
@@ -179,23 +185,16 @@ def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
 
 
 class _RowMemo:
-    """Decisions of the distinct rows a run has demodulated, as arrays.
+    """Decisions of the distinct rows a lane has demodulated, as arrays.
 
-    A row key (the row's bytes) maps to an id into run-level arrays: the
+    A row key (the row's bytes) maps to an id into lane-level arrays: the
     winner candidate vector ((m, L) for m stored rows), the tie flag and the
     candidate count. Tied rows also keep their tie set, the candidate
-    vectors a tied block re-draws from. Chunk threads share one memo. Under
-    the lock a thread claims the rows nobody has stored or claimed, sweeps
-    them without the lock and stores them under it; rows another thread has
-    claimed it waits for, so no row is swept twice, and sweeps of disjoint
-    rows run in parallel.
+    vectors a tied block re-draws from. Each lane owns its memo.
     """
 
     def __init__(self, L: int):
-        self._lock = threading.Lock()
         self._ids: dict[bytes, int] = {}
-        # rows being swept, each mapped to the event its sweeper sets
-        self._claims: dict[bytes, threading.Event] = {}
         self._winners = np.empty((0, L), dtype=np.int64)
         self._tied = np.empty(0, dtype=bool)
         self._n_cand = np.empty(0, dtype=np.int64)
@@ -208,43 +207,20 @@ class _RowMemo:
         # each row's bytes, as row.tobytes() gives them
         rows = np.ascontiguousarray(distinct)
         keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
-        while True:
-            with self._lock:
-                absent = set(keys).difference(self._ids)
-                if not absent:
-                    ids = np.fromiter(map(self._ids.__getitem__, keys), np.intp, len(keys))
-                    return ids, self._winners[ids], self._tied[ids], self._n_cand[ids]
-                busy = absent.intersection(self._claims)
-                claimed = {self._claims[key] for key in busy}
-                absent -= busy
-                done = threading.Event()
-                self._claims.update(dict.fromkeys(absent, done))
-            if absent:
-                missing = [i for i, key in enumerate(keys) if key in absent]
-                try:
-                    self._store(distinct[missing], [keys[i] for i in missing], config)
-                finally:
-                    # a failed sweep leaves its rows unstored and unclaimed,
-                    # so the next pass of a waiting thread claims them
-                    with self._lock:
-                        for key in absent:
-                            del self._claims[key]
-                    done.set()
-            for event in claimed:
-                event.wait()
-
-    def _store(self, rows: np.ndarray, keys: list[bytes], config: SystemConfig) -> None:
-        sweep = _sweep_rows(rows, config)
-        winners = sweep.candidates[np.arange(len(rows)), sweep.winner]
-        tied = np.count_nonzero(sweep.ties, axis=1) > 1
-        with self._lock:
+        missing = [i for i, key in enumerate(keys) if key not in self._ids]
+        if missing:
+            sweep = _sweep_rows(distinct[missing], config)
+            winners = sweep.candidates[np.arange(len(missing)), sweep.winner]
+            tied = np.count_nonzero(sweep.ties, axis=1) > 1
             base = len(self._ids)
-            self._ids.update(zip(keys, range(base, base + len(keys))))
+            self._ids.update((keys[i], base + j) for j, i in enumerate(missing))
             for j in np.flatnonzero(tied):
                 self.tie_sets[base + int(j)] = sweep.candidates[j, sweep.ties[j]]
             self._winners = np.concatenate([self._winners, winners])
             self._tied = np.concatenate([self._tied, tied])
             self._n_cand = np.concatenate([self._n_cand, sweep.n_distinct])
+        ids = np.fromiter(map(self._ids.__getitem__, keys), np.intp, len(keys))
+        return ids, self._winners[ids], self._tied[ids], self._n_cand[ids]
 
 
 def _draw_chunk(
@@ -260,7 +236,7 @@ def _draw_chunk(
     (the pilot column zeroed) and core._draw_into's draws into noise
     (2, n_blocks, L). The Generator then makes the chunk's remaining draws
     (zero-sample and tie re-draws) in _run_chunk. The fills release the GIL,
-    so run_ser may make them on a helper thread.
+    so a lane may make them on a helper thread.
     """
     rng = np.random.default_rng(seed_seq)
     X = rng.integers(0, config.M, size=(n_blocks, config.L))
@@ -285,7 +261,7 @@ def _run_chunk(
     not seen are demodulated; each block then takes its row's decision, and
     tied blocks re-draw theirs from the chunk stream in block order, before
     the quotients are added back. Every chunk-sized array but X and the
-    histograms lives in work (the noise too, in a buffer run_ser names):
+    histograms lives in work (the noise too, in a buffer _run_lane names):
     the sampler's buffers, then its temporaries "t0" and "t1" as the
     quotient and decision planes. Sectors split into quotient and residue
     by gathers from the K-entry tables arange(K) // a and arange(K) % a (Z
@@ -356,6 +332,37 @@ def _symbol_errors(
     return int(shifted.sum(axis=2).min(axis=1).sum())
 
 
+def _run_lane(
+    config: SystemConfig,
+    chunks: list[tuple[int, np.random.SeedSequence]],
+    convention: str,
+    work: _Workspace,
+    helper: ThreadPoolExecutor | None = None,
+) -> list[tuple[int, int, int, int]]:
+    """_run_chunk's results for chunks, (blocks, stream) pairs run in order
+    on this thread with one _RowMemo and the workspace work.
+
+    A one-thread helper makes chunk j + 1's draws, into noise buffer
+    _NOISE_BUFFERS[(j + 1) % 2] looked up on this thread, while chunk j
+    runs; without one, every chunk draws inline into the first buffer.
+    """
+    memo = _RowMemo(config.L)
+
+    def draws(j: int) -> tuple:
+        n_blocks, stream = chunks[j]
+        noise = _NOISE_BUFFERS[j % 2 if helper else 0]
+        return config, n_blocks, stream, convention, work.buffer(noise, (2, n_blocks, config.L))
+
+    results = []
+    ahead = helper.submit(_draw_chunk, *draws(0)) if helper else None
+    for j in range(len(chunks)):
+        drawn = ahead.result() if helper else _draw_chunk(*draws(j))
+        if helper and j + 1 < len(chunks):
+            ahead = helper.submit(_draw_chunk, *draws(j + 1))
+        results.append(_run_chunk(config, drawn, convention, memo, work))
+    return results
+
+
 def run_ser(
     config: SystemConfig,
     trials: int,
@@ -386,35 +393,18 @@ def run_ser(
     if convention == "pilot" and config.L < 2:
         raise ValueError("pilot convention needs L >= 2")
     sizes = _chunk_sizes(trials, DEFAULT_CHUNK)
-    children = seed.spawn(len(sizes))
-    memo = _RowMemo(config.L)
-
-    def draws(i: int, work: _Workspace, noise: str = _NOISE_BUFFERS[0]) -> tuple:
-        """_draw_chunk's arguments for chunk i, with work's buffer noise."""
-        return config, sizes[i], children[i], convention, work.buffer(noise, (2, sizes[i], config.L))
-
-    def job(i: int) -> tuple[int, int, int, int]:
-        work = _thread_work()
-        return _run_chunk(config, _draw_chunk(*draws(i, work)), convention, memo, work)
-
-    chunks = range(len(sizes))
-    if workers > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, chunks))
-    elif len(sizes) > 1 and _usable_cpus() > 1:
-        # chunk i + 1's draws fill the other noise buffer on a helper thread
-        # while this thread runs chunk i
-        work, results = _thread_work(), []
+    chunks = list(zip(sizes, seed.spawn(len(sizes))))
+    lanes = min(workers, len(chunks))
+    if lanes > 1:
+        with ThreadPoolExecutor(max_workers=lanes) as pool:
+            parts = [chunks[w::lanes] for w in range(lanes)]
+            runs = pool.map(lambda part: _run_lane(config, part, convention, _Workspace()), parts)
+            results = [r for run in runs for r in run]
+    elif len(chunks) > 1 and _usable_cpus() > 1:
         with ThreadPoolExecutor(max_workers=1) as helper:
-            ahead = helper.submit(_draw_chunk, *draws(0, work))
-            for i in chunks:
-                drawn = ahead.result()
-                if i + 1 < len(sizes):
-                    args = draws(i + 1, work, _NOISE_BUFFERS[(i + 1) % 2])
-                    ahead = helper.submit(_draw_chunk, *args)
-                results.append(_run_chunk(config, drawn, convention, memo, work))
+            results = _run_lane(config, chunks, convention, _thread_work(), helper)
     else:
-        results = [job(i) for i in chunks]
+        results = _run_lane(config, chunks, convention, _thread_work())
     errors, ties, cands = (sum(r[i] for r in results) for i in range(3))
     symbols = trials * (config.L - 1 if convention == "pilot" else config.L)
     lo, hi = wilson_interval(errors, symbols)

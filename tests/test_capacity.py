@@ -71,6 +71,22 @@ class TestDegenerateLimits:
         res = mutual_information(SystemConfig(M=M, K=K, L=L, snr_db=snr_db))
         assert res.mi == pytest.approx((L - 1) * math.log2(M), abs=1e-11)
 
+    @pytest.mark.parametrize(
+        "M, K, L", [(4, 4, 4), (8, 8, 3), (2, 4, 3), (8, 16, 3), (4, 12, 3), (8, 24, 3)]
+    )
+    def test_high_snr_ramp_mc_mi_reaches_noiseless_limit(self, M, K, L):
+        # at 60 dB the ramp's L*K sector edges cut the phase circle into L*K
+        # equal arcs, and a block fixes its arc: H(Z|X) = log2(L K). With
+        # K >= 2M, Z also fixes the L - 1 symbol differences, so I(X; Z) =
+        # (L - 1) log2 M; with K = M the output alphabet caps it at
+        # L log2 K - log2(L K)
+        cfg = SystemConfig(M=M, K=K, L=L, snr_db=60.0, dither="ramp")
+        res = mutual_information_mc(cfg, 5_000, np.random.default_rng(5))
+        tol = 3 * res.error_bar + 1e-12
+        assert res.h_cond == pytest.approx(math.log2(L * K), abs=tol)
+        limit = (L - 1) * math.log2(M) if K >= 2 * M else L * math.log2(K) - math.log2(L * K)
+        assert res.mi == pytest.approx(limit, abs=tol)
+
 
 # (M, K, L, snr_db): the original case, then M in {2, 4, 8} with K = M, 2M
 # and 4M, L up to 5, from 0 to 40 dB

@@ -156,29 +156,49 @@ class TestCapacityCommand:
             assert list(tmp_path.iterdir()) == []
 
 
+_TABLES_INTO_TD = ["tables", "--K", "8", "--L", "2", "--out-dir", "{tmp}/td"]
+
+
 @pytest.mark.parametrize(
-    "argv, message",
+    "argv, dirs, message",
     [
-        (["capacity", "--M", "4", "--K", "8", "--L", "2", "--snr", "4000"], "out of range"),
+        (["capacity", "--M", "4", "--K", "8", "--L", "2", "--snr", "4000"], (), "out of range"),
         (["ser", "--M", "4", "--K", "8", "--L", "2", "--snr", "10", "--trials", "100",
-          "--workers", "0"], "workers must be at least 1"),
-        (["capacity", "--method", "brute", "--K", "16", "--L", "6", "--snr", "6"],
+          "--workers", "0"], (), "workers must be at least 1"),
+        (["capacity", "--method", "brute", "--K", "16", "--L", "6", "--snr", "6"], (),
          "brute-force output space too large"),
-        (["capacity", "--method", "brute", "--M", "4", "--K", "8", "--L", "5", "--snr", "6"],
+        (["capacity", "--method", "brute", "--M", "4", "--K", "8", "--L", "5", "--snr", "6"], (),
          "inputs x"),
         (["ser", "--K", "8", "--L", "2", "--snr", "6", "--trials", "100",
-          "--out", "{tmp}/missing/s.csv"], "does not exist"),
-        (["capacity", "--K", "8", "--L", "2", "--snr", "6", "--out", "{tmp}"],
+          "--out", "{tmp}/missing/s.csv"], (), "does not exist"),
+        (["capacity", "--K", "8", "--L", "2", "--snr", "6", "--out", "{tmp}"], (),
          "is a directory"),
-        (["tables", "--K", "8", "--L", "2", "--out-dir", "{tmp}/taken.csv"],
+        (["tables", "--K", "8", "--L", "2", "--out-dir", "{tmp}/taken.csv"], (),
          "is, or is inside, a file"),
+        (["ser", "--K", "8", "--L", "2", "--snr", "6", "--trials", "2000",
+          "--out", "{tmp}/s.csv"], ("s.csv.manifest",), "s.csv.manifest is a directory"),
+        (["capacity", "--K", "8", "--L", "2", "--snr", "6", "--out", "{tmp}/c.csv"],
+         ("c.csv.manifest",), "c.csv.manifest is a directory"),
+        (_TABLES_INTO_TD, ("td/kernel.csv",), "kernel.csv is a directory"),
+        (_TABLES_INTO_TD, ("td/canonical_output_classes.csv.manifest",),
+         "canonical_output_classes.csv.manifest is a directory"),
+        (_TABLES_INTO_TD, ("td/residue_output_classes.csv",),
+         "residue_output_classes.csv is a directory"),
+        (_TABLES_INTO_TD, ("td/input_classes.csv.manifest",),
+         "input_classes.csv.manifest is a directory"),
     ],
     ids=["snr-4000", "workers-0", "brute-oversized", "brute-work", "out-missing-dir",
-         "out-directory", "out-dir-file"],
+         "out-directory", "out-dir-file", "ser-manifest-directory",
+         "capacity-manifest-directory", "tables-kernel-directory",
+         "tables-canonical-manifest-directory", "tables-residue-directory",
+         "tables-input-manifest-directory"],
 )
-def test_out_of_range_inputs_exit_2(argv, message, tmp_path, capsys, monkeypatch):
+def test_out_of_range_inputs_exit_2(argv, dirs, message, tmp_path, capsys, monkeypatch):
     taken = tmp_path / "taken.csv"
     taken.write_text("kept\n")
+    for name in dirs:
+        (tmp_path / name).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     if "--out" in argv or "--out-dir" in argv:
         # a destination that cannot be written is refused before any compute
@@ -193,7 +213,8 @@ def test_out_of_range_inputs_exit_2(argv, message, tmp_path, capsys, monkeypatch
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == [taken]
+    # nothing was written: the paths made above are all there is
+    assert sorted(tmp_path.rglob("*")) == before
     assert taken.read_text() == "kept\n"
 
 

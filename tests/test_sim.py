@@ -52,6 +52,37 @@ class TestHelpers:
         with pytest.raises(ValueError, match=r"successes must lie in \[0, total\]"):
             wilson_interval(successes, total)
 
+    @pytest.mark.parametrize(
+        "successes, total, z",
+        [
+            (1.0, math.inf, 1.96),
+            (math.inf, math.inf, 1.96),
+            (1, 10, math.nan),
+            (1, 10, math.inf),
+            # a negative z would swap the bounds
+            (5, 10, -1.96),
+        ],
+    )
+    def test_wilson_interval_rejects_non_finite_total_or_bad_z(self, successes, total, z):
+        with pytest.raises(ValueError, match="finite"):
+            wilson_interval(successes, total, z)
+
+    @pytest.mark.parametrize(
+        "snrs, sers, target",
+        [
+            ([math.nan, 1.0], [0.1, 1e-3], 1e-2),
+            ([0.0, math.inf], [0.1, 1e-3], 1e-2),
+            ([-math.inf, 1.0], [0.1, 1e-3], 1e-2),
+            ([0.0, 1.0], [math.nan, 1e-3], 1e-2),
+            ([0.0, 1.0], [math.inf, 1e-3], 1e-2),
+            ([0.0, 1.0], [0.1, 1e-3], math.nan),
+            ([0.0, 1.0], [0.1, 1e-3], math.inf),
+        ],
+    )
+    def test_crossing_rejects_non_finite_inputs(self, snrs, sers, target):
+        with pytest.raises(ValueError, match="finite"):
+            ser_crossing_snr(snrs, sers, target)
+
     def test_coherent_qpsk_ser_limits(self):
         assert coherent_qpsk_ser(-60.0) == pytest.approx(0.75, abs=1e-3)
         # 2Q - Q^2 at 10 dB, Q = 1 - Phi(sqrt(10))
@@ -434,9 +465,10 @@ class TestChunkEngine:
         ],
         ids=["ramp", "K=64"],
     )
-    def test_each_row_is_swept_once(self, cfg, monkeypatch):
-        # chunk threads that miss the same row at once: one sweeps it, the
-        # other waits for it, so rows swept == rows stored
+    def test_each_lane_owns_its_memo(self, cfg, monkeypatch):
+        # chunk threads switch often, yet each memo is read and extended by
+        # one thread only, and no lane sweeps a row twice: rows swept ==
+        # the rows the run's memos store
         lock = threading.Lock()
         swept = [0]
         memos = []
@@ -449,7 +481,13 @@ class TestChunkEngine:
         class RecordedMemo(sim._RowMemo):
             def __init__(self, L):
                 super().__init__(L)
-                memos.append(self)
+                self.threads = set()
+                with lock:
+                    memos.append(self)
+
+            def decide(self, distinct, config):
+                self.threads.add(threading.get_ident())
+                return super().decide(distinct, config)
 
         monkeypatch.setattr(sim, "_sweep_rows", counting_sweep)
         monkeypatch.setattr(sim, "_RowMemo", RecordedMemo)
@@ -459,8 +497,11 @@ class TestChunkEngine:
         try:
             for w in (2, 4):
                 swept[0] = 0
+                memos.clear()
                 assert run_ser(cfg, trials=13_000, seed=11, workers=w) == want
-                assert swept[0] == len(memos[-1]._tied)
+                assert all(len(memo.threads) == 1 for memo in memos)
+                assert len(memos) == w
+                assert swept[0] == sum(len(memo._tied) for memo in memos)
         finally:
             sys.setswitchinterval(interval)
 
