@@ -7,6 +7,10 @@ assumes blindly), summed over canonical output classes of the kernel table.
 The output entropy is the same sum over residue classes of the
 input-averaged table: inputs are i.i.d. uniform, so on each phase grid point
 P(z) is a product of per-symbol input averages and no input is enumerated.
+That table is 2*pi/M-periodic in the phase (a rotation by 2*pi/M is the
+input shift x -> x + 1, which the average over inputs does not see), so it
+holds one period, n/M grid points, and every H(Z) product, exact or Monte
+Carlo, averages n/M points rather than n.
 The classes come from combinatorics.output_class_arrays as integer arrays.
 A full-enumeration brute-force path is shipped alongside as the oracle, and
 a Monte Carlo estimator, which takes P(z) from the same input-averaged
@@ -84,16 +88,20 @@ def _entropy_terms(p: np.ndarray) -> np.ndarray:
 
 
 def _input_average(table: np.ndarray, M: int, a: int) -> np.ndarray:
-    """Row z is the mean over inputs m of table[(z - a*m) mod K].
+    """Row r < a is the mean over inputs m of table[(r - a*m) mod K] on
+    the first n/M of the table's n grid points.
 
     Inputs are i.i.d. uniform, so on each phase grid point the output marginal
-    factorises: P(z) is the phase-grid mean of prod_l _input_average(...)[z_l].
-    table is a kernel table, whose row z is row 0 rolled by z*n/K, so the
-    result is the read-only _rolled_rows view of its row 0 (the same sum
-    over m, in the same order).
+    factorises: P(z) is the phase-grid mean of prod_l _input_average(...)[z_l
+    mod a], taken over one period. table is a kernel table, whose row z is
+    row 0 rolled by z*n/K, so the mean over m at grid point i + n/M sums the
+    same values as at i, in another order: the full-grid mean is n/M-periodic
+    up to rounding, and row z of it equals row z mod a. The result is the
+    read-only (a, n/M) _rolled_rows view of the first n/M points of row 0's
+    mean (the same sum over m, in the same order), over 2n/M values.
     """
-    K = table.shape[0]
-    return _rolled_rows(table[(-a * np.arange(M)) % K].mean(axis=0), K)
+    K, n = table.shape
+    return _rolled_rows(table[(-a * np.arange(M)) % K, : n // M].mean(axis=0), a)
 
 
 def _class_entropy(table: np.ndarray, alphabet: int, L: int, scale: float) -> float:
@@ -272,7 +280,8 @@ def mutual_information_mc(
     Each batch scores every distinct block once. Adding c sectors to every
     output rolls every kernel row and every input-averaged row by c*n_phi/K
     grid points, dithered or not, and input-averaged row z mod a equals row
-    z, because the input average already sums over shifts by a. So S =
+    z, because the input average already sums over shifts by a; the
+    input-averaged tables hold only those a rows, on one 2*pi/M period. So S =
     z - a*x is pinned to (S - S_0) mod K, and z to (z - z_0) mod a, each by
     one table lookup. Without dither all positions share one table,
     so permuting positions changes nothing either, and pinned rows are

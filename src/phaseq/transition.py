@@ -41,9 +41,12 @@ Only the x = 0 slice of the scalar transition law is ever tabulated: shifting
 the input by one constellation step shifts the output law by a = K/M sectors,
 so any (z, x) probability is row (z - a*x) mod K of that slice. Each row of
 the slice is in turn one base row rolled by n/K grid points per sector, so
-every (K, n) sector table (a kernel's table, its log, which demod scans,
-and capacity's input-averaged tables) is _rolled_rows: a read-only view over
-one doubled copy of its base row, holding 2n values rather than K*n.
+every (K, n) sector table (a kernel's table and its log, which demod scans)
+is _rolled_rows: a read-only view over one doubled copy of its base row,
+holding 2n values rather than K*n. Capacity's input-averaged tables are the
+same view on one 2*pi/M period: (a, n/M) over 2n/M values, whose rows are
+the residues mod a. _log_grid_mean reads the grid size from its tables, so
+it averages over that period there.
 
 Every table is a function of the operating point alone, so the config is
 the only handle: block_conditional takes it and looks its kernels up through
@@ -110,7 +113,23 @@ def _phase_offset_pdf(u, rho: float) -> np.ndarray:
 
 
 def _wrap_pi(t):
-    return (t + math.pi) % TWO_PI - math.pi
+    """(t + pi) mod 2*pi - pi, with the same bits as that expression.
+
+    An array whose t + pi lies in [-2*pi, 4*pi) is wrapped without the
+    division, as core._quantize does: np.mod adds 2*pi to a negative value,
+    the same rounded add as here, and from 2*pi upward it subtracts 2*pi,
+    which is exact (Sterbenz). Both shifts are chosen from the unshifted
+    values, so a negative value that rounds up to 2*pi stays there, as in
+    np.mod. Scalars, and arrays outside that range, take the expression.
+    """
+    s = t + math.pi
+    if np.ndim(s) and s.size and s.min() >= -TWO_PI and s.max() < 2.0 * TWO_PI:
+        shift = TWO_PI * (s < 0.0)
+        shift -= TWO_PI * (s >= TWO_PI)
+        s += shift
+        s -= math.pi
+        return s
+    return s % TWO_PI - math.pi
 
 
 def sector_offset_probability(t: float, width: float, snr_linear: float) -> float:
@@ -339,10 +358,11 @@ def block_conditional_batch(Z: np.ndarray, kernel: TransitionKernel) -> np.ndarr
 def _log_grid_mean(tables, S: np.ndarray) -> np.ndarray:
     """log of the phase-grid mean of prod_l tables[l][S[:, l]], one per row.
 
-    tables holds one (K, n_phi) table per block position and S is (n, L)
-    sector indices into them. Rows are multiplied linearly in blocks of
-    _CHUNK_ELEMENTS // n_phi rows (at least one), so that the (rows, n_phi)
-    accumulator and the table rows gathered into it stay in L2 cache. The
+    tables holds one table per block position, all with n_phi grid columns
+    (the grid, or one period of it), and S is (n, L) row indices into them.
+    Rows are multiplied linearly in blocks of _CHUNK_ELEMENTS // n_phi rows
+    (at least one), so that the (rows, n_phi) accumulator and the table rows
+    gathered into it stay in L2 cache. The
     rows of a block whose mean lands below _UNDERFLOW_FLOOR are redone in the
     same block as a log-sum-exp, from the log of each distinct table (built
     the first time a row needs it), so long blocks keep a finite log instead

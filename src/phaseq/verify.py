@@ -17,6 +17,7 @@ Naming scheme for the identity checks:
 * marginal-shift    P(z) invariant under constant addition
 * marginal-permute  P(z) invariant under permutation
 * marginal-residue  P(z) = P(z mod a)
+* marginal-period   P(z | phi) is 2*pi/M-periodic in phi (brute-force per phase)
 * entropy-constant  H(Z|x) does not depend on x (brute-force per input)
 * kernel-fill       kernel table cells equal adaptive-quadrature probabilities
 """
@@ -162,10 +163,34 @@ def _brute_marginal(z: np.ndarray, config: SystemConfig, inputs: np.ndarray) -> 
     return float(block_conditional_batch(rows, kernel_for(config)).mean())
 
 
+def _period_deviation(z: np.ndarray, config: SystemConfig, inputs: np.ndarray) -> float:
+    """Worst relative gap between P(z | phi_i) and P(z | phi_{i + n/M}).
+
+    P(z | phi_i) is the mean over all M^L inputs of the per-phase product of
+    kernel rows: a rotation by 2*pi/M is the input shift x -> x + 1, which
+    the mean over all inputs does not see.
+    """
+    table = kernel_for(config).table
+    rows = (z[None, :] - config.a * inputs) % config.K
+    acc = table[rows[:, 0]]
+    for l in range(1, config.L):
+        acc *= table[rows[:, l]]
+    p = acc.mean(axis=0)
+    q = np.roll(p, -(p.size // config.M))
+    scale = np.maximum(p, q)
+    gaps = np.abs(p - q)[scale > 0] / scale[scale > 0]
+    return float(gaps.max(initial=0.0))
+
+
 def check_marginal_symmetries(instances: int = 100, seed: int = 2026) -> list[CheckResult]:
     """Identities of P(z), each side summed over every one of the M^L inputs."""
     rng = np.random.default_rng(seed)
-    devs = {"marginal-shift": 0.0, "marginal-permute": 0.0, "marginal-residue": 0.0}
+    devs = {
+        "marginal-shift": 0.0,
+        "marginal-permute": 0.0,
+        "marginal-residue": 0.0,
+        "marginal-period": 0.0,
+    }
     input_cache: dict[int, np.ndarray] = {}
     for _ in range(instances):
         cfg = _draw_config(rng)
@@ -187,6 +212,9 @@ def check_marginal_symmetries(instances: int = 100, seed: int = 2026) -> list[Ch
         devs["marginal-residue"] = max(
             devs["marginal-residue"], _rel_dev(base, _brute_marginal(z % a, cfg, inputs))
         )
+        devs["marginal-period"] = max(
+            devs["marginal-period"], _period_deviation(z, cfg, inputs)
+        )
     return [
         CheckResult(name, dev <= SYMMETRY_TOL, dev, SYMMETRY_TOL, f"{instances} instances")
         for name, dev in devs.items()
@@ -194,7 +222,7 @@ def check_marginal_symmetries(instances: int = 100, seed: int = 2026) -> list[Ch
 
 
 def check_symmetries(instances: int = 100, seed: int = 2024) -> list[CheckResult]:
-    """All eleven scalar/block/marginal identity checks."""
+    """All twelve scalar/block/marginal identity checks."""
     return (
         check_scalar_symmetries(instances, seed)
         + check_block_symmetries(instances, seed + 1)

@@ -28,6 +28,7 @@ from phaseq.capacity import (
     mutual_information_mc,
     output_entropy,
 )
+from phaseq.combinatorics import output_class_arrays
 from phaseq.core import _check_indices, sample_blocks
 from phaseq.sim import run_ser
 from phaseq.transition import _log_grid_mean, kernel_bank_for, kernel_for
@@ -300,7 +301,7 @@ class TestMonteCarlo:
             X = rng.integers(0, cfg.M, size=(min(_MC_BATCH, trials - lo), cfg.L))
             _, Z = sample_blocks(X, cfg, rng)
             log_cond = _log_grid_mean(tables, (Z - cfg.a * X) % cfg.K)
-            log_out = _log_grid_mean(mixed, Z)
+            log_out = _log_grid_mean(mixed, Z % cfg.a)
             ratios.append((log_cond - log_out) * LOG2E)
             conds.append(-log_cond * LOG2E)
             outs.append(-log_out * LOG2E)
@@ -380,3 +381,82 @@ def test_brute_output_probs_normalize():
     probs = brute_force_output_probs(cfg)
     assert probs.sum() == pytest.approx(1.0, abs=1e-8)
     assert probs.min() > 0
+
+
+# ---- the input average on one 2*pi/M period ----------------------------------
+
+
+def _full_grid_average(table: np.ndarray, M: int) -> np.ndarray:
+    """The input average on every grid point, one row per residue r < K/M:
+    row r is the mean over m of table[(r - a*m) mod K]."""
+    K = table.shape[0]
+    a = K // M
+    return np.stack([table[(r - a * np.arange(M)) % K].mean(axis=0) for r in range(a)])
+
+
+@pytest.mark.parametrize(
+    "M, K, snr_db, theta0",
+    [(2, 4, 6.0, 0.0), (4, 8, 6.0, 0.3), (4, 12, 11.0, 0.0), (4, 64, 10.0, 0.1), (8, 16, 3.0, 0.2)],
+)
+def test_input_average_is_one_period_of_the_full_grid(M, K, snr_db, theta0):
+    cfg = SystemConfig(M=M, K=K, L=3, snr_db=snr_db, theta0=theta0)
+    table = kernel_for(cfg).table
+    period = table.shape[1] // M
+    full = _full_grid_average(table, M)
+    # the mean over m at i + n/M sums the values it sums at i, in another order
+    for j in range(1, M):
+        shifted = np.roll(full, -j * period, axis=1)
+        assert (np.abs(shifted - full) <= 8 * np.spacing(full)).all()
+    folded = _input_average(table, M, cfg.a)
+    assert folded.shape == (cfg.a, period)
+    assert folded[0].tobytes() == full[0, :period].tobytes()
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SystemConfig(M=2, K=4, L=5, snr_db=6.0),
+        SystemConfig(M=4, K=8, L=4, snr_db=6.0, theta0=0.3),
+        SystemConfig(M=8, K=16, L=3, snr_db=10.0),
+        SystemConfig(M=4, K=64, L=3, snr_db=6.0),
+    ],
+    ids=["M2", "M4", "M8", "M4-K64"],
+)
+def test_output_entropy_matches_full_grid_class_sum(cfg):
+    M, L, a = cfg.M, cfg.L, cfg.a
+    full = _full_grid_average(kernel_for(cfg).table, M)
+    reps, mult = output_class_arrays(a, L)
+    acc = full[reps[:, 0]]
+    for l in range(1, L):
+        acc *= full[reps[:, l]]
+    p = acc.mean(axis=1)
+    want = float(-(a * M**L * mult * p * np.log2(p)).sum())
+    assert output_entropy(cfg) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "cfg, trials",
+    [
+        (SystemConfig(M=2, K=8, L=6, snr_db=12.0, dither="ramp"), 2_000),
+        (SystemConfig(M=4, K=8, L=4, snr_db=10.0, dither=(0, 0.05, 0.11, 0.3)), 2_000),
+        (SystemConfig(M=2, K=6, L=3, snr_db=20.0, dither=(0.2, 0.0, 0.4)), 2_000),
+        (SystemConfig(M=8, K=16, L=4, snr_db=8.0), 2_000),
+        (SystemConfig(M=4, K=64, L=200, snr_db=0.0), 300),
+        (SystemConfig(M=4, K=8, L=200, snr_db=0.0, dither="ramp"), 300),
+    ],
+    ids=["M2-ramp", "M4-tuple", "M2-tuple", "M8", "M4-K64-L200", "M4-ramp-L200"],
+)
+def test_mc_output_entropy_matches_full_grid_products(cfg, trials):
+    # the same draws as mutual_information_mc, each block's P(z) a product
+    # over the full phase grid
+    got = mutual_information_mc(cfg, trials, np.random.default_rng(31))
+    rng = np.random.default_rng(31)
+    bank = kernel_bank_for(cfg)
+    full = {id(k): _full_grid_average(k.table, cfg.M) for k in bank}
+    tables = [full[id(k)] for k in bank]
+    outs = []
+    for lo in range(0, trials, _MC_BATCH):
+        X = rng.integers(0, cfg.M, size=(min(_MC_BATCH, trials - lo), cfg.L))
+        _, Z = sample_blocks(X, cfg, rng)
+        outs.append(-_log_grid_mean(tables, Z % cfg.a) * LOG2E)
+    assert got.h_out == pytest.approx(np.concatenate(outs).mean(), rel=1e-13)

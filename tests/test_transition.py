@@ -83,6 +83,32 @@ def test_density_nonnegative_at_high_snr():
         assert phase_offset_pdf(u, 1e4) >= 0.0
 
 
+def test_wrap_pi_is_bitwise_mod():
+    def mod_wrap(t):
+        return (t + math.pi) % TWO_PI - math.pi
+
+    edges = np.array(
+        [math.pi, -math.pi, np.nextafter(3 * math.pi, 0.0), -3 * math.pi, 0.0, -0.0, 3.0, -5.0]
+    )
+    near = np.concatenate(
+        [edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]
+    )
+    rng = np.random.default_rng(12)
+    spread = rng.uniform(-3 * math.pi, 3 * math.pi, size=(64, 1000))
+    # t + pi in [-2*pi, 4*pi): the division-free branch
+    inside = near[(near + math.pi >= -TWO_PI) & (near + math.pi < 2 * TWO_PI)]
+    assert inside.size >= 20 and np.nextafter(3 * math.pi, 0.0) in inside
+    for t in (inside, spread, inside.reshape(1, -1, 1)):
+        assert _wrap_pi(t).tobytes() == mod_wrap(t).tobytes()
+    # 3*pi, the neighbour below -3*pi, far angles and scalars take the expression
+    outside = np.concatenate([near, [10.0 * math.pi, -1e6]])
+    assert not (outside + math.pi < 2 * TWO_PI).all()
+    assert _wrap_pi(outside).tobytes() == mod_wrap(outside).tobytes()
+    for t in near.tolist():
+        assert np.float64(_wrap_pi(t)).tobytes() == np.float64(mod_wrap(t)).tobytes()
+    assert _wrap_pi(np.empty(0)).size == 0
+
+
 # ---- scalar sector probabilities ----------------------------------------------
 
 
@@ -318,6 +344,13 @@ def _gathered(base, K, shift):
     return base[(n // K * np.arange(K)[:, None] - np.arange(n)[None, :] + shift) % n]
 
 
+def _owner(view):
+    """The array that owns the memory a view reads."""
+    while not (isinstance(view, np.ndarray) and view.flags.owndata):
+        view = view.base
+    return view
+
+
 def _assert_read_only(table):
     with pytest.raises(ValueError, match="read-only"):
         table[0, 0] = 1.0
@@ -346,8 +379,14 @@ def test_sector_tables_are_read_only_views_of_one_row(K, snr_db, theta0, monkeyp
     n = k.n_phi
     g = fill_once(-theta0, n, K, cfg.snr_linear)
     kernel_want = _gathered(g, K, 0)
-    inputs = (np.arange(K)[:, None] - (K // M) * np.arange(M)[None, :]) % K
-    mixed_want = kernel_want[inputs].mean(axis=1)
+    a, period = K // M, n // M
+    inputs = (np.arange(K)[:, None] - a * np.arange(M)[None, :]) % K
+    mixed_full = kernel_want[inputs].mean(axis=1)
+    # the input average is 2*pi/M-periodic, so its table holds one period of
+    # the full row 0 rolled by n/K per residue; on the full grid, cells of
+    # rows r > 0 that wrap come from another period, a few ulps away
+    mixed_want = mixed_full[0, (np.arange(period) - (period // a) * np.arange(a)[:, None]) % period]
+    assert (np.abs(mixed_want - mixed_full[:a, :period]) <= 8 * np.spacing(mixed_want)).all()
     with np.errstate(divide="ignore"):
         scan_want = _gathered(np.log(fill_once(-theta0, n_scan, K, cfg.snr_linear)), K, 0)
         log_want = np.log(kernel_want)
@@ -356,7 +395,7 @@ def test_sector_tables_are_read_only_views_of_one_row(K, snr_db, theta0, monkeyp
         log_kernel = _log_table(k.table)
     views = (
         (k.table, kernel_want),
-        (_input_average(k.table, M, K // M), mixed_want),
+        (_input_average(k.table, M, a), mixed_want),
         (scan, scan_want),
         (log_kernel, log_want),
     )
@@ -365,8 +404,9 @@ def test_sector_tables_are_read_only_views_of_one_row(K, snr_db, theta0, monkeyp
         assert view.shape == want.shape
         assert np.ascontiguousarray(view).tobytes() == want.tobytes()
         _assert_read_only(view)
-        # one doubled row (2n values) backs the whole table
+        # one doubled row backs the whole table: 2n values, 2n/M for the input average
         assert np.shares_memory(view[0], view[-1])
+        assert _owner(view).size == 2 * view.shape[1]
     if snr_db == 100.0:
         assert np.isneginf(scan_want).any() and np.isneginf(log_want).any()
     with pytest.raises(ValueError, match="read-only"):
@@ -690,7 +730,7 @@ def _block_log_probs(kernels, X, Z, M, K):
     """log P(z | x) and log P(z) of each block row, as capacity forms them."""
     mixed = {id(k): _input_average(k.table, M, K // M) for k in kernels}
     log_cond = _log_grid_mean([k.table for k in kernels], (Z - (K // M) * X) % K)
-    log_out = _log_grid_mean([mixed[id(k)] for k in kernels], Z)
+    log_out = _log_grid_mean([mixed[id(k)] for k in kernels], Z % (K // M))
     return log_cond, log_out
 
 
