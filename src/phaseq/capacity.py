@@ -8,9 +8,9 @@ The output entropy is the same sum over residue classes of the
 input-averaged table: inputs are i.i.d. uniform, so on each phase grid point
 P(z) is a product of per-symbol input averages and no input is enumerated.
 That table is 2*pi/M-periodic in the phase (a rotation by 2*pi/M is the
-input shift x -> x + 1, which the average over inputs does not see), so it
-holds one period, n/M grid points, and every H(Z) product, exact or Monte
-Carlo, averages n/M points rather than n.
+input shift x -> x + 1), so it is transition._fold_inputs of the kernel
+table with np.mean: a residue rows on one period, n/M grid points, and
+every H(Z) product, exact or Monte Carlo, averages n/M points, not n.
 The classes come from combinatorics.output_class_arrays as integer arrays.
 A full-enumeration brute-force path is shipped alongside as the oracle, and
 a Monte Carlo estimator, which takes P(z) from the same input-averaged
@@ -42,8 +42,8 @@ from .core import SystemConfig, _as_int, _distinct_rows, sample_blocks
 from .transition import (
     TransitionKernel,
     _check_own_kernels,
+    _fold_inputs,
     _log_grid_mean,
-    _rolled_rows,
     kernel_bank_for,
     kernel_for,
 )
@@ -87,23 +87,6 @@ def _entropy_terms(p: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _input_average(table: np.ndarray, M: int, a: int) -> np.ndarray:
-    """Row r < a is the mean over inputs m of table[(r - a*m) mod K] on
-    the first n/M of the table's n grid points.
-
-    Inputs are i.i.d. uniform, so on each phase grid point the output marginal
-    factorises: P(z) is the phase-grid mean of prod_l _input_average(...)[z_l
-    mod a], taken over one period. table is a kernel table, whose row z is
-    row 0 rolled by z*n/K, so the mean over m at grid point i + n/M sums the
-    same values as at i, in another order: the full-grid mean is n/M-periodic
-    up to rounding, and row z of it equals row z mod a. The result is the
-    read-only (a, n/M) _rolled_rows view of the first n/M points of row 0's
-    mean (the same sum over m, in the same order), over 2n/M values.
-    """
-    K, n = table.shape
-    return _rolled_rows(table[(-a * np.arange(M)) % K, : n // M].mean(axis=0), a)
-
-
 def _class_entropy(table: np.ndarray, alphabet: int, L: int, scale: float) -> float:
     """-sum over canonical classes of scale * multiplicity * p * log2 p.
 
@@ -143,7 +126,7 @@ def output_entropy(config: SystemConfig, kernel: TransitionKernel | None = None)
         raise ValueError("output_entropy requires an undithered config")
     kernel = kernel_for(config) if kernel is None else kernel
     _check_own_kernels(config, (kernel,) * config.L)
-    mixed = _input_average(kernel.table, config.M, config.a)
+    mixed = _fold_inputs(kernel.table, config.M, np.mean)
     return _class_entropy(mixed, config.a, config.L, float(config.a * config.M**config.L))
 
 
@@ -274,8 +257,8 @@ def mutual_information_mc(
     Averages log2(P(z|x) / P(z)) over sampled (x, z). P(z|x) is the phase-grid
     block conditional; P(z) is its exact average over all M^L inputs, computed
     through the per-symbol factorization that holds conditioned on each phase
-    grid point (_input_average; finite-sum exchange, no sampling of the input
-    space).
+    grid point (transition._fold_inputs with np.mean; finite-sum exchange,
+    no sampling of the input space).
 
     Each batch scores every distinct block once. Adding c sectors to every
     output rolls every kernel row and every input-averaged row by c*n_phi/K
@@ -293,7 +276,7 @@ def mutual_information_mc(
     kernels = kernel_bank_for(config)
     L, M, K, a = config.L, config.M, config.K, config.a
     tables = [k.table for k in kernels]
-    averaged = {id(t): _input_average(t, M, a) for t in tables}
+    averaged = {id(t): _fold_inputs(t, M, np.mean) for t in tables}
     mixed = [averaged[id(t)] for t in tables]
     shared = not config.is_dithered
 

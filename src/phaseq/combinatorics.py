@@ -8,9 +8,9 @@ component pinned to 0, remaining components sorted nondecreasing; the number
 of distinct blocks sharing a representative is the multinomial permutation
 count of the free positions. output_class_arrays enumerates them as integer
 arrays, built one position at a time in lexicographic order, which is what
-the capacity sums and the tables command read; canonical_output_classes
-wraps the same arrays in one dataclass per class for the checks and the
-benchmark.
+the capacity sums, the tables command and the verify suite read;
+canonical_output_classes wraps the same arrays in one dataclass per class
+for the benchmark.
 
 Inputs that permute within groups of equal output values give equal
 conditional probabilities, so an M^L input average can collapse to per-group

@@ -42,6 +42,14 @@ def ramp_dither(block_len: int, sectors: int) -> tuple[float, ...]:
     return tuple(l * step for l in range(block_len))
 
 
+def _reduce_angle(t: float) -> float:
+    """t inside [-2*pi, 2*pi], else math.remainder(t, 2*pi): exact, in [-pi, pi].
+
+    Past about 1e15 rad the float spacing swallows the constellation step, so
+    kernels and sampler would round an unreduced angle apart."""
+    return t if -TWO_PI <= t <= TWO_PI else math.remainder(t, TWO_PI)
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Static description of one operating point.
@@ -58,7 +66,8 @@ class SystemConfig:
              given.
 
     M, K and L must be integers (numpy integers too); anything else raises
-    ValueError naming the field.
+    ValueError naming the field. theta0 and the dither entries pass through
+    _reduce_angle, which keeps every angle in [-2*pi, 2*pi] bit for bit.
     """
 
     M: int
@@ -109,8 +118,8 @@ class SystemConfig:
                 f"snr_db={self.snr_db} is out of range: 10**(snr_db/10) must be "
                 "a normal positive float (about -3076.5 to 3083 dB)"
             )
-        object.__setattr__(self, "dither", d)
-        object.__setattr__(self, "theta0", float(self.theta0))
+        object.__setattr__(self, "dither", tuple(_reduce_angle(v) for v in d))
+        object.__setattr__(self, "theta0", _reduce_angle(float(self.theta0)))
         object.__setattr__(self, "snr_db", float(self.snr_db))
 
     @property

@@ -11,13 +11,12 @@ distinct crossover angles splits the period into segments whose coherent
 decisions are the only GLRT candidates.
 
 The observation further reduces, with or without dither: z = a*q + r with
-r = z mod a, and the sweep of z is the sweep of r with q added to every
-candidate. Position l's law depends on z_l - a*x_l alone, and its crossover
-on z_l mod a alone (a step of a sectors moves the sector midpoint by exactly
-2*pi/M), which is what _symbol_crossovers reads; so the two sweeps agree
-bitwise, metrics included. Dither gives each position its own rotation, so a dithered
-row has up to L distinct crossovers, one per symbol, where an undithered one
-has at most a.
+r = z mod a. Position l's law depends on z_l - a*x_l alone, and its crossover
+on r_l alone (a step of a sectors moves the sector midpoint by exactly
+2*pi/M), so the sweep of z is the sweep of r with q added to every candidate
+(mod M); _sweep_rows makes that step, the only one in demod. Dither gives
+each position its own rotation, so a dithered row has up to L distinct
+crossovers, one per symbol, where an undithered one has at most a.
 
 Metrics are maxima over a scan grid of the smallest multiple of K at or above
 720 points: _scan_bank holds, per config, the log table of each position's
@@ -25,7 +24,8 @@ transition kernel on that grid (exact symmetry on the grid), so demod and
 the block probabilities share one fill and one table cache. The sweep scores
 all candidates of a row by one scan of the envelope
 E(phi) = sum_l max_m log P(z_l | m, phi) over the n_scan/M grid points of one
-period: on a candidate's segment E is its own metric, so each candidate gets
+period (each term the (a, n_scan/M) view transition._fold_inputs makes with
+np.max): on a candidate's segment E is its own metric, so each candidate gets
 the maximum of E over its segment's grid points. The winner's value is thus
 its full-circle grid maximum, since no other candidate beats E anywhere; a
 loser carries its in-segment maximum, which can lie below its full-circle
@@ -55,7 +55,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import _CHUNK_ELEMENTS, TWO_PI, SystemConfig, _check_indices
-from .transition import TransitionKernel, _check_own_kernels, _kernel_cached, _log_table
+from .transition import (
+    TransitionKernel,
+    _check_own_kernels,
+    _fold_inputs,
+    _kernel_cached,
+    _log_table,
+)
 
 DEFAULT_TIE_TOL = 1e-6
 _ALPHA_DEDUPE = 1e-12
@@ -109,12 +115,11 @@ def _symbol_crossovers(Z: np.ndarray, config: SystemConfig) -> np.ndarray:
     The coherent per-symbol decision switches where the rotated sector
     midpoint is equidistant between adjacent constellation points:
     alpha = (midpoint - theta0 - dither - pi/M) mod 2*pi/M, with 0 folded to
-    the top of the window. The midpoint is taken of Z mod a: a sectors move
-    it by exactly 2*pi/M, so Z and its residues get bitwise-equal angles.
+    the top of the window, for Z in residues mod a as _sweep_rows passes them.
     """
     K, M = config.K, config.M
     window = TWO_PI / M
-    mid = (Z % config.a + 0.5) * (TWO_PI / K)
+    mid = (Z + 0.5) * (TWO_PI / K)
     alpha = np.mod(mid - config.theta0 - np.asarray(config.dither) - math.pi / M, window)
     return np.where(alpha < _ALPHA_DEDUPE, alpha + window, alpha)
 
@@ -139,10 +144,9 @@ def _distinct_crossovers(Z: np.ndarray, config: SystemConfig) -> tuple[np.ndarra
 # ---- scan tables -------------------------------------------------------------
 
 
-# A dithered config holds L scan tables of 2*n_scan values and L (K, P + 1)
-# envelopes, most of its memory (about 24 MB at K = 64 and a 200-position
-# ramp). A run, its chunk threads and a per-block loop score one config at
-# a time, so one entry is enough.
+# A config holds per position a scan table of 2*n_scan values and an envelope
+# of 2*n_scan/M (about 5.2 MiB at K = 64, 200-position ramp). Runs score one
+# config at a time, so one entry is enough.
 @lru_cache(maxsize=1)
 def _scan_bank(config: SystemConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
     """Each position's (phi_scan, log table, envelope) under the config.
@@ -151,11 +155,9 @@ def _scan_bank(config: SystemConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.n
     n_scan the smallest multiple of K at or above _SCAN_TARGET. Its log
     table is _log_table of the kernel at that rotation and grid (-inf where
     it underflows), so each row is an exact roll of row 0, which keeps ties
-    between symmetry-related candidates exact. The envelope is the
-    (K, P + 1) table of max_m log P(z | m, phi_i), with P = n_scan/M: row
-    z - a*m at i is row z at i + m*P, so the envelope is bitwise
-    2*pi/M-periodic and its first P columns hold all of it. Column P is a
-    -inf sentinel that closes each row's last segment. Positions with equal
+    between symmetry-related candidates exact. The envelope is
+    _fold_inputs(log table, M, np.max): row r of that (a, n_scan/M) view
+    is max_m log P(z | m, phi_i) for every z = r mod a. Positions with equal
     rotations share one triple, and all share one phi_scan: the first
     kernel's phi_grid, made read-only. The cache holds whole configs, so a
     block longer than the kernel cache never refills a position once its
@@ -163,7 +165,6 @@ def _scan_bank(config: SystemConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.n
     """
     K, M = config.K, config.M
     n_scan = K * math.ceil(_SCAN_TARGET / K)
-    P = n_scan // M
     scans = {}
     for d in config.dither:
         theta = config.theta0 + d
@@ -174,9 +175,7 @@ def _scan_bank(config: SystemConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.n
                 phi_scan.flags.writeable = False
             with np.errstate(divide="ignore"):
                 table = _log_table(kernel.table)
-            env = np.full((K, P + 1), -np.inf)
-            env[:, :P] = table.reshape(K, M, P).max(axis=1)
-            scans[theta] = (phi_scan, table, env)
+            scans[theta] = (phi_scan, table, _fold_inputs(table, M, np.max))
     return tuple(scans[config.theta0 + d] for d in config.dither)
 
 
@@ -209,50 +208,55 @@ def _evaluate_candidates(z: np.ndarray, C: np.ndarray, config: SystemConfig) -> 
 
 
 def _segment_maxima(
-    Z: np.ndarray,
+    R: np.ndarray,
     C: np.ndarray,
     edges: np.ndarray,
     n_distinct: np.ndarray,
     config: SystemConfig,
 ) -> np.ndarray:
-    """Grid log metric of each row's sweep candidates, (n, D).
+    """Grid log metric of each residue row's sweep candidates, (n, D).
 
-    One scan of E(phi_i) = sum_l max_m log P(z_l | m, phi_i) over the P grid
-    points of one 2*pi/M period serves every candidate of a row. Candidate
-    d is the coherent decision between crossovers d-1 and d, so E is its own
-    metric there; it gets the maximum of E over that segment's grid points
-    (a grid point on a crossover goes to the later segment). Candidate 0
-    also owns the wrap piece from the last crossover to 2*pi/M, where the
-    decision is candidate 0 less one constellation step (the same metric at
-    phi - 2*pi/M), so its value is the larger of its two pieces' maxima. A
-    candidate whose segment holds no grid point gets its own metric at the
-    two grid points bounding the segment. Entries past a row's candidates
-    hold -inf. Rows are scanned in blocks of _CHUNK_ELEMENTS // (P + 1),
-    each on its own.
+    One scan of E(phi_i) = sum_l max_m log P(r_l | m, phi_i) over the P grid
+    points of one 2*pi/M period serves every candidate of a residue row (R,
+    n x L). Candidate d is the coherent decision between crossovers d-1 and
+    d, so E is its own metric there; it gets the maximum of E over that
+    segment's grid points (a grid point on a crossover goes to the later
+    segment). Candidate 0 also owns the wrap piece from the last crossover
+    to 2*pi/M, where the decision is candidate 0 less one constellation step
+    (the same metric at phi - 2*pi/M), so its value is the larger of its two
+    pieces' maxima. A candidate whose segment holds no grid point gets its
+    own metric at the two grid points bounding the segment. Entries past a
+    row's candidates, and pieces that start at P, hold -inf. Rows are
+    scanned in blocks of _CHUNK_ELEMENTS // P, each on its own.
     """
     n, D, L = C.shape
     K, M, a = config.K, config.M, config.a
     scans = _scan_bank(config)
     phi_scan = scans[0][0]
     P = phi_scan.size // M
-    W = P + 1
     envs = [t[2] for t in scans]
 
-    # piece k of a row spans [starts[k], starts[k + 1]) of its W columns:
+    # piece k of a row spans [starts[k], starts[k + 1]) of its P columns:
     # pieces 0..D_r-1 are the candidates' segments, piece D_r the wrap piece
-    bounds = np.minimum(np.searchsorted(phi_scan[:W], edges), P)
+    bounds = np.minimum(np.searchsorted(phi_scan[: P + 1], edges), P)
     starts = np.concatenate([np.zeros((n, 1), dtype=bounds.dtype), bounds], axis=1)
     pieces = np.arange(D + 1)[None, :] <= n_distinct[:, None]
     piece_val = np.full((n, D + 1), -np.inf)
-    chunk = max(1, _CHUNK_ELEMENTS // W)
+    chunk = max(1, _CHUNK_ELEMENTS // P)
     for lo_i in range(0, n, chunk):
         hi_i = min(lo_i + chunk, n)
-        acc = envs[0][Z[lo_i:hi_i, 0]]
+        # the rows' sums, and past them a -inf for a last row's piece at P
+        flat = np.empty((hi_i - lo_i) * P + 1)
+        flat[-1] = -np.inf
+        acc = flat[:-1].reshape(hi_i - lo_i, P)
+        np.take(envs[0], R[lo_i:hi_i, 0], axis=0, out=acc, mode="clip")
         for l in range(1, L):
-            acc += envs[l][Z[lo_i:hi_i, l]]
+            acc += envs[l][R[lo_i:hi_i, l]]
         sel = pieces[lo_i:hi_i]
-        first = (starts[lo_i:hi_i] + W * np.arange(hi_i - lo_i)[:, None])[sel]
-        piece_val[lo_i:hi_i][sel] = np.maximum.reduceat(acc.ravel(), first)
+        first = (starts[lo_i:hi_i] + P * np.arange(hi_i - lo_i)[:, None])[sel]
+        piece_val[lo_i:hi_i][sel] = np.maximum.reduceat(flat, first)
+    # a piece starting at P holds no grid point; reduceat read the next row
+    piece_val[starts == P] = -np.inf
 
     log_metric = piece_val[:, :D].copy()
     np.maximum(log_metric[:, 0], piece_val[np.arange(n), n_distinct], out=log_metric[:, 0])
@@ -268,7 +272,7 @@ def _segment_maxima(
         around = starts[r, d + 1][:, None] - np.array([[1, 0]])
         own = np.zeros(around.shape)
         for l, t in enumerate(scans):
-            S = (Z[r, l] - a * C[r, d, l]) % K
+            S = (R[r, l] - a * C[r, d, l]) % K
             own += t[1][S[:, None], around]
         log_metric[r, d] = own.max(axis=1)
     return log_metric
@@ -322,21 +326,21 @@ class _Sweep(NamedTuple):
 def _sweep_rows(Z: np.ndarray, config: SystemConfig) -> _Sweep:
     """The candidate sweep on each row of Z (n, L), as arrays.
 
-    Z rows are taken as-is. A row and its residues mod a give equal
-    sweeps, each candidate shifted by the row's quotients (mod M), so
-    callers sweep residue rows and add the quotients back.
+    Rows may hold any sectors: the sweep runs on their residues r and adds
+    the quotients q, Z = a*q + r, to every candidate (mod M), the one place
+    where demod reduces rows mod a.
     """
-    Z = np.asarray(Z, dtype=np.int64)
-    n, L = Z.shape
+    q, R = np.divmod(np.asarray(Z, dtype=np.int64), config.a)
+    n, L = R.shape
     M, K = config.M, config.K
 
-    edges, n_distinct = _distinct_crossovers(Z, config)
+    edges, n_distinct = _distinct_crossovers(R, config)
     D = edges.shape[1]
     prev = np.concatenate([np.zeros((n, 1)), edges[:, : D - 1]], axis=1)
     probes = 0.5 * (prev + edges)
     valid = np.arange(D)[None, :] < n_distinct[:, None]
 
-    zeta = Z * (TWO_PI / K) - config.theta0 - np.asarray(config.dither)[None, :]
+    zeta = R * (TWO_PI / K) - config.theta0 - np.asarray(config.dither)[None, :]
     half_w = math.pi / K
     probes = np.where(valid, probes, 0.0)
     # C (n, D, L) is filled in blocks of rows of about _CHUNK_ELEMENTS
@@ -351,7 +355,10 @@ def _sweep_rows(Z: np.ndarray, config: SystemConfig) -> _Sweep:
         block[...] = args
         block %= M
 
-    log_metric = _segment_maxima(Z, C, edges, n_distinct, config)
+    log_metric = _segment_maxima(R, C, edges, n_distinct, config)
+    if q.any():  # residue rows, the SER engine's, skip the int64 remainder
+        C += q[:, None, :]
+        C %= M
     return _Sweep(C, n_distinct, log_metric, *_decide(log_metric, valid))
 
 
@@ -379,21 +386,21 @@ def demodulate_rows(
 ) -> list[DemodRecord]:
     """Run the candidate sweep on each row of Z (n, L), one record per row.
 
-    Rows are taken as _sweep_rows takes them. kernels must be
-    kernel_bank_for(config) in value, else ValueError; the sweep itself
-    reads only the config's scan tables.
+    Rows hold sectors 0..K-1 (else ValueError), full or residues alike.
+    kernels must be kernel_bank_for(config) in value, else ValueError; the
+    sweep itself reads only the config's scan tables.
     """
     _check_own_kernels(config, kernels)
+    Z = _check_indices(Z, "Z", config.L, config.K, "K", stacked=True)
     return _records(_sweep_rows(Z, config))
 
 
-def _result_from_record(rec: DemodRecord, shift: np.ndarray | int, M: int) -> GlrtResult:
-    """The GlrtResult of one record, its candidates shifted by shift mod M."""
-    X = (rec.candidates + shift) % M
+def _result_from_record(rec: DemodRecord) -> GlrtResult:
+    """The GlrtResult of one record."""
     # a log metric is never +inf or NaN, and exp(-inf) is 0
     cands = tuple(
         GlrtCandidate(x=tuple(x), metric=math.exp(lm))
-        for x, lm in zip(X.tolist(), rec.log_metrics.tolist())
+        for x, lm in zip(rec.candidates.tolist(), rec.log_metrics.tolist())
     )
     return GlrtResult(
         winner=cands[rec.winner_index].x, candidates=cands, tie=rec.tie, tie_gap=rec.tie_gap
@@ -404,11 +411,9 @@ def _result_from_record(rec: DemodRecord, shift: np.ndarray | int, M: int) -> Gl
 
 
 def _demodulate(z, config: SystemConfig) -> GlrtResult:
-    """The sweep of one block, solved on r = z mod a with q = z div a added
-    back per position."""
+    """The sweep of one block."""
     z = _check_indices(z, "z", config.L, config.K, "K")
-    rec = _records(_sweep_rows(z[None, :] % config.a, config))[0]
-    return _result_from_record(rec, z // config.a, config.M)
+    return _result_from_record(_records(_sweep_rows(z[None, :], config))[0])
 
 
 def glrt_demodulate(z, config: SystemConfig) -> GlrtResult:
@@ -450,4 +455,4 @@ def brute_force_glrt(z, config: SystemConfig) -> GlrtResult:
     # every orbit is a candidate
     valid = np.ones(lm.shape, dtype=bool)
     sweep = _Sweep(C[None], np.array([C.shape[0]]), lm, *_decide(lm, valid))
-    return _result_from_record(_records(sweep)[0], 0, config.M)
+    return _result_from_record(_records(sweep)[0])

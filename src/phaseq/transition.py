@@ -43,10 +43,11 @@ so any (z, x) probability is row (z - a*x) mod K of that slice. Each row of
 the slice is in turn one base row rolled by n/K grid points per sector, so
 every (K, n) sector table (a kernel's table and its log, which demod scans)
 is _rolled_rows: a read-only view over one doubled copy of its base row,
-holding 2n values rather than K*n. Capacity's input-averaged tables are the
-same view on one 2*pi/M period: (a, n/M) over 2n/M values, whose rows are
-the residues mod a. _log_grid_mean reads the grid size from its tables, so
-it averages over that period there.
+holding 2n values rather than K*n. A table that folds the input away, a mean
+(capacity's input averages) or a max (demod's envelopes) over m of rows
+z - a*m, repeats every 2*pi/M and depends on z mod a alone: _fold_inputs
+makes it the same view on one period, (a, n/M) over 2n/M values, which
+_log_grid_mean averages over.
 
 Every table is a function of the operating point alone, so the config is
 the only handle: block_conditional takes it and looks its kernels up through
@@ -223,6 +224,17 @@ def _rolled_rows(base: np.ndarray, K: int) -> np.ndarray:
     """
     n = base.size
     return sliding_window_view(np.concatenate([base, base]), n)[n:0:-(n // K)]
+
+
+def _fold_inputs(table: np.ndarray, M: int, reduce) -> np.ndarray:
+    """reduce over m of table[(z - a*m) mod K], a = K/M, for a _rolled_rows table.
+
+    Row z - a*m is row z rolled by m*n/M, so the fold repeats every n/M grid
+    points (a mean up to summation order) and its row z is row z mod a: the
+    (a, n/M) _rolled_rows view of reduce over axis 0 of row 0 as (M, n/M).
+    """
+    K, n = table.shape
+    return _rolled_rows(reduce(table[0].reshape(M, n // M), axis=0), K // M)
 
 
 def _is_rolled(table: np.ndarray) -> bool:

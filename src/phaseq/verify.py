@@ -30,7 +30,7 @@ from itertools import product
 import numpy as np
 
 from .capacity import _entropy_terms, block_probs_all_outputs, mutual_information
-from .combinatorics import canonical_output_classes, input_class_count
+from .combinatorics import input_class_count, output_class_arrays
 from .core import TWO_PI, SystemConfig
 from .transition import (
     block_conditional,
@@ -260,36 +260,25 @@ def check_conditional_entropy_constant(n_inputs: int = 20, seed: int = 2027) -> 
 
 def check_cardinalities() -> list[CheckResult]:
     """Class counts match the closed forms they must equal."""
-    results = []
     expected = {3: 36, 4: 120, 5: 330, 6: 792, 7: 1716}
-    worst = 0
-    for L, want in expected.items():
-        got = len(canonical_output_classes(8, L))
-        worst = max(worst, abs(got - want))
-    results.append(
+    worst = max(abs(len(output_class_arrays(8, L)[0]) - want) for L, want in expected.items())
+    got_max = max(input_class_count(rep, 4) for rep in output_class_arrays(2, 8)[0])
+    return [
         CheckResult(
             "canonical-class-counts",
             worst == 0,
             float(worst),
             0.0,
             "alphabet 8, block lengths 3..7 vs {36,120,330,792,1716}",
-        )
-    )
-    sizes = [
-        input_class_count(np.array(cls.representative), 4)
-        for cls in canonical_output_classes(2, 8)
-    ]
-    got_max = max(sizes)
-    results.append(
+        ),
         CheckResult(
             "input-class-worst-case",
             got_max == 1225,
             float(abs(got_max - 1225)),
             0.0,
             f"max over residue patterns (M=4, L=8, a=2) = {got_max}",
-        )
-    )
-    return results
+        ),
+    ]
 
 
 # ---- oracle equivalence ------------------------------------------------------

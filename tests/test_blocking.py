@@ -16,10 +16,9 @@ import numpy as np
 import pytest
 
 from phaseq import SystemConfig, demod, transition
-from phaseq.capacity import _input_average
 from phaseq.core import sample_blocks
 from phaseq.demod import _scan_bank, _sweep_rows, brute_force_glrt, demodulate_rows
-from phaseq.transition import _UNDERFLOW_FLOOR, _log_grid_mean, kernel_bank_for
+from phaseq.transition import _UNDERFLOW_FLOOR, _fold_inputs, _log_grid_mean, kernel_bank_for
 
 # a block of this many rows, or (None) the old 4M-element budget
 _BLOCK_ROWS = [1, 3, None]
@@ -81,7 +80,7 @@ def test_log_grid_mean_peak_skip(rows, monkeypatch):
     for dither in ("none", "ramp"):
         cfg = SystemConfig(M=4, K=64, L=200, snr_db=0.0, dither=dither)
         bank = kernel_bank_for(cfg)
-        averaged = {id(k): _input_average(k.table, cfg.M, cfg.a) for k in bank}
+        averaged = {id(k): _fold_inputs(k.table, cfg.M, np.mean) for k in bank}
         tables = [averaged[id(k)] for k in bank]
         assert sum(math.log(t[0].max()) for t in tables) < math.log(_UNDERFLOW_FLOOR) - 1.0
         rng = np.random.default_rng(23)

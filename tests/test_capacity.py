@@ -17,7 +17,6 @@ from phaseq import SystemConfig
 from phaseq.capacity import (
     LOG2E,
     _MC_BATCH,
-    _input_average,
     _pin,
     block_probs_all_outputs,
     brute_force_conditional_entropy,
@@ -31,7 +30,7 @@ from phaseq.capacity import (
 from phaseq.combinatorics import output_class_arrays
 from phaseq.core import _check_indices, sample_blocks
 from phaseq.sim import run_ser
-from phaseq.transition import _log_grid_mean, kernel_bank_for, kernel_for
+from phaseq.transition import _fold_inputs, _log_grid_mean, kernel_bank_for, kernel_for
 
 
 def marginal_probability(z, config: SystemConfig) -> float:
@@ -41,7 +40,7 @@ def marginal_probability(z, config: SystemConfig) -> float:
     table, which equals the plain average of P(z | x) over all M^L inputs.
     """
     z = _check_indices(z, "residue output z", config.L, config.a, "a")
-    mixed = _input_average(kernel_for(config).table, config.M, config.a)
+    mixed = _fold_inputs(kernel_for(config).table, config.M, np.mean)
     return float(np.exp(_log_grid_mean([mixed] * config.L, z[None, :])[0]))
 
 
@@ -295,7 +294,7 @@ class TestMonteCarlo:
 
         rng = np.random.default_rng(21)
         tables = [k.table for k in kernel_bank_for(cfg)]
-        mixed = [_input_average(t, cfg.M, cfg.a) for t in tables]
+        mixed = [_fold_inputs(t, cfg.M, np.mean) for t in tables]
         ratios, conds, outs = [], [], []
         for lo in range(0, trials, _MC_BATCH):
             X = rng.integers(0, cfg.M, size=(min(_MC_BATCH, trials - lo), cfg.L))
@@ -407,7 +406,7 @@ def test_input_average_is_one_period_of_the_full_grid(M, K, snr_db, theta0):
     for j in range(1, M):
         shifted = np.roll(full, -j * period, axis=1)
         assert (np.abs(shifted - full) <= 8 * np.spacing(full)).all()
-    folded = _input_average(table, M, cfg.a)
+    folded = _fold_inputs(table, M, np.mean)
     assert folded.shape == (cfg.a, period)
     assert folded[0].tobytes() == full[0, :period].tobytes()
 

@@ -4,6 +4,7 @@ and the package root that exports the config."""
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -140,6 +141,68 @@ class TestSystemConfig:
         moved = cfg.with_snr(9.0)
         assert moved.snr_db == 9.0
         assert moved.K == 12 and moved.theta0 == 0.2 and moved.dither == cfg.dither
+
+
+# ---- huge angles ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [1e15, 1e17, -7.5e20, 1e300, TWO_PI + 1e-9, -13.0])
+def test_angles_outside_two_turns_are_reduced(value):
+    cfg = SystemConfig(M=4, K=8, L=3, snr_db=0.0, theta0=value, dither=(0.0, value, 0.2))
+    want = math.remainder(value, TWO_PI)
+    assert -math.pi <= want <= math.pi
+    assert cfg.theta0 == want and cfg.dither == (0.0, want, 0.2)
+
+
+@pytest.mark.parametrize("value", [0.3, -0.0, TWO_PI, -TWO_PI, 6.0, -5e-324, math.pi])
+def test_angles_inside_two_turns_keep_their_bits(value):
+    cfg = SystemConfig(M=4, K=8, L=3, snr_db=0.0, theta0=value, dither=(0.1, value, 0.2))
+    assert cfg.theta0.hex() == float(value).hex()
+    assert cfg.dither[1].hex() == float(value).hex()
+
+
+@pytest.mark.parametrize("theta0", [1e15, 1e17])
+def test_huge_theta0_mutual_information_is_bounded(theta0):
+    # unreduced, the sampler and the kernels round such a rotation apart:
+    # H(Z|X) of 65.2 bits against a bound of L*log2(K) = 9 at 1e15, and NaN
+    # MI with a RuntimeWarning at 1e17
+    from phaseq.capacity import mutual_information_mc
+
+    cfg = SystemConfig(M=4, K=8, L=3, snr_db=40.0, theta0=theta0)
+    reduced = SystemConfig(M=4, K=8, L=3, snr_db=40.0, theta0=math.remainder(theta0, TWO_PI))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = mutual_information_mc(cfg, 2000, np.random.default_rng(0))
+    bound = cfg.L * math.log2(cfg.K)
+    assert 0.0 <= got.h_cond <= bound and 0.0 <= got.h_out <= bound
+    assert math.isfinite(got.mi) and -1e-9 <= got.mi <= cfg.L * math.log2(cfg.M) + 3 * got.error_bar
+    assert got == mutual_information_mc(reduced, 2000, np.random.default_rng(0))
+
+
+def test_huge_dither_entry_raises_no_warning():
+    # unreduced, a 1e300 dither entry overflows the sweep's int64 cast
+    # ("invalid value encountered in cast") in run_ser and the demod entry points
+    from phaseq.demod import brute_force_glrt, demodulate_rows, glrt_demodulate_dithered
+    from phaseq.sim import run_ser
+    from phaseq.transition import kernel_bank_for
+
+    cfg = SystemConfig(M=4, K=8, L=3, snr_db=40.0, dither=(0.0, 1e300, 0.2))
+    reduced = SystemConfig(
+        M=4, K=8, L=3, snr_db=40.0, dither=(0.0, math.remainder(1e300, TWO_PI), 0.2)
+    )
+    Z = np.random.default_rng(3).integers(0, cfg.K, size=(20, cfg.L))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        point = run_ser(cfg, 2000, seed=0)
+        records = demodulate_rows(Z, cfg, kernel_bank_for(cfg))
+        single = [glrt_demodulate_dithered(z, cfg) for z in Z]
+        brute = [brute_force_glrt(z, cfg) for z in Z]
+    assert point == run_ser(reduced, 2000, seed=0)
+    for rec, want in zip(records, demodulate_rows(Z, reduced, kernel_bank_for(reduced))):
+        assert rec.candidates.tobytes() == want.candidates.tobytes()
+        assert rec.log_metrics.tobytes() == want.log_metrics.tobytes()
+    assert single == [glrt_demodulate_dithered(z, reduced) for z in Z]
+    assert brute == [brute_force_glrt(z, reduced) for z in Z]
 
 
 def test_ramp_dither_values():

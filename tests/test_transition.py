@@ -19,7 +19,7 @@ import pytest
 from scipy.integrate import quad
 
 from phaseq import SystemConfig, transition
-from phaseq.capacity import _input_average, mutual_information, mutual_information_mc
+from phaseq.capacity import mutual_information, mutual_information_mc
 from phaseq.cli import main
 from phaseq.core import _CHUNK_ELEMENTS, sample_blocks
 from phaseq.demod import _SCAN_TARGET, _scan_bank, glrt_demodulate
@@ -28,6 +28,7 @@ from phaseq.transition import (
     _MAX_GRID,
     _arc_probabilities,
     _check_snr_linear,
+    _fold_inputs,
     _grid_size,
     _kernel_cached,
     _log_grid_mean,
@@ -390,13 +391,18 @@ def test_sector_tables_are_read_only_views_of_one_row(K, snr_db, theta0, monkeyp
     with np.errstate(divide="ignore"):
         scan_want = _gathered(np.log(fill_once(-theta0, n_scan, K, cfg.snr_linear)), K, 0)
         log_want = np.log(kernel_want)
-    phi_scan, scan, _ = _scan_bank(cfg)[0]
+    phi_scan, scan, env = _scan_bank(cfg)[0]
+    # the envelope: max over m of the gathered log table's rows z - a*m, on
+    # the residues and one period of the scan grid
+    P = n_scan // M
+    env_want = scan_want[inputs[:a]].max(axis=1)[:, :P]
     with np.errstate(divide="ignore"):
         log_kernel = _log_table(k.table)
     views = (
         (k.table, kernel_want),
-        (_input_average(k.table, M, a), mixed_want),
+        (_fold_inputs(k.table, M, np.mean), mixed_want),
         (scan, scan_want),
+        (env, env_want),
         (log_kernel, log_want),
     )
     for view, want in views:
@@ -404,7 +410,8 @@ def test_sector_tables_are_read_only_views_of_one_row(K, snr_db, theta0, monkeyp
         assert view.shape == want.shape
         assert np.ascontiguousarray(view).tobytes() == want.tobytes()
         _assert_read_only(view)
-        # one doubled row backs the whole table: 2n values, 2n/M for the input average
+        # one doubled row backs the whole table: 2n values, 2n/M for the
+        # input average and the envelope
         assert np.shares_memory(view[0], view[-1])
         assert _owner(view).size == 2 * view.shape[1]
     if snr_db == 100.0:
@@ -728,7 +735,7 @@ _GRID_CASES = [
 
 def _block_log_probs(kernels, X, Z, M, K):
     """log P(z | x) and log P(z) of each block row, as capacity forms them."""
-    mixed = {id(k): _input_average(k.table, M, K // M) for k in kernels}
+    mixed = {id(k): _fold_inputs(k.table, M, np.mean) for k in kernels}
     log_cond = _log_grid_mean([k.table for k in kernels], (Z - (K // M) * X) % K)
     log_out = _log_grid_mean([mixed[id(k)] for k in kernels], Z % (K // M))
     return log_cond, log_out
