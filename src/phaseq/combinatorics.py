@@ -56,6 +56,13 @@ class InputClass:
     weight: int
 
 
+# output_class_arrays refuses more classes than this before it allocates:
+# 2**24 (16.8M) rows admit K=64 at L=6 (10.4M classes) and K=32 at L=8
+# (12.6M), while K=64 at L=7 (1.2e8) would need about 6.7 GB of int64
+# representatives and L=8 (1.2e9) 77 GB.
+_MAX_CLASSES = 2**24
+
+
 def _multiset_permutations(counts) -> int:
     total = sum(counts)
     denom = 1
@@ -75,10 +82,17 @@ def output_class_arrays(alphabet_size: int, block_len: int) -> tuple[np.ndarray,
     (block_len-1)! / prod_v c_v!, with prod_v c_v! built along the way from
     the run length of the last symbol. The multiplicities are exact integers:
     int64 while (block_len-1)! fits it, Python ints (dtype object) beyond.
+    More than _MAX_CLASSES classes raise ValueError before any allocation.
     """
     if alphabet_size < 1 or block_len < 1:
         raise ValueError("alphabet_size and block_len must be positive")
     n_free = block_len - 1
+    n_classes = math.comb(alphabet_size + n_free - 1, n_free)
+    if n_classes > _MAX_CLASSES:
+        raise ValueError(
+            f"{n_classes} canonical classes of blocks of {block_len} symbols in"
+            f" 0..{alphabet_size - 1} are above the enumeration limit of {_MAX_CLASSES}"
+        )
     total = math.factorial(n_free)
     exact = np.int64 if total < 2**63 else object
     last = np.zeros(1, dtype=np.int64)

@@ -65,9 +65,11 @@ class SystemConfig:
              via resolve_dither; the CLI passes its --dither token here as
              given.
 
-    M, K and L must be integers (numpy integers too); anything else raises
-    ValueError naming the field. theta0 and the dither entries pass through
-    _reduce_angle, which keeps every angle in [-2*pi, 2*pi] bit for bit.
+    M, K and L must be integers (numpy integers too), snr_db and theta0 finite
+    real numbers (not strings), and dither entries finite values float()
+    takes; anything else raises ValueError naming the field. theta0 and the
+    dither entries pass through _reduce_angle, which keeps every angle in
+    [-2*pi, 2*pi] bit for bit.
     """
 
     M: int
@@ -96,20 +98,24 @@ class SystemConfig:
             resolved = resolve_dither(d, self.L, self.K)
             d = resolved if resolved is not None else (0.0,) * self.L
         else:
-            d = tuple(float(v) for v in d)
+            try:
+                d = tuple(float(v) for v in d)
+            except (TypeError, ValueError, OverflowError):
+                raise ValueError(
+                    f"dither must be a token string or a sequence of real numbers (got {d!r})"
+                ) from None
             # all zeros of any length is the undithered constellation, so
             # replace(config, L=n) works on an undithered config
             if not any(d):
                 d = (0.0,) * self.L
             elif len(d) != self.L:
                 raise ValueError(f"dither must have exactly L={self.L} entries")
-        for name, value in (("snr_db", self.snr_db), ("theta0", self.theta0)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite (got {value})")
+        snr_db = _as_finite(self.snr_db, "snr_db")
+        theta0 = _as_finite(self.theta0, "theta0")
         if not all(math.isfinite(v) for v in d):
             raise ValueError("dither entries must be finite")
         try:
-            snr = 10.0 ** (self.snr_db / 10.0)
+            snr = 10.0 ** (snr_db / 10.0)
         except OverflowError:
             snr = math.inf
         # below the smallest normal float the noise deviation overflows
@@ -119,8 +125,8 @@ class SystemConfig:
                 "a normal positive float (about -3076.5 to 3083 dB)"
             )
         object.__setattr__(self, "dither", tuple(_reduce_angle(v) for v in d))
-        object.__setattr__(self, "theta0", _reduce_angle(float(self.theta0)))
-        object.__setattr__(self, "snr_db", float(self.snr_db))
+        object.__setattr__(self, "theta0", _reduce_angle(theta0))
+        object.__setattr__(self, "snr_db", snr_db)
 
     @property
     def a(self) -> int:
@@ -171,6 +177,20 @@ def _as_int(value, name: str) -> int:
         return operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer (got {value!r})") from None
+
+
+def _as_finite(value, name: str) -> float:
+    """value as a finite float (any real number type, not a string), else
+    ValueError naming it."""
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a real number (got {value!r})") from None
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite (got {value})")
+    return float(value)
 
 
 def _check_indices(

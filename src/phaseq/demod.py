@@ -386,13 +386,13 @@ def demodulate_rows(
 ) -> list[DemodRecord]:
     """Run the candidate sweep on each row of Z (n, L), one record per row.
 
-    Rows hold sectors 0..K-1 (else ValueError), full or residues alike.
-    kernels must be kernel_bank_for(config) in value, else ValueError; the
-    sweep itself reads only the config's scan tables.
+    Rows hold sectors 0..K-1 (else ValueError), full or residues alike; no
+    rows give no records. kernels must be kernel_bank_for(config) in value,
+    else ValueError; the sweep itself reads only the config's scan tables.
     """
     _check_own_kernels(config, kernels)
     Z = _check_indices(Z, "Z", config.L, config.K, "K", stacked=True)
-    return _records(_sweep_rows(Z, config))
+    return _records(_sweep_rows(Z, config)) if Z.size else []
 
 
 def _result_from_record(rec: DemodRecord) -> GlrtResult:

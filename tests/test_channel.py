@@ -98,6 +98,35 @@ class TestSystemConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             SystemConfig(**{"M": 4, "K": 8, "L": 2, "snr_db": 0.0, field: value})
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("snr_db", None),
+            ("snr_db", "6"),
+            ("snr_db", 1j),
+            ("theta0", None),
+            ("theta0", "0.1"),
+            ("dither", (None, 0.0)),
+            ("dither", 5),
+            ("dither", ("x", 0.0)),
+            ("dither", (1j, 0.0)),
+        ],
+    )
+    def test_non_numeric_fields_rejected(self, field, value):
+        # each used to leak a TypeError, or ("x", 0.0) a ValueError from
+        # float() that named no field
+        with pytest.raises(ValueError, match=field):
+            SystemConfig(**{"M": 4, "K": 8, "L": 2, "snr_db": 0.0, field: value})
+
+    def test_real_number_types_accepted(self):
+        want = SystemConfig(M=4, K=8, L=2, snr_db=6.0, theta0=0.5, dither=(0.1, 0.0))
+        for snr_db, theta0, dither in [
+            (np.float32(6.0), np.float64(0.5), (np.float64(0.1), 0)),
+            (6, 0.5, ("0.1", "0")),
+        ]:
+            got = SystemConfig(M=4, K=8, L=2, snr_db=snr_db, theta0=theta0, dither=dither)
+            assert got == want and type(got.snr_db) is float and type(got.theta0) is float
+
     @pytest.mark.parametrize("snr_db", [4000.0, 3084, -4000.0, -3077.0])
     def test_snr_beyond_float_range_rejected(self, snr_db):
         # 10**(snr_db/10) overflows above about 3083 dB, and below about

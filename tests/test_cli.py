@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import math
 
 import pytest
 
 import numpy as np
 
-from phaseq import SystemConfig, cli
+from phaseq import SystemConfig, cli, verify
 from phaseq.capacity import mutual_information
 from phaseq.cli import main, parse_snr_grid
 from phaseq.combinatorics import grouped_input_classes, output_class_arrays
@@ -186,12 +187,14 @@ _TABLES_INTO_TD = ["tables", "--K", "8", "--L", "2", "--out-dir", "{tmp}/td"]
          "residue_output_classes.csv is a directory"),
         (_TABLES_INTO_TD, ("td/input_classes.csv.manifest",),
          "input_classes.csv.manifest is a directory"),
+        # C(70, 7) = 1.2e9 canonical classes: the reduced sums refuse to enumerate
+        (["capacity", "--K", "64", "--L", "8", "--snr", "6"], (), "enumeration limit"),
     ],
     ids=["snr-4000", "workers-0", "brute-oversized", "brute-work", "out-missing-dir",
          "out-directory", "out-dir-file", "ser-manifest-directory",
          "capacity-manifest-directory", "tables-kernel-directory",
          "tables-canonical-manifest-directory", "tables-residue-directory",
-         "tables-input-manifest-directory"],
+         "tables-input-manifest-directory", "reduced-classes"],
 )
 def test_out_of_range_inputs_exit_2(argv, dirs, message, tmp_path, capsys, monkeypatch):
     taken = tmp_path / "taken.csv"
@@ -378,6 +381,15 @@ class TestTablesCommand:
         assert "phase grid" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_class_limit_leaves_no_directory(self, tmp_path, capsys):
+        # K=64 L=8 has 1.2e9 canonical classes, refused before enumerating
+        out_dir = tmp_path / "tables"
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--K", "64", "--L", "8", "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert "enumeration limit" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_dither_refused_before_any_output(self, tmp_path, capsys):
         out_dir = tmp_path / "tables"
         with pytest.raises(SystemExit) as exc:
@@ -393,6 +405,23 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert "checks passed" in out
         assert "PASS" in out and "FAIL" not in out
+
+    def test_nan_deviation_fails(self, capsys, monkeypatch):
+        # max(0.0, nan) is 0.0, so a running max kept with max() reported a
+        # NaN deviation as a pass; every identity but marginal-period, and
+        # kernel-fill, read _rel_dev, and entropy-constant _entropy_terms
+        monkeypatch.setattr(verify, "_rel_dev", lambda p, q: math.nan)
+        monkeypatch.setattr(verify, "_entropy_terms", lambda p: np.full(p.shape, math.nan))
+        assert main(["verify", "--fast"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 13 and all("max deviation nan" in line for line in failed)
+
+    def test_no_instances_exits_2(self, capsys):
+        # zero instances would report every identity passed with nothing checked
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--instances", "0"])
+        assert exc.value.code == 2
+        assert "instances must be at least 1" in capsys.readouterr().err
 
 
 class TestBadArguments:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from phaseq import combinatorics
 from phaseq.cli import main
 from phaseq.combinatorics import (
     canonical_output_classes,
@@ -38,6 +39,19 @@ class TestOutputClasses:
         for alphabet, L in [(8, 2), (8, 3), (12, 2), (2, 8), (3, 3), (64, 2)]:
             classes = canonical_output_classes(alphabet, L)
             assert len(classes) == comb(alphabet + L - 2, L - 1)
+
+    def test_class_count_limit(self, monkeypatch):
+        # the count is C(alphabet + L - 2, L - 1), checked before allocating:
+        # K=64 at L=6 and K=32 at L=8 fit the limit, K=64 at L=7 and 8 do not
+        assert comb(64 + 6 - 2, 5) <= combinatorics._MAX_CLASSES
+        assert comb(32 + 8 - 2, 7) <= combinatorics._MAX_CLASSES
+        for L in (7, 8):
+            with pytest.raises(ValueError, match="enumeration limit"):
+                output_class_arrays(64, L)
+        monkeypatch.setattr(combinatorics, "_MAX_CLASSES", 120)
+        assert len(output_class_arrays(8, 4)[0]) == 120
+        with pytest.raises(ValueError, match="330 canonical classes"):
+            output_class_arrays(8, 5)
 
     def test_reference_cardinalities(self):
         expected = {3: 36, 4: 120, 5: 330, 6: 792, 7: 1716}

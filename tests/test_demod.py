@@ -626,6 +626,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="0..K-1"):
             demodulate_rows(np.array([[1, 2], row]), cfg, kernel_bank_for(cfg))
 
+    @pytest.mark.parametrize("dither", [None, "ramp"])
+    def test_demodulate_rows_of_no_rows(self, dither):
+        # like block_conditional_batch and sample_blocks, no rows give an
+        # empty result; the wrong block length is still refused
+        cfg = SystemConfig(M=4, K=8, L=3, snr_db=6.0, dither=dither)
+        assert demodulate_rows(np.zeros((0, 3), dtype=np.int64), cfg, kernel_bank_for(cfg)) == []
+        with pytest.raises(ValueError, match="L=3"):
+            demodulate_rows(np.zeros((0, 2), dtype=np.int64), cfg, kernel_bank_for(cfg))
+
     def test_non_integer_inputs_rejected(self):
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
         dithered = SystemConfig(M=4, K=8, L=2, snr_db=6.0, dither="ramp")
