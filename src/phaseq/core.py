@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -311,6 +312,18 @@ class _Workspace:
         return flat[:nbytes].view(dtype).reshape(shape)
 
 
+# each thread's workspace, kept for the life of the thread
+_THREAD_WORK = threading.local()
+
+
+def _thread_workspace() -> _Workspace:
+    """The calling thread's workspace, made on first use and kept, so that
+    repeated calls reuse pages already faulted in rather than fresh ones."""
+    if not hasattr(_THREAD_WORK, "work"):
+        _THREAD_WORK.work = _Workspace()
+    return _THREAD_WORK.work
+
+
 def _draw_into(
     rng: np.random.Generator, phi: float | None, noise: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -340,10 +353,10 @@ def _sample_into(
     """sample_blocks for checked symbols X (n, L), in work's buffers.
 
     draws is (phases, noise) as _draw_into made them from rng, and the
-    noise (2, n, L) is overwritten. Z is the buffer "Z" of work, and "t0"
-    and "t1" hold (n, L) temporaries, so callers may reuse the noise, "t0"
-    and "t1" once it returns. rng makes only the zero-sample redraws after
-    the draws. It computes, in real arithmetic and in place,
+    noise (2, n, L) is overwritten. Z is the buffer "Z" of work, "t0" and
+    "t1" hold (n, L) temporaries and "rot" the n block rotations, so callers
+    may reuse the noise, "t0", "t1" and "rot" once it returns. rng makes
+    only the zero-sample redraws after the draws. It computes, in real arithmetic and in place,
         yr = (cr*er - ci*ei) + sigma*nr,  yi = (cr*ei + ci*er) + sigma*ni,
     for clean samples cr + j*ci gathered from the (M, L) table and block
     rotations er + j*ei: the floats of the complex expression. Its angle
@@ -363,7 +376,8 @@ def _sample_into(
     tb = work.buffer("t1", (n, L))
     Z = work.buffer("Z", (n, L), np.int64)
     yr, yi = noise
-    rot = np.exp(1j * phis)
+    rot = np.multiply(1j, phis, out=work.buffer("rot", (n,), np.complex128))
+    np.exp(rot, out=rot)
     er, ei = rot.real[:, None], rot.imag[:, None]
     np.add(X, M * np.arange(L), out=Z)
     yr *= sigma

@@ -54,7 +54,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import _CHUNK_ELEMENTS, TWO_PI, SystemConfig, _check_indices
+from .core import _CHUNK_ELEMENTS, TWO_PI, SystemConfig, _check_indices, _thread_workspace
 from .transition import (
     TransitionKernel,
     _check_own_kernels,
@@ -245,8 +245,10 @@ def _segment_maxima(
     chunk = max(1, _CHUNK_ELEMENTS // P)
     for lo_i in range(0, n, chunk):
         hi_i = min(lo_i + chunk, n)
-        # the rows' sums, and past them a -inf for a last row's piece at P
-        flat = np.empty((hi_i - lo_i) * P + 1)
+        # the rows' sums, and past them a -inf for a last row's piece at P,
+        # in a buffer kept by the thread: a fresh 512 KB block would be
+        # mapped, or trimmed off the heap, and faulted in again each time
+        flat = _thread_workspace().buffer("demod_scan", ((hi_i - lo_i) * P + 1,))
         flat[-1] = -np.inf
         acc = flat[:-1].reshape(hi_i - lo_i, P)
         np.take(envs[0], R[lo_i:hi_i, 0], axis=0, out=acc, mode="clip")

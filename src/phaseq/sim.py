@@ -41,9 +41,9 @@ nothing; a row two lanes meet is swept by each, to one decision, since a
 sweep is row-local and a tied block re-draws from its own chunk's stream.
 With workers > 1, min(workers, chunks) pool lanes each take every
 workers-th chunk and a fresh workspace. One worker runs one lane on the
-calling thread, which keeps its workspace (_THREAD_WORK) across runs:
-fresh buffers would be fresh pages (about 500 minor faults a 10,000-block
-ramp K=8, L=8 run).
+calling thread, which keeps its workspace (core._thread_workspace) across
+runs: fresh buffers would be fresh pages (about 500 minor faults a
+10,000-block ramp K=8, L=8 run).
 
 A chunk is its bulk draws (_draw_chunk: the symbols, block phases and
 noise, in stream order) and then everything else (_run_chunk: the sampler
@@ -75,19 +75,24 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemConfig, _as_int, _distinct_rows, _draw_into, _sample_into, _Workspace
+from .core import (
+    SystemConfig,
+    _as_int,
+    _distinct_rows,
+    _draw_into,
+    _sample_into,
+    _thread_workspace,
+    _Workspace,
+)
 from .demod import _sweep_rows
 
 DEFAULT_CHUNK = 4096
 _CONVENTIONS = ("pilot", "genie")
-# each thread's chunk workspace, kept across runs (see the module docstring)
-_THREAD_WORK = threading.local()
 # the workspace buffers that chunks drawn ahead alternate between
 _NOISE_BUFFERS = ("noise", "noise_ahead")
 
@@ -162,13 +167,6 @@ def ser_crossing_snr(snrs_db, sers, target: float) -> float:
 
 
 # ---- chunk engine -----------------------------------------------------------
-
-
-def _thread_work() -> _Workspace:
-    """The calling thread's chunk workspace, made on its first chunk."""
-    if not hasattr(_THREAD_WORK, "work"):
-        _THREAD_WORK.work = _Workspace()
-    return _THREAD_WORK.work
 
 
 def _usable_cpus() -> int:
@@ -402,9 +400,9 @@ def run_ser(
             results = [r for run in runs for r in run]
     elif len(chunks) > 1 and _usable_cpus() > 1:
         with ThreadPoolExecutor(max_workers=1) as helper:
-            results = _run_lane(config, chunks, convention, _thread_work(), helper)
+            results = _run_lane(config, chunks, convention, _thread_workspace(), helper)
     else:
-        results = _run_lane(config, chunks, convention, _thread_work())
+        results = _run_lane(config, chunks, convention, _thread_workspace())
     errors, ties, cands = (sum(r[i] for r in results) for i in range(3))
     symbols = trials * (config.L - 1 if convention == "pilot" else config.L)
     lo, hi = wilson_interval(errors, symbols)

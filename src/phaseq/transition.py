@@ -8,15 +8,24 @@ of the received phase minus the clean phase has the classical closed form
          + sqrt(rho/pi) * cos(u) * e^{-rho*sin^2(u)} * Phi(sqrt(2*rho)*cos(u))
 
 with rho the linear SNR and Phi the standard normal CDF. _phase_offset_pdf
-evaluates f without checking its arguments: its callers pass a config's SNR,
-already checked, or check the SNR themselves. A sector probability
-is f integrated over an arc of width 2*pi/K: by adaptive quadrature in the
-reference sector_probability, and for a whole grid (a kernel's table, the
-one fill of the package) by _arc_probabilities, one 16-node Gauss-Legendre
-rule (computed once, at import) per part of each grid cell, with each arc
-summing the cells it spans. A fill evaluates all 16 nodes of a block of
-cells in one density call, in blocks of _CHUNK_ELEMENTS // 16 cells, so its
-temporaries stay at 512 KB whatever the grid size.
+evaluates f from cos(u) and sin(u) without checking its arguments: its
+callers pass a config's SNR, already checked, or check the SNR themselves.
+Phi is _ndtr, the Cephes ndtr rationals in NumPy (erf below |x| = sqrt(2),
+erfc above), so no run path imports SciPy. Above |x| = sqrt(2), Phi carries
+a factor exp(-x^2/2), and e^{-rho*sin^2(u)}*e^{-x^2/2} = e^{-rho}: the
+density takes that product in closed form, with no exponential of its own.
+A sector probability is f integrated over an arc of width 2*pi/K: by
+adaptive quadrature in the reference sector_probability (in scalar
+arithmetic, Phi by the C library's erfc, so that it checks _ndtr too), and
+for a whole grid (a kernel's table, the one fill of the package) by
+_arc_probabilities, one 16-node Gauss-Legendre rule (computed once, at
+import) per part of each grid cell, with each arc summing the cells it
+spans by doubling (_arc_sums). A fill takes cos and sin of each cell's
+left edge once, and gets each node's by angle addition with 16 constant
+offsets; it evaluates all 16 nodes of a block of cells in one density
+call, in blocks of _CHUNK_ELEMENTS // 16 cells, in buffers that the
+calling thread keeps (core._thread_workspace), so its temporaries stay at
+512 KB whatever the grid size and a later fill faults in no fresh pages.
 Block probabilities average the per-symbol product over phi on the uniform
 grid phi_i = i*2*pi/n (the composite trapezoidal rule; the integrand is
 smooth and periodic, so the rule converges spectrally). The grid size is
@@ -68,15 +77,13 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import ndtr
 
-from .core import _CHUNK_ELEMENTS, TWO_PI, SystemConfig, _check_indices
+from .core import _CHUNK_ELEMENTS, TWO_PI, SystemConfig, _check_indices, _thread_workspace
 
 # A kernel table is filled only up to this many phase grid points, i.e. up to
 # rho*L of about 1.9e9 (93 dB at L = 1, 84 dB at L = 8). The table is a view
 # of one doubled row (16 MB here), so the limit bounds fill time, not memory:
-# the arc sums cost O(n^2/K), and a K = 64 fill at the limit takes about
-# 12 s on a 2-vCPU host.
+# a K = 64 fill at the limit takes about 0.6 s on a 2-vCPU host.
 _MAX_GRID = 2**20
 # A grid mean below this is near the float64 underflow limit (~2.2e-308), where
 # the linear product has lost precision or reached zero; such rows are redone
@@ -94,6 +101,39 @@ _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 # Cells per block of an arc fill: a (16, cells) evaluation holds about
 # _CHUNK_ELEMENTS values (512 KB) per temporary at any grid size.
 _ARC_BLOCK = _CHUNK_ELEMENTS // _GAUSS_NODES.size
+# The Cephes ndtr rationals (S. L. Moshier, after W. J. Cody, Math. Comp.
+# 1969), highest degree first; the monic denominators list their leading 1.0.
+# erf(w) = w*T(w^2)/U(w^2) for |w| < 1, and erfc(z) = exp(-z^2)*P(z)/Q(z)
+# for 1 <= z < 8 and exp(-z^2)*R(z)/S(z) from 8 on.
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+# Beyond this z, S(z) would overflow; exp(-z^2) underflowed long before, so
+# the tail rational is taken at this z instead.
+_ERFC_Z_CAP = 1e30
 
 
 def _check_snr_linear(snr_linear: float) -> None:
@@ -101,36 +141,94 @@ def _check_snr_linear(snr_linear: float) -> None:
         raise ValueError(f"snr_linear must be positive and finite (got {snr_linear})")
 
 
-def _phase_offset_pdf(u, rho: float) -> np.ndarray:
-    """The density f(u) of the module docstring at float u and linear SNR
-    rho, unchecked: callers pass finite u and a positive finite rho."""
-    cu = np.cos(u)
-    su = np.sin(u)
-    base = math.exp(-rho) / TWO_PI if rho < 700 else 0.0
-    amp = np.sqrt(rho / math.pi) * cu * np.exp(-rho * su * su) * ndtr(np.sqrt(2.0 * rho) * cu)
+def _polevl(x: np.ndarray, coefs: tuple[float, ...], out: np.ndarray) -> np.ndarray:
+    """Horner's rule into out, as Cephes polevl: coefs highest degree first.
+    A leading 1.0 multiplies exactly, so a monic polynomial also matches
+    Cephes p1evl bit for bit."""
+    np.multiply(x, coefs[0], out=out)
+    out += coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _ndtr(x: np.ndarray, work) -> np.ndarray:
+    """Phi(x) = a - b*exp(-z*z)/2, z = |x|*sqrt(1/2), by the Cephes ndtr rationals.
+
+    x is a C-contiguous float array; it is overwritten with a, and b is
+    returned in work's buffer "ndtr_b". Below z = 1, a = 0.5 + 0.5*erf(w)
+    for w = x*sqrt(1/2) and b = 0. From z = 1 on, erfc(z) = exp(-z*z)*r(z)
+    with r = P/Q below z = 8 and R/S above, so a = 0, b = -r for x < 0 and
+    a = 1, b = r for x > 0. Leaving exp(-z*z) to the caller lets one that
+    knows its product with another factor in closed form skip it. Each
+    element takes the same arithmetic whatever the array's size.
+    """
+    xf = x.reshape(-1)
+    b = work.buffer("ndtr_b", xf.shape)
+    g1, g2 = work.buffer("ndtr_g1", xf.shape), work.buffer("ndtr_g2", xf.shape)
+    center, far, near = (work.buffer(f"ndtr_{m}", xf.shape, np.bool_) for m in ("c", "f", "n"))
+    z = np.abs(np.multiply(xf, math.sqrt(0.5), out=b), out=b)
+    np.less(z, 1.0, out=center)
+    np.greater_equal(z, 8.0, out=far)
+    np.logical_not(np.logical_or(center, far, out=near), out=near)
+    xc = xf[center]
+    for piece, num, den in ((near, _ERFC_P, _ERFC_Q), (far, _ERFC_R, _ERFC_S)):
+        k = np.count_nonzero(piece)
+        if not k:
+            continue
+        zt = z[piece]
+        if piece is far:
+            np.minimum(zt, _ERFC_Z_CAP, out=zt)
+        r = _polevl(zt, num, g1[:k])
+        r /= _polevl(zt, den, g2[:k])
+        b[piece] = np.copysign(r, xf[piece], out=r)
+    # a is 1 on the right tail and 0 on the left; the center is set below
+    np.greater(xf, 0.0, out=xf)
+    k = xc.size
+    if k:
+        w = np.multiply(xc, math.sqrt(0.5), out=xc)
+        w2 = w * w
+        erf = _polevl(w2, _ERF_T, g1[:k])
+        erf *= w
+        erf /= _polevl(w2, _ERF_U, g2[:k])
+        erf *= 0.5
+        erf += 0.5
+        xf[center] = erf
+        b[center] = 0.0
+    return b
+
+
+def _phase_offset_pdf(cu: np.ndarray, su: np.ndarray, rho: float, work) -> np.ndarray:
+    """The density f of the module docstring at the angles u whose cosines
+    are cu and sines su, at linear SNR rho, unchecked: C-contiguous float
+    arrays of one shape, and a positive finite rho.
+
+    f is written into cu, which is returned; su and work's buffers "pdf_x"
+    and those of _ndtr are overwritten. With x = sqrt(2*rho)*cos(u),
+    Phi(x) = a - b*exp(-x^2/2)/2 (_ndtr), and exp(-rho*sin^2(u))*exp(-x^2/2)
+    is exp(-rho), so the tails of Phi need no exponential of their own.
+    """
+    e = np.multiply(su, su, out=su)
+    e *= -rho
+    np.exp(e, out=e)
+    x = np.multiply(cu, math.sqrt(2.0 * rho), out=work.buffer("pdf_x", cu.shape))
+    b = _ndtr(x, work).reshape(cu.shape)
+    # e*Phi(x) = e*a - exp(-rho)*b/2, in x's buffer
+    x *= e
+    b *= 0.5 * math.exp(-rho)
+    x -= b
+    x *= cu
+    x *= math.sqrt(rho / math.pi)
+    x += math.exp(-rho) / TWO_PI if rho < 700 else 0.0
     # The two terms cancel catastrophically in the far tail at high SNR and can
     # leave a tiny negative residue; the true density is positive everywhere.
-    return np.maximum(base + amp, 0.0)
+    return np.maximum(x, 0.0, out=cu)
 
 
 def _wrap_pi(t):
-    """(t + pi) mod 2*pi - pi, with the same bits as that expression.
-
-    An array whose t + pi lies in [-2*pi, 4*pi) is wrapped without the
-    division, as core._quantize does: np.mod adds 2*pi to a negative value,
-    the same rounded add as here, and from 2*pi upward it subtracts 2*pi,
-    which is exact (Sterbenz). Both shifts are chosen from the unshifted
-    values, so a negative value that rounds up to 2*pi stays there, as in
-    np.mod. Scalars, and arrays outside that range, take the expression.
-    """
-    s = t + math.pi
-    if np.ndim(s) and s.size and s.min() >= -TWO_PI and s.max() < 2.0 * TWO_PI:
-        shift = TWO_PI * (s < 0.0)
-        shift -= TWO_PI * (s >= TWO_PI)
-        s += shift
-        s -= math.pi
-        return s
-    return s % TWO_PI - math.pi
+    """(t + pi) mod 2*pi - pi."""
+    return (t + math.pi) % TWO_PI - math.pi
 
 
 def sector_offset_probability(t: float, width: float, snr_linear: float) -> float:
@@ -139,7 +237,8 @@ def sector_offset_probability(t: float, width: float, snr_linear: float) -> floa
     The quadrature targets a relative error of 1e-13, so that deep-tail
     sectors keep their relative accuracy too. No run path calls this
     reference, so scipy.integrate (which loads scipy.optimize, sparse and
-    linalg) is imported here, on first use.
+    linalg) is imported here, on first use. Its integrand is f in scalar
+    arithmetic with Phi from math.erfc, independent of _ndtr.
     """
     from scipy.integrate import quad
 
@@ -149,9 +248,15 @@ def sector_offset_probability(t: float, width: float, snr_linear: float) -> floa
     t = _wrap_pi(t)
     hi = t + width
     interior = [p for p in (0.0, math.pi) if t < p < hi]
+    rho = snr_linear
+    base = math.exp(-rho) / TWO_PI if rho < 700 else 0.0
 
     def integrand(u: float) -> float:
-        return float(_phase_offset_pdf(_wrap_pi(u), snr_linear))
+        # the density f in scalar arithmetic, Phi(x) by the C library's erfc
+        cu, su = math.cos(u), math.sin(u)
+        x = math.sqrt(2.0 * rho) * cu
+        phi = 0.5 * math.erfc(-x / math.sqrt(2.0))
+        return max(base + math.sqrt(rho / math.pi) * cu * math.exp(-rho * su * su) * phi, 0.0)
 
     val = quad(
         integrand,
@@ -183,16 +288,18 @@ def _arc_probabilities(start: float, n: int, K: int, snr_linear: float) -> np.nd
     n is a multiple of K, so an arc is s = n/K cells. Each cell is split into
     parts no wider than the noise scale 1/sqrt(2*rho), each integrated by the
     16-node Gauss-Legendre rule of the module constants; an arc sums its s
-    positive cells (never a difference of running sums), so deep-tail arcs
-    keep their relative accuracy. Cells are filled in blocks of _ARC_BLOCK:
-    for each part, one density call evaluates all 16 nodes of the block, so
-    memory stays O(n) however large the grid and however many parts high
+    positive cells (_arc_sums, never a difference of running sums), so
+    deep-tail arcs keep their relative accuracy. The cosine and sine of each
+    node come by angle addition from those of its cell's left edge, taken
+    once per fill, and of its offset from that edge, 16 constants per part.
+    Cells are filled in blocks of _ARC_BLOCK: for each part, one density call
+    evaluates all 16 nodes of the block, in the calling thread's workspace,
+    so memory stays O(n) however large the grid and however many parts high
     SNR needs. Each cell sums its parts in order and, within a part, its
     nodes in order, so the values do not depend on the block size. Raises
     ValueError beyond _MAX_ARC_PARTS parts per cell.
     """
     delta = TWO_PI / n
-    s = n // K
     parts = max(1, math.ceil(delta * math.sqrt(2.0 * snr_linear)))
     if parts > _MAX_ARC_PARTS:
         raise ValueError(
@@ -200,19 +307,52 @@ def _arc_probabilities(start: float, n: int, K: int, snr_linear: float) -> np.nd
             f" {n}-point arc fill, above the limit of {_MAX_ARC_PARTS}"
         )
     h = delta / parts
-    offsets = (0.5 * h * (_GAUSS_NODES + 1.0))[:, None]
     lo = start + delta * np.arange(n)
+    cos_lo, sin_lo = np.cos(lo), np.sin(lo)
+    work = _thread_workspace()
     cells = np.zeros(n)
     for b in range(0, n, _ARC_BLOCK):
         block = cells[b : b + _ARC_BLOCK]
+        cl, sl = cos_lo[b : b + _ARC_BLOCK], sin_lo[b : b + _ARC_BLOCK]
+        shape = (_GAUSS_NODES.size, block.size)
         for part in range(parts):
-            left = lo[b : b + _ARC_BLOCK] + part * h
-            pdf = _phase_offset_pdf(_wrap_pi(left + offsets), snr_linear)
+            offsets = part * h + 0.5 * h * (_GAUSS_NODES + 1.0)
+            co, so = np.cos(offsets)[:, None], np.sin(offsets)[:, None]
+            cu = np.multiply(co, cl, out=work.buffer("arc_cos", shape))
+            su = np.multiply(co, sl, out=work.buffer("arc_sin", shape))
+            # scratch that the density call overwrites
+            tmp = np.multiply(so, sl, out=work.buffer("pdf_x", shape))
+            cu -= tmp
+            su += np.multiply(so, cl, out=tmp)
+            pdf = _phase_offset_pdf(cu, su, snr_linear, work)
+            pdf *= _GAUSS_WEIGHTS[:, None]
             # row by row in node order: a weights @ pdf would reorder the sum
-            for w, row in zip(_GAUSS_WEIGHTS, pdf):
-                block += w * row
+            for row in pdf:
+                block += row
     cells *= 0.5 * h
-    return sliding_window_view(np.concatenate([cells, cells[: s - 1]]), s).sum(axis=1)
+    return _arc_sums(cells, n // K)
+
+
+def _arc_sums(cells: np.ndarray, s: int) -> np.ndarray:
+    """sum(cells[m : m + s]) for each m < n = cells.size, cyclically.
+
+    Each window is a sum of the power-of-two blocks of cells that make up s
+    (its set bits, lowest first), and a block of 2w cells is the sum of two
+    of w, so the sums take O(n log s) additions of positive terms: no
+    differencing, and no O(n*s) sliding sum.
+    """
+    n = cells.size
+    blocks = np.concatenate([cells, cells[: s - 1]])
+    out, used, width = None, 0, 1
+    while True:
+        if s & width:
+            window = blocks[used : used + n]
+            out = window.copy() if out is None else np.add(out, window, out=out)
+            used += width
+        if 2 * width > s:
+            return out
+        blocks = blocks[:-width] + blocks[width:]
+        width *= 2
 
 
 def _rolled_rows(base: np.ndarray, K: int) -> np.ndarray:

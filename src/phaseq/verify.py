@@ -39,7 +39,7 @@ import numpy as np
 
 from .capacity import _entropy_terms, block_probs_all_outputs, mutual_information
 from .combinatorics import input_class_count, output_class_arrays
-from .core import TWO_PI, SystemConfig
+from .core import _CHUNK_ELEMENTS, TWO_PI, SystemConfig
 from .transition import block_conditional, kernel_for, sector_probability
 
 SYMMETRY_TOL = 1e-9
@@ -131,14 +131,24 @@ def _block_case(rng: np.random.Generator) -> dict[str, float]:
 
 def _phase_marginal(z: np.ndarray, config: SystemConfig) -> np.ndarray:
     """P(z | phi_i) on the kernel's phase grid, by brute force: the mean over
-    all M^L inputs x (in itertools.product order) of prod_l table[z_l - a*x_l]."""
+    all M^L inputs x (in itertools.product order) of prod_l table[z_l - a*x_l].
+
+    Inputs are multiplied in blocks of _CHUNK_ELEMENTS // n_phi rows (at
+    least one), and the block sums are summed, so memory stays O(n_phi)
+    however many inputs there are.
+    """
     table = kernel_for(config).table
     inputs = np.indices((config.M,) * config.L).reshape(config.L, -1).T
     rows = (z[None, :] - config.a * inputs) % config.K
-    acc = table[rows[:, 0]]
-    for l in range(1, config.L):
-        acc *= table[rows[:, l]]
-    return acc.mean(axis=0)
+    chunk = max(1, _CHUNK_ELEMENTS // table.shape[1])
+    total = np.zeros(table.shape[1])
+    for lo in range(0, len(rows), chunk):
+        block = rows[lo : lo + chunk]
+        acc = table[block[:, 0]]
+        for l in range(1, config.L):
+            acc *= table[block[:, l]]
+        total += acc.sum(axis=0)
+    return total / len(rows)
 
 
 def _marginal_case(rng: np.random.Generator) -> dict[str, float]:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
 
 import pytest
 
@@ -415,6 +416,21 @@ class TestVerifyCommand:
         assert main(["verify", "--fast"]) == 1
         failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
         assert len(failed) == 13 and all("max deviation nan" in line for line in failed)
+
+    def test_phase_marginal_memory_is_bounded(self):
+        # M=8 L=4 30 dB: 4,096 inputs on a 1,584-point grid, 104 MB when the
+        # accumulator and its gathered operand held every input at once
+        cfg = SystemConfig(M=8, K=16, L=4, snr_db=30.0)
+        z = np.array([0, 5, 9, 14])
+        kernel_for(cfg).table  # the kernel fill is not the marginal's memory
+        tracemalloc.start()
+        try:
+            p = verify._phase_marginal(z, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert p.shape == (kernel_for(cfg).n_phi,)
+        assert peak < 4 * 2**20
 
     def test_no_instances_exits_2(self, capsys):
         # zero instances would report every identity passed with nothing checked

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import ndtr
 
 from phaseq import SystemConfig, sim, transition
-from phaseq.core import sample_blocks
+from phaseq.core import _thread_workspace, sample_blocks
 from phaseq.demod import _sweep_rows
 from phaseq.sim import (
     DEFAULT_CHUNK,
@@ -453,9 +453,9 @@ class TestChunkEngine:
         thread.join(timeout=120)
         assert not thread.is_alive() and len(fresh) == 1
         run_ser(SystemConfig(M=2, K=6, L=20, snr_db=3.0), DEFAULT_CHUNK + 5, seed=4)
-        work = sim._THREAD_WORK.work
+        work = _thread_workspace()
         assert run_ser(ramp, 5_000, seed=3) == fresh[0]
-        assert sim._THREAD_WORK.work is work
+        assert _thread_workspace() is work
 
     @pytest.mark.parametrize(
         "cfg",

@@ -21,12 +21,13 @@ from scipy.integrate import quad
 from phaseq import SystemConfig, transition
 from phaseq.capacity import mutual_information, mutual_information_mc
 from phaseq.cli import main
-from phaseq.core import _CHUNK_ELEMENTS, sample_blocks
+from phaseq.core import _CHUNK_ELEMENTS, _Workspace, sample_blocks
 from phaseq.demod import _SCAN_TARGET, _scan_bank, glrt_demodulate
 from phaseq.sim import run_ser
 from phaseq.transition import (
     _MAX_GRID,
     _arc_probabilities,
+    _arc_sums,
     _check_snr_linear,
     _fold_inputs,
     _grid_size,
@@ -47,12 +48,14 @@ TWO_PI = 2.0 * math.pi
 
 
 def phase_offset_pdf(u, snr_linear: float) -> np.ndarray:
-    """Density of (received phase - clean phase), wrapped to [-pi, pi)."""
+    """Density of (received phase - clean phase) at the angles u."""
     _check_snr_linear(snr_linear)
     u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise ValueError("u must be finite")
-    return _phase_offset_pdf(u, snr_linear)
+    flat = u.reshape(-1)
+    pdf = _phase_offset_pdf(np.cos(flat), np.sin(flat), snr_linear, _Workspace())
+    return pdf.reshape(u.shape)
 
 
 # ---- phase offset density ----------------------------------------------------
@@ -285,22 +288,23 @@ def test_arc_fill_matches_quadrature_oracle(K, snr_db, rng):
 
 
 def _arc_fill_node_by_node(start, n, K, snr_linear):
-    """The arc fill with one density call per Gauss node over all n cells."""
+    """The arc fill's cells with one density call per Gauss node over all n
+    cells, each node's cosine and sine by angle addition from its cell's
+    left edge, then the fill's own arc sums."""
     delta = TWO_PI / n
     parts = max(1, math.ceil(delta * math.sqrt(2.0 * snr_linear)))
     h = delta / parts
     lo = start + delta * np.arange(n)
+    cl, sl = np.cos(lo), np.sin(lo)
     cells = np.zeros(n)
     nodes, weights = np.polynomial.legendre.leggauss(16)
     for part in range(parts):
-        left = lo + part * h
-        for x, w in zip(nodes, weights):
-            cells += w * _phase_offset_pdf(_wrap_pi(left + 0.5 * h * (x + 1.0)), snr_linear)
+        offsets = part * h + 0.5 * h * (nodes + 1.0)
+        for co, so, w in zip(np.cos(offsets), np.sin(offsets), weights):
+            pdf = _phase_offset_pdf(co * cl - so * sl, co * sl + so * cl, snr_linear, _Workspace())
+            cells += w * pdf
     cells *= 0.5 * h
-    s = n // K
-    return np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([cells, cells[: s - 1]]), s
-    ).sum(axis=1)
+    return _arc_sums(cells, n // K)
 
 
 @pytest.mark.parametrize("K", [4, 8, 12, 64])
@@ -334,6 +338,64 @@ def test_arc_fill_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_ndtr_matches_scipy():
+    # Phi(x) = a - b*exp(-z*z)/2 against the Cephes ndtr that SciPy ships,
+    # over +-40, both branch edges (|x| = sqrt(2) and 8*sqrt(2), i.e. z = 1
+    # and 8) with their neighbours, and +-0: within 4 ulp wherever SciPy's
+    # value is a normal float (the two exps may differ by an ulp each, and
+    # the products are rounded in another order), and within the smallest
+    # normal below that
+    from scipy.special import ndtr
+
+    edges = np.array([math.sqrt(2.0), 8.0 * math.sqrt(2.0)])
+    edges = np.concatenate([edges, -edges])
+    x = np.concatenate(
+        [
+            np.linspace(-40.0, 40.0, 400_001),
+            edges,
+            np.nextafter(edges, np.inf),
+            np.nextafter(edges, -np.inf),
+            [0.0, -0.0, 1e-300, -1e-300],
+        ]
+    )
+    a = x.copy()
+    b = transition._ndtr(a, _Workspace())
+    z = np.abs(x * math.sqrt(0.5))
+    phi = a - b * np.exp(-z * z) / 2
+    want = ndtr(x)
+    tiny = np.finfo(float).tiny
+    normal = want >= tiny
+    assert np.all(np.abs(phi - want)[normal] <= 4 * np.spacing(want[normal]))
+    assert np.all(np.abs(phi - want)[~normal] <= tiny)
+    assert set(phi[np.abs(x) < 1e-200].tolist()) == {0.5}
+
+
+def test_ndtr_tails_of_huge_arguments_are_exact():
+    # the tail rational is capped, so Phi reaches exactly 0 and 1 far out
+    # with no overflow in R/S (a RuntimeWarning fails the suite)
+    x = np.array([-1e150, -1e40, -50.0, 50.0, 1e40, 1e150])
+    a = x.copy()
+    b = transition._ndtr(a, _Workspace())
+    z = np.abs(x * math.sqrt(0.5))
+    assert (a - b * np.exp(-z * z) / 2).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+    assert np.isfinite(b).all()
+
+
+@pytest.mark.parametrize(
+    "n, s", [(1, 1), (7, 1), (7, 7), (12, 5), (720, 90), (1000, 999), (4096, 1365)]
+)
+def test_arc_sums_match_exact_window_sums(n, s):
+    # each cyclic window of s cells, within a few ulps of its exact sum;
+    # positive terms only, so no window loses relative accuracy
+    rng = np.random.default_rng(n + s)
+    cells = rng.uniform(0.0, 1.0, n) * np.exp(rng.uniform(-300.0, 0.0, n))
+    twice = np.concatenate([cells, cells])
+    exact = np.array([math.fsum(twice[m : m + s]) for m in range(n)])
+    got = _arc_sums(cells, s)
+    assert got.shape == (n,)
+    assert np.all(np.abs(got - exact) <= 4 * math.ceil(math.log2(s) + 1) * np.spacing(exact))
 
 
 # ---- sector tables as views of one base row ------------------------------------
@@ -432,7 +494,9 @@ def test_log_table_of_a_plain_table_is_elementwise(rng):
 _FOOTPRINT_SCRIPT = """
 import sys
 import numpy as np
+import phaseq.capacity
 import phaseq.cli
+import phaseq.sim
 from phaseq.capacity import mutual_information, mutual_information_mc
 from phaseq.core import SystemConfig
 from phaseq.sim import run_ser
@@ -443,15 +507,14 @@ ramp = SystemConfig(M=4, K=8, L=4, snr_db=10.0, dither="ramp")
 run_ser(ramp, 200, seed=1)
 mutual_information_mc(ramp, 200, np.random.default_rng(1))
 mutual_information(cfg)
-heavy = ("scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.linalg")
-print(sorted(m for m in heavy if m in sys.modules))
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 print(repr(sector_probability(3, 1, 0.4, cfg)))
 print("scipy.integrate" in sys.modules)
 """
 
 
 def test_run_paths_load_no_quadrature_scipy():
-    # the run paths use scipy.special only; scipy.integrate (which loads
+    # the run paths load no SciPy module at all; scipy.integrate (which loads
     # optimize, sparse and linalg) waits for the quadrature reference
     src = os.path.dirname(os.path.dirname(transition.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -466,7 +529,7 @@ def test_run_paths_load_no_quadrature_scipy():
     assert value == sector_probability(3, 1, 0.4, cfg)
     lo = 3 * TWO_PI / 8 - (cfg.theta0 + TWO_PI / 4 + 0.4)
     direct = quad(
-        lambda u: phase_offset_pdf(_wrap_pi(u), cfg.snr_linear), lo, lo + TWO_PI / 8, epsrel=1e-13
+        lambda u: phase_offset_pdf(u, cfg.snr_linear), lo, lo + TWO_PI / 8, epsrel=1e-13
     )[0]
     assert value == pytest.approx(direct, rel=1e-12)
     assert out[2] == "True"
