@@ -182,8 +182,10 @@ def _ndtr(x: np.ndarray, work) -> np.ndarray:
             np.minimum(zt, _ERFC_Z_CAP, out=zt)
         r = _polevl(zt, num, g1[:k])
         r /= _polevl(zt, den, g2[:k])
-        b[piece] = np.copysign(r, xf[piece], out=r)
-    # a is 1 on the right tail and 0 on the left; the center is set below
+        b[piece] = r
+    # b takes x's sign, and a is 1 on the right tail and 0 on the left; the
+    # center is set below
+    np.copysign(b, xf, out=b)
     np.greater(xf, 0.0, out=xf)
     k = xc.size
     if k:
