@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -338,6 +339,23 @@ def test_arc_fill_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_arc_fills_on_threads_match_serial():
+    # each thread fills in its own workspace: concurrent fills, switched
+    # often, give the serial bits (a shared workspace would mix their planes)
+    args = [(-0.3, 720, 8, 10 ** (db / 10)) for db in (0.0, 6.0, 11.0, 14.0, 20.0, 30.0)]
+    serial = [_arc_probabilities(*a) for a in args]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_arc_probabilities, *a) for a in args * 4]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for i, g in enumerate(got):
+        assert np.array_equal(g, serial[i % len(args)])
 
 
 def test_ndtr_matches_scipy():
