@@ -228,11 +228,6 @@ def _phase_offset_pdf(cu: np.ndarray, su: np.ndarray, rho: float, work) -> np.nd
     return np.maximum(x, 0.0, out=cu)
 
 
-def _wrap_pi(t):
-    """(t + pi) mod 2*pi - pi."""
-    return (t + math.pi) % TWO_PI - math.pi
-
-
 def sector_offset_probability(t: float, width: float, snr_linear: float) -> float:
     """P(phase offset lands in [t, t + width)), the quadrature primitive.
 
@@ -247,7 +242,7 @@ def sector_offset_probability(t: float, width: float, snr_linear: float) -> floa
     _check_snr_linear(snr_linear)
     if not (math.isfinite(t) and math.isfinite(width)):
         raise ValueError(f"t and width must be finite (got {t}, {width})")
-    t = _wrap_pi(t)
+    t = (t + math.pi) % TWO_PI - math.pi
     hi = t + width
     interior = [p for p in (0.0, math.pi) if t < p < hi]
     rho = snr_linear

@@ -4,7 +4,7 @@ Every check returns a CheckResult with the measured worst deviation, so
 failures carry numbers instead of bare booleans. The same functions back the
 `verify` CLI subcommand and the acceptance tests.
 
-The twelve symmetry identities run through one loop, _worst_deviations: a
+The fourteen symmetry identities run through one loop, _worst_deviations: a
 case function draws one random operating point (M in {2, 4, 8}, K = 2M or
 3M, L in 2..4 for blocks, SNR from -10 to 30 dB) and the random values of its
 identities, and returns each identity's relative deviation on it; the loop
@@ -23,9 +23,13 @@ Naming scheme for the checks:
 * block-permute     P(z|x) invariant under a common permutation of z and x
 * block-rebase      P(z|x) = P(z - a*x | all-zero input)
 * block-residue     P(z|x) = P(z mod a | x - quotient)
+* block-reflect     P(z|x) = P(-z-1 mod K | -x mod M), since the offset
+                    density is even and the phase mean absorbs
+                    phi -> -phi - 2*theta0
 * marginal-shift    P(z) invariant under constant addition
 * marginal-permute  P(z) invariant under permutation
 * marginal-residue  P(z) = P(z mod a)
+* marginal-reflect  P(z) = P(-z-1 mod K)
 * marginal-period   P(z | phi) is 2*pi/M-periodic in phi (brute-force per phase)
 * entropy-constant  H(Z|x) does not depend on x (brute-force per input)
 * kernel-fill       kernel table cells equal adaptive-quadrature probabilities
@@ -124,6 +128,7 @@ def _block_case(rng: np.random.Generator) -> dict[str, float]:
         "block-permute": (z[perm], x[perm]),
         "block-rebase": ((z - a * x) % K, np.zeros(L, dtype=np.int64)),
         "block-residue": (z % a, (x - z // a) % M),
+        "block-reflect": ((-z - 1) % K, (-x) % M),
     }
     base = block_conditional(z, x, cfg)
     return {name: _rel_dev(base, block_conditional(*zx, cfg)) for name, zx in sides.items()}
@@ -163,6 +168,7 @@ def _marginal_case(rng: np.random.Generator) -> dict[str, float]:
         "marginal-shift": (z + i) % cfg.K,
         "marginal-permute": z[perm],
         "marginal-residue": z % cfg.a,
+        "marginal-reflect": (-z - 1) % cfg.K,
     }
     p = _phase_marginal(z, cfg)
     base = float(p.mean())
@@ -192,7 +198,7 @@ def _worst_deviations(case, instances: int, seed: int) -> list[CheckResult]:
 
 
 def check_symmetries(instances: int = 100, seed: int = 2024) -> list[CheckResult]:
-    """All twelve scalar/block/marginal identity checks."""
+    """All fourteen scalar/block/marginal identity checks."""
     return (
         _worst_deviations(_scalar_case, instances, seed)
         + _worst_deviations(_block_case, instances, seed + 1)

@@ -35,12 +35,12 @@ def test_criterion_1_symmetry_suite(capsys):
     results = check_symmetries(instances=100, seed=2024)
     elapsed = time.monotonic() - started
     worst = max(r.deviation for r in results)
-    ok = all(r.passed for r in results) and len(results) == 12 and elapsed < 120.0
+    ok = all(r.passed for r in results) and len(results) == 14 and elapsed < 120.0
     announce(
         capsys, 1, ok,
-        f"12 properties x 100 instances, max rel dev {worst:.2e} < 1e-9, {elapsed:.1f}s"
+        f"14 properties x 100 instances, max rel dev {worst:.2e} < 1e-9, {elapsed:.1f}s"
     )
-    assert len(results) == 12
+    assert len(results) == 14
     for r in results:
         assert r.passed, r.line()
     assert elapsed < 120.0

@@ -17,6 +17,7 @@ from phaseq import SystemConfig
 from phaseq.capacity import (
     LOG2E,
     _MC_BATCH,
+    _entropy_terms,
     _pin,
     block_probs_all_outputs,
     brute_force_conditional_entropy,
@@ -123,7 +124,9 @@ class TestBruteForceAgreement:
         L_max = max(L for L in range(2, 7) if K**L <= 256 and M**L <= 64)
         L = data.draw(st.integers(2, L_max), label="L")
         snr_db = data.draw(st.floats(0.0, 40.0), label="snr_db")
-        cfg = SystemConfig(M=M, K=K, L=L, snr_db=snr_db)
+        # theta0 moves the reflection z -> -z-1 to the phase -phi - 2*theta0
+        theta0 = data.draw(st.floats(-math.pi, math.pi), label="theta0")
+        cfg = SystemConfig(M=M, K=K, L=L, snr_db=snr_db, theta0=theta0)
         reduced = mutual_information(cfg, method="reduced")
         brute = mutual_information(cfg, method="brute")
         assert reduced.mi == pytest.approx(brute.mi, rel=1e-9)
@@ -279,16 +282,19 @@ class TestMonteCarlo:
         "cfg, trials",
         [
             (SystemConfig(M=4, K=64, L=6, snr_db=6.0), 9_000),
+            (SystemConfig(M=4, K=64, L=6, snr_db=12.0, theta0=0.7), 9_000),
             (SystemConfig(M=4, K=8, L=6, snr_db=6.0, dither="ramp"), 9_000),
             (SystemConfig(M=4, K=8, L=4, snr_db=10.0, dither=(0, 0.05, 0.11, 0.3)), 3_000),
             (SystemConfig(M=4, K=8, L=6, snr_db=30.0, dither="ramp"), 1_000),
             (SystemConfig(M=4, K=64, L=200, snr_db=0.0), 300),
         ],
-        ids=["k64", "ramp", "tuple", "ramp-30dB", "k64-L200"],
+        ids=["k64", "k64-12dB-theta0", "ramp", "tuple", "ramp-30dB", "k64-L200"],
     )
     def test_deduplicated_rows_match_per_block_products(self, cfg, trials):
-        # the estimator scores each distinct pinned row once; here every
-        # sampled block gets its own phase-grid product, on the same draws
+        # the estimator scores each bracelet of pinned rows once (each
+        # distinct pinned row under dither, or past 63 bits of gaps at L=200);
+        # here every sampled block gets its own phase-grid product, on the
+        # same draws
         got_rng = np.random.default_rng(21)
         got = mutual_information_mc(cfg, trials, got_rng)
 
@@ -314,6 +320,46 @@ class TestMonteCarlo:
         # the variance is E[r^2] - mi^2, which magnifies relative error
         assert got.error_bar == pytest.approx(se, rel=1e-9, abs=1e-12)
         assert got_rng.bit_generator.state == rng.bit_generator.state
+
+
+def _pinned_class_entropy(table: np.ndarray, alphabet: int, L: int, scale: float) -> float:
+    """-sum of scale * multiplicity * p * log2 p over the pinned classes of
+    output_class_arrays, one phase-grid product per class."""
+    reps, mult = output_class_arrays(alphabet, L)
+    p = np.exp(_log_grid_mean([table] * L, reps))
+    return float(-(scale * mult.astype(float) * _entropy_terms(p)).sum())
+
+
+@pytest.mark.parametrize(
+    "M, K, L, snr_db, theta0",
+    [
+        (2, 4, 6, 0.0, 0.0),
+        (2, 6, 7, 20.0, 0.3),
+        (2, 8, 5, 40.0, 1.1),
+        (2, 4, 22, 6.0, 0.3),
+        (4, 8, 4, 0.0, 1.1),
+        (4, 8, 6, 6.0, 0.3),
+        (4, 12, 6, 12.0, 1.1),
+        (4, 12, 5, 30.0, 0.3),
+        (4, 16, 5, 40.0, 0.0),
+        (8, 16, 4, 20.0, 0.3),
+        (8, 24, 3, 6.0, 1.1),
+        (8, 16, 3, 40.0, 0.0),
+    ],
+)
+def test_bracelet_sums_match_pinned_class_sums(M, K, L, snr_db, theta0):
+    # each bracelet stands for the pinned classes its rotations and its
+    # reflection z -> -z-1 reach; K=4 L=22 needs 66 bits of gaps, so its
+    # H(Z | X) keeps one product per pinned class
+    cfg = SystemConfig(M=M, K=K, L=L, snr_db=snr_db, theta0=theta0)
+    table = kernel_for(cfg).table
+    h_cond = _pinned_class_entropy(table, K, L, K)
+    mixed = _fold_inputs(table, M, np.mean)
+    h_out = _pinned_class_entropy(mixed, cfg.a, L, cfg.a * M**L)
+    got = mutual_information(cfg)
+    assert got.h_cond == pytest.approx(h_cond, rel=1e-12)
+    assert got.h_out == pytest.approx(h_out, rel=1e-12)
+    assert got.mi == pytest.approx(h_out - h_cond, rel=1e-12)
 
 
 @pytest.mark.parametrize("M, K", [(2, 2), (4, 8), (4, 12), (4, 64), (8, 16)])

@@ -415,7 +415,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(verify, "_entropy_terms", lambda p: np.full(p.shape, math.nan))
         assert main(["verify", "--fast"]) == 1
         failed = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
-        assert len(failed) == 13 and all("max deviation nan" in line for line in failed)
+        assert len(failed) == 15 and all("max deviation nan" in line for line in failed)
 
     def test_phase_marginal_memory_is_bounded(self):
         # M=8 L=4 30 dB: 4,096 inputs on a 1,584-point grid, 104 MB when the

@@ -12,7 +12,9 @@ from hypothesis import strategies as st
 
 from phaseq import combinatorics
 from phaseq.cli import main
+from phaseq.core import _distinct_rows
 from phaseq.combinatorics import (
+    _bracelet_rows,
     canonical_output_classes,
     grouped_input_classes,
     input_class_count,
@@ -146,6 +148,74 @@ class TestOutputClasses:
             canonical_output_classes(0, 2)
         with pytest.raises(ValueError):
             canonical_output_classes(8, 0)
+
+
+def dihedral_key(row, period: int) -> tuple:
+    """Least sorted image of a multiset of Z_period under v -> +-v + t."""
+    return min(
+        tuple(sorted((sign * v + t) % period for v in row))
+        for sign in (1, -1)
+        for t in range(period)
+    )
+
+
+class TestBracelets:
+    @pytest.mark.parametrize(
+        "alphabet, L, count", [(8, 6, 126), (12, 8, 3_260), (16, 8, 15_581)]
+    )
+    def test_counts_and_weights(self, alphabet, L, count):
+        reps, mult = output_class_arrays(alphabet, L)
+        bracelets, inverse = _bracelet_rows(reps, alphabet)
+        assert bracelets.shape == (count, L)
+        assert inverse.shape == (len(reps),)
+        weight = np.bincount(inverse, weights=mult.astype(float))
+        assert weight.sum() == alphabet ** (L - 1)
+        assert (weight > 0).all()
+
+    @pytest.mark.parametrize("alphabet, L", [(1, 3), (2, 5), (5, 3), (6, 5), (8, 4), (7, 1)])
+    def test_groups_are_dihedral_orbits(self, alphabet, L):
+        reps, _ = output_class_arrays(alphabet, L)
+        bracelets, inverse = _bracelet_rows(reps, alphabet)
+        keys = [dihedral_key(r, alphabet) for r in bracelets.tolist()]
+        assert len(set(keys)) == len(keys)
+        assert len(keys) == len({dihedral_key(r, alphabet) for r in reps.tolist()})
+        for row, i in zip(reps.tolist(), inverse.tolist()):
+            assert dihedral_key(row, alphabet) == keys[i]
+        # representatives are pinned, sorted and inside the alphabet
+        assert (bracelets[:, 0] == 0).all() and (np.diff(bracelets, axis=1) >= 0).all()
+        assert bracelets.max() < alphabet
+
+    def test_key_ignores_row_order_and_repeats(self):
+        # sampled rows come in any order and repeat; each orbit keeps one
+        # representative whatever its members look like
+        rng = np.random.default_rng(4)
+        rows = np.sort(rng.integers(0, 16, size=(3_000, 6)), axis=1)
+        rows = np.sort((rows - rows[:, :1]) % 16, axis=1)
+        got, inverse = _bracelet_rows(rows, 16)
+        again, inverse_again = _bracelet_rows(rows[::-1], 16)
+        assert np.array_equal(got, again)
+        assert np.array_equal(got[inverse], again[inverse_again][::-1])
+        for row, rep in zip(rows.tolist(), got[inverse].tolist()):
+            assert dihedral_key(row, 16) == dihedral_key(rep, 16)
+
+    def test_over_wide_rows_keep_the_distinct_row_key(self):
+        # K=64 L=10 needs 7 * 10 = 70 bits per packed gap sequence
+        rng = np.random.default_rng(5)
+        rows = np.sort(rng.integers(0, 64, size=(500, 10)), axis=1)
+        rows = np.sort((rows - rows[:, :1]) % 64, axis=1)
+        rows = np.concatenate([rows, rows[:100]])
+        got, inverse = _bracelet_rows(rows, 64)
+        want, want_inverse = _distinct_rows(rows)
+        assert np.array_equal(got, want)
+        assert np.array_equal(inverse, want_inverse)
+        # 7 * 9 = 63 bits still fit one word: a row and its mirror image
+        # -v-1, pinned and sorted again, share one bracelet
+        rows = rows[:200, :9]
+        mirror = np.sort((-rows - 1) % 64, axis=1)
+        mirror = np.sort((mirror - mirror[:, :1]) % 64, axis=1)
+        both = np.concatenate([rows, mirror])
+        assert len(_distinct_rows(both)[0]) > len(_distinct_rows(rows)[0])
+        assert len(_bracelet_rows(both, 64)[0]) == len(_bracelet_rows(rows, 64)[0])
 
 
 class TestInputClasses:

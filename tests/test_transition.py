@@ -36,7 +36,6 @@ from phaseq.transition import (
     _log_grid_mean,
     _log_table,
     _phase_offset_pdf,
-    _wrap_pi,
     block_conditional,
     block_conditional_batch,
     kernel_bank_for,
@@ -86,32 +85,6 @@ def test_density_nonnegative_at_high_snr():
     # cancellation region: u near pi at large rho must clamp to 0, not go negative
     for u in np.linspace(2.0, math.pi, 50):
         assert phase_offset_pdf(u, 1e4) >= 0.0
-
-
-def test_wrap_pi_is_bitwise_mod():
-    def mod_wrap(t):
-        return (t + math.pi) % TWO_PI - math.pi
-
-    edges = np.array(
-        [math.pi, -math.pi, np.nextafter(3 * math.pi, 0.0), -3 * math.pi, 0.0, -0.0, 3.0, -5.0]
-    )
-    near = np.concatenate(
-        [edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)]
-    )
-    rng = np.random.default_rng(12)
-    spread = rng.uniform(-3 * math.pi, 3 * math.pi, size=(64, 1000))
-    # t + pi in [-2*pi, 4*pi): the division-free branch
-    inside = near[(near + math.pi >= -TWO_PI) & (near + math.pi < 2 * TWO_PI)]
-    assert inside.size >= 20 and np.nextafter(3 * math.pi, 0.0) in inside
-    for t in (inside, spread, inside.reshape(1, -1, 1)):
-        assert _wrap_pi(t).tobytes() == mod_wrap(t).tobytes()
-    # 3*pi, the neighbour below -3*pi, far angles and scalars take the expression
-    outside = np.concatenate([near, [10.0 * math.pi, -1e6]])
-    assert not (outside + math.pi < 2 * TWO_PI).all()
-    assert _wrap_pi(outside).tobytes() == mod_wrap(outside).tobytes()
-    for t in near.tolist():
-        assert np.float64(_wrap_pi(t)).tobytes() == np.float64(mod_wrap(t)).tobytes()
-    assert _wrap_pi(np.empty(0)).size == 0
 
 
 # ---- scalar sector probabilities ----------------------------------------------
