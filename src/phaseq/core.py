@@ -325,14 +325,22 @@ def _thread_workspace() -> _Workspace:
 
 
 def _draw_into(
-    rng: np.random.Generator, phi: float | None, noise: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sampler's bulk draws for noise (2, n, L): returns (phases, noise).
+    rng: np.random.Generator,
+    phi: float | None,
+    sigma: float,
+    noise: np.ndarray,
+    rot: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sampler's bulk draws for noise (2, n, L) and rot (n,) complex:
+    returns (phases, rot, noise).
 
     In stream order: the n block phases by one uniform draw (a constant phi
     when given, which draws nothing), then noise filled by one
-    standard_normal draw. Generator fills release the GIL, so these may run
-    on another thread than the arithmetic that follows.
+    standard_normal draw. rot then takes the block rotations exp(j*phase)
+    and noise is scaled by sigma in place, so _sample_into starts from
+    sigma*n. Generator fills and these ufuncs release the GIL, so all of it
+    may run on another thread than the arithmetic that follows, and the
+    floats do not depend on the thread.
     """
     n = noise.shape[1]
     if phi is None:
@@ -340,7 +348,10 @@ def _draw_into(
     else:
         phis = np.full(n, float(phi))
     rng.standard_normal(out=noise)
-    return phis, noise
+    np.multiply(1j, phis, out=rot)
+    np.exp(rot, out=rot)
+    noise *= sigma
+    return phis, rot, noise
 
 
 def _sample_into(
@@ -348,15 +359,16 @@ def _sample_into(
     config: SystemConfig,
     rng: np.random.Generator,
     work: _Workspace,
-    draws: tuple[np.ndarray, np.ndarray],
+    draws: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
     """sample_blocks for checked symbols X (n, L), in work's buffers.
 
-    draws is (phases, noise) as _draw_into made them from rng, and the
-    noise (2, n, L) is overwritten. Z is the buffer "Z" of work, "t0" and
-    "t1" hold (n, L) temporaries and "rot" the n block rotations, so callers
-    may reuse the noise, "t0", "t1" and "rot" once it returns. rng makes
-    only the zero-sample redraws after the draws. It computes, in real arithmetic and in place,
+    draws is (phases, rotations, scaled noise) as _draw_into made them
+    from rng, and the noise (2, n, L) is overwritten. Z is the buffer "Z"
+    of work and "t0" and "t1" hold (n, L) temporaries, so callers may reuse
+    the noise, "t0" and "t1" once it returns. rng makes only the
+    zero-sample redraws after the draws. It computes, in real arithmetic
+    and in place,
         yr = (cr*er - ci*ei) + sigma*nr,  yi = (cr*ei + ci*er) + sigma*ni,
     for clean samples cr + j*ci gathered from the (M, L) table and block
     rotations er + j*ei: the floats of the complex expression. Its angle
@@ -368,20 +380,13 @@ def _sample_into(
     # entry l*M + X[b, l]
     table = modulate(np.repeat(np.arange(M)[:, None], L, axis=1), config).T.ravel()
     table_re, table_im = table.real.copy(), table.imag.copy()
-    phis, noise = draws
-    # Z last: in a fresh workspace the buffers freed on return then lie
-    # below the Z the caller keeps, as one hole that its next arrays reuse
-    # (on top of the heap they were trimmed and page-faulted in again)
+    phis, rot, noise = draws
     ta = work.buffer("t0", (n, L))
     tb = work.buffer("t1", (n, L))
     Z = work.buffer("Z", (n, L), np.int64)
     yr, yi = noise
-    rot = np.multiply(1j, phis, out=work.buffer("rot", (n,), np.complex128))
-    np.exp(rot, out=rot)
     er, ei = rot.real[:, None], rot.imag[:, None]
     np.add(X, M * np.arange(L), out=Z)
-    yr *= sigma
-    yi *= sigma
     # cr*er - ci*ei, then (the table gathered again) cr*ei + ci*er;
     # take(mode="clip") writes straight into out, "raise" buffers it
     np.take(table_re, Z, out=ta, mode="clip")
@@ -441,5 +446,13 @@ def sample_blocks(
     if phi is not None and not math.isfinite(phi):
         raise ValueError(f"phi must be finite (got {phi})")
     work = _Workspace()
-    draws = _draw_into(rng, phi, work.buffer("noise", (2, *X.shape)))
-    return _sample_into(X, config, rng, work, draws)
+    noise = work.buffer("noise", (2, *X.shape))
+    # Z after the planes freed on return, so they lie below the Z the
+    # caller keeps, as one hole that its next arrays reuse (on top of the
+    # heap they were trimmed and page-faulted in again); "rot", n entries,
+    # after Z, so it does not split that hole
+    work.buffer("t0", X.shape)
+    work.buffer("t1", X.shape)
+    work.buffer("Z", X.shape, np.int64)
+    rot = work.buffer("rot", (len(X),), np.complex128)
+    return _sample_into(X, config, rng, work, _draw_into(rng, phi, config.sigma, noise, rot))

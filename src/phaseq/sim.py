@@ -20,46 +20,61 @@ metrics changes. Each metric is a sum of L scan-table entries at one grid
 point, so reordering moves it by a few ulps, about 1e-15 relative: a decision
 can move only where a relative gap lies that close to DEFAULT_TIE_TOL. At
 most C(L + a - 1, L) sorted rows exist (45 at K=12, L=8), against thousands
-of ordered ones. A sorted row is fixed by its residue histogram, so a chunk
-finds its distinct rows among the blocks' histograms (one bincount) and
-builds only those rows. Nor does a decision need the sort to be undone: the
-coherent decision at a phase depends on z_l alone, so every candidate of the
-sweep, the winner and each tie-set member alike, gives equal symbols to
-equal residues. A block's symbol at residue r is the candidate's symbol at
-the first sorted position holding r, plus the block's own z div a. Under
-dither each position has its own rotation, so the sort is lost but the
-residue step is not: rows are the residue vectors in block order (at most
-a^L of them, 256 at K=8, L=8 against thousands of sector vectors), and a
-block's decision is its row's plus its own z div a. The chunk engine hands
-demod the config alone, and demod scores rows from kernels on its own scan
-grid, so a run fills no kernel on a block-probability grid.
+of ordered ones. A sorted row is fixed by its residue histogram. Nor does
+a decision need the sort to be undone: the coherent decision at a phase
+depends on z_l alone, so every candidate of the sweep, the winner and each
+tie-set member alike, gives equal symbols to equal residues. A block's
+symbol at residue r is the candidate's symbol at the first sorted position
+holding r, plus the block's own z div a. Under dither each position has its
+own rotation, so the sort is lost but the residue step is not: rows are the
+residue vectors in block order (at most a^L of them, 256 at K=8, L=8
+against thousands of sector vectors), and a block's decision is its row's
+plus its own z div a. The chunk engine hands demod the config alone, and
+demod scores rows from kernels on its own scan grid, so a run fills no
+kernel on a block-probability grid.
+
+A chunk keys each block's row by one int64 (_block_rows): the sum of a
+small weight table gathered at the block's samples, whose digits are the
+residue histogram without dither and the residue vector under dither.
+Counting the keys (one bincount of n entries where they span at most 4n,
+else np.unique) finds the distinct rows, and only those are decoded and
+built. Where the largest key does not fit int64 (a^L > 2^63 under dither,
+L*(L + 1)^(a - 1) >= 2^63 without, as at K=64, L >= 15) the rows are
+found by sorting packed rows (core._distinct_rows) instead, to the same
+rows. The memo's winners then become one decision table per chunk, a row
+per distinct row and a column per sample cell (the sector without dither,
+the position and z div a under dither), holding the final symbol, quotient
+included. So every sample is decided by one gather, with no plane of
+quotients, residues or histograms.
 
 Chunks run in lanes (_run_lane): each runs its chunks in order on one
 thread with its own row memo and workspace (the sampler's planes and the
-chunk's quotient, index and decision planes). Lanes share and lock
-nothing; a row two lanes meet is swept by each, to one decision, since a
-sweep is row-local and a tied block re-draws from its own chunk's stream.
-With workers > 1, min(workers, chunks) pool lanes each take every
-workers-th chunk and a fresh workspace. One worker runs one lane on the
-calling thread, which keeps its workspace (core._thread_workspace) across
-runs: fresh buffers would be fresh pages (about 500 minor faults a
-10,000-block ramp K=8, L=8 run).
+chunk's key, cell and decision planes). Lanes share and lock nothing; a
+row two lanes meet is swept by each, to one decision, since a sweep is
+row-local and a tied block re-draws from its own chunk's stream. With
+workers > 1, min(workers, chunks) pool lanes each take every workers-th
+chunk and a fresh workspace. One worker runs one lane on the calling
+thread, which keeps its workspace (core._thread_workspace) across runs:
+fresh buffers would be fresh pages (about 500 minor faults a 10,000-block
+ramp K=8, L=8 run).
 
 A chunk is its bulk draws (_draw_chunk: the symbols, block phases and
-noise, in stream order) and then everything else (_run_chunk: the sampler
-arithmetic, zero-sample redraws, decisions, tie re-draws and scoring, from
-the same Generator). With one worker, more than one chunk and more than one
-usable CPU, a helper thread makes chunk i + 1's draws, into the other of
-two noise buffers, while the lane runs chunk i; NumPy's fills release the
-GIL, so the two overlap. On one CPU they would only take turns, so the
-draws run inline. The helper ends with the run, also when a chunk raises.
+noise, in stream order, then the block rotations exp(j*phi) and the noise
+scaled by sigma) and then everything else (_run_chunk: the rest of the
+sampler arithmetic, zero-sample redraws, decisions, tie re-draws and
+scoring, from the same Generator). With one worker, more than one chunk and
+more than one usable CPU, a helper thread makes chunk i + 1's draws, into
+the other of two pairs of noise and rotation buffers, while the lane runs
+chunk i; NumPy's fills and ufuncs release the GIL, so the two overlap, and
+they give the same floats on either thread. On one CPU they would only take
+turns, so the draws run inline. The helper ends with the run, also when a
+chunk raises.
 
-The per-sample integer steps are gathers from small tables, not int64 division:
-a sector z splits into quotient and residue through the K-entry tables
-z div a and z mod a, and a decision is scored by looking its difference
-from the sent symbol up in a 6M-entry table of "nonzero mod M" flags (see
-_symbol_errors). Both give the integers of divmod and % exactly, at a
-fraction of their cost on a chunk.
+The per-sample integer steps are gathers from small tables, not int64
+division: keys, cells and decisions as above, and a decision is scored by
+looking its difference from the sent symbol up in a 6M-entry table of
+"nonzero mod M" flags (see _symbol_errors), which gives the integers of %
+exactly at a fraction of its cost on a chunk.
 
 The constant-addition ambiguity of the metric means raw block decisions are
 only defined up to a common constellation shift. Two scoring conventions:
@@ -93,8 +108,9 @@ from .demod import _sweep_rows
 
 DEFAULT_CHUNK = 4096
 _CONVENTIONS = ("pilot", "genie")
-# the workspace buffers that chunks drawn ahead alternate between
-_NOISE_BUFFERS = ("noise", "noise_ahead")
+# the workspace buffers (noise, rotations) that chunks drawn ahead
+# alternate between
+_DRAW_BUFFERS = (("noise", "rot"), ("noise_ahead", "rot_ahead"))
 
 
 @dataclass(frozen=True)
@@ -227,25 +243,79 @@ def _draw_chunk(
     seed_seq: np.random.SeedSequence,
     convention: str,
     noise: np.ndarray,
-) -> tuple[np.random.Generator, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    rot: np.ndarray,
+) -> tuple[np.random.Generator, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every draw of a chunk that comes before its decisions, in stream order.
 
-    Returns (rng, X, (phases, noise)): the chunk's Generator, its symbols
-    (the pilot column zeroed) and core._draw_into's draws into noise
-    (2, n_blocks, L). The Generator then makes the chunk's remaining draws
-    (zero-sample and tie re-draws) in _run_chunk. The fills release the GIL,
-    so a lane may make them on a helper thread.
+    Returns (rng, X, draws): the chunk's Generator, its symbols (the pilot
+    column zeroed) and core._draw_into's (phases, rotations, scaled noise),
+    made into noise (2, n_blocks, L) and rot (n_blocks,). The Generator then
+    makes the chunk's remaining draws (zero-sample and tie re-draws) in
+    _run_chunk. The fills and the rotation and scaling ufuncs release the
+    GIL, so a lane may run all of this on a helper thread.
     """
     rng = np.random.default_rng(seed_seq)
     X = rng.integers(0, config.M, size=(n_blocks, config.L))
     if convention == "pilot":
         X[:, 0] = 0
-    return rng, X, _draw_into(rng, None, noise)
+    return rng, X, _draw_into(rng, None, config.sigma, noise, rot)
+
+
+def _block_rows(
+    Z: np.ndarray, config: SystemConfig, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chunk's distinct rows: (rows, inverse, blocks per row).
+
+    Z holds each sample's sector z, or l*K + z at position l under dither,
+    and t is an (n, L) int64 scratch plane. Without dither a row is a residue
+    histogram (count of each residue among the block's z mod a), under
+    dither the residue vector in block order. Each block's row is keyed by
+    one int64, the sum of a weight table gathered at its samples:
+    (L + 1)**(z mod a) without dither, whose sum holds the histogram in its
+    base-(L + 1) digits, and a**(L - 1 - l) * (z mod a) under dither, whose
+    sum holds the residues in its base-a digits. Distinct keys are found by
+    counting (np.bincount) where they span at most 4n values, else by
+    np.unique, and only they are decoded. A config whose largest key does
+    not fit int64 (a**L > 2**63 under dither, L*(L + 1)**(a - 1) >= 2**63
+    without) finds its rows by core._distinct_rows over the residue plane
+    or the (n, a) histogram plane instead.
+    """
+    n, L = Z.shape
+    a = config.a
+    if config.is_dithered:
+        digits, powers = a, [a ** (L - 1 - l) for l in range(L)]
+        top = a**L - 1
+    else:
+        digits, powers = L + 1, [(L + 1) ** r for r in range(a)]
+        top = L * powers[-1]
+    if top < 2**63:
+        residues = np.arange(config.K) % a
+        powers = np.array(powers, dtype=np.int64)
+        weights = (powers[:, None] * residues).ravel() if config.is_dithered else powers[residues]
+        # einsum sums the short rows several times faster than sum(axis=1)
+        keys = np.einsum("ij->i", np.take(weights, Z, out=t, mode="clip"))
+        span = int(keys.max()) + 1
+        if span <= 4 * n:
+            per_key = np.bincount(keys, minlength=span)
+            distinct = np.flatnonzero(per_key)
+            lookup = np.empty(span, dtype=np.intp)
+            lookup[distinct] = np.arange(len(distinct))
+            return (distinct[:, None] // powers) % digits, lookup[keys], per_key[distinct]
+        distinct, inverse, per_row = np.unique(keys, return_inverse=True, return_counts=True)
+        return (distinct[:, None] // powers) % digits, inverse, per_row
+    # residues of sector z or of l*K + z alike, since a divides K
+    np.take(np.arange(L * config.K) % a, Z, out=t, mode="clip")
+    if config.is_dithered:
+        rows, inverse = _distinct_rows(t)
+    else:
+        t += a * np.arange(n)[:, None]
+        rows, inverse = _distinct_rows(np.bincount(t.reshape(-1), minlength=a * n).reshape(n, a))
+    return rows, inverse, np.bincount(inverse, minlength=len(rows))
 
 
 def _run_chunk(
     config: SystemConfig,
-    drawn: tuple[np.random.Generator, np.ndarray, tuple[np.ndarray, np.ndarray]],
+    drawn: tuple[np.random.Generator, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]],
     convention: str,
     memo: _RowMemo,
     work: _Workspace,
@@ -253,57 +323,60 @@ def _run_chunk(
     """Simulate one chunk from _draw_chunk's draws; returns (errors, tie
     blocks, candidate sum, candidate max).
 
-    Undithered, a block's row is its residue histogram, demodulated as the
-    sorted residue vector it stands for (see the module docstring); under
-    dither it is the block's residue vector. Only distinct rows the memo has
-    not seen are demodulated; each block then takes its row's decision, and
-    tied blocks re-draw theirs from the chunk stream in block order, before
-    the quotients are added back. Every chunk-sized array but X and the
-    histograms lives in work (the noise too, in a buffer _run_lane names):
-    the sampler's buffers, then its temporaries "t0" and "t1" as the
-    quotient and decision planes. Sectors split into quotient and residue
-    by gathers from the K-entry tables arange(K) // a and arange(K) % a (Z
-    lies in 0..K-1, so mode="clip" never clips), which beat np.divmod's
-    int64 division; "t0" then takes the pilot differences that
-    _symbol_errors scores.
+    The chunk's distinct rows come from _block_rows; undithered, a
+    histogram is demodulated as the sorted residue vector it stands for
+    (see the module docstring). Only rows the memo has not seen are
+    demodulated. Their winners then become one decision table with a row
+    per distinct row and a column per sample cell: the sector z without
+    dither, whose decision is the winner's symbol at the first sorted
+    position of residue z mod a plus z div a; under dither the cell
+    (z div a)*L + l, whose decision is the winner's symbol at l plus
+    z div a. Each sample is decided by one gather from that table at its
+    cell plus the width of the table times its block's row. Tied blocks
+    re-draw their candidate from the chunk stream in block order and
+    rebuild their decisions the same way. Every chunk-sized array but X lives in work
+    (the draws too, in buffers _run_lane names): the sampler's buffers,
+    then "t0" as key and cell plane and "t1" as decision plane; "t0" then
+    takes the pilot differences that _symbol_errors scores.
     """
     M, K, L, a = config.M, config.K, config.L, config.a
     rng, X, draws = drawn
     n_blocks = len(X)
     _, Z = _sample_into(X, config, rng, work, draws)
-    xhat = work.buffer("t1", (n_blocks, L), np.int64)
-    q = work.buffer("t0", (n_blocks, L), np.int64)
-    sectors = np.arange(K)
-    np.take(sectors // a, Z, out=q, mode="clip")
-    np.take(sectors % a, Z, out=xhat, mode="clip")
-
+    t = work.buffer("t0", (n_blocks, L), np.int64)
     if config.is_dithered:
-        distinct, inverse = _distinct_rows(xhat)
-        ids, winners, row_tied, n_cand = memo.decide(distinct, config)
-        np.take(winners, inverse, axis=0, out=xhat, mode="clip")
-        for b in np.flatnonzero(row_tied[inverse]):
-            xhat[b] = rng.choice(memo.tie_sets[ids[inverse[b]]])
+        # position l reads the (position, sector) tables at l*K + z
+        Z += K * np.arange(L)
+    rows, inverse, per_row = _block_rows(Z, config, t)
+    if config.is_dithered:
+        # a row's decisions are its winner's symbols, by position
+        pos = np.broadcast_to(np.arange(L), (len(rows), L))
+        # l*K + z to the cell (z div a)*L + l
+        cell_of = np.arange(L * K)
+        cells = np.take((cell_of % K // a) * L + cell_of // K, Z, out=t, mode="clip")
     else:
-        # Z now holds the flat index of each sample's residue in the
-        # (block, residue) histogram, and later in the (row, residue) table
-        np.add(xhat, a * np.arange(n_blocks)[:, None], out=Z)
-        counts = np.bincount(Z.reshape(-1), minlength=a * n_blocks).reshape(n_blocks, a)
-        hist, inverse = _distinct_rows(counts)
+        # every candidate gives equal symbols to equal residues, so residue
+        # r of a row takes the symbol at the first sorted position holding
+        # r; the cell of sector z is z itself, (z div a)*a + z mod a
+        hist = rows
+        pos = np.minimum(np.cumsum(hist, axis=1) - hist, L - 1)
         rows = np.repeat(np.tile(np.arange(a), len(hist)), hist.reshape(-1)).reshape(-1, L)
-        ids, winners, row_tied, n_cand = memo.decide(rows, config)
-        # every candidate gives equal symbols to equal residues, so residue r
-        # of a row takes the symbol at the first sorted position holding r
-        first = np.minimum(np.cumsum(hist, axis=1) - hist, L - 1).reshape(-1)
-        table = winners[np.repeat(np.arange(len(hist)), a), first]
-        np.add(xhat, a * inverse[:, None], out=Z)
-        np.take(table, Z, out=xhat, mode="clip")
+        cells = Z
+    ids, winners, row_tied, n_cand = memo.decide(rows, config)
+    # cell q*c + j of a row (c columns of pos) holds the winner's symbol at
+    # position pos[j], plus q
+    quotients = np.arange(M)[:, None]
+    table = np.take_along_axis(winners, pos, axis=1)[:, None, :] + quotients
+    width = M * pos.shape[1]
+    cells += width * inverse[:, None]
+    xhat = np.take(table, cells, out=work.buffer("t1", (n_blocks, L), np.int64), mode="clip")
+    if row_tied.any():
         for b in np.flatnonzero(row_tied[inverse]):
-            xhat[b] = rng.choice(memo.tie_sets[ids[inverse[b]]])[first[Z[b]]]
-    xhat += q
-    tied = row_tied[inverse]
+            r = inverse[b]
+            chosen = rng.choice(memo.tie_sets[ids[r]])[pos[r]] + quotients
+            xhat[b] = chosen.reshape(-1)[cells[b] - width * r]
     errors = _symbol_errors(xhat, X, M, convention, work)
-    cand_total = n_cand @ np.bincount(inverse, minlength=len(n_cand))
-    return errors, int(tied.sum()), int(cand_total), int(n_cand.max())
+    return errors, int(row_tied @ per_row), int(n_cand @ per_row), int(n_cand.max())
 
 
 def _symbol_errors(
@@ -340,16 +413,23 @@ def _run_lane(
     """_run_chunk's results for chunks, (blocks, stream) pairs run in order
     on this thread with one _RowMemo and the workspace work.
 
-    A one-thread helper makes chunk j + 1's draws, into noise buffer
-    _NOISE_BUFFERS[(j + 1) % 2] looked up on this thread, while chunk j
-    runs; without one, every chunk draws inline into the first buffer.
+    A one-thread helper makes chunk j + 1's draws, into the buffers
+    _DRAW_BUFFERS[(j + 1) % 2] looked up on this thread, while chunk j
+    runs; without one, every chunk draws inline into the first pair.
     """
     memo = _RowMemo(config.L)
 
     def draws(j: int) -> tuple:
         n_blocks, stream = chunks[j]
-        noise = _NOISE_BUFFERS[j % 2 if helper else 0]
-        return config, n_blocks, stream, convention, work.buffer(noise, (2, n_blocks, config.L))
+        noise, rot = _DRAW_BUFFERS[j % 2 if helper else 0]
+        return (
+            config,
+            n_blocks,
+            stream,
+            convention,
+            work.buffer(noise, (2, n_blocks, config.L)),
+            work.buffer(rot, (n_blocks,), np.complex128),
+        )
 
     results = []
     ahead = helper.submit(_draw_chunk, *draws(0)) if helper else None

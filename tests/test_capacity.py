@@ -287,8 +287,13 @@ class TestMonteCarlo:
             (SystemConfig(M=4, K=8, L=4, snr_db=10.0, dither=(0, 0.05, 0.11, 0.3)), 3_000),
             (SystemConfig(M=4, K=8, L=6, snr_db=30.0, dither="ramp"), 1_000),
             (SystemConfig(M=4, K=64, L=200, snr_db=0.0), 300),
+            # every ratio is 10 bits up to rounding; the estimator reads 0.0
+            (SystemConfig(M=4, K=64, L=6, snr_db=20.0, theta0=0.7), 9_000),
         ],
-        ids=["k64", "k64-12dB-theta0", "ramp", "tuple", "ramp-30dB", "k64-L200"],
+        ids=[
+            "k64", "k64-12dB-theta0", "ramp", "tuple", "ramp-30dB", "k64-L200",
+            "k64-20dB-zero-variance",
+        ],
     )
     def test_deduplicated_rows_match_per_block_products(self, cfg, trials):
         # the estimator scores each bracelet of pinned rows once (each
@@ -312,12 +317,14 @@ class TestMonteCarlo:
             outs.append(-log_out * LOG2E)
         ratio = np.concatenate(ratios)
         mi = ratio.mean()
-        se = math.sqrt(max((ratio * ratio).mean() - mi * mi, 0.0) / trials)
+        # two-pass: ratios equal up to rounding give a variance of rounding
+        # size, where E[r^2] - mi^2 leaves a residue of mi^2's rounding
+        se = math.sqrt(((ratio - mi) ** 2).mean() / trials)
 
         assert got.mi == pytest.approx(mi, rel=1e-12)
         assert got.h_cond == pytest.approx(np.concatenate(conds).mean(), rel=1e-12)
         assert got.h_out == pytest.approx(np.concatenate(outs).mean(), rel=1e-12)
-        # the variance is E[r^2] - mi^2, which magnifies relative error
+        # the estimator's variance is E[r^2] - mi^2, which magnifies relative error
         assert got.error_bar == pytest.approx(se, rel=1e-9, abs=1e-12)
         assert got_rng.bit_generator.state == rng.bit_generator.state
 

@@ -145,6 +145,39 @@ class TestHelpers:
             np.testing.assert_array_equal(distinct[inverse], rows)
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        SystemConfig(M=4, K=12, L=8, snr_db=10.0),
+        SystemConfig(M=4, K=8, L=8, snr_db=10.0, dither="ramp"),
+        SystemConfig(M=4, K=4, L=5, snr_db=10.0, dither="ramp"),
+        SystemConfig(M=4, K=64, L=8, snr_db=10.0),
+        SystemConfig(M=4, K=64, L=15, snr_db=10.0),
+        SystemConfig(M=2, K=4, L=64, snr_db=10.0, dither="ramp"),
+    ],
+    ids=[
+        "K12-counted", "ramp-counted", "ramp-a=1", "K64-unique", "K64-L15-sorted",
+        "ramp-L64-sorted",
+    ],
+)
+def test_block_rows_are_the_residue_rows(cfg):
+    # each block's row is its residue histogram without dither and its
+    # residue vector with it, whichever way the keys are found
+    rng = np.random.default_rng(cfg.L)
+    Z = rng.integers(0, cfg.K, size=(600, cfg.L))
+    Z[300:] = Z[rng.integers(0, 300, size=300)]
+    residues = Z % cfg.a
+    if cfg.is_dithered:
+        want = residues
+        Z += cfg.K * np.arange(cfg.L)
+    else:
+        want = (residues[:, :, None] == np.arange(cfg.a)).sum(axis=1)
+    rows, inverse, per_row = sim._block_rows(Z, cfg, np.empty_like(Z))
+    np.testing.assert_array_equal(rows[inverse], want)
+    assert len(np.unique(rows, axis=0)) == len(rows)
+    np.testing.assert_array_equal(per_row, np.bincount(inverse, minlength=len(rows)))
+
+
 class TestRunSer:
     def test_deep_noise_is_guessing(self):
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=-40.0)
@@ -228,6 +261,35 @@ class TestRunSer:
         point = run_ser(cfg, trials=5_000, seed=seed, convention=convention)
         assert point.errors == errors
         assert point.tie_rate == tie_rate
+
+    # A chunk keys each block's residue row by one int64; past the widest
+    # key that fits (a**L > 2**63 under dither, L*(L + 1)**(a - 1) >= 2**63
+    # without) rows are found by sorting packed rows instead. Counts on
+    # both sides of each edge, for one lane and two.
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "cfg, errors, tie_blocks, sorted_rows",
+        [
+            (SystemConfig(M=2, K=4, L=63, snr_db=8.0, dither="ramp"), 913, 0, False),
+            (SystemConfig(M=2, K=4, L=64, snr_db=8.0, dither="ramp"), 583, 0, True),
+            (SystemConfig(M=4, K=64, L=14, snr_db=8.0), 1849, 1, False),
+            (SystemConfig(M=4, K=64, L=15, snr_db=8.0), 2209, 1, True),
+        ],
+        ids=["ramp-L63", "ramp-L64", "K64-L14", "K64-L15"],
+    )
+    def test_pinned_counts_at_key_width_edges(
+        self, cfg, errors, tie_blocks, sorted_rows, workers, monkeypatch
+    ):
+        sorts = []
+
+        def recorded(rows):
+            sorts.append(len(rows))
+            return _distinct_rows(rows)
+
+        monkeypatch.setattr(sim, "_distinct_rows", recorded)
+        point = run_ser(cfg, trials=5_000, seed=5, workers=workers)
+        assert (point.errors, point.tie_blocks) == (errors, tie_blocks)
+        assert bool(sorts) == sorted_rows
 
     def test_seed_sequence_accepted(self):
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
