@@ -306,7 +306,11 @@ def mutual_information_mc(
     shared = not config.is_dithered
 
     sum_ratio = 0.0
-    sum_ratio_sq = 0.0
+    # squares about the first batch's mean: equal ratios then leave a
+    # variance of rounding size, where E[r^2] - mi^2 leaves mi^2's rounding
+    shift = None
+    sum_dev = 0.0
+    sum_dev_sq = 0.0
     sum_cond = 0.0
     sum_out = 0.0
     done = 0
@@ -318,13 +322,17 @@ def mutual_information_mc(
         log_out = _pinned_log_grid_mean(mixed, Z, K, a, shared)
         ratio = (log_cond - log_out) * LOG2E
         sum_ratio += ratio.sum()
-        sum_ratio_sq += (ratio * ratio).sum()
+        if shift is None:
+            shift = ratio.mean()
+        ratio -= shift
+        sum_dev += ratio.sum()
+        sum_dev_sq += np.square(ratio, out=ratio).sum()
         sum_cond -= log_cond.sum() * LOG2E
         sum_out -= log_out.sum() * LOG2E
         done += n
 
     mi = sum_ratio / trials
-    var = max(sum_ratio_sq / trials - mi * mi, 0.0)
+    var = max(sum_dev_sq / trials - (sum_dev / trials) ** 2, 0.0)
     se = math.sqrt(var / trials)
     per_symbol = mi / (L - 1) if L > 1 else None
     return CapacityResult(

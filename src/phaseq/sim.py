@@ -33,19 +33,10 @@ plus its own z div a. The chunk engine hands demod the config alone, and
 demod scores rows from kernels on its own scan grid, so a run fills no
 kernel on a block-probability grid.
 
-A chunk keys each block's row by one int64 (_block_rows): the sum of a
-small weight table gathered at the block's samples, whose digits are the
-residue histogram without dither and the residue vector under dither.
-Counting the keys (one bincount of n entries where they span at most 4n,
-else np.unique) finds the distinct rows, and only those are decoded and
-built. Where the largest key does not fit int64 (a^L > 2^63 under dither,
-L*(L + 1)^(a - 1) >= 2^63 without, as at K=64, L >= 15) the rows are
-found by sorting packed rows (core._distinct_rows) instead, to the same
-rows. The memo's winners then become one decision table per chunk, a row
-per distinct row and a column per sample cell (the sector without dither,
-the position and z div a under dither), holding the final symbol, quotient
-included. So every sample is decided by one gather, with no plane of
-quotients, residues or histograms.
+A chunk finds its distinct rows through one integer key per block
+(_block_rows) and decides every sample by one gather from a per-chunk
+decision table (_run_chunk), with no plane of quotients, residues or
+histograms.
 
 Chunks run in lanes (_run_lane): each runs its chunks in order on one
 thread with its own row memo and workspace (the sampler's planes and the
@@ -269,16 +260,15 @@ def _block_rows(
     Z holds each sample's sector z, or l*K + z at position l under dither,
     and t is an (n, L) int64 scratch plane. Without dither a row is a residue
     histogram (count of each residue among the block's z mod a), under
-    dither the residue vector in block order. Each block's row is keyed by
-    one int64, the sum of a weight table gathered at its samples:
-    (L + 1)**(z mod a) without dither, whose sum holds the histogram in its
-    base-(L + 1) digits, and a**(L - 1 - l) * (z mod a) under dither, whose
-    sum holds the residues in its base-a digits. Distinct keys are found by
-    counting (np.bincount) where they span at most 4n values, else by
-    np.unique, and only they are decoded. A config whose largest key does
-    not fit int64 (a**L > 2**63 under dither, L*(L + 1)**(a - 1) >= 2**63
-    without) finds its rows by core._distinct_rows over the residue plane
-    or the (n, a) histogram plane instead.
+    dither the residue vector in block order. Where the largest possible key
+    is below 4n, each block's row is keyed by one int64, the sum of a weight
+    table gathered at its samples: (L + 1)**(z mod a) without dither, whose
+    sum holds the histogram in its base-(L + 1) digits, at most
+    L*(L + 1)**(a - 1); a**(L - 1 - l) * (z mod a) under dither, whose sum
+    holds the residues in its base-a digits, at most a**L - 1. One bincount
+    over that span finds the distinct keys, and only they are decoded.
+    Other configs (K=64 at L=8, say) find their rows by core._distinct_rows
+    over the residue plane or the (n, a) histogram plane.
     """
     n, L = Z.shape
     a = config.a
@@ -288,21 +278,17 @@ def _block_rows(
     else:
         digits, powers = L + 1, [(L + 1) ** r for r in range(a)]
         top = L * powers[-1]
-    if top < 2**63:
+    if top < 4 * n:
         residues = np.arange(config.K) % a
         powers = np.array(powers, dtype=np.int64)
         weights = (powers[:, None] * residues).ravel() if config.is_dithered else powers[residues]
         # einsum sums the short rows several times faster than sum(axis=1)
         keys = np.einsum("ij->i", np.take(weights, Z, out=t, mode="clip"))
-        span = int(keys.max()) + 1
-        if span <= 4 * n:
-            per_key = np.bincount(keys, minlength=span)
-            distinct = np.flatnonzero(per_key)
-            lookup = np.empty(span, dtype=np.intp)
-            lookup[distinct] = np.arange(len(distinct))
-            return (distinct[:, None] // powers) % digits, lookup[keys], per_key[distinct]
-        distinct, inverse, per_row = np.unique(keys, return_inverse=True, return_counts=True)
-        return (distinct[:, None] // powers) % digits, inverse, per_row
+        per_key = np.bincount(keys, minlength=top + 1)
+        distinct = np.flatnonzero(per_key)
+        lookup = np.empty(top + 1, dtype=np.intp)
+        lookup[distinct] = np.arange(len(distinct))
+        return (distinct[:, None] // powers) % digits, lookup[keys], per_key[distinct]
     # residues of sector z or of l*K + z alike, since a divides K
     np.take(np.arange(L * config.K) % a, Z, out=t, mode="clip")
     if config.is_dithered:
@@ -334,10 +320,10 @@ def _run_chunk(
     z div a. Each sample is decided by one gather from that table at its
     cell plus the width of the table times its block's row. Tied blocks
     re-draw their candidate from the chunk stream in block order and
-    rebuild their decisions the same way. Every chunk-sized array but X lives in work
-    (the draws too, in buffers _run_lane names): the sampler's buffers,
-    then "t0" as key and cell plane and "t1" as decision plane; "t0" then
-    takes the pilot differences that _symbol_errors scores.
+    rebuild their decisions the same way. Every chunk-sized array but X
+    lives in work (the draws too, in buffers _run_lane names): the
+    sampler's buffers, then "t0" as key and cell plane and "t1" as decision
+    plane; "t0" then takes the pilot differences that _symbol_errors scores.
     """
     M, K, L, a = config.M, config.K, config.L, config.a
     rng, X, draws = drawn

@@ -287,8 +287,9 @@ class TestMonteCarlo:
             (SystemConfig(M=4, K=8, L=4, snr_db=10.0, dither=(0, 0.05, 0.11, 0.3)), 3_000),
             (SystemConfig(M=4, K=8, L=6, snr_db=30.0, dither="ramp"), 1_000),
             (SystemConfig(M=4, K=64, L=200, snr_db=0.0), 300),
-            # every ratio is 10 bits up to rounding; the estimator reads 0.0
-            (SystemConfig(M=4, K=64, L=6, snr_db=20.0, theta0=0.7), 9_000),
+            # every ratio is 10 bits up to rounding, so the error bar is of
+            # rounding size, not of mi's
+            (SystemConfig(M=4, K=64, L=6, snr_db=20.0, theta0=0.7), 5_000),
         ],
         ids=[
             "k64", "k64-12dB-theta0", "ramp", "tuple", "ramp-30dB", "k64-L200",
@@ -324,7 +325,8 @@ class TestMonteCarlo:
         assert got.mi == pytest.approx(mi, rel=1e-12)
         assert got.h_cond == pytest.approx(np.concatenate(conds).mean(), rel=1e-12)
         assert got.h_out == pytest.approx(np.concatenate(outs).mean(), rel=1e-12)
-        # the estimator's variance is E[r^2] - mi^2, which magnifies relative error
+        # the estimator sums squares about a shift, batch by batch, which
+        # moves the variance by more than the means' few ulps
         assert got.error_bar == pytest.approx(se, rel=1e-9, abs=1e-12)
         assert got_rng.bit_generator.state == rng.bit_generator.state
 

@@ -152,13 +152,9 @@ class TestHelpers:
         SystemConfig(M=4, K=8, L=8, snr_db=10.0, dither="ramp"),
         SystemConfig(M=4, K=4, L=5, snr_db=10.0, dither="ramp"),
         SystemConfig(M=4, K=64, L=8, snr_db=10.0),
-        SystemConfig(M=4, K=64, L=15, snr_db=10.0),
         SystemConfig(M=2, K=4, L=64, snr_db=10.0, dither="ramp"),
     ],
-    ids=[
-        "K12-counted", "ramp-counted", "ramp-a=1", "K64-unique", "K64-L15-sorted",
-        "ramp-L64-sorted",
-    ],
+    ids=["K12-counted", "ramp-counted", "ramp-a=1", "K64-sorted", "ramp-L64-sorted"],
 )
 def test_block_rows_are_the_residue_rows(cfg):
     # each block's row is its residue histogram without dither and its
@@ -262,23 +258,28 @@ class TestRunSer:
         assert point.errors == errors
         assert point.tie_rate == tie_rate
 
-    # A chunk keys each block's residue row by one int64; past the widest
-    # key that fits (a**L > 2**63 under dither, L*(L + 1)**(a - 1) >= 2**63
-    # without) rows are found by sorting packed rows instead. Counts on
-    # both sides of each edge, for one lane and two.
+    # A chunk keys each block's residue row by one integer where the largest
+    # possible key (a**L - 1 under dither, L*(L + 1)**(a - 1) without) is
+    # below 4n, n = 4,096 here; elsewhere rows are found by sorting packed
+    # rows. Counts on both sides of that edge, and on both sides of the
+    # widest key that would fit int64, for one lane and two.
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
-        "cfg, errors, tie_blocks, sorted_rows",
+        "cfg, trials, errors, tie_blocks, sorted_rows",
         [
-            (SystemConfig(M=2, K=4, L=63, snr_db=8.0, dither="ramp"), 913, 0, False),
-            (SystemConfig(M=2, K=4, L=64, snr_db=8.0, dither="ramp"), 583, 0, True),
-            (SystemConfig(M=4, K=64, L=14, snr_db=8.0), 1849, 1, False),
-            (SystemConfig(M=4, K=64, L=15, snr_db=8.0), 2209, 1, True),
+            (SystemConfig(M=2, K=4, L=14, snr_db=8.0, dither="ramp"), 8_192, 330, 0, False),
+            (SystemConfig(M=2, K=4, L=15, snr_db=8.0, dither="ramp"), 8_192, 505, 78, True),
+            (SystemConfig(M=4, K=12, L=24, snr_db=11.0), 8_192, 880, 9, False),
+            (SystemConfig(M=4, K=12, L=25, snr_db=11.0), 8_192, 908, 83, True),
+            (SystemConfig(M=2, K=4, L=63, snr_db=8.0, dither="ramp"), 5_000, 913, 0, True),
+            (SystemConfig(M=2, K=4, L=64, snr_db=8.0, dither="ramp"), 5_000, 583, 0, True),
+            (SystemConfig(M=4, K=64, L=14, snr_db=8.0), 5_000, 1849, 1, True),
+            (SystemConfig(M=4, K=64, L=15, snr_db=8.0), 5_000, 2209, 1, True),
         ],
-        ids=["ramp-L63", "ramp-L64", "K64-L14", "K64-L15"],
+        ids=["ramp-L14", "ramp-L15", "K12-L24", "K12-L25", "ramp-L63", "ramp-L64", "K64-L14", "K64-L15"],
     )
-    def test_pinned_counts_at_key_width_edges(
-        self, cfg, errors, tie_blocks, sorted_rows, workers, monkeypatch
+    def test_pinned_counts_at_key_edges(
+        self, cfg, trials, errors, tie_blocks, sorted_rows, workers, monkeypatch
     ):
         sorts = []
 
@@ -287,7 +288,7 @@ class TestRunSer:
             return _distinct_rows(rows)
 
         monkeypatch.setattr(sim, "_distinct_rows", recorded)
-        point = run_ser(cfg, trials=5_000, seed=5, workers=workers)
+        point = run_ser(cfg, trials=trials, seed=5, workers=workers)
         assert (point.errors, point.tie_blocks) == (errors, tie_blocks)
         assert bool(sorts) == sorted_rows
 
