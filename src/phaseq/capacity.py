@@ -12,15 +12,15 @@ input shift x -> x + 1), so it is transition._fold_inputs of the kernel
 table with np.mean: a residue rows on one period, n/M grid points, and
 every H(Z) product, exact or Monte Carlo, averages n/M points, not n.
 The classes come from combinatorics.output_class_arrays as integer arrays,
-and each sum runs over their bracelets (combinatorics._bracelet_rows): one
-phase-grid product per bracelet, weighted by its classes' summed
-multiplicities. Adding a sector to every output rolls every table row by
-n/K grid points, which is exact. The reflection z -> -z-1, x -> -x holds on
-undithered configs because the offset density is even, so the phase mean
-absorbs phi -> -phi - 2*theta0; on the grid it is exact up to the rule's
-accuracy, about 2e-13 relative. Exact sums take undithered configs only.
-At K=12 L=6 that is 561 products for 4,368 classes (H(Z|X)); classes whose
-gaps need more than 63 bits keep one product each.
+and each sum runs over their bracelets, which combinatorics._bracelet_rows
+finds with core._group: one phase-grid product per bracelet, weighted by its
+classes' summed multiplicities. Adding a sector to every output rolls every
+table row by n/K grid points, which is exact. The reflection z -> -z-1,
+x -> -x holds on undithered configs because the offset density is even, so
+the phase mean absorbs phi -> -phi - 2*theta0; on the grid it is exact up
+to the rule's accuracy, about 2e-13 relative. Exact sums take undithered
+configs only. At K=12 L=6 that is 561 products for 4,368 classes (H(Z|X));
+classes whose gaps need more than 63 bits keep one product each.
 A full-enumeration brute-force path is shipped alongside as the oracle, and
 a Monte Carlo estimator, which takes P(z) from the same input-averaged
 tables, covers dithered configurations where the reduction does not apply.

@@ -16,12 +16,13 @@ Undithered blocks have two more symmetries. Pinning subtracts z_0 only, so
 the same multiset of points on Z_K pinned at another of its values is
 another class: a rotation of the multiset's cyclic gap sequence. And the
 offset density is even, so the reflection z -> -z-1 (with x -> -x) keeps
-P(z | x) up to the phase grid rule's accuracy; it reverses the gaps. _bracelet_rows merges pinned rows that differ
-by either into one bracelet, keyed by the least rotation of the gaps or of
-their reversal. The capacity sums group output_class_arrays by it: 126
-bracelets instead of 792 classes at K=8 L=6, 3,260 instead of 31,824 at
-K=12 L=8, 15,581 instead of 170,544 at K=16 L=8 and 36,822 instead of
-376,992 at K=32 L=6.
+P(z | x) up to the phase grid rule's accuracy; it reverses the gaps.
+_bracelet_rows merges pinned rows that differ by either into one bracelet,
+keyed by one int64, the least rotation of the gaps or of their reversal,
+and grouped by core._group. The capacity sums group output_class_arrays by
+it: 126 bracelets instead of 792 classes at K=8 L=6, 3,260 instead of
+31,824 at K=12 L=8, 15,581 instead of 170,544 at K=16 L=8 and 36,822
+instead of 376,992 at K=32 L=6.
 
 Inputs that permute within groups of equal output values give equal
 conditional probabilities, so an M^L input average can collapse to per-group
@@ -39,7 +40,7 @@ from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .core import _distinct_rows
+from .core import _distinct_rows, _group
 
 
 @dataclass(frozen=True)
@@ -169,11 +170,11 @@ def _bracelet_rows(rows: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarra
             word &= mask
             word |= high
             np.minimum(key, word, out=key)
-    words, inverse = np.unique(key, return_inverse=True)
-    shifts = step * np.arange(L - 1, 0, -1, dtype=np.uint64)
-    tails = (words[:, None] >> shifts) & np.uint64(2**bits - 1)
+    ahead = back = word = gap = high = None  # free the planes before _group
+    words, inverse, _ = _group(key.view(np.int64), int(mask))
+    tails = (words[:, None] >> (bits * np.arange(L - 1, 0, -1))) & (2**bits - 1)
     reps = np.zeros((words.size, L), dtype=np.int64)
-    np.cumsum(tails.astype(np.int64), axis=1, out=reps[:, 1:])
+    np.cumsum(tails, axis=1, out=reps[:, 1:])
     return reps, inverse
 
 

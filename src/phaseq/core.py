@@ -224,8 +224,8 @@ def _check_indices(
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a 2-d int array in lexicographic order, and the index
-    of each input row among them (np.unique(rows, axis=0, return_inverse=True)
-    by one sort of packed words).
+    of each input row among them (numpy's unique over axis 0 with
+    return_inverse, by one sort of packed words).
 
     Each row is shifted by the array minimum and packed, most significant
     value first, into ceil(L / per) 64-bit words of per = 63 // bits values of
@@ -251,6 +251,27 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
     return rows[order[first]], inverse
+
+
+def _group(keys: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct int64 keys in 0..top ascending, each key's index among
+    them and each distinct key's count, as numpy's unique returns them: one
+    bincount over 0..top where top < 4n, else one argsort and a cumsum."""
+    n = len(keys)
+    if top < 4 * n:
+        counts = np.bincount(keys, minlength=top + 1)
+        distinct = np.flatnonzero(counts)
+        return distinct, (np.cumsum(counts > 0) - 1)[keys], counts[distinct]
+    order = np.argsort(keys)
+    ranked = keys[order]
+    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
+    distinct = ranked[first]
+    # each sorted key's rank, in place of the sorted keys
+    np.cumsum(first, out=ranked)
+    ranked -= 1
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = ranked
+    return distinct, inverse, np.bincount(ranked)
 
 
 def _quantize(ang: np.ndarray, K: int, out: np.ndarray) -> np.ndarray:

@@ -5,11 +5,11 @@ single SeedSequence, so results are bit-identical for any worker count: the
 chunk layout depends only on trials (chunks of DEFAULT_CHUNK blocks) and
 every random draw happens inside its chunk's stream. Each chunk sends only
 its distinct observation rows that its lane's memo has not seen through the
-array sweep of demod. The memo maps each row to an id into lane-level arrays
-(winner vector, tie flag, candidate count; tie sets for tied rows only), so
-every block takes its decision by one gather through the ids, with no
-per-row record. Tied blocks re-draw their winner from the chunk stream, in
-block order, so memoization never correlates tie outcomes across blocks.
+array sweep of demod. The memo maps each row's key to an id into lane-level
+arrays (winner vector, tie flag, candidate count; tie sets for tied rows
+only), so every block takes its decision by one gather through the ids, with
+no per-row record. Tied blocks re-draw their winner from the chunk stream,
+in block order, so memoization never correlates tie outcomes across blocks.
 
 Without dither every position shares one scan table, so P(z | x, phi) is
 unchanged when z and x are permuted together: the row demodulated for a block
@@ -33,10 +33,10 @@ plus its own z div a. The chunk engine hands demod the config alone, and
 demod scores rows from kernels on its own scan grid, so a run fills no
 kernel on a block-probability grid.
 
-A chunk finds its distinct rows through one integer key per block
-(_block_rows) and decides every sample by one gather from a per-chunk
-decision table (_run_chunk), with no plane of quotients, residues or
-histograms.
+A chunk finds its distinct rows through one int64 key per block
+(_block_rows, grouped by core._group), which also finds them in the memo,
+and decides every sample by one gather from a per-chunk decision table
+(_run_chunk), with no plane of quotients, residues or histograms.
 
 Chunks run in lanes (_run_lane): each runs its chunks in order on one
 thread with its own row memo and workspace (the sampler's planes and the
@@ -91,6 +91,7 @@ from .core import (
     _as_int,
     _distinct_rows,
     _draw_into,
+    _group,
     _sample_into,
     _thread_workspace,
     _Workspace,
@@ -192,29 +193,27 @@ def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
 class _RowMemo:
     """Decisions of the distinct rows a lane has demodulated, as arrays.
 
-    A row key (the row's bytes) maps to an id into lane-level arrays: the
-    winner candidate vector ((m, L) for m stored rows), the tie flag and the
-    candidate count. Tied rows also keep their tie set, the candidate
-    vectors a tied block re-draws from. Each lane owns its memo.
+    A row's key from _block_rows (an int, or the row's bytes) maps to an id
+    into lane-level arrays: the winner candidate vector ((m, L) for m stored
+    rows), the tie flag and the candidate count; tied rows also keep their
+    tie set, the candidates a tied block re-draws from. Each lane owns one.
     """
 
     def __init__(self, L: int):
-        self._ids: dict[bytes, int] = {}
+        self._ids: dict[int | bytes, int] = {}
         self._winners = np.empty((0, L), dtype=np.int64)
         self._tied = np.empty(0, dtype=bool)
         self._n_cand = np.empty(0, dtype=np.int64)
         self.tie_sets: dict[int, np.ndarray] = {}
 
     def decide(
-        self, distinct: np.ndarray, config: SystemConfig
+        self, keys: np.ndarray, rows: np.ndarray, config: SystemConfig
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """(ids, winner vectors, tie flags, candidate counts) of the rows."""
-        # each row's bytes, as row.tobytes() gives them
-        rows = np.ascontiguousarray(distinct)
-        keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+        keys = keys.tolist()
         missing = [i for i, key in enumerate(keys) if key not in self._ids]
         if missing:
-            sweep = _sweep_rows(distinct[missing], config)
+            sweep = _sweep_rows(rows[missing], config)
             winners = sweep.candidates[np.arange(len(missing)), sweep.winner]
             tied = np.count_nonzero(sweep.ties, axis=1) > 1
             base = len(self._ids)
@@ -254,21 +253,21 @@ def _draw_chunk(
 
 def _block_rows(
     Z: np.ndarray, config: SystemConfig, t: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The chunk's distinct rows: (rows, inverse, blocks per row).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The chunk's distinct rows: (rows, inverse, blocks per row, keys).
 
     Z holds each sample's sector z, or l*K + z at position l under dither,
     and t is an (n, L) int64 scratch plane. Without dither a row is a residue
     histogram (count of each residue among the block's z mod a), under
-    dither the residue vector in block order. Where the largest possible key
-    is below 4n, each block's row is keyed by one int64, the sum of a weight
-    table gathered at its samples: (L + 1)**(z mod a) without dither, whose
-    sum holds the histogram in its base-(L + 1) digits, at most
-    L*(L + 1)**(a - 1); a**(L - 1 - l) * (z mod a) under dither, whose sum
-    holds the residues in its base-a digits, at most a**L - 1. One bincount
-    over that span finds the distinct keys, and only they are decoded.
-    Other configs (K=64 at L=8, say) find their rows by core._distinct_rows
-    over the residue plane or the (n, a) histogram plane.
+    dither the residue vector in block order. Each block's row is keyed by
+    one int64, the sum of a weight table gathered at its samples:
+    (L + 1)**(z mod a) without dither, whose sum holds the histogram in its
+    base-(L + 1) digits, at most L*(L + 1)**(a - 1); a**(L - 1 - l) *
+    (z mod a) under dither, whose sum holds the residues in its base-a
+    digits, at most a**L - 1. core._group finds the distinct keys, and only
+    they are decoded. Only where that bound passes int64 (ramp K/M = 2 from
+    L = 64, K = 64 from L = 15) are the rows found by core._distinct_rows
+    over the residue or (n, a) histogram plane, and keyed by their bytes.
     """
     n, L = Z.shape
     a = config.a
@@ -278,17 +277,14 @@ def _block_rows(
     else:
         digits, powers = L + 1, [(L + 1) ** r for r in range(a)]
         top = L * powers[-1]
-    if top < 4 * n:
+    if top < 2**63:
         residues = np.arange(config.K) % a
         powers = np.array(powers, dtype=np.int64)
         weights = (powers[:, None] * residues).ravel() if config.is_dithered else powers[residues]
         # einsum sums the short rows several times faster than sum(axis=1)
         keys = np.einsum("ij->i", np.take(weights, Z, out=t, mode="clip"))
-        per_key = np.bincount(keys, minlength=top + 1)
-        distinct = np.flatnonzero(per_key)
-        lookup = np.empty(top + 1, dtype=np.intp)
-        lookup[distinct] = np.arange(len(distinct))
-        return (distinct[:, None] // powers) % digits, lookup[keys], per_key[distinct]
+        distinct, inverse, per_row = _group(keys, top)
+        return (distinct[:, None] // powers) % digits, inverse, per_row, distinct
     # residues of sector z or of l*K + z alike, since a divides K
     np.take(np.arange(L * config.K) % a, Z, out=t, mode="clip")
     if config.is_dithered:
@@ -296,7 +292,8 @@ def _block_rows(
     else:
         t += a * np.arange(n)[:, None]
         rows, inverse = _distinct_rows(np.bincount(t.reshape(-1), minlength=a * n).reshape(n, a))
-    return rows, inverse, np.bincount(inverse, minlength=len(rows))
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    return rows, inverse, np.bincount(inverse, minlength=len(rows)), keys
 
 
 def _run_chunk(
@@ -333,7 +330,7 @@ def _run_chunk(
     if config.is_dithered:
         # position l reads the (position, sector) tables at l*K + z
         Z += K * np.arange(L)
-    rows, inverse, per_row = _block_rows(Z, config, t)
+    rows, inverse, per_row, keys = _block_rows(Z, config, t)
     if config.is_dithered:
         # a row's decisions are its winner's symbols, by position
         pos = np.broadcast_to(np.arange(L), (len(rows), L))
@@ -348,7 +345,7 @@ def _run_chunk(
         pos = np.minimum(np.cumsum(hist, axis=1) - hist, L - 1)
         rows = np.repeat(np.tile(np.arange(a), len(hist)), hist.reshape(-1)).reshape(-1, L)
         cells = Z
-    ids, winners, row_tied, n_cand = memo.decide(rows, config)
+    ids, winners, row_tied, n_cand = memo.decide(keys, rows, config)
     # cell q*c + j of a row (c columns of pos) holds the winner's symbol at
     # position pos[j], plus q
     quotients = np.arange(M)[:, None]

@@ -13,7 +13,7 @@ import pytest
 from scipy.special import ndtr
 
 from phaseq import SystemConfig, sim, transition
-from phaseq.core import _thread_workspace, sample_blocks
+from phaseq.core import _group, _thread_workspace, sample_blocks
 from phaseq.demod import _sweep_rows
 from phaseq.sim import (
     DEFAULT_CHUNK,
@@ -143,6 +143,26 @@ class TestHelpers:
             np.testing.assert_array_equal(distinct, ref)
             np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1))
             np.testing.assert_array_equal(distinct[inverse], rows)
+        # core._group on 1-d keys in 0..top: one bincount while top < 4n
+        # (top = 4n - 1), one argsort from top = 4n; spread keys and repeated
+        # ones, each holding top, and keys up to int64's largest value
+        key_cases = []
+        for n in (1, 3, 500):
+            for top in (4 * n - 1, 4 * n):
+                for keys in (rng.integers(0, top, size=n), rng.integers(0, 3, size=n) * (top // 2)):
+                    keys[-1] = top
+                    key_cases.append((keys, top))
+        key_cases += [
+            (np.array([2**63 - 1, 0, 2**63 - 1, 2**62, 5]), 2**63 - 1),
+            (rng.integers(2**63 - 20, 2**63 - 1, size=500, endpoint=True), 2**63 - 1),
+        ]
+        for keys, top in key_cases:
+            keys = keys.astype(np.int64)
+            distinct, inverse, counts = _group(keys, top)
+            ref, ref_inverse, ref_counts = np.unique(keys, return_inverse=True, return_counts=True)
+            np.testing.assert_array_equal(distinct, ref)
+            np.testing.assert_array_equal(inverse, ref_inverse)
+            np.testing.assert_array_equal(counts, ref_counts)
 
 
 @pytest.mark.parametrize(
@@ -153,12 +173,14 @@ class TestHelpers:
         SystemConfig(M=4, K=4, L=5, snr_db=10.0, dither="ramp"),
         SystemConfig(M=4, K=64, L=8, snr_db=10.0),
         SystemConfig(M=2, K=4, L=64, snr_db=10.0, dither="ramp"),
+        SystemConfig(M=4, K=64, L=15, snr_db=10.0),
     ],
-    ids=["K12-counted", "ramp-counted", "ramp-a=1", "K64-sorted", "ramp-L64-sorted"],
+    ids=["K12-counted", "ramp-counted", "ramp-a=1", "K64-sorted", "ramp-L64-sorted", "K64-L15-packed"],
 )
 def test_block_rows_are_the_residue_rows(cfg):
     # each block's row is its residue histogram without dither and its
-    # residue vector with it, whichever way the keys are found
+    # residue vector with it, whichever way the keys are found; each row's
+    # key is distinct, and is the row's digits (or, past int64, its bytes)
     rng = np.random.default_rng(cfg.L)
     Z = rng.integers(0, cfg.K, size=(600, cfg.L))
     Z[300:] = Z[rng.integers(0, 300, size=300)]
@@ -168,10 +190,20 @@ def test_block_rows_are_the_residue_rows(cfg):
         Z += cfg.K * np.arange(cfg.L)
     else:
         want = (residues[:, :, None] == np.arange(cfg.a)).sum(axis=1)
-    rows, inverse, per_row = sim._block_rows(Z, cfg, np.empty_like(Z))
+    rows, inverse, per_row, keys = sim._block_rows(Z, cfg, np.empty_like(Z))
     np.testing.assert_array_equal(rows[inverse], want)
     assert len(np.unique(rows, axis=0)) == len(rows)
     np.testing.assert_array_equal(per_row, np.bincount(inverse, minlength=len(rows)))
+    assert len(set(keys.tolist())) == len(keys) == len(rows)
+    if keys.dtype.kind == "V":
+        decoded = keys.view(rows.dtype).reshape(rows.shape)
+    else:
+        base, width = (cfg.a, cfg.L) if cfg.is_dithered else (cfg.L + 1, cfg.a)
+        # a dithered key's first position is its most significant digit, a
+        # histogram key's residue 0 its least
+        place = base ** np.arange(width)
+        decoded = keys[:, None] // (place[::-1] if cfg.is_dithered else place) % base
+    np.testing.assert_array_equal(decoded, rows)
 
 
 class TestRunSer:
@@ -258,25 +290,32 @@ class TestRunSer:
         assert point.errors == errors
         assert point.tie_rate == tie_rate
 
-    # A chunk keys each block's residue row by one integer where the largest
-    # possible key (a**L - 1 under dither, L*(L + 1)**(a - 1) without) is
-    # below 4n, n = 4,096 here; elsewhere rows are found by sorting packed
-    # rows. Counts on both sides of that edge, and on both sides of the
-    # widest key that would fit int64, for one lane and two.
+    # A chunk keys each block's residue row by one int64 wherever the largest
+    # possible key (a**L - 1 under dither, L*(L + 1)**(a - 1) without) fits
+    # int64, whatever the chunk's size; only past int64 are rows found by
+    # sorting packed rows. Counts on both sides of the bincount edge of
+    # core._group (top < 4n, n = 4,096 here), on both sides of the widest key
+    # that fits int64, for a short last chunk (4,196 blocks end in 100) and
+    # for K=64 L=8, whose keys are argsorted, for one lane and two.
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "cfg, trials, errors, tie_blocks, sorted_rows",
         [
             (SystemConfig(M=2, K=4, L=14, snr_db=8.0, dither="ramp"), 8_192, 330, 0, False),
-            (SystemConfig(M=2, K=4, L=15, snr_db=8.0, dither="ramp"), 8_192, 505, 78, True),
+            (SystemConfig(M=2, K=4, L=15, snr_db=8.0, dither="ramp"), 8_192, 505, 78, False),
             (SystemConfig(M=4, K=12, L=24, snr_db=11.0), 8_192, 880, 9, False),
-            (SystemConfig(M=4, K=12, L=25, snr_db=11.0), 8_192, 908, 83, True),
-            (SystemConfig(M=2, K=4, L=63, snr_db=8.0, dither="ramp"), 5_000, 913, 0, True),
+            (SystemConfig(M=4, K=12, L=25, snr_db=11.0), 8_192, 908, 83, False),
+            (SystemConfig(M=2, K=4, L=63, snr_db=8.0, dither="ramp"), 5_000, 913, 0, False),
             (SystemConfig(M=2, K=4, L=64, snr_db=8.0, dither="ramp"), 5_000, 583, 0, True),
-            (SystemConfig(M=4, K=64, L=14, snr_db=8.0), 5_000, 1849, 1, True),
+            (SystemConfig(M=4, K=64, L=14, snr_db=8.0), 5_000, 1849, 1, False),
             (SystemConfig(M=4, K=64, L=15, snr_db=8.0), 5_000, 2209, 1, True),
+            (SystemConfig(M=4, K=12, L=8, snr_db=11.0), 4_196, 227, 17, False),
+            (SystemConfig(M=4, K=64, L=8, snr_db=10.0), 5_000, 197, 1, False),
         ],
-        ids=["ramp-L14", "ramp-L15", "K12-L24", "K12-L25", "ramp-L63", "ramp-L64", "K64-L14", "K64-L15"],
+        ids=[
+            "ramp-L14", "ramp-L15", "K12-L24", "K12-L25", "ramp-L63", "ramp-L64",
+            "K64-L14", "K64-L15", "K12-L8-short-chunk", "K64-L8",
+        ],
     )
     def test_pinned_counts_at_key_edges(
         self, cfg, trials, errors, tie_blocks, sorted_rows, workers, monkeypatch
@@ -548,9 +587,9 @@ class TestChunkEngine:
                 with lock:
                     memos.append(self)
 
-            def decide(self, distinct, config):
+            def decide(self, keys, rows, config):
                 self.threads.add(threading.get_ident())
-                return super().decide(distinct, config)
+                return super().decide(keys, rows, config)
 
         monkeypatch.setattr(sim, "_sweep_rows", counting_sweep)
         monkeypatch.setattr(sim, "_RowMemo", RecordedMemo)
