@@ -29,6 +29,10 @@ from .transition import kernel_bank_for, kernel_for
 from .verify import run_all_checks
 
 
+# the most points of a start:stop:step range, checked before any is built
+_MAX_RANGE_POINTS = 10_000
+
+
 def parse_snr_grid(text: str) -> list[float]:
     """SNR grid in dB: 'start:stop:step' (inclusive ends), comma list, or one value."""
     text = text.strip()
@@ -41,12 +45,15 @@ def parse_snr_grid(text: str) -> list[float]:
             raise ValueError("step must be positive and finite")
         if stop < start:
             raise ValueError("stop must be >= start")
-        # a NaN or infinite end, or more points than a float counts, leaves
-        # the span NaN or infinite
-        span = (stop - start) / step
-        if not math.isfinite(span):
-            raise ValueError(f"range {text} needs finite ends and a finite point count")
-        return [start + i * step for i in range(int(np.floor(span + 1e-9)) + 1)]
+        # the range has floor(span) + 1 points; a NaN or infinite end, or
+        # more points than a float counts, leaves the span NaN or infinite
+        span = (stop - start) / step + 1e-9
+        if not span < _MAX_RANGE_POINTS:
+            raise ValueError(
+                f"range {text} needs finite ends and a finite point count of at most "
+                f"{_MAX_RANGE_POINTS}"
+            )
+        return [start + i * step for i in range(int(np.floor(span)) + 1)]
     values = [float(p) for p in text.split(",") if p.strip()]
     if not values:
         raise ValueError("SNR grid is empty")

@@ -138,12 +138,13 @@ def _bracelet_rows(rows: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarra
     rows are (n, L) with first column 0 and tails nondecreasing in
     0..period-1. A row's cyclic gap sequence is v_{k+1} - v_k, closed by
     period - v_{L-1}; rotating the gaps moves another entry to 0, reversing
-    them maps v to -v-1. Each row's key is the least of its L rotations and
-    the L rotations of its reversal, each packed into one uint64 word of
-    bits = period.bit_length() bits per gap, first gap most significant, so
-    that word order is the sequences' lexicographic order. Each distinct key
-    comes back as a representative (0, g_0, g_0+g_1, ...), in key order.
-    Rows whose L gaps need more than 63 bits get _distinct_rows instead.
+    them maps v to -v-1. A row's key is the least of the L rotations of its
+    gaps and of their reversal, each packed into one int64 word of
+    period.bit_length() bits per gap, first gap most significant, so that
+    word order is lexicographic order. core._group ranks the keys, and each
+    distinct key comes back, in key order, as a representative (0, g_0,
+    g_0+g_1, ...). Rows whose L gaps need more than 63 bits are ranked as
+    plain rows by _distinct_rows, which packs them into several words.
     """
     rows = np.asarray(rows)
     n, L = rows.shape

@@ -225,15 +225,10 @@ def _check_indices(
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct rows of a 2-d int array in lexicographic order, and the index
     of each input row among them (numpy's unique over axis 0 with
-    return_inverse, by one sort of packed words).
-
-    Each row is shifted by the array minimum and packed, most significant
-    value first, into ceil(L / per) 64-bit words of per = 63 // bits values of
-    bits = (max - min).bit_length() bits each. Packing keeps the row order, so
-    the sort runs over the words instead of the L columns. The order among
-    equal rows does not reach the outputs, so one word takes numpy's default
-    (unstable, vectorised) argsort, several words a lexsort.
-    """
+    return_inverse). Rows less the array minimum are packed, first value
+    most significant, into words of per = 63 // bits values of bits =
+    (max - min).bit_length() bits, which keeps their order for _group; a
+    distinct row is read from any input row of its group."""
     rows = np.asarray(rows)
     n, L = rows.shape
     # unsigned arithmetic wraps, so that a span of 2**63 or more cannot overflow
@@ -244,34 +239,40 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for j, column in enumerate(columns):
         w, k = divmod(j, per)
         words[w] |= column << np.uint64(bits * (per - 1 - k))
-    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
-    ranked = words[:, order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
-    inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return rows[order[first]], inverse
+    if bits == 64:  # a 64-bit word sorts as int64 once its sign bit is flipped
+        words ^= np.uint64(2**63)
+    _, inverse, counts = _group(words.view(np.int64), 2 ** (bits * per) - 1)
+    pick = np.empty(len(counts), dtype=np.intp)
+    pick[inverse] = np.arange(n)
+    return rows[pick], inverse
 
 
 def _group(keys: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct int64 keys in 0..top ascending, each key's index among
-    them and each distinct key's count, as numpy's unique returns them: one
-    bincount over 0..top where top < 4n, else one argsort and a cumsum."""
-    n = len(keys)
-    if top < 4 * n:
-        counts = np.bincount(keys, minlength=top + 1)
+    """The package's one rule for sorting and ranking keys: the distinct keys
+    ascending, each key's index among them and each distinct key's count, as
+    numpy's unique returns them. keys are (n,) int64 keys at most top, or
+    (W, n) int64 words, a key per column, the most significant word first;
+    the distinct keys come back as (m,) or (W, m). One word takes a bincount
+    over 0..top where top < 4n (keys non-negative), else an argsort; several
+    words take one lexsort."""
+    words = np.atleast_2d(keys)
+    n = words.shape[1]
+    if len(words) == 1 and top < 4 * n:
+        counts = np.bincount(words[0], minlength=top + 1)
         distinct = np.flatnonzero(counts)
-        return distinct, (np.cumsum(counts > 0) - 1)[keys], counts[distinct]
-    order = np.argsort(keys)
-    ranked = keys[order]
-    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-    distinct = ranked[first]
-    # each sorted key's rank, in place of the sorted keys
-    np.cumsum(first, out=ranked)
-    ranked -= 1
+        inverse = (np.cumsum(counts > 0) - 1)[words[0]]
+        return distinct.reshape(*keys.shape[:-1], -1), inverse, counts[distinct]
+    order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
+    ranked = np.take(words, order, axis=1)
+    first = np.ones(n, dtype=bool)
+    first[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
+    distinct = np.array([word[first] for word in ranked]).reshape(*keys.shape[:-1], -1)
+    # each sorted key's rank, in place of the first sorted word
+    rank = np.cumsum(first, out=ranked[0])
+    rank -= 1
     inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = ranked
-    return distinct, inverse, np.bincount(ranked)
+    inverse[order] = rank
+    return distinct, inverse, np.bincount(rank)
 
 
 def _quantize(ang: np.ndarray, K: int, out: np.ndarray) -> np.ndarray:

@@ -1,74 +1,60 @@
 """Monte Carlo error-rate measurement for the GLRT receiver.
 
-Blocks are simulated in fixed-size chunks, each driven by its own child of a
-single SeedSequence, so results are bit-identical for any worker count: the
-chunk layout depends only on trials (chunks of DEFAULT_CHUNK blocks) and
-every random draw happens inside its chunk's stream. Each chunk sends only
-its distinct observation rows that its lane's memo has not seen through the
-array sweep of demod. The memo maps each row's key to an id into lane-level
-arrays (winner vector, tie flag, candidate count; tie sets for tied rows
-only), so every block takes its decision by one gather through the ids, with
-no per-row record. Tied blocks re-draw their winner from the chunk stream,
-in block order, so memoization never correlates tie outcomes across blocks.
+Blocks are simulated in chunks of DEFAULT_CHUNK blocks, each driven by its
+own child of one SeedSequence, with every random draw inside its chunk's
+stream, so results are bit-identical for any worker count. A chunk sweeps
+through demod only the distinct rows its lane's memo has not seen. The memo
+maps each row's key to an id into lane-level arrays (winner vector, tie
+flag, candidate count; tie sets for tied rows only), so every block takes
+its decision by one gather through the ids. Tied blocks re-draw their winner
+from the chunk stream in block order, so memoization never correlates tie
+outcomes across blocks.
 
 Without dither every position shares one scan table, so P(z | x, phi) is
-unchanged when z and x are permuted together: the row demodulated for a block
-is its residue vector z mod a sorted ascending. Crossovers are per symbol, so
-candidate d of the sorted row is candidate d of the block permuted, and its
-tie set names the same candidates; only the summation order of the log
-metrics changes. Each metric is a sum of L scan-table entries at one grid
-point, so reordering moves it by a few ulps, about 1e-15 relative: a decision
-can move only where a relative gap lies that close to DEFAULT_TIE_TOL. At
-most C(L + a - 1, L) sorted rows exist (45 at K=12, L=8), against thousands
-of ordered ones. A sorted row is fixed by its residue histogram. Nor does
-a decision need the sort to be undone: the coherent decision at a phase
-depends on z_l alone, so every candidate of the sweep, the winner and each
-tie-set member alike, gives equal symbols to equal residues. A block's
-symbol at residue r is the candidate's symbol at the first sorted position
-holding r, plus the block's own z div a. Under dither each position has its
-own rotation, so the sort is lost but the residue step is not: rows are the
-residue vectors in block order (at most a^L of them, 256 at K=8, L=8
-against thousands of sector vectors), and a block's decision is its row's
-plus its own z div a. The chunk engine hands demod the config alone, and
-demod scores rows from kernels on its own scan grid, so a run fills no
-kernel on a block-probability grid.
+unchanged when z and x are permuted together, and a block is demodulated as
+its residue vector z mod a sorted ascending, which its residue histogram
+fixes: at most C(L + a - 1, L) rows (45 at K=12, L=8). Crossovers are per
+symbol, so candidate d of the sorted row is candidate d of the block
+permuted, with the same tie set; only the summation order of the L
+scan-table entries of a metric changes, by a few ulps (about 1e-15
+relative), which moves a decision only where a relative gap lies that close
+to DEFAULT_TIE_TOL. Nor does the sort need undoing: the coherent decision at
+a phase depends on z_l alone, so every candidate gives equal symbols to
+equal residues, and a block's symbol at residue r is the candidate's symbol
+at the first sorted position holding r, plus the block's own z div a. Under
+dither each position has its own rotation, so rows are the residue vectors
+in block order (at most a^L, 256 at K=8, L=8), and a block's decision is its
+row's plus its own z div a. demod scores rows from kernels on its own scan
+grid, so a run fills no kernel on a block-probability grid.
 
-A chunk finds its distinct rows through one int64 key per block
-(_block_rows, grouped by core._group), which also finds them in the memo,
-and decides every sample by one gather from a per-chunk decision table
-(_run_chunk), with no plane of quotients, residues or histograms.
+A chunk keys each block's row by its digits (_block_rows): one int64 where
+the config's largest key fits, else a few int64 words, each a gather from a
+per-config weight table (_key_words) and a sum. core._group ranks the keys,
+which also find the rows in the memo. Every per-sample integer step is a
+gather, not an int64 division: a sample is decided by one gather from a
+per-chunk decision table (_run_chunk) and scored by one from a 6M-entry
+table of "nonzero mod M" flags (_symbol_errors).
 
 Chunks run in lanes (_run_lane): each runs its chunks in order on one
-thread with its own row memo and workspace (the sampler's planes and the
-chunk's key, cell and decision planes). Lanes share and lock nothing; a
-row two lanes meet is swept by each, to one decision, since a sweep is
-row-local and a tied block re-draws from its own chunk's stream. With
-workers > 1, min(workers, chunks) pool lanes each take every workers-th
-chunk and a fresh workspace. One worker runs one lane on the calling
-thread, which keeps its workspace (core._thread_workspace) across runs:
-fresh buffers would be fresh pages (about 500 minor faults a 10,000-block
-ramp K=8, L=8 run).
+thread with its own row memo and workspace, and lanes share and lock
+nothing. A row two lanes meet is swept by each, to one decision, since a
+sweep is row-local. With workers > 1, min(workers, chunks) pool lanes each
+take every workers-th chunk and a fresh workspace. One worker runs one lane
+on the calling thread, which keeps its workspace (core._thread_workspace)
+across runs: fresh buffers would be fresh pages (about 500 minor faults a
+10,000-block ramp K=8, L=8 run).
 
-A chunk is its bulk draws (_draw_chunk: the symbols, block phases and
-noise, in stream order, then the block rotations exp(j*phi) and the noise
-scaled by sigma) and then everything else (_run_chunk: the rest of the
-sampler arithmetic, zero-sample redraws, decisions, tie re-draws and
-scoring, from the same Generator). With one worker, more than one chunk and
-more than one usable CPU, a helper thread makes chunk i + 1's draws, into
-the other of two pairs of noise and rotation buffers, while the lane runs
-chunk i; NumPy's fills and ufuncs release the GIL, so the two overlap, and
-they give the same floats on either thread. On one CPU they would only take
-turns, so the draws run inline. The helper ends with the run, also when a
-chunk raises.
+A chunk is its bulk draws (_draw_chunk: symbols, block phases and noise in
+stream order, then the rotations exp(j*phi) and the noise scaled by sigma)
+and then everything else (_run_chunk, from the same Generator). With one
+worker, more than one chunk and more than one usable CPU, a helper thread
+makes chunk i + 1's draws into the other of two buffer pairs while the lane
+runs chunk i; NumPy's fills and ufuncs release the GIL, so the two overlap
+and give the same floats on either thread. On one CPU the draws run inline.
+The helper ends with the run, also when a chunk raises.
 
-The per-sample integer steps are gathers from small tables, not int64
-division: keys, cells and decisions as above, and a decision is scored by
-looking its difference from the sent symbol up in a 6M-entry table of
-"nonzero mod M" flags (see _symbol_errors), which gives the integers of %
-exactly at a fraction of its cost on a chunk.
-
-The constant-addition ambiguity of the metric means raw block decisions are
-only defined up to a common constellation shift. Two scoring conventions:
+Raw block decisions are only defined up to a common constellation shift
+(the metric's constant-addition ambiguity). Two scoring conventions:
 
 * pilot: position 0 carries a known reference symbol (fixed to 0); the
   decision is rotated to match it and errors are counted on the remaining
@@ -83,13 +69,13 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .core import (
     SystemConfig,
     _as_int,
-    _distinct_rows,
     _draw_into,
     _group,
     _sample_into,
@@ -191,12 +177,11 @@ def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
 
 
 class _RowMemo:
-    """Decisions of the distinct rows a lane has demodulated, as arrays.
-
-    A row's key from _block_rows (an int, or the row's bytes) maps to an id
-    into lane-level arrays: the winner candidate vector ((m, L) for m stored
-    rows), the tie flag and the candidate count; tied rows also keep their
-    tie set, the candidates a tied block re-draws from. Each lane owns one.
+    """Decisions of the distinct rows a lane has demodulated, as arrays: a
+    row's key from _block_rows (its int64 key, or its words' bytes) maps to
+    an id into the winner candidate vectors ((m, L) for m stored rows), tie
+    flags and candidate counts; tied rows also keep their tie set, the
+    candidates a tied block re-draws from. Each lane owns one.
     """
 
     def __init__(self, L: int):
@@ -251,49 +236,54 @@ def _draw_chunk(
     return rng, X, _draw_into(rng, None, config.sigma, noise, rot)
 
 
+@lru_cache(maxsize=1)
+def _key_words(config: SystemConfig) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, int]:
+    """_block_rows' key tables (weights, top, word, place, base), once per config."""
+    L, K, a = config.L, config.K, config.a
+    if config.is_dithered:
+        base, significance, cells = a, np.arange(L)[::-1], np.arange(L * K)
+        digit, amount, word_top = cells // K, cells % a, lambda p: a**p - 1
+    else:
+        base, significance, cells = L + 1, np.arange(a), np.arange(K)
+        digit, amount, word_top = cells % a, 1, lambda p: L * (L + 1) ** (p - 1)
+    per = max(p for p in range(1, len(significance) + 1) if word_top(p) < 2**63)
+    word = (len(significance) - 1) // per - significance // per
+    place = base ** (significance % per)
+    weights = np.zeros((word.max() + 1, len(cells)), dtype=np.int64)
+    weights[word[digit], cells] = amount * place[digit]
+    # the cache hands the same arrays to every chunk
+    weights.flags.writeable = word.flags.writeable = place.flags.writeable = False
+    return weights, word_top(per), word, place, base
+
+
 def _block_rows(
     Z: np.ndarray, config: SystemConfig, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The chunk's distinct rows: (rows, inverse, blocks per row, keys).
 
     Z holds each sample's sector z, or l*K + z at position l under dither,
-    and t is an (n, L) int64 scratch plane. Without dither a row is a residue
-    histogram (count of each residue among the block's z mod a), under
-    dither the residue vector in block order. Each block's row is keyed by
-    one int64, the sum of a weight table gathered at its samples:
-    (L + 1)**(z mod a) without dither, whose sum holds the histogram in its
-    base-(L + 1) digits, at most L*(L + 1)**(a - 1); a**(L - 1 - l) *
-    (z mod a) under dither, whose sum holds the residues in its base-a
-    digits, at most a**L - 1. core._group finds the distinct keys, and only
-    they are decoded. Only where that bound passes int64 (ramp K/M = 2 from
-    L = 64, K = 64 from L = 15) are the rows found by core._distinct_rows
-    over the residue or (n, a) histogram plane, and keyed by their bytes.
+    and t is an (n, L) int64 scratch plane. A row is D digits in base `base`:
+    without dither the counts of residues 0..a-1 among the block's z mod a
+    (D = a, base L + 1, least significant first), under dither the residues
+    by position (D = L, base a, most significant first). A block's word w,
+    weights[w] gathered at its samples and summed, holds the digits j with
+    word[j] = w at place[j]. Each word stays at most top < 2**63, so W = 1
+    exactly where the whole key fits int64 (top = a**L - 1, or
+    L*(L + 1)**(a - 1)); W is first 2 at ramp K/M = 2, L = 64 and at
+    K = 64, L = 15. core._group ranks the (n,) keys or (W, n) words; the
+    distinct ones are decoded, and kept as the memo's keys: int64 keys, or
+    the bytes of each row's W words.
     """
-    n, L = Z.shape
-    a = config.a
-    if config.is_dithered:
-        digits, powers = a, [a ** (L - 1 - l) for l in range(L)]
-        top = a**L - 1
-    else:
-        digits, powers = L + 1, [(L + 1) ** r for r in range(a)]
-        top = L * powers[-1]
-    if top < 2**63:
-        residues = np.arange(config.K) % a
-        powers = np.array(powers, dtype=np.int64)
-        weights = (powers[:, None] * residues).ravel() if config.is_dithered else powers[residues]
+    weights, top, word, place, base = _key_words(config)
+    words = np.empty((len(weights), len(Z)), dtype=np.int64)
+    for table, key in zip(weights, words):
         # einsum sums the short rows several times faster than sum(axis=1)
-        keys = np.einsum("ij->i", np.take(weights, Z, out=t, mode="clip"))
-        distinct, inverse, per_row = _group(keys, top)
-        return (distinct[:, None] // powers) % digits, inverse, per_row, distinct
-    # residues of sector z or of l*K + z alike, since a divides K
-    np.take(np.arange(L * config.K) % a, Z, out=t, mode="clip")
-    if config.is_dithered:
-        rows, inverse = _distinct_rows(t)
-    else:
-        t += a * np.arange(n)[:, None]
-        rows, inverse = _distinct_rows(np.bincount(t.reshape(-1), minlength=a * n).reshape(n, a))
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    return rows, inverse, np.bincount(inverse, minlength=len(rows)), keys
+        np.einsum("ij->i", np.take(table, Z, out=t, mode="clip"), out=key)
+    distinct, inverse, per_row = _group(words[0] if len(words) == 1 else words, top)
+    columns = distinct.reshape(len(words), -1).T
+    if len(words) > 1:
+        distinct = np.ascontiguousarray(columns).view(np.dtype((np.void, 8 * len(words))))[:, 0]
+    return columns[:, word] // place % base, inverse, per_row, distinct
 
 
 def _run_chunk(

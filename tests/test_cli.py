@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 import numpy as np
 
+import phaseq
 from phaseq import SystemConfig, cli, verify
 from phaseq.capacity import mutual_information
 from phaseq.cli import main, parse_snr_grid
@@ -58,9 +64,32 @@ class TestSnrGrid:
         for grid in ("0:1e308:1e-308", "-1e308:1e308:1"):
             with pytest.raises(ValueError, match="finite point count"):
                 parse_snr_grid(grid)
+        # a range of more than 10,000 points is refused before it is built
+        assert len(parse_snr_grid("0:9999:1")) == 10_000
+        for grid in ("0:10000:1", "0:1:1e-9"):
+            with pytest.raises(ValueError, match="point count of at most 10000"):
+                parse_snr_grid(grid)
 
 
 class TestCapacityCommand:
+    def test_dense_range_exits_2_before_building_it(self, tmp_path):
+        # 1e9 + 1 points; the script runs in a child under a timeout and a
+        # 2 GiB address-space limit, so building them would fail fast
+        # rather than exhaust the host's memory
+        out = tmp_path / "dense.csv"
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from phaseq.cli import main; main(sys.argv[1:])",
+             "capacity", "--M", "4", "--K", "8", "--L", "2", "--snr", "0:1:1e-9", "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(phaseq.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+        )
+        assert run.returncode == 2
+        assert "point count of at most 10000" in run.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_grid_produces_one_row_per_point(self, tmp_path):
         out = tmp_path / "cap.csv"
         code = main(

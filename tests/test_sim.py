@@ -13,12 +13,11 @@ import pytest
 from scipy.special import ndtr
 
 from phaseq import SystemConfig, sim, transition
-from phaseq.core import _group, _thread_workspace, sample_blocks
+from phaseq.core import _distinct_rows, _group, _thread_workspace, sample_blocks
 from phaseq.demod import _sweep_rows
 from phaseq.sim import (
     DEFAULT_CHUNK,
     _chunk_sizes,
-    _distinct_rows,
     run_ser,
     ser_crossing_snr,
     wilson_interval,
@@ -136,6 +135,8 @@ class TestHelpers:
             # one column, and one long row
             rng.integers(0, 4, size=(200, 1)),
             rng.integers(-3, 70, size=(1, 90)),
+            # a span of 2**64 - 1, whose one-value words use the sign bit
+            np.array([[-(2**63), 5], [2**63 - 1, 0], [-(2**63), 5], [0, 0], [-1, 7]]),
         ]
         for rows in cases:
             distinct, inverse = _distinct_rows(rows)
@@ -163,6 +164,26 @@ class TestHelpers:
             np.testing.assert_array_equal(distinct, ref)
             np.testing.assert_array_equal(inverse, ref_inverse)
             np.testing.assert_array_equal(counts, ref_counts)
+        # core._group on (W, n) int64 words, most significant first (one
+        # lexsort): one column, repeated columns, and words at 0 and int64's
+        # largest value
+        big = 2**63 - 1
+        word_cases = [
+            np.array([[5], [0]]),
+            np.array([[0, big, 0, big, 0], [big, 0, big, 0, big], [0, 0, 0, 1, 0]]),
+            rng.integers(0, 3, size=(2, 500)),
+            rng.integers(0, 2, size=(3, 500)) * big,
+            rng.integers(big - 2, big, size=(3, 300), endpoint=True),
+        ]
+        for words in word_cases:
+            words = words.astype(np.int64)
+            distinct, inverse, counts = _group(words, 0)
+            ref, ref_inverse, ref_counts = np.unique(
+                words.T, axis=0, return_inverse=True, return_counts=True
+            )
+            np.testing.assert_array_equal(distinct, ref.T)
+            np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1))
+            np.testing.assert_array_equal(counts, ref_counts)
 
 
 @pytest.mark.parametrize(
@@ -180,7 +201,9 @@ class TestHelpers:
 def test_block_rows_are_the_residue_rows(cfg):
     # each block's row is its residue histogram without dither and its
     # residue vector with it, whichever way the keys are found; each row's
-    # key is distinct, and is the row's digits (or, past int64, its bytes)
+    # key is distinct, and is the row's digits: one int64, or past int64 the
+    # bytes of int64 words, the most significant first, each holding as many
+    # digits as keep its largest value in int64
     rng = np.random.default_rng(cfg.L)
     Z = rng.integers(0, cfg.K, size=(600, cfg.L))
     Z[300:] = Z[rng.integers(0, 300, size=300)]
@@ -195,14 +218,17 @@ def test_block_rows_are_the_residue_rows(cfg):
     assert len(np.unique(rows, axis=0)) == len(rows)
     np.testing.assert_array_equal(per_row, np.bincount(inverse, minlength=len(rows)))
     assert len(set(keys.tolist())) == len(keys) == len(rows)
-    if keys.dtype.kind == "V":
-        decoded = keys.view(rows.dtype).reshape(rows.shape)
-    else:
-        base, width = (cfg.a, cfg.L) if cfg.is_dithered else (cfg.L + 1, cfg.a)
-        # a dithered key's first position is its most significant digit, a
-        # histogram key's residue 0 its least
-        place = base ** np.arange(width)
-        decoded = keys[:, None] // (place[::-1] if cfg.is_dithered else place) % base
+    base, width = (cfg.a, cfg.L) if cfg.is_dithered else (cfg.L + 1, cfg.a)
+    # the largest value of a word of p digits
+    top = (lambda p: base**p - 1) if cfg.is_dithered else (lambda p: cfg.L * base ** (p - 1))
+    per = max(p for p in range(1, width + 1) if top(p) < 2**63)
+    words = keys.view(np.int64).reshape(len(keys), -1) if keys.dtype.kind == "V" else keys[:, None]
+    assert words.shape[1] == -(-width // per) == (1 if top(width) < 2**63 else 2)
+    # a dithered key's first position is its most significant digit, a
+    # histogram key's residue 0 its least
+    values = [sum(int(w) * base ** (per * i) for i, w in enumerate(ws[::-1])) for ws in words.tolist()]
+    place = [base**j for j in range(width)]
+    decoded = [[v // q % base for q in (place[::-1] if cfg.is_dithered else place)] for v in values]
     np.testing.assert_array_equal(decoded, rows)
 
 
@@ -292,14 +318,14 @@ class TestRunSer:
 
     # A chunk keys each block's residue row by one int64 wherever the largest
     # possible key (a**L - 1 under dither, L*(L + 1)**(a - 1) without) fits
-    # int64, whatever the chunk's size; only past int64 are rows found by
-    # sorting packed rows. Counts on both sides of the bincount edge of
+    # int64, whatever the chunk's size; only past int64 does core._group get
+    # (W, n) words to lexsort. Counts on both sides of the bincount edge of
     # core._group (top < 4n, n = 4,096 here), on both sides of the widest key
     # that fits int64, for a short last chunk (4,196 blocks end in 100) and
     # for K=64 L=8, whose keys are argsorted, for one lane and two.
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
-        "cfg, trials, errors, tie_blocks, sorted_rows",
+        "cfg, trials, errors, tie_blocks, key_words",
         [
             (SystemConfig(M=2, K=4, L=14, snr_db=8.0, dither="ramp"), 8_192, 330, 0, False),
             (SystemConfig(M=2, K=4, L=15, snr_db=8.0, dither="ramp"), 8_192, 505, 78, False),
@@ -318,18 +344,19 @@ class TestRunSer:
         ],
     )
     def test_pinned_counts_at_key_edges(
-        self, cfg, trials, errors, tie_blocks, sorted_rows, workers, monkeypatch
+        self, cfg, trials, errors, tie_blocks, key_words, workers, monkeypatch
     ):
-        sorts = []
+        shapes = []
 
-        def recorded(rows):
-            sorts.append(len(rows))
-            return _distinct_rows(rows)
+        def recorded(keys, top):
+            shapes.append(keys.shape)
+            return _group(keys, top)
 
-        monkeypatch.setattr(sim, "_distinct_rows", recorded)
+        monkeypatch.setattr(sim, "_group", recorded)
         point = run_ser(cfg, trials=trials, seed=5, workers=workers)
         assert (point.errors, point.tie_blocks) == (errors, tie_blocks)
-        assert bool(sorts) == sorted_rows
+        assert {len(shape) == 2 for shape in shapes} == {key_words}
+        assert all(shape[0] == 2 for shape in shapes if len(shape) == 2)
 
     def test_seed_sequence_accepted(self):
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)

@@ -18,6 +18,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import log_ndtr
 
 from phaseq import SystemConfig, transition
 from phaseq.capacity import mutual_information, mutual_information_mc
@@ -237,6 +238,30 @@ def test_kernel_matches_direct_quadrature(qpsk8, rng):
         i = int(rng.integers(k.n_phi))
         direct = sector_probability(z, 0, float(k.phi_grid[i]), qpsk8)
         assert k.table[z, i] == pytest.approx(direct, rel=1e-12, abs=1e-250)
+
+
+@pytest.mark.parametrize("M, K", [(2, 2), (2, 4), (4, 4)])
+@pytest.mark.parametrize("theta0", [0.0, 0.3, math.pi / 4])
+def test_kernel_matches_one_bit_iq_closed_form(M, K, theta0):
+    # At K = 4 the sectors are the quadrants and the I and Q noise are
+    # independent, so P(z = 0 | psi) = Phi(s cos psi) Phi(s sin psi) with
+    # s = sqrt(2 rho) and psi = theta0 + phi_i; at K = 2, Phi(s sin psi).
+    # Row z is the form at psi - z*2*pi/K. The closed form shares no code
+    # with the fill. A grid angle carries about 1e-15 rad of rounding, so
+    # an entry may deviate by its conditioning: 2e-15 * (1 + s*(1 + the
+    # tail slope sqrt(-2 ln P))), wherever P > 1e-300
+    for snr_db in range(-10, 61, 10):
+        kernel = kernel_for(SystemConfig(M=M, K=K, L=1, snr_db=snr_db, theta0=theta0))
+        s = math.sqrt(2.0 * 10.0 ** (snr_db / 10.0))
+        psi = theta0 + kernel.phi_grid - (2.0 * math.pi / K) * np.arange(K)[:, None]
+        log_p = log_ndtr(s * np.sin(psi))
+        if K == 4:
+            log_p += log_ndtr(s * np.cos(psi))
+        held = log_p > math.log(1e-300)
+        p, log_p = np.exp(log_p[held]), log_p[held]
+        bound = 2e-15 * (1.0 + s * (1.0 + np.sqrt(-2.0 * log_p)))
+        assert held.any()
+        assert np.all(np.abs(kernel.table[held] - p) <= bound * p), snr_db
 
 
 @pytest.mark.parametrize("K", [8, 12, 64])
