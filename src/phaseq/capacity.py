@@ -258,14 +258,15 @@ def _pinned_log_grid_mean(
     every position shares one table (shared, the undithered case), rows are
     sorted and each bracelet is scored once (combinatorics._bracelet_rows),
     since permutations and the reflection z -> -z-1 keep the probability
-    too; the reflection up to the grid rule, about 2e-13 relative.
+    too; the reflection up to the grid rule, about 2e-13 relative. Under
+    dither, distinct pinned rows come from core._distinct_rows.
     """
     pinned = _pin(S, K, period)
     if shared:
         pinned.sort(axis=1)
         distinct, inverse = _bracelet_rows(pinned, period)
     else:
-        distinct, inverse = _distinct_rows(pinned)
+        distinct, inverse = _distinct_rows(pinned, period)
     return _log_grid_mean(tables, distinct)[inverse]
 
 

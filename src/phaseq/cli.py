@@ -255,12 +255,12 @@ def cmd_tables(args) -> int:
     _refuse_directories(f"--out-dir {args.out_dir}", [out_dir / name for name, _ in _TABLES])
     started = time.monotonic()
     # every table is built before the directory is made, so a refused config
-    # (a phase grid above the kernel's limit) leaves nothing behind
+    # (a phase grid or a class count above its limit) leaves nothing behind
     kernel = kernel_for(cfg)
     table = kernel.table
-    reps, mults = output_class_arrays(cfg.K, cfg.L)
     residues, residue_mults = output_class_arrays(cfg.a, cfg.L)
     inputs = grouped_input_classes(residues[0], cfg.M)
+    reps, mults = output_class_arrays(cfg.K, cfg.L)
     out_dir.mkdir(parents=True, exist_ok=True)
     fields = _system_fields(cfg, args.snr_db) | {"nphi": kernel.n_phi}
     kernel_lines = (

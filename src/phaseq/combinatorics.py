@@ -75,6 +75,9 @@ class InputClass:
 # (12.6M), while K=64 at L=7 (1.2e8) would need about 6.7 GB of int64
 # representatives and L=8 (1.2e9) 77 GB.
 _MAX_CLASSES = 2**24
+# and grouped_input_classes more than this before building one: at 400-540
+# bytes and 7-8 us a class (M=8 L=12, M=4 L=20), 2**20 take 0.5 GB and 8 s.
+_MAX_INPUT_CLASSES = 2**20
 
 
 def _multiset_permutations(counts) -> int:
@@ -142,15 +145,15 @@ def _bracelet_rows(rows: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarra
     gaps and of their reversal, each packed into one int64 word of
     period.bit_length() bits per gap, first gap most significant, so that
     word order is lexicographic order. core._group ranks the keys, and each
-    distinct key comes back, in key order, as a representative (0, g_0,
-    g_0+g_1, ...). Rows whose L gaps need more than 63 bits are ranked as
-    plain rows by _distinct_rows, which packs them into several words.
+    distinct key, read at one of its rows, is decoded into a representative
+    (0, g_0, g_0+g_1, ...). Rows whose L gaps need more than 63 bits are
+    ranked as plain rows of digits 0..period-1 by _distinct_rows.
     """
     rows = np.asarray(rows)
     n, L = rows.shape
     bits = int(period).bit_length()
     if bits * L > 63:
-        return _distinct_rows(rows)
+        return _distinct_rows(rows, period)
     # one column of gaps at a time, so that no (n, L) temporary is made
     step = np.uint64(bits)
     ahead = np.zeros(n, dtype=np.uint64)
@@ -172,9 +175,9 @@ def _bracelet_rows(rows: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarra
             word |= high
             np.minimum(key, word, out=key)
     ahead = back = word = gap = high = None  # free the planes before _group
-    words, inverse, _ = _group(key.view(np.int64), int(mask))
-    tails = (words[:, None] >> (bits * np.arange(L - 1, 0, -1))) & (2**bits - 1)
-    reps = np.zeros((words.size, L), dtype=np.int64)
+    index, inverse, _ = _group(key.view(np.int64)[None], int(mask))
+    tails = (key.view(np.int64)[index, None] >> (bits * np.arange(L - 1, 0, -1))) & (2**bits - 1)
+    reps = np.zeros((index.size, L), dtype=np.int64)
     np.cumsum(tails, axis=1, out=reps[:, 1:])
     return reps, inverse
 
@@ -199,11 +202,15 @@ def grouped_input_classes(z, M: int) -> list[InputClass]:
     Positions are grouped by output value; within a group, input permutations
     leave P(z | x) unchanged. A class representative carries each group's
     input multiset sorted ascending in position order; its weight counts the
-    distinct arrangements. The class count is prod_i C(M + n_i - 1, n_i).
+    distinct arrangements. The class count is prod_i C(M + n_i - 1, n_i);
+    above _MAX_INPUT_CLASSES it raises ValueError before building any.
     """
     z = np.asarray(z, dtype=np.int64)
     if z.ndim != 1 or z.size < 1:
         raise ValueError("z must be a nonempty vector")
+    n_classes = input_class_count(z, M)
+    if n_classes > _MAX_INPUT_CLASSES:
+        raise ValueError(f"{n_classes} input classes are above the limit of {_MAX_INPUT_CLASSES}")
     values = sorted(set(int(v) for v in z))
     groups = [np.nonzero(z == v)[0] for v in values]
 

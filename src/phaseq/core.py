@@ -222,57 +222,55 @@ def _check_indices(
     return v.astype(np.int64, copy=False)
 
 
-def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-d int array in lexicographic order, and the index
-    of each input row among them (numpy's unique over axis 0 with
-    return_inverse). Rows less the array minimum are packed, first value
-    most significant, into words of per = 63 // bits values of bits =
-    (max - min).bit_length() bits, which keeps their order for _group; a
-    distinct row is read from any input row of its group."""
-    rows = np.asarray(rows)
+def _digit_words(base: int, significance, word_top) -> tuple[int, np.ndarray, np.ndarray]:
+    """The one rule packing digits 0..base-1 into int64 words: (per, word,
+    place). Digit j, of significance significance[j] (0 least), goes to word
+    word[j] (most significant first) at place[j] = base**(significance[j] %
+    per); per, the digits a word takes, is the most with word_top(per) < 2**63."""
+    significance = np.asarray(significance)
+    per = max(p for p in range(1, len(significance) + 1) if word_top(p) < 2**63)
+    word = (len(significance) - 1) // per - significance // per
+    return per, word, base ** (significance % per)
+
+
+def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-d array of digits in 0..base-1 in lexicographic
+    order, and the index of each row among them (np.unique's axis=0 and
+    return_inverse): rows packed by _digit_words, first digit most
+    significant, and each read from one member of its _group."""
     n, L = rows.shape
-    # unsigned arithmetic wraps, so that a span of 2**63 or more cannot overflow
-    columns = np.ascontiguousarray(rows.T, dtype=np.uint64) - rows.min().astype(np.uint64)
-    bits = max(int(columns.max()).bit_length(), 1)
-    per = min(max(63 // bits, 1), L)
-    words = np.zeros((-(-L // per), n), dtype=np.uint64)
-    for j, column in enumerate(columns):
-        w, k = divmod(j, per)
-        words[w] |= column << np.uint64(bits * (per - 1 - k))
-    if bits == 64:  # a 64-bit word sorts as int64 once its sign bit is flipped
-        words ^= np.uint64(2**63)
-    _, inverse, counts = _group(words.view(np.int64), 2 ** (bits * per) - 1)
-    pick = np.empty(len(counts), dtype=np.intp)
-    pick[inverse] = np.arange(n)
-    return rows[pick], inverse
+    per, word, place = _digit_words(base, np.arange(L)[::-1], lambda p: base**p - 1)
+    words = np.zeros((word[-1] + 1, n), dtype=np.int64)
+    for column, w, q in zip(rows.T, word.tolist(), place.tolist()):
+        words[w] += column * q
+    index, inverse, _ = _group(words, base**per - 1)
+    return rows[index], inverse
 
 
-def _group(keys: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The package's one rule for sorting and ranking keys: the distinct keys
-    ascending, each key's index among them and each distinct key's count, as
-    numpy's unique returns them. keys are (n,) int64 keys at most top, or
-    (W, n) int64 words, a key per column, the most significant word first;
-    the distinct keys come back as (m,) or (W, m). One word takes a bincount
-    over 0..top where top < 4n (keys non-negative), else an argsort; several
-    words take one lexsort."""
-    words = np.atleast_2d(keys)
+def _group(words: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The package's one rule for sorting and ranking keys: (index, inverse,
+    counts) of (W, n) int64 words, a key per column, most significant word
+    first (one word: keys in 0..top). index names one member of each group,
+    groups in ascending key order (words[:, index] are the distinct keys);
+    inverse and counts are as np.unique returns them. One word takes a
+    bincount over 0..top where top < 4n, else an argsort; several a lexsort."""
     n = words.shape[1]
     if len(words) == 1 and top < 4 * n:
         counts = np.bincount(words[0], minlength=top + 1)
-        distinct = np.flatnonzero(counts)
         inverse = (np.cumsum(counts > 0) - 1)[words[0]]
-        return distinct.reshape(*keys.shape[:-1], -1), inverse, counts[distinct]
+        index = np.empty(inverse.max() + 1, dtype=np.intp)
+        index[inverse] = np.arange(n)
+        return index, inverse, counts[counts > 0]
     order = np.argsort(words[0]) if len(words) == 1 else np.lexsort(words[::-1])
     ranked = np.take(words, order, axis=1)
     first = np.ones(n, dtype=bool)
     first[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
-    distinct = np.array([word[first] for word in ranked]).reshape(*keys.shape[:-1], -1)
     # each sorted key's rank, in place of the first sorted word
     rank = np.cumsum(first, out=ranked[0])
     rank -= 1
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = rank
-    return distinct, inverse, np.bincount(rank)
+    return order[first], inverse, np.bincount(rank)
 
 
 def _quantize(ang: np.ndarray, K: int, out: np.ndarray) -> np.ndarray:
@@ -469,12 +467,5 @@ def sample_blocks(
         raise ValueError(f"phi must be finite (got {phi})")
     work = _Workspace()
     noise = work.buffer("noise", (2, *X.shape))
-    # Z after the planes freed on return, so they lie below the Z the
-    # caller keeps, as one hole that its next arrays reuse (on top of the
-    # heap they were trimmed and page-faulted in again); "rot", n entries,
-    # after Z, so it does not split that hole
-    work.buffer("t0", X.shape)
-    work.buffer("t1", X.shape)
-    work.buffer("Z", X.shape, np.int64)
     rot = work.buffer("rot", (len(X),), np.complex128)
     return _sample_into(X, config, rng, work, _draw_into(rng, phi, config.sigma, noise, rot))

@@ -30,10 +30,10 @@ grid, so a run fills no kernel on a block-probability grid.
 A chunk keys each block's row by its digits (_block_rows): one int64 where
 the config's largest key fits, else a few int64 words, each a gather from a
 per-config weight table (_key_words) and a sum. core._group ranks the keys,
-which also find the rows in the memo. Every per-sample integer step is a
-gather, not an int64 division: a sample is decided by one gather from a
-per-chunk decision table (_run_chunk) and scored by one from a 6M-entry
-table of "nonzero mod M" flags (_symbol_errors).
+which find the rows in the memo; each row is read from one of its blocks.
+Every per-sample integer step is a gather, not an int64 division: a sample
+is decided by one gather from a per-chunk decision table (_run_chunk) and
+scored by one from a 6M-entry table of "nonzero mod M" flags (_symbol_errors).
 
 Chunks run in lanes (_run_lane): each runs its chunks in order on one
 thread with its own row memo and workspace, and lanes share and lock
@@ -76,6 +76,7 @@ import numpy as np
 from .core import (
     SystemConfig,
     _as_int,
+    _digit_words,
     _draw_into,
     _group,
     _sample_into,
@@ -237,8 +238,8 @@ def _draw_chunk(
 
 
 @lru_cache(maxsize=1)
-def _key_words(config: SystemConfig) -> tuple[np.ndarray, int, np.ndarray, np.ndarray, int]:
-    """_block_rows' key tables (weights, top, word, place, base), once per config."""
+def _key_words(config: SystemConfig) -> tuple[np.ndarray, int]:
+    """_block_rows' key tables (weights, top), once per config."""
     L, K, a = config.L, config.K, config.a
     if config.is_dithered:
         base, significance, cells = a, np.arange(L)[::-1], np.arange(L * K)
@@ -246,44 +247,41 @@ def _key_words(config: SystemConfig) -> tuple[np.ndarray, int, np.ndarray, np.nd
     else:
         base, significance, cells = L + 1, np.arange(a), np.arange(K)
         digit, amount, word_top = cells % a, 1, lambda p: L * (L + 1) ** (p - 1)
-    per = max(p for p in range(1, len(significance) + 1) if word_top(p) < 2**63)
-    word = (len(significance) - 1) // per - significance // per
-    place = base ** (significance % per)
+    per, word, place = _digit_words(base, significance, word_top)
     weights = np.zeros((word.max() + 1, len(cells)), dtype=np.int64)
     weights[word[digit], cells] = amount * place[digit]
-    # the cache hands the same arrays to every chunk
-    weights.flags.writeable = word.flags.writeable = place.flags.writeable = False
-    return weights, word_top(per), word, place, base
+    # the cache hands the same array to every chunk
+    weights.flags.writeable = False
+    return weights, word_top(per)
 
 
 def _block_rows(
     Z: np.ndarray, config: SystemConfig, t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The chunk's distinct rows: (rows, inverse, blocks per row, keys).
+    """The chunk's distinct rows: (index, inverse, blocks per row, keys).
 
     Z holds each sample's sector z, or l*K + z at position l under dither,
-    and t is an (n, L) int64 scratch plane. A row is D digits in base `base`:
-    without dither the counts of residues 0..a-1 among the block's z mod a
-    (D = a, base L + 1, least significant first), under dither the residues
-    by position (D = L, base a, most significant first). A block's word w,
-    weights[w] gathered at its samples and summed, holds the digits j with
-    word[j] = w at place[j]. Each word stays at most top < 2**63, so W = 1
-    exactly where the whole key fits int64 (top = a**L - 1, or
-    L*(L + 1)**(a - 1)); W is first 2 at ramp K/M = 2, L = 64 and at
-    K = 64, L = 15. core._group ranks the (n,) keys or (W, n) words; the
-    distinct ones are decoded, and kept as the memo's keys: int64 keys, or
-    the bytes of each row's W words.
+    and t is an (n, L) int64 scratch plane. A row is D digits, packed by
+    core._digit_words: without dither the counts of residues 0..a-1 among
+    the block's z mod a (D = a, base L + 1, least significant first), under
+    dither the residues by position (D = L, base a, most significant
+    first). A block's word w is weights[w] gathered at its samples and
+    summed. Each word stays at most top < 2**63, so W = 1 exactly where the
+    whole key fits int64 (top = a**L - 1, or L*(L + 1)**(a - 1)); W is first
+    2 at ramp K/M = 2, L = 64 and at K = 64, L = 15. core._group ranks the
+    (W, n) words; index names one block of each row, and the row's words,
+    as int64 keys or the bytes of W words, are the memo's keys.
     """
-    weights, top, word, place, base = _key_words(config)
+    weights, top = _key_words(config)
     words = np.empty((len(weights), len(Z)), dtype=np.int64)
     for table, key in zip(weights, words):
         # einsum sums the short rows several times faster than sum(axis=1)
         np.einsum("ij->i", np.take(table, Z, out=t, mode="clip"), out=key)
-    distinct, inverse, per_row = _group(words[0] if len(words) == 1 else words, top)
-    columns = distinct.reshape(len(words), -1).T
+    index, inverse, per_row = _group(words, top)
+    keys = words[:, index].T
     if len(words) > 1:
-        distinct = np.ascontiguousarray(columns).view(np.dtype((np.void, 8 * len(words))))[:, 0]
-    return columns[:, word] // place % base, inverse, per_row, distinct
+        keys = np.ascontiguousarray(keys).view(np.dtype((np.void, 8 * len(words))))
+    return index, inverse, per_row, keys[:, 0]
 
 
 def _run_chunk(
@@ -296,17 +294,16 @@ def _run_chunk(
     """Simulate one chunk from _draw_chunk's draws; returns (errors, tie
     blocks, candidate sum, candidate max).
 
-    The chunk's distinct rows come from _block_rows; undithered, a
-    histogram is demodulated as the sorted residue vector it stands for
-    (see the module docstring). Only rows the memo has not seen are
-    demodulated. Their winners then become one decision table with a row
-    per distinct row and a column per sample cell: the sector z without
-    dither, whose decision is the winner's symbol at the first sorted
-    position of residue z mod a plus z div a; under dither the cell
-    (z div a)*L + l, whose decision is the winner's symbol at l plus
-    z div a. Each sample is decided by one gather from that table at its
-    cell plus the width of the table times its block's row. Tied blocks
-    re-draw their candidate from the chunk stream in block order and
+    Each distinct row is Z mod a at one of its blocks (_block_rows' index;
+    l*K + z has z's residue, as a divides K), sorted without dither (see the
+    module docstring). Only rows the memo has not seen are demodulated.
+    Their winners become one decision table, a row per distinct row and a
+    column per sample cell: the sector z without dither, decided as the
+    winner's symbol at the first sorted position of residue z mod a plus z
+    div a; under dither the cell (z div a)*L + l, decided as the winner's
+    symbol at l plus z div a. Each sample is decided by one gather from that
+    table at its cell plus the table's width times its block's row. Tied
+    blocks re-draw their candidate from the chunk stream in block order and
     rebuild their decisions the same way. Every chunk-sized array but X
     lives in work (the draws too, in buffers _run_lane names): the
     sampler's buffers, then "t0" as key and cell plane and "t1" as decision
@@ -320,7 +317,8 @@ def _run_chunk(
     if config.is_dithered:
         # position l reads the (position, sector) tables at l*K + z
         Z += K * np.arange(L)
-    rows, inverse, per_row, keys = _block_rows(Z, config, t)
+    index, inverse, per_row, keys = _block_rows(Z, config, t)
+    rows = Z[index] % a
     if config.is_dithered:
         # a row's decisions are its winner's symbols, by position
         pos = np.broadcast_to(np.arange(L), (len(rows), L))
@@ -329,11 +327,13 @@ def _run_chunk(
         cells = np.take((cell_of % K // a) * L + cell_of // K, Z, out=t, mode="clip")
     else:
         # every candidate gives equal symbols to equal residues, so residue
-        # r of a row takes the symbol at the first sorted position holding
-        # r; the cell of sector z is z itself, (z div a)*a + z mod a
-        hist = rows
-        pos = np.minimum(np.cumsum(hist, axis=1) - hist, L - 1)
-        rows = np.repeat(np.tile(np.arange(a), len(hist)), hist.reshape(-1)).reshape(-1, L)
+        # r takes the symbol at the row's first sorted position holding r:
+        # its count of residues below r, a running count over every row's
+        # histogram less L per earlier row. Sector z's cell is z itself
+        rows.sort(axis=1)
+        row = np.arange(len(rows))[:, None]
+        hist = np.bincount((rows + a * row).ravel(), minlength=a * len(rows))
+        pos = np.minimum((np.cumsum(hist) - hist).reshape(-1, a) - L * row, L - 1)
         cells = Z
     ids, winners, row_tied, n_cand = memo.decide(keys, rows, config)
     # cell q*c + j of a row (c columns of pos) holds the winner's symbol at

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phaseq import SystemConfig
+from phaseq import SystemConfig, capacity
 from phaseq.capacity import (
     LOG2E,
     _MC_BATCH,
@@ -277,6 +277,33 @@ class TestMonteCarlo:
             warnings.simplefilter("error")
             res = mutual_information_mc(cfg, trials=200, rng=np.random.default_rng(8))
         assert all(math.isfinite(v) for v in (res.mi, res.h_cond, res.h_out, res.error_bar))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SystemConfig(M=4, K=8, L=6, snr_db=6.0, dither="ramp"),
+            SystemConfig(M=2, K=4, L=64, snr_db=8.0, dither="ramp"),
+        ],
+        ids=["ramp", "ramp-L64"],
+    )
+    def test_distinct_pinned_rows_match_np_unique(self, cfg, monkeypatch):
+        # under dither each batch scores every distinct pinned row once; with
+        # numpy's unique in place of core._distinct_rows the estimate is the
+        # same to the bit. At M=2 K=4 L=64 a pinned row of S takes three
+        # int64 words (31 base-4 digits each), and one of z two
+        got = mutual_information_mc(cfg, 3_000, np.random.default_rng(9))
+        bases = []
+
+        def oracle(rows, base):
+            bases.append(base)
+            assert 0 <= rows.min() and rows.max() < base
+            distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
+            return distinct, inverse.reshape(-1)
+
+        monkeypatch.setattr(capacity, "_distinct_rows", oracle)
+        want = mutual_information_mc(cfg, 3_000, np.random.default_rng(9))
+        assert sorted(set(bases)) == [cfg.a, cfg.K]
+        assert repr(got) == repr(want)
 
     @pytest.mark.parametrize(
         "cfg, trials",

@@ -420,6 +420,26 @@ class TestTablesCommand:
         assert "enumeration limit" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_input_class_limit_leaves_no_directory(self, tmp_path):
+        # M=16 K=16 has 17,383,860 input classes at L=12 and about 3.2e9 at
+        # L=20, refused before enumerating; the script runs in a child under
+        # a timeout and a 2 GiB address-space limit, so building them would
+        # fail fast rather than exhaust the host's memory
+        for L in ("12", "20"):
+            out_dir = tmp_path / f"tables_L{L}"
+            run = subprocess.run(
+                [sys.executable, "-c", "import sys; from phaseq.cli import main; main(sys.argv[1:])",
+                 "tables", "--M", "16", "--K", "16", "--L", L, "--out-dir", str(out_dir)],
+                env={**os.environ, "PYTHONPATH": str(Path(phaseq.__file__).parents[1])},
+                capture_output=True,
+                text=True,
+                timeout=60,
+                preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+            )
+            assert run.returncode == 2
+            assert "input classes are above the limit of 1048576" in run.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_dither_refused_before_any_output(self, tmp_path, capsys):
         out_dir = tmp_path / "tables"
         with pytest.raises(SystemExit) as exc:

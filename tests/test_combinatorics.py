@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import resource
+import subprocess
+import sys
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import phaseq
 from phaseq import combinatorics
 from phaseq.cli import main
 from phaseq.core import _distinct_rows
@@ -205,7 +211,7 @@ class TestBracelets:
         rows = np.sort((rows - rows[:, :1]) % 64, axis=1)
         rows = np.concatenate([rows, rows[:100]])
         got, inverse = _bracelet_rows(rows, 64)
-        want, want_inverse = _distinct_rows(rows)
+        want, want_inverse = _distinct_rows(rows, 64)
         assert np.array_equal(got, want)
         assert np.array_equal(inverse, want_inverse)
         # 7 * 9 = 63 bits still fit one word: a row and its mirror image
@@ -214,7 +220,7 @@ class TestBracelets:
         mirror = np.sort((-rows - 1) % 64, axis=1)
         mirror = np.sort((mirror - mirror[:, :1]) % 64, axis=1)
         both = np.concatenate([rows, mirror])
-        assert len(_distinct_rows(both)[0]) > len(_distinct_rows(rows)[0])
+        assert len(_distinct_rows(both, 64)[0]) > len(_distinct_rows(rows, 64)[0])
         assert len(_bracelet_rows(both, 64)[0]) == len(_bracelet_rows(rows, 64)[0])
 
 
@@ -252,6 +258,38 @@ class TestInputClasses:
             for c in canonical_output_classes(2, 8)
         )
         assert worst == 1225
+
+    def test_class_limit_is_refused_before_enumerating(self, monkeypatch):
+        # at the limit the classes are built, one past it none is
+        monkeypatch.setattr(combinatorics, "_MAX_INPUT_CLASSES", 20)
+        assert len(grouped_input_classes(np.zeros(3, dtype=np.int64), M=4)) == 20
+        with pytest.raises(ValueError, match="35 input classes are above the limit of 20"):
+            grouped_input_classes(np.zeros(3, dtype=np.int64), M=5)
+        monkeypatch.undo()
+        # M=16 at L=12 has 17,383,860 classes and L=20 about 3.2e9, many GB
+        # of objects: a child under a timeout and a 2 GiB address-space
+        # limit must refuse both at once
+        code = (
+            "import numpy as np\n"
+            "from phaseq.combinatorics import grouped_input_classes\n"
+            "for L in (12, 20):\n"
+            "    try:\n"
+            "        grouped_input_classes(np.zeros(L, dtype=np.int64), 16)\n"
+            "    except ValueError as exc:\n"
+            "        print(exc)\n"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(Path(phaseq.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+        )
+        assert run.returncode == 0, run.stderr
+        lines = run.stdout.splitlines()
+        assert len(lines) == 2 and all("limit of 1048576" in line for line in lines)
+        assert lines[0].startswith("17383860 input classes")
 
     def test_weights_count_actual_inputs(self):
         # enumerate all M^L inputs and bucket by per-group sorted symbols

@@ -13,7 +13,13 @@ import pytest
 from scipy.special import ndtr
 
 from phaseq import SystemConfig, sim, transition
-from phaseq.core import _distinct_rows, _group, _thread_workspace, sample_blocks
+from phaseq.core import (
+    _digit_words,
+    _distinct_rows,
+    _group,
+    _thread_workspace,
+    sample_blocks,
+)
 from phaseq.demod import _sweep_rows
 from phaseq.sim import (
     DEFAULT_CHUNK,
@@ -118,35 +124,53 @@ class TestHelpers:
             return rows
 
         cases = [
-            rng.integers(0, 3, size=(4096, 8)),
-            rng.integers(-5, 5, size=(300, 3)),
-            rng.integers(0, 100, size=(50, 1)),
-            np.array([[4, 1, 7]]),
-            np.full((20, 5), 2),
-            # rows packed into several words: 6 bits, 10 values per word
-            rng.integers(0, 64, size=(500, 200)),
-            # spans whose maximum needs k bits (2^k - 1) or k + 1 bits (2^k)
-            *(spanning(top, shape) for top, shape in [
+            (rng.integers(0, 3, size=(4096, 8)), 3),
+            (rng.integers(0, 10, size=(300, 3)), 10),
+            (rng.integers(0, 100, size=(50, 1)), 100),
+            (np.array([[4, 1, 7]]), 8),
+            (np.full((20, 5), 2), 3),
+            # rows packed into several words: base 64, 10 digits per word
+            (rng.integers(0, 64, size=(500, 200)), 64),
+            # bases whose largest digit needs k bits (2^k - 1) or k + 1 bits (2^k)
+            *((spanning(top, shape), top + 1) for top, shape in [
                 (7, (400, 7)), (8, (400, 7)), (2**21 - 1, (400, 5)), (2**21, (400, 5)),
             ]),
-            # 41-bit spans, one value per word, and a narrow span far from 0
-            spanning(2**40 + 1, (300, 4)),
-            rng.integers(2**40 - 3, 2**40 + 3, size=(300, 4)),
+            # one digit per word, and a narrow span far from 0
+            (spanning(2**40 + 1, (300, 4)), 2**40 + 2),
+            (rng.integers(2**40 - 3, 2**40 + 3, size=(300, 4)), 2**40 + 3),
             # one column, and one long row
-            rng.integers(0, 4, size=(200, 1)),
-            rng.integers(-3, 70, size=(1, 90)),
-            # a span of 2**64 - 1, whose one-value words use the sign bit
-            np.array([[-(2**63), 5], [2**63 - 1, 0], [-(2**63), 5], [0, 0], [-1, 7]]),
+            (rng.integers(0, 4, size=(200, 1)), 4),
+            (rng.integers(0, 70, size=(1, 90)), 70),
         ]
-        for rows in cases:
-            distinct, inverse = _distinct_rows(rows)
+        # on both sides of the one-word edge: 21 digits of base 8 and 63 of
+        # base 2 are the most that keep a word below 2**63
+        for base, L, words in [(8, 20, 1), (8, 21, 1), (8, 22, 2), (2, 63, 1), (2, 64, 2)]:
+            rows = rng.integers(0, base, size=(300, L))
+            rows[150:] = rows[rng.integers(0, 150, size=150)]
+            rows[0], rows[1] = 0, base - 1
+            per, word, _ = _digit_words(base, np.arange(L)[::-1], lambda p: base**p - 1)
+            assert word[-1] + 1 == words
+            cases.append((rows, base))
+        for rows, base in cases:
+            distinct, inverse = _distinct_rows(rows, base)
             ref, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
             np.testing.assert_array_equal(distinct, ref)
             np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1))
             np.testing.assert_array_equal(distinct[inverse], rows)
-        # core._group on 1-d keys in 0..top: one bincount while top < 4n
-        # (top = 4n - 1), one argsort from top = 4n; spread keys and repeated
-        # ones, each holding top, and keys up to int64's largest value
+
+        def check_group(words, top):
+            index, inverse, counts = _group(words, top)
+            ref, ref_inverse, ref_counts = np.unique(
+                words.T, axis=0, return_inverse=True, return_counts=True
+            )
+            np.testing.assert_array_equal(words[:, index], ref.T)
+            np.testing.assert_array_equal(inverse[index], np.arange(len(ref)))
+            np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1))
+            np.testing.assert_array_equal(counts, ref_counts)
+
+        # core._group on one word of keys in 0..top: one bincount while
+        # top < 4n (top = 4n - 1), one argsort from top = 4n; spread keys and
+        # repeated ones, each holding top, and keys up to int64's largest value
         key_cases = []
         for n in (1, 3, 500):
             for top in (4 * n - 1, 4 * n):
@@ -158,12 +182,7 @@ class TestHelpers:
             (rng.integers(2**63 - 20, 2**63 - 1, size=500, endpoint=True), 2**63 - 1),
         ]
         for keys, top in key_cases:
-            keys = keys.astype(np.int64)
-            distinct, inverse, counts = _group(keys, top)
-            ref, ref_inverse, ref_counts = np.unique(keys, return_inverse=True, return_counts=True)
-            np.testing.assert_array_equal(distinct, ref)
-            np.testing.assert_array_equal(inverse, ref_inverse)
-            np.testing.assert_array_equal(counts, ref_counts)
+            check_group(keys.astype(np.int64)[None], top)
         # core._group on (W, n) int64 words, most significant first (one
         # lexsort): one column, repeated columns, and words at 0 and int64's
         # largest value
@@ -176,14 +195,7 @@ class TestHelpers:
             rng.integers(big - 2, big, size=(3, 300), endpoint=True),
         ]
         for words in word_cases:
-            words = words.astype(np.int64)
-            distinct, inverse, counts = _group(words, 0)
-            ref, ref_inverse, ref_counts = np.unique(
-                words.T, axis=0, return_inverse=True, return_counts=True
-            )
-            np.testing.assert_array_equal(distinct, ref.T)
-            np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1))
-            np.testing.assert_array_equal(counts, ref_counts)
+            check_group(words.astype(np.int64), 0)
 
 
 @pytest.mark.parametrize(
@@ -200,24 +212,31 @@ class TestHelpers:
 )
 def test_block_rows_are_the_residue_rows(cfg):
     # each block's row is its residue histogram without dither and its
-    # residue vector with it, whichever way the keys are found; each row's
-    # key is distinct, and is the row's digits: one int64, or past int64 the
-    # bytes of int64 words, the most significant first, each holding as many
+    # residue vector with it, whichever way the keys are found, and each
+    # distinct row is read from one of its blocks: that block's residues,
+    # sorted without dither, are every member's. Each row's key is
+    # distinct, and is the row's digits: one int64, or past int64 the bytes
+    # of int64 words, the most significant first, each holding as many
     # digits as keep its largest value in int64
     rng = np.random.default_rng(cfg.L)
     Z = rng.integers(0, cfg.K, size=(600, cfg.L))
     Z[300:] = Z[rng.integers(0, 300, size=300)]
     residues = Z % cfg.a
     if cfg.is_dithered:
-        want = residues
         Z += cfg.K * np.arange(cfg.L)
     else:
-        want = (residues[:, :, None] == np.arange(cfg.a)).sum(axis=1)
-    rows, inverse, per_row, keys = sim._block_rows(Z, cfg, np.empty_like(Z))
-    np.testing.assert_array_equal(rows[inverse], want)
+        residues.sort(axis=1)
+    index, inverse, per_row, keys = sim._block_rows(Z, cfg, np.empty_like(Z))
+    rows = Z[index] % cfg.a
+    if not cfg.is_dithered:
+        rows.sort(axis=1)
+    np.testing.assert_array_equal(rows[inverse], residues)
+    np.testing.assert_array_equal(inverse[index], np.arange(len(index)))
     assert len(np.unique(rows, axis=0)) == len(rows)
     np.testing.assert_array_equal(per_row, np.bincount(inverse, minlength=len(rows)))
     assert len(set(keys.tolist())) == len(keys) == len(rows)
+    if not cfg.is_dithered:
+        rows = (rows[:, :, None] == np.arange(cfg.a)).sum(axis=1)
     base, width = (cfg.a, cfg.L) if cfg.is_dithered else (cfg.L + 1, cfg.a)
     # the largest value of a word of p digits
     top = (lambda p: base**p - 1) if cfg.is_dithered else (lambda p: cfg.L * base ** (p - 1))
@@ -319,7 +338,7 @@ class TestRunSer:
     # A chunk keys each block's residue row by one int64 wherever the largest
     # possible key (a**L - 1 under dither, L*(L + 1)**(a - 1) without) fits
     # int64, whatever the chunk's size; only past int64 does core._group get
-    # (W, n) words to lexsort. Counts on both sides of the bincount edge of
+    # W = 2 words to lexsort. Counts on both sides of the bincount edge of
     # core._group (top < 4n, n = 4,096 here), on both sides of the widest key
     # that fits int64, for a short last chunk (4,196 blocks end in 100) and
     # for K=64 L=8, whose keys are argsorted, for one lane and two.
@@ -348,15 +367,14 @@ class TestRunSer:
     ):
         shapes = []
 
-        def recorded(keys, top):
-            shapes.append(keys.shape)
-            return _group(keys, top)
+        def recorded(words, top):
+            shapes.append(words.shape)
+            return _group(words, top)
 
         monkeypatch.setattr(sim, "_group", recorded)
         point = run_ser(cfg, trials=trials, seed=5, workers=workers)
         assert (point.errors, point.tie_blocks) == (errors, tie_blocks)
-        assert {len(shape) == 2 for shape in shapes} == {key_words}
-        assert all(shape[0] == 2 for shape in shapes if len(shape) == 2)
+        assert {shape[0] for shape in shapes} == {2 if key_words else 1}
 
     def test_seed_sequence_accepted(self):
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
