@@ -27,8 +27,16 @@ tables, covers dithered configurations where the reduction does not apply.
 It uses the same symmetries on its sampled blocks: adding one sector to
 every output leaves a block's probability unchanged, dithered or not, and so
 do permuting positions and the reflection without dither; output blocks are
-read mod a. So each batch scores every distinct pinned block once under
-dither, and every bracelet once without.
+read mod a. So a call scores every distinct pinned block once under
+dither, and every bracelet once without: each batch groups its rows by the
+int64 keys (or several words' bytes) that core._group ranks, and one memo
+per side (conditional and output) maps a key to its log-probability, so
+that a row an earlier batch of the call scored is looked up, not scored
+again. A memo keeps at most one batch's worth of rows and ends with its
+call. Batches run in buffers the calling thread keeps
+(core._thread_workspace), as run_ser's chunks do: the sampler's draws and
+planes, S = z - a*x in the symbols' own memory, and both pinned rows in
+the sampler's planes once it is done with them.
 Block probabilities fall back to log space when the linear phase-grid
 product underflows, so the Monte Carlo estimate stays finite for long
 blocks; it works on log-probabilities throughout. Every function takes the
@@ -48,7 +56,14 @@ from itertools import product
 import numpy as np
 
 from .combinatorics import _bracelet_rows, output_class_arrays
-from .core import SystemConfig, _as_int, _distinct_rows, sample_blocks
+from .core import (
+    SystemConfig,
+    _as_int,
+    _distinct_rows,
+    _draw_into,
+    _sample_into,
+    _thread_workspace,
+)
 from .transition import (
     TransitionKernel,
     _check_own_kernels,
@@ -107,7 +122,7 @@ def _class_entropy(table: np.ndarray, alphabet: int, L: int, scale: float) -> fl
     number of blocks each arrangement of a representative stands for.
     """
     reps, mult = output_class_arrays(alphabet, L)
-    bracelets, inverse = _bracelet_rows(reps, alphabet)
+    bracelets, inverse, _ = _bracelet_rows(reps, alphabet)
     weight = np.bincount(inverse, weights=mult.astype(float))
     probs = np.exp(_log_grid_mean([table] * L, bracelets))
     return float(-(scale * weight * _entropy_terms(probs)).sum())
@@ -235,39 +250,79 @@ def brute_force_output_entropy(config: SystemConfig) -> float:
 # ---- Monte Carlo path ------------------------------------------------------
 
 
-def _pin(S: np.ndarray, K: int, period: int) -> np.ndarray:
-    """(S - S[:, :1]) mod period for S in (-K, K), as a fresh array.
+def _pin(S: np.ndarray, K: int, period: int, out: np.ndarray) -> np.ndarray:
+    """(S - S[:, :1]) mod period for int64 S in (-K, K), written into out,
+    an int64 array of S's shape; S is overwritten.
 
     S - S_0 lies in (-2K, 2K), so its residue is entry S - S_0 + 2K of one
-    table of 4K residues: a gather in place of int64 remainders.
+    table of 4K residues: S is shifted in place and gathered from the
+    table, in place of int64 remainders.
     """
     residues = np.arange(-2 * K, 2 * K) % period
-    return np.take(residues, S - (S[:, :1] - 2 * K), mode="clip")
+    S -= S[:, :1] - 2 * K
+    return np.take(residues, S, out=out, mode="clip")
+
+
+class _RowScores:
+    """_log_grid_mean of the distinct rows one Monte Carlo call has scored,
+    by key: sorted keys (int64, or the void scalars of several words) and
+    their log-probabilities, at most _MC_BATCH rows, first met first kept.
+    A batch looks its keys up by one np.searchsorted and adds its misses by
+    one sorted insert; each row is reduced on its own, so a held value is
+    the value the row would get afresh, to the bit."""
+
+    def __init__(self, tables) -> None:
+        self.tables = tables
+        self.keys = None
+        self.values = np.empty(0)
+
+    def __call__(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """_log_grid_mean(tables, rows) for rows with distinct keys."""
+        if self.keys is None:
+            self.keys = keys[:0]
+        at = np.searchsorted(self.keys, keys)
+        if len(self.keys):
+            held = np.take(self.keys, at, mode="clip") == keys
+        else:
+            held = np.zeros(len(keys), dtype=bool)
+        scores = np.empty(len(keys))
+        scores[held] = self.values[at[held]]
+        new = np.flatnonzero(~held)
+        if new.size:
+            # rows themselves when none is held: a long block's rows are
+            # nearly all new, and a copy of them all would be megabytes
+            scores[new] = _log_grid_mean(self.tables, rows if new.size == len(rows) else rows[new])
+            # in key order, so that misses at one insert position stay sorted
+            new = new[np.argsort(keys[new], kind="stable")][: _MC_BATCH - len(self.keys)]
+            self.keys = np.insert(self.keys, at[new], keys[new])
+            self.values = np.insert(self.values, at[new], scores[new])
+        return scores
 
 
 def _pinned_log_grid_mean(
-    tables, S: np.ndarray, K: int, period: int, shared: bool
+    scores: _RowScores, pinned: np.ndarray, period: int, shared: bool
 ) -> np.ndarray:
-    """_log_grid_mean(tables, S mod K), scoring each distinct pinned row, or
+    """scores' _log_grid_mean of each pinned row (n, L) of digits
+    0..period-1 (first column 0), looking up each distinct pinned row, or
     each bracelet, once.
 
-    Rows are read modulo period and shifted so that their first entry is 0.
-    This is valid where adding c to every entry rolls each table row by the
-    same number of grid points and leaves row z mod period equal to row z,
-    up to summation order: the results move by a few ulps, not more. When
-    every position shares one table (shared, the undithered case), rows are
-    sorted and each bracelet is scored once (combinatorics._bracelet_rows),
-    since permutations and the reflection z -> -z-1 keep the probability
-    too; the reflection up to the grid rule, about 2e-13 relative. Under
-    dither, distinct pinned rows come from core._distinct_rows.
+    Rows are read modulo period and shifted so that their first entry is 0
+    (_pin). This is valid where adding c to every entry rolls each table
+    row by the same number of grid points and leaves row z mod period equal
+    to row z, up to summation order: the results move by a few ulps, not
+    more. When every position shares one table (shared, the undithered
+    case), rows are sorted in place and each bracelet is scored once
+    (combinatorics._bracelet_rows), since permutations and the reflection
+    z -> -z-1 keep the probability too; the reflection up to the grid rule,
+    about 2e-13 relative. Under dither, distinct pinned rows come from
+    core._distinct_rows. Either grouping's keys find the rows in scores.
     """
-    pinned = _pin(S, K, period)
     if shared:
         pinned.sort(axis=1)
-        distinct, inverse = _bracelet_rows(pinned, period)
+        distinct, inverse, keys = _bracelet_rows(pinned, period)
     else:
-        distinct, inverse = _distinct_rows(pinned, period)
-    return _log_grid_mean(tables, distinct)[inverse]
+        distinct, inverse, keys = _distinct_rows(pinned, period)
+    return scores(distinct, keys)[inverse]
 
 
 def mutual_information_mc(
@@ -295,6 +350,13 @@ def mutual_information_mc(
     sorted and grouped by bracelet. Only the summation order changes, by a
     few ulps, and the reflection moves a row by at most about 2e-13
     relative. Dithered rows keep one product per distinct pinned row.
+
+    A row is scored once per call, not once per batch: each side keeps the
+    log-probabilities of the rows its batches scored, by key (_RowScores,
+    up to _MC_BATCH rows), and every row is reduced on its own, so a looked
+    up value is bitwise the value the row would get afresh. The draws are
+    those of sample_blocks, batch by batch (symbols, phases, noise, then
+    redraws), made in buffers the calling thread keeps.
     """
     trials = _as_int(trials, "trials")
     if trials < 100:
@@ -305,6 +367,8 @@ def mutual_information_mc(
     averaged = {id(t): _fold_inputs(t, M, np.mean) for t in tables}
     mixed = [averaged[id(t)] for t in tables]
     shared = not config.is_dithered
+    work = _thread_workspace()
+    cond_scores, out_scores = _RowScores(tables), _RowScores(mixed)
 
     sum_ratio = 0.0
     # squares about the first batch's mean: equal ratios then leave a
@@ -318,9 +382,17 @@ def mutual_information_mc(
     while done < trials:
         n = min(_MC_BATCH, trials - done)
         X = rng.integers(0, M, size=(n, L))
-        _, Z = sample_blocks(X, config, rng)
-        log_cond = _pinned_log_grid_mean(tables, Z - a * X, K, K, shared)
-        log_out = _pinned_log_grid_mean(mixed, Z, K, a, shared)
+        noise = work.buffer("noise", (2, n, L))
+        rot = work.buffer("rot", (n,), np.complex128)
+        draws = _draw_into(rng, None, config.sigma, noise, rot)
+        _, Z = _sample_into(X, config, rng, work, draws)
+        # S = Z - a*X in X's memory; the pins go to the sampler's dead planes
+        X *= -a
+        X += Z
+        cond_rows = _pin(X, K, K, work.buffer("t0", (n, L), np.int64))
+        out_rows = _pin(Z, K, a, work.buffer("t1", (n, L), np.int64))
+        log_cond = _pinned_log_grid_mean(cond_scores, cond_rows, K, shared)
+        log_out = _pinned_log_grid_mean(out_scores, out_rows, a, shared)
         ratio = (log_cond - log_out) * LOG2E
         sum_ratio += ratio.sum()
         if shift is None:

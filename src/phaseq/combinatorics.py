@@ -134,9 +134,9 @@ def output_class_arrays(alphabet_size: int, block_len: int) -> tuple[np.ndarray,
     return reps, total // denom
 
 
-def _bracelet_rows(rows: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct bracelets of pinned sorted rows over Z_period, and the index
-    of each input row among them.
+def _bracelet_rows(rows: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct bracelets of pinned sorted rows over Z_period, the index of
+    each input row among them, and each bracelet's key.
 
     rows are (n, L) with first column 0 and tails nondecreasing in
     0..period-1. A row's cyclic gap sequence is v_{k+1} - v_k, closed by
@@ -147,7 +147,8 @@ def _bracelet_rows(rows: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarra
     word order is lexicographic order. core._group ranks the keys, and each
     distinct key, read at one of its rows, is decoded into a representative
     (0, g_0, g_0+g_1, ...). Rows whose L gaps need more than 63 bits are
-    ranked as plain rows of digits 0..period-1 by _distinct_rows.
+    ranked as plain rows of digits 0..period-1 by _distinct_rows, whose
+    keys they take. Either way, equal (period, L) give equal rows equal keys.
     """
     rows = np.asarray(rows)
     n, L = rows.shape
@@ -176,10 +177,11 @@ def _bracelet_rows(rows: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarra
             np.minimum(key, word, out=key)
     ahead = back = word = gap = high = None  # free the planes before _group
     index, inverse, _ = _group(key.view(np.int64)[None], int(mask))
-    tails = (key.view(np.int64)[index, None] >> (bits * np.arange(L - 1, 0, -1))) & (2**bits - 1)
+    keys = key.view(np.int64)[index]
+    tails = (keys[:, None] >> (bits * np.arange(L - 1, 0, -1))) & (2**bits - 1)
     reps = np.zeros((index.size, L), dtype=np.int64)
     np.cumsum(tails, axis=1, out=reps[:, 1:])
-    return reps, inverse
+    return reps, inverse, keys
 
 
 def canonical_output_classes(alphabet_size: int, block_len: int) -> list[CanonicalOutputClass]:

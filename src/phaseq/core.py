@@ -233,18 +233,24 @@ def _digit_words(base: int, significance, word_top) -> tuple[int, np.ndarray, np
     return per, word, base ** (significance % per)
 
 
-def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of a 2-d array of digits in 0..base-1 in lexicographic
-    order, and the index of each row among them (np.unique's axis=0 and
-    return_inverse): rows packed by _digit_words, first digit most
-    significant, and each read from one member of its _group."""
+    order, the index of each row among them (np.unique's axis=0 and
+    return_inverse), and each distinct row's key: rows packed by
+    _digit_words, first digit most significant, and each read from one
+    member of its _group. A key is the row's one int64 word, or, as in
+    sim._block_rows, the bytes of its W words as one void scalar, which
+    compares by its bytes."""
     n, L = rows.shape
     per, word, place = _digit_words(base, np.arange(L)[::-1], lambda p: base**p - 1)
     words = np.zeros((word[-1] + 1, n), dtype=np.int64)
     for column, w, q in zip(rows.T, word.tolist(), place.tolist()):
         words[w] += column * q
     index, inverse, _ = _group(words, base**per - 1)
-    return rows[index], inverse
+    keys = words[:, index].T
+    if len(words) > 1:
+        keys = np.ascontiguousarray(keys).view(np.dtype((np.void, 8 * len(words))))
+    return rows[index], inverse, keys[:, 0]
 
 
 def _group(words: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

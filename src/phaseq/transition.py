@@ -38,8 +38,9 @@ exact rolls. Against a grid 8x finer, log P(z | x) and log P(z) of
 channel-sampled blocks agree within 1e-13 from -10 to 40 dB and up to
 L = 200. One routine, _log_grid_mean, forms every such product in one pass
 over its rows, in blocks of about core._CHUNK_ELEMENTS grid values (512 KB),
-so that the accumulator and the table rows gathered into it stay in L2 cache
-and below the allocator's mmap threshold. Each block is multiplied linearly,
+so that the accumulator and the table rows gathered into it stay in L2 cache;
+both are planes the calling thread keeps, so repeated products fault in no
+fresh pages. Each block is multiplied linearly,
 and the rows whose linear product underflows are redone in log space in the
 same block (every row is, at once, when the tables' peaks alone multiply to
 below the floor), so long blocks keep finite log-probabilities. Each row's
@@ -504,52 +505,76 @@ def block_conditional_batch(Z: np.ndarray, kernel: TransitionKernel) -> np.ndarr
     return np.exp(_log_grid_mean([kernel.table] * S.shape[1], S))
 
 
+def _readable(tables: dict) -> dict:
+    """Distinct tables (by id) as np.take reads them fastest. np.take reads
+    a C-contiguous table in place but copies any other (a _rolled_rows
+    view) whole on every call, so all of them are copied C-contiguous once
+    when together they hold at most _CHUNK_ELEMENTS values; larger sets
+    (one table per position of a long dithered block) stay views."""
+    if sum(t.size for t in tables.values()) > _CHUNK_ELEMENTS:
+        return tables
+    return {k: np.ascontiguousarray(t) for k, t in tables.items()}
+
+
 def _log_grid_mean(tables, S: np.ndarray) -> np.ndarray:
     """log of the phase-grid mean of prod_l tables[l][S[:, l]], one per row.
 
     tables holds one table per block position, all with n_phi grid columns
-    (the grid, or one period of it), and S is (n, L) row indices into them.
-    Rows are multiplied linearly in blocks of _CHUNK_ELEMENTS // n_phi rows
-    (at least one), so that the (rows, n_phi) accumulator and the table rows
-    gathered into it stay in L2 cache. The
+    (the grid, or one period of it), and S is (n, L) row indices into them,
+    each in range (np.take gathers them with mode="clip"). Rows are
+    multiplied linearly in blocks of _CHUNK_ELEMENTS // n_phi rows (at
+    least one), so that the (rows, n_phi) accumulator and the table rows
+    gathered into it stay in L2 cache. Both are planes the calling thread
+    keeps (core._thread_workspace), as demod._segment_maxima keeps its scan:
+    a fresh 512 KB block per position and block would be mapped, or trimmed
+    off the heap, and faulted in again each time. Small tables are gathered
+    from C-contiguous copies (_readable). The
     rows of a block whose mean lands below _UNDERFLOW_FLOOR are redone in the
-    same block as a log-sum-exp, from the log of each distinct table (built
-    the first time a row needs it), so long blocks keep a finite log instead
-    of log(0) = -inf. When the tables' peaks multiply to below the floor (by
-    a margin of 1 for rounding), no row can pass the linear test, so every
-    row goes straight to log space. Every row is reduced on its own, so the
-    output is bitwise the same for any block size and either path.
+    same block and planes as a log-sum-exp, from the log of each distinct
+    table (built the first time a row needs it), so long blocks keep a
+    finite log instead of log(0) = -inf. When the tables' peaks multiply to
+    below the floor (by a margin of 1 for rounding), no row can pass the
+    linear test, so every row goes straight to log space. Every row is
+    reduced on its own, so the output is bitwise the same for any block
+    size and either path.
     """
     S = np.asarray(S, dtype=np.int64)
     n, L = S.shape
-    chunk = max(1, _CHUNK_ELEMENTS // tables[0].shape[1])
+    n_phi = tables[0].shape[1]
+    chunk = max(1, _CHUNK_ELEMENTS // n_phi)
     out = np.empty(n)
+    work = _thread_workspace()
     # reduce each distinct table once; a rolled table's rows all hold row 0's values
     distinct = {id(t): t for t in tables}
     log_tables = None
     with np.errstate(divide="ignore"):
         log_peaks = {k: np.log((t[0] if _is_rolled(t) else t).max()) for k, t in distinct.items()}
         all_deep = sum(log_peaks[id(t)] for t in tables) < math.log(_UNDERFLOW_FLOOR) - 1.0
+        linear = None if all_deep else _readable(distinct)
         for lo in range(0, n, chunk):
             rows = S[lo : lo + chunk]
+            acc = work.buffer("grid_acc", (len(rows), n_phi))
+            term = work.buffer("grid_term", (len(rows), n_phi))
             deep = slice(None)
             if not all_deep:
-                acc = tables[0][rows[:, 0]]
+                np.take(linear[id(tables[0])], rows[:, 0], axis=0, out=acc, mode="clip")
                 for l in range(1, L):
-                    acc *= tables[l][rows[:, l]]
+                    acc *= np.take(linear[id(tables[l])], rows[:, l], axis=0, out=term, mode="clip")
                 mean = acc.mean(axis=1)
                 out[lo : lo + chunk] = np.log(mean)
                 deep = np.flatnonzero(mean < _UNDERFLOW_FLOOR)
                 if not deep.size:
                     continue
                 rows = rows[deep]
+                acc, term = acc[: len(rows)], term[: len(rows)]
             if log_tables is None:
-                log_tables = {key: _log_table(t) for key, t in distinct.items()}
-            logs = log_tables[id(tables[0])][rows[:, 0]]
+                log_tables = _readable({key: _log_table(t) for key, t in distinct.items()})
+            logs = np.take(log_tables[id(tables[0])], rows[:, 0], axis=0, out=acc, mode="clip")
             for l in range(1, L):
-                logs += log_tables[id(tables[l])][rows[:, l]]
+                logs += np.take(log_tables[id(tables[l])], rows[:, l], axis=0, out=term, mode="clip")
             peak = logs.max(axis=1)
             # an all-zero row keeps log 0 = -inf instead of -inf - -inf
             peak[np.isneginf(peak)] = 0.0
-            out[lo : lo + chunk][deep] = peak + np.log(np.exp(logs - peak[:, None]).mean(axis=1))
+            logs -= peak[:, None]
+            out[lo : lo + chunk][deep] = peak + np.log(np.exp(logs, out=logs).mean(axis=1))
     return out

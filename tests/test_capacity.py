@@ -28,8 +28,8 @@ from phaseq.capacity import (
     mutual_information_mc,
     output_entropy,
 )
-from phaseq.combinatorics import output_class_arrays
-from phaseq.core import _check_indices, sample_blocks
+from phaseq.combinatorics import _bracelet_rows, output_class_arrays
+from phaseq.core import _check_indices, _distinct_rows, sample_blocks
 from phaseq.sim import run_ser
 from phaseq.transition import _fold_inputs, _log_grid_mean, kernel_bank_for, kernel_for
 
@@ -298,7 +298,9 @@ class TestMonteCarlo:
             bases.append(base)
             assert 0 <= rows.min() and rows.max() < base
             distinct, inverse = np.unique(rows, axis=0, return_inverse=True)
-            return distinct, inverse.reshape(-1)
+            # the estimator's memo looks rows up by key: here a row's bytes
+            keys = np.ascontiguousarray(distinct).view(np.dtype((np.void, 8 * rows.shape[1])))
+            return distinct, inverse.reshape(-1), keys[:, 0]
 
         monkeypatch.setattr(capacity, "_distinct_rows", oracle)
         want = mutual_information_mc(cfg, 3_000, np.random.default_rng(9))
@@ -317,17 +319,30 @@ class TestMonteCarlo:
             # every ratio is 10 bits up to rounding, so the error bar is of
             # rounding size, not of mi's
             (SystemConfig(M=4, K=64, L=6, snr_db=20.0, theta0=0.7), 5_000),
+            # three batches, the last ragged or not, each looking its rows up
+            # in the rows the batches before it scored
+            (SystemConfig(M=4, K=64, L=6, snr_db=6.0), 17_000),
+            (SystemConfig(M=4, K=64, L=6, snr_db=6.0), 20_000),
+            (SystemConfig(M=4, K=8, L=6, snr_db=6.0, dither="ramp"), 17_000),
+            (SystemConfig(M=4, K=8, L=6, snr_db=6.0, dither="ramp"), 20_000),
+            (SystemConfig(M=4, K=8, L=4, snr_db=10.0, dither=(0, 0.05, 0.11, 0.3)), 17_000),
+            # pinned rows of S keyed by three int64 words and of z by two
+            (SystemConfig(M=2, K=4, L=64, snr_db=8.0, dither="ramp"), 17_000),
+            # 70 bits of gaps: bracelets keyed as plain rows, one int64 word
+            (SystemConfig(M=4, K=64, L=10, snr_db=6.0), 17_000),
         ],
         ids=[
             "k64", "k64-12dB-theta0", "ramp", "tuple", "ramp-30dB", "k64-L200",
-            "k64-20dB-zero-variance",
+            "k64-20dB-zero-variance", "k64-3-batches-ragged", "k64-3-batches",
+            "ramp-3-batches-ragged", "ramp-3-batches", "tuple-3-batches",
+            "ramp-L64-3-batches", "k64-L10-3-batches",
         ],
     )
     def test_deduplicated_rows_match_per_block_products(self, cfg, trials):
         # the estimator scores each bracelet of pinned rows once (each
-        # distinct pinned row under dither, or past 63 bits of gaps at L=200);
-        # here every sampled block gets its own phase-grid product, on the
-        # same draws
+        # distinct pinned row under dither, or past 63 bits of gaps at L=200)
+        # over the whole call; here every sampled block gets its own
+        # phase-grid product, on the same draws
         got_rng = np.random.default_rng(21)
         got = mutual_information_mc(cfg, trials, got_rng)
 
@@ -356,6 +371,71 @@ class TestMonteCarlo:
         # moves the variance by more than the means' few ulps
         assert got.error_bar == pytest.approx(se, rel=1e-9, abs=1e-12)
         assert got_rng.bit_generator.state == rng.bit_generator.state
+
+
+def _replayed_scored_rows(cfg: SystemConfig, trials: int, seed: int, batch: int) -> dict:
+    """Rows mutual_information_mc(cfg, trials, default_rng(seed)) scores
+    with batches and memos of batch rows, on each side by period (K for the
+    conditional rows, a for the output rows), replayed from its draws: a
+    batch scores the distinct keys its side's memo does not hold, and the
+    memo keeps the first of them in key order until it holds batch rows."""
+    rng = np.random.default_rng(seed)
+    held = {cfg.K: set(), cfg.a: set()}
+    scored = {cfg.K: 0, cfg.a: 0}
+    for lo in range(0, trials, batch):
+        X = rng.integers(0, cfg.M, size=(min(batch, trials - lo), cfg.L))
+        _, Z = sample_blocks(X, cfg, rng)
+        for rows, period in ((Z - cfg.a * X, cfg.K), (Z, cfg.a)):
+            pinned = (rows - rows[:, :1]) % period
+            if cfg.is_dithered:
+                keys = _distinct_rows(pinned, period)[2]
+            else:
+                keys = _bracelet_rows(np.sort(pinned, axis=1), period)[2]
+            # int64 keys as ints, void keys as bytes: both sort as numpy does
+            new = sorted(set(keys.tolist()) - held[period])
+            scored[period] += len(new)
+            held[period].update(new[: batch - len(held[period])])
+    return scored
+
+
+@pytest.mark.parametrize(
+    "cfg, trials, batch",
+    [
+        (SystemConfig(M=4, K=8, L=3, snr_db=6.0), 20_000, _MC_BATCH),
+        (SystemConfig(M=4, K=8, L=3, snr_db=6.0, dither="ramp"), 20_000, _MC_BATCH),
+        (SystemConfig(M=2, K=4, L=64, snr_db=8.0, dither="ramp"), 17_000, _MC_BATCH),
+        # batches of 500 and memos of 500 rows: the first batches fill the
+        # conditional memo, and later ones score again what it could not keep
+        (SystemConfig(M=4, K=16, L=5, snr_db=6.0, dither="ramp"), 2_300, 500),
+        (SystemConfig(M=4, K=64, L=6, snr_db=6.0), 2_300, 500),
+    ],
+    ids=["k8-L3", "ramp-k8-L3", "ramp-L64-void-keys", "ramp-k16-capped", "k64-capped"],
+)
+def test_mc_scores_each_distinct_row_once_per_call(cfg, trials, batch, monkeypatch):
+    # counted through capacity's _log_grid_mean, each side by its tables'
+    # rows: K for the kernels, a for the input averages
+    monkeypatch.setattr(capacity, "_MC_BATCH", batch)
+    scored = {cfg.K: 0, cfg.a: 0}
+
+    def counting(tables, S):
+        scored[len(tables[0])] += len(S)
+        return _log_grid_mean(tables, S)
+
+    monkeypatch.setattr(capacity, "_log_grid_mean", counting)
+    mutual_information_mc(cfg, trials, np.random.default_rng(5))
+    assert scored == _replayed_scored_rows(cfg, trials, 5, batch)
+
+
+def test_mc_leaves_no_state_for_the_next_call():
+    # the thread's workspace and kernel caches carry over between calls,
+    # and memos end with their call: an SER run and an exact sum in between
+    # leave the estimate unchanged to the bit
+    cfg = SystemConfig(M=4, K=8, L=6, snr_db=6.0, dither="ramp")
+    first = mutual_information_mc(cfg, 9_000, np.random.default_rng(3))
+    run_ser(SystemConfig(M=4, K=12, L=8, snr_db=11.0), 5_000, seed=4)
+    mutual_information(SystemConfig(M=4, K=12, L=6, snr_db=6.0))
+    again = mutual_information_mc(cfg, 9_000, np.random.default_rng(3))
+    assert repr(first) == repr(again)
 
 
 def _pinned_class_entropy(table: np.ndarray, alphabet: int, L: int, scale: float) -> float:
@@ -406,7 +486,8 @@ def test_pin_matches_plain_mod(M, K):
     S = rng.integers(-(K - 1), K, size=(500, 5))
     S[:4] = [[-(K - 1)] * 5, [K - 1] * 5, [-(K - 1)] + [K - 1] * 4, [K - 1] + [-(K - 1)] * 4]
     for period in (K, K // M):
-        got = _pin(S, K, period)
+        # _pin writes into out and overwrites its S
+        got = _pin(S.copy(), K, period, np.empty_like(S))
         assert got.dtype == np.int64
         assert np.array_equal(got, (S - S[:, :1]) % period)
 

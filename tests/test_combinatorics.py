@@ -171,9 +171,12 @@ class TestBracelets:
     )
     def test_counts_and_weights(self, alphabet, L, count):
         reps, mult = output_class_arrays(alphabet, L)
-        bracelets, inverse = _bracelet_rows(reps, alphabet)
+        bracelets, inverse, keys = _bracelet_rows(reps, alphabet)
         assert bracelets.shape == (count, L)
         assert inverse.shape == (len(reps),)
+        # one int64 key per bracelet, ascending as core._group ranks them
+        assert keys.dtype == np.int64 and keys.shape == (count,)
+        assert (np.diff(keys) > 0).all()
         weight = np.bincount(inverse, weights=mult.astype(float))
         assert weight.sum() == alphabet ** (L - 1)
         assert (weight > 0).all()
@@ -181,7 +184,7 @@ class TestBracelets:
     @pytest.mark.parametrize("alphabet, L", [(1, 3), (2, 5), (5, 3), (6, 5), (8, 4), (7, 1)])
     def test_groups_are_dihedral_orbits(self, alphabet, L):
         reps, _ = output_class_arrays(alphabet, L)
-        bracelets, inverse = _bracelet_rows(reps, alphabet)
+        bracelets, inverse, _ = _bracelet_rows(reps, alphabet)
         keys = [dihedral_key(r, alphabet) for r in bracelets.tolist()]
         assert len(set(keys)) == len(keys)
         assert len(keys) == len({dihedral_key(r, alphabet) for r in reps.tolist()})
@@ -197,9 +200,10 @@ class TestBracelets:
         rng = np.random.default_rng(4)
         rows = np.sort(rng.integers(0, 16, size=(3_000, 6)), axis=1)
         rows = np.sort((rows - rows[:, :1]) % 16, axis=1)
-        got, inverse = _bracelet_rows(rows, 16)
-        again, inverse_again = _bracelet_rows(rows[::-1], 16)
+        got, inverse, keys = _bracelet_rows(rows, 16)
+        again, inverse_again, keys_again = _bracelet_rows(rows[::-1], 16)
         assert np.array_equal(got, again)
+        assert np.array_equal(keys, keys_again)
         assert np.array_equal(got[inverse], again[inverse_again][::-1])
         for row, rep in zip(rows.tolist(), got[inverse].tolist()):
             assert dihedral_key(row, 16) == dihedral_key(rep, 16)
@@ -210,10 +214,12 @@ class TestBracelets:
         rows = np.sort(rng.integers(0, 64, size=(500, 10)), axis=1)
         rows = np.sort((rows - rows[:, :1]) % 64, axis=1)
         rows = np.concatenate([rows, rows[:100]])
-        got, inverse = _bracelet_rows(rows, 64)
-        want, want_inverse = _distinct_rows(rows, 64)
+        got, inverse, keys = _bracelet_rows(rows, 64)
+        want, want_inverse, want_keys = _distinct_rows(rows, 64)
         assert np.array_equal(got, want)
         assert np.array_equal(inverse, want_inverse)
+        # ten base-64 digits fit one int64 word, which is the key
+        assert keys.dtype == np.int64 and np.array_equal(keys, want_keys)
         # 7 * 9 = 63 bits still fit one word: a row and its mirror image
         # -v-1, pinned and sorted again, share one bracelet
         rows = rows[:200, :9]

@@ -152,11 +152,16 @@ class TestHelpers:
             assert word[-1] + 1 == words
             cases.append((rows, base))
         for rows, base in cases:
-            distinct, inverse = _distinct_rows(rows, base)
+            distinct, inverse, keys = _distinct_rows(rows, base)
             ref, ref_inverse = np.unique(rows, axis=0, return_inverse=True)
             np.testing.assert_array_equal(distinct, ref)
             np.testing.assert_array_equal(inverse, ref_inverse.reshape(-1))
             np.testing.assert_array_equal(distinct[inverse], rows)
+            # a key per distinct row: one int64 word, else the bytes of W words
+            per, _, _ = _digit_words(base, np.arange(rows.shape[1])[::-1], lambda p: base**p - 1)
+            n_words = -(-rows.shape[1] // per)
+            assert keys.dtype == (np.int64 if n_words == 1 else np.dtype((np.void, 8 * n_words)))
+            assert len(set(keys.tolist())) == len(keys) == len(distinct)
 
         def check_group(words, top):
             index, inverse, counts = _group(words, top)
