@@ -24,19 +24,12 @@ classes whose gaps need more than 63 bits keep one product each.
 A full-enumeration brute-force path is shipped alongside as the oracle, and
 a Monte Carlo estimator, which takes P(z) from the same input-averaged
 tables, covers dithered configurations where the reduction does not apply.
-It uses the same symmetries on its sampled blocks: adding one sector to
-every output leaves a block's probability unchanged, dithered or not, and so
-do permuting positions and the reflection without dither; output blocks are
-read mod a. So a call scores every distinct pinned block once under
-dither, and every bracelet once without: each batch groups its rows by the
-int64 keys (or several words' bytes) that core._group ranks, and one memo
-per side (conditional and output) maps a key to its log-probability, so
-that a row an earlier batch of the call scored is looked up, not scored
-again. A memo keeps at most one batch's worth of rows and ends with its
-call. Batches run in buffers the calling thread keeps
-(core._thread_workspace), as run_ser's chunks do: the sampler's draws and
-planes, S = z - a*x in the symbols' own memory, and both pinned rows in
-the sampler's planes once it is done with them.
+It uses the same symmetries on its sampled blocks, so a call scores every
+distinct pinned block once under dither, and every bracelet once without:
+one core._RowMemo per side (conditional and output), of at most one batch
+of rows, holds log-probabilities by the keys core._group ranks, and ends
+with its call. Batches run in buffers the calling thread keeps
+(core._thread_workspace), as run_ser's chunks do.
 Block probabilities fall back to log space when the linear phase-grid
 product underflows, so the Monte Carlo estimate stays finite for long
 blocks; it works on log-probabilities throughout. Every function takes the
@@ -51,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -61,6 +55,7 @@ from .core import (
     _as_int,
     _distinct_rows,
     _draw_into,
+    _RowMemo,
     _sample_into,
     _thread_workspace,
 )
@@ -263,59 +258,15 @@ def _pin(S: np.ndarray, K: int, period: int, out: np.ndarray) -> np.ndarray:
     return np.take(residues, S, out=out, mode="clip")
 
 
-class _RowScores:
-    """_log_grid_mean of the distinct rows one Monte Carlo call has scored,
-    by key: sorted keys (int64, or the void scalars of several words) and
-    their log-probabilities, at most _MC_BATCH rows, first met first kept.
-    A batch looks its keys up by one np.searchsorted and adds its misses by
-    one sorted insert; each row is reduced on its own, so a held value is
-    the value the row would get afresh, to the bit."""
-
-    def __init__(self, tables) -> None:
-        self.tables = tables
-        self.keys = None
-        self.values = np.empty(0)
-
-    def __call__(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """_log_grid_mean(tables, rows) for rows with distinct keys."""
-        if self.keys is None:
-            self.keys = keys[:0]
-        at = np.searchsorted(self.keys, keys)
-        if len(self.keys):
-            held = np.take(self.keys, at, mode="clip") == keys
-        else:
-            held = np.zeros(len(keys), dtype=bool)
-        scores = np.empty(len(keys))
-        scores[held] = self.values[at[held]]
-        new = np.flatnonzero(~held)
-        if new.size:
-            # rows themselves when none is held: a long block's rows are
-            # nearly all new, and a copy of them all would be megabytes
-            scores[new] = _log_grid_mean(self.tables, rows if new.size == len(rows) else rows[new])
-            # in key order, so that misses at one insert position stay sorted
-            new = new[np.argsort(keys[new], kind="stable")][: _MC_BATCH - len(self.keys)]
-            self.keys = np.insert(self.keys, at[new], keys[new])
-            self.values = np.insert(self.values, at[new], scores[new])
-        return scores
-
-
 def _pinned_log_grid_mean(
-    scores: _RowScores, pinned: np.ndarray, period: int, shared: bool
+    scores: _RowMemo, pinned: np.ndarray, period: int, shared: bool
 ) -> np.ndarray:
     """scores' _log_grid_mean of each pinned row (n, L) of digits
-    0..period-1 (first column 0), looking up each distinct pinned row, or
-    each bracelet, once.
-
-    Rows are read modulo period and shifted so that their first entry is 0
-    (_pin). This is valid where adding c to every entry rolls each table
-    row by the same number of grid points and leaves row z mod period equal
-    to row z, up to summation order: the results move by a few ulps, not
-    more. When every position shares one table (shared, the undithered
-    case), rows are sorted in place and each bracelet is scored once
-    (combinatorics._bracelet_rows), since permutations and the reflection
-    z -> -z-1 keep the probability too; the reflection up to the grid rule,
-    about 2e-13 relative. Under dither, distinct pinned rows come from
-    core._distinct_rows. Either grouping's keys find the rows in scores.
+    0..period-1 (first column 0), each distinct one looked up once by key.
+    When every position shares one table (shared, the undithered case), rows
+    are sorted in place and grouped by bracelet (_bracelet_rows), else by
+    distinct row (_distinct_rows); mutual_information_mc says why either
+    grouping keeps the probability, and how closely.
     """
     if shared:
         pinned.sort(axis=1)
@@ -352,11 +303,12 @@ def mutual_information_mc(
     relative. Dithered rows keep one product per distinct pinned row.
 
     A row is scored once per call, not once per batch: each side keeps the
-    log-probabilities of the rows its batches scored, by key (_RowScores,
-    up to _MC_BATCH rows), and every row is reduced on its own, so a looked
-    up value is bitwise the value the row would get afresh. The draws are
-    those of sample_blocks, batch by batch (symbols, phases, noise, then
-    redraws), made in buffers the calling thread keeps.
+    log-probabilities of up to _MC_BATCH rows in a core._RowMemo, and every
+    row is reduced on its own, so a held value is bitwise the value the row
+    would get afresh. The draws are those of sample_blocks, batch by batch
+    (symbols, phases, noise, then redraws), made in buffers the calling
+    thread keeps: S = z - a*x goes to the symbols' memory, and both pinned
+    rows to the sampler's planes once it is done with them.
     """
     trials = _as_int(trials, "trials")
     if trials < 100:
@@ -368,7 +320,9 @@ def mutual_information_mc(
     mixed = [averaged[id(t)] for t in tables]
     shared = not config.is_dithered
     work = _thread_workspace()
-    cond_scores, out_scores = _RowScores(tables), _RowScores(mixed)
+    cond_scores, out_scores = (
+        _RowMemo(partial(_log_grid_mean, side), limit=_MC_BATCH) for side in (tables, mixed)
+    )
 
     sum_ratio = 0.0
     # squares about the first batch's mean: equal ratios then leave a

@@ -226,9 +226,12 @@ def _digit_words(base: int, significance, word_top) -> tuple[int, np.ndarray, np
     """The one rule packing digits 0..base-1 into int64 words: (per, word,
     place). Digit j, of significance significance[j] (0 least), goes to word
     word[j] (most significant first) at place[j] = base**(significance[j] %
-    per); per, the digits a word takes, is the most with word_top(per) < 2**63."""
+    per); per, the digits a word takes, is the most with word_top(per) < 2**63,
+    found by stopping at the first width past it, as word_top is increasing."""
     significance = np.asarray(significance)
-    per = max(p for p in range(1, len(significance) + 1) if word_top(p) < 2**63)
+    per = 1
+    while per < len(significance) and word_top(per + 1) < 2**63:
+        per += 1
     word = (len(significance) - 1) // per - significance // per
     return per, word, base ** (significance % per)
 
@@ -277,6 +280,41 @@ def _group(words: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = rank
     return order[first], inverse, np.bincount(rank)
+
+
+class _RowMemo:
+    """score(rows) of the distinct rows met so far, by key: sorted keys
+    (_group's int64 keys, or void scalars of several words) and their value
+    rows, at most limit rows, first met first kept. A call looks its keys up
+    by one np.searchsorted and adds its misses by one sorted insert; score
+    is row-local, so a held value is the value the row would get afresh, to
+    the bit."""
+
+    def __init__(self, score, limit: int | None = None) -> None:
+        self.score, self.limit = score, limit
+        self.keys = self.values = None
+
+    def __call__(self, rows: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """score(rows) for rows with distinct keys."""
+        if self.keys is None:
+            scores = self.score(rows)
+            first = np.argsort(keys, kind="stable")[: self.limit]
+            self.keys, self.values = keys[first], scores[first]
+            return scores
+        at = np.searchsorted(self.keys, keys)
+        new = np.flatnonzero(np.take(self.keys, at, mode="clip") != keys)
+        scores = np.take(self.values, at, axis=0, mode="clip")
+        if new.size:
+            # rows themselves when none is held: a long block's rows are
+            # nearly all new, and a copy of them all would be megabytes
+            scores[new] = self.score(rows if new.size == len(rows) else rows[new])
+            # in key order, so that misses at one insert position stay sorted
+            new = new[np.argsort(keys[new], kind="stable")]
+            if self.limit is not None:
+                new = new[: self.limit - len(self.keys)]
+            self.keys = np.insert(self.keys, at[new], keys[new])
+            self.values = np.insert(self.values, at[new], scores[new], axis=0)
+        return scores
 
 
 def _quantize(ang: np.ndarray, K: int, out: np.ndarray) -> np.ndarray:

@@ -56,6 +56,7 @@ import numpy as np
 
 from .core import _CHUNK_ELEMENTS, TWO_PI, SystemConfig, _check_indices, _thread_workspace
 from .transition import (
+    _MAX_GRID,
     TransitionKernel,
     _check_own_kernels,
     _fold_inputs,
@@ -67,6 +68,14 @@ DEFAULT_TIE_TOL = 1e-6
 _ALPHA_DEDUPE = 1e-12
 # The scan grid has the smallest multiple of K at or above this many points.
 _SCAN_TARGET = 720
+
+
+def _scan_points(K: int) -> int:
+    """Scan grid points for K sectors; ValueError past the fill's _MAX_GRID."""
+    n = K * math.ceil(_SCAN_TARGET / K)
+    if n > _MAX_GRID:
+        raise ValueError(f"K={K} needs a {n}-point scan grid, above the {_MAX_GRID}-point limit")
+    return n
 
 
 @dataclass(frozen=True)
@@ -164,7 +173,7 @@ def _scan_bank(config: SystemConfig) -> tuple[tuple[np.ndarray, np.ndarray, np.n
     config is held.
     """
     K, M = config.K, config.M
-    n_scan = K * math.ceil(_SCAN_TARGET / K)
+    n_scan = _scan_points(K)
     scans = {}
     for d in config.dither:
         theta = config.theta0 + d

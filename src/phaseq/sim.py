@@ -3,10 +3,10 @@
 Blocks are simulated in chunks of DEFAULT_CHUNK blocks, each driven by its
 own child of one SeedSequence, with every random draw inside its chunk's
 stream, so results are bit-identical for any worker count. A chunk sweeps
-through demod only the distinct rows its lane's memo has not seen. The memo
-maps each row's key to an id into lane-level arrays (winner vector, tie
-flag, candidate count; tie sets for tied rows only), so every block takes
-its decision by one gather through the ids. Tied blocks re-draw their winner
+through demod only the distinct rows its lane's memo (core._RowMemo) does
+not hold. The memo keeps one int64 row per distinct row, [winner vector |
+candidate count | index of its tie set in the lane's list, or -1], so
+blocks take their decisions by gathers. Tied blocks re-draw their winner
 from the chunk stream in block order, so memoization never correlates tie
 outcomes across blocks.
 
@@ -79,13 +79,19 @@ from .core import (
     _digit_words,
     _draw_into,
     _group,
+    _RowMemo,
     _sample_into,
     _thread_workspace,
     _Workspace,
 )
-from .demod import _sweep_rows
+from .demod import _scan_points, _sweep_rows
 
 DEFAULT_CHUNK = 4096
+# run_ser refuses a _key_words table above this many int64 elements (128
+# MB). Undithered it is (W, K), W about a/19 words at L = 8: 3.5M elements
+# (28 MB) at K = 16,384, 14M at 32,768, 57M (452 MB) at 65,536, dwarfing
+# every chunk buffer, and 115 GB at K = 2**20, which the scan grid admits.
+_MAX_KEY_ELEMENTS = 2**24
 _CONVENTIONS = ("pilot", "genie")
 # the workspace buffers (noise, rotations) that chunks drawn ahead
 # alternate between
@@ -177,42 +183,6 @@ def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
     return [chunk_size] * full + ([rem] if rem else [])
 
 
-class _RowMemo:
-    """Decisions of the distinct rows a lane has demodulated, as arrays: a
-    row's key from _block_rows (its int64 key, or its words' bytes) maps to
-    an id into the winner candidate vectors ((m, L) for m stored rows), tie
-    flags and candidate counts; tied rows also keep their tie set, the
-    candidates a tied block re-draws from. Each lane owns one.
-    """
-
-    def __init__(self, L: int):
-        self._ids: dict[int | bytes, int] = {}
-        self._winners = np.empty((0, L), dtype=np.int64)
-        self._tied = np.empty(0, dtype=bool)
-        self._n_cand = np.empty(0, dtype=np.int64)
-        self.tie_sets: dict[int, np.ndarray] = {}
-
-    def decide(
-        self, keys: np.ndarray, rows: np.ndarray, config: SystemConfig
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, winner vectors, tie flags, candidate counts) of the rows."""
-        keys = keys.tolist()
-        missing = [i for i, key in enumerate(keys) if key not in self._ids]
-        if missing:
-            sweep = _sweep_rows(rows[missing], config)
-            winners = sweep.candidates[np.arange(len(missing)), sweep.winner]
-            tied = np.count_nonzero(sweep.ties, axis=1) > 1
-            base = len(self._ids)
-            self._ids.update((keys[i], base + j) for j, i in enumerate(missing))
-            for j in np.flatnonzero(tied):
-                self.tie_sets[base + int(j)] = sweep.candidates[j, sweep.ties[j]]
-            self._winners = np.concatenate([self._winners, winners])
-            self._tied = np.concatenate([self._tied, tied])
-            self._n_cand = np.concatenate([self._n_cand, sweep.n_distinct])
-        ids = np.fromiter(map(self._ids.__getitem__, keys), np.intp, len(keys))
-        return ids, self._winners[ids], self._tied[ids], self._n_cand[ids]
-
-
 def _draw_chunk(
     config: SystemConfig,
     n_blocks: int,
@@ -239,16 +209,24 @@ def _draw_chunk(
 
 @lru_cache(maxsize=1)
 def _key_words(config: SystemConfig) -> tuple[np.ndarray, int]:
-    """_block_rows' key tables (weights, top), once per config."""
+    """_block_rows' key tables (weights, top), once per config; a table of
+    more than _MAX_KEY_ELEMENTS raises ValueError before it is built."""
     L, K, a = config.L, config.K, config.a
+    # n sample cells: l*K + z under dither, z without
     if config.is_dithered:
-        base, significance, cells = a, np.arange(L)[::-1], np.arange(L * K)
-        digit, amount, word_top = cells // K, cells % a, lambda p: a**p - 1
+        base, significance, n, word_top = a, np.arange(L)[::-1], L * K, lambda p: a**p - 1
     else:
-        base, significance, cells = L + 1, np.arange(a), np.arange(K)
-        digit, amount, word_top = cells % a, 1, lambda p: L * (L + 1) ** (p - 1)
+        base, significance, n, word_top = L + 1, np.arange(a), K, lambda p: L * (L + 1) ** (p - 1)
     per, word, place = _digit_words(base, significance, word_top)
-    weights = np.zeros((word.max() + 1, len(cells)), dtype=np.int64)
+    shape = (int(word.max()) + 1, n)
+    if math.prod(shape) > _MAX_KEY_ELEMENTS:
+        raise ValueError(
+            f"K={K}, L={L} needs a {shape[0]} x {n} row-key table, above the"
+            f" limit of {_MAX_KEY_ELEMENTS} elements"
+        )
+    cells = np.arange(n)
+    digit, amount = (cells // K, cells % a) if config.is_dithered else (cells % a, 1)
+    weights = np.zeros(shape, dtype=np.int64)
     weights[word[digit], cells] = amount * place[digit]
     # the cache hands the same array to every chunk
     weights.flags.writeable = False
@@ -289,6 +267,7 @@ def _run_chunk(
     drawn: tuple[np.random.Generator, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]],
     convention: str,
     memo: _RowMemo,
+    tie_sets: list[np.ndarray],
     work: _Workspace,
 ) -> tuple[int, int, int, int]:
     """Simulate one chunk from _draw_chunk's draws; returns (errors, tie
@@ -296,11 +275,12 @@ def _run_chunk(
 
     Each distinct row is Z mod a at one of its blocks (_block_rows' index;
     l*K + z has z's residue, as a divides K), sorted without dither (see the
-    module docstring). Only rows the memo has not seen are demodulated.
-    Their winners become one decision table, a row per distinct row and a
-    column per sample cell: the sector z without dither, decided as the
-    winner's symbol at the first sorted position of residue z mod a plus z
-    div a; under dither the cell (z div a)*L + l, decided as the winner's
+    module docstring). memo gives each its winner, candidate count and the
+    index of its tie set in tie_sets, or -1, sweeping only the rows it does
+    not hold. The winners become one decision table, a row per distinct row
+    and a column per sample cell: the sector z without dither, decided as
+    the winner's symbol at the first sorted position of residue z mod a plus
+    z div a; under dither the cell (z div a)*L + l, decided as the winner's
     symbol at l plus z div a. Each sample is decided by one gather from that
     table at its cell plus the table's width times its block's row. Tied
     blocks re-draw their candidate from the chunk stream in block order and
@@ -335,7 +315,8 @@ def _run_chunk(
         hist = np.bincount((rows + a * row).ravel(), minlength=a * len(rows))
         pos = np.minimum((np.cumsum(hist) - hist).reshape(-1, a) - L * row, L - 1)
         cells = Z
-    ids, winners, row_tied, n_cand = memo.decide(keys, rows, config)
+    decided = memo(rows, keys)
+    winners, n_cand, row_tied = decided[:, :L], decided[:, L], decided[:, L + 1] >= 0
     # cell q*c + j of a row (c columns of pos) holds the winner's symbol at
     # position pos[j], plus q
     quotients = np.arange(M)[:, None]
@@ -346,7 +327,7 @@ def _run_chunk(
     if row_tied.any():
         for b in np.flatnonzero(row_tied[inverse]):
             r = inverse[b]
-            chosen = rng.choice(memo.tie_sets[ids[r]])[pos[r]] + quotients
+            chosen = rng.choice(tie_sets[decided[r, L + 1]])[pos[r]] + quotients
             xhat[b] = chosen.reshape(-1)[cells[b] - width * r]
     errors = _symbol_errors(xhat, X, M, convention, work)
     return errors, int(row_tied @ per_row), int(n_cand @ per_row), int(n_cand.max())
@@ -384,13 +365,27 @@ def _run_lane(
     helper: ThreadPoolExecutor | None = None,
 ) -> list[tuple[int, int, int, int]]:
     """_run_chunk's results for chunks, (blocks, stream) pairs run in order
-    on this thread with one _RowMemo and the workspace work.
+    on this thread with the workspace work and one row memo, whose sweep
+    appends each tied row's tie set to the lane's list.
 
     A one-thread helper makes chunk j + 1's draws, into the buffers
     _DRAW_BUFFERS[(j + 1) % 2] looked up on this thread, while chunk j
     runs; without one, every chunk draws inline into the first pair.
     """
-    memo = _RowMemo(config.L)
+    L = config.L
+    tie_sets = []
+
+    def sweep(rows: np.ndarray) -> np.ndarray:
+        s = _sweep_rows(rows, config)
+        decided = np.full((len(rows), L + 2), -1, dtype=np.int64)
+        decided[:, :L] = s.candidates[np.arange(len(rows)), s.winner]
+        decided[:, L] = s.n_distinct
+        for j in np.flatnonzero(np.count_nonzero(s.ties, axis=1) > 1):
+            decided[j, L + 1] = len(tie_sets)
+            tie_sets.append(s.candidates[j, s.ties[j]])
+        return decided
+
+    memo = _RowMemo(sweep)
 
     def draws(j: int) -> tuple:
         n_blocks, stream = chunks[j]
@@ -410,7 +405,7 @@ def _run_lane(
         drawn = ahead.result() if helper else _draw_chunk(*draws(j))
         if helper and j + 1 < len(chunks):
             ahead = helper.submit(_draw_chunk, *draws(j + 1))
-        results.append(_run_chunk(config, drawn, convention, memo, work))
+        results.append(_run_chunk(config, drawn, convention, memo, tie_sets, work))
     return results
 
 
@@ -443,6 +438,9 @@ def run_ser(
         raise ValueError(f"convention must be one of {_CONVENTIONS}")
     if convention == "pilot" and config.L < 2:
         raise ValueError("pilot convention needs L >= 2")
+    # an oversized scan grid or key table is refused before anything is built
+    _scan_points(config.K)
+    _key_words(config)
     sizes = _chunk_sizes(trials, DEFAULT_CHUNK)
     chunks = list(zip(sizes, seed.spawn(len(sizes))))
     lanes = min(workers, len(chunks))

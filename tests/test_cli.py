@@ -279,6 +279,33 @@ class TestSerCommand:
         assert "above the limit" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "K, refusal",
+        [
+            (2**21, "2097152-point scan grid, above the 1048576-point limit"),
+            (2**20, "13798 x 1048576 row-key table, above the limit of 16777216 elements"),
+        ],
+    )
+    def test_huge_k_exits_2_before_building_tables(self, tmp_path, K, refusal):
+        # K=2**21 is past the scan fill's grid limit, and K=2**20 within it
+        # but with a 115 GB row-key table; the script runs in a child under
+        # a timeout and a 2 GiB address-space limit, so building either
+        # would fail fast rather than exhaust the host's memory
+        out = tmp_path / "huge_k.csv"
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from phaseq.cli import main; main(sys.argv[1:])",
+             "ser", "--M", "4", "--K", str(K), "--L", "8", "--snr", "10", "--trials", "100",
+             "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": str(Path(phaseq.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+        )
+        assert run.returncode == 2
+        assert refusal in run.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_rerun_is_byte_identical(self, tmp_path):
         args = [
             "ser",

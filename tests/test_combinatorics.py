@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import phaseq
 from phaseq import combinatorics
 from phaseq.cli import main
-from phaseq.core import _distinct_rows
+from phaseq.core import _distinct_rows, _RowMemo
 from phaseq.combinatorics import (
     _bracelet_rows,
     canonical_output_classes,
@@ -228,6 +228,79 @@ class TestBracelets:
         both = np.concatenate([rows, mirror])
         assert len(_distinct_rows(both, 64)[0]) > len(_distinct_rows(rows, 64)[0])
         assert len(_bracelet_rows(both, 64)[0]) == len(_bracelet_rows(rows, 64)[0])
+
+
+class DictMemo:
+    """The dict row memo the SER lanes kept before core._RowMemo, as the
+    oracle: a row's key (an int, or its words' bytes) maps to an id into a
+    list of value rows. Misses are scored in call order and the first of
+    them in key order are kept, until limit rows are held."""
+
+    def __init__(self, score, limit=None):
+        self.score, self.limit = score, limit
+        self.ids = {}
+        self.values = []
+
+    def __call__(self, rows, keys):
+        keys = keys.tolist()
+        missing = [i for i, key in enumerate(keys) if key not in self.ids]
+        fresh = dict(zip(missing, self.score(rows[missing]))) if missing else {}
+        room = len(missing) if self.limit is None else self.limit - len(self.ids)
+        for i in sorted(missing, key=keys.__getitem__)[: max(room, 0)]:
+            self.ids[keys[i]] = len(self.values)
+            self.values.append(fresh[i])
+        return np.array([fresh[i] if i in fresh else self.values[self.ids[key]]
+                         for i, key in enumerate(keys)])
+
+
+class TestRowMemo:
+    # (base, L): one int64 word per row, and two words (void keys), as
+    # _distinct_rows packs base-4 digits 31 to a word
+    @pytest.mark.parametrize("base, L, words", [(3, 5, 1), (4, 40, 2)])
+    @pytest.mark.parametrize("limit", [None, 7])
+    @pytest.mark.parametrize("value_rows", [False, True])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), calls=st.integers(1, 6))
+    def test_matches_dict_memo(self, base, L, words, limit, value_rows, seed, calls):
+        # rows repeat within and across calls: each call draws from one pool
+        rng = np.random.default_rng(seed)
+        pool = rng.integers(0, base, size=(int(rng.integers(1, 30)), L))
+        weights = rng.standard_normal(L)
+        scored = []
+
+        def score(rows):
+            scored.extend(map(tuple, rows.tolist()))
+            # row-local, column by column: floats, or int64 value rows
+            if value_rows:
+                return np.concatenate([rows, rows.sum(axis=1, keepdims=True)], axis=1)
+            acc = np.zeros(len(rows))
+            for column, w in zip(rows.T, weights):
+                acc += column * w
+            return np.sin(acc)
+
+        memo, oracle = _RowMemo(score, limit), DictMemo(score, limit)
+        for _ in range(calls):
+            batch = pool[rng.integers(0, len(pool), size=int(rng.integers(1, 40)))]
+            rows, _, keys = _distinct_rows(batch, base)
+            assert keys.dtype == (np.int64 if words == 1 else np.dtype((np.void, 8 * words)))
+            held = set(oracle.ids)
+            misses = [tuple(r) for r, k in zip(rows.tolist(), keys.tolist()) if k not in held]
+            scored.clear()
+            want = oracle(rows, keys)
+            scored.clear()
+            got = memo(rows, keys)
+            # only the rows not held are scored, each once
+            assert scored == misses
+            scored.clear()
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.tobytes() == score(rows).tobytes()
+            # held keys are strictly ascending, and the first met are kept
+            held = memo.keys.tolist()
+            assert all(lo < hi for lo, hi in zip(held, held[1:]))
+            assert set(held) == set(oracle.ids)
+            assert len(held) <= (limit or len(pool))
+            assert memo.values.tobytes() == np.array(
+                [oracle.values[oracle.ids[k]] for k in held]).tobytes()
 
 
 class TestInputClasses:

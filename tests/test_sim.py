@@ -346,7 +346,9 @@ class TestRunSer:
     # W = 2 words to lexsort. Counts on both sides of the bincount edge of
     # core._group (top < 4n, n = 4,096 here), on both sides of the widest key
     # that fits int64, for a short last chunk (4,196 blocks end in 100) and
-    # for K=64 L=8, whose keys are argsorted, for one lane and two.
+    # for K=64 L=8, whose keys are argsorted, and for K=8 L=8 at 12 dB, where
+    # about 65% of blocks tie and re-draw from their rows' tie sets, for one
+    # lane and two.
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
         "cfg, trials, errors, tie_blocks, key_words",
@@ -361,10 +363,11 @@ class TestRunSer:
             (SystemConfig(M=4, K=64, L=15, snr_db=8.0), 5_000, 2209, 1, True),
             (SystemConfig(M=4, K=12, L=8, snr_db=11.0), 4_196, 227, 17, False),
             (SystemConfig(M=4, K=64, L=8, snr_db=10.0), 5_000, 197, 1, False),
+            (SystemConfig(M=4, K=8, L=8, snr_db=12.0), 20_000, 17_875, 13_053, False),
         ],
         ids=[
             "ramp-L14", "ramp-L15", "K12-L24", "K12-L25", "ramp-L63", "ramp-L64",
-            "K64-L14", "K64-L15", "K12-L8-short-chunk", "K64-L8",
+            "K64-L14", "K64-L15", "K12-L8-short-chunk", "K64-L8", "K8-L8-ties",
         ],
     )
     def test_pinned_counts_at_key_edges(
@@ -631,15 +634,15 @@ class TestChunkEngine:
             return _sweep_rows(rows, config)
 
         class RecordedMemo(sim._RowMemo):
-            def __init__(self, L):
-                super().__init__(L)
+            def __init__(self, score, limit=None):
+                super().__init__(score, limit)
                 self.threads = set()
                 with lock:
                     memos.append(self)
 
-            def decide(self, keys, rows, config):
+            def __call__(self, rows, keys):
                 self.threads.add(threading.get_ident())
-                return super().decide(keys, rows, config)
+                return super().__call__(rows, keys)
 
         monkeypatch.setattr(sim, "_sweep_rows", counting_sweep)
         monkeypatch.setattr(sim, "_RowMemo", RecordedMemo)
@@ -653,7 +656,7 @@ class TestChunkEngine:
                 assert run_ser(cfg, trials=13_000, seed=11, workers=w) == want
                 assert all(len(memo.threads) == 1 for memo in memos)
                 assert len(memos) == w
-                assert swept[0] == sum(len(memo._tied) for memo in memos)
+                assert swept[0] == sum(len(memo.keys) for memo in memos)
         finally:
             sys.setswitchinterval(interval)
 
