@@ -239,21 +239,16 @@ def _digit_words(base: int, significance, word_top) -> tuple[int, np.ndarray, np
 def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of a 2-d array of digits in 0..base-1 in lexicographic
     order, the index of each row among them (np.unique's axis=0 and
-    return_inverse), and each distinct row's key: rows packed by
+    return_inverse), and each distinct row's key (_row_keys): rows packed by
     _digit_words, first digit most significant, and each read from one
-    member of its _group. A key is the row's one int64 word, or, as in
-    sim._block_rows, the bytes of its W words as one void scalar, which
-    compares by its bytes."""
+    member of its _group."""
     n, L = rows.shape
     per, word, place = _digit_words(base, np.arange(L)[::-1], lambda p: base**p - 1)
     words = np.zeros((word[-1] + 1, n), dtype=np.int64)
     for column, w, q in zip(rows.T, word.tolist(), place.tolist()):
         words[w] += column * q
     index, inverse, _ = _group(words, base**per - 1)
-    keys = words[:, index].T
-    if len(words) > 1:
-        keys = np.ascontiguousarray(keys).view(np.dtype((np.void, 8 * len(words))))
-    return rows[index], inverse, keys[:, 0]
+    return rows[index], inverse, _row_keys(words, index)
 
 
 def _group(words: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -280,6 +275,14 @@ def _group(words: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     inverse = np.empty(n, dtype=np.intp)
     inverse[order] = rank
     return order[first], inverse, np.bincount(rank)
+
+
+def _row_keys(words: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """_RowMemo keys of words[:, index]: int64 for one word, else W as one void scalar."""
+    keys = words[:, index].T
+    if len(words) > 1:
+        keys = np.ascontiguousarray(keys).view(np.dtype((np.void, 8 * len(words))))
+    return keys[:, 0]
 
 
 class _RowMemo:

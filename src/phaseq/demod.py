@@ -36,7 +36,8 @@ K = 2M without dither): those whose relative metric gap to the winner is at
 most DEFAULT_TIE_TOL. The winner is the lowest-index tied candidate; the SER
 simulator re-draws a tied block's decision from the tie set itself.
 
-The sweep runs on arrays of rows (_sweep_rows: candidates, metrics, winner,
+The sweep runs on arrays of rows (_sweep_rows: each row's candidate 0 and
+crossover ranks, from which _pick reads any candidate, then metrics, winner,
 tie mask, tie gap), which the SER simulator scores directly. It takes the
 config alone, as do the single-block entry points. _records is the one place
 that cuts a row's DemodRecord from those arrays: the entry points build their
@@ -133,21 +134,26 @@ def _symbol_crossovers(Z: np.ndarray, config: SystemConfig) -> np.ndarray:
     return np.where(alpha < _ALPHA_DEDUPE, alpha + window, alpha)
 
 
-def _distinct_crossovers(Z: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct crossover angles of each row of Z (n, L).
+def _distinct_crossovers(Z: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, ...]:
+    """Sorted distinct crossover angles of each row of Z (n, L), with ranks.
 
-    Returns (edges, n_distinct): row i's distinct angles are
-    edges[i, :n_distinct[i]] (the rest is padding). Angles within
-    _ALPHA_DEDUPE of the previous sorted angle are duplicates.
+    Returns (edges, n_distinct, rank): row i's distinct angles are
+    edges[i, :n_distinct[i]] (the rest is padding), and symbol l's crossover
+    is edges[i, rank[i, l]]. Angles within _ALPHA_DEDUPE of the previous
+    sorted angle are duplicates and share its rank.
     """
-    alphas = np.sort(_symbol_crossovers(Z, config), axis=1)
+    alphas = _symbol_crossovers(Z, config)
+    order = np.argsort(alphas, axis=1)
+    alphas = np.take_along_axis(alphas, order, axis=1)
     dup = np.zeros_like(alphas, dtype=bool)
     dup[:, 1:] = np.diff(alphas, axis=1) <= _ALPHA_DEDUPE
     n_distinct = (~dup).sum(axis=1)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.cumsum(~dup, axis=1) - 1, axis=1)
     # a stable sort on the duplicate flag moves each row's kept angles to
     # the front, still in ascending order
     keep = np.argsort(dup, axis=1, kind="stable")[:, : int(n_distinct.max())]
-    return np.take_along_axis(alphas, keep, axis=1), n_distinct
+    return np.take_along_axis(alphas, keep, axis=1), n_distinct, rank
 
 
 # ---- scan tables -------------------------------------------------------------
@@ -218,7 +224,8 @@ def _evaluate_candidates(z: np.ndarray, C: np.ndarray, config: SystemConfig) -> 
 
 def _segment_maxima(
     R: np.ndarray,
-    C: np.ndarray,
+    base: np.ndarray,
+    rank: np.ndarray,
     edges: np.ndarray,
     n_distinct: np.ndarray,
     config: SystemConfig,
@@ -234,11 +241,11 @@ def _segment_maxima(
     to 2*pi/M, where the decision is candidate 0 less one constellation step
     (the same metric at phi - 2*pi/M), so its value is the larger of its two
     pieces' maxima. A candidate whose segment holds no grid point gets its
-    own metric at the two grid points bounding the segment. Entries past a
-    row's candidates, and pieces that start at P, hold -inf. Rows are
-    scanned in blocks of _CHUNK_ELEMENTS // P, each on its own.
+    own metric, read by _pick, at the two grid points bounding the segment.
+    Entries past a row's candidates, and pieces that start at P, hold -inf.
+    Rows are scanned in blocks of _CHUNK_ELEMENTS // P, each on its own.
     """
-    n, D, L = C.shape
+    (n, L), D = R.shape, edges.shape[1]
     K, M, a = config.K, config.M, config.a
     scans = _scan_bank(config)
     phi_scan = scans[0][0]
@@ -283,7 +290,7 @@ def _segment_maxima(
         around = starts[r, d + 1][:, None] - np.array([[1, 0]])
         own = np.zeros(around.shape)
         for l, t in enumerate(scans):
-            S = (R[r, l] - a * C[r, d, l]) % K
+            S = (R[r, l] - a * _pick(base[r, l], rank[r, l], d, M)) % K
             own += t[1][S[:, None], around]
         log_metric[r, d] = own.max(axis=1)
     return log_metric
@@ -321,12 +328,13 @@ def _decide(
 class _Sweep(NamedTuple):
     """Array results of the candidate sweep on n rows, D = max n_distinct.
 
-    Row i's candidates are candidates[i, :n_distinct[i]]; entries past them
-    hold -inf metrics and are never winners or tied. tie_gap is NaN where a
-    row has one valid candidate.
+    Row i's candidates are _pick(base[i], rank[i], d, M) for d below
+    n_distinct[i]; entries past them hold -inf metrics and are never
+    winners or tied. tie_gap is NaN where a row has one valid candidate.
     """
 
-    candidates: np.ndarray  # (n, D, L)
+    base: np.ndarray  # (n, L) candidate 0
+    rank: np.ndarray  # (n, L) each symbol's crossover among the row's edges
     n_distinct: np.ndarray  # (n,)
     log_metrics: np.ndarray  # (n, D)
     winner: np.ndarray  # (n,)
@@ -334,51 +342,37 @@ class _Sweep(NamedTuple):
     tie_gap: np.ndarray  # (n,)
 
 
+def _pick(base: np.ndarray, rank: np.ndarray, d, M: int) -> np.ndarray:
+    """Candidate d of sweep rows: across one 2*pi/M period each symbol's
+    coherent decision steps down once, at its crossover (edge rank)."""
+    return (base - (rank < d)) % M
+
+
 def _sweep_rows(Z: np.ndarray, config: SystemConfig) -> _Sweep:
     """The candidate sweep on each row of Z (n, L), as arrays.
 
     Rows may hold any sectors: the sweep runs on their residues r and adds
     the quotients q, Z = a*q + r, to every candidate (mod M), the one place
-    where demod reduces rows mod a.
+    where demod reduces rows mod a. Only candidate 0 is rounded, at half the
+    first crossover; _pick reads the others, so no array holds them all.
     """
     q, R = np.divmod(np.asarray(Z, dtype=np.int64), config.a)
-    n, L = R.shape
     M, K = config.M, config.K
 
-    edges, n_distinct = _distinct_crossovers(R, config)
-    D = edges.shape[1]
-    prev = np.concatenate([np.zeros((n, 1)), edges[:, : D - 1]], axis=1)
-    probes = 0.5 * (prev + edges)
-    valid = np.arange(D)[None, :] < n_distinct[:, None]
-
+    edges, n_distinct, rank = _distinct_crossovers(R, config)
     zeta = R * (TWO_PI / K) - config.theta0 - np.asarray(config.dither)[None, :]
-    half_w = math.pi / K
-    probes = np.where(valid, probes, 0.0)
-    # C (n, D, L) is filled in blocks of rows of about _CHUNK_ELEMENTS
-    # entries, so its float planes never span all rows
-    C = np.empty((n, D, L), dtype=np.int64)
-    chunk = max(1, _CHUNK_ELEMENTS // (D * L))
-    for lo in range(0, n, chunk):
-        args = zeta[lo : lo + chunk, None, :] + half_w - probes[lo : lo + chunk, :, None]
-        args *= M / TWO_PI
-        np.round(args, out=args)
-        block = C[lo : lo + chunk]
-        block[...] = args
-        block %= M
-
-    log_metric = _segment_maxima(R, C, edges, n_distinct, config)
-    if q.any():  # residue rows, the SER engine's, skip the int64 remainder
-        C += q[:, None, :]
-        C %= M
-    return _Sweep(C, n_distinct, log_metric, *_decide(log_metric, valid))
+    base = np.round((zeta + math.pi / K - edges[:, :1] / 2) * (M / TWO_PI)).astype(np.int64)
+    log_metric = _segment_maxima(R, base, rank, edges, n_distinct, config)
+    valid = np.arange(edges.shape[1])[None, :] < n_distinct[:, None]
+    return _Sweep((base + q) % M, rank, n_distinct, log_metric, *_decide(log_metric, valid))
 
 
-def _records(s: _Sweep) -> list[DemodRecord]:
-    """One DemodRecord per row of a sweep; views into its arrays."""
+def _records(s: _Sweep, M: int) -> list[DemodRecord]:
+    """One DemodRecord per row of a sweep of M-PSK rows."""
     n_tied = np.count_nonzero(s.ties, axis=1)
     return [
         DemodRecord(
-            candidates=s.candidates[i, :d],
+            candidates=_pick(s.base[i], s.rank[i], np.arange(d)[:, None], M),
             log_metrics=s.log_metrics[i, :d],
             winner_index=w,
             tie=k > 1,
@@ -403,7 +397,7 @@ def demodulate_rows(
     """
     _check_own_kernels(config, kernels)
     Z = _check_indices(Z, "Z", config.L, config.K, "K", stacked=True)
-    return _records(_sweep_rows(Z, config)) if Z.size else []
+    return _records(_sweep_rows(Z, config), config.M) if Z.size else []
 
 
 def _result_from_record(rec: DemodRecord) -> GlrtResult:
@@ -424,7 +418,7 @@ def _result_from_record(rec: DemodRecord) -> GlrtResult:
 def _demodulate(z, config: SystemConfig) -> GlrtResult:
     """The sweep of one block."""
     z = _check_indices(z, "z", config.L, config.K, "K")
-    return _result_from_record(_records(_sweep_rows(z[None, :], config))[0])
+    return _result_from_record(_records(_sweep_rows(z[None, :], config), config.M)[0])
 
 
 def glrt_demodulate(z, config: SystemConfig) -> GlrtResult:
@@ -462,8 +456,8 @@ def brute_force_glrt(z, config: SystemConfig) -> GlrtResult:
         raise ValueError("brute-force input space too large")
     tails = np.array(list(product(range(config.M), repeat=config.L - 1)), dtype=np.int64)
     C = np.concatenate([np.zeros((tails.shape[0], 1), dtype=np.int64), tails], axis=1)
-    lm = _evaluate_candidates(z, C, config)[None, :]
+    lm = _evaluate_candidates(z, C, config)
     # every orbit is a candidate
-    valid = np.ones(lm.shape, dtype=bool)
-    sweep = _Sweep(C[None], np.array([C.shape[0]]), lm, *_decide(lm, valid))
-    return _result_from_record(_records(sweep)[0])
+    winner, ties, gap = (v[0] for v in _decide(lm[None], np.ones((1, lm.size), dtype=bool)))
+    tie_gap = None if math.isnan(gap) else float(gap)
+    return _result_from_record(DemodRecord(C, lm, int(winner), bool(ties.sum() > 1), tie_gap))

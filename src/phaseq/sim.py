@@ -4,11 +4,11 @@ Blocks are simulated in chunks of DEFAULT_CHUNK blocks, each driven by its
 own child of one SeedSequence, with every random draw inside its chunk's
 stream, so results are bit-identical for any worker count. A chunk sweeps
 through demod only the distinct rows its lane's memo (core._RowMemo) does
-not hold. The memo keeps one int64 row per distinct row, [winner vector |
-candidate count | index of its tie set in the lane's list, or -1], so
-blocks take their decisions by gathers. Tied blocks re-draw their winner
-from the chunk stream in block order, so memoization never correlates tie
-outcomes across blocks.
+not hold. The memo keeps one int64 row per distinct row, up to
+_LANE_MEMO_BYTES, [winner vector | candidate count | index of its tie set
+in the lane's list, or -1]; blocks take decisions by gathers. Tied blocks
+re-draw their winner from the chunk stream in block order, so memoization
+never correlates tie outcomes across blocks.
 
 Without dither every position shares one scan table, so P(z | x, phi) is
 unchanged when z and x are permuted together, and a block is demodulated as
@@ -79,12 +79,13 @@ from .core import (
     _digit_words,
     _draw_into,
     _group,
+    _row_keys,
     _RowMemo,
     _sample_into,
     _thread_workspace,
     _Workspace,
 )
-from .demod import _scan_points, _sweep_rows
+from .demod import _pick, _scan_points, _sweep_rows
 
 DEFAULT_CHUNK = 4096
 # run_ser refuses a _key_words table above this many int64 elements (128
@@ -92,6 +93,10 @@ DEFAULT_CHUNK = 4096
 # (28 MB) at K = 16,384, 14M at 32,768, 57M (452 MB) at 65,536, dwarfing
 # every chunk buffer, and 115 GB at K = 2**20, which the scan grid admits.
 _MAX_KEY_ELEMENTS = 2**24
+# Bytes of value rows (L + 2 int64 each) a lane memo keeps: long dithered rows
+# rarely repeat, and all were kept (61.6 MiB at ramp K=8 L=200, 40,000 blocks);
+# repeating rows fit (209,715 at L = 8; 1M K=64 blocks at 10 dB meet 155,964).
+_LANE_MEMO_BYTES = 2**24
 _CONVENTIONS = ("pilot", "genie")
 # the workspace buffers (noise, rotations) that chunks drawn ahead
 # alternate between
@@ -247,8 +252,8 @@ def _block_rows(
     summed. Each word stays at most top < 2**63, so W = 1 exactly where the
     whole key fits int64 (top = a**L - 1, or L*(L + 1)**(a - 1)); W is first
     2 at ramp K/M = 2, L = 64 and at K = 64, L = 15. core._group ranks the
-    (W, n) words; index names one block of each row, and the row's words,
-    as int64 keys or the bytes of W words, are the memo's keys.
+    (W, n) words; index names one block of each row, and the row's words
+    are its memo key (core._row_keys).
     """
     weights, top = _key_words(config)
     words = np.empty((len(weights), len(Z)), dtype=np.int64)
@@ -256,10 +261,7 @@ def _block_rows(
         # einsum sums the short rows several times faster than sum(axis=1)
         np.einsum("ij->i", np.take(table, Z, out=t, mode="clip"), out=key)
     index, inverse, per_row = _group(words, top)
-    keys = words[:, index].T
-    if len(words) > 1:
-        keys = np.ascontiguousarray(keys).view(np.dtype((np.void, 8 * len(words))))
-    return index, inverse, per_row, keys[:, 0]
+    return index, inverse, per_row, _row_keys(words, index)
 
 
 def _run_chunk(
@@ -372,20 +374,20 @@ def _run_lane(
     _DRAW_BUFFERS[(j + 1) % 2] looked up on this thread, while chunk j
     runs; without one, every chunk draws inline into the first pair.
     """
-    L = config.L
+    M, L = config.M, config.L
     tie_sets = []
 
     def sweep(rows: np.ndarray) -> np.ndarray:
         s = _sweep_rows(rows, config)
         decided = np.full((len(rows), L + 2), -1, dtype=np.int64)
-        decided[:, :L] = s.candidates[np.arange(len(rows)), s.winner]
+        decided[:, :L] = _pick(s.base, s.rank, s.winner[:, None], M)
         decided[:, L] = s.n_distinct
         for j in np.flatnonzero(np.count_nonzero(s.ties, axis=1) > 1):
             decided[j, L + 1] = len(tie_sets)
-            tie_sets.append(s.candidates[j, s.ties[j]])
+            tie_sets.append(_pick(s.base[j], s.rank[j], np.flatnonzero(s.ties[j])[:, None], M))
         return decided
 
-    memo = _RowMemo(sweep)
+    memo = _RowMemo(sweep, limit=_LANE_MEMO_BYTES // (8 * (L + 2)))
 
     def draws(j: int) -> tuple:
         n_blocks, stream = chunks[j]

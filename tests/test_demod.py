@@ -20,6 +20,7 @@ from phaseq.demod import (
     _decide,
     _distinct_crossovers,
     _evaluate_candidates,
+    _pick,
     _scan_bank,
     _sweep_rows,
     _symbol_crossovers,
@@ -437,7 +438,8 @@ class TestSweepStructure:
         assert len(records) == rows.shape[0]
         for i, rec in enumerate(records):
             d = sweep.n_distinct[i]
-            assert rec.candidates.tobytes() == sweep.candidates[i, :d].tobytes()
+            candidates = _pick(sweep.base[i], sweep.rank[i], np.arange(d)[:, None], cfg.M)
+            assert rec.candidates.tobytes() == candidates.tobytes()
             assert rec.log_metrics.tobytes() == sweep.log_metrics[i, :d].tobytes()
             assert rec.winner_index == sweep.winner[i]
             assert rec.tie == (sweep.ties[i].sum() > 1)
@@ -694,6 +696,59 @@ class TestValidation:
             brute_force_glrt(np.zeros(12, dtype=int), cfg)
 
 
+def probe_fill(R: np.ndarray, config: SystemConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every sweep candidate of each residue row (n, D, L), and each row's
+    count, each rounded on its own: the coherent decision at the middle of
+    its segment, between the previous crossover (0 for candidate 0) and its
+    own. The reference for the sweep's candidate 0 plus crossover ranks."""
+    edges, n_distinct, _ = _distinct_crossovers(R, config)
+    prev = np.concatenate([np.zeros((len(R), 1)), edges[:, :-1]], axis=1)
+    probes = 0.5 * (prev + edges)
+    zeta = R * (TWO_PI / config.K) - config.theta0 - np.asarray(config.dither)[None, :]
+    args = zeta[:, None, :] + math.pi / config.K - probes[:, :, None]
+    args *= config.M / TWO_PI
+    return np.round(args).astype(np.int64) % config.M, n_distinct
+
+
+# Each symbol's coherent decision steps down one constellation point, once,
+# at its crossover, so the sweep keeps candidate 0 and each symbol's
+# crossover rank and reads candidate d back (_pick). It must give what
+# rounding at every segment's middle gives, on every valid segment: with
+# merged crossovers (equal residues, a constant row, a tuple dither that
+# repeats rotations) and with a crossover folded to the top of the window
+# (K = 3M without dither at theta0 = 0, residue 1).
+@pytest.mark.parametrize("theta0", [0.0, 0.3, -7.5])
+@pytest.mark.parametrize("dither", [None, "ramp", "tuple"])
+@pytest.mark.parametrize("M", [2, 4, 8])
+def test_pick_matches_per_segment_rounding(M, dither, theta0):
+    L = 8
+    if dither == "tuple":
+        dither = tuple(0.05 * (l // 2) for l in range(L))
+    cfg = SystemConfig(M=M, K=3 * M, L=L, snr_db=10.0, theta0=theta0, dither=dither)
+    rng = np.random.default_rng(M)
+    Z = rng.integers(0, cfg.K, size=(200, L))
+    Z = np.concatenate([Z, np.zeros((1, L), dtype=Z.dtype), np.ones((1, L), dtype=Z.dtype)])
+    R = Z % cfg.a
+    want, n_distinct = probe_fill(R, cfg)
+    D = want.shape[1]
+    valid = np.arange(D)[None, :] < n_distinct[:, None]
+    d = np.arange(D)[None, :, None]
+    for rows in (R, Z):
+        s = _sweep_rows(rows, cfg)
+        np.testing.assert_array_equal(s.n_distinct, n_distinct)
+        got = _pick(s.base[:, None, :], s.rank[:, None, :], d, cfg.M)
+        assert got.dtype == np.int64
+        # the quotients z div a ride on every candidate
+        shifted = (want + (rows // cfg.a)[:, None, :]) % cfg.M
+        np.testing.assert_array_equal(got[valid], shifted[valid])
+    if dither != "ramp":
+        # equal residues at equal rotations share one crossover
+        assert (n_distinct < L).any()
+    if theta0 == 0.0 and dither is None:
+        top = _symbol_crossovers(R, cfg) > TWO_PI / M - 1e-9
+        assert top[R == 1].all()
+
+
 # A step of a sectors moves position l's law by one constellation step and
 # leaves its crossover in place, dither or not, so _sweep_rows sweeps a row's
 # residues mod a and adds the quotients back. Its sweeps of full sector rows
@@ -713,7 +768,7 @@ def test_dithered_rows_reduce_to_residues(M, K, L, dither, snr_db):
     sweep = _sweep_rows(Z, cfg)
     for i, z in enumerate(Z):
         oracle = brute_force_glrt(z, cfg)
-        winner = sweep.candidates[i, sweep.winner[i]]
+        winner = _pick(sweep.base[i], sweep.rank[i], sweep.winner[i], M)
         assert (np.count_nonzero(sweep.ties[i]) > 1) == oracle.tie
         best = max(c.metric for c in oracle.candidates)
         tied = [c.x for c in oracle.candidates if abs(c.metric / best - 1.0) <= 1e-6]

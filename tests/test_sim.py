@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import math
+import os
+import resource
+import subprocess
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import phaseq
 from phaseq import SystemConfig, sim, transition
 from phaseq.core import (
     _digit_words,
@@ -20,7 +25,7 @@ from phaseq.core import (
     _thread_workspace,
     sample_blocks,
 )
-from phaseq.demod import _sweep_rows
+from phaseq.demod import _pick, _sweep_rows
 from phaseq.sim import (
     DEFAULT_CHUNK,
     _chunk_sizes,
@@ -660,6 +665,56 @@ class TestChunkEngine:
         finally:
             sys.setswitchinterval(interval)
 
+    # A lane's memo keeps at most _LANE_MEMO_BYTES of value rows, first met
+    # first kept; a row it drops is swept again, to the same decision
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SystemConfig(M=4, K=8, L=8, snr_db=12.0, dither="ramp"),
+            SystemConfig(M=4, K=12, L=8, snr_db=11.0),
+        ],
+        ids=["ramp", "K=12"],
+    )
+    def test_lane_memo_is_bounded(self, cfg, monkeypatch):
+        want = [run_ser(cfg, trials=13_000, seed=5, workers=w) for w in (1, 2)]
+        memos = []
+
+        class RecordedMemo(sim._RowMemo):
+            def __init__(self, score, limit=None):
+                super().__init__(score, limit)
+                memos.append(self)
+
+        limit = 20
+        monkeypatch.setattr(sim, "_LANE_MEMO_BYTES", limit * 8 * (cfg.L + 2))
+        monkeypatch.setattr(sim, "_RowMemo", RecordedMemo)
+        for w, point in zip((1, 2), want):
+            memos.clear()
+            assert run_ser(cfg, trials=13_000, seed=5, workers=w) == point
+            assert all(memo.limit == limit for memo in memos)
+            assert max(len(memo.keys) for memo in memos) == limit
+        assert want[0] == want[1]
+
+    def test_long_dithered_rows_run_in_bounded_memory(self):
+        # ramp L=200: each row has 200 candidates, and a chunk's 4,096 rows
+        # as one (4096, 200, 200) int64 array would be 1.22 GiB. The run is
+        # a child under a 512 MiB address-space limit (about 185 MB peak
+        # RSS), and its counts are those of a run without the limit
+        code = (
+            "from phaseq import SystemConfig; from phaseq.sim import run_ser; "
+            "p = run_ser(SystemConfig(M=4, K=8, L=200, snr_db=6, dither='ramp'), 4096, seed=1); "
+            "print(p.errors, p.tie_blocks, p.max_candidates)"
+        )
+        run = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(Path(phaseq.__file__).parents[1])},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29)),
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["120696", "0", "200"]
+
     # A guard against a future regression rather than a present defect:
     # demod scores rows from kernels on its own scan grid, so a kernel on
     # the block-probability grid is filled only where it is read. The kernel
@@ -686,12 +741,13 @@ def test_candidates_give_equal_residues_equal_symbols(M, mult, L):
         _, Z = sample_blocks(X, cfg, np.random.default_rng(int(snr)))
         rows = np.unique(np.sort(Z % cfg.a, axis=1), axis=0)
         sweep = _sweep_rows(rows, cfg)
-        valid = np.arange(sweep.candidates.shape[1]) < sweep.n_distinct[:, None]
+        D = sweep.log_metrics.shape[1]
+        valid = np.arange(D) < sweep.n_distinct[:, None]
         assert valid[np.arange(len(rows)), sweep.winner].all()
         assert (sweep.ties <= valid).all()
         # sorted rows: equal residues sit side by side
         same = (rows[:, 1:] == rows[:, :-1])[:, None, :] & valid[:, :, None]
-        C = sweep.candidates
+        C = _pick(sweep.base[:, None, :], sweep.rank[:, None, :], np.arange(D)[:, None], M)
         assert np.array_equal(C[:, :, 1:][same], C[:, :, :-1][same])
         if mult == 2 and L > 1:
             assert (np.count_nonzero(sweep.ties, axis=1) > 1).any()
