@@ -6,9 +6,12 @@ stream, so results are bit-identical for any worker count. A chunk sweeps
 through demod only the distinct rows its lane's memo (core._RowMemo) does
 not hold. The memo keeps one int64 row per distinct row, up to
 _LANE_MEMO_BYTES, [winner vector | candidate count | index of its tie set
-in the lane's list, or -1]; blocks take decisions by gathers. Tied blocks
-re-draw their winner from the chunk stream in block order, so memoization
-never correlates tie outcomes across blocks.
+among the lane's _TieSets, or -1]; blocks take decisions by gathers. Tied
+blocks re-draw their winner from the chunk stream in block order, so
+memoization never correlates tie outcomes across blocks. A chunk's tied
+blocks draw by one rng.integers(0, sizes) call over their tie-set sizes
+(_redraw_ties), which draws what rng.choice on each set in turn would and
+leaves the stream where it would.
 
 Without dither every position shares one scan table, so P(z | x, phi) is
 unchanged when z and x are permuted together, and a block is demodulated as
@@ -51,7 +54,12 @@ worker, more than one chunk and more than one usable CPU, a helper thread
 makes chunk i + 1's draws into the other of two buffer pairs while the lane
 runs chunk i; NumPy's fills and ufuncs release the GIL, so the two overlap
 and give the same floats on either thread. On one CPU the draws run inline.
-The helper ends with the run, also when a chunk raises.
+The helper ends with the run, also when a chunk raises. While the helper
+makes chunk 0's draws, the lane sweeps its whole row space into its memo
+when the space is small (_row_space: rows * L at most DEFAULT_CHUNK // 2,
+so 256 rows at L = 8), in one sweep in place of one per chunk; only there,
+as a lane with no helper has no idle wait to fill, and rows a run never
+meets would then cost it time.
 
 Raw block decisions are only defined up to a common constellation shift
 (the metric's constant-addition ambiguity). Two scoring conventions:
@@ -73,6 +81,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .combinatorics import output_class_arrays
 from .core import (
     SystemConfig,
     _as_int,
@@ -264,12 +273,69 @@ def _block_rows(
     return index, inverse, per_row, _row_keys(words, index)
 
 
+def _row_space(config: SystemConfig, limit: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rows, keys) of every residue row a block of config can have, for
+    _RowMemo, or None when there are more than limit or rows * L exceeds
+    DEFAULT_CHUNK // 2 (256 rows at L = 8). Without dither the rows are the
+    sorted residue multisets, C(L + a - 1, L) of them: the canonical classes
+    of L + 1 residues less their first column, always 0. Under dither they
+    are all a**L residue vectors. Keys are _block_rows', position l's
+    residue read at l*K + r under dither, as in _run_chunk."""
+    L, K, a = config.L, config.K, config.a
+    n = a**L if config.is_dithered else math.comb(L + a - 1, L)
+    if n > limit or n * L > DEFAULT_CHUNK // 2:
+        return None
+    if config.is_dithered:
+        rows = np.arange(n)[:, None] // a ** np.arange(L)[::-1] % a
+        Z = rows + K * np.arange(L)
+    else:
+        rows = Z = output_class_arrays(a, L + 1)[0][:, 1:]
+    index, _, _, keys = _block_rows(Z, config, np.empty((n, L), dtype=np.int64))
+    return rows[index], keys
+
+
+class _TieSets:
+    """A lane's tie sets in one int64 array of candidate vectors: set i is
+    rows[start[i] : start[i] + size[i]], its candidates in sweep order."""
+
+    def __init__(self, L: int) -> None:
+        self.rows = np.empty((0, L), dtype=np.int64)
+        self.start = self.size = np.empty(0, dtype=np.int64)
+
+    def add(self, rows: np.ndarray, size: np.ndarray) -> np.ndarray:
+        """Appends sets of the given sizes, their candidates back to back in
+        rows; returns their indices."""
+        first = len(self.size)
+        self.start = np.concatenate([self.start, len(self.rows) + np.cumsum(size) - size])
+        self.size = np.concatenate([self.size, size])
+        self.rows = np.concatenate([self.rows, rows])
+        return first + np.arange(len(size))
+
+
+def _redraw_ties(
+    rng: np.random.Generator,
+    ties: _TieSets,
+    sets: np.ndarray,
+    pos: np.ndarray,
+    cells: np.ndarray,
+    M: int,
+) -> np.ndarray:
+    """Decisions (n, L) of n tied blocks in block order. Block i picks its
+    candidate from tie set sets[i], all by one rng.integers(0, sizes) call,
+    which draws what rng.choice on each set in turn would, and decides its
+    cells[i] (cells of its row's decision table, _run_chunk's) from the
+    candidate's symbols at pos[i]."""
+    chosen = ties.rows[ties.start[sets] + rng.integers(0, ties.size[sets])]
+    table = np.take_along_axis(chosen, pos, axis=1)[:, None, :] + np.arange(M)[:, None]
+    return np.take_along_axis(table.reshape(len(sets), -1), cells, axis=1)
+
+
 def _run_chunk(
     config: SystemConfig,
     drawn: tuple[np.random.Generator, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]],
     convention: str,
     memo: _RowMemo,
-    tie_sets: list[np.ndarray],
+    ties: _TieSets,
     work: _Workspace,
 ) -> tuple[int, int, int, int]:
     """Simulate one chunk from _draw_chunk's draws; returns (errors, tie
@@ -278,18 +344,19 @@ def _run_chunk(
     Each distinct row is Z mod a at one of its blocks (_block_rows' index;
     l*K + z has z's residue, as a divides K), sorted without dither (see the
     module docstring). memo gives each its winner, candidate count and the
-    index of its tie set in tie_sets, or -1, sweeping only the rows it does
-    not hold. The winners become one decision table, a row per distinct row
+    index of its tie set in ties, or -1, sweeping only the rows it does not
+    hold. The winners become one decision table, a row per distinct row
     and a column per sample cell: the sector z without dither, decided as
     the winner's symbol at the first sorted position of residue z mod a plus
     z div a; under dither the cell (z div a)*L + l, decided as the winner's
     symbol at l plus z div a. Each sample is decided by one gather from that
     table at its cell plus the table's width times its block's row. Tied
-    blocks re-draw their candidate from the chunk stream in block order and
-    rebuild their decisions the same way. Every chunk-sized array but X
-    lives in work (the draws too, in buffers _run_lane names): the
-    sampler's buffers, then "t0" as key and cell plane and "t1" as decision
-    plane; "t0" then takes the pilot differences that _symbol_errors scores.
+    blocks re-draw their candidates from the chunk stream, in block order
+    by one call, and gather their decisions the same way (_redraw_ties).
+    Every chunk-sized array but X lives in work (the draws too, in buffers
+    _run_lane names): the sampler's buffers, then "t0" as key and cell
+    plane and "t1" as decision plane; "t0" then takes the pilot differences
+    that _symbol_errors scores.
     """
     M, K, L, a = config.M, config.K, config.L, config.a
     rng, X, draws = drawn
@@ -321,16 +388,14 @@ def _run_chunk(
     winners, n_cand, row_tied = decided[:, :L], decided[:, L], decided[:, L + 1] >= 0
     # cell q*c + j of a row (c columns of pos) holds the winner's symbol at
     # position pos[j], plus q
-    quotients = np.arange(M)[:, None]
-    table = np.take_along_axis(winners, pos, axis=1)[:, None, :] + quotients
+    table = np.take_along_axis(winners, pos, axis=1)[:, None, :] + np.arange(M)[:, None]
     width = M * pos.shape[1]
     cells += width * inverse[:, None]
     xhat = np.take(table, cells, out=work.buffer("t1", (n_blocks, L), np.int64), mode="clip")
     if row_tied.any():
-        for b in np.flatnonzero(row_tied[inverse]):
-            r = inverse[b]
-            chosen = rng.choice(tie_sets[decided[r, L + 1]])[pos[r]] + quotients
-            xhat[b] = chosen.reshape(-1)[cells[b] - width * r]
+        b = np.flatnonzero(row_tied[inverse])
+        r = inverse[b]
+        xhat[b] = _redraw_ties(rng, ties, decided[r, L + 1], pos[r], cells[b] - width * r[:, None], M)
     errors = _symbol_errors(xhat, X, M, convention, work)
     return errors, int(row_tied @ per_row), int(n_cand @ per_row), int(n_cand.max())
 
@@ -368,23 +433,28 @@ def _run_lane(
 ) -> list[tuple[int, int, int, int]]:
     """_run_chunk's results for chunks, (blocks, stream) pairs run in order
     on this thread with the workspace work and one row memo, whose sweep
-    appends each tied row's tie set to the lane's list.
+    appends the tie sets of its tied rows to the lane's _TieSets.
 
     A one-thread helper makes chunk j + 1's draws, into the buffers
     _DRAW_BUFFERS[(j + 1) % 2] looked up on this thread, while chunk j
-    runs; without one, every chunk draws inline into the first pair.
+    runs, and while it makes chunk 0's the memo takes the row space
+    (_row_space) where that is small; without a helper, every chunk draws
+    inline into the first pair and the memo takes only the rows chunks meet.
     """
     M, L = config.M, config.L
-    tie_sets = []
+    ties = _TieSets(L)
 
     def sweep(rows: np.ndarray) -> np.ndarray:
         s = _sweep_rows(rows, config)
         decided = np.full((len(rows), L + 2), -1, dtype=np.int64)
         decided[:, :L] = _pick(s.base, s.rank, s.winner[:, None], M)
         decided[:, L] = s.n_distinct
-        for j in np.flatnonzero(np.count_nonzero(s.ties, axis=1) > 1):
-            decided[j, L + 1] = len(tie_sets)
-            tie_sets.append(_pick(s.base[j], s.rank[j], np.flatnonzero(s.ties[j])[:, None], M))
+        size = np.count_nonzero(s.ties, axis=1)
+        tied = np.flatnonzero(size > 1)
+        # each tied row's tied candidates, row by row
+        j, d = np.nonzero(s.ties[tied])
+        tie_rows = _pick(s.base[tied[j]], s.rank[tied[j]], d[:, None], M)
+        decided[tied, L + 1] = ties.add(tie_rows, size[tied])
         return decided
 
     memo = _RowMemo(sweep, limit=_LANE_MEMO_BYTES // (8 * (L + 2)))
@@ -402,12 +472,18 @@ def _run_lane(
         )
 
     results = []
-    ahead = helper.submit(_draw_chunk, *draws(0)) if helper else None
+    if helper:
+        ahead = helper.submit(_draw_chunk, *draws(0))
+        # this thread would wait for chunk 0's draws: sweep a small row
+        # space whole meanwhile, in place of a sweep per chunk
+        space = _row_space(config, memo.limit)
+        if space is not None:
+            memo(*space)
     for j in range(len(chunks)):
         drawn = ahead.result() if helper else _draw_chunk(*draws(j))
         if helper and j + 1 < len(chunks):
             ahead = helper.submit(_draw_chunk, *draws(j + 1))
-        results.append(_run_chunk(config, drawn, convention, memo, tie_sets, work))
+        results.append(_run_chunk(config, drawn, convention, memo, ties, work))
     return results
 
 

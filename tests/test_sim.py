@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import resource
@@ -593,15 +594,109 @@ class TestChunkEngine:
         assert threading.active_count() == before
 
     def test_refusal_with_draws_in_flight_ends_the_helper(self, pools, monkeypatch):
-        # chunk 0 meets the 150 dB refusal after chunk 1's draws were
-        # submitted; the error propagates and the helper thread ends
+        # the lane sweeps its row space while chunk 0's draws are in
+        # flight, and that sweep meets the 150 dB refusal; the error
+        # propagates and the helper thread ends
         monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=150.0)
         before = threading.active_count()
         with pytest.raises(ValueError, match="SNR 150 dB needs .* above the limit of 2048"):
             run_ser(cfg, 3 * DEFAULT_CHUNK, seed=1)
-        assert [(p._max_workers, p.submitted) for p in pools] == [(1, 2)]
+        assert [(p._max_workers, p.submitted) for p in pools] == [(1, 1)]
         assert threading.active_count() == before
+
+    # A lane that draws ahead sweeps a small row space whole while chunk 0
+    # is drawn; a sweep is row-local, so its points equal those of lanes
+    # that sweep each chunk's new rows
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SystemConfig(M=4, K=8, L=8, snr_db=6.0, dither="ramp"),
+            SystemConfig(M=4, K=8, L=8, snr_db=14.0, dither="ramp"),
+            SystemConfig(M=4, K=8, L=8, snr_db=30.0, dither="ramp"),
+            SystemConfig(M=4, K=12, L=8, snr_db=11.0),
+            SystemConfig(M=4, K=12, L=8, snr_db=13.0),
+            SystemConfig(M=4, K=12, L=5, snr_db=8.0, dither="ramp"),
+            SystemConfig(M=4, K=16, L=8, snr_db=10.0),
+            SystemConfig(M=4, K=8, L=4, snr_db=14.0, dither=(0.0, 0.0, 0.3, 0.3)),
+        ],
+        ids=["ramp-6dB", "ramp-14dB", "ramp-30dB", "K=12-11dB", "K=12-13dB", "ramp-L=5",
+             "K=16", "tuple"],
+    )
+    def test_prefilled_memo_gives_equal_points(self, cfg, monkeypatch):
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        assert sim._row_space(cfg, DEFAULT_CHUNK) is not None
+
+        def points():
+            return [
+                run_ser(cfg, 2 * DEFAULT_CHUNK + 17, seed=3, convention=c, workers=w)
+                for c in ("pilot", "genie")
+                for w in (1, 2)
+            ]
+
+        want = points()
+        monkeypatch.setattr(sim, "_row_space", lambda config, limit: None)
+        assert points() == want
+
+    @pytest.mark.parametrize(
+        "cfg, trials",
+        [
+            (SystemConfig(M=4, K=8, L=8, snr_db=14.0, dither="ramp"), 10_000),
+            (SystemConfig(M=4, K=12, L=8, snr_db=11.0), 40_000),
+        ],
+        ids=["ramp", "K=12"],
+    )
+    def test_prefilled_lane_sweeps_once(self, cfg, trials, monkeypatch):
+        # every row a chunk meets is in the swept space, under its key
+        sweeps = []
+        memos = []
+
+        def recorded_sweep(rows, config):
+            sweeps.append(len(rows))
+            return _sweep_rows(rows, config)
+
+        class RecordedMemo(sim._RowMemo):
+            def __init__(self, score, limit=None):
+                super().__init__(score, limit)
+                memos.append(self)
+
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(sim, "_sweep_rows", recorded_sweep)
+        monkeypatch.setattr(sim, "_RowMemo", RecordedMemo)
+        run_ser(cfg, trials, seed=0, workers=1)
+        rows, keys = sim._row_space(cfg, memos[0].limit)
+        assert sweeps == [len(rows)]
+        assert len(rows) == (cfg.a**cfg.L if cfg.is_dithered else math.comb(cfg.L + cfg.a - 1, cfg.L))
+        assert np.array_equal(memos[0].keys, np.sort(keys))
+
+    # Pool lanes, inline draws and row spaces above the bound sweep each
+    # chunk's new rows: one memo call per chunk, none before
+    @pytest.mark.parametrize(
+        "cfg, workers, cpus",
+        [
+            (SystemConfig(M=4, K=8, L=12, snr_db=10.0, dither="ramp"), 1, 2),
+            (SystemConfig(M=4, K=8, L=8, snr_db=14.0, dither="ramp"), 2, 2),
+            (SystemConfig(M=4, K=8, L=8, snr_db=14.0, dither="ramp"), 1, 1),
+        ],
+        ids=["ramp-L=12", "pool", "one-cpu"],
+    )
+    def test_lanes_without_prefill_sweep_chunk_rows(self, cfg, workers, cpus, monkeypatch):
+        memos = []
+
+        class RecordedMemo(sim._RowMemo):
+            def __init__(self, score, limit=None):
+                super().__init__(score, limit)
+                self.calls = 0
+                memos.append(self)
+
+            def __call__(self, rows, keys):
+                self.calls += 1
+                return super().__call__(rows, keys)
+
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(sim, "_RowMemo", RecordedMemo)
+        run_ser(cfg, 10_000, seed=0, workers=workers)
+        assert sorted(memo.calls for memo in memos) == ([3] if workers == 1 else [1, 2])
 
     def test_workspace_kept_across_runs(self):
         # the calling thread keeps its workspace from run to run; what a run
@@ -751,6 +846,62 @@ def test_candidates_give_equal_residues_equal_symbols(M, mult, L):
         assert np.array_equal(C[:, :, 1:][same], C[:, :, :-1][same])
         if mult == 2 and L > 1:
             assert (np.count_nonzero(sweep.ties, axis=1) > 1).any()
+
+
+def _choice_redraw(rng, ties, sets, pos, cells, M):
+    """The per-block loop sim._redraw_ties replaced, kept as its reference:
+    rng.choice on each tied block's set in block order."""
+    quotients = np.arange(M)[:, None]
+    xhat = np.empty_like(cells)
+    for i, s in enumerate(sets):
+        tie_set = ties.rows[ties.start[s] : ties.start[s] + ties.size[s]]
+        xhat[i] = (rng.choice(tie_set)[pos[i]] + quotients).reshape(-1)[cells[i]]
+    return xhat
+
+
+class TestTieRedraw:
+    # a chunk's tied blocks re-draw their candidates by one call: the same
+    # decisions and generator state as the per-block loop, so equal points
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SystemConfig(M=4, K=8, L=8, snr_db=12.0),
+            SystemConfig(M=2, K=6, L=6, snr_db=6.0, dither="ramp"),
+            SystemConfig(M=8, K=16, L=3, snr_db=14.0),
+            SystemConfig(M=4, K=12, L=8, snr_db=6.0),
+        ],
+        ids=["K=8", "ramp-M=2", "M=8", "K=12"],
+    )
+    def test_one_draw_equals_choice_per_block(self, cfg, monkeypatch):
+        redraw = sim._redraw_ties
+        checked = []
+
+        def compared(rng, ties, sets, pos, cells, M):
+            twin = copy.deepcopy(rng)
+            want = _choice_redraw(rng, ties, sets, pos, cells, M)
+            assert np.array_equal(redraw(twin, ties, sets, pos, cells, M), want)
+            assert twin.bit_generator.state == rng.bit_generator.state
+            checked.append(len(sets))
+            return want
+
+        trials = 2 * DEFAULT_CHUNK + 17
+        want = [run_ser(cfg, trials, seed=6, convention=c) for c in ("pilot", "genie")]
+        monkeypatch.setattr(sim, "_redraw_ties", compared)
+        assert [run_ser(cfg, trials, seed=6, convention=c) for c in ("pilot", "genie")] == want
+        assert sum(checked) == sum(p.tie_blocks for p in want) > 0
+
+    def test_integers_over_sizes_equals_one_draw_per_size(self):
+        # the re-draw rests on this: integers(0, sizes) draws what one
+        # integers(0, size), or choice of a set of that size, draws per size
+        # in turn, and leaves the generator where they leave it
+        L = 8
+        sizes = np.random.default_rng(0).integers(1, L + 1, size=2_000)
+        sizes[:L] = np.arange(1, L + 1)
+        one, each, choice = (np.random.default_rng(1) for _ in range(3))
+        got = one.integers(0, sizes)
+        assert got.tolist() == [each.integers(0, s) for s in sizes]
+        assert got.tolist() == [choice.choice(np.arange(s)) for s in sizes]
+        assert one.bit_generator.state == each.bit_generator.state == choice.bit_generator.state
 
 
 # A tie census is run_ser with genie inputs: every position random.
