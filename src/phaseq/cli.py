@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .capacity import mutual_information, mutual_information_mc
-from .combinatorics import grouped_input_classes, output_class_arrays
+from .combinatorics import input_class_arrays, output_class_arrays
 from .core import SystemConfig, ramp_dither
 from .sim import run_ser
 from .transition import kernel_bank_for, kernel_for
@@ -269,7 +269,7 @@ def cmd_tables(args) -> int:
     kernel = kernel_for(cfg)
     table = kernel.table
     residues, residue_mults = output_class_arrays(cfg.a, cfg.L)
-    inputs = grouped_input_classes(residues[0], cfg.M)
+    inputs, weights = input_class_arrays(residues[0], cfg.M)
     reps, mults = output_class_arrays(cfg.K, cfg.L)
     out_dir.mkdir(parents=True, exist_ok=True)
     fields = _system_fields(cfg, args.snr_db) | {"nphi": kernel.n_phi}
@@ -280,7 +280,7 @@ def cmd_tables(args) -> int:
         kernel_lines,
         _class_lines(_listed(reps), _listed(mults)),
         _class_lines(_listed(residues), _listed(residue_mults)),
-        _class_lines([c.representative for c in inputs], [c.weight for c in inputs]),
+        _class_lines(_listed(inputs), _listed(weights)),
     )
     for (name, header), lines in zip(_TABLES, tables):
         _write_table(out_dir / name, header, lines, args, fields, started)

@@ -26,21 +26,21 @@ instead of 376,992 at K=32 L=6.
 
 Inputs that permute within groups of equal output values give equal
 conditional probabilities, so an M^L input average can collapse to per-group
-multisets with multinomial weights (grouped_input_classes). Only the tables
-command, the verify suite and the benchmark enumerate these input classes;
-the capacity sums average inputs through a per-symbol table instead. The
-module writes no file: the command line formats the CSVs.
+multisets with multinomial weights: the tails of output_class_arrays(M, n + 1)
+for a group of n positions, combined by input_class_arrays. Only the tables
+command, the verify suite and the benchmark enumerate input classes; the
+capacity sums average inputs through a per-symbol table instead. The module
+writes no file: the command line formats the CSVs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement, product
 
 import numpy as np
 
-from .core import _distinct_rows, _group
+from .core import _distinct_rows, _group, _row_words
 
 
 @dataclass(frozen=True)
@@ -75,17 +75,9 @@ class InputClass:
 # (12.6M), while K=64 at L=7 (1.2e8) would need about 6.7 GB of int64
 # representatives and L=8 (1.2e9) 77 GB.
 _MAX_CLASSES = 2**24
-# and grouped_input_classes more than this before building one: at 400-540
-# bytes and 7-8 us a class (M=8 L=12, M=4 L=20), 2**20 take 0.5 GB and 8 s.
+# and input_class_arrays more than this before building one: at 140-210 bytes
+# and 0.2-0.4 us a class (M=16 L=8, M=6 L=16), 2**20 take 0.2 GB and 0.5 s.
 _MAX_INPUT_CLASSES = 2**20
-
-
-def _multiset_permutations(counts) -> int:
-    total = sum(counts)
-    denom = 1
-    for c in counts:
-        denom *= math.factorial(c)
-    return math.factorial(total) // denom
 
 
 def output_class_arrays(alphabet_size: int, block_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,14 +190,18 @@ def canonical_output_classes(alphabet_size: int, block_len: int) -> list[Canonic
     ]
 
 
-def grouped_input_classes(z, M: int) -> list[InputClass]:
-    """Input classes for a fixed reduced output z (components in 0..a-1).
+def input_class_arrays(z, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Input classes for a fixed reduced output z: (representatives, weights).
 
-    Positions are grouped by output value; within a group, input permutations
-    leave P(z | x) unchanged. A class representative carries each group's
-    input multiset sorted ascending in position order; its weight counts the
-    distinct arrangements. The class count is prod_i C(M + n_i - 1, n_i);
-    above _MAX_INPUT_CLASSES it raises ValueError before building any.
+    Within a group of positions of equal output, input permutations leave
+    P(z | x) unchanged. A group of n positions takes the tails of
+    output_class_arrays(M, n + 1), its sorted multisets, with their
+    multiplicities as weights; one index grid combines the groups, a weight
+    being the product of its groups'. The (n_classes, L) representatives are
+    in lexicographic order, as one group's table already is. Weights are
+    exact: int64 while M**L fits it, Python ints (dtype object) beyond. The
+    class count is prod_i C(M + n_i - 1, n_i); above _MAX_INPUT_CLASSES it
+    raises ValueError before building any.
     """
     z = np.asarray(z, dtype=np.int64)
     if z.ndim != 1 or z.size < 1:
@@ -213,23 +209,31 @@ def grouped_input_classes(z, M: int) -> list[InputClass]:
     n_classes = input_class_count(z, M)
     if n_classes > _MAX_INPUT_CLASSES:
         raise ValueError(f"{n_classes} input classes are above the limit of {_MAX_INPUT_CLASSES}")
-    values = sorted(set(int(v) for v in z))
-    groups = [np.nonzero(z == v)[0] for v in values]
+    exact = np.int64 if int(M) ** z.size < 2**63 else object
+    groups = [np.nonzero(z == v)[0] for v in np.unique(z)]
+    tables = [output_class_arrays(M, positions.size + 1) for positions in groups]
+    if len(groups) == 1:
+        reps, weights = tables[0]
+        return reps[:, 1:], weights.astype(exact, copy=False)
+    grid = np.indices([len(reps) for reps, _ in tables]).reshape(len(tables), -1)
+    # built and sorted one contiguous column at a time, in place (the rows
+    # are distinct), so that no second (n_classes, L) array is made
+    columns = np.empty((z.size, n_classes), dtype=np.int64)
+    weights = np.ones(n_classes, dtype=exact)
+    for positions, (reps, mults), pick in zip(groups, tables, grid):
+        columns[positions] = reps.T[1:, pick]
+        weights *= mults.astype(exact, copy=False)[pick]
+    index = _group(*_row_words(columns.T, M))[0]
+    for column in columns:
+        column[:] = column[index]
+    return columns.T, weights[index]
 
-    classes = []
-    choices = [combinations_with_replacement(range(M), len(g)) for g in groups]
-    for pick in product(*choices):
-        rep = np.empty(z.size, dtype=np.int64)
-        weight = 1
-        for positions, multiset in zip(groups, pick):
-            rep[positions] = multiset
-            counts = [0] * M
-            for v in multiset:
-                counts[v] += 1
-            weight *= _multiset_permutations(counts)
-        classes.append(InputClass(representative=tuple(int(v) for v in rep), weight=weight))
-    classes.sort(key=lambda c: c.representative)
-    return classes
+
+def grouped_input_classes(z, M: int) -> list[InputClass]:
+    """Input classes for a fixed reduced output z (components in 0..a-1),
+    one dataclass per row of input_class_arrays."""
+    reps, weights = input_class_arrays(z, M)
+    return [InputClass(tuple(r), w) for r, w in zip(reps.tolist(), weights.tolist())]
 
 
 def input_class_count(z, M: int) -> int:

@@ -39,10 +39,11 @@ simulator re-draws a tied block's decision from the tie set itself.
 The sweep runs on arrays of rows (_sweep_rows: each row's candidate 0 and
 crossover ranks, from which _pick reads any candidate, then metrics, winner,
 tie mask, tie gap), which the SER simulator scores directly. It takes the
-config alone, as do the single-block entry points. _records is the one place
-that cuts a row's DemodRecord from those arrays: the entry points build their
-GlrtResult from row 0's record, and demodulate_rows returns one per row; it
-still takes a kernel bank, and rejects one that is not the config's own.
+config alone, as does glrt_demodulate, the one single-block entry, dithered
+or not. _records is the one place that cuts a row's DemodRecord from those
+arrays: glrt_demodulate and brute_force_glrt build their GlrtResult from one
+record, and demodulate_rows returns one per row; it still takes a kernel
+bank, and rejects one that is not the config's own.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -415,31 +415,18 @@ def _result_from_record(rec: DemodRecord) -> GlrtResult:
 # ---- public entry points ---------------------------------------------------
 
 
-def _demodulate(z, config: SystemConfig) -> GlrtResult:
-    """The sweep of one block."""
+def glrt_demodulate(z, config: SystemConfig) -> GlrtResult:
+    """Demodulate one block, dithered or not, via the residue reduction.
+
+    At most a candidates are evaluated without dither, and at most L with it
+    (one crossover per symbol). A tie goes to the lowest-index tied candidate.
+    """
     z = _check_indices(z, "z", config.L, config.K, "K")
     return _result_from_record(_records(_sweep_rows(z[None, :], config), config.M)[0])
 
 
-def glrt_demodulate(z, config: SystemConfig) -> GlrtResult:
-    """Demodulate one undithered block via the residue reduction.
-
-    At most a candidates are evaluated. A tie goes to the lowest-index tied
-    candidate.
-    """
-    if config.is_dithered:
-        raise ValueError("glrt_demodulate requires an undithered config")
-    return _demodulate(z, config)
-
-
-def glrt_demodulate_dithered(z, config: SystemConfig) -> GlrtResult:
-    """Demodulate one block under the config's dither via the residue
-    reduction.
-
-    Per-symbol rotations give up to L distinct crossover angles, hence at most
-    L candidates per 2*pi/M period.
-    """
-    return _demodulate(z, config)
+# another name for glrt_demodulate, which perfbench/workloads.py imports
+glrt_demodulate_dithered = glrt_demodulate
 
 
 def brute_force_glrt(z, config: SystemConfig) -> GlrtResult:
@@ -452,9 +439,10 @@ def brute_force_glrt(z, config: SystemConfig) -> GlrtResult:
     every orbit. Exponential in L by construction.
     """
     z = _check_indices(z, "z", config.L, config.K, "K")
-    if config.M ** (config.L - 1) > 300_000:
+    n_tails = config.M ** (config.L - 1)
+    if n_tails > 300_000:
         raise ValueError("brute-force input space too large")
-    tails = np.array(list(product(range(config.M), repeat=config.L - 1)), dtype=np.int64)
+    tails = np.indices((config.M,) * (config.L - 1)).reshape(config.L - 1, n_tails).T
     C = np.concatenate([np.zeros((tails.shape[0], 1), dtype=np.int64), tails], axis=1)
     lm = _evaluate_candidates(z, C, config)
     # every orbit is a candidate

@@ -21,6 +21,7 @@ from phaseq.capacity import mutual_information
 from phaseq.cli import main, parse_snr_grid
 from phaseq.combinatorics import grouped_input_classes, output_class_arrays
 from phaseq.transition import kernel_for
+from test_combinatorics import loop_input_classes
 
 
 def read_csv(path):
@@ -427,6 +428,18 @@ class TestTablesCommand:
             c.representative for c in inputs
         ]
         assert sum(int(w) for _, w in data["input_classes.csv"]) == cfg.M**cfg.L
+
+    @pytest.mark.parametrize("M, K, L", [(4, 8, 3), (8, 8, 12)])
+    def test_input_classes_csv_is_the_loop(self, tmp_path, M, K, L):
+        # the first residue class is all zeros: one group of L positions,
+        # whose classes the per-class loop lists byte for byte
+        argv = ["tables", "--M", str(M), "--K", str(K), "--L", str(L)]
+        assert main([*argv, "--out-dir", str(tmp_path)]) == 0
+        want = "".join(
+            f"{' '.join(map(str, rep))},{weight}\n" for rep, weight in loop_input_classes([0] * L, M)
+        )
+        raw = (tmp_path / "input_classes.csv").read_bytes()
+        assert raw == b"representative,weight\n" + want.encode()
 
     def test_grid_refusal_leaves_no_directory(self, tmp_path, capsys):
         # 100 dB at L = 8 needs a phase grid above the kernel's limit; every

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import phaseq
@@ -23,6 +23,7 @@ from phaseq.combinatorics import (
     _bracelet_rows,
     canonical_output_classes,
     grouped_input_classes,
+    input_class_arrays,
     input_class_count,
     output_class_arrays,
 )
@@ -39,6 +40,28 @@ def brute_class_buckets(alphabet: int, L: int) -> dict[tuple, int]:
         key = (0,) + tuple(sorted((v - z[0]) % alphabet for v in z[1:]))
         buckets[key] = buckets.get(key, 0) + 1
     return buckets
+
+
+def loop_input_classes(z, M: int) -> list[tuple[tuple[int, ...], int]]:
+    """The input classes of z, one Python loop over the per-group multisets:
+    (representative, weight) in lexicographic order of the representative,
+    each weight the product of its groups' multinomial counts."""
+    z = [int(v) for v in z]
+    groups = [[i for i, v in enumerate(z) if v == value] for value in sorted(set(z))]
+    classes = []
+    choices = [combinations_with_replacement(range(M), len(g)) for g in groups]
+    for pick in product(*choices):
+        rep = [0] * len(z)
+        weight = 1
+        for positions, multiset in zip(groups, pick):
+            for i, v in zip(positions, multiset):
+                rep[i] = v
+            weight *= factorial(len(multiset))
+            for v in set(multiset):
+                weight //= factorial(multiset.count(v))
+        classes.append((tuple(rep), weight))
+    classes.sort()
+    return classes
 
 
 class TestOutputClasses:
@@ -386,6 +409,49 @@ class TestInputClasses:
             groups[key] = groups.get(key, 0) + 1
         assert len(classes) == len(groups)
         assert sorted(c.weight for c in classes) == sorted(groups.values())
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        z=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+        M=st.sampled_from([2, 3, 4, 8]),
+    )
+    def test_arrays_match_the_loop(self, z, M):
+        # order, representatives and exact weights, through the arrays and
+        # through their dataclass wrapper; up to M=8's one group of 8
+        assume(input_class_count(z, M) <= comb(8 + 8 - 1, 8))
+        want = loop_input_classes(z, M)
+        reps, weights = input_class_arrays(np.array(z), M)
+        assert weights.dtype == np.int64
+        assert reps.shape == (len(want), len(z))
+        assert list(zip(map(tuple, reps.tolist()), weights.tolist())) == want
+        classes = grouped_input_classes(np.array(z), M)
+        assert [(c.representative, c.weight) for c in classes] == want
+        assert all(type(c.weight) is int for c in classes)
+
+    def test_weights_past_int64_are_python_ints(self):
+        # M=2, four interleaved groups of 20: 21^4 classes whose weights
+        # prod_g C(20, ones in g) sum to 2**80, past int64
+        z = np.arange(80) % 4
+        reps, weights = input_class_arrays(z, 2)
+        assert reps.shape == (21**4, 80) and weights.dtype == object
+        assert all(type(w) is int for w in weights.tolist())
+        assert sum(weights.tolist()) == 2**80
+        ones = [reps[:, g::4].sum(axis=1).tolist() for g in range(4)]
+        assert weights.tolist() == [
+            comb(20, a) * comb(20, b) * comb(20, c) * comb(20, d) for a, b, c, d in zip(*ones)
+        ]
+        # rows strictly ascending: at each pair's first differing column
+        # the later row is larger
+        differ = reps[1:] != reps[:-1]
+        first = np.argmax(differ, axis=1)
+        rows = np.arange(len(first))
+        assert differ.any(axis=1).all()
+        assert (reps[1:][rows, first] > reps[:-1][rows, first]).all()
+
+    def test_z_must_be_a_nonempty_vector(self):
+        for z in (np.zeros((2, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)):
+            with pytest.raises(ValueError, match="nonempty vector"):
+                input_class_arrays(z, 4)
 
 
 class TestCsvExports:

@@ -596,10 +596,13 @@ class TestTieHandling:
 
 
 class TestValidation:
-    def test_dithered_config_rejected_by_reduced_path(self):
+    def test_dithered_config_takes_the_one_entry(self):
+        # one GLRT entry for one block: a ramp config is swept, not refused,
+        # and the former dithered name is the same function
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0, dither="ramp")
-        with pytest.raises(ValueError, match="undithered"):
-            glrt_demodulate([0, 1], cfg)
+        for z in ([0, 1], [3, 6], [7, 7]):
+            assert glrt_demodulate(z, cfg) == glrt_demodulate_dithered(z, cfg)
+        assert glrt_demodulate_dithered is glrt_demodulate
 
     def test_wrong_length_and_range(self):
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
