@@ -28,8 +28,16 @@ It uses the same symmetries on its sampled blocks, so a call scores every
 distinct pinned block once under dither, and every bracelet once without:
 one core._RowMemo per side (conditional and output), of at most one batch
 of rows, holds log-probabilities by the keys core._group ranks, and ends
-with its call. Batches run in buffers the calling thread keeps
-(core._thread_workspace), as run_ser's chunks do.
+with its call. Batches run in buffers the calling thread keeps, as
+run_ser's chunks do, less those above core._KEPT_BYTES (a long block's),
+which go when the call returns (core._call_workspace). Once batch j is
+sampled, zero-sample redraws included, the calling thread draws batch
+j + 1's symbols, and a one-thread helper fills its phases and noise into
+the calling thread's noise and rotation buffers, which batch j's sampling
+no longer reads, while the calling thread scores batch j; the run_ser rule
+(core._usable_cpus) decides whether a call gets a helper. Scoring draws
+nothing, so the Generator makes the same draws in the same order on either
+path, and the estimate does not depend on it.
 Block probabilities fall back to log space when the linear phase-grid
 product underflows, so the Monte Carlo estimate stays finite for long
 blocks; it works on log-probabilities throughout. Every function takes the
@@ -43,6 +51,8 @@ the unknown block phase, so the per-symbol rate divides by L - 1.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -53,11 +63,13 @@ from .combinatorics import _bracelet_rows, output_class_arrays
 from .core import (
     SystemConfig,
     _as_int,
+    _call_workspace,
+    _chunk_sizes,
     _distinct_rows,
     _draw_into,
     _RowMemo,
     _sample_into,
-    _thread_workspace,
+    _usable_cpus,
 )
 from .transition import (
     TransitionKernel,
@@ -287,7 +299,8 @@ def mutual_information_mc(
     block conditional; P(z) is its exact average over all M^L inputs, computed
     through the per-symbol factorization that holds conditioned on each phase
     grid point (transition._fold_inputs with np.mean; finite-sum exchange,
-    no sampling of the input space).
+    no sampling of the input space). rng must be a numpy Generator, else
+    ValueError.
 
     Each batch scores every distinct block once. Adding c sectors to every
     output rolls every kernel row and every input-averaged row by c*n_phi/K
@@ -306,23 +319,36 @@ def mutual_information_mc(
     log-probabilities of up to _MC_BATCH rows in a core._RowMemo, and every
     row is reduced on its own, so a held value is bitwise the value the row
     would get afresh. The draws are those of sample_blocks, batch by batch
-    (symbols, phases, noise, then redraws), made in buffers the calling
-    thread keeps: S = z - a*x goes to the symbols' memory, and both pinned
-    rows to the sampler's planes once it is done with them.
+    (symbols, phases, noise, then redraws). Once batch j is sampled, its
+    redraws included, this thread draws batch j + 1's symbols, and its
+    phases and noise go into this thread's noise and rotation buffers,
+    which batch j's sampling no longer reads: on a one-thread helper while
+    this thread scores batch j, by core._usable_cpus's rule (more than one
+    batch, more than one usable CPU), else inline. Scoring draws nothing,
+    so either way the Generator makes batch j's redraws, then batch
+    j + 1's symbols, phases and noise, and every value is bitwise the
+    same. S = z - a*x goes to the symbols' memory, and both pinned rows to
+    the sampler's planes once it is done with them, all in buffers the
+    calling thread keeps, less those above core._KEPT_BYTES.
     """
     trials = _as_int(trials, "trials")
     if trials < 100:
         raise ValueError("trials must be at least 100")
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"rng must be a numpy.random.Generator (got {rng!r})")
     kernels = kernel_bank_for(config)
     L, M, K, a = config.L, config.M, config.K, config.a
     tables = [k.table for k in kernels]
     averaged = {id(t): _fold_inputs(t, M, np.mean) for t in tables}
     mixed = [averaged[id(t)] for t in tables]
     shared = not config.is_dithered
-    work = _thread_workspace()
     cond_scores, out_scores = (
         _RowMemo(partial(_log_grid_mean, side), limit=_MC_BATCH) for side in (tables, mixed)
     )
+    sizes = _chunk_sizes(trials, _MC_BATCH)
+    draws_ahead = len(sizes) > 1 and _usable_cpus() > 1
+    # no thread starts until the first submit
+    helper = ThreadPoolExecutor(max_workers=1) if draws_ahead else None
 
     sum_ratio = 0.0
     # squares about the first batch's mean: equal ratios then leave a
@@ -332,31 +358,40 @@ def mutual_information_mc(
     sum_dev_sq = 0.0
     sum_cond = 0.0
     sum_out = 0.0
-    done = 0
-    while done < trials:
-        n = min(_MC_BATCH, trials - done)
-        X = rng.integers(0, M, size=(n, L))
-        noise = work.buffer("noise", (2, n, L))
-        rot = work.buffer("rot", (n,), np.complex128)
-        draws = _draw_into(rng, None, config.sigma, noise, rot)
-        _, Z = _sample_into(X, config, rng, work, draws)
-        # S = Z - a*X in X's memory; the pins go to the sampler's dead planes
-        X *= -a
-        X += Z
-        cond_rows = _pin(X, K, K, work.buffer("t0", (n, L), np.int64))
-        out_rows = _pin(Z, K, a, work.buffer("t1", (n, L), np.int64))
-        log_cond = _pinned_log_grid_mean(cond_scores, cond_rows, K, shared)
-        log_out = _pinned_log_grid_mean(out_scores, out_rows, a, shared)
-        ratio = (log_cond - log_out) * LOG2E
-        sum_ratio += ratio.sum()
-        if shift is None:
-            shift = ratio.mean()
-        ratio -= shift
-        sum_dev += ratio.sum()
-        sum_dev_sq += np.square(ratio, out=ratio).sum()
-        sum_cond -= log_cond.sum() * LOG2E
-        sum_out -= log_out.sum() * LOG2E
-        done += n
+    with _call_workspace() as work, helper or nullcontext():
+
+        def draw_args(n: int) -> tuple:
+            noise = work.buffer("noise", (2, n, L))
+            return rng, None, config.sigma, noise, work.buffer("rot", (n,), np.complex128)
+
+        X = rng.integers(0, M, size=(sizes[0], L))
+        ahead = None
+        for j, n in enumerate(sizes):
+            draws = ahead.result() if ahead else _draw_into(*draw_args(n))
+            _, Z = _sample_into(X, config, rng, work, draws)
+            S, ahead = X, None
+            if j + 1 < len(sizes):
+                # batch j's redraws are made: batch j + 1's symbols here,
+                # and its phases and noise on the helper while j is scored
+                X = rng.integers(0, M, size=(sizes[j + 1], L))
+                if helper:
+                    ahead = helper.submit(_draw_into, *draw_args(sizes[j + 1]))
+            # S = Z - a*X in the symbols' memory; the pins go to the sampler's dead planes
+            S *= -a
+            S += Z
+            cond_rows = _pin(S, K, K, work.buffer("t0", (n, L), np.int64))
+            out_rows = _pin(Z, K, a, work.buffer("t1", (n, L), np.int64))
+            log_cond = _pinned_log_grid_mean(cond_scores, cond_rows, K, shared)
+            log_out = _pinned_log_grid_mean(out_scores, out_rows, a, shared)
+            ratio = (log_cond - log_out) * LOG2E
+            sum_ratio += ratio.sum()
+            if shift is None:
+                shift = ratio.mean()
+            ratio -= shift
+            sum_dev += ratio.sum()
+            sum_dev_sq += np.square(ratio, out=ratio).sum()
+            sum_cond -= log_cond.sum() * LOG2E
+            sum_out -= log_out.sum() * LOG2E
 
     mi = sum_ratio / trials
     var = max(sum_dev_sq / trials - (sum_dev / trials) ** 2, 0.0)

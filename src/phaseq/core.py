@@ -12,8 +12,10 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import sys
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,6 +31,12 @@ TWO_PI = 2.0 * math.pi
 # and 128k slower. Every blocked routine works row by row (candidate by
 # candidate in demod), so outputs do not depend on the block size.
 _CHUNK_ELEMENTS = 65_536
+# Bytes above which a workspace buffer is dropped when the public call that
+# grew it returns (_call_workspace). Every buffer of the benchmark workloads
+# stays below it, the largest being the 786,432 bytes of Monte Carlo MI
+# noise at L = 6, so repeated calls fault in no fresh pages; a long block's
+# go (a ramp K=8 L=200 Monte Carlo call grows 67 MB of them).
+_KEPT_BYTES = 2**20
 
 
 def ramp_dither(block_len: int, sectors: int) -> tuple[float, ...]:
@@ -371,6 +379,8 @@ class _Workspace:
     buffer() returns a C-contiguous view of the leading bytes of a named
     buffer, so a smaller request (a ragged last chunk) reuses it, and a
     later user of the same name may view the same bytes as another dtype.
+    trim() forgets the buffers above _KEPT_BYTES; views already handed out
+    keep their memory until they go.
     """
 
     def __init__(self) -> None:
@@ -384,6 +394,9 @@ class _Workspace:
             flat = self._bytes[name] = np.empty(nbytes, dtype=np.uint8)
         return flat[:nbytes].view(dtype).reshape(shape)
 
+    def trim(self) -> None:
+        self._bytes = {k: v for k, v in self._bytes.items() if v.size <= _KEPT_BYTES}
+
 
 # each thread's workspace, kept for the life of the thread
 _THREAD_WORK = threading.local()
@@ -395,6 +408,39 @@ def _thread_workspace() -> _Workspace:
     if not hasattr(_THREAD_WORK, "work"):
         _THREAD_WORK.work = _Workspace()
     return _THREAD_WORK.work
+
+
+@contextmanager
+def _call_workspace():
+    """The calling thread's workspace for one public call that may grow
+    buffers past _KEPT_BYTES (Monte Carlo MI, an SER lane on this thread):
+    those are dropped when the call returns or raises. A kernel fill works
+    in 512 KB planes, so it grows none."""
+    work = _thread_workspace()
+    try:
+        yield work
+    finally:
+        work.trim()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else os.cpu_count().
+
+    The package's one rule for drawing ahead: a call with more than one
+    batch (SER chunks, Monte Carlo MI batches) makes batch j + 1's draws on
+    a one-thread helper while it runs batch j when this is above 1, and
+    every draw inline otherwise. The Generator's stream order is the same
+    either way, so results do not depend on it."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
+    """trials split into batches of chunk_size and a ragged last one."""
+    full, rem = divmod(trials, chunk_size)
+    return [chunk_size] * full + ([rem] if rem else [])
 
 
 def _draw_into(
@@ -439,9 +485,9 @@ def _sample_into(
     draws is (phases, rotations, scaled noise) as _draw_into made them
     from rng, and the noise (2, n, L) is overwritten. Z is the buffer "Z"
     of work and "t0" and "t1" hold (n, L) temporaries, so callers may reuse
-    the noise, "t0" and "t1" once it returns. rng makes only the
-    zero-sample redraws after the draws. It computes, in real arithmetic
-    and in place,
+    the noise, the rotations, "t0" and "t1" once it returns (the phases it
+    returns are their own array). rng makes only the zero-sample redraws
+    after the draws. It computes, in real arithmetic and in place,
         yr = (cr*er - ci*ei) + sigma*nr,  yi = (cr*ei + ci*er) + sigma*ni,
     for clean samples cr + j*ci gathered from the (M, L) table and block
     rotations er + j*ei: the floats of the complex expression. Its angle

@@ -43,17 +43,19 @@ thread with its own row memo and workspace, and lanes share and lock
 nothing. A row two lanes meet is swept by each, to one decision, since a
 sweep is row-local. With workers > 1, min(workers, chunks) pool lanes each
 take every workers-th chunk and a fresh workspace. One worker runs one lane
-on the calling thread, which keeps its workspace (core._thread_workspace)
-across runs: fresh buffers would be fresh pages (about 500 minor faults a
-10,000-block ramp K=8, L=8 run).
+on the calling thread, which keeps its workspace across runs: fresh buffers
+would be fresh pages (about 500 minor faults a 10,000-block ramp K=8, L=8
+run). Buffers above core._KEPT_BYTES (a long block's) are dropped when the
+run returns (core._call_workspace).
 
 A chunk is its bulk draws (_draw_chunk: symbols, block phases and noise in
 stream order, then the rotations exp(j*phi) and the noise scaled by sigma)
 and then everything else (_run_chunk, from the same Generator). With one
-worker, more than one chunk and more than one usable CPU, a helper thread
-makes chunk i + 1's draws into the other of two buffer pairs while the lane
-runs chunk i; NumPy's fills and ufuncs release the GIL, so the two overlap
-and give the same floats on either thread. On one CPU the draws run inline.
+worker, a helper thread makes chunk i + 1's draws into the other of two
+buffer pairs while the lane runs chunk i, by the rule Monte Carlo MI shares
+(core._usable_cpus: more than one chunk and more than one usable CPU);
+NumPy's fills and ufuncs release the GIL, so the two overlap and give the
+same floats on either thread. Otherwise the draws run inline.
 The helper ends with the run, also when a chunk raises. While the helper
 makes chunk 0's draws, the lane sweeps its whole row space into its memo
 when the space is small (_row_space: rows * L at most DEFAULT_CHUNK // 2,
@@ -74,8 +76,8 @@ Raw block decisions are only defined up to a common constellation shift
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -85,13 +87,15 @@ from .combinatorics import output_class_arrays
 from .core import (
     SystemConfig,
     _as_int,
+    _call_workspace,
+    _chunk_sizes,
     _digit_words,
     _draw_into,
     _group,
     _row_keys,
     _RowMemo,
     _sample_into,
-    _thread_workspace,
+    _usable_cpus,
     _Workspace,
 )
 from .demod import _pick, _scan_points, _sweep_rows
@@ -182,19 +186,6 @@ def ser_crossing_snr(snrs_db, sers, target: float) -> float:
 
 
 # ---- chunk engine -----------------------------------------------------------
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, else os.cpu_count()."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _chunk_sizes(trials: int, chunk_size: int) -> list[int]:
-    full, rem = divmod(trials, chunk_size)
-    return [chunk_size] * full + ([rem] if rem else [])
 
 
 def _draw_chunk(
@@ -527,11 +518,12 @@ def run_ser(
             parts = [chunks[w::lanes] for w in range(lanes)]
             runs = pool.map(lambda part: _run_lane(config, part, convention, _Workspace()), parts)
             results = [r for run in runs for r in run]
-    elif len(chunks) > 1 and _usable_cpus() > 1:
-        with ThreadPoolExecutor(max_workers=1) as helper:
-            results = _run_lane(config, chunks, convention, _thread_workspace(), helper)
     else:
-        results = _run_lane(config, chunks, convention, _thread_workspace())
+        draws_ahead = len(chunks) > 1 and _usable_cpus() > 1
+        # no thread starts until the first submit
+        helper = ThreadPoolExecutor(max_workers=1) if draws_ahead else None
+        with _call_workspace() as work, helper or nullcontext():
+            results = _run_lane(config, chunks, convention, work, helper)
     errors, ties, cands = (sum(r[i] for r in results) for i in range(3))
     symbols = trials * (config.L - 1 if convention == "pilot" else config.L)
     lo, hi = wilson_interval(errors, symbols)

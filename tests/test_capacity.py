@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import time
 import tracemalloc
 import warnings
@@ -29,7 +30,16 @@ from phaseq.capacity import (
     output_entropy,
 )
 from phaseq.combinatorics import _bracelet_rows, output_class_arrays
-from phaseq.core import _check_indices, _distinct_rows, sample_blocks
+from phaseq.core import (
+    _KEPT_BYTES,
+    _check_indices,
+    _distinct_rows,
+    _draw_into,
+    _sample_into,
+    _thread_workspace,
+    modulate,
+    sample_blocks,
+)
 from phaseq.sim import run_ser
 from phaseq.transition import _fold_inputs, _log_grid_mean, kernel_bank_for, kernel_for
 
@@ -236,6 +246,20 @@ class TestValidation:
         cfg = SystemConfig(M=4, K=8, L=2, snr_db=6.0)
         with pytest.raises(ValueError, match="trials must be an integer"):
             mutual_information_mc(cfg, trials, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "rng", [0, None, np.random.RandomState(0)], ids=["int", "None", "RandomState"]
+    )
+    def test_mc_rng_must_be_a_generator(self, rng, monkeypatch):
+        # refused before any kernel is looked up or a helper is made
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached past the rng check")
+
+        monkeypatch.setattr(capacity, "kernel_bank_for", unreachable)
+        monkeypatch.setattr(capacity, "ThreadPoolExecutor", unreachable)
+        cfg = SystemConfig(M=4, K=8, L=6, snr_db=6.0, dither="ramp")
+        with pytest.raises(ValueError, match="rng must be a numpy.random.Generator"):
+            mutual_information_mc(cfg, 3 * _MC_BATCH, rng)
 
 
 class TestMonteCarlo:
@@ -622,3 +646,142 @@ def test_mc_output_entropy_matches_full_grid_products(cfg, trials):
         _, Z = sample_blocks(X, cfg, rng)
         outs.append(-_log_grid_mean(tables, Z % cfg.a) * LOG2E)
     assert got.h_out == pytest.approx(np.concatenate(outs).mean(), rel=1e-13)
+
+
+# ---- batches drawn ahead -------------------------------------------------
+
+
+def _mc_on_both_paths(cfg, trials, seed, monkeypatch):
+    """(repr of the result, final Generator state) with batch j + 1 drawn on
+    a helper thread while batch j is scored (two usable CPUs), and with
+    every draw inline (one)."""
+    runs = []
+    for cpus in (2, 1):
+        monkeypatch.setattr(capacity, "_usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(seed)
+        runs.append((repr(mutual_information_mc(cfg, trials, rng)), rng.bit_generator.state))
+    return runs
+
+
+@pytest.mark.parametrize(
+    "cfg, trials, batch",
+    [
+        # capacity_mix's two Monte Carlo configs
+        (SystemConfig(M=4, K=64, L=6, snr_db=6.0), 20_000, _MC_BATCH),
+        (SystemConfig(M=4, K=8, L=6, snr_db=6.0, dither="ramp"), 20_000, _MC_BATCH),
+        (SystemConfig(M=4, K=8, L=6, snr_db=6.0, dither="ramp"), 20_001, _MC_BATCH),
+        (SystemConfig(M=4, K=12, L=5, snr_db=8.0), 5_000, 500),
+        (SystemConfig(M=2, K=4, L=64, snr_db=8.0, dither="ramp"), 3_000, 1_000),
+        (SystemConfig(M=4, K=8, L=200, snr_db=6.0, dither="ramp"), 2_500, 1_000),
+    ],
+    ids=["k64", "ramp-k8", "ragged", "many-batches", "void-keys", "log-path"],
+)
+def test_drawing_ahead_equals_drawing_inline(cfg, trials, batch, monkeypatch):
+    monkeypatch.setattr(capacity, "_MC_BATCH", batch)
+    ahead, inline = _mc_on_both_paths(cfg, trials, 7, monkeypatch)
+    assert ahead == inline
+
+
+def test_a_batch_redraws_before_the_next_batch_draws(monkeypatch):
+    # block 0 of the second batch, whose phases and noise the helper drew,
+    # gets noise that cancels its clean sample at position 0 to exactly
+    # zero, so the sampler redraws that noise from the Generator; the next
+    # batch's draws must come after the redraw on both paths
+    cfg = SystemConfig(M=4, K=8, L=6, snr_db=6.0, dither="ramp")
+    monkeypatch.setattr(capacity, "_MC_BATCH", 500)
+    for zero in (True, False):
+        batches = []
+
+        def sample(X, config, rng, work, draws):
+            # four batches per call, two calls
+            batches.append(len(X))
+            if zero and len(batches) % 4 == 2:
+                _, rot, noise = draws
+                c = modulate(X[0], config)[0]
+                er, ei = rot.real[0], rot.imag[0]
+                noise[0, 0, 0] = -(c.real * er - c.imag * ei)
+                noise[1, 0, 0] = -(c.real * ei + c.imag * er)
+            return _sample_into(X, config, rng, work, draws)
+
+        monkeypatch.setattr(capacity, "_sample_into", sample)
+        runs = _mc_on_both_paths(cfg, 2_000, 3, monkeypatch)
+        assert batches == [500] * 8
+        assert runs[0] == runs[1]
+        if zero:
+            forced = runs[0]
+    # the forced zero did make a redraw: the stream moved on
+    assert forced[1] != runs[0][1]
+
+
+def test_a_draw_that_raises_on_the_helper_ends_it(monkeypatch):
+    # batch 0 is drawn on the calling thread and batch 1 on the helper,
+    # where the draw fails: the error propagates and the helper thread ends
+    monkeypatch.setattr(capacity, "_usable_cpus", lambda: 2)
+    threads = []
+
+    def draw(*args):
+        threads.append(threading.get_ident())
+        if len(threads) == 2:
+            raise RuntimeError("draw failed")
+        return _draw_into(*args)
+
+    monkeypatch.setattr(capacity, "_draw_into", draw)
+    cfg = SystemConfig(M=4, K=8, L=6, snr_db=6.0, dither="ramp")
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        mutual_information_mc(cfg, 3 * _MC_BATCH, np.random.default_rng(1))
+    assert threads[0] == threading.get_ident() != threads[1]
+    assert len(threads) == 2
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "trials, cpus, helpers",
+    [(_MC_BATCH, 2, 0), (_MC_BATCH + 1, 1, 0), (_MC_BATCH + 1, 2, 1), (3 * _MC_BATCH, 2, 1)],
+    ids=["one-batch", "one-cpu", "two-batches", "three-batches"],
+)
+def test_helper_only_with_batches_and_cpus_to_spare(trials, cpus, helpers, monkeypatch):
+    # one helper per call, given more than one batch and more than one
+    # usable CPU; it draws every batch but the first
+    made = []
+
+    class RecordedPool(capacity.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.submitted = 0
+            made.append(self)
+
+        def submit(self, *args, **kwargs):
+            self.submitted += 1
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(capacity, "ThreadPoolExecutor", RecordedPool)
+    monkeypatch.setattr(capacity, "_usable_cpus", lambda: cpus)
+    before = threading.active_count()
+    cfg = SystemConfig(M=4, K=8, L=3, snr_db=6.0)
+    mutual_information_mc(cfg, trials, np.random.default_rng(2))
+    batches = -(-trials // _MC_BATCH)
+    assert [(p._max_workers, p.submitted) for p in made] == [(1, batches - 1)] * helpers
+    assert threading.active_count() == before
+
+
+def test_mc_drops_long_block_buffers_when_it_returns():
+    # ramp K=8 L=200 grows its noise, symbols' sectors and pin planes to
+    # 67 MB; on return no buffer above core._KEPT_BYTES is kept, and a
+    # repeat call on the same thread is bitwise equal. A fresh thread
+    # holds only this test's buffers
+    cfg = SystemConfig(M=4, K=8, L=200, snr_db=6.0, dither="ramp")
+    seen = []
+
+    def run():
+        seen.append(repr(mutual_information_mc(cfg, 20_000, np.random.default_rng(13))))
+        seen.append(max(v.size for v in _thread_workspace()._bytes.values()))
+        seen.append(repr(mutual_information_mc(cfg, 20_000, np.random.default_rng(13))))
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=300)
+    assert not thread.is_alive() and len(seen) == 3
+    first, largest, again = seen
+    assert largest <= _KEPT_BYTES
+    assert again == first

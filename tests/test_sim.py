@@ -20,6 +20,7 @@ from scipy.special import ndtr
 import phaseq
 from phaseq import SystemConfig, sim, transition
 from phaseq.core import (
+    _KEPT_BYTES,
     _digit_words,
     _distinct_rows,
     _group,
@@ -711,6 +712,30 @@ class TestChunkEngine:
         work = _thread_workspace()
         assert run_ser(ramp, 5_000, seed=3) == fresh[0]
         assert _thread_workspace() is work
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_long_block_buffers_dropped_when_the_run_returns(self, cpus, monkeypatch):
+        # chunks of 400 ramp blocks of L = 200 grow the lane's noise planes
+        # to 1.28 MB, two pairs of them with a draw-ahead helper; on return
+        # no buffer above core._KEPT_BYTES is kept, and a repeat run is
+        # equal. A fresh thread holds only this test's buffers
+        monkeypatch.setattr(sim, "DEFAULT_CHUNK", 400)
+        monkeypatch.setattr(sim, "_usable_cpus", lambda: cpus)
+        cfg = SystemConfig(M=4, K=8, L=200, snr_db=6.0, dither="ramp")
+        seen = []
+
+        def run():
+            seen.append(run_ser(cfg, 700, seed=5))
+            seen.append(max(v.size for v in _thread_workspace()._bytes.values()))
+            seen.append(run_ser(cfg, 700, seed=5))
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join(timeout=120)
+        assert not thread.is_alive() and len(seen) == 3
+        first, largest, again = seen
+        assert largest <= _KEPT_BYTES
+        assert again == first
 
     @pytest.mark.parametrize(
         "cfg",

@@ -11,6 +11,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -23,7 +24,7 @@ from scipy.special import log_ndtr
 from phaseq import SystemConfig, transition
 from phaseq.capacity import mutual_information, mutual_information_mc
 from phaseq.cli import main
-from phaseq.core import _CHUNK_ELEMENTS, _Workspace, sample_blocks
+from phaseq.core import _CHUNK_ELEMENTS, _KEPT_BYTES, _Workspace, _thread_workspace, sample_blocks
 from phaseq.demod import _SCAN_TARGET, _scan_bank, glrt_demodulate
 from phaseq.sim import run_ser
 from phaseq.transition import (
@@ -337,6 +338,27 @@ def test_arc_fill_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_arc_fill_keeps_no_buffer_above_the_kept_size():
+    # a fill works in (16, _CHUNK_ELEMENTS // 16) planes whatever its grid
+    # or SNR, so it grows no workspace buffer that a call would drop: a
+    # 60 dB K=4 L=8 kernel (67,948 cells, 16 parts each) and a 2**18-cell
+    # fill leave none above core._KEPT_BYTES on a fresh thread
+    largest = []
+
+    def fill():
+        cfg = SystemConfig(M=4, K=4, L=8, snr_db=60.0)
+        # a kernel of its own, not the cached one an earlier test filled
+        transition.TransitionKernel(60.0, 4, 0.0, _grid_size(cfg)).table
+        _arc_probabilities(0.1, 2**18, 2**16, 10.0)
+        largest.append(max(v.size for v in _thread_workspace()._bytes.values()))
+
+    thread = threading.Thread(target=fill)
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive() and len(largest) == 1
+    assert largest[0] <= _KEPT_BYTES
 
 
 def test_arc_fills_on_threads_match_serial():
