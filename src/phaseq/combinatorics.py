@@ -7,10 +7,9 @@ weighted by the class size. Representatives are canonicalized as: first
 component pinned to 0, remaining components sorted nondecreasing; the number
 of distinct blocks sharing a representative is the multinomial permutation
 count of the free positions. output_class_arrays enumerates them as integer
-arrays, built one position at a time in lexicographic order, which is what
-the tables command and the verify suite read as the paper's class counts;
-canonical_output_classes wraps the same arrays in one dataclass per class
-for the benchmark.
+arrays in lexicographic order, which the tables command and the verify suite
+read as the paper's class counts; canonical_output_classes wraps the same
+arrays in one dataclass per class for the benchmark.
 
 Undithered blocks have two more symmetries. Pinning subtracts z_0 only, so
 the same multiset of points on Z_K pinned at another of its values is
@@ -25,22 +24,24 @@ it: 126 bracelets instead of 792 classes at K=8 L=6, 3,260 instead of
 instead of 376,992 at K=32 L=6.
 
 Inputs that permute within groups of equal output values give equal
-conditional probabilities, so an M^L input average can collapse to per-group
-multisets with multinomial weights: the tails of output_class_arrays(M, n + 1)
-for a group of n positions, combined by input_class_arrays. Only the tables
-command, the verify suite and the benchmark enumerate input classes; the
-capacity sums average inputs through a per-symbol table instead. The module
-writes no file: the command line formats the CSVs.
+conditional probabilities, so an M^L input average collapses to per-group
+multisets with multinomial weights (input_class_arrays). An output class is
+one such group beside the pinned 0, and one tree (_class_tree) builds both
+tables, keeping one level; weights are int64 while min(n!, alphabet**n) <
+2**63 for n free positions. Only the tables command, the verify suite and the
+benchmark enumerate input classes; the capacity sums average inputs through a
+per-symbol table instead. The module writes no file: the CLI formats the CSVs.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _distinct_rows, _group, _row_words
+from .core import _as_int, _distinct_rows, _group
 
 
 @dataclass(frozen=True)
@@ -75,55 +76,81 @@ class InputClass:
 # (12.6M), while K=64 at L=7 (1.2e8) would need about 6.7 GB of int64
 # representatives and L=8 (1.2e9) 77 GB.
 _MAX_CLASSES = 2**24
-# and input_class_arrays more than this before building one: at 140-210 bytes
-# and 0.2-0.4 us a class (M=16 L=8, M=6 L=16), 2**20 take 0.2 GB and 0.5 s.
+# and input_class_arrays more than this before building one: at 130-200 bytes
+# and 0.1 us a class (M=16 L=8, M=6 L=16), 2**20 take 0.2 GB and 0.1 s.
 _MAX_INPUT_CLASSES = 2**20
+
+
+def _class_tree(labels: list, alphabet: int, lead: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of symbols 0..alphabet-1 at n positions, nondecreasing within each
+    group of equal labels, in lexicographic order (the transpose of the
+    (lead + n, count) array filled, first lead columns 0; callers bound
+    count), and each row's weight, prod over groups of n_g! / prod_v c_v!.
+
+    One level of the tree is kept. A node holds its weight and, per group
+    begun and not finished, its last value and that value's run; its children
+    take each value from there up (Knuth, TAOCP 4A, 7.2.1.3). A node heads
+    prod over groups of C(alphabet - v + r - 1, r) leaves, v its last value
+    (0 before the group begins) and r the positions left, so a column is its
+    level's values each repeated that often. A weight takes C(s, c) as each
+    run of c positions closes at its group's s-th, so no product passes the
+    row's weight: int64 while min(n!, alphabet**n) < 2**63, else Python ints.
+    """
+    n, left = len(labels), Counter(labels)
+    # completions[r, v] = C(alphabet - v + r - 1, r), by Pascal's rule
+    completions = np.ones((max(left.values(), default=0) + 1, alphabet), dtype=np.int64)
+    for r in range(1, len(completions)):
+        np.add.accumulate(completions[r - 1, ::-1], out=completions[r, ::-1])
+    columns = np.zeros((lead + n, math.prod(completions[list(left.values()), 0])), dtype=np.int64)
+    exact = np.int64 if min(math.factorial(n), alphabet**n) < 2**63 else object
+    weight = np.ones(1, dtype=exact)
+    # C(s, c) for the s positions of group g placed; no entry read wraps int64
+    binomials = {g: np.eye(1, size + 1, dtype=exact)[0] for g, size in left.items()}
+    # each node's (last value, run length) in each group not finished
+    begun = {g: (np.zeros(1, dtype=np.int64),) * 2 for g in left}
+    for column, g in zip(columns[lead:], labels):
+        last, run = begun.pop(g)
+        width = alphabet - last
+        ends = np.add.accumulate(width)
+        parent = np.repeat(np.arange(len(width)), width)
+        value = np.arange(ends[-1]) - (ends - alphabet)[parent]
+        # each node's first child continues its run; the others close it
+        child_run = np.ones(ends[-1], dtype=np.int64)
+        child_run[ends - width] += run
+        weight = weight[parent]
+        opens = np.flatnonzero(child_run == 1)
+        weight[opens] *= binomials[g][run[parent[opens]]]
+        binomials[g][1:] += binomials[g][:-1]
+        left[g] -= 1
+        begun = {h: (v[parent], r[parent]) for h, (v, r) in begun.items()}
+        if left[g]:
+            begun[g] = (value, child_run)
+        else:
+            weight *= binomials[g][child_run]
+        column[:] = np.repeat(value, math.prod(completions[left[h], begun[h][0]] for h in begun))
+    return columns.T, weight
 
 
 def output_class_arrays(alphabet_size: int, block_len: int) -> tuple[np.ndarray, np.ndarray]:
     """Canonical output classes as arrays: (representatives, multiplicities).
 
     Representatives are an (n, block_len) int64 array in lexicographic order,
-    n = C(alphabet_size + block_len - 2, block_len - 1), first column 0. The
-    tails are built one position at a time: each tail of the previous level
-    is repeated once per symbol from its last value up, which keeps the order
-    of combinations_with_replacement. A multiplicity is
-    (block_len-1)! / prod_v c_v!, with prod_v c_v! built along the way from
-    the run length of the last symbol. The multiplicities are exact integers:
-    int64 while (block_len-1)! fits it, Python ints (dtype object) beyond.
-    More than _MAX_CLASSES classes raise ValueError before any allocation.
+    n = C(alphabet_size + block_len - 2, block_len - 1): a 0 beside the rows
+    of _class_tree over one group of block_len - 1 positions, whose weights,
+    (block_len-1)! / prod_v c_v!, are the multiplicities. More than
+    _MAX_CLASSES classes raise ValueError before any allocation.
     """
+    alphabet_size = _as_int(alphabet_size, "alphabet_size")
+    block_len = _as_int(block_len, "block_len")
     if alphabet_size < 1 or block_len < 1:
         raise ValueError("alphabet_size and block_len must be positive")
-    n_free = block_len - 1
-    n_classes = math.comb(alphabet_size + n_free - 1, n_free)
+    n_classes = math.comb(alphabet_size + block_len - 2, block_len - 1)
     if n_classes > _MAX_CLASSES:
         raise ValueError(
             f"{n_classes} canonical classes of blocks of {block_len} symbols in"
             f" 0..{alphabet_size - 1} are above the enumeration limit of {_MAX_CLASSES}"
         )
-    total = math.factorial(n_free)
-    exact = np.int64 if total < 2**63 else object
-    last = np.zeros(1, dtype=np.int64)
-    run = np.zeros(1, dtype=np.int64)
-    denom = np.ones(1, dtype=exact)
-    levels = []
-    for _ in range(n_free):
-        width = alphabet_size - last
-        parent = np.repeat(np.arange(last.size), width)
-        starts = np.cumsum(width) - width
-        value = np.arange(parent.size) - (starts - last)[parent]
-        run = np.where(value == last[parent], run[parent] + 1, 1)
-        denom = denom[parent] * run
-        levels.append((parent, value))
-        last = value
-    reps = np.zeros((last.size, block_len), dtype=np.int64)
-    row = np.arange(last.size)
-    for l in range(n_free, 0, -1):
-        parent, value = levels[l - 1]
-        reps[:, l] = value[row]
-        row = parent[row]
-    return reps, total // denom
+    return _class_tree([0] * (block_len - 1), alphabet_size, lead=1)
 
 
 def _bracelet_rows(rows: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -177,12 +204,8 @@ def _bracelet_rows(rows: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarra
 
 
 def canonical_output_classes(alphabet_size: int, block_len: int) -> list[CanonicalOutputClass]:
-    """All canonical output classes for blocks of block_len symbols.
-
-    There are C(alphabet_size + block_len - 2, block_len - 1) classes,
-    enumerated in lexicographic order of the representative; one dataclass
-    per row of output_class_arrays.
-    """
+    """All canonical output classes for blocks of block_len symbols, one
+    dataclass per row of output_class_arrays, in its order."""
     reps, mult = output_class_arrays(alphabet_size, block_len)
     return [
         CanonicalOutputClass(representative=tuple(r), multiplicity=m)
@@ -194,53 +217,32 @@ def input_class_arrays(z, M: int) -> tuple[np.ndarray, np.ndarray]:
     """Input classes for a fixed reduced output z: (representatives, weights).
 
     Within a group of positions of equal output, input permutations leave
-    P(z | x) unchanged. A group of n positions takes the tails of
-    output_class_arrays(M, n + 1), its sorted multisets, with their
-    multiplicities as weights; one index grid combines the groups, a weight
-    being the product of its groups'. The (n_classes, L) representatives are
-    in lexicographic order, as one group's table already is. Weights are
-    exact: int64 while M**L fits it, Python ints (dtype object) beyond. The
-    class count is prod_i C(M + n_i - 1, n_i); above _MAX_INPUT_CLASSES it
-    raises ValueError before building any.
+    P(z | x) unchanged, so a class is an input sorted within each group,
+    weighted by the product of its groups' multinomial counts: _class_tree's
+    rows, in lexicographic order, int64 weights while min(L!, M**L) fits it.
+    Above _MAX_INPUT_CLASSES classes it raises ValueError before building any.
     """
-    z = np.asarray(z, dtype=np.int64)
-    if z.ndim != 1 or z.size < 1:
-        raise ValueError("z must be a nonempty vector")
     n_classes = input_class_count(z, M)
     if n_classes > _MAX_INPUT_CLASSES:
         raise ValueError(f"{n_classes} input classes are above the limit of {_MAX_INPUT_CLASSES}")
-    exact = np.int64 if int(M) ** z.size < 2**63 else object
-    groups = [np.nonzero(z == v)[0] for v in np.unique(z)]
-    tables = [output_class_arrays(M, positions.size + 1) for positions in groups]
-    if len(groups) == 1:
-        reps, weights = tables[0]
-        return reps[:, 1:], weights.astype(exact, copy=False)
-    grid = np.indices([len(reps) for reps, _ in tables]).reshape(len(tables), -1)
-    # built and sorted one contiguous column at a time, in place (the rows
-    # are distinct), so that no second (n_classes, L) array is made
-    columns = np.empty((z.size, n_classes), dtype=np.int64)
-    weights = np.ones(n_classes, dtype=exact)
-    for positions, (reps, mults), pick in zip(groups, tables, grid):
-        columns[positions] = reps.T[1:, pick]
-        weights *= mults.astype(exact, copy=False)[pick]
-    index = _group(*_row_words(columns.T, M))[0]
-    for column in columns:
-        column[:] = column[index]
-    return columns.T, weights[index]
+    return _class_tree(np.asarray(z).tolist(), int(M))
 
 
 def grouped_input_classes(z, M: int) -> list[InputClass]:
-    """Input classes for a fixed reduced output z (components in 0..a-1),
-    one dataclass per row of input_class_arrays."""
+    """Input classes for a fixed reduced output z, one per input_class_arrays row."""
     reps, weights = input_class_arrays(z, M)
     return [InputClass(tuple(r), w) for r, w in zip(reps.tolist(), weights.tolist())]
 
 
 def input_class_count(z, M: int) -> int:
-    """Number of input classes for reduced output z, without enumerating."""
-    z = np.asarray(z, dtype=np.int64)
-    total = 1
-    for v in set(int(v) for v in z):
-        n = int((z == v).sum())
-        total *= math.comb(M + n - 1, n)
-    return total
+    """Number of input classes for reduced output z, prod_i C(M + n_i - 1,
+    n_i) over its groups, without enumerating; ValueError unless z is a
+    nonempty vector of finite integral values and M a positive integer."""
+    M = _as_int(M, "M")
+    if M < 1:
+        raise ValueError(f"M must be at least 1 (got {M})")
+    z = np.asarray(z)
+    integral = z.dtype.kind in "biuf" and np.all(np.isfinite(z) & (z == np.floor(z)))
+    if z.ndim != 1 or z.size < 1 or not integral:
+        raise ValueError("z must be a nonempty vector of integers")
+    return math.prod(math.comb(M + n - 1, n) for n in Counter(z.tolist()).values())

@@ -244,24 +244,17 @@ def _digit_words(base: int, significance, word_top) -> tuple[int, np.ndarray, np
     return per, word, base ** (significance % per)
 
 
-def _row_words(rows: np.ndarray, base: int) -> tuple[np.ndarray, int]:
-    """(words, top), _group's arguments: rows of digits 0..base-1 packed by
-    _digit_words into (W, n) int64 words, first digit most significant."""
+def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct rows of a 2-d array of digits in 0..base-1 in lexicographic
+    order, the index of each row among them (np.unique's axis=0 and
+    return_inverse), and each distinct row's key (_row_keys): its digits
+    packed by _digit_words into W int64 words, first digit most significant."""
     n, L = rows.shape
     per, word, place = _digit_words(base, np.arange(L)[::-1], lambda p: base**p - 1)
     words = np.zeros((word[-1] + 1, n), dtype=np.int64)
     for column, w, q in zip(rows.T, word.tolist(), place.tolist()):
         words[w] += column * q
-    return words, base**per - 1
-
-
-def _distinct_rows(rows: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of a 2-d array of digits in 0..base-1 in lexicographic
-    order, the index of each row among them (np.unique's axis=0 and
-    return_inverse), and each distinct row's key (_row_keys): rows packed by
-    _row_words, and each read from one member of its _group."""
-    words, top = _row_words(rows, base)
-    index, inverse, _ = _group(words, top)
+    index, inverse, _ = _group(words, base**per - 1)
     return rows[index], inverse, _row_keys(words, index)
 
 

@@ -83,7 +83,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .combinatorics import output_class_arrays
+from .combinatorics import _class_tree
 from .core import (
     SystemConfig,
     _as_int,
@@ -268,10 +268,11 @@ def _row_space(config: SystemConfig, limit: int) -> tuple[np.ndarray, np.ndarray
     """(rows, keys) of every residue row a block of config can have, for
     _RowMemo, or None when there are more than limit or rows * L exceeds
     DEFAULT_CHUNK // 2 (256 rows at L = 8). Without dither the rows are the
-    sorted residue multisets, C(L + a - 1, L) of them: the canonical classes
-    of L + 1 residues less their first column, always 0. Under dither they
-    are all a**L residue vectors. Keys are _block_rows', position l's
-    residue read at l*K + r under dither, as in _run_chunk."""
+    sorted residue multisets, C(L + a - 1, L) of them in lexicographic
+    order: combinatorics._class_tree's rows over one group of L positions,
+    whose weights go unread. Under dither they are all a**L residue vectors.
+    Keys are _block_rows', position l's residue read at l*K + r under
+    dither, as in _run_chunk."""
     L, K, a = config.L, config.K, config.a
     n = a**L if config.is_dithered else math.comb(L + a - 1, L)
     if n > limit or n * L > DEFAULT_CHUNK // 2:
@@ -280,7 +281,7 @@ def _row_space(config: SystemConfig, limit: int) -> tuple[np.ndarray, np.ndarray
         rows = np.arange(n)[:, None] // a ** np.arange(L)[::-1] % a
         Z = rows + K * np.arange(L)
     else:
-        rows = Z = output_class_arrays(a, L + 1)[0][:, 1:]
+        rows = Z = _class_tree([0] * L, a)[0]
     index, _, _, keys = _block_rows(Z, config, np.empty((n, L), dtype=np.int64))
     return rows[index], keys
 

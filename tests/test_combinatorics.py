@@ -6,6 +6,7 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations_with_replacement, permutations, product
 from math import comb, factorial
 from pathlib import Path
@@ -152,8 +153,9 @@ class TestOutputClasses:
                 mults.append(factorial(L - 1) // denom)
             return reps, mults
 
-        # L = 25: (L-1)! passes int64, so the multiplicities are Python ints;
-        # L = 60: they pass 2^53, so float() rounds them
+        # L = 25 and 60: (L-1)! passes int64 but alphabet**(L-1) does not, so
+        # the multiplicities are int64; L = 60: they pass 2^53, so float()
+        # rounds them
         cases = [(a, L) for a in range(1, 7) for L in range(1, 8)]
         cases += [(2, 25), (3, 25), (2, 60)]
         for alphabet, L in cases:
@@ -177,6 +179,51 @@ class TestOutputClasses:
             canonical_output_classes(0, 2)
         with pytest.raises(ValueError):
             canonical_output_classes(8, 0)
+
+    @pytest.mark.parametrize(
+        "enumerate_classes, args, message",
+        [
+            (output_class_arrays, (4.0, 3), "alphabet_size must be an integer"),
+            (output_class_arrays, (4, 2.5), "block_len must be an integer"),
+            (canonical_output_classes, (4.0, 3), "alphabet_size must be an integer"),
+        ],
+        ids=["arrays-alphabet", "arrays-block_len", "dataclasses-alphabet"],
+    )
+    def test_sizes_must_be_integers(self, enumerate_classes, args, message):
+        with pytest.raises(ValueError, match=message):
+            enumerate_classes(*args)
+
+    @pytest.mark.parametrize("A, L", [(a, L) for a in range(1, 7) for L in range(2, 9)]
+                             + [(2, 30), (2, 63), (4, 61), (1, 80)])
+    def test_output_classes_are_one_input_group_beside_a_zero(self, A, L):
+        # the one tree builds both tables: an output class is a pinned 0
+        # beside the input classes of one group of L - 1 positions (L = 1 has
+        # none; test_class_arrays_match_loop_reference covers it). (2, 63):
+        # int64 weights, as 2**62 fits, though 62! does not; (4, 61): Python
+        # ints; (1, 80): int64, though C(79, 39) in the tree's binomial row
+        # wraps it
+        reps, mults = output_class_arrays(A, L)
+        inputs, weights = input_class_arrays(np.zeros(L - 1, dtype=np.int64), A)
+        assert (reps[:, 0] == 0).all() and np.array_equal(reps[:, 1:], inputs)
+        assert mults.dtype == weights.dtype == (object if (A, L) == (4, 61) else np.int64)
+        assert mults.tolist() == weights.tolist()
+        if A == 2:
+            assert mults.tolist() == [comb(L - 1, k) for k in range(L)]
+
+    def test_enumeration_peak_stays_near_its_result(self):
+        # one tree level is kept, not every level: the traced peak of the
+        # L = 61 enumeration stays below 1.5x the rows, the weight array and
+        # the Python-int weights it returns (about 1.1x; an enumeration that
+        # keeps every level's arrays until the end peaks at about 1.7x)
+        output_class_arrays(4, 5)
+        tracemalloc.start()
+        try:
+            reps, mults = output_class_arrays(4, 61)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = reps.nbytes + mults.nbytes + sum(map(sys.getsizeof, mults.tolist()))
+        assert mults.dtype == object and peak < 1.5 * held, (peak, held)
 
 
 def dihedral_key(row, period: int) -> tuple:
@@ -452,6 +499,31 @@ class TestInputClasses:
         for z in (np.zeros((2, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)):
             with pytest.raises(ValueError, match="nonempty vector"):
                 input_class_arrays(z, 4)
+
+    @pytest.mark.parametrize("count", [False, True], ids=["arrays", "count"])
+    @pytest.mark.parametrize(
+        "z, M, message",
+        [
+            ([0, 0], 2.0, "M must be an integer"),
+            ([0, 0], 0, "M must be at least 1"),
+            ([0.5, 1], 2, "nonempty vector of integers"),
+            ([np.nan, 1], 2, "nonempty vector of integers"),
+            ([np.inf, 1], 2, "nonempty vector of integers"),
+            (["a"], 2, "nonempty vector of integers"),
+            ([[0, 1]], 2, "nonempty vector of integers"),
+        ],
+        ids=["float-M", "zero-M", "fractional-z", "nan-z", "inf-z", "text-z", "matrix-z"],
+    )
+    def test_bad_arguments_are_refused_by_name(self, z, M, message, count):
+        # a fractional z is not truncated into another output, and M is
+        # neither coerced from a float nor blamed on the output enumerator
+        with pytest.raises(ValueError, match=message):
+            (input_class_count if count else input_class_arrays)(z, M)
+
+    def test_integral_float_z_is_taken(self):
+        reps, weights = input_class_arrays([0.0, 1.0, 0.0], 2)
+        assert input_class_count([0.0, 1.0, 0.0], 2) == len(reps) == 6
+        assert weights.tolist() == [w for _, w in loop_input_classes([0, 1, 0], 2)]
 
 
 class TestCsvExports:
